@@ -47,7 +47,7 @@ import time
 import numpy as np
 
 from repro.colstore import ColumnarWriter
-from repro.core.kernels import hash01, hash01_blake2b, jit_active
+from repro.core.kernels import hash01, hash01_blake2b
 from repro.obs.metrics import (
     phase_seconds_delta,
     phase_seconds_snapshot,
@@ -327,7 +327,6 @@ def run_hash_kernel_benchmark() -> dict:
         "benchmark": "lineage_hash_kernel",
         "smoke": SMOKE,
         "hash_rows": HASH_ROWS,
-        "jit_active": bool(jit_active()),
         "splitmix_seconds": splitmix_seconds,
         "blake2b_seconds": blake2b_seconds,
         "splitmix_mrows_per_sec": HASH_ROWS / splitmix_seconds / 1e6,

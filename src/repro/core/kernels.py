@@ -2,20 +2,11 @@
 
 Profiling the chunked pipeline keeps naming three kernels: the
 lineage-hash Bernoulli draw, multi-key join factorization, and the
-per-group weight reduction behind every moment computation.  They live
-here in two interchangeable forms:
-
-* **Vectorized numpy** (always available) — branch-free SplitMix64 over
-  uint64 arrays, radix-packed multi-key sort, ``np.bincount`` group
-  sums.
-* **Numba-compiled** (opt-in via ``REPRO_JIT=1``, used only when numba
-  imports) — the same arithmetic as explicit loops.  The JIT variants
-  are *bit-identical* by construction: SplitMix64 is exact integer
-  arithmetic, and the JIT group-sum accumulates in the same
-  row-major order as ``np.bincount``, so float addition order (and
-  therefore every estimate, variance, and CI downstream) is unchanged.
-  When ``REPRO_JIT`` is unset or numba is missing, the numpy forms run
-  and :func:`jit_active` reports ``False`` — no hard dependency.
+per-group weight reduction behind every moment computation.  Each is
+one vectorized numpy routine — branch-free SplitMix64 over uint64
+arrays, radix-packed multi-key sort, ``np.bincount`` group sums — so
+the float addition order, and with it every estimate, variance and CI
+downstream, has a single definition.
 
 The per-row ``hashlib.blake2b`` reference implementation is kept for
 the committed micro-benchmark (``benchmarks/bench_colstore.py``): it is
@@ -26,7 +17,6 @@ measured against.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections.abc import Sequence
 
 import numpy as np
@@ -46,21 +36,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_64 = 1.0 / float(2**64)
 
 
-def _jit_requested() -> bool:
-    return os.environ.get("REPRO_JIT", "") not in ("", "0")
-
-
-_numba = None
-if _jit_requested():  # pragma: no cover - numba optional
-    try:
-        import numba as _numba
-    except ImportError:
-        _numba = None
-
-
 def jit_active() -> bool:
-    """Whether the numba-compiled kernel variants are in use."""
-    return _numba is not None
+    """Always ``False`` (no compiled variants); the e2e benchmark reads it."""
+    return False
 
 
 # -- lineage hash ----------------------------------------------------------
@@ -73,11 +51,6 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _seed_mix(seed: int) -> np.uint64:
-    with np.errstate(over="ignore"):
-        return _finalize(np.uint64(seed % (2**64)) * _GAMMA + _GAMMA)
-
-
 def hash01(seed: int, ids: np.ndarray) -> np.ndarray:
     """Map ``(seed, id)`` pairs to deterministic uniforms in ``[0, 1)``.
 
@@ -87,10 +60,8 @@ def hash01(seed: int, ids: np.ndarray) -> np.ndarray:
     at shifted ids — a real bias source for multi-stream sampling.
     """
     ids_u64 = np.asarray(ids, dtype=np.uint64)
-    seed_mix = _seed_mix(seed)
-    if _numba is not None:  # pragma: no cover - numba optional
-        return _hash01_jit()(seed_mix, ids_u64)
     with np.errstate(over="ignore"):
+        seed_mix = _finalize(np.uint64(seed % (2**64)) * _GAMMA + _GAMMA)
         z = _finalize(seed_mix ^ (ids_u64 * _GAMMA))
     return z.astype(np.float64) * _INV_2_64
 
@@ -112,32 +83,6 @@ def hash01_blake2b(seed: int, ids: np.ndarray) -> np.ndarray:
         ).digest()
         out[i] = int.from_bytes(digest, "little") * _INV_2_64
     return out
-
-
-_HASH01_JIT = None
-
-
-def _hash01_jit():  # pragma: no cover - numba optional
-    global _HASH01_JIT
-    if _HASH01_JIT is None:
-        gamma = np.uint64(_GAMMA)
-        mix1 = np.uint64(_MIX1)
-        mix2 = np.uint64(_MIX2)
-        inv = _INV_2_64
-
-        @_numba.njit(cache=True)
-        def kernel(seed_mix, ids):
-            out = np.empty(ids.shape[0], dtype=np.float64)
-            for i in range(ids.shape[0]):
-                z = seed_mix ^ (ids[i] * gamma)
-                z = (z ^ (z >> np.uint64(30))) * mix1
-                z = (z ^ (z >> np.uint64(27))) * mix2
-                z = z ^ (z >> np.uint64(31))
-                out[i] = z * inv
-            return out
-
-        _HASH01_JIT = kernel
-    return _HASH01_JIT
 
 
 # -- multi-key factorization ----------------------------------------------
@@ -224,35 +169,11 @@ def group_sums(
 ) -> np.ndarray:
     """Single-pass per-group weight sums over pre-sorted dense ids.
 
-    The numpy form is ``np.bincount``; the JIT form is the equivalent
-    sequential loop.  Both accumulate in row order over the sorted
-    input, so the float addition order — and with it the bit pattern of
-    every downstream moment — is identical.
+    ``np.bincount`` accumulates in row order over the sorted input,
+    which fixes the float addition order — and with it the bit pattern
+    of every downstream moment.
     """
-    if _numba is not None:  # pragma: no cover - numba optional
-        return _group_sums_jit()(
-            np.asarray(gids_sorted, dtype=np.int64),
-            np.asarray(weights_sorted, dtype=np.float64),
-            n_groups,
-        )
     return np.bincount(
         gids_sorted, weights=weights_sorted, minlength=n_groups
     )
 
-
-_GROUP_SUMS_JIT = None
-
-
-def _group_sums_jit():  # pragma: no cover - numba optional
-    global _GROUP_SUMS_JIT
-    if _GROUP_SUMS_JIT is None:
-
-        @_numba.njit(cache=True)
-        def kernel(gids_sorted, weights_sorted, n_groups):
-            out = np.zeros(n_groups, dtype=np.float64)
-            for i in range(gids_sorted.shape[0]):
-                out[gids_sorted[i]] += weights_sorted[i]
-            return out
-
-        _GROUP_SUMS_JIT = kernel
-    return _GROUP_SUMS_JIT

@@ -369,7 +369,6 @@ class SBox:
         rng: np.random.Generator | None = None,
         workers: int | None = None,
         chunk_size: int | None = None,
-        rng_mode: str = "compat",
         keep_sample: bool = True,
     ) -> "QueryResult | GroupedQueryResult":
         """Execute the sampled plan and estimate every aggregate.
@@ -408,7 +407,6 @@ class SBox:
                     rng=rng,
                     workers=workers,
                     chunk_size=chunk_size,
-                    rng_mode=rng_mode,
                     keep_sample=keep_sample,
                 )
             return replace(result, trace=tracer.finish_trace())
@@ -418,7 +416,6 @@ class SBox:
             rng=rng,
             workers=workers,
             chunk_size=chunk_size,
-            rng_mode=rng_mode,
             keep_sample=keep_sample,
         )
 
@@ -430,11 +427,8 @@ class SBox:
         rng: np.random.Generator | None,
         workers: int | None,
         chunk_size: int | None,
-        rng_mode: str,
         keep_sample: bool,
     ) -> "QueryResult | GroupedQueryResult":
-        from repro.relational.executor import Executor
-
         tracer = get_tracer()
         with maybe_span(tracer, "analyze"):
             rewrite = self.analyze(plan.child)
@@ -450,7 +444,6 @@ class SBox:
                 rng=rng,
                 workers=workers,
                 chunk_size=chunk_size,
-                rng_mode=rng_mode,
             )
             if served is not None:
                 return served
@@ -461,11 +454,10 @@ class SBox:
                 rng=rng,
                 workers=int(workers),
                 chunk_size=chunk_size,
-                rng_mode=rng_mode,
                 keep_sample=keep_sample,
                 subsample=subsample,
             )
-        executor = Executor(self.catalog, rng if rng is not None else self.rng)
+        executor = self._engine(rng)
         t0 = perf_counter()
         with maybe_span(tracer, "draw") as sp:
             sample = executor.execute(plan.child)
@@ -479,6 +471,23 @@ class SBox:
             plan, sample, rewrite, subsample=subsample
         )
 
+    def _engine(
+        self,
+        rng: np.random.Generator | None,
+        workers: int | None = None,
+        chunk_size: int | None = None,
+    ):
+        """The plan executor of one run: chunked iff ``workers`` >= 1."""
+        from repro.relational.executor import Executor
+        from repro.relational.pipeline import ChunkedExecutor
+
+        rng = rng if rng is not None else self.rng
+        if workers is None or workers < 1:
+            return Executor(self.catalog, rng)
+        return ChunkedExecutor(
+            self.catalog, rng, workers=int(workers), chunk_size=chunk_size
+        )
+
     def _run_via_store(
         self,
         plan: Aggregate | GroupAggregate,
@@ -487,7 +496,6 @@ class SBox:
         rng: np.random.Generator | None,
         workers: int | None,
         chunk_size: int | None,
-        rng_mode: str,
     ) -> "QueryResult | GroupedQueryResult | None":
         """Serve from (or populate) the synopsis catalog.
 
@@ -548,29 +556,10 @@ class SBox:
                 )
             return self.estimate_from_sample(plan, sample, served, reuse=info)
         # Miss: execute the sampled child once, full-width, and store it.
+        executor = self._engine(rng, workers, chunk_size)
         t2 = perf_counter()
         with maybe_span(tracer, "draw") as sp:
-            if workers is not None and workers >= 1:
-                from repro.relational.partition import DEFAULT_CHUNK_ROWS
-                from repro.relational.pipeline import ChunkedExecutor
-
-                sample = ChunkedExecutor(
-                    self.catalog,
-                    rng if rng is not None else self.rng,
-                    workers=int(workers),
-                    chunk_size=(
-                        chunk_size
-                        if chunk_size is not None
-                        else DEFAULT_CHUNK_ROWS
-                    ),
-                    rng_mode=rng_mode,
-                ).execute(plan.child)
-            else:
-                from repro.relational.executor import Executor
-
-                sample = Executor(
-                    self.catalog, rng if rng is not None else self.rng
-                ).execute(plan.child)
+            sample = executor.execute(plan.child)
             sp.attrs["rows"] = sample.n_rows
         observe_phase_seconds("draw", perf_counter() - t2)
         with maybe_span(tracer, "store.put", kind="store") as sp:
@@ -594,13 +583,11 @@ class SBox:
         rng: np.random.Generator | None,
         workers: int,
         chunk_size: int | None,
-        rng_mode: str,
         keep_sample: bool,
         subsample: SubsampleSpec | None,
     ) -> "QueryResult | GroupedQueryResult":
         """Partition-parallel estimation: fold chunks, merge sketches."""
-        from repro.relational.partition import DEFAULT_CHUNK_ROWS
-        from repro.relational.pipeline import ChunkedExecutor, concat_tables
+        from repro.relational.pipeline import concat_tables
 
         grouped = isinstance(plan, GroupAggregate)
         if subsample is not None and grouped:
@@ -609,15 +596,7 @@ class SBox:
                 "GROUP BY queries; the grouped moment pass is already "
                 "one compaction over the sample"
             )
-        executor = ChunkedExecutor(
-            self.catalog,
-            rng if rng is not None else self.rng,
-            workers=workers,
-            chunk_size=(
-                chunk_size if chunk_size is not None else DEFAULT_CHUNK_ROWS
-            ),
-            rng_mode=rng_mode,
-        )
+        executor = self._engine(rng, workers, chunk_size)
         tracer = get_tracer()
         needed = _needed_columns(plan)
         if subsample is not None:

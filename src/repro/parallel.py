@@ -14,23 +14,22 @@ bit-for-bit reproducibility claim survives parallelism:
   every task returns its contribution and the (single-threaded) caller
   merges.
 
-Worker processes are only worth their pickling freight for very large
-partitions, so the default backend is threads — NumPy releases the GIL
-inside sorts, gathers, and ufunc loops, which is where this engine
-spends its time.  ``mode="process"`` runs a real process pool: the
-mapped function is pickled **once** and broadcast through the pool
-initializer, after which each task ships only its descriptor (for
-pipeline chunk tasks, a ``(start, stop)`` bounds tuple — O(bytes), not
-O(rows); mmap-backed tables pickle as path descriptors).  Because the
-function crosses the pipe explicitly, process mode works under every
-start method, including spawn-only platforms (macOS default, Windows).
-Functions that cannot pickle (closures) fall back to fork inheritance
-where fork exists; on spawn-only platforms they fall back to threads
-with an explicit :class:`RuntimeWarning` — never silently.
+Each mode has exactly one dispatch strategy, so the mode that was asked
+for is the mode that ran.  ``thread`` (the default) is a thread pool:
+NumPy releases the GIL inside sorts, gathers and ufunc loops, which is
+where this engine spends its time, and threads pay no pickling freight.
+``process`` is a process pool that ships descriptors: the mapped
+function is pickled **once** and broadcast through the pool
+initializer, then each task ships only its descriptor (for pipeline
+chunks a ``(start, stop)`` bounds tuple; mmap-backed tables pickle as
+path descriptors), which works under every start method.  A function
+that cannot be pickled raises :class:`~repro.errors.ReproError` before
+any pool exists.
 
-``REPRO_WORKERS`` selects an engine-wide default worker count (the CI
-matrix runs the whole tier-1 suite under ``REPRO_WORKERS=4``);
-``REPRO_SCHEDULER`` selects the backend (``thread`` or ``process``).
+``REPRO_WORKERS`` sets an engine-wide default worker count and
+``REPRO_SCHEDULER`` the mode; a value outside the accepted set raises
+rather than selecting the default engine, so a typo in a CI job cannot
+pass by testing the wrong one.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import multiprocessing
 import os
 import pickle
 import threading
-import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any
@@ -58,10 +56,11 @@ __all__ = [
 def worker_label() -> str:
     """Identity of the executing worker, for trace span attribution.
 
-    Distinguishes pool threads and forked processes from the driver;
+    Distinguishes pool threads and worker processes from the driver;
     purely informational — trace *structure* never depends on it.
     """
     return f"{os.getpid()}:{threading.get_ident()}"
+
 
 _MODES = ("thread", "process")
 
@@ -75,15 +74,18 @@ def available_cpus() -> int:
 
 
 def env_workers() -> int | None:
-    """The ``REPRO_WORKERS`` engine-wide default, if set and valid."""
+    """The ``REPRO_WORKERS`` engine-wide default.
+
+    Unset, empty and ``0`` mean "no default" (the serial engine);
+    anything but a non-negative integer raises.
+    """
     raw = os.environ.get("REPRO_WORKERS", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
+    if raw and not raw.isdecimal():
+        raise ReproError(
+            f"REPRO_WORKERS={raw!r} is not a worker count; accepted "
+            "values are unset/empty, 0 (serial) or a positive integer"
+        )
+    return int(raw or 0) or None
 
 
 def resolve_workers(workers: int | None) -> int | None:
@@ -98,31 +100,10 @@ def resolve_workers(workers: int | None) -> int | None:
     return int(workers) if workers >= 1 else None
 
 
-def _env_mode() -> str:
-    mode = os.environ.get("REPRO_SCHEDULER", "thread").strip().lower()
-    return mode if mode in _MODES else "thread"
-
-
-#: The function a forked worker pool runs.  It is installed in the
-#: parent immediately before the pool forks, so children inherit it
-#: through copy-on-write memory — closures over tables and draws never
-#: need to be pickled (only tasks and results cross the pipe).  The
-#: lock serializes process-mode maps: the global slot holds one
-#: function at a time, so concurrent forked maps queue up rather than
-#: clobber each other's closure.
-_FORKED_FN: Callable[[Any], Any] | None = None
-_FORK_LOCK = threading.Lock()
-
-
-def _invoke_forked(task: Any) -> Any:  # pragma: no cover - child process
-    assert _FORKED_FN is not None
-    return _FORKED_FN(task)
-
-
-#: The function a descriptor-shipping process pool runs, installed in
-#: each worker by the pool initializer from one pickled payload — so a
-#: map over N tasks pickles the operator stack once, not N times, and
-#: works under spawn where nothing is inherited.
+#: The function a process pool runs, installed in each worker by the
+#: pool initializer from one pickled payload — so a map over N tasks
+#: pickles the operator stack once, not N times, and works under spawn
+#: where nothing is inherited.
 _POOL_FN: Callable[[Any], Any] | None = None
 
 
@@ -134,6 +115,27 @@ def _install_pool_fn(payload: bytes) -> None:  # pragma: no cover - child
 def _invoke_pool_fn(task: Any) -> Any:  # pragma: no cover - child process
     assert _POOL_FN is not None
     return _POOL_FN(task)
+
+
+def _process_pool(fn: Callable[[Any], Any], workers: int) -> Executor:
+    """A process pool whose workers each hold one unpickled ``fn``."""
+    try:
+        payload = pickle.dumps(fn)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        name = getattr(fn, "__qualname__", type(fn).__qualname__)
+        raise ReproError(
+            f"scheduler mode 'process' needs a picklable function, "
+            f"but {name} is not ({exc}); map a module-level callable "
+            "or use mode='thread'"
+        ) from exc
+    start_methods = multiprocessing.get_all_start_methods()
+    method = "fork" if "fork" in start_methods else start_methods[0]
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(method),
+        initializer=_install_pool_fn,
+        initargs=(payload,),
+    )
 
 
 class ChunkScheduler:
@@ -150,10 +152,13 @@ class ChunkScheduler:
     def __init__(self, workers: int = 1, mode: str | None = None) -> None:
         if workers < 1:
             raise ReproError(f"need at least one worker, got {workers}")
-        mode = mode if mode is not None else _env_mode()
+        source = "scheduler mode "
+        if mode is None:
+            source = "REPRO_SCHEDULER="
+            mode = os.environ.get("REPRO_SCHEDULER", "").strip().lower() or "thread"
         if mode not in _MODES:
             raise ReproError(
-                f"unknown scheduler mode {mode!r}; choose from {_MODES}"
+                f"unknown {source}{mode!r}; accepted values are {_MODES}"
             )
         self.workers = int(workers)
         self.mode = mode
@@ -187,95 +192,21 @@ class ChunkScheduler:
         if window is None:
             window = 4 * self.workers
         window = max(window, 1)
+        n_workers = min(self.workers, len(tasks))
         if self.mode == "process":
-            yield from self._imap_process(fn, tasks, window)
-            return
-        with ThreadPoolExecutor(
-            max_workers=min(self.workers, len(tasks))
-        ) as pool:
-            yield from _windowed(pool, fn, tasks, window)
-
-    def _imap_process(
-        self, fn: Callable[[Any], Any], tasks: list[Any], window: int
-    ) -> Iterator[Any]:
-        """Process-mode dispatch: descriptor pool → fork → loud fallback.
-
-        The preferred path pickles ``fn`` once and broadcasts it via the
-        pool initializer (works under any start method).  Unpicklable
-        functions fall back to fork-based closure inheritance where the
-        platform forks; where it does not, the documented fallback is
-        threads, announced with a :class:`RuntimeWarning` rather than
-        silently.
-        """
-        start_methods = multiprocessing.get_all_start_methods()
-        try:
-            payload = pickle.dumps(fn)
-        except Exception:
-            payload = None
-        if payload is not None:
-            method = "fork" if "fork" in start_methods else start_methods[0]
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(tasks)),
-                mp_context=multiprocessing.get_context(method),
-                initializer=_install_pool_fn,
-                initargs=(payload,),
-            ) as pool:
-                yield from _windowed(pool, _invoke_pool_fn, tasks, window)
-            return
-        if "fork" in start_methods:
-            yield from self._imap_forked(fn, tasks)
-            return
-        warnings.warn(
-            "REPRO_SCHEDULER=process: the mapped function cannot be "
-            "pickled and this platform cannot fork, so this map runs on "
-            "threads instead (the documented fallback; results are "
-            "identical, parallelism is thread-level)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        with ThreadPoolExecutor(
-            max_workers=min(self.workers, len(tasks))
-        ) as pool:
-            yield from _windowed(pool, fn, tasks, window)
-
-    def _imap_forked(
-        self, fn: Callable[[Any], Any], tasks: list[Any]
-    ) -> Iterator[Any]:
-        """Fork-based pool: tasks/results pickle, the closure does not.
-
-        The fork lock is held until the iterator is exhausted (or
-        closed), so the pool's forks always see this map's function in
-        the global slot; the pool itself is torn down by the ``with``
-        block even if the consumer abandons the generator.
-        """
-        global _FORKED_FN
-        ctx = multiprocessing.get_context("fork")
-        with _FORK_LOCK:
-            _FORKED_FN = fn
-            try:
-                with ctx.Pool(min(self.workers, len(tasks))) as pool:
-                    yield from pool.imap(_invoke_forked, tasks)
-            finally:
-                _FORKED_FN = None
+            pool = _process_pool(fn, n_workers)
+            fn = _invoke_pool_fn
+        else:
+            pool = ThreadPoolExecutor(max_workers=n_workers)
+        with pool:
+            pending: list = []
+            submitted = 0
+            while submitted < len(tasks) or pending:
+                while submitted < len(tasks) and len(pending) < window:
+                    pending.append(pool.submit(fn, tasks[submitted]))
+                    submitted += 1
+                yield pending.pop(0).result()
 
     def __repr__(self) -> str:
         return f"ChunkScheduler(workers={self.workers}, mode={self.mode!r})"
 
-
-def _windowed(
-    pool: Executor, fn: Callable[[Any], Any], tasks: list[Any], window: int
-) -> Iterator[Any]:
-    """Order-preserving sliding-window submission over any executor.
-
-    At most ``window`` tasks are in flight, so a consumer that folds
-    each result immediately keeps peak memory proportional to the
-    window, not the task list.
-    """
-    pending: list = []
-    submitted = 0
-    while submitted < len(tasks) or pending:
-        while submitted < len(tasks) and len(pending) < window:
-            pending.append(pool.submit(fn, tasks[submitted]))
-            submitted += 1
-        future = pending.pop(0)
-        yield future.result()

@@ -13,7 +13,6 @@ Binds together the catalog, executor, SBox estimator, and SQL frontend:
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
@@ -162,38 +161,16 @@ class Database:
     def _swap_table(self, name: str, table: Table) -> Table:
         """Swap a registered table's contents in place (no snapshot).
 
-        Invalidates every synopsis drawn from the old contents — the
-        stored samples no longer describe the live table.  Snapshot
-        synopses (registered under versioned names) are untouched.
+        Callers have already looked ``name`` up.  Invalidates every
+        synopsis drawn from the old contents — the stored samples no
+        longer describe the live table.  Snapshot synopses (registered
+        under versioned names) are untouched.
         """
-        if name not in self.tables:
-            raise SchemaError(
-                f"no table {name!r} to replace; available: "
-                f"{sorted(self.tables)}"
-            )
         named = table.rename(name)
         self.tables[name] = named
         self._cost_model = None
         self._invalidate_synopses(name)
         return named
-
-    def replace_table(self, name: str, table: Table) -> Table:
-        """Deprecated in-place mutation; use :meth:`update_table`.
-
-        The versioned API re-expresses mutation as snapshot-then-swap so
-        the outgoing contents stay queryable (``AT VERSION n``) and their
-        synopses stay servable.  This shim keeps the old discard-history
-        behavior for existing callers and warns once per call site.
-        """
-        warnings.warn(
-            "Database.replace_table is deprecated: use "
-            "Database.update_table (snapshot-then-mutate) to keep the "
-            "outgoing version queryable, or create/drop the table "
-            "explicitly to discard it",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._swap_table(name, table)
 
     def snapshot(self, name: str) -> int:
         """Freeze the current contents of ``name`` as a new version.
@@ -215,8 +192,7 @@ class Database:
         return version
 
     def update_table(self, name: str, table: Table) -> Table:
-        """Snapshot-then-mutate: the versioned replacement for
-        :meth:`replace_table`.
+        """Snapshot-then-mutate: the one way to change a table's contents.
 
         The outgoing contents are frozen as a new snapshot version
         first, then ``table`` becomes the live contents.  Live-table
@@ -242,7 +218,7 @@ class Database:
         columnar format and the catalog entry is swapped for the
         memory-mapped reader — subsequent queries against ``name`` read
         file-backed pages instead of process heap.  Like
-        :meth:`replace_table`, the swap invalidates synopses and the
+        :meth:`update_table`, the swap invalidates synopses and the
         cost model (the *contents* are bit-identical, but synopsis
         entries hold references into the old arrays that would pin the
         heap copy alive).
@@ -334,15 +310,10 @@ class Database:
     def _chunked_executor(
         self, workers: int, chunk_size: int | None, seed: int | None
     ):
-        from repro.relational.partition import DEFAULT_CHUNK_ROWS
         from repro.relational.pipeline import ChunkedExecutor
 
         if chunk_size is None:
-            chunk_size = (
-                self.chunk_size
-                if self.chunk_size is not None
-                else DEFAULT_CHUNK_ROWS
-            )
+            chunk_size = self.chunk_size
         return ChunkedExecutor(
             self.tables,
             self.rng(seed),

@@ -1,8 +1,8 @@
 """Partition-parallel, chunked plan execution.
 
-The legacy :class:`~repro.relational.executor.Executor` materializes
-every plan node as one whole table.  :class:`ChunkedExecutor` replaces
-that with a partition pipeline: a plan compiles into *(tasks, fn)*
+The serial :class:`~repro.relational.executor.Executor` materializes
+every plan node as one whole table.  :class:`ChunkedExecutor` runs the
+same plans as a partition pipeline: a plan compiles into *(tasks, fn)*
 sources where each task is one chunk of base rows and ``fn`` runs the
 whole operator stack — scan → sample → filter → project → join probe —
 over that chunk.  Tasks are pure and independent, so a
@@ -11,19 +11,16 @@ the driver consumes results strictly in chunk order.
 
 Reproducibility contract (tested property, not aspiration):
 
-* **Worker invariance** — the same closures run regardless of worker
-  count, and results are folded in task order, so any ``workers`` value
-  produces bit-for-bit identical output.
+* **Worker invariance** — the same task callables run regardless of
+  worker count, and results are folded in task order, so any
+  ``workers`` value produces bit-for-bit identical output.
 * **Partition invariance** — randomness is a function of the *global*
-  row position, never of chunk boundaries: in ``compat`` RNG mode every
-  sampling node's draw is made once over the whole base table (in the
-  same generator order the legacy executor uses, so results equal the
-  serial engine's exactly); in ``spawn`` mode Bernoulli draws come from
-  per-block streams spawned with ``numpy.random.SeedSequence`` spawn
-  keys ``(node, block)``, so a chunk's mask depends only on which rows
-  it covers.  Non-decomposable methods (without-replacement and block
-  picks need the whole table) draw once from their node's own spawned
-  stream.  Either way, any row partitioning yields the same sample.
+  row position, never of chunk boundaries: every sampling node draws
+  once over its whole base table before any chunk runs, and a chunk
+  only slices that draw.  The draws consume the generator in the serial
+  executor's node order, so one seed maps to one realization on both
+  engines — which is what lets the serial executor be the reference
+  this engine is tested against.
 
 Joins execute as partition-local build/probe: the build side is
 materialized once, hash-partitioned on the (factorized) join key into
@@ -71,17 +68,8 @@ from repro.relational.partition import (
 )
 from repro.relational.table import Table
 from repro.sampling.base import Draw
-from repro.sampling.bernoulli import Bernoulli
 
-__all__ = ["ChunkedExecutor", "RNG_BLOCK_ROWS", "concat_tables"]
-
-#: Fixed RNG block granularity of ``spawn`` mode: Bernoulli masks are
-#: drawn per 65536-row block from a stream spawned with spawn key
-#: ``(node, block)``, so the mask of any row range is well defined
-#: independently of chunk boundaries.
-RNG_BLOCK_ROWS = 1 << 16
-
-_RNG_MODES = ("compat", "spawn")
+__all__ = ["ChunkedExecutor", "concat_tables"]
 
 
 def concat_tables(chunks: list[Table]) -> Table:
@@ -100,65 +88,6 @@ def concat_tables(chunks: list[Table]) -> Table:
         for rel in first.lineage
     }
     return Table(first.name, columns, lineage)
-
-
-# -- sampling draws ------------------------------------------------------
-
-
-class _WholeDraw:
-    """A sampling draw made once for the entire base table."""
-
-    __slots__ = ("draw",)
-
-    def __init__(self, draw: Draw) -> None:
-        self.draw = draw
-
-    def mask_range(self, start: int, stop: int) -> np.ndarray:
-        return self.draw.mask[start:stop]
-
-    def lineage_range(self, start: int, stop: int) -> np.ndarray:
-        return self.draw.lineage[start:stop]
-
-
-class _BlockBernoulliDraw:
-    """Spawn-mode Bernoulli: per-block streams, no whole-table state.
-
-    The mask of block ``b`` comes from
-    ``SeedSequence(entropy, spawn_key=(node_index, b))`` — a pure
-    function of the global row position, so any chunking of the rows
-    reproduces the same sample and no O(table) mask is ever held.
-    """
-
-    __slots__ = ("p", "entropy", "node_index", "n_rows")
-
-    def __init__(
-        self, p: float, entropy: int, node_index: int, n_rows: int
-    ) -> None:
-        self.p = float(p)
-        self.entropy = entropy
-        self.node_index = node_index
-        self.n_rows = n_rows
-
-    def _block_mask(self, block: int) -> np.ndarray:
-        length = min(RNG_BLOCK_ROWS, self.n_rows - block * RNG_BLOCK_ROWS)
-        seq = np.random.SeedSequence(
-            entropy=self.entropy, spawn_key=(self.node_index, block)
-        )
-        gen = np.random.Generator(np.random.PCG64(seq))
-        return gen.random(length) < self.p
-
-    def mask_range(self, start: int, stop: int) -> np.ndarray:
-        if stop <= start:
-            return np.zeros(0, dtype=bool)
-        first = start // RNG_BLOCK_ROWS
-        last = (stop - 1) // RNG_BLOCK_ROWS
-        parts = [self._block_mask(b) for b in range(first, last + 1)]
-        mask = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        base = first * RNG_BLOCK_ROWS
-        return mask[start - base : stop - base]
-
-    def lineage_range(self, start: int, stop: int) -> np.ndarray:
-        return np.arange(start, stop, dtype=np.int64)
 
 
 # -- hash-partitioned join build ----------------------------------------
@@ -341,19 +270,20 @@ class _LineageWrap:
 
 
 class _SampleWrap:
-    """TableSample epilogue: lineage ids plus the draw's keep-mask."""
+    """TableSample epilogue: lineage ids plus the draw's keep-mask.
+
+    ``draw`` covers the whole base table; a chunk slices its rows.
+    """
 
     __slots__ = ("name", "draw")
 
-    def __init__(self, name: str, draw) -> None:
+    def __init__(self, name: str, draw: Draw) -> None:
         self.name = name
         self.draw = draw
 
     def __call__(self, chunk: Table, start: int, stop: int) -> Table:
-        kept = chunk.with_lineage(
-            self.name, self.draw.lineage_range(start, stop)
-        )
-        return kept.filter(self.draw.mask_range(start, stop))
+        kept = chunk.with_lineage(self.name, self.draw.lineage[start:stop])
+        return kept.filter(self.draw.mask[start:stop])
 
 
 class _LineageSampleFn:
@@ -579,11 +509,10 @@ class _Source:
 class ChunkedExecutor:
     """Partition-parallel plan execution over the columnar engine.
 
-    ``rng_mode="compat"`` (default) consumes the supplied generator in
-    the legacy executor's node order, making results bit-for-bit equal
-    to the serial engine; ``"spawn"`` derives all sampling randomness
-    from ``SeedSequence`` spawn keys instead (per-partition streams, no
-    whole-table Bernoulli state).
+    The supplied generator is consumed in the serial executor's node
+    order, so results are bit-for-bit equal to the serial engine's at
+    the same seed, for any ``workers`` and ``chunk_size`` (``None``
+    means :data:`~repro.relational.partition.DEFAULT_CHUNK_ROWS`).
     """
 
     def __init__(
@@ -592,48 +521,19 @@ class ChunkedExecutor:
         rng: np.random.Generator | None = None,
         *,
         workers: int = 1,
-        chunk_size: int = DEFAULT_CHUNK_ROWS,
-        rng_mode: str = "compat",
-        seed: int | None = None,
-        scheduler: ChunkScheduler | None = None,
+        chunk_size: int | None = None,
     ) -> None:
-        if rng_mode not in _RNG_MODES:
-            raise ExecutionError(
-                f"unknown rng_mode {rng_mode!r}; choose from {_RNG_MODES}"
-            )
+        if chunk_size is None:
+            chunk_size = DEFAULT_CHUNK_ROWS
         if chunk_size < 1:
             raise ExecutionError(f"chunk_size must be >= 1, got {chunk_size}")
         self.catalog = dict(catalog)
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = rng if rng is not None else np.random.default_rng()
         self.workers = max(1, int(workers))
         self.chunk_size = int(chunk_size)
-        self.rng_mode = rng_mode
-        self.scheduler = (
-            scheduler
-            if scheduler is not None
-            else ChunkScheduler(self.workers)
-        )
-        self._seed = seed
-        self._entropy_cache: int | None = None
-        self._draws: dict[int, object] = {}
+        self.scheduler = ChunkScheduler(self.workers)
+        self._draws: dict[int, Draw] = {}
         self._draw_nodes: list[p.PlanNode] = []
-
-    @property
-    def _entropy(self) -> int:
-        """Spawn-mode root entropy, derived lazily.
-
-        Lazy so that ``compat`` mode never touches the generator outside
-        the legacy draw order (consuming it in ``__init__`` would shift
-        every subsequent draw off the serial engine's stream).
-        """
-        if self._entropy_cache is None:
-            if self._seed is not None:
-                self._entropy_cache = int(self._seed)
-            else:
-                self._entropy_cache = int(
-                    self.rng.integers(0, 2**63, dtype=np.int64)
-                )
-        return self._entropy_cache
 
     # -- public API -----------------------------------------------------
 
@@ -697,34 +597,19 @@ class ChunkedExecutor:
     def _prepare_draws(self, plan: p.PlanNode) -> None:
         """Fix every sampling node's randomness before execution.
 
-        Draws are keyed by node identity and made in the legacy
-        executor's evaluation order (post-order, left to right), so
-        ``compat`` mode consumes the generator exactly as the serial
-        engine would and produces the same sample.
+        Draws are keyed by node identity and made over the whole base
+        table in the serial executor's evaluation order (post-order,
+        left to right), so the generator is consumed exactly as the
+        serial engine would and produces the same sample.
         """
         self._draws.clear()
         self._draw_nodes.clear()
-        node_index = 0
         for node in _post_order(plan):
             if not isinstance(node, p.TableSample):
                 continue
             base = self._base_table(node.child.table_name)
-            n_rows = base.n_rows
-            if self.rng_mode == "compat":
-                draw: object = _WholeDraw(node.method.draw(n_rows, self.rng))
-            elif isinstance(node.method, Bernoulli):
-                draw = _BlockBernoulliDraw(
-                    node.method.p, self._entropy, node_index, n_rows
-                )
-            else:
-                seq = np.random.SeedSequence(
-                    entropy=self._entropy, spawn_key=(node_index,)
-                )
-                gen = np.random.Generator(np.random.PCG64(seq))
-                draw = _WholeDraw(node.method.draw(n_rows, gen))
-            self._draws[id(node)] = draw
+            self._draws[id(node)] = node.method.draw(base.n_rows, self.rng)
             self._draw_nodes.append(node)  # keep ids alive
-            node_index += 1
 
     def _base_table(self, name: str) -> Table:
         try:
@@ -1033,7 +918,7 @@ def _spec_columns(specs) -> frozenset[str]:
 
 
 def _post_order(node: p.PlanNode):
-    """Children before parents, left to right — the legacy executor's
+    """Children before parents, left to right — the serial executor's
     generator-consumption order."""
     for child in node.children:
         yield from _post_order(child)

@@ -9,9 +9,10 @@ result rows while requiring only one stored seed per relation.
 
 The hash is a SplitMix64 finalizer: cheap, stateless, and with output
 uniform enough for sampling purposes (verified statistically in the
-test suite).  The kernel itself lives in :mod:`repro.core.kernels`
-(vectorized numpy, optional bit-identical JIT under ``REPRO_JIT=1``);
-this module re-exports it under its historical name.
+test suite).  The kernel is :func:`repro.core.kernels.hash01`, a single
+vectorized numpy routine, so a ``(seed, id)`` pair maps to the same
+uniform in every layer that filters on lineage; this module re-exports
+it for the sampling layer.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""Process-mode payloads: descriptor-sized pickles and loud fallbacks.
+"""Process-mode payloads: descriptor-sized pickles, one dispatch strategy.
 
 Process parallelism over out-of-core tables only pays off if nothing
 row-shaped ever crosses a pipe: mmap-backed tables pickle as a
 ``(path, name)`` descriptor, compiled chunk functions pickle as small
 operator stacks, and tasks are ``(start, stop)`` bounds.  The tests
 here pin those sizes so a regression (someone capturing a table copy
-in a closure) fails loudly, and check the documented no-fork fallback.
+in a closure) fails loudly, and check that a function which cannot
+cross the pipe is refused rather than run some other way.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import repro.parallel as parallel
+from repro.errors import ReproError
 from repro.parallel import ChunkScheduler
 from repro.relational.database import Database
 from repro.relational.partition import required_alignment
@@ -106,28 +108,30 @@ def test_process_mode_ships_picklable_fn_via_pool() -> None:
     assert scheduler.map(_double, list(range(20))) == [2 * i for i in range(20)]
 
 
-def test_process_mode_unpicklable_falls_back_to_fork() -> None:
-    if "fork" not in __import__("multiprocessing").get_all_start_methods():
-        pytest.skip("platform cannot fork")
+@pytest.mark.parametrize("start_methods", [None, ["spawn"]])
+def test_process_mode_rejects_unpicklable_fn_before_any_pool(
+    monkeypatch, start_methods
+) -> None:
+    """A closure is a caller error on every platform: no pool, no fallback."""
+    if start_methods is not None:
+        monkeypatch.setattr(
+            parallel.multiprocessing,
+            "get_all_start_methods",
+            lambda: start_methods,
+        )
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was created for an unpicklable function")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
     offset = 7
+
+    def add_offset(task: int) -> int:
+        return task + offset
+
     scheduler = ChunkScheduler(workers=2, mode="process")
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the fork path must stay silent
-        got = scheduler.map(lambda task: task + offset, list(range(8)))
-    assert got == [i + 7 for i in range(8)]
-
-
-def test_process_mode_warns_and_runs_on_spawn_only_platform(
-    monkeypatch,
-) -> None:
-    """No fork + unpicklable fn → explicit RuntimeWarning, same answers."""
-    monkeypatch.setattr(
-        parallel.multiprocessing,
-        "get_all_start_methods",
-        lambda: ["spawn"],
-    )
-    offset = 3
-    scheduler = ChunkScheduler(workers=2, mode="process")
-    with pytest.warns(RuntimeWarning, match="cannot fork"):
-        got = scheduler.map(lambda task: task + offset, list(range(10)))
-    assert got == [i + 3 for i in range(10)]
+        warnings.simplefilter("error")  # refusing must not warn either
+        with pytest.raises(ReproError, match="add_offset"):
+            scheduler.map(add_offset, list(range(8)))

@@ -307,35 +307,6 @@ class TestHypothesisInvariance:
         ).execute(plan)
         assert_tables_equal(serial, chunked)
 
-    @given(
-        chunk_sizes=st.lists(
-            st.integers(1, 700), min_size=2, max_size=3, unique=True
-        ),
-        workers=st.sampled_from([1, 2, 4]),
-        seed=st.integers(0, 2**20),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_spawn_mode_partition_invariance(
-        self, chunk_sizes, workers, seed
-    ):
-        """spawn RNG mode: same seed → same sample for ANY chunking."""
-        plan = Aggregate(
-            TableSample(Scan("fact"), Bernoulli(0.25)),
-            [AggSpec("sum", col("v"), "t"), AggSpec("count", None, "c")],
-        )
-        results = [
-            ChunkedExecutor(
-                CATALOG,
-                workers=workers,
-                chunk_size=cs,
-                rng_mode="spawn",
-                seed=seed,
-            ).execute(plan)
-            for cs in chunk_sizes
-        ]
-        for other in results[1:]:
-            assert_tables_equal(results[0], other)
-
 
 class TestEstimationInvariance:
     """SBox partition-merge estimates equal the legacy estimator."""

@@ -137,12 +137,12 @@ class TestInvalidation:
 
     def test_in_flight_miss_race_through_the_database(self):
         # End to end: the SBox reads version stamps before snapshotting
-        # the tables, so a replace_table landing between sbox() and
+        # the tables, so an update_table landing between sbox() and
         # run() leaves the catalog without the stale sample.
         db = self._mutation_db()
         sbox = db.sbox()  # snapshot taken here
         plan = db.plan_sql(TestDatabaseMutationPaths.QUERY)
-        db.replace_table("t", db.table("t"))  # mutation lands
+        db.update_table("t", db.table("t"))  # mutation lands
         sbox.run(plan, rng=db.rng(1))  # executes against the snapshot
         assert len(db.synopses) == 0
         assert db.sql(TestDatabaseMutationPaths.QUERY, seed=1).reuse is None
@@ -189,10 +189,10 @@ class TestDatabaseMutationPaths:
         db.sql(self.QUERY, seed=1)
         assert len(db.synopses) == 1
 
-    def test_replace_table_invalidates(self):
+    def test_update_table_invalidates(self):
         db = self._db()
         self._prime(db)
-        db.replace_table("t", db.table("t"))
+        db.update_table("t", db.table("t"))
         assert len(db.synopses) == 0
         assert db.sql(self.QUERY, seed=1).reuse is None
 
@@ -218,12 +218,12 @@ class TestDatabaseMutationPaths:
         assert len(db.synopses) == 1
         assert db.sql(self.QUERY, seed=1).reuse is not None
 
-    def test_replace_unknown_table_raises(self):
+    def test_update_unknown_table_raises(self):
         from repro.errors import SchemaError
 
         db = self._db()
         with pytest.raises(SchemaError):
-            db.replace_table("nope", db.table("t"))
+            db.update_table("nope", db.table("t"))
 
 
 class TestChunkedEnginePopulation:

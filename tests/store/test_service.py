@@ -107,7 +107,7 @@ class TestQueryService:
         # still retire cached full answers: the cache is keyed on the
         # catalog's mutation epoch.
         first = service.query(QUERY)
-        service.db.replace_table(
+        service.db.update_table(
             "lineitem", service.db.table("lineitem")
         )
         second = service.query(QUERY)

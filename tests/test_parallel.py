@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
 
 from repro.errors import ReproError
 from repro.parallel import ChunkScheduler, env_workers, resolve_workers
+
+
+def _pid_and_square(i: int) -> tuple[int, int]:
+    return os.getpid(), i * i
 
 
 class TestChunkScheduler:
@@ -59,13 +64,13 @@ class TestChunkScheduler:
         with pytest.raises(ReproError):
             ChunkScheduler(2, mode="carrier-pigeon")
 
-    def test_process_mode_when_fork_available(self):
-        scheduler = ChunkScheduler(2, mode="process")
-        if scheduler.mode != "process":  # pragma: no cover - non-POSIX
-            pytest.skip("fork start method unavailable")
-        # Closures need not pickle: they are inherited through fork.
-        offset = 10
-        assert scheduler.map(lambda i: i + offset, [1, 2, 3]) == [11, 12, 13]
+    def test_process_mode_maps_module_level_callable_through_pool(self):
+        results = ChunkScheduler(2, mode="process").map(
+            _pid_and_square, list(range(12))
+        )
+        assert [value for _, value in results] == [i * i for i in range(12)]
+        # Every task ran in a pool worker, none in the driver.
+        assert os.getpid() not in {pid for pid, _ in results}
 
 
 class TestWorkerResolution:
@@ -76,8 +81,39 @@ class TestWorkerResolution:
         assert env_workers() == 4
         monkeypatch.setenv("REPRO_WORKERS", "0")
         assert env_workers() is None
-        monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
+        monkeypatch.setenv("REPRO_WORKERS", "")
         assert env_workers() is None
+
+    @pytest.mark.parametrize("bad", ["abc", "-3", "2.5"])
+    def test_env_workers_rejects_garbage(self, monkeypatch, bad):
+        monkeypatch.setenv("REPRO_WORKERS", bad)
+        with pytest.raises(ReproError, match="REPRO_WORKERS") as info:
+            env_workers()
+        assert bad in str(info.value)
+        assert "positive integer" in str(info.value)
+        with pytest.raises(ReproError, match="REPRO_WORKERS"):
+            resolve_workers(None)
+
+    def test_env_scheduler_typo_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCHEDULER", "proces")
+        with pytest.raises(ReproError, match="REPRO_SCHEDULER") as info:
+            ChunkScheduler(2)
+        message = str(info.value)
+        assert "'proces'" in message
+        assert "thread" in message and "process" in message
+        # An explicit mode never consults the environment.
+        assert ChunkScheduler(2, mode="thread").mode == "thread"
+
+    @pytest.mark.parametrize(
+        "raw, mode",
+        [(None, "thread"), ("", "thread"), (" Process ", "process")],
+    )
+    def test_env_scheduler_accepted_values(self, monkeypatch, raw, mode):
+        if raw is None:
+            monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SCHEDULER", raw)
+        assert ChunkScheduler(2).mode == mode
 
     def test_resolve_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")

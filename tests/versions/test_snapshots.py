@@ -111,18 +111,6 @@ class TestSnapshotAPI:
         assert db.resolve_version("t", 1) == "t@v1"
         assert db.resolve_version("t", None) == "t"
 
-    def test_replace_table_is_a_deprecated_shim(self):
-        db = make_db()
-        with pytest.warns(DeprecationWarning, match="update_table"):
-            db.replace_table(
-                "t", db.table("t").with_columns({"v": np.zeros(6)})
-            )
-        # The shim keeps the old discard-history behavior.
-        assert db.versions_of("t") == ()
-        np.testing.assert_array_equal(
-            np.asarray(db.table("t").column("v")), np.zeros(6)
-        )
-
     def test_drop_table_removes_every_version(self):
         db = make_db()
         db.snapshot("t")
