@@ -73,24 +73,24 @@ __all__ = [
 ]
 
 
-# The packing/sort kernels live in repro.core.kernels (shared with the
-# pipeline's join factorization and optionally JIT-compiled); the
-# historical private names stay importable here.
-_pack_columns = kernels.pack_columns
-_sorted_boundaries = kernels.sorted_boundaries
-
-
 def group_ids(columns: Sequence[np.ndarray], n_rows: int) -> tuple[np.ndarray, int]:
     """Assign a dense group id to each row, grouping by ``columns``.
 
     With no columns every row falls in one group (the ``S = ∅`` case).
-    Uses lexsort + boundary detection, O(n log n) with no hashing.
+    Ids follow sorted key order (last column primary).  Object and
+    string columns become int64 codes first
+    (:func:`repro.core.kernels.factorize`), so the sort below runs on
+    packed integers whenever every other column is an integer too.
     """
     if n_rows == 0:
         return np.empty(0, dtype=np.int64), 0
     if not columns:
         return np.zeros(n_rows, dtype=np.int64), 1
-    order, boundary = _sorted_boundaries(columns, n_rows)
+    columns = [
+        kernels.factorize(col) if np.asarray(col).dtype.kind in "OUS" else col
+        for col in columns
+    ]
+    order, boundary = kernels.sorted_boundaries(columns, n_rows)
     gids_sorted = np.cumsum(boundary) - 1
     gids = np.empty(n_rows, dtype=np.int64)
     gids[order] = gids_sorted
@@ -149,7 +149,7 @@ def group_reduce_multi(
         )
     if not columns:
         return [], [np.array([float(np.sum(w))]) for w in weights]
-    order, boundary = _sorted_boundaries(columns, n_rows)
+    order, boundary = kernels.sorted_boundaries(columns, n_rows)
     gids_sorted = np.cumsum(boundary) - 1
     n_groups = int(gids_sorted[-1]) + 1
     firsts = order[boundary]

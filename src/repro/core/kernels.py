@@ -6,7 +6,8 @@ per-group weight reduction behind every moment computation.  Each is
 one vectorized numpy routine — branch-free SplitMix64 over uint64
 arrays, radix-packed multi-key sort, ``np.bincount`` group sums — so
 the float addition order, and with it every estimate, variance and CI
-downstream, has a single definition.
+downstream, has a single definition.  String keys enter that integer
+world through one door, :func:`factorize`.
 
 The per-row ``hashlib.blake2b`` reference implementation is kept for
 the committed micro-benchmark (``benchmarks/bench_colstore.py``): it is
@@ -25,6 +26,7 @@ __all__ = [
     "jit_active",
     "hash01",
     "hash01_blake2b",
+    "factorize",
     "pack_columns",
     "sorted_boundaries",
     "group_sums",
@@ -88,6 +90,28 @@ def hash01_blake2b(seed: int, ids: np.ndarray) -> np.ndarray:
 # -- multi-key factorization ----------------------------------------------
 
 
+def factorize(column: np.ndarray) -> np.ndarray:
+    """Dense int64 codes for an object/string key column, in value order.
+
+    ``codes[i]`` is the rank of ``column[i]`` among the column's sorted
+    distinct values, so the codes group and order rows exactly as a
+    comparison sort of the values would — but only the *distinct*
+    values are ever compared: one hashing pass finds them, they alone
+    are sorted, and a second pass looks every row's rank up.  This is
+    the one place string keys become integers; everything downstream
+    (:func:`pack_columns`, the radix sort) sees int64.
+
+    Unhashable values, and distinct values that do not order against
+    each other (``str`` vs ``None``), raise ``TypeError``.
+    """
+    values = np.asarray(column).tolist()
+    distinct = sorted(set(values))
+    rank = dict(zip(distinct, range(len(distinct))))
+    return np.fromiter(
+        map(rank.__getitem__, values), dtype=np.int64, count=len(values)
+    )
+
+
 def pack_columns(
     columns: Sequence[np.ndarray], n_rows: int
 ) -> np.ndarray | None:
@@ -142,7 +166,9 @@ def sorted_boundaries(
     ``boundary[i]`` is True when sorted row ``i`` opens a new group.
     The single sort here is the workhorse behind both ``group_ids``
     and ``group_reduce``; integer keys take the packed single-array
-    radix path, everything else the general lexsort.
+    radix path, everything else the general lexsort (``group_ids``
+    hands string columns over as :func:`factorize` codes, so they take
+    the first).
     """
     packed = pack_columns(columns, n_rows)
     if packed is not None:

@@ -389,6 +389,11 @@ class SBox:
         sampling always; block sampling via boundary alignment); keys
         replicated across chunks by join fanout merge partial sums, so
         only there can a different chunking move the last float ulp.
+        A GROUP BY plan folds each chunk into a
+        :class:`~repro.stream.sketch.GroupedMomentBundle`: the chunk's
+        key columns are factorized to int64 codes once, and the merges
+        union small dictionaries of distinct key tuples and re-reduce
+        on packed integers.
 
         With ``REPRO_TRACE=1`` in the environment (and no trace already
         active) the run is traced and the span tree attached to
@@ -845,9 +850,10 @@ class SBox:
         """Per-group estimates from an already-executed sample.
 
         Group ids are assigned once from the GROUP BY columns of the
-        sample (one lexsort); every aggregate then runs through the
-        vectorized grouped moment machinery.  HAVING filters the
-        estimated output.
+        sample (:func:`~repro.core.estimator.group_ids`: string keys are
+        hashed to codes, then one integer sort); every aggregate then
+        runs through the vectorized grouped moment machinery.  HAVING
+        filters the estimated output.
         """
         if subsample is not None:
             raise EstimationError(

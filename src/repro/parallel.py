@@ -16,8 +16,12 @@ bit-for-bit reproducibility claim survives parallelism:
 
 Each mode has exactly one dispatch strategy, so the mode that was asked
 for is the mode that ran.  ``thread`` (the default) is a thread pool:
-NumPy releases the GIL inside sorts, gathers and ufunc loops, which is
-where this engine spends its time, and threads pay no pickling freight.
+NumPy releases the GIL inside numeric sorts, gathers and ufunc loops,
+and threads pay no pickling freight.  Comparing Python objects holds the
+GIL, so the grouped chunk fold turns string GROUP BY keys into int64
+codes first (one hashing pass per chunk, under the GIL, linear in the
+chunk's rows) and every sort and merge after that runs on packed
+integers.
 ``process`` is a process pool that ships descriptors: the mapped
 function is pickled **once** and broadcast through the pool
 initializer, then each task ships only its descriptor (for pipeline

@@ -519,9 +519,9 @@ class MomentSketchBundle:
 
 
 def _coerce_group_column(raw: np.ndarray) -> np.ndarray:
-    """Group-key storage: integers normalize to int64, the rest (strings,
-    floats) keep their dtype — the compaction sort falls back to lexsort
-    for them, exactly like the batch grouped estimator."""
+    """Dictionary storage for distinct group keys: integers normalize
+    to int64 and strings to object, so dictionaries from different
+    chunks concatenate to one dtype; other dtypes (floats) are kept."""
     arr = np.asarray(raw)
     if np.issubdtype(arr.dtype, np.integer):
         return arr.astype(np.int64)
@@ -534,20 +534,29 @@ class GroupedMomentBundle:
     """Per-group moment state for several weight vectors at once.
 
     The grouped twin of :class:`MomentSketchBundle`, and the grouped
-    partition-merge accumulator of the SBox: state rows are keyed on
-    *(group key columns, full lineage key)* holding every vector's
-    ``Σ f_j`` plus a row count.  Unlike :class:`GroupedMomentSketch`
-    (whose wire format is strictly int64) the group key columns keep
-    their natural dtype, so SQL GROUP BY columns — strings included —
-    stream straight in without a global factorization step, which no
-    single partition could compute anyway.
+    partition-merge accumulator of the SBox.  The state has two parts:
+
+    * a small *dictionary* of the distinct group-key tuples seen so
+      far — one array per GROUP BY column in its natural dtype (strings
+      included), in sorted key order, so tuple ``g`` has code ``g``;
+    * state rows keyed on *(int64 group code, full lineage key)*
+      holding every vector's ``Σ f_j`` plus a row count.
+
+    ``update`` turns a batch's keys into codes once
+    (:func:`~repro.core.estimator.group_ids`, one hashing pass per
+    string column); ``merge`` unions the two dictionaries — sorting
+    distinct tuples only — remaps both sides' codes with a take and
+    re-reduces on packed integers.  No step after the per-batch
+    factorization compares a group-key value again, and
+    ``groups()``/``moments()`` read the codes as they are.
     """
 
     __slots__ = (
         "lattice",
         "n_group_cols",
         "n_vectors",
-        "_group_cols",
+        "_group_keys",
+        "_codes",
         "_keys",
         "_sums",
         "_counts",
@@ -568,9 +577,10 @@ class GroupedMomentBundle:
         self.lattice = lattice
         self.n_group_cols = int(n_group_cols)
         self.n_vectors = int(n_vectors)
-        self._group_cols: list[np.ndarray] = [
+        self._group_keys: list[np.ndarray] = [
             np.empty(0, dtype=np.int64) for _ in range(n_group_cols)
         ]
+        self._codes = np.empty(0, dtype=np.int64)
         self._keys: list[np.ndarray] = [
             np.empty(0, dtype=np.int64) for _ in range(lattice.n)
         ]
@@ -590,37 +600,55 @@ class GroupedMomentBundle:
 
     def _absorb(
         self,
-        cols: Sequence[np.ndarray],
+        group_keys: Sequence[np.ndarray],
+        codes: np.ndarray,
+        keys: Sequence[np.ndarray],
         sums: Sequence[np.ndarray],
         counts: np.ndarray,
         n_rows: int,
     ) -> None:
-        if n_rows == 0 and counts.size == 0:
+        """Fold compacted state in: ``codes`` index ``group_keys``."""
+        self._n_rows += int(n_rows)
+        if counts.size == 0:
             return
         if self._counts.size == 0:
-            merged = list(cols)
-            reduced_keys, reduced = merged, [
-                np.asarray(s, dtype=np.float64) for s in sums
-            ] + [np.asarray(counts, dtype=np.float64)]
-        else:
-            state = self._group_cols + self._keys
-            merged = [
-                np.concatenate([mine, theirs])
-                for mine, theirs in zip(state, cols)
-            ]
-            weights = [
-                np.concatenate([mine, theirs])
-                for mine, theirs in zip(self._sums, sums)
-            ] + [np.concatenate([self._counts, counts])]
-            reduced_keys, reduced = group_reduce_multi(merged, weights)
-        self._group_cols = list(reduced_keys[: self.n_group_cols])
-        self._keys = [
-            np.asarray(k, dtype=np.int64)
-            for k in reduced_keys[self.n_group_cols :]
+            self._group_keys = list(group_keys)
+            self._codes = codes
+            self._keys = list(keys)
+            self._sums = list(sums)
+            self._counts = counts
+            return
+        # Union of the two dictionaries: the only place group-key values
+        # are compared, over distinct tuples.  Entries are concatenated
+        # mine-then-theirs and reduced by a stable sort, which fixes the
+        # float addition order whatever the number of chunks.
+        n_mine = self._group_keys[0].shape[0]
+        both = [
+            np.concatenate([mine, theirs])
+            for mine, theirs in zip(self._group_keys, group_keys)
         ]
-        self._sums = list(reduced[: self.n_vectors])
+        n_both = both[0].shape[0]
+        union, n_union = group_ids(both, n_both)
+        first = group_firsts(union, n_union, n_both)
+        merged_codes = np.concatenate(
+            [union[:n_mine][self._codes], union[n_mine:][codes]]
+        )
+        merged_keys = [
+            np.concatenate([mine, theirs])
+            for mine, theirs in zip(self._keys, keys)
+        ]
+        weights = [
+            np.concatenate([mine, theirs])
+            for mine, theirs in zip(self._sums, sums)
+        ] + [np.concatenate([self._counts, counts])]
+        reduced_keys, reduced = group_reduce_multi(
+            [merged_codes] + merged_keys, weights
+        )
+        self._group_keys = [col[first] for col in both]
+        self._codes = reduced_keys[0]
+        self._keys = reduced_keys[1:]
+        self._sums = reduced[: self.n_vectors]
         self._counts = reduced[self.n_vectors]
-        self._n_rows += int(n_rows)
 
     def update(
         self,
@@ -645,13 +673,25 @@ class GroupedMomentBundle:
         missing = [d for d in self.lattice.dims if d not in lineage]
         if missing:
             raise EstimationError(f"lineage columns missing for {missing}")
-        cols = [_coerce_group_column(c) for c in group_cols] + [
-            np.asarray(lineage[d], dtype=np.int64) for d in self.lattice.dims
-        ]
+        group_cols = [np.asarray(c) for c in group_cols]
+        gids, n_groups = group_ids(group_cols, n)
+        first = group_firsts(gids, n_groups, n)
         keys, reduced = group_reduce_multi(
-            cols, list(fs) + [np.ones(n, dtype=np.float64)]
+            [gids]
+            + [
+                np.asarray(lineage[d], dtype=np.int64)
+                for d in self.lattice.dims
+            ],
+            list(fs) + [np.ones(n, dtype=np.float64)],
         )
-        self._absorb(keys, reduced[:-1], reduced[-1], n)
+        self._absorb(
+            [_coerce_group_column(col[first]) for col in group_cols],
+            keys[0],
+            keys[1:],
+            reduced[:-1],
+            reduced[-1],
+            n,
+        )
         return self
 
     def merge(self, other: "GroupedMomentBundle") -> "GroupedMomentBundle":
@@ -669,7 +709,9 @@ class GroupedMomentBundle:
                 "cannot merge grouped bundles of different shapes"
             )
         self._absorb(
-            other._group_cols + other._keys,
+            other._group_keys,
+            other._codes,
+            other._keys,
             other._sums,
             other._counts,
             other._n_rows,
@@ -677,11 +719,16 @@ class GroupedMomentBundle:
         return self
 
     def groups(self) -> tuple[list[np.ndarray], np.ndarray, int]:
-        """Factorize the distinct group keys seen so far."""
-        n_entries = self.n_entries
-        owner, n_groups = group_ids(self._group_cols, n_entries)
-        first = group_firsts(owner, n_groups, n_entries)
-        return [c[first] for c in self._group_cols], owner, n_groups
+        """``(group key columns, per-entry group code, n_groups)``.
+
+        Group ``g``'s key is row ``g`` of the key columns; groups are in
+        sorted key order (last column primary).
+        """
+        return (
+            list(self._group_keys),
+            self._codes,
+            int(self._group_keys[0].shape[0]),
+        )
 
     def moments(
         self,

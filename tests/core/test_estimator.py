@@ -31,8 +31,10 @@ from repro.core.estimator import (
     y_terms,
     y_terms_from_groups,
 )
+from repro.core import kernels
 from repro.core.gus import bernoulli_gus, without_replacement_gus
 from repro.errors import EstimationError
+from repro.relational.executor import join_codes
 
 from tests.enumeration import (
     JoinedWorld,
@@ -68,6 +70,94 @@ class TestGroupIds:
         gids, n = group_ids([c1, c2], 4)
         assert n == 3
         assert gids[2] == gids[3]
+
+
+def _lexsort_ids(columns, n_rows):
+    """Dense ids by a comparison sort of the raw values (the reference
+    ``group_ids`` must reproduce whatever path the keys take)."""
+    order = np.lexsort(tuple(columns))
+    boundary = np.zeros(n_rows, dtype=bool)
+    boundary[0] = True
+    for col in columns:
+        sorted_col = col[order]
+        boundary[1:] |= sorted_col[1:] != sorted_col[:-1]
+    gids = np.empty(n_rows, dtype=np.int64)
+    gids[order] = np.cumsum(boundary) - 1
+    return gids, int(boundary.sum())
+
+
+_WORDS = np.array(["pear", "fig", "apple", "fig ", "Fig", "", "päron"])
+_PICKS = np.random.default_rng(3).integers(0, _WORDS.size, 200)
+
+
+class TestGroupIdsFactorization:
+    """Object/string keys go through ``kernels.factorize``; the ids must
+    be the ones a comparison sort of the values assigns."""
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [_WORDS.astype(object)[_PICKS]],
+            [_WORDS[_PICKS]],
+            [np.char.encode(_WORDS, "utf-8")[_PICKS]],
+            [np.char.encode(_WORDS, "utf-8").astype(object)[_PICKS]],
+            [_PICKS % 2 == 0],
+            [_PICKS - 3],
+            [_WORDS.astype(object)[_PICKS], _PICKS[::-1] % 3],
+            [_PICKS % 3, _WORDS.astype(object)[_PICKS[::-1]]],
+            [np.full(200, "only", dtype=object)],
+        ],
+        ids=[
+            "str-object", "str-U", "bytes-S", "bytes-object", "bool",
+            "int", "str+int", "int+str", "one-distinct",
+        ],
+    )
+    def test_equals_comparison_sort_ids(self, columns):
+        gids, n = group_ids(columns, 200)
+        want, n_want = _lexsort_ids(columns, 200)
+        assert gids.dtype == np.int64
+        assert n == n_want
+        np.testing.assert_array_equal(gids, want)
+
+    def test_zero_rows(self):
+        gids, n = group_ids([np.empty(0, dtype=object)], 0)
+        assert n == 0 and gids.size == 0
+        codes = kernels.factorize(np.empty(0, dtype=object))
+        assert codes.dtype == np.int64 and codes.size == 0
+
+    def test_codes_are_dense_sorted_ranks(self):
+        col = np.array(["b", "a", "c", "a"], dtype=object)
+        np.testing.assert_array_equal(kernels.factorize(col), [1, 0, 2, 0])
+
+    def test_unorderable_or_unhashable_values_raise_type_error(self):
+        # str vs None never ordered (np.lexsort raises TypeError on it
+        # too); there is no fallback that would group such a column.
+        mixed = np.array(["a", None, "b", None], dtype=object)
+        with pytest.raises(TypeError):
+            group_ids([mixed], 4)
+        with pytest.raises(TypeError):
+            np.lexsort((mixed,))
+        lists = np.empty(2, dtype=object)
+        lists[0], lists[1] = [1], [2]
+        with pytest.raises(TypeError):
+            group_ids([lists], 2)
+
+    def test_join_codes_pair_equal_object_keys_across_sides(self):
+        left = np.array(["b", "a", "c", "b"], dtype=object)
+        right = np.array(["c", "b", "zz", "a", "b"], dtype=object)
+        lcodes, rcodes = join_codes([left], [right])
+        np.testing.assert_array_equal(
+            lcodes[:, None] == rcodes[None, :],
+            left[:, None] == right[None, :],
+        )
+        # Multi-column keys: a string column next to an integer one.
+        lnum, rnum = np.array([1, 1, 2, 2]), np.array([2, 1, 1, 1, 2])
+        lcodes, rcodes = join_codes([left, lnum], [right, rnum])
+        np.testing.assert_array_equal(
+            lcodes[:, None] == rcodes[None, :],
+            (left[:, None] == right[None, :])
+            & (lnum[:, None] == rnum[None, :]),
+        )
 
 
 class TestYTerms:

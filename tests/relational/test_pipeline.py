@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.sbox import SBox
+from repro.data.tpch import tpch_database
 from repro.errors import ExecutionError
 from repro.relational.expressions import col, lit
 from repro.relational.executor import Executor, join_codes
@@ -350,6 +352,59 @@ class TestEstimationInvariance:
                 llo, lhi = legacy.estimates[alias].ci_bounds(0.95)
                 assert np.array_equal(lo, llo, equal_nan=True)
                 assert np.array_equal(hi, lhi, equal_nan=True)
+
+    def test_no_sort_compares_more_strings_than_distinct_groups(
+        self, monkeypatch
+    ):
+        """Group keys become integers once per batch of rows.
+
+        A count, not a timing: after the per-batch factorization no
+        comparison sort may be handed a string column longer than the
+        number of distinct group tuples — on the chunk fold (update,
+        every merge, the final read-out) and on the serial grouped
+        estimator alike.
+        """
+        db = tpch_database(0.1, seed=3)
+        text = (
+            "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS q, "
+            "AVG(l_discount) AS d, COUNT(*) AS n FROM lineitem "
+            "TABLESAMPLE (40 PERCENT) GROUP BY l_returnflag, l_linestatus"
+        )
+        n_tuples = db.sql_exact(text).n_rows
+        chunk_size = db.table("lineitem").n_rows // 5
+        assert n_tuples >= 3 and chunk_size > 50 * n_tuples
+
+        string_sorts: list[int] = []
+        real_boundaries, real_lexsort = kernels.sorted_boundaries, np.lexsort
+
+        def record(columns):
+            string_sorts.extend(
+                np.asarray(c).shape[0]
+                for c in columns
+                if np.asarray(c).dtype.kind in "OUS"
+            )
+
+        def sorted_boundaries(columns, n_rows):
+            record(columns)
+            return real_boundaries(columns, n_rows)
+
+        def lexsort(keys, *args, **kwargs):
+            record(keys)
+            return real_lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "sorted_boundaries", sorted_boundaries)
+        monkeypatch.setattr(np, "lexsort", lexsort)
+        chunked = db.sql(text, seed=5, workers=1, chunk_size=chunk_size)
+        serial = db.sbox().estimate_from_sample_grouped(
+            db.plan_sql(text), chunked.sample
+        )
+        assert max(string_sorts, default=0) <= n_tuples
+        for key in serial.keys:
+            assert (chunked.keys[key] == serial.keys[key]).all()
+        for alias in serial.values:
+            assert np.array_equal(
+                chunked.values[alias], serial.values[alias]
+            )
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_ungrouped_bit_identical(self, workers):

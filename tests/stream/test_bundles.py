@@ -9,6 +9,8 @@ grouped estimator path, including non-integer (string) group keys.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,10 @@ from hypothesis import strategies as st
 
 from repro.core.estimator import (
     estimate_sums_grouped_multi,
+    group_firsts,
     group_ids,
+    grouped_theorem1_variance,
+    unbiased_y_terms_grouped,
 )
 from repro.core.gus import bernoulli_gus
 from repro.core.lattice import SubsetLattice
@@ -100,41 +105,130 @@ class TestMomentSketchBundle:
             bundle.merge(MomentSketchBundle(SubsetLattice(["o"]), 2))
 
 
-class TestGroupedMomentBundle:
-    def test_matches_batch_grouped_estimator_string_keys(self):
-        rng = np.random.default_rng(5)
-        n = 400
-        params = bernoulli_gus("l", 0.5)
-        keys = np.array(["x", "y", "z"], dtype=object)[
-            rng.integers(0, 3, n)
-        ]
+#: Chunk boundaries per chunk count; the 7-chunk split has an empty
+#: chunk (250..250) and a one-row one (100..101).
+CHUNK_BOUNDS = {
+    1: [0, 400],
+    2: [0, 200, 400],
+    7: [0, 13, 100, 101, 250, 250, 399, 400],
+}
+
+
+def _grouped_case(key_kind: str, fanout: bool):
+    """400 rows keyed by ``key_kind`` columns; row 150's key is unique
+    to it, so that group lives in exactly one chunk of any split.
+
+    With ``fanout`` three consecutive rows share a lineage key (a join
+    fan-out), so keys straddle chunk boundaries; ``f`` is then
+    integer-valued, which keeps every partial sum exact whatever the
+    split — the comparison stays bit for bit.
+    """
+    rng = np.random.default_rng(5)
+    n = 400
+    strings = np.array(["x", "y", "z"], dtype=object)[rng.integers(0, 3, n)]
+    strings[150] = "w"
+    ints = rng.integers(0, 3, n).astype(np.int32)
+    ints[150] = 9
+    group_cols = {
+        "string": [strings],
+        "int": [ints],
+        "string_int": [strings, ints],
+    }[key_kind]
+    if fanout:
+        f1 = rng.integers(-50, 50, n).astype(np.float64)
+        lineage = {"l": np.arange(n, dtype=np.int64) // 3}
+    else:
         f1 = rng.normal(size=n)
-        f2 = np.ones(n)
         lineage = {"l": np.arange(n, dtype=np.int64)}
-        # Batch path.
-        gids, n_groups = group_ids([keys], n)
-        batch = estimate_sums_grouped_multi(
-            params, [f1, f2], lineage, gids, n_groups, labels=["SUM", "COUNT"]
+    return group_cols, [f1, np.ones(n)], lineage
+
+
+def _chunk_bundle(lattice, group_cols, fs, lineage, lo, hi):
+    contrib = GroupedMomentBundle(lattice, len(group_cols), len(fs))
+    return contrib.update(
+        [f[lo:hi] for f in fs],
+        {d: c[lo:hi] for d, c in lineage.items()},
+        [c[lo:hi] for c in group_cols],
+    )
+
+
+def _fold(lattice, group_cols, fs, lineage, bounds):
+    merged = GroupedMomentBundle(lattice, len(group_cols), len(fs))
+    for lo, hi in zip(bounds, bounds[1:]):
+        merged.merge(
+            _chunk_bundle(lattice, group_cols, fs, lineage, lo, hi)
         )
-        # Bundle path, split across 7 uneven partitions + a merge.
+    return merged
+
+
+class TestGroupedMomentBundle:
+    @pytest.mark.parametrize("n_chunks", sorted(CHUNK_BOUNDS))
+    @pytest.mark.parametrize("fanout", [False, True])
+    @pytest.mark.parametrize("key_kind", ["string", "int", "string_int"])
+    def test_chunks_equal_single_pass_bit_for_bit(
+        self, key_kind, fanout, n_chunks
+    ):
+        group_cols, fs, lineage = _grouped_case(key_kind, fanout)
+        n = fs[0].shape[0]
+        params = bernoulli_gus("l", 0.5)
+        gids, n_groups = group_ids(group_cols, n)
+        batch = estimate_sums_grouped_multi(
+            params, fs, lineage, gids, n_groups, labels=["SUM", "COUNT"]
+        )
+        first = group_firsts(gids, n_groups, n)
         pruned = params.project_out_inactive()
-        merged = GroupedMomentBundle(pruned.lattice, 1, 2)
-        bounds = [0, 13, 100, 101, 250, 250, 399, n]
-        for lo, hi in zip(bounds, bounds[1:]):
-            contrib = GroupedMomentBundle(pruned.lattice, 1, 2)
-            contrib.update(
-                [f1[lo:hi], f2[lo:hi]],
-                {"l": lineage["l"][lo:hi]},
-                [keys[lo:hi]],
-            )
-            merged.merge(contrib)
+        merged = _fold(
+            pruned.lattice, group_cols, fs, lineage, CHUNK_BOUNDS[n_chunks]
+        )
+        assert merged.n_rows == n
         group_keys, ys, totals, counts = merged.moments()
-        assert (group_keys[0] == np.array(["x", "y", "z"], dtype=object)).all()
-        for j, bundle in enumerate(batch):
+        for got, col in zip(group_keys, group_cols):
+            assert got.tolist() == col[first].tolist()
+        assert merged.groups()[2] == n_groups
+        for j, want in enumerate(batch):
+            np.testing.assert_array_equal(totals[j] / params.a, want.values)
+            yhat = unbiased_y_terms_grouped(pruned, ys[j])
             np.testing.assert_array_equal(
-                totals[j] / params.a, bundle.values
+                grouped_theorem1_variance(pruned, yhat), want.variance_raw
             )
         np.testing.assert_array_equal(counts, batch[0].n_samples)
+
+    @pytest.mark.parametrize("key_kind", ["string", "int", "string_int"])
+    def test_merge_order_gives_same_group_dictionary(self, key_kind):
+        # The halves share "x"/"y"/"z" but only the first holds row
+        # 150's group, so each side's dictionary misses a key or not
+        # depending on the order — the union must not.
+        group_cols, fs, lineage = _grouped_case(key_kind, fanout=True)
+        lattice = SubsetLattice(["l"])
+
+        def halves():
+            return (
+                _chunk_bundle(lattice, group_cols, fs, lineage, 0, 200),
+                _chunk_bundle(lattice, group_cols, fs, lineage, 200, 400),
+            )
+
+        a, b = halves()
+        ab = a.merge(b)
+        a, b = halves()
+        ba = b.merge(a)
+        for got, want in zip(ab.groups()[0], ba.groups()[0]):
+            assert got.tolist() == want.tolist()
+        for got, want in zip(ab.moments()[1:], ba.moments()[1:]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_pickle_round_trip(self):
+        # Process-mode schedulers ship per-chunk bundles back pickled.
+        group_cols, fs, lineage = _grouped_case("string_int", fanout=True)
+        lattice = SubsetLattice(["l"])
+        head = _chunk_bundle(lattice, group_cols, fs, lineage, 0, 200)
+        tail = _chunk_bundle(lattice, group_cols, fs, lineage, 200, 400)
+        shipped = pickle.loads(pickle.dumps(head))
+        assert shipped.n_rows == head.n_rows
+        direct, via_pickle = head.merge(tail), shipped.merge(tail)
+        for got, want in zip(via_pickle.groups()[0], direct.groups()[0]):
+            assert got.tolist() == want.tolist()
+        for got, want in zip(via_pickle.moments()[1:], direct.moments()[1:]):
+            np.testing.assert_array_equal(got, want)
 
     def test_group_dtype_rules(self):
         lattice = SubsetLattice(["l"])
@@ -144,7 +238,7 @@ class TestGroupedMomentBundle:
             {"l": np.arange(3, dtype=np.int64)},
             [np.array([4, 5, 4], dtype=np.int32)],
         )
-        assert bundle._group_cols[0].dtype == np.int64
+        assert bundle.groups()[0][0].dtype == np.int64
         with pytest.raises(EstimationError):
             GroupedMomentBundle(lattice, 0, 1)
         with pytest.raises(EstimationError):
