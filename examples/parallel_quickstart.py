@@ -1,13 +1,13 @@
-"""Five-minute tour of the partition-parallel chunked execution core.
+"""Five-minute tour of the chunked execution core.
 
-The legacy executor materializes every plan node as one whole table;
-the chunked pipeline streams scan → sample → filter → project → join
-probe per partition and folds each partition's rows straight into
-mergeable moment sketches, so an aggregate estimate never materializes
-the full joined sample.  Because the moment state is a commutative
-monoid (the paper's Theorem 1 moments), the answers are *bit-for-bit
-identical* for any worker count — parallelism changes wall-clock and
-peak memory, never results.
+Every query runs on the chunked pipeline: it streams scan → sample →
+filter → project → join probe per chunk and folds each chunk's rows
+straight into mergeable moment sketches, so an aggregate estimate never
+materializes the full joined sample.  With no workers the pipeline runs
+inline over one chunk per table; with a pool it partitions.  Because
+the moment state is a commutative monoid (the paper's Theorem 1
+moments), the answers are *bit-for-bit identical* for any worker count
+— parallelism changes wall-clock and peak memory, never results.
 
 Run:  python examples/parallel_quickstart.py
 """
@@ -39,11 +39,11 @@ def main() -> None:
     db = tpch_database(scale=2.0, seed=7)
     print(f"{db!r}\n")
 
-    # 1. Same query, three engines: the legacy serial executor
-    #    (workers=0 forces it even under REPRO_WORKERS), the chunked
-    #    pipeline single-worker, and the chunked pipeline at 4 workers.
+    # 1. Same query, one engine, three configurations: inline over one
+    #    chunk (workers=0 pins it even under REPRO_WORKERS), chunked
+    #    with one worker, and chunked with a pool of 4.
     runs = {}
-    for label, workers in [("serial", 0), ("chunked@1", 1), ("chunked@4", 4)]:
+    for label, workers in [("inline", 0), ("chunked@1", 1), ("chunked@4", 4)]:
         start = time.perf_counter()
         result = db.sql(QUERY, seed=42, workers=workers)
         runs[label] = result
@@ -53,8 +53,8 @@ def main() -> None:
             f"{time.perf_counter() - start:.3f}s)"
         )
     assert runs["chunked@1"].values == runs["chunked@4"].values
-    assert runs["serial"].values == runs["chunked@4"].values
-    print("→ identical answers from every engine, bit for bit\n")
+    assert runs["inline"].values == runs["chunked@4"].values
+    print("→ identical answers from every configuration, bit for bit\n")
 
     # 2. GROUP BY rides the same machinery: every partition folds into
     #    one mergeable grouped sketch, per-group CIs come out exact.

@@ -775,9 +775,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="run queries on the partition-parallel chunked pipeline "
-        "with N workers (default: REPRO_WORKERS, else the serial "
-        "engine; answers are worker-count invariant, bit for bit)",
+        help="run the chunked pipeline on a pool of N workers "
+        "(default: REPRO_WORKERS, else inline and unpartitioned; "
+        "answers are worker-count invariant, bit for bit)",
     )
     _add_stream_subcommand(parser)
     args = parser.parse_args(argv)

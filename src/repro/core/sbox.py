@@ -13,12 +13,17 @@ plan, their lineage, and the plan itself — and produces, per aggregate:
    ``QUANTILE`` outputs (Section 6.4).
 
 It is deliberately a self-contained "black box": nothing in it touches
-the execution engine beyond consuming its output table.
+the execution engine beyond consuming its output chunks.  Theorem 1
+reads the estimate off per-lineage-key sums — additive state — so there
+is one estimator route: fold each chunk of sample rows into a moment
+bundle, merge the bundles, finish.  One already-executed sample
+(:meth:`SBox.estimate_from_sample`) is the same route with one chunk.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import TYPE_CHECKING
@@ -29,10 +34,6 @@ from repro.core.estimator import (
     Estimate,
     GroupedEstimates,
     estimate_from_moments,
-    estimate_sum,
-    estimate_sums_grouped_multi,
-    group_firsts,
-    group_ids,
     grouped_theorem1_variance,
     unbiased_y_terms_grouped,
 )
@@ -50,11 +51,7 @@ from repro.obs.trace import (
 from repro.relational.aggregates import aggregate_input_vector
 from repro.relational.plan import Aggregate, AggSpec, GroupAggregate, PlanNode
 from repro.relational.table import Table
-from repro.stats.delta import (
-    covariance_estimate,
-    ratio_estimate,
-    ratio_estimates_grouped,
-)
+from repro.stats.delta import ratio_estimate, ratio_estimates_grouped
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import Trace
@@ -102,10 +99,11 @@ class QueryResult:
     caller can derive any interval afterwards; ``gus`` is the top
     quasi-operator of the SOA-equivalent plan; ``sample`` is the
     pre-aggregation result sample (with lineage) the estimates came
-    from — pruned to the aggregate-relevant columns on the chunked
-    path, and ``None`` when the caller asked the partition-merge
-    estimator not to keep it (``keep_sample=False``: the estimate then
-    never materializes the sample at all, only merged moment state).
+    from — pruned to the aggregate-relevant columns at every
+    ``workers`` value (full width only when it was executed to populate
+    the synopsis catalog on a miss), and ``None`` when the caller asked
+    not to keep it (``keep_sample=False``: the estimate then never
+    materializes the sample at all, only merged moment state).
     """
 
     values: dict[str, float]
@@ -221,7 +219,7 @@ class GroupedQueryResult:
 
 def _vector_plan(
     specs: "tuple[AggSpec, ...] | list[AggSpec]",
-) -> tuple[list[tuple], list[str], list[tuple[AggSpec, tuple[int, ...]]]]:
+) -> tuple[list[tuple], list[str], dict[str, tuple[int, ...]]]:
     """Weight-vector recipes every aggregate of a query needs.
 
     All aggregates share one compaction, so their per-row weight
@@ -230,7 +228,7 @@ def _vector_plan(
     numerator and the ``f+1`` polarization vector for the covariance.
     Returns ``(recipes, labels, spec_inputs)`` where a recipe is
     ``("ones",)``, ``("expr", expr)`` or ``("plus1", base_index)`` and
-    ``spec_inputs`` maps each spec to its vector indices.
+    ``spec_inputs`` maps each spec's alias to its vector indices.
     """
     recipes: list[tuple] = []
     labels: list[str] = []
@@ -241,24 +239,26 @@ def _vector_plan(
         labels.append(label)
         return len(recipes) - 1
 
-    spec_inputs: list[tuple[AggSpec, tuple[int, ...]]] = []
+    spec_inputs: dict[str, tuple[int, ...]] = {}
     for spec in specs:
         if spec.kind == "avg":
             assert spec.expr is not None
             f_index = add(("expr", spec.expr), "SUM")
             if ones_index is None:
                 ones_index = add(("ones",), "COUNT")
-            spec_inputs.append(
-                (spec, (f_index, ones_index, add(("plus1", f_index), "SUM")))
+            spec_inputs[spec.alias] = (
+                f_index,
+                ones_index,
+                add(("plus1", f_index), "SUM"),
             )
         elif spec.kind == "count":
             if ones_index is None:
                 ones_index = add(("ones",), "COUNT")
-            spec_inputs.append((spec, (ones_index,)))
+            spec_inputs[spec.alias] = (ones_index,)
         else:
             assert spec.expr is not None
-            spec_inputs.append(
-                (spec, (add(("expr", spec.expr), spec.kind.upper()),))
+            spec_inputs[spec.alias] = (
+                add(("expr", spec.expr), spec.kind.upper()),
             )
     return recipes, labels, spec_inputs
 
@@ -321,6 +321,48 @@ def _needed_columns(plan: "Aggregate | GroupAggregate") -> frozenset[str]:
     return cols
 
 
+def _fold_plan(
+    plan: "Aggregate | GroupAggregate",
+    specs: "tuple[AggSpec, ...]",
+    rewrite: RewriteResult,
+    keep_sample: bool,
+) -> tuple[_ChunkFold, list[str], dict[str, tuple[int, ...]]]:
+    """The per-chunk fold of ``specs`` plus what finishing it needs."""
+    params = rewrite.params
+    if params.a <= 0.0:
+        raise EstimationError("cannot estimate from a = 0 (null sampling)")
+    recipes, labels, spec_inputs = _vector_plan(specs)
+    grouped = isinstance(plan, GroupAggregate)
+    fold = _ChunkFold(
+        recipes,
+        params.project_out_inactive().lattice,
+        grouped,
+        plan.keys if grouped else (),
+        keep_sample,
+    )
+    return fold, labels, spec_inputs
+
+
+def _refuse_grouped_subsample(plan: "Aggregate | GroupAggregate") -> None:
+    if isinstance(plan, GroupAggregate):
+        raise EstimationError(
+            "sub-sampled variance estimation is not supported for "
+            "GROUP BY queries; the grouped moment pass is already "
+            "one compaction over the sample"
+        )
+
+
+@contextmanager
+def _estimate_phase(rows: int, aggregates: int):
+    """The ``estimate`` span and phase timer around finishing an answer."""
+    t0 = perf_counter()
+    with maybe_span(get_tracer(), "estimate") as span:
+        span.attrs["rows"] = rows
+        span.attrs["aggregates"] = aggregates
+        yield
+    observe_phase_seconds("estimate", perf_counter() - t0)
+
+
 class SBox:
     """The statistical estimator module (paper Figure in Section 6).
 
@@ -373,18 +415,19 @@ class SBox:
     ) -> "QueryResult | GroupedQueryResult":
         """Execute the sampled plan and estimate every aggregate.
 
-        A :class:`~repro.relational.plan.GroupAggregate` plan routes to
-        the vectorized grouped estimator and returns a
+        A :class:`~repro.relational.plan.GroupAggregate` plan returns a
         :class:`GroupedQueryResult`.
 
-        With ``workers`` set (any value >= 1) the query runs on the
-        partition-parallel chunked pipeline: the plan streams chunk by
-        chunk, every partition's rows fold straight into mergeable
-        moment state, and the estimate comes from the merged state —
-        the full result sample is only materialized (column-pruned) to
-        populate ``result.sample``, and not at all under
-        ``keep_sample=False``.  Results are bit-for-bit identical for
-        any worker count, and for any row partitioning whenever each
+        There is one route at every ``workers`` value: the plan streams
+        chunk by chunk through the pipeline, every chunk's rows fold
+        straight into mergeable moment state inside the chunk task, and
+        the estimate comes from the merged state — the result sample is
+        only materialized (column-pruned) to populate
+        ``result.sample``, and not at all under ``keep_sample=False``.
+        ``workers`` sets the pool size and, absent an explicit
+        ``chunk_size``, the partitioning (none without workers: one
+        chunk, run inline).  Results are bit-for-bit identical for any
+        worker count, and for any row partitioning whenever each
         active lineage key's rows stay within one chunk (tuple-level
         sampling always; block sampling via boundary alignment); keys
         replicated across chunks by join fanout merge partial sums, so
@@ -394,6 +437,13 @@ class SBox:
         key columns are factorized to int64 codes once, and the merges
         union small dictionaries of distinct key tuples and re-reduce
         on packed integers.
+
+        ``subsample`` (Section 7) estimates the variance of every SUM
+        and COUNT from a lineage-keyed sub-sample of the result rows
+        (``extras["n_subsample"]``).  An AVG always takes its variance
+        from the full sample — valid, merely not cheaper — so it is
+        bit-identical to the run without ``subsample`` and carries no
+        ``n_subsample``.  GROUP BY plans refuse ``subsample``.
 
         With ``REPRO_TRACE=1`` in the environment (and no trace already
         active) the run is traced and the span tree attached to
@@ -434,73 +484,79 @@ class SBox:
         chunk_size: int | None,
         keep_sample: bool,
     ) -> "QueryResult | GroupedQueryResult":
+        """Fold the plan's chunks into moment state, merge, finish."""
+        from repro.relational.pipeline import ChunkedExecutor, concat_tables
+
         tracer = get_tracer()
         with maybe_span(tracer, "analyze"):
             rewrite = self.analyze(plan.child)
+        executor = ChunkedExecutor(
+            self.catalog,
+            rng if rng is not None else self.rng,
+            workers=workers,
+            chunk_size=chunk_size,
+        )
         if (
             self.synopses is not None
             and subsample is None
             and keep_sample
             and rewrite.is_sampled
         ):
-            served = self._run_via_store(
-                plan,
-                rewrite,
-                rng=rng,
-                workers=workers,
-                chunk_size=chunk_size,
-            )
+            served = self._run_via_store(plan, rewrite, executor)
             if served is not None:
                 return served
-        if workers is not None and workers >= 1:
-            return self._run_chunked(
-                plan,
-                rewrite,
-                rng=rng,
-                workers=int(workers),
-                chunk_size=chunk_size,
-                keep_sample=keep_sample,
-                subsample=subsample,
-            )
-        executor = self._engine(rng)
-        t0 = perf_counter()
-        with maybe_span(tracer, "draw") as sp:
-            sample = executor.execute(plan.child)
-            sp.attrs["rows"] = sample.n_rows
-        observe_phase_seconds("draw", perf_counter() - t0)
-        if isinstance(plan, GroupAggregate):
-            return self.estimate_from_sample_grouped(
+        needed = _needed_columns(plan)
+        if subsample is not None:
+            # Section 7 sub-sampling needs the raw sample rows; stream
+            # the (pruned) chunks and estimate off the concatenation.
+            _refuse_grouped_subsample(plan)
+            t0 = perf_counter()
+            with maybe_span(tracer, "draw") as sp:
+                sample = concat_tables(
+                    list(executor.iter_chunks(plan.child, columns=needed))
+                )
+                sp.attrs["rows"] = sample.n_rows
+            observe_phase_seconds("draw", perf_counter() - t0)
+            return self.estimate_from_sample(
                 plan, sample, rewrite, subsample=subsample
             )
-        return self.estimate_from_sample(
-            plan, sample, rewrite, subsample=subsample
+        per_chunk, labels, spec_inputs = _fold_plan(
+            plan, plan.specs, rewrite, keep_sample
         )
-
-    def _engine(
-        self,
-        rng: np.random.Generator | None,
-        workers: int | None = None,
-        chunk_size: int | None = None,
-    ):
-        """The plan executor of one run: chunked iff ``workers`` >= 1."""
-        from repro.relational.executor import Executor
-        from repro.relational.pipeline import ChunkedExecutor
-
-        rng = rng if rng is not None else self.rng
-        if workers is None or workers < 1:
-            return Executor(self.catalog, rng)
-        return ChunkedExecutor(
-            self.catalog, rng, workers=int(workers), chunk_size=chunk_size
+        merged = None
+        kept: list[Table] = []
+        merge_seconds = 0.0
+        t0 = perf_counter()
+        with maybe_span(tracer, "draw") as sp:
+            for contrib, chunk in executor.map_chunks(
+                plan.child, per_chunk, columns=needed
+            ):
+                if merged is None:
+                    merged = contrib
+                else:
+                    m0 = perf_counter()
+                    merged = merged.merge(contrib)
+                    merge_seconds += perf_counter() - m0
+                if chunk is not None:
+                    kept.append(chunk)
+            assert merged is not None  # the pipeline always emits >= 1 chunk
+            sp.attrs["rows"] = merged.n_rows
+            sp.attrs["merge_ns"] = int(merge_seconds * 1e9)
+        observe_phase_seconds(
+            "draw", perf_counter() - t0 - merge_seconds
         )
+        observe_phase_seconds("merge", merge_seconds)
+        sample = concat_tables(kept) if keep_sample else None
+        with _estimate_phase(merged.n_rows, len(plan.specs)):
+            return self._finish(
+                plan, rewrite, merged, labels, spec_inputs, sample
+            )
 
     def _run_via_store(
         self,
         plan: Aggregate | GroupAggregate,
         rewrite: RewriteResult,
-        *,
-        rng: np.random.Generator | None,
-        workers: int | None,
-        chunk_size: int | None,
+        executor,
     ) -> "QueryResult | GroupedQueryResult | None":
         """Serve from (or populate) the synopsis catalog.
 
@@ -520,9 +576,7 @@ class SBox:
             canon = canonicalize(
                 plan.child,
                 {name: t.n_rows for name, t in self.catalog.items()},
-                draw_token=draw_token_of(
-                    rng if rng is not None else self.rng
-                ),
+                draw_token=draw_token_of(executor.rng),
             )
             if canon is None:
                 decision = None
@@ -554,14 +608,10 @@ class SBox:
                         info.residual_predicates
                     )
             observe_phase_seconds("residual", perf_counter() - t1)
-            served = RewriteResult(clean, params)
-            if isinstance(plan, GroupAggregate):
-                return self.estimate_from_sample_grouped(
-                    plan, sample, served, reuse=info
-                )
-            return self.estimate_from_sample(plan, sample, served, reuse=info)
+            return self.estimate_from_sample(
+                plan, sample, RewriteResult(clean, params), reuse=info
+            )
         # Miss: execute the sampled child once, full-width, and store it.
-        executor = self._engine(rng, workers, chunk_size)
         t2 = perf_counter()
         with maybe_span(tracer, "draw") as sp:
             sample = executor.execute(plan.child)
@@ -576,177 +626,41 @@ class SBox:
                 versions=self._version_stamps,
             )
             sp.attrs["stored"] = stored is not None
-        if isinstance(plan, GroupAggregate):
-            return self.estimate_from_sample_grouped(plan, sample, rewrite)
         return self.estimate_from_sample(plan, sample, rewrite)
 
-    def _run_chunked(
+    def _finish(
         self,
         plan: Aggregate | GroupAggregate,
         rewrite: RewriteResult,
+        bundle,
+        labels: list[str],
+        spec_inputs: dict[str, tuple[int, ...]],
+        sample: Table | None,
         *,
-        rng: np.random.Generator | None,
-        workers: int,
-        chunk_size: int | None,
-        keep_sample: bool,
-        subsample: SubsampleSpec | None,
+        subsample: SubsampleSpec | None = None,
+        reuse: "ReuseInfo | None" = None,
     ) -> "QueryResult | GroupedQueryResult":
-        """Partition-parallel estimation: fold chunks, merge sketches."""
-        from repro.relational.pipeline import concat_tables
+        """Estimates from (merged) moment state — Section 6.3 and 6.4.
 
+        ``bundle`` holds one moment vector per entry of ``labels``;
+        ``spec_inputs`` maps each folded aggregate to its vectors.  An
+        aggregate without an entry (``subsample`` given, kind not AVG)
+        takes its variance from the Section 7 sub-sample of ``sample``.
+        """
+        params = rewrite.params
+        pruned = params.project_out_inactive()
         grouped = isinstance(plan, GroupAggregate)
-        if subsample is not None and grouped:
-            raise EstimationError(
-                "sub-sampled variance estimation is not supported for "
-                "GROUP BY queries; the grouped moment pass is already "
-                "one compaction over the sample"
-            )
-        executor = self._engine(rng, workers, chunk_size)
-        tracer = get_tracer()
-        needed = _needed_columns(plan)
-        if subsample is not None:
-            # Section 7 sub-sampling needs the raw sample rows; stream
-            # the (pruned) chunks and estimate off the concatenation.
-            t0 = perf_counter()
-            with maybe_span(tracer, "draw") as sp:
-                sample = concat_tables(
-                    list(executor.iter_chunks(plan.child, columns=needed))
-                )
-                sp.attrs["rows"] = sample.n_rows
-            observe_phase_seconds("draw", perf_counter() - t0)
-            assert isinstance(plan, Aggregate)
-            return self.estimate_from_sample(
-                plan, sample, rewrite, subsample=subsample
-            )
-        params = rewrite.params
-        if params.a <= 0.0:
-            raise EstimationError(
-                "cannot estimate from a = 0 (null sampling)"
-            )
-        pruned = params.project_out_inactive()
-        recipes, labels, spec_inputs = _vector_plan(plan.specs)
-        keys = plan.keys if grouped else ()
-        per_chunk = _ChunkFold(
-            recipes, pruned.lattice, grouped, keys, keep_sample
-        )
-        merged = None
-        kept: list[Table] = []
-        merge_seconds = 0.0
-        t0 = perf_counter()
-        with maybe_span(tracer, "draw") as sp:
-            for contrib, chunk in executor.map_chunks(
-                plan.child, per_chunk, columns=needed
-            ):
-                if merged is None:
-                    merged = contrib
-                else:
-                    m0 = perf_counter()
-                    merged = merged.merge(contrib)
-                    merge_seconds += perf_counter() - m0
-                if chunk is not None:
-                    kept.append(chunk)
-            assert merged is not None  # the pipeline always emits >= 1 chunk
-            sp.attrs["rows"] = merged.n_rows
-            sp.attrs["merge_ns"] = int(merge_seconds * 1e9)
-        observe_phase_seconds(
-            "draw", perf_counter() - t0 - merge_seconds
-        )
-        observe_phase_seconds("merge", merge_seconds)
-        sample = concat_tables(kept) if keep_sample else None
+        raw: list = []
+        keys: dict[str, np.ndarray] = {}
         if grouped:
-            return self._finish_grouped(
-                plan, rewrite, merged, labels, spec_inputs, sample
-            )
-        return self._finish_ungrouped(
-            plan, rewrite, merged, labels, spec_inputs, sample
-        )
-
-    def _finish_ungrouped(
-        self,
-        plan: Aggregate,
-        rewrite: RewriteResult,
-        bundle,
-        labels: list[str],
-        spec_inputs: list[tuple[AggSpec, tuple[int, ...]]],
-        sample: Table | None,
-    ) -> "QueryResult":
-        """Estimates from merged ungrouped moment state."""
-        params = rewrite.params
-        pruned = params.project_out_inactive()
-        tracer = get_tracer()
-        t0 = perf_counter()
-        with maybe_span(tracer, "estimate") as span:
-            span.attrs["rows"] = bundle.n_rows
-            span.attrs["aggregates"] = len(spec_inputs)
-            moments = bundle.moments()
-            totals = bundle.totals()
-            raw = [
-                estimate_from_moments(
-                    pruned,
-                    moments[j],
-                    totals[j],
-                    bundle.n_rows,
-                    label=labels[j],
-                )
-                for j in range(len(labels))
-            ]
-            estimates: dict[str, Estimate] = {}
-            values: dict[str, float] = {}
-            for spec, indices in spec_inputs:
-                if spec.kind == "avg":
-                    num, den, both = (raw[j] for j in indices)
-                    # Polarization:
-                    # Cov = (Var(f+1) − Var(f) − Var(1)) / 2.
-                    cov = 0.5 * (
-                        both.variance_raw
-                        - num.variance_raw
-                        - den.variance_raw
-                    )
-                    est = ratio_estimate(num, den, cov)
-                else:
-                    est = raw[indices[0]]
-                estimates[spec.alias] = est
-                values[spec.alias] = (
-                    est.quantile(spec.quantile)
-                    if spec.quantile is not None
-                    else est.value
-                )
-        observe_phase_seconds("estimate", perf_counter() - t0)
-        return QueryResult(
-            values=values,
-            estimates=estimates,
-            gus=params,
-            sample=sample,
-            rewrite=rewrite,
-            plan=plan,
-        )
-
-    def _finish_grouped(
-        self,
-        plan: GroupAggregate,
-        rewrite: RewriteResult,
-        bundle,
-        labels: list[str],
-        spec_inputs: list[tuple[AggSpec, tuple[int, ...]]],
-        sample: Table | None,
-    ) -> "GroupedQueryResult":
-        """Per-group estimates from merged grouped moment state."""
-        params = rewrite.params
-        pruned = params.project_out_inactive()
-        tracer = get_tracer()
-        t0 = perf_counter()
-        with maybe_span(tracer, "estimate") as span:
-            span.attrs["rows"] = bundle.n_rows
-            span.attrs["aggregates"] = len(spec_inputs)
             group_key_cols, ys, totals, counts = bundle.moments()
-            bundles: list[GroupedEstimates] = []
+            keys = dict(zip(plan.keys, group_key_cols))
             for j, label in enumerate(labels):
                 yhat = unbiased_y_terms_grouped(pruned, ys[j])
-                var_raw = grouped_theorem1_variance(pruned, yhat)
-                bundles.append(
+                raw.append(
                     GroupedEstimates(
                         values=totals[j] / params.a,
-                        variance_raw=var_raw,
+                        variance_raw=grouped_theorem1_variance(pruned, yhat),
                         n_samples=counts,
                         label=label,
                         extras={
@@ -755,33 +669,56 @@ class SBox:
                         },
                     )
                 )
-            keys = {
-                k: col for k, col in zip(plan.keys, group_key_cols)
-            }
-            estimates: dict[str, GroupedEstimates] = {}
-            values: dict[str, np.ndarray] = {}
-            for spec, indices in spec_inputs:
-                if spec.kind == "avg":
-                    num, den, both = (bundles[j] for j in indices)
-                    cov = 0.5 * (
-                        both.variance_raw
-                        - num.variance_raw
-                        - den.variance_raw
-                    )
-                    est = ratio_estimates_grouped(num, den, cov)
-                else:
-                    est = bundles[indices[0]]
-                estimates[spec.alias] = est
-                values[spec.alias] = (
-                    est.quantile(spec.quantile)
-                    if spec.quantile is not None
-                    else est.values
+        elif bundle is not None:
+            moments = bundle.moments()
+            totals = bundle.totals()
+            raw = [
+                estimate_from_moments(
+                    pruned, moments[j], totals[j], bundle.n_rows, label=label
                 )
-            if plan.having is not None:
-                keys, values, estimates = apply_having_grouped(
-                    plan.having, keys, values, estimates
+                for j, label in enumerate(labels)
+            ]
+        ratio = ratio_estimates_grouped if grouped else ratio_estimate
+        estimates: dict = {}
+        values: dict = {}
+        for spec in plan.specs:
+            indices = spec_inputs.get(spec.alias)
+            if indices is None:
+                est = subsampled_estimate(
+                    params,
+                    aggregate_input_vector(sample, spec),
+                    sample.lineage,
+                    subsample,
+                    label=spec.kind.upper(),
                 )
-        observe_phase_seconds("estimate", perf_counter() - t0)
+            elif spec.kind == "avg":
+                num, den, both = (raw[j] for j in indices)
+                # Polarization: Cov = (Var(f+1) − Var(f) − Var(1)) / 2.
+                cov = 0.5 * (
+                    both.variance_raw - num.variance_raw - den.variance_raw
+                )
+                est = ratio(num, den, cov)
+            else:
+                est = raw[indices[0]]
+            estimates[spec.alias] = est
+            if spec.quantile is not None:
+                values[spec.alias] = est.quantile(spec.quantile)
+            else:
+                values[spec.alias] = est.values if grouped else est.value
+        if not grouped:
+            return QueryResult(
+                values=values,
+                estimates=estimates,
+                gus=params,
+                sample=sample,
+                rewrite=rewrite,
+                plan=plan,
+                reuse=reuse,
+            )
+        if plan.having is not None:
+            keys, values, estimates = apply_having_grouped(
+                plan.having, keys, values, estimates
+            )
         return GroupedQueryResult(
             keys=keys,
             values=values,
@@ -790,53 +727,46 @@ class SBox:
             sample=sample,
             rewrite=rewrite,
             plan=plan,
+            reuse=reuse,
         )
 
     def estimate_from_sample(
         self,
-        plan: Aggregate,
+        plan: Aggregate | GroupAggregate,
         sample: Table,
         rewrite: RewriteResult | None = None,
         *,
         subsample: SubsampleSpec | None = None,
         reuse: "ReuseInfo | None" = None,
-    ) -> QueryResult:
+    ) -> "QueryResult | GroupedQueryResult":
         """Estimate from an already-executed sample (the pure SBox API).
 
         This is the entry point a host database would call: it needs
         only the result tuples with lineage and the plan description.
+        The sample is folded as one chunk into the same moment state
+        :meth:`run` merges, so both give the same answer bit for bit.
         """
         if rewrite is None:
             rewrite = self.analyze(plan.child)
-        params = rewrite.params
-        estimates: dict[str, Estimate] = {}
-        values: dict[str, float] = {}
-        tracer = get_tracer()
-        t0 = perf_counter()
-        with maybe_span(tracer, "estimate") as sp:
-            sp.attrs["rows"] = sample.n_rows
-            sp.attrs["aggregates"] = len(plan.specs)
-            with maybe_span(tracer, "estimate.group_reduce", kind="kernel"):
-                for spec in plan.specs:
-                    est = self._estimate_spec(
-                        spec, params, sample, subsample
-                    )
-                    estimates[spec.alias] = est
-                    values[spec.alias] = (
-                        est.quantile(spec.quantile)
-                        if spec.quantile is not None
-                        else est.value
-                    )
-        observe_phase_seconds("estimate", perf_counter() - t0)
-        return QueryResult(
-            values=values,
-            estimates=estimates,
-            gus=params,
-            sample=sample,
-            rewrite=rewrite,
-            plan=plan,
-            reuse=reuse,
-        )
+        specs = plan.specs
+        if subsample is not None:
+            _refuse_grouped_subsample(plan)
+            # Section 7 serves SUM-like aggregates from the sub-sample;
+            # an AVG keeps its full-sample variance, like every AVG.
+            specs = tuple(s for s in specs if s.kind == "avg")
+        fold, labels, spec_inputs = _fold_plan(plan, specs, rewrite, False)
+        with _estimate_phase(sample.n_rows, len(plan.specs)):
+            bundle = fold(sample)[0] if labels else None
+            return self._finish(
+                plan,
+                rewrite,
+                bundle,
+                labels,
+                spec_inputs,
+                sample,
+                subsample=subsample,
+                reuse=reuse,
+            )
 
     def estimate_from_sample_grouped(
         self,
@@ -849,110 +779,12 @@ class SBox:
     ) -> GroupedQueryResult:
         """Per-group estimates from an already-executed sample.
 
-        Group ids are assigned once from the GROUP BY columns of the
-        sample (:func:`~repro.core.estimator.group_ids`: string keys are
-        hashed to codes, then one integer sort); every aggregate then
-        runs through the vectorized grouped moment machinery.  HAVING
-        filters the estimated output.
+        :meth:`estimate_from_sample` under its GROUP BY name: the
+        sample's key columns are factorized once and the rows fold, as
+        one chunk, into the
+        :class:`~repro.stream.sketch.GroupedMomentBundle` that
+        :meth:`run` merges; HAVING filters the estimated output.
         """
-        if subsample is not None:
-            raise EstimationError(
-                "sub-sampled variance estimation is not supported for "
-                "GROUP BY queries; the grouped moment pass is already "
-                "one compaction over the sample"
-            )
-        if rewrite is None:
-            rewrite = self.analyze(plan.child)
-        params = rewrite.params
-        tracer = get_tracer()
-        t0 = perf_counter()
-        with maybe_span(tracer, "estimate") as span:
-            span.attrs["rows"] = sample.n_rows
-            span.attrs["aggregates"] = len(plan.specs)
-            key_cols = [sample.column(k) for k in plan.keys]
-            gids, n_groups = group_ids(key_cols, sample.n_rows)
-            first = group_firsts(gids, n_groups, sample.n_rows)
-            keys = {k: col[first] for k, col in zip(plan.keys, key_cols)}
-            # Every aggregate of the query shares one compaction and one
-            # subgroup structure per lattice mask — the weight-vector
-            # plan (shared with the partition-merge path) collects
-            # everything needed and the batched pass estimates it all
-            # at once.
-            recipes, vector_labels, spec_inputs = _vector_plan(plan.specs)
-            vectors = _eval_vectors(recipes, sample)
-            with maybe_span(
-                tracer, "estimate.group_reduce", kind="kernel"
-            ):
-                bundles = estimate_sums_grouped_multi(
-                    params,
-                    vectors,
-                    sample.lineage,
-                    gids,
-                    n_groups,
-                    labels=vector_labels,
-                )
-            estimates: dict[str, GroupedEstimates] = {}
-            values: dict[str, np.ndarray] = {}
-            for spec, indices in spec_inputs:
-                if spec.kind == "avg":
-                    num, den, both = (bundles[i] for i in indices)
-                    # Polarization:
-                    # Cov = (Var(f+1) − Var(f) − Var(1)) / 2.
-                    cov = 0.5 * (
-                        both.variance_raw
-                        - num.variance_raw
-                        - den.variance_raw
-                    )
-                    est = ratio_estimates_grouped(num, den, cov)
-                else:
-                    est = bundles[indices[0]]
-                estimates[spec.alias] = est
-                values[spec.alias] = (
-                    est.quantile(spec.quantile)
-                    if spec.quantile is not None
-                    else est.values
-                )
-            if plan.having is not None:
-                keys, values, estimates = apply_having_grouped(
-                    plan.having, keys, values, estimates
-                )
-        observe_phase_seconds("estimate", perf_counter() - t0)
-        return GroupedQueryResult(
-            keys=keys,
-            values=values,
-            estimates=estimates,
-            gus=params,
-            sample=sample,
-            rewrite=rewrite,
-            plan=plan,
-            reuse=reuse,
+        return self.estimate_from_sample(
+            plan, sample, rewrite, subsample=subsample, reuse=reuse
         )
-
-    def _estimate_spec(
-        self,
-        spec: AggSpec,
-        params: GUSParams,
-        sample: Table,
-        subsample: SubsampleSpec | None,
-    ) -> Estimate:
-        if spec.kind == "avg":
-            return self._estimate_avg(spec, params, sample)
-        f = aggregate_input_vector(sample, spec)
-        label = spec.kind.upper()
-        if subsample is not None:
-            return subsampled_estimate(
-                params, f, sample.lineage, subsample, label=label
-            )
-        return estimate_sum(params, f, sample.lineage, label=label)
-
-    def _estimate_avg(
-        self, spec: AggSpec, params: GUSParams, sample: Table
-    ) -> Estimate:
-        """AVG = SUM/COUNT via the delta method (Section 9 extension)."""
-        assert spec.expr is not None
-        f = np.asarray(spec.expr.eval(sample), dtype=np.float64)
-        ones = np.ones(sample.n_rows, dtype=np.float64)
-        est_sum = estimate_sum(params, f, sample.lineage, label="SUM")
-        est_count = estimate_sum(params, ones, sample.lineage, label="COUNT")
-        cov = covariance_estimate(params, f, ones, sample.lineage)
-        return ratio_estimate(est_sum, est_count, cov)

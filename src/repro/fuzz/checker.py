@@ -7,11 +7,11 @@ Every statement is checked against independent evidence:
 2. **exact oracle** — the estimator on the sampling-stripped statement
    (every sampler at rate 1) must reproduce the exact executor's
    answer, group set included;
-3. **determinism** — the same statement + seed must agree across the
-   serial engine, the chunked engine, and worker counts (chunked
-   results are bit-identical across worker counts; serial vs chunked
-   may differ in the last ulp when lineage keys collide, so that
-   comparison gets a 1e-12 relative tolerance), across the in-RAM and
+3. **determinism** — the same statement + seed must agree across one
+   chunk vs many chunks and across worker counts (results are
+   bit-identical across worker counts; one chunk vs many may differ
+   in the last ulp when lineage keys collide, so that comparison gets
+   a 1e-12 relative tolerance), across the in-RAM and
    memory-mapped columnar storage backends (bit-identical: same bytes,
    different page source), and across a synopsis catalog miss → hit;
 4. **statistical** — unbiasedness and CI coverage over re-randomized
@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.errors import EstimationError, ReproError
 from repro.fuzz.generator import build_fuzz_tables, install_fuzz_versions
+from repro.relational.aggregates import aggregate_input_vector
 from repro.relational.database import Database
 from repro.relational.table import Table
 from repro.sql import ast_nodes as ast
@@ -46,9 +47,9 @@ __all__ = [
     "reseeded_statement",
 ]
 
-#: Relative tolerance for serial vs chunked point estimates: merged
-#: moment state sums per lineage key first, so join fanout and block
-#: sampling can move the last float ulp (measured ~1e-16 relative).
+#: Relative tolerance for one-chunk vs many-chunk point estimates:
+#: merged moment state adds per-chunk partial sums of a lineage key, so
+#: join fanout can move the last float ulp (measured ~1e-16 relative).
 SERIAL_CHUNKED_RTOL = 1e-12
 
 #: Tolerance for estimator-at-rate-1 vs the exact executor: the same
@@ -56,10 +57,10 @@ SERIAL_CHUNKED_RTOL = 1e-12
 ORACLE_RTOL = 1e-9
 
 #: Extra absolute slack, scaled by ``max(1, |value|)``, for *quantile*
-#: aliases in the serial-vs-chunked comparison only.  A quantile shifts
-#: the point estimate by ``z·σ̂``; when the true variance is ~0, σ̂ is
-#: pure summation-cancellation noise of order ``√ε·scale·√n`` — and the
-#: serial engine and the merged-sketch path sum moments in different
+#: aliases in the one-chunk vs many-chunk comparison only.  A quantile
+#: shifts the point estimate by ``z·σ̂``; when the true variance is ~0,
+#: σ̂ is pure summation-cancellation noise of order ``√ε·scale·√n`` —
+#: and one fold and a merge of several sum moments in different
 #: orders, so their noise differs (measured: variances 1.7e-15 vs
 #: 1.4e-15 around a true 0, quantiles 5e-9 apart).  Worker-count
 #: comparisons share one summation order and stay bit-exact.
@@ -80,9 +81,16 @@ COVERAGE_P_FAIL = 0.50
 #: handful of draws that usually miss the heavy tail entirely, and no
 #: interval built from σ̂ (normal or Chebyshev) can honestly cover —
 #: measured coverage of the *correct* estimator at a 1 % rate on the
-#: fuzz fact table is ~0.26.  Applied twice: a priori to each table's
-#: expected draw, and per trial to the sample actually *surviving*
-#: predicates and joins (selectivity the a-priori gate cannot see).
+#: fuzz fact table is ~0.26.  Applied three times: a priori to each
+#: table's expected draw; per trial to the sample actually *surviving*
+#: predicates and joins (selectivity the a-priori gate cannot see); and
+#: per trial to the Kish effective size ``(Σ|f|)² / Σf²`` of each
+#: aggregate's input over that sample.  Rows are not evidence when a
+#: few of them carry the sum: ``SUM(f_val * f_flag)`` is carried by 12
+#: of the 400 fact rows, a 10 % draw keeps 40 rows but about one of the
+#: 12, and Chebyshev-95 coverage of the correct estimator is 0.70 —
+#: inside the SPRT's indifference region, so the verdict was a coin
+#: flip (the subset-sum regime Szegedy–Thorup bound).
 COVERAGE_MIN_ROWS = 32
 
 #: Block designs are gated on expected *kept blocks* instead: with one
@@ -452,17 +460,17 @@ class CheckContext:
         return []
 
     def check_determinism(self, statement: str, seed: int) -> list[CheckFailure]:
-        """Serial vs chunked vs cross-worker-count vs mmap agreement."""
+        """One chunk vs many vs cross-worker-count vs mmap agreement."""
         query = parse(statement)
         quantile_aliases = frozenset(
             item.alias
             for item in query.items
             if isinstance(item.expression, ast.QuantileCall)
         )
-        # workers=0 forces the legacy serial path even when the ambient
-        # environment (REPRO_WORKERS) routes queries through the
-        # chunked executor — the baseline must actually be serial.
-        serial = _outcome(self.db.sql, statement, seed=seed, workers=0)
+        # workers=0 pins the one-chunk inline run even when the ambient
+        # environment (REPRO_WORKERS) sets a pool — the baseline must
+        # actually be unpartitioned.
+        one_chunk = _outcome(self.db.sql, statement, seed=seed, workers=0)
         w1 = _outcome(self.db.sql, statement, seed=seed, workers=1)
         w3 = _outcome(self.db.sql, statement, seed=seed, workers=3)
         failures = []
@@ -476,14 +484,14 @@ class CheckContext:
                     f"workers=1 vs workers=3 not bit-identical: {detail}",
                 )
             )
-        detail = diff_outcomes(serial, w1, SERIAL_CHUNKED_RTOL, quantile_aliases)
+        detail = diff_outcomes(one_chunk, w1, SERIAL_CHUNKED_RTOL, quantile_aliases)
         if detail is not None:
             failures.append(
                 CheckFailure(
                     "determinism",
                     statement,
                     seed,
-                    f"serial vs chunked disagree: {detail}",
+                    f"one chunk vs many chunks disagree: {detail}",
                 )
             )
         if query.budget is None:
@@ -507,12 +515,13 @@ class CheckContext:
     def check_reuse(self, statement: str, seed: int) -> list[CheckFailure]:
         """Catalog miss, then hit, vs a catalog-free run — all equal.
 
-        Bit-equality is pinned to the serial path (``workers=0``): the
-        catalog populates and serves from the *materialized* sample,
-        while the catalog-free chunked path merges per-chunk folds —
-        the same sample bits summed in a different order.  Chunked
-        execution gets its own catalog comparison below, at the same
-        tolerance the serial-vs-chunked determinism check uses.
+        Bit-equality is pinned to one chunk (``workers=0``): the
+        catalog populates and serves from the *materialized* sample —
+        one fold over all of it — while a catalog-free run over many
+        chunks merges per-chunk folds: the same sample bits summed in a
+        different order.  Many-chunk execution gets its own catalog
+        comparison below, at the tolerance the one-vs-many determinism
+        check uses.
         """
         query = parse(statement)
         if query.budget is not None:
@@ -688,13 +697,17 @@ class CheckContext:
                 # many sampled keys actually changed: the netted g is 0
                 # everywhere else, so only those keys inform σ̂ and the
                 # effective sample size is their count, not n_sample.
-                n_effective = est.extras.get("nonzero", est.n_sample)
+                n_effective = min(
+                    est.extras.get("nonzero", est.n_sample),
+                    _kish_rows(result, alias),
+                )
                 if not coverage_ok or n_effective < COVERAGE_MIN_ROWS:
                     # The a-priori gate sees per-table draw sizes only;
                     # join and predicate selectivity can shrink the
                     # *surviving* sample back into the tail-blind-σ̂
                     # regime (50 WOR rows joined to a 3-row dimension
-                    # leave ~10), so the observed n gates each trial.
+                    # leave ~10), and so can a few rows carrying the
+                    # sum, so the observed sample gates each trial.
                     continue
                 ci = est.ci(0.95, method="chebyshev")
                 if not (math.isfinite(ci.lo) and math.isfinite(ci.hi)):
@@ -735,6 +748,27 @@ class CheckContext:
                     )
                 )
         return failures
+
+
+def _kish_rows(result, alias: str) -> float:
+    """Kish effective size of one aggregate's input over the kept sample.
+
+    ``(Σ|f|)² / Σf²`` counts the rows that actually inform σ̂: n for a
+    constant ``f``, ~1 when one row carries the sum, 0 for an all-zero
+    draw.  An AVG is gauged by its numerator.  Results without a kept
+    sample (version differences gate on ``extras["nonzero"]``) are not
+    constrained.
+    """
+    sample = getattr(result, "sample", None)
+    if sample is None:
+        return math.inf
+    spec = next(s for s in result.plan.specs if s.alias == alias)
+    if spec.kind == "avg":
+        f = np.asarray(spec.expr.eval(sample), dtype=np.float64)
+    else:
+        f = aggregate_input_vector(sample, spec)
+    squares = float(np.sum(f * f))
+    return float(np.sum(np.abs(f))) ** 2 / squares if squares > 0.0 else 0.0
 
 
 def check_statement(

@@ -6,13 +6,13 @@ from dataclasses import dataclass
 
 from repro.obs.trace import Span, Trace
 
-#: Kernel span names -> the ROADMAP hot-path labels they realize.
+#: Kernel span names -> the ROADMAP hot-path labels they realize.  Every
+#: key is emitted by the pipeline (the row gather of a join is its node
+#: span's self time; the moment fold is its chunk span's).
 KERNEL_LABELS = {
     "draw.lineage_hash": "lineage-hash draw",
     "draw.table_sample": "table-sample draw",
     "join.factorize_probe": "join key factorization + probe",
-    "join.gather": "join row gather",
-    "estimate.group_reduce": "group_reduce / moment estimation",
 }
 
 

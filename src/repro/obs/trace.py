@@ -11,10 +11,11 @@ one query.  The design constraints, in order of importance:
   traced runs produce bit-identical estimates, variances, and samples.
 * **Determinism across worker counts.**  Spans executed inside pool
   workers (per-chunk work) are *not* recorded from the worker: the
-  worker measures and returns ``(start_ns, end_ns, rows, worker)`` and
-  the driver records the span via :meth:`Tracer.record_span` as results
-  stream back **in chunk order**.  Span ids and tree shape therefore
-  depend only on the chunking, not on thread interleaving.
+  worker measures and returns ``(start_ns, end_ns, rows, worker)`` plus
+  one record per plan node it ran, and the driver records the spans via
+  :meth:`Tracer.record_span` as results stream back **in chunk order**.
+  Span ids and tree shape therefore depend only on the chunking, not on
+  thread interleaving.
 * **Bounded.**  A trace keeps at most ``max_spans`` spans; further
   spans are counted in :attr:`Trace.dropped` but not stored, so a
   pathological plan cannot balloon memory.
@@ -184,11 +185,15 @@ class Tracer:
         end_ns: int,
         parent_id: int | None = None,
         **attrs,
-    ) -> None:
-        """Record an already-measured span (driver-side chunk merge)."""
+    ) -> int | None:
+        """Record an already-measured span (driver-side chunk merge).
+
+        Returns the new span's id (``None`` once the bound is hit) so
+        the caller can parent further recorded spans under it.
+        """
         if len(self.spans) >= self.max_spans:
             self.dropped += 1
-            return
+            return None
         self.spans.append(
             Span(
                 name=name,
@@ -203,6 +208,7 @@ class Tracer:
             )
         )
         self._next_id += 1
+        return self._next_id - 1
 
     def finish_trace(self) -> Trace:
         # Close any spans left open by exception unwinds.

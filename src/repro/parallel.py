@@ -32,8 +32,8 @@ any pool exists.
 
 ``REPRO_WORKERS`` sets an engine-wide default worker count and
 ``REPRO_SCHEDULER`` the mode; a value outside the accepted set raises
-rather than selecting the default engine, so a typo in a CI job cannot
-pass by testing the wrong one.
+rather than selecting the default, so a typo in a CI job cannot pass by
+testing the wrong configuration.
 """
 
 from __future__ import annotations
@@ -80,14 +80,14 @@ def available_cpus() -> int:
 def env_workers() -> int | None:
     """The ``REPRO_WORKERS`` engine-wide default.
 
-    Unset, empty and ``0`` mean "no default" (the serial engine);
-    anything but a non-negative integer raises.
+    Unset, empty and ``0`` mean "no default" (the pipeline runs inline
+    and unpartitioned); anything but a non-negative integer raises.
     """
     raw = os.environ.get("REPRO_WORKERS", "").strip()
     if raw and not raw.isdecimal():
         raise ReproError(
             f"REPRO_WORKERS={raw!r} is not a worker count; accepted "
-            "values are unset/empty, 0 (serial) or a positive integer"
+            "values are unset/empty, 0 (inline) or a positive integer"
         )
     return int(raw or 0) or None
 
@@ -96,8 +96,9 @@ def resolve_workers(workers: int | None) -> int | None:
     """Resolve an explicit worker count against the environment default.
 
     ``None`` defers to ``REPRO_WORKERS`` (itself possibly unset); any
-    integer >= 1 is taken literally; 0 and negatives mean "no chunked
-    engine" and resolve to ``None``.
+    integer >= 1 is taken literally; 0 and negatives mean "no pool" —
+    the pipeline runs inline and unpartitioned — and resolve to
+    ``None``.
     """
     if workers is None:
         return env_workers()

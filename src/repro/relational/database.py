@@ -1,9 +1,10 @@
 """The user-facing database façade.
 
-Binds together the catalog, executor, SBox estimator, and SQL frontend:
+Binds together the catalog, pipeline, SBox estimator, and SQL frontend:
 
 * :meth:`Database.execute` runs any plan (sampling included);
-* :meth:`Database.execute_exact` strips sampling for ground truth;
+* :meth:`Database.execute_exact` strips sampling for ground truth (on
+  the independent reference interpreter);
 * :meth:`Database.estimate` runs an aggregate plan through the SBox;
 * :meth:`Database.sql` parses and runs SQL text;
 * :meth:`Database.explain` shows the executable plan alongside its
@@ -50,19 +51,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Database:
     """An in-memory catalog of named tables plus the estimation stack.
 
-    ``workers`` selects the execution engine for queries: ``None``
-    (default) defers to the ``REPRO_WORKERS`` environment variable and,
-    failing that, the legacy one-table-at-a-time serial executor; any
-    value >= 1 routes queries through the partition-parallel chunked
-    pipeline with that many workers.  Chunked results are bit-for-bit
-    identical for every worker count, and executed tables reproduce the
-    serial engine exactly.  Chunked *estimates* equal the serial
-    estimator's exactly whenever sample rows carry distinct lineage
-    keys (tuple-level sampling — every SQL-reachable plan); when a
-    lineage key is shared by many rows (block sampling, join fanout)
-    the merged moment state sums per key first, so point estimates can
-    differ from the serial path in the last float ulp (variances and
-    moments stay exact).
+    Every query runs on the chunked pipeline
+    (:class:`~repro.relational.pipeline.ChunkedExecutor`); ``workers``
+    selects its pool size and default partitioning, nothing else.
+    ``None`` (default) defers to the ``REPRO_WORKERS`` environment
+    variable and, failing that, runs inline and unpartitioned — each
+    source is one chunk; any value >= 1 runs that many workers over
+    :data:`~repro.relational.partition.DEFAULT_CHUNK_ROWS`-row chunks.
+    An explicit ``chunk_size`` is honoured either way.  Results are
+    bit-for-bit identical for every worker count at one chunking.
+    Across chunkings executed tables are identical too, and estimates
+    are whenever each lineage key's rows stay within one chunk
+    (tuple-level sampling of a single table; block sampling via
+    boundary alignment); when join fanout replicates a key across
+    chunks the merged moment state adds partial sums, so a point
+    estimate can move in the last float ulp (variances and moments
+    stay exact).  :meth:`execute_exact` / :meth:`sql_exact` alone run
+    on the independent reference interpreter
+    (:mod:`repro.relational.executor`).
     """
 
     def __init__(
@@ -294,22 +300,10 @@ class Database:
     ) -> Table:
         """Execute a plan, drawing any samples from the RNG.
 
-        With workers resolved (argument, database default, or
-        ``REPRO_WORKERS``) the chunked pipeline runs the plan; its
-        output is bit-for-bit identical to the serial executor's.
+        Runs the chunked pipeline; ``workers`` (argument, database
+        default, or ``REPRO_WORKERS``) and ``chunk_size`` set its pool
+        and partitioning and never change the output.
         """
-        resolved = self._resolve_workers(workers)
-        if resolved is not None:
-            return self._chunked_executor(
-                resolved, chunk_size, seed
-            ).execute(plan)
-        from repro.relational.executor import Executor
-
-        return Executor(self.tables, self.rng(seed)).execute(plan)
-
-    def _chunked_executor(
-        self, workers: int, chunk_size: int | None, seed: int | None
-    ):
         from repro.relational.pipeline import ChunkedExecutor
 
         if chunk_size is None:
@@ -317,12 +311,16 @@ class Database:
         return ChunkedExecutor(
             self.tables,
             self.rng(seed),
-            workers=workers,
+            workers=self._resolve_workers(workers),
             chunk_size=chunk_size,
-        )
+        ).execute(plan)
 
     def execute_exact(self, plan: PlanNode) -> Table:
-        """Execute with all sampling removed (ground truth)."""
+        """Execute with all sampling removed (ground truth).
+
+        Runs the reference interpreter, not the pipeline: the oracle
+        must not share the plan walk of the engine it checks.
+        """
         from repro.relational.executor import Executor
 
         return Executor(self.tables, self.rng(0)).execute(
@@ -348,11 +346,11 @@ class Database:
     ) -> "QueryResult | GroupedQueryResult":
         """Run an (optionally grouped) aggregate plan through the SBox.
 
-        When workers resolve (argument, database default, or
-        ``REPRO_WORKERS``) the SBox folds each partition's sample
-        directly into mergeable moment sketches — the full joined
-        sample is never materialized (``keep_sample=False`` skips even
-        the pruned copy kept for ``result.sample``).
+        The SBox folds each chunk's sample rows directly into mergeable
+        moment sketches — the full joined sample is never materialized
+        (``keep_sample=False`` skips even the pruned copy kept for
+        ``result.sample``).  ``workers`` (argument, database default, or
+        ``REPRO_WORKERS``) sets the pool size and default partitioning.
         """
         resolved = self._resolve_workers(workers)
         if chunk_size is None:

@@ -1,9 +1,22 @@
-"""Plan execution over the columnar engine.
+"""The reference plan interpreter, and the operator kernels it shares.
 
-The executor materializes each node bottom-up.  Sampling nodes draw
-from the supplied RNG (``TableSample``) or evaluate their deterministic
-lineage hash (``LineageSample``).  ``GUSNode`` is analysis-only and
-refuses to execute, matching the paper's quasi-operator semantics.
+:class:`Executor` materializes each plan node bottom-up as one whole
+table.  It is **not** on the query path: ``Database.sql`` / ``estimate``
+/ ``execute`` always run the chunked pipeline
+(:mod:`repro.relational.pipeline`).  The interpreter stays because it
+is the independent reference — ``Database.execute_exact`` /
+``sql_exact`` (the fuzzer's and the benchmark's ground truth), the
+Monte-Carlo checks in :mod:`repro.core.soa` and the pipeline's own
+tests compare against it.  Running the exact answer through the engine
+under test would blind the oracle to exactly that engine's failure
+modes (a pruned column, a wrongly skipped zone-map chunk, the fused
+lineage filter), so it shares only the operator kernels below with the
+pipeline, never the plan walk.
+
+Sampling nodes draw from the supplied RNG (``TableSample``) or evaluate
+their deterministic lineage hash (``LineageSample``).  ``GUSNode`` is
+analysis-only and refuses to execute, matching the paper's
+quasi-operator semantics.
 
 Joins are equi-joins implemented with a sort + ``searchsorted``
 multi-range gather — O((n+m)·log n) with fully vectorized index
@@ -18,7 +31,6 @@ import numpy as np
 
 from repro.core.estimator import group_firsts, group_ids
 from repro.errors import ExecutionError, PlanError, SchemaError
-from repro.obs.trace import get_tracer
 from repro.relational import plan as p
 from repro.relational.aggregates import (
     evaluate_aggregates,
@@ -55,8 +67,8 @@ def probe_sorted(
     Returns ``(li, ri)`` in the canonical join output order: right keys
     major, matching left rows ascending within each (the stable sort
     guarantees run order equals original left row order).  This is the
-    shared probe core of the serial join and the chunked pipeline's
-    partition-local build/probe.
+    shared probe core of the interpreter's join and the chunked
+    pipeline's partition-local build/probe.
     """
     empty = np.empty(0, dtype=np.int64)
     n_right = right_keys.shape[0]
@@ -199,28 +211,8 @@ def intersect_tables(left: Table, right: Table) -> Table:
     return left.filter(in_right[gids[: left.n_rows]])
 
 
-def _node_label(node: p.PlanNode) -> str:
-    """Deterministic display label for a plan node's trace span."""
-    if isinstance(node, p.Scan):
-        return f"Scan({node.table_name})"
-    if isinstance(node, p.TableSample):
-        return f"TableSample({type(node.method).__name__})"
-    if isinstance(node, p.Join):
-        keys = ",".join(
-            f"{l}={r}" for l, r in zip(node.left_keys, node.right_keys)
-        )
-        return f"Join({keys})"
-    return type(node).__name__
-
-
 class Executor:
-    """Executes plans against a named-table catalog.
-
-    When a trace is active on the constructing context, every executed
-    node gets a span (kind ``node``) carrying ``rows_out``, and the
-    sampling/join kernels get nested ``kernel`` spans; with no trace
-    active the only cost is one ``None`` check per node.
-    """
+    """Interprets plans against a named-table catalog (the reference)."""
 
     def __init__(
         self,
@@ -229,20 +221,13 @@ class Executor:
     ) -> None:
         self.catalog = dict(catalog)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.tracer = get_tracer()
 
     def execute(self, node: p.PlanNode) -> Table:
         """Materialize the plan bottom-up."""
         handler = self._HANDLERS.get(type(node))
         if handler is None:
             raise ExecutionError(f"cannot execute {type(node).__name__}")
-        tracer = self.tracer
-        if tracer is None:
-            return handler(self, node)
-        with tracer.span(_node_label(node), kind="node") as span:
-            out = handler(self, node)
-            span.attrs["rows_out"] = out.n_rows
-        return out
+        return handler(self, node)
 
     # -- node handlers ----------------------------------------------------
 
@@ -260,11 +245,7 @@ class Executor:
 
     def _table_sample(self, node: p.TableSample) -> Table:
         table = self.execute(node.child)
-        if self.tracer is None:
-            draw = node.method.draw(table.n_rows, self.rng)
-        else:
-            with self.tracer.span("draw.table_sample", kind="kernel"):
-                draw = node.method.draw(table.n_rows, self.rng)
+        draw = node.method.draw(table.n_rows, self.rng)
         relation = node.child.table_name
         return table.with_lineage(relation, draw.lineage).filter(draw.mask)
 
@@ -275,12 +256,7 @@ class Executor:
             raise ExecutionError(
                 f"lineage columns {sorted(missing)} absent at LineageSample"
             )
-        if self.tracer is None:
-            keep = node.sampler.keep(table.lineage)
-        else:
-            with self.tracer.span("draw.lineage_hash", kind="kernel"):
-                keep = node.sampler.keep(table.lineage)
-        return table.filter(keep)
+        return table.filter(node.sampler.keep(table.lineage))
 
     def _gus(self, node: p.GUSNode) -> Table:
         raise ExecutionError(
@@ -304,14 +280,8 @@ class Executor:
     def _join(self, node: p.Join) -> Table:
         left = self.execute(node.left)
         right = self.execute(node.right)
-        if self.tracer is None:
-            li, ri = join_rows(left, right, node.left_keys, node.right_keys)
-            return self._combine(left, right, li, ri)
-        with self.tracer.span("join.factorize_probe", kind="kernel") as sp:
-            li, ri = join_rows(left, right, node.left_keys, node.right_keys)
-            sp.attrs["matches"] = int(li.shape[0])
-        with self.tracer.span("join.gather", kind="kernel"):
-            return self._combine(left, right, li, ri)
+        li, ri = join_rows(left, right, node.left_keys, node.right_keys)
+        return combine_rows(left, right, li, ri)
 
     def _cross(self, node: p.CrossProduct) -> Table:
         left = self.execute(node.left)
@@ -320,12 +290,6 @@ class Executor:
             np.arange(left.n_rows, dtype=np.int64), right.n_rows
         )
         ri = np.tile(np.arange(right.n_rows, dtype=np.int64), left.n_rows)
-        return self._combine(left, right, li, ri)
-
-    @staticmethod
-    def _combine(
-        left: Table, right: Table, li: np.ndarray, ri: np.ndarray
-    ) -> Table:
         return combine_rows(left, right, li, ri)
 
     def _union(self, node: p.Union) -> Table:

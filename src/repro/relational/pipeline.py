@@ -1,13 +1,15 @@
-"""Partition-parallel, chunked plan execution.
+"""The plan execution engine: chunked, optionally partition-parallel.
 
-The serial :class:`~repro.relational.executor.Executor` materializes
-every plan node as one whole table.  :class:`ChunkedExecutor` runs the
-same plans as a partition pipeline: a plan compiles into *(tasks, fn)*
-sources where each task is one chunk of base rows and ``fn`` runs the
-whole operator stack — scan → sample → filter → project → join probe —
-over that chunk.  Tasks are pure and independent, so a
+:class:`ChunkedExecutor` is the one engine behind ``Database.sql`` /
+``estimate`` / ``execute``.  A plan compiles into *(tasks, fn)* sources
+where each task is one chunk of base rows and ``fn`` runs the whole
+operator stack — scan → sample → filter → project → join probe — over
+that chunk.  Tasks are pure and independent, so a
 :class:`~repro.parallel.ChunkScheduler` runs them across workers while
-the driver consumes results strictly in chunk order.
+the driver consumes results strictly in chunk order.  With no worker
+count given there is nothing to partition for: every source is one
+chunk and its one task runs inline — the serial case is the pipeline
+with k = 1, not a second engine.
 
 Reproducibility contract (tested property, not aspiration):
 
@@ -17,28 +19,38 @@ Reproducibility contract (tested property, not aspiration):
 * **Partition invariance** — randomness is a function of the *global*
   row position, never of chunk boundaries: every sampling node draws
   once over its whole base table before any chunk runs, and a chunk
-  only slices that draw.  The draws consume the generator in the serial
-  executor's node order, so one seed maps to one realization on both
-  engines — which is what lets the serial executor be the reference
-  this engine is tested against.
+  only slices that draw.  The draws consume the generator in plan
+  post-order, exactly as the reference interpreter
+  (:class:`~repro.relational.executor.Executor`) does, so one seed maps
+  to one realization on both — which is what lets the interpreter be
+  the independent reference this engine is tested against.
 
 Joins execute as partition-local build/probe: the build side is
 materialized once, hash-partitioned on the (factorized) join key into
 per-worker buckets, and probe chunks stream through — each output
 chunk is emitted in the canonical (right-major, left-ascending) order
-the serial sort-probe join produces, so concatenating the chunks
-reproduces the serial join bit-for-bit while the join *output* is
-never materialized by streaming consumers.
+the reference sort-probe join produces, so concatenating the chunks
+reproduces it bit-for-bit while the join *output* is never
+materialized by streaming consumers.
 
 Column pruning: estimation consumers pass the columns they need and
 every operator forwards only those (plus whatever its own predicates
 and keys read) — scans slice views instead of gathering, and join
 probes gather a handful of arrays instead of both tables' full width.
+
+Tracing: when (and only when) a tracer is active, every compiled
+operator is wrapped in a :class:`_Probe` and fused operators are
+compiled apart, so each plan node reports its own ``rows_out`` and
+timing from inside the chunk task; the driver replays those records as
+``node`` spans under the chunk's span.  Untraced runs compile no
+probes.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Iterator, Mapping
+from contextvars import ContextVar
 from dataclasses import dataclass
 from time import perf_counter_ns
 
@@ -46,7 +58,7 @@ import numpy as np
 
 from repro.core.kernels import _finalize
 from repro.errors import ExecutionError, PlanError
-from repro.obs.trace import get_tracer
+from repro.obs.trace import get_tracer, maybe_span
 from repro.parallel import ChunkScheduler, worker_label
 from repro.relational import expressions as ex
 from repro.relational import plan as p
@@ -127,7 +139,7 @@ class _HashJoinBuild:
     original row order) plus the owning global row indices.  Probing a
     chunk routes each probe row to its bucket, binary-searches the
     bucket, and restores the canonical (right-major, left-ascending)
-    output order — the same order the serial sort-probe join emits.
+    output order — the same order the reference sort-probe join emits.
     """
 
     __slots__ = ("n_buckets", "_sorted_keys", "_positions")
@@ -202,12 +214,53 @@ class _ComposedTask:
         return self.per_chunk(self.fn(task))
 
 
+#: The running traced task's ``(log, open-probe stack)``.  Set by
+#: :class:`_TracedTask` for the extent of one task on whichever thread
+#: or process runs it, so probes never share a log across tasks.
+_PROBE_FRAME: ContextVar[tuple[list, list]] = ContextVar("repro_probe_frame")
+
+
+class _Probe:
+    """Traced runs only: time one operator or kernel inside a chunk task.
+
+    Appends ``[name, kind, parent index, start_ns, end_ns, rows_out]``
+    to the task's log in call order (parents before children) — never
+    to the tracer, because the task may be running in a pool worker.
+    """
+
+    __slots__ = ("fn", "name", "kind")
+
+    def __init__(self, fn: Callable, name: str, kind: str) -> None:
+        self.fn = fn
+        self.name = name
+        self.kind = kind
+
+    def __call__(self, *args):
+        log, stack = _PROBE_FRAME.get()
+        entry = [
+            self.name,
+            self.kind,
+            stack[-1] if stack else None,
+            perf_counter_ns(),
+            0,
+            None,
+        ]
+        stack.append(len(log))
+        log.append(entry)
+        out = self.fn(*args)
+        entry[4] = perf_counter_ns()
+        entry[5] = getattr(out, "n_rows", None)
+        stack.pop()
+        return out
+
+
 class _TracedTask:
     """Task wrapper that measures its own chunk from inside the worker.
 
-    The worker never touches the tracer: it returns the measurement and
-    the driver records the span in chunk order, so span ids and tree
-    shape are identical at every worker count.
+    The worker never touches the tracer: it returns the measurement
+    (and the probes' log) and the driver records the spans in chunk
+    order, so span ids and tree shape are identical at every worker
+    count.
     """
 
     __slots__ = ("fn", "per_chunk")
@@ -217,11 +270,17 @@ class _TracedTask:
         self.per_chunk = per_chunk
 
     def __call__(self, task):
-        t0 = perf_counter_ns()
-        chunk = self.fn(task)
-        rows = chunk.n_rows
-        out = self.per_chunk(chunk)
-        return out, (t0, perf_counter_ns(), rows, worker_label())
+        log: list = []
+        token = _PROBE_FRAME.set((log, []))
+        try:
+            t0 = perf_counter_ns()
+            chunk = self.fn(task)
+            rows = chunk.n_rows
+            out = self.per_chunk(chunk)
+            t1 = perf_counter_ns()
+        finally:
+            _PROBE_FRAME.reset(token)
+        return out, (t0, t1, rows, worker_label(), log)
 
 
 class _ScanFn:
@@ -286,18 +345,31 @@ class _SampleWrap:
         return kept.filter(self.draw.mask[start:stop])
 
 
+class _SampleFn:
+    """Un-fused TableSample (traced runs): draw over a scanned chunk."""
+
+    __slots__ = ("child_fn", "wrap")
+
+    def __init__(self, child_fn: Callable, wrap: _SampleWrap) -> None:
+        self.child_fn = child_fn
+        self.wrap = wrap
+
+    def __call__(self, bound: tuple[int, int]) -> Table:
+        return self.wrap(self.child_fn(bound), *bound)
+
+
 class _LineageSampleFn:
     """Un-fused lineage sample: filter the child chunk by lineage hash."""
 
-    __slots__ = ("child_fn", "sampler")
+    __slots__ = ("child_fn", "keep")
 
-    def __init__(self, child_fn: Callable, sampler) -> None:
+    def __init__(self, child_fn: Callable, keep: Callable) -> None:
         self.child_fn = child_fn
-        self.sampler = sampler
+        self.keep = keep
 
     def __call__(self, task) -> Table:
         t = self.child_fn(task)
-        return t.filter(self.sampler.keep(t.lineage))
+        return t.filter(self.keep(t.lineage))
 
 
 class _SelectFn:
@@ -507,12 +579,16 @@ class _Source:
 
 
 class ChunkedExecutor:
-    """Partition-parallel plan execution over the columnar engine.
+    """Chunked plan execution over the columnar engine.
 
-    The supplied generator is consumed in the serial executor's node
-    order, so results are bit-for-bit equal to the serial engine's at
-    the same seed, for any ``workers`` and ``chunk_size`` (``None``
-    means :data:`~repro.relational.partition.DEFAULT_CHUNK_ROWS`).
+    The supplied generator is consumed in plan post-order, so results
+    are bit-for-bit equal at the same seed for any ``workers`` and
+    ``chunk_size``.  ``workers`` is the pool size; ``None`` (or 0) runs
+    every task inline.  ``chunk_size=None`` derives the partitioning
+    from that: with no workers to feed there is nothing to partition
+    for, so each source is one chunk; with a pool it is
+    :data:`~repro.relational.partition.DEFAULT_CHUNK_ROWS`.  An
+    explicit ``chunk_size`` is always honoured.
     """
 
     def __init__(
@@ -520,25 +596,27 @@ class ChunkedExecutor:
         catalog: Mapping[str, Table],
         rng: np.random.Generator | None = None,
         *,
-        workers: int = 1,
+        workers: int | None = 1,
         chunk_size: int | None = None,
     ) -> None:
+        inline = workers is None or workers < 1
         if chunk_size is None:
-            chunk_size = DEFAULT_CHUNK_ROWS
+            chunk_size = sys.maxsize if inline else DEFAULT_CHUNK_ROWS
         if chunk_size < 1:
             raise ExecutionError(f"chunk_size must be >= 1, got {chunk_size}")
         self.catalog = dict(catalog)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.workers = max(1, int(workers))
+        self.workers = 1 if inline else int(workers)
         self.chunk_size = int(chunk_size)
         self.scheduler = ChunkScheduler(self.workers)
         self._draws: dict[int, Draw] = {}
         self._draw_nodes: list[p.PlanNode] = []
+        self._probing = False
 
     # -- public API -----------------------------------------------------
 
     def execute(self, plan: p.PlanNode) -> Table:
-        """Materialize the plan (chunk concat; equals the serial engine)."""
+        """Materialize the plan (the concatenation of its chunks)."""
         chunks = list(self.iter_chunks(plan))
         return concat_tables(chunks)
 
@@ -561,28 +639,36 @@ class ChunkedExecutor:
         into a compact moment contribution), and only its —
         typically tiny — results flow back to the driver, in order.
         """
+        self._probing = get_tracer() is not None
         self._prepare_draws(plan)
         align = required_alignment(plan)
         source = self._compile(plan, columns, align)
-        fn = source.fn
-        tracer = get_tracer()
+        yield from self._run_tasks(source, per_chunk, "chunk")
 
+    def _run_tasks(
+        self, source: "_Source", per_chunk: Callable, kind: str
+    ) -> Iterator[object]:
+        """Run a source's tasks on the scheduler, results in task order.
+
+        Traced, each task measures itself (never touching the tracer)
+        and the driver records a ``kind[i]`` span per task with the
+        task's probe log replayed beneath it as results stream back —
+        so span ids and tree shape are identical at every worker count.
+        """
+        tracer = get_tracer()
         if tracer is None:
             yield from self.scheduler.imap(
-                _ComposedTask(fn, per_chunk), source.tasks
+                _ComposedTask(source.fn, per_chunk), source.tasks
             )
             return
-
-        # Traced path: workers measure their own chunk (never touching
-        # the tracer), and the driver records the spans as results
-        # stream back in chunk order — so span ids and tree shape are
-        # identical at every worker count.
         parent = tracer.current_id()
-        results = self.scheduler.imap(_TracedTask(fn, per_chunk), source.tasks)
-        for index, (out, (t0, t1, rows, worker)) in enumerate(results):
-            tracer.record_span(
-                f"chunk[{index}]",
-                "chunk",
+        results = self.scheduler.imap(
+            _TracedTask(source.fn, per_chunk), source.tasks
+        )
+        for index, (out, (t0, t1, rows, worker, log)) in enumerate(results):
+            task_id = tracer.record_span(
+                f"{kind}[{index}]",
+                kind,
                 start_ns=t0,
                 end_ns=t1,
                 parent_id=parent,
@@ -590,6 +676,19 @@ class ChunkedExecutor:
                 rows=rows,
                 worker=worker,
             )
+            ids: list[int | None] = []
+            for name, span_kind, up, p0, p1, rows_out in log:
+                attrs = {} if rows_out is None else {"rows_out": rows_out}
+                ids.append(
+                    tracer.record_span(
+                        name,
+                        span_kind,
+                        start_ns=p0,
+                        end_ns=p1,
+                        parent_id=task_id if up is None else ids[up],
+                        **attrs,
+                    )
+                )
             yield out
 
     # -- sampling draws --------------------------------------------------
@@ -598,17 +697,20 @@ class ChunkedExecutor:
         """Fix every sampling node's randomness before execution.
 
         Draws are keyed by node identity and made over the whole base
-        table in the serial executor's evaluation order (post-order,
-        left to right), so the generator is consumed exactly as the
-        serial engine would and produces the same sample.
+        table in plan post-order (left to right) — the order the
+        reference interpreter consumes the generator in, so both
+        produce the same sample.
         """
         self._draws.clear()
         self._draw_nodes.clear()
+        tracer = get_tracer()
         for node in _post_order(plan):
             if not isinstance(node, p.TableSample):
                 continue
             base = self._base_table(node.child.table_name)
-            self._draws[id(node)] = node.method.draw(base.n_rows, self.rng)
+            with maybe_span(tracer, "draw.table_sample", kind="kernel"):
+                draw = node.method.draw(base.n_rows, self.rng)
+            self._draws[id(node)] = draw
             self._draw_nodes.append(node)  # keep ids alive
 
     def _base_table(self, name: str) -> Table:
@@ -656,7 +758,10 @@ class ChunkedExecutor:
         handler = self._COMPILERS.get(type(node))
         if handler is None:
             raise ExecutionError(f"cannot execute {type(node).__name__}")
-        return handler(self, node, needed, align)
+        source = handler(self, node, needed, align)
+        if self._probing:
+            source.fn = _Probe(source.fn, repr(node), "node")
+        return source
 
     def _scan_source(
         self,
@@ -688,13 +793,17 @@ class ChunkedExecutor:
         self, node: p.TableSample, needed: frozenset[str] | None, align: int
     ) -> _Source:
         name = node.child.table_name
-        draw = self._draws[id(node)]
-        return self._scan_source(name, needed, align, _SampleWrap(name, draw))
+        wrap = _SampleWrap(name, self._draws[id(node)])
+        if self._probing:
+            # One operator per plan node, so the Scan reports its own rows.
+            child = self._compile(node.child, needed, align)
+            return _Source(tasks=child.tasks, fn=_SampleFn(child.fn, wrap))
+        return self._scan_source(name, needed, align, wrap)
 
     def _compile_lineage_sample(
         self, node: p.LineageSample, needed: frozenset[str] | None, align: int
     ) -> _Source:
-        if isinstance(node.child, p.Join):
+        if isinstance(node.child, p.Join) and not self._probing:
             # Fuse the lineage filter into the join probe: the keep
             # decision is a pure hash of lineage ids, so it can run on
             # the matched (li, ri) index pairs before any data column
@@ -703,9 +812,10 @@ class ChunkedExecutor:
                 node.child, needed, align, sampler=node.sampler
             )
         child = self._compile(node.child, needed, align)
-        return _Source(
-            tasks=child.tasks, fn=_LineageSampleFn(child.fn, node.sampler)
-        )
+        keep = node.sampler.keep
+        if self._probing:
+            keep = _Probe(keep, "draw.lineage_hash", "kernel")
+        return _Source(tasks=child.tasks, fn=_LineageSampleFn(child.fn, keep))
 
     def _scan_stats(self, node: p.PlanNode) -> Mapping[str, list] | None:
         """Block min/max stats of the base table a node scans, if any.
@@ -792,10 +902,12 @@ class ChunkedExecutor:
         )
         n_buckets = min(self.workers, 16)
         right_keys = tuple(node.right_keys)
+        tracer = get_tracer()
 
         if single_numeric:
             # Streaming probe: raw keys compare directly across sides.
-            build = _HashJoinBuild(left_key_cols[0], n_buckets)
+            with maybe_span(tracer, "join.factorize_probe", kind="kernel"):
+                build = _HashJoinBuild(left_key_cols[0], n_buckets)
             return _Source(
                 tasks=right_src.tasks,
                 fn=_StreamJoinFn(
@@ -807,13 +919,14 @@ class ChunkedExecutor:
         # and factorize both sides jointly to dense int64 codes, then
         # probe per chunk on the codes.  Inputs are bounded by the base
         # tables; the join output still streams.
-        rights = self.scheduler.map(right_src.fn, right_src.tasks)
-        right_cols = [
-            np.concatenate([rt.column(k) for rt in rights])
-            for k in right_keys
-        ]
-        lcodes, rcodes = join_codes(left_key_cols, right_cols)
-        build = _HashJoinBuild(lcodes, n_buckets)
+        rights = list(self._run_tasks(right_src, _identity, "build"))
+        with maybe_span(tracer, "join.factorize_probe", kind="kernel"):
+            right_cols = [
+                np.concatenate([rt.column(k) for rt in rights])
+                for k in right_keys
+            ]
+            lcodes, rcodes = join_codes(left_key_cols, right_cols)
+            build = _HashJoinBuild(lcodes, n_buckets)
         offsets = np.cumsum([0] + [rt.n_rows for rt in rights])
         return _Source(
             tasks=list(range(len(rights))),
@@ -834,7 +947,7 @@ class ChunkedExecutor:
             None if needed is None else frozenset(needed & right_out)
         )
         # Stream the *left* side so chunk concatenation reproduces the
-        # serial executor's left-major output order.
+        # reference interpreter's left-major output order.
         right_table = self._materialize(node.right, right_needed, align)
         left_src = self._compile(node.left, left_needed, align)
         return _Source(
@@ -891,7 +1004,7 @@ class ChunkedExecutor:
         self, node: p.PlanNode, needed: frozenset[str] | None, align: int
     ) -> Table:
         source = self._compile(node, needed, align)
-        return concat_tables(self.scheduler.map(source.fn, source.tasks))
+        return concat_tables(list(self._run_tasks(source, _identity, "build")))
 
     _COMPILERS = {
         p.Scan: _compile_scan,
@@ -918,8 +1031,8 @@ def _spec_columns(specs) -> frozenset[str]:
 
 
 def _post_order(node: p.PlanNode):
-    """Children before parents, left to right — the serial executor's
-    generator-consumption order."""
+    """Children before parents, left to right — the reference
+    interpreter's generator-consumption order."""
     for child in node.children:
         yield from _post_order(child)
     yield node

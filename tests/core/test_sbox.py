@@ -220,6 +220,57 @@ class TestSubsampledVariance:
         )
 
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_avg_keeps_its_full_sample_variance(self, db, plan, workers):
+        # The rule SBox.run documents: SUM and COUNT take their variance
+        # from the sub-sample, an AVG in the same statement does not.
+        mixed = Aggregate(
+            plan.child,
+            [
+                AggSpec("sum", col("l_extendedprice"), "s"),
+                AggSpec("count", None, "n"),
+                AggSpec("avg", col("l_extendedprice"), "m"),
+                AggSpec("avg", col("l_discount"), "q", quantile=0.9),
+            ],
+        )
+        full = db.estimate(mixed, seed=3, workers=workers, chunk_size=97)
+        sub = db.estimate(
+            mixed,
+            seed=3,
+            workers=workers,
+            chunk_size=97,
+            subsample=SubsampleSpec(rate=0.5, seed=1),
+        )
+        assert list(sub.estimates) == ["s", "n", "m", "q"]
+        for alias in ("m", "q"):
+            assert sub.values[alias] == full.values[alias]
+            assert (
+                sub.estimates[alias].variance_raw
+                == full.estimates[alias].variance_raw
+            )
+            assert "n_subsample" not in sub.estimates[alias].extras
+        for alias in ("s", "n"):
+            assert sub.values[alias] == pytest.approx(full.values[alias])
+            assert "n_subsample" in sub.estimates[alias].extras
+            assert (
+                sub.estimates[alias].variance_raw
+                != full.estimates[alias].variance_raw
+            )
+
+    def test_subsample_without_avg_folds_nothing(self, db, plan, monkeypatch):
+        # Section 7 exists to skip the full-sample moment pass.
+        from repro.stream.sketch import MomentSketchBundle
+
+        def boom(self, *args, **kwargs):
+            raise AssertionError("full-sample fold under subsample")
+
+        monkeypatch.setattr(MomentSketchBundle, "update", boom)
+        res = db.estimate(
+            plan, seed=0, subsample=SubsampleSpec(rate=0.4, seed=1)
+        )
+        assert "n_subsample" in res.estimates["revenue"].extras
+
+
 class TestQueryResultAPI:
     def test_getitem_and_summary(self, db, plan):
         res = db.estimate(plan, seed=0)

@@ -158,6 +158,28 @@ class TestInjectedBugsAreCaught:
         assert failures
         assert all(f.kind == "statistical" for f in failures)
 
+    def test_statistical_check_catches_shrunk_variance(self, monkeypatch):
+        # The per-trial effective-size gate must not blind the coverage
+        # test: a light-tailed aggregate clears it on every trial, so a
+        # variance 100x too small still collapses coverage and rejects.
+        local = CheckContext()
+        real_sql = Database.sql
+
+        def overconfident(self, text, **kwargs):
+            result = real_sql(self, text, **kwargs)
+            for alias, est in list(result.estimates.items()):
+                result.estimates[alias] = dataclasses.replace(
+                    est, variance_raw=est.variance_raw * 0.01
+                )
+            return result
+
+        monkeypatch.setattr(Database, "sql", overconfident)
+        failures = local.check_statistical(
+            "SELECT SUM(f_flag) AS a0\nFROM fact TABLESAMPLE (50 PERCENT)", 1
+        )
+        assert failures
+        assert all("CI coverage" in f.detail for f in failures)
+
     def test_reuse_check_catches_catalog_divergence(self, monkeypatch):
         local = CheckContext()
         real_sql = Database.sql

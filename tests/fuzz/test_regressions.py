@@ -139,6 +139,21 @@ def test_quantile_sigma_noise_not_flagged_as_nondeterminism(ctx):
     )
 
 
+def test_sum_carried_by_a_few_rows_is_not_a_coverage_counterexample(ctx):
+    """Found by the fuzzer (campaign seed 0, query 1284).
+
+    12 of the 400 fact rows carry ``SUM(f_val * f_flag)``; a 10 % draw
+    keeps ~40 rows but about one of the 12, so σ̂ is tail-blind and the
+    correct estimator's Chebyshev-95 coverage is 0.70 — inside the
+    SPRT's indifference region.  The checker rejected 13/23 while it
+    gated trials on kept *rows*; the Kish effective size of the
+    aggregate's input over the kept sample is what has to clear
+    ``COVERAGE_MIN_ROWS``.
+    """
+    statement = "SELECT SUM(f_val * f_flag) AS a0\nFROM fact TABLESAMPLE (10 PERCENT)"
+    assert check_statement(ctx, statement, seed=1284, statistical=True) == []
+
+
 def test_grouped_having_drops_nan_groups(ctx):
     """HAVING over NaN estimates must drop the group, never let IEEE
     NaN truthiness decide.  QUANTILE over singleton groups is NaN, and

@@ -7,8 +7,8 @@ The two contracts asserted here:
   count;
 * the structural part of a trace — span names, kinds, nesting, and
   value attributes (rows, chunk indices), with worker ids and raw
-  timings excluded — is identical run to run and across worker counts
-  on the chunked pipeline.
+  timings excluded — is identical run to run and across worker counts:
+  the skeleton is a function of the plan and the chunking alone.
 """
 
 from repro.obs.trace import start_trace
@@ -24,15 +24,12 @@ GROUPED_Q = (
     "GROUP BY l_returnflag"
 )
 
-#: Executor-level span kinds differ between the serial engine (plan
-#: nodes, kernels) and the chunked pipeline (per-chunk spans); the
-#: phase-level skeleton above them must agree.
-ENGINE_KINDS = frozenset({"node", "kernel", "chunk"})
 
-
-def _traced(db, statement, workers, seed=5):
+def _traced(db, statement, workers, seed=5, chunk_size=None):
     with start_trace("q") as tracer:
-        result = db.sql(statement, seed=seed, workers=workers)
+        result = db.sql(
+            statement, seed=seed, workers=workers, chunk_size=chunk_size
+        )
     return result, tracer.finish_trace()
 
 
@@ -68,13 +65,21 @@ class TestSkeletonDeterminism:
         assert t1.skeleton() == t4.skeleton()
         assert _values(r1) == _values(r4)
 
-    def test_serial_and_chunked_agree_above_engine_level(self, tpch_db):
+    def test_no_workers_is_the_one_chunk_skeleton(self, tpch_db):
+        # workers=0 is the pipeline with one chunk, not another engine:
+        # node, kernel and chunk spans included, nothing to drop.
         r0, t0 = _traced(tpch_db, JOIN_Q, workers=0)
-        r1, t1 = _traced(tpch_db, JOIN_Q, workers=1)
-        assert t0.skeleton(drop_kinds=ENGINE_KINDS) == t1.skeleton(
-            drop_kinds=ENGINE_KINDS
-        )
+        r1, t1 = _traced(tpch_db, JOIN_Q, workers=1, chunk_size=10**9)
+        assert t0.skeleton() == t1.skeleton()
+        assert {s.kind for s in t0.spans} >= {"node", "kernel", "chunk"}
         assert _values(r0) == _values(r1)
+
+    def test_chunking_changes_only_the_chunk_level(self, tpch_db):
+        _, t0 = _traced(tpch_db, JOIN_Q, workers=0)
+        _, t4 = _traced(tpch_db, JOIN_Q, workers=4, chunk_size=100)
+        kinds = frozenset({"node", "kernel", "chunk", "build"})
+        assert t0.skeleton() != t4.skeleton()
+        assert t0.skeleton(drop_kinds=kinds) == t4.skeleton(drop_kinds=kinds)
 
     def test_grouped_skeleton_worker_invariant(self, tpch_db):
         r1, t1 = _traced(tpch_db, GROUPED_Q, workers=1)

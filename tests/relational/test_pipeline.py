@@ -1,9 +1,9 @@
-"""Execution invariance of the partition-parallel chunked pipeline.
+"""Execution invariance of the chunked pipeline.
 
-The contract under test: for any worker count and any row
-partitioning, the chunked engine produces bit-for-bit the same output
-— and, in ``compat`` RNG mode, exactly the output of the legacy serial
-executor, sampling included.
+The contract under test: for any worker count (none included) and any
+row partitioning, the pipeline produces bit-for-bit the same output —
+exactly the output of the independent reference interpreter
+(``Executor``), sampling included.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.errors import ExecutionError
 from repro.relational.expressions import col, lit
 from repro.relational.executor import Executor, join_codes
 from repro.relational.partition import (
+    DEFAULT_CHUNK_ROWS,
     PartitionedTable,
     chunk_bounds,
     required_alignment,
@@ -269,7 +270,7 @@ class TestHypothesisInvariance:
     @given(
         n_rows=st.integers(0, 400),
         chunk_size=st.integers(1, 500),
-        workers=st.sampled_from([1, 2, 4]),
+        workers=st.sampled_from([None, 1, 2, 4]),
         seed=st.integers(0, 2**20),
     )
     @settings(max_examples=60, deadline=None)
@@ -308,12 +309,16 @@ class TestHypothesisInvariance:
             chunk_size=chunk_size,
         ).execute(plan)
         assert_tables_equal(serial, chunked)
+        unpartitioned = ChunkedExecutor(
+            catalog, np.random.default_rng(seed), workers=None
+        ).execute(plan)
+        assert_tables_equal(unpartitioned, chunked)
 
 
 class TestEstimationInvariance:
-    """SBox partition-merge estimates equal the legacy estimator."""
+    """SBox estimates are the same for one chunk and for many."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [None, 1, 2, 4])
     def test_grouped_bit_identical(self, workers):
         sbox = SBox(CATALOG)
         plan = GroupAggregate(
@@ -406,7 +411,7 @@ class TestEstimationInvariance:
                 chunked.values[alias], serial.values[alias]
             )
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [None, 1, 2, 4])
     def test_ungrouped_bit_identical(self, workers):
         sbox = SBox(CATALOG)
         plan = Aggregate(
@@ -542,6 +547,29 @@ class TestEstimationInvariance:
 
 
 class TestPartitioning:
+    def test_no_workers_means_one_chunk_per_source(self):
+        # With no pool to feed there is nothing to partition for; an
+        # explicit chunk_size is honoured all the same.
+        n = 3 * DEFAULT_CHUNK_ROWS + 5
+        catalog = {"t": Table("t", {"x": np.arange(n, dtype=np.int64)})}
+        plan = Select(Scan("t"), col("x") >= 0)
+
+        def chunk_rows(**kwargs):
+            chunks = ChunkedExecutor(catalog, **kwargs).iter_chunks(plan)
+            return [c.n_rows for c in chunks]
+
+        assert chunk_rows(workers=None) == [n]
+        assert chunk_rows(workers=0) == [n]
+        assert chunk_rows(workers=1) == [DEFAULT_CHUNK_ROWS] * 3 + [5]
+        assert chunk_rows(workers=None, chunk_size=n // 2 + 1) == [
+            n // 2 + 1,
+            n - n // 2 - 1,
+        ]
+        # Pipeline breakers re-chunk by the same rule.
+        union = Union(Scan("t"), Scan("t"))
+        whole = ChunkedExecutor(catalog, workers=None).iter_chunks(union)
+        assert [c.n_rows for c in whole] == [n]
+
     def test_chunk_bounds_cover_and_align(self):
         assert chunk_bounds(0, 10) == [(0, 0)]
         bounds = chunk_bounds(1000, 128, align=96)
