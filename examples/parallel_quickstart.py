@@ -72,14 +72,14 @@ def main() -> None:
         f"sample materialized: {lean.sample is not None}"
     )
 
-    # 4. The cost model knows about partitions: per-partition build
-    #    sizes and Amdahl-bounded speedup feed plan choice.
+    # 4. The cost model knows about partitions: the Amdahl-bounded
+    #    speedup and the (shared) join build size feed plan choice.
     cost1 = db.cost_model().estimate(db.plan_sql(QUERY))
     cost4 = db.cost_model().estimate(db.plan_sql(QUERY), workers=4)
     print(
         f"predicted: serial {cost1.describe()} vs parallel "
-        f"{cost4.describe()}; build rows/partition: "
-        f"{cost4.build_rows_per_partition:,.0f}"
+        f"{cost4.describe()}; largest join build: "
+        f"{cost4.build_rows_max:,.0f} rows"
     )
 
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import norm
+# The normal quantile function itself — what ``scipy.stats.norm.ppf``
+# ends in, bit for bit, without loading ``scipy.stats``.
+from scipy.special import ndtri
 
 from repro.errors import EstimationError
 
@@ -57,7 +59,7 @@ def _check_level(level: float) -> None:
 def normal_interval(mean: float, std: float, level: float = 0.95) -> ConfidenceInterval:
     """Two-sided normal interval ``µ ± z_{(1+level)/2} σ``."""
     _check_level(level)
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     return ConfidenceInterval(mean - z * std, mean + z * std, level, "normal")
 
 
@@ -92,7 +94,7 @@ def normal_quantile(mean: float, std: float, q: float) -> float:
     """
     if not 0.0 < q < 1.0:
         raise EstimationError(f"quantile {q} must be in (0, 1)")
-    return mean + float(norm.ppf(q)) * std
+    return mean + float(ndtri(q)) * std
 
 
 def cantelli_quantile(mean: float, std: float, q: float) -> float:

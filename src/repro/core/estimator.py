@@ -136,9 +136,18 @@ def group_reduce_multi(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """:func:`group_reduce` for several weight vectors over one sort.
 
-    The lexsort dominates the cost of a reduce; accumulators that track
+    The sort dominates the cost of a reduce; accumulators that track
     both ``Σ f`` and a row count per key (the grouped sketch) pay for it
     once and run one ``bincount`` per weight vector.
+
+    A single integer key column that is strictly increasing — the
+    lineage of any tuple-level single-relation sample in scan order, or
+    of an FK join probed in key order — is its own compaction: every
+    row is a group and the rows are in key order already, so the keys
+    come back as given and each sum is ``w + 0.0``, which is what
+    ``np.bincount`` accumulates for a one-row group bit for bit
+    (``-0.0`` becomes ``+0.0`` on both routes).  Equal neighbours,
+    descending ids, several key columns and non-integer keys sort.
     """
     weights = [np.asarray(w, dtype=np.float64) for w in weight_vectors]
     n_rows = weights[0].shape[0]
@@ -149,6 +158,8 @@ def group_reduce_multi(
         )
     if not columns:
         return [], [np.array([float(np.sum(w))]) for w in weights]
+    if len(columns) == 1 and kernels.strictly_increasing(columns[0]):
+        return [np.asarray(columns[0])], [w + 0.0 for w in weights]
     order, boundary = kernels.sorted_boundaries(columns, n_rows)
     gids_sorted = np.cumsum(boundary) - 1
     n_groups = int(gids_sorted[-1]) + 1

@@ -7,7 +7,9 @@ one vectorized numpy routine — branch-free SplitMix64 over uint64
 arrays, radix-packed multi-key sort, ``np.bincount`` group sums — so
 the float addition order, and with it every estimate, variance and CI
 downstream, has a single definition.  String keys enter that integer
-world through one door, :func:`factorize`.
+world through one door, :func:`factorize`; a key column that is already
+sorted and distinct skips the sort altogether
+(:func:`strictly_increasing`), with the same bits out.
 
 The per-row ``hashlib.blake2b`` reference implementation is kept for
 the committed micro-benchmark (``benchmarks/bench_colstore.py``): it is
@@ -29,6 +31,7 @@ __all__ = [
     "factorize",
     "pack_columns",
     "sorted_boundaries",
+    "strictly_increasing",
     "group_sums",
 ]
 
@@ -185,6 +188,19 @@ def sorted_boundaries(
         sorted_col = col[order]
         boundary[1:] |= sorted_col[1:] != sorted_col[:-1]
     return order, boundary
+
+
+def strictly_increasing(column: np.ndarray) -> bool:
+    """Whether an integer key column is already sorted with no repeats.
+
+    One comparison pass, a fraction of the sort it rules out: when it
+    holds, :func:`sorted_boundaries` would return the identity order
+    with every row opening a group of its own.  Lineage ids of a
+    tuple-level single-relation sample in scan order qualify, and so do
+    the concatenated keys of consecutive chunks of one.
+    """
+    col = np.asarray(column)
+    return col.dtype.kind in "iu" and bool(np.all(col[1:] > col[:-1]))
 
 
 # -- group reduction -------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.algebra import compact_gus, join_gus, lift_gus, union_gus
 from repro.core.gus import GUSParams, identity_gus
@@ -44,12 +45,19 @@ class RewriteResult:
         """The quasi-operator plan, for display/EXPLAIN purposes."""
         return p.GUSNode(self.clean_plan, self.params)
 
+    @cached_property
+    def active_params(self) -> GUSParams:
+        """``params`` over its active lineage dimensions only.
+
+        What Theorem 1 is evaluated on; projected once per rewrite and
+        read by :attr:`is_sampled`, the per-chunk fold and the finish.
+        """
+        return self.params.project_out_inactive()
+
     @property
     def is_sampled(self) -> bool:
         """False when the plan contained no sampling at all."""
-        return self.params.project_out_inactive().lattice.n > 0 or (
-            self.params.a < 1.0
-        )
+        return self.active_params.lattice.n > 0 or self.params.a < 1.0
 
 
 def rewrite_to_top_gus(

@@ -100,10 +100,12 @@ class QueryResult:
     quasi-operator of the SOA-equivalent plan; ``sample`` is the
     pre-aggregation result sample (with lineage) the estimates came
     from — pruned to the aggregate-relevant columns at every
-    ``workers`` value (full width only when it was executed to populate
-    the synopsis catalog on a miss), and ``None`` when the caller asked
-    not to keep it (``keep_sample=False``: the estimate then never
-    materializes the sample at all, only merged moment state).
+    ``workers`` value and on a synopsis-catalog hit (which also keeps
+    the query's predicate columns), full width only when it was
+    executed to populate the catalog on a miss — and ``None`` when the
+    caller asked not to keep it (``keep_sample=False``: the estimate
+    then never materializes the sample at all, only merged moment
+    state).
     """
 
     values: dict[str, float]
@@ -335,7 +337,7 @@ def _fold_plan(
     grouped = isinstance(plan, GroupAggregate)
     fold = _ChunkFold(
         recipes,
-        params.project_out_inactive().lattice,
+        rewrite.active_params.lattice,
         grouped,
         plan.keys if grouped else (),
         keep_sample,
@@ -437,6 +439,13 @@ class SBox:
         key columns are factorized to int64 codes once, and the merges
         union small dictionaries of distinct key tuples and re-reduce
         on packed integers.
+
+        With a synopsis catalog attached, a sampled plan inside the
+        reuse algebra goes through :meth:`_run_via_store` instead: a
+        hit filters the stored sample, narrowed first to the columns
+        the estimate and the query's predicates read, and folds it as
+        one chunk; a miss executes the child once with all columns and
+        stores it.
 
         ``subsample`` (Section 7) estimates the variance of every SUM
         and COUNT from a lineage-keyed sub-sample of the result rows
@@ -564,8 +573,10 @@ class SBox:
         reuse algebra — the caller then runs the regular path.  On a
         catalog hit the sample and GUS coefficients come straight from
         the matcher (exact reuse / predicate pushdown / residual
-        thinning); on a miss the child executes once with *all*
-        columns, is stored, and the estimate is computed from it.
+        thinning), which gathers only the columns the estimate reads —
+        aggregate inputs, GROUP BY keys and the query's predicate
+        columns — plus lineage; on a miss the child executes once with
+        *all* columns, is stored, and the estimate is computed from it.
         """
         from repro.store import ReuseMatcher, canonicalize, materialize
         from repro.store.fingerprint import draw_token_of
@@ -596,7 +607,7 @@ class SBox:
         if decision is not None:
             t1 = perf_counter()
             with maybe_span(tracer, "store.serve", kind="store") as sp:
-                sample, params, clean, info = materialize(decision)
+                sample, params, clean, info = materialize(decision, needed)
                 sp.attrs["mode"] = info.kind
                 sp.attrs["entry"] = info.entry_id
                 sp.attrs["rows_stored"] = info.stored_rows
@@ -648,7 +659,7 @@ class SBox:
         takes its variance from the Section 7 sub-sample of ``sample``.
         """
         params = rewrite.params
-        pruned = params.project_out_inactive()
+        pruned = rewrite.active_params
         grouped = isinstance(plan, GroupAggregate)
         raw: list = []
         keys: dict[str, np.ndarray] = {}

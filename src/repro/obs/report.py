@@ -121,9 +121,13 @@ class ExplainAnalyzeReport:
     def render_trace(self) -> str:
         reuse = getattr(self.result, "reuse", None)
         header = "-- EXPLAIN ANALYZE"
-        if reuse is not None:
-            header += (
-                f"  (reuse: {reuse.kind}, entry {reuse.entry_id}, "
-                f"{reuse.stored_rows} -> {reuse.served_rows} rows)"
-            )
+        # A version difference carries one reuse info (or None) per side.
+        sides = reuse.items() if isinstance(reuse, dict) else [("", reuse)]
+        for side, info in sides:
+            if info is not None:
+                header += (
+                    f"  ({side + ' ' if side else ''}reuse: {info.kind}, "
+                    f"entry {info.entry_id}, "
+                    f"{info.stored_rows} -> {info.served_rows} rows)"
+                )
         return header + "\n" + render_trace(self.trace)

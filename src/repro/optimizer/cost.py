@@ -42,10 +42,6 @@ DEFAULT_SELECTIVITY = 1.0 / 3.0
 #: serial, which is what keeps the speedup Amdahl-bounded.
 PARALLEL_FRACTION = 0.92
 
-#: The pipeline hash-partitions a join's build side into at most this
-#: many buckets (mirrors the executor's cap).
-MAX_BUILD_PARTITIONS = 16
-
 
 @dataclass(frozen=True)
 class CostEstimate:
@@ -53,9 +49,8 @@ class CostEstimate:
 
     ``workers`` records the partition parallelism the prediction
     assumed.  ``build_rows_max`` is the largest join build input the
-    plan materializes, and ``build_rows_per_partition`` the same after
-    hash-partitioning across the pipeline's build buckets — the number
-    that bounds a worker's resident build state.
+    plan materializes — one sorted build shared by every probe task, so
+    it bounds the resident build state at any worker count.
     """
 
     rows_scanned: float
@@ -63,7 +58,6 @@ class CostEstimate:
     seconds: float
     workers: int = 1
     build_rows_max: float = 0.0
-    build_rows_per_partition: float = 0.0
 
     @property
     def rows_total(self) -> float:
@@ -178,7 +172,6 @@ class CostModel:
             + state["joined"] * self.join_seconds_per_row
         )
         workers = max(1, int(workers))
-        build_partitions = min(workers, MAX_BUILD_PARTITIONS)
         if workers > 1:
             from repro.parallel import available_cpus
 
@@ -192,7 +185,6 @@ class CostModel:
             seconds,
             workers=workers,
             build_rows_max=state["build_max"],
-            build_rows_per_partition=state["build_max"] / build_partitions,
         )
 
     def reuse_estimate(self, stored_rows: float) -> CostEstimate:

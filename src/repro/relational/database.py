@@ -100,7 +100,10 @@ class Database:
         a stored sample subsumes its sampling plan (exact repeat,
         predicate pushdown, or residual Bernoulli thinning), and
         populates it otherwise.  Table mutations invalidate the
-        affected synopses.  Returns the attached catalog.
+        affected synopses.  Returns the attached catalog.  A hit's
+        ``result.sample`` is column-pruned like every other route's:
+        the stored sample is narrowed to what the estimate and the
+        query's predicates read before any residual filter gathers it.
 
         Trade-off: populating the catalog materializes the sampled
         child result in full (even on the chunked engine), because

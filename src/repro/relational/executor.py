@@ -68,7 +68,7 @@ def probe_sorted(
     major, matching left rows ascending within each (the stable sort
     guarantees run order equals original left row order).  This is the
     shared probe core of the interpreter's join and the chunked
-    pipeline's partition-local build/probe.
+    pipeline's build/probe.
     """
     empty = np.empty(0, dtype=np.int64)
     n_right = right_keys.shape[0]

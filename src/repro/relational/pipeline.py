@@ -25,13 +25,13 @@ Reproducibility contract (tested property, not aspiration):
   to one realization on both — which is what lets the interpreter be
   the independent reference this engine is tested against.
 
-Joins execute as partition-local build/probe: the build side is
-materialized once, hash-partitioned on the (factorized) join key into
-per-worker buckets, and probe chunks stream through — each output
-chunk is emitted in the canonical (right-major, left-ascending) order
-the reference sort-probe join produces, so concatenating the chunks
-reproduces it bit-for-bit while the join *output* is never
-materialized by streaming consumers.
+Joins execute as build/probe: the build side is materialized once and
+its (factorized) join keys sorted once — one build shared by every
+probe task, at any worker count — and probe chunks stream through it.
+Each output chunk is emitted in the canonical (right-major,
+left-ascending) order the reference sort-probe join produces, so
+concatenating the chunks reproduces it bit-for-bit while the join
+*output* is never materialized by streaming consumers.
 
 Column pruning: estimation consumers pass the columns they need and
 every operator forwards only those (plus whatever its own predicates
@@ -56,7 +56,6 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from repro.core.kernels import _finalize
 from repro.errors import ExecutionError, PlanError
 from repro.obs.trace import get_tracer, maybe_span
 from repro.parallel import ChunkScheduler, worker_label
@@ -102,89 +101,28 @@ def concat_tables(chunks: list[Table]) -> Table:
     return Table(first.name, columns, lineage)
 
 
-# -- hash-partitioned join build ----------------------------------------
+# -- join build ------------------------------------------------------------
 
 
-def _key_bits(keys: np.ndarray) -> np.ndarray:
-    """A uint64 view of join keys for deterministic bucketing.
+class _SortedJoinBuild:
+    """Build side of a chunked join: the keys, sorted once.
 
-    Equal keys must land in equal buckets, so float keys are
-    canonicalized first: ``+ 0.0`` folds ``-0.0`` onto ``+0.0``, and
-    every NaN maps to one quiet-NaN bit pattern (the probe's sort
-    total order treats all NaNs as equal, so bucketing must too).
-    """
-    if keys.dtype.kind == "f":
-        arr = keys.astype(np.float64) + 0.0
-        bits = arr.view(np.uint64)
-        return np.where(
-            np.isnan(arr), np.uint64(0x7FF8000000000000), bits
-        )
-    return keys.astype(np.int64).view(np.uint64)
-
-
-def _bucket_of(keys: np.ndarray, n_buckets: int) -> np.ndarray:
-    if n_buckets <= 1:
-        return np.zeros(keys.shape[0], dtype=np.int64)
-    with np.errstate(over="ignore"):
-        # The SplitMix64 finalizer from the shared kernel module — the
-        # same mixing (and the same bits) the lineage hash uses.
-        x = _finalize(_key_bits(keys))
-    return (x % np.uint64(n_buckets)).astype(np.int64)
-
-
-class _HashJoinBuild:
-    """Build side of a chunked join, hash-partitioned on the key.
-
-    Each bucket holds its keys sorted (stable, so equal keys stay in
-    original row order) plus the owning global row indices.  Probing a
-    chunk routes each probe row to its bucket, binary-searches the
-    bucket, and restores the canonical (right-major, left-ascending)
-    output order — the same order the reference sort-probe join emits.
+    The sort is stable, so equal keys stay in original row order, and
+    :func:`~repro.relational.executor.probe_sorted` then emits every
+    probe chunk's matches in the canonical (right-major,
+    left-ascending) order of the reference sort-probe join.  One build
+    serves every probe task, whatever the worker count.
     """
 
-    __slots__ = ("n_buckets", "_sorted_keys", "_positions")
+    __slots__ = ("_sorted_keys", "_positions")
 
-    def __init__(self, keys: np.ndarray, n_buckets: int) -> None:
-        self.n_buckets = max(1, int(n_buckets))
-        buckets = _bucket_of(keys, self.n_buckets)
-        self._sorted_keys: list[np.ndarray] = []
-        self._positions: list[np.ndarray] = []
-        for b in range(self.n_buckets):
-            idx = (
-                np.flatnonzero(buckets == b)
-                if self.n_buckets > 1
-                else np.arange(keys.shape[0], dtype=np.int64)
-            )
-            order = np.argsort(keys[idx], kind="stable")
-            self._sorted_keys.append(keys[idx][order])
-            self._positions.append(idx[order])
+    def __init__(self, keys: np.ndarray) -> None:
+        self._positions = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._positions]
 
     def probe(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Match one probe chunk; canonical-order ``(li, ri_local)``."""
-        if self.n_buckets == 1:
-            # Single bucket: probe_sorted already emits canonical order.
-            return probe_sorted(
-                self._sorted_keys[0], self._positions[0], probe_keys
-            )
-        buckets = _bucket_of(probe_keys, self.n_buckets)
-        li_parts: list[np.ndarray] = []
-        ri_parts: list[np.ndarray] = []
-        for b in range(self.n_buckets):
-            sel = np.flatnonzero(buckets == b)
-            if sel.size == 0:
-                continue
-            li_b, ri_within = probe_sorted(
-                self._sorted_keys[b], self._positions[b], probe_keys[sel]
-            )
-            li_parts.append(li_b)
-            ri_parts.append(sel[ri_within])
-        if not li_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        li = np.concatenate(li_parts)
-        ri = np.concatenate(ri_parts)
-        order = np.lexsort((li, ri))
-        return li[order], ri[order]
+        return probe_sorted(self._sorted_keys, self._positions, probe_keys)
 
 
 # -- picklable chunk operators -------------------------------------------
@@ -900,14 +838,13 @@ class ChunkedExecutor:
             len(node.left_keys) == 1
             and left_key_cols[0].dtype.kind in "iufb"
         )
-        n_buckets = min(self.workers, 16)
         right_keys = tuple(node.right_keys)
         tracer = get_tracer()
 
         if single_numeric:
             # Streaming probe: raw keys compare directly across sides.
             with maybe_span(tracer, "join.factorize_probe", kind="kernel"):
-                build = _HashJoinBuild(left_key_cols[0], n_buckets)
+                build = _SortedJoinBuild(left_key_cols[0])
             return _Source(
                 tasks=right_src.tasks,
                 fn=_StreamJoinFn(
@@ -926,7 +863,7 @@ class ChunkedExecutor:
                 for k in right_keys
             ]
             lcodes, rcodes = join_codes(left_key_cols, right_cols)
-            build = _HashJoinBuild(lcodes, n_buckets)
+            build = _SortedJoinBuild(lcodes)
         offsets = np.cumsum([0] + [rt.n_rows for rt in rights])
         return _Source(
             tasks=list(range(len(rights))),

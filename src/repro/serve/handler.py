@@ -25,6 +25,7 @@ them with no extra plumbing:
 
 from __future__ import annotations
 
+import logging
 import time
 from typing import TYPE_CHECKING, Callable
 
@@ -38,6 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Deadline applied when the request names none (progressive only).
 DEFAULT_DEADLINE_MS = 30_000.0
+
+_LOG = logging.getLogger(__name__)
 
 
 class RequestHandler:
@@ -115,7 +118,11 @@ class RequestHandler:
         """Run one admitted query request to its terminal payload.
 
         Never raises: engine errors become ``type: "error"`` payloads so
-        one bad statement cannot take down its worker or connection.
+        one bad statement cannot take down its worker or connection —
+        and so does any other exception (logged with its traceback,
+        reported by type under ``code: "internal"``), because a request
+        whose task dies without a terminal frame leaves its client
+        waiting forever.
         ``emit`` receives progressive frame payloads as rungs land;
         ``cancelled`` is the cooperative abort poll (client went away).
         """
@@ -134,6 +141,12 @@ class RequestHandler:
         except ReproError as exc:
             self._observe(start, "error")
             return error_payload(request.id, str(exc))
+        except Exception as exc:
+            _LOG.exception("request %s failed", request.id)
+            self._observe(start, "error")
+            return error_payload(
+                request.id, f"{type(exc).__name__}: {exc}", code="internal"
+            )
         self._observe(start, payload.get("status", "ok"))
         return payload
 

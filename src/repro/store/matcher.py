@@ -30,6 +30,11 @@ relation, requested design), so the same request thins the same way
 every time — including after an eviction-and-repopulate or a process
 restart — while differently-seeded requests get independent residual
 draws.
+
+Both residual operations read lineage and predicate columns only, so
+:func:`materialize` prunes before it filters: the stored synopsis stays
+full width (any later query over the same core expression may need any
+column), the served sample carries the columns its caller names.
 """
 
 from __future__ import annotations
@@ -217,16 +222,27 @@ def thinned_params(
 
 def materialize(
     decision: ReuseDecision,
+    columns: frozenset[str] | None = None,
 ) -> tuple[Table, GUSParams, p.PlanNode, ReuseInfo]:
     """Serve a query's sample from a stored synopsis.
 
-    Applies the residual predicates, then the residual thinning
-    filters, and returns the served sample, its (rescaled) GUS
+    Narrows the stored sample to ``columns`` (zero-copy; lineage always
+    survives), then applies the residual predicates and the residual
+    thinning filters, and returns the served sample, its (rescaled) GUS
     parameters, a clean plan for EXPLAIN purposes, and the
-    :class:`ReuseInfo` trace.
+    :class:`ReuseInfo` trace.  ``columns`` must cover whatever the
+    residual predicates read — the ``required_columns`` the decision
+    was chosen under do.  Narrowing first means every filter gathers
+    the columns the estimate reads and nothing else; the rows, their
+    order and the lineage are those of the full-width filter.  ``None``
+    serves every stored column.  The stored synopsis is never modified.
     """
     syn = decision.synopsis
     sample = syn.sample
+    if columns is not None:
+        sample = sample.select_columns(
+            [name for name in sample.columns if name in columns]
+        )
     clean = syn.clean_plan
     for pred in decision.residual:
         mask = np.asarray(pred.eval(sample), dtype=bool)

@@ -13,6 +13,8 @@ and check, with no statistical slack, that:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from repro.core.estimator import (
     exact_moments,
     group_ids,
     group_reduce,
+    group_reduce_multi,
     theorem1_variance,
     unbiased_y_terms,
     y_terms,
@@ -237,6 +240,140 @@ class TestGroupReduce:
         keys, sums = group_reduce([np.empty(0, dtype=np.int64)], np.empty(0))
         assert keys[0].size == 0
         assert sums.size == 0
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestIdentityFold:
+    """A single strictly increasing integer key column is its own
+    compaction: ``group_reduce_multi`` skips the sort and must return
+    what the sort path returns, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_increasing_keys_equal_the_sort_path_bit_for_bit(self, data):
+        dtype, lo, hi = data.draw(
+            st.sampled_from(
+                [
+                    (np.int64, -(2**63), 2**63 - 1),
+                    (np.uint64, 0, 2**64 - 1),
+                    (np.uint64, 2**63, 2**64 - 1),
+                    (np.int64, 0, 50),
+                ]
+            )
+        )
+        ids = sorted(data.draw(st.sets(st.integers(lo, hi), max_size=30)))
+        n = len(ids)
+        keys = np.array(ids, dtype=dtype)
+        weight = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([-0.0, 0.0, float("nan")]),
+        )
+        weights = [
+            np.array(
+                data.draw(st.lists(weight, min_size=n, max_size=n)),
+                dtype=np.float64,
+            )
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        assert kernels.strictly_increasing(keys)
+        got_keys, got_sums = group_reduce_multi([keys], weights)
+        with mock.patch.object(
+            kernels, "strictly_increasing", return_value=False
+        ):
+            references = [group_reduce_multi([keys], weights)]
+        if n >= 2:
+            # A permuted copy cannot take the fast path, and the sort
+            # path hands its groups back in key order: un-permuted.
+            perm = np.array(data.draw(st.permutations(range(n))))
+            if not np.array_equal(perm, np.arange(n)):
+                assert not kernels.strictly_increasing(keys[perm])
+                references.append(
+                    group_reduce_multi(
+                        [keys[perm]], [w[perm] for w in weights]
+                    )
+                )
+        for want_keys, want_sums in references:
+            assert len(got_keys) == len(want_keys) == 1
+            assert got_keys[0].dtype == want_keys[0].dtype == dtype
+            assert np.array_equal(got_keys[0], want_keys[0])
+            assert len(got_sums) == len(want_sums) == len(weights)
+            for got, want in zip(got_sums, want_sums):
+                assert got.dtype == want.dtype == np.float64
+                assert np.array_equal(_bits(got), _bits(want))
+
+    def test_negative_zero_weight_sums_to_positive_zero_on_both_routes(self):
+        keys = np.array([3, 7], dtype=np.int64)
+        w = np.array([-0.0, 1.5])
+        (fast,) = group_reduce_multi([keys], [w])[1]
+        (slow,) = group_reduce_multi([keys[::-1]], [w[::-1]])[1]
+        assert np.array_equal(_bits(fast), _bits(np.array([0.0, 1.5])))
+        assert np.array_equal(_bits(fast), _bits(slow))
+
+    @pytest.mark.parametrize(
+        "columns, sorts",
+        [
+            ([np.array([2, 5, 9, 11])], 0),
+            ([np.array([1, 2, 2, 3])], 1),  # equal neighbours (block lineage)
+            ([np.array([4, 3, 2, 1])], 1),
+            ([np.array([1, 2, 3, 4]), np.array([1, 2, 3, 4])], 1),
+            ([np.array([1.0, 2.0, 3.0, 4.0])], 1),
+            ([np.array([True, False, True, True])], 1),  # not an integer id
+        ],
+        ids=["increasing", "equal", "descending", "two-columns", "float", "bool"],
+    )
+    def test_only_one_increasing_integer_column_skips_the_sort(
+        self, columns, sorts
+    ):
+        with mock.patch.object(
+            kernels, "sorted_boundaries", wraps=kernels.sorted_boundaries
+        ) as sort:
+            group_reduce_multi(columns, [np.ones(4)])
+        assert sort.call_count == sorts
+
+    def test_single_table_statement_folds_with_zero_sorts(self, monkeypatch):
+        """The lineage of a tuple-level single-relation sample is already
+        distinct and ascending; a join over two sampled relations
+        replicates ids and still has to sort."""
+        from repro.data.tpch import tpch_database
+
+        db = tpch_database(scale=0.02, seed=7)
+        sorts: list[str] = []
+        for name in ("argsort", "lexsort"):
+            real = getattr(np, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                sorts.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+
+        def sorts_in_fold(text: str) -> int:
+            plan = db.plan_sql(text)
+            sample = db.execute(plan.child, seed=3)
+            assert sample.n_rows > 1
+            sorts.clear()
+            db.sbox().estimate_from_sample(plan, sample)
+            return len(sorts)
+
+        assert (
+            sorts_in_fold(
+                "SELECT SUM(l_extendedprice) AS v, AVG(l_quantity) AS q "
+                "FROM lineitem TABLESAMPLE (20 PERCENT) WHERE l_quantity > 10"
+            )
+            == 0
+        )
+        assert (
+            sorts_in_fold(
+                "SELECT SUM(l_extendedprice) AS v "
+                "FROM lineitem TABLESAMPLE (50 PERCENT), "
+                "orders TABLESAMPLE (50 PERCENT), customer "
+                "WHERE l_orderkey = o_orderkey AND o_custkey = c_custkey"
+            )
+            > 0
+        )
 
 
 class TestYTermsHoistedEquivalence:

@@ -149,6 +149,27 @@ class TestExecution:
         header = report.render_trace().splitlines()[0]
         assert "reuse: exact" in header
 
+    def test_version_diff_shows_reuse_per_side(self, tpch_db_catalog):
+        """A version difference's ``reuse`` is a dict with one entry per
+        side; the header once read ``.kind`` off the dict itself."""
+        db = tpch_db_catalog
+        lineitem = db.table("lineitem")
+        db.update_table(
+            "lineitem",
+            lineitem.with_columns(
+                {"l_extendedprice": lineitem.column("l_extendedprice") * 1.25}
+            ),
+        )
+        diff = (
+            "SELECT SUM(l_extendedprice) AS v FROM lineitem MINUS AT "
+            "VERSION 1 TABLESAMPLE (10 PERCENT) REPEATABLE (7)"
+        )
+        first = db.sql("EXPLAIN ANALYZE " + diff, seed=5)
+        assert "reuse" not in first.render_trace().splitlines()[0]
+        again = db.sql("EXPLAIN ANALYZE " + diff, seed=5)
+        header = again.render_trace().splitlines()[0]
+        assert "hi reuse: exact" in header and "lo reuse: exact" in header
+
     def test_grouped_query_traces(self, tpch_db):
         report = tpch_db.sql(
             "EXPLAIN ANALYZE SELECT l_returnflag, SUM(l_quantity) AS q "

@@ -108,10 +108,11 @@ class TestPartitionAwareness:
         floor = seconds[0] * (1.0 - PARALLEL_FRACTION)
         assert all(s >= floor for s in seconds)
 
-    def test_per_partition_build_sizes(self, model, tpch_db):
+    def test_build_sizes(self, model, tpch_db):
         plan = query1_plan()
         est = model.estimate(plan, workers=4)
         assert est.build_rows_max > 0.0
-        assert est.build_rows_per_partition == est.build_rows_max / 4
+        # One sorted build serves every probe task: no per-worker split.
+        assert est.build_rows_max == model.estimate(plan).build_rows_max
         scan_only = model.estimate(Scan("lineitem"), workers=4)
         assert scan_only.build_rows_max == 0.0

@@ -592,10 +592,38 @@ class TestPartitioning:
         assert_tables_equal(rebuilt, table)
 
 
-class TestBucketingCanonicalization:
-    def test_negative_zero_and_nan_keys_bucket_with_their_equals(self):
-        """Regression: -0.0 viewed as raw bits hashed away from +0.0,
-        so multi-bucket probes silently dropped matches."""
+class TestJoinProbeNeedsNoReordering:
+    @pytest.mark.parametrize("name", ["join", "join_string", "lineage_sample"])
+    def test_join_at_four_workers_never_lexsorts(self, name, monkeypatch):
+        """One sorted build emits every probe chunk in canonical order;
+        per-worker build buckets had to ``np.lexsort`` each chunk's pairs
+        back into it."""
+        plan = PLANS[name]
+        serial = Executor(CATALOG, np.random.default_rng(3)).execute(plan)
+        calls: list[int] = []
+        lexsort = np.lexsort
+
+        def counting(keys, *args, **kwargs):
+            calls.append(len(keys))
+            return lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", counting)
+        chunks = list(
+            ChunkedExecutor(
+                CATALOG, np.random.default_rng(3), workers=4, chunk_size=512
+            ).iter_chunks(plan)
+        )
+        monkeypatch.undo()
+        assert len(chunks) > 4
+        assert calls == []
+        assert_tables_equal(serial, concat_tables(chunks))
+
+
+class TestJoinKeyEquality:
+    def test_negative_zero_and_nan_keys_match_their_equals(self):
+        """-0.0 joins +0.0 and NaN joins NaN at every worker count, as
+        on the reference interpreter (a build keyed on raw float bits
+        once dropped these matches)."""
         left = Table(
             "l", {"a": np.array([-0.0, 1.0, np.nan]), "x": np.arange(3.0)}
         )

@@ -317,3 +317,48 @@ class TestHttpSurface:
             assert server._draining
 
         run(scenario())
+
+
+#: A request that never gets its terminal frame fails the test at this
+#: bound instead of hanging the suite.
+ANSWER_TIMEOUT_S = 60.0
+
+
+class TestUnexpectedExceptionsGetATerminalFrame:
+    """``RequestHandler.execute`` never raises: an exception that is not
+    a ``ReproError`` once killed the request task between the engine and
+    the socket, and the client waited forever."""
+
+    def test_error_frame_names_the_type_and_the_connection_keeps_serving(
+        self, service, monkeypatch
+    ):
+        def explode(statement, *, seed=None, session=None):
+            if "boom" in statement:
+                raise ValueError("not an engine error")
+            return original(statement, seed=seed, session=session)
+
+        original = service.query
+        monkeypatch.setattr(service, "query", explode)
+
+        async def scenario():
+            server = await start_server(service, make_config(workers=1))
+            reader, writer = await raw_connection(server.tcp_port)
+            try:
+                writer.write(
+                    b'{"id": 1, "statement": "SELECT boom"}\n'
+                    + json.dumps({"id": 2, "statement": PLAIN}).encode()
+                    + b"\n"
+                )
+                await writer.drain()
+                first = json.loads(await reader.readline())
+                second = json.loads(await reader.readline())
+            finally:
+                writer.close()
+                await server.drain()
+            return first, second
+
+        first, second = run(asyncio.wait_for(scenario(), ANSWER_TIMEOUT_S))
+        assert first["id"] == 1 and first["type"] == "error"
+        assert first["code"] == "internal"
+        assert first["error"] == "ValueError: not an engine error"
+        assert second["id"] == 2 and second["type"] == "result"

@@ -363,3 +363,177 @@ class TestThinningUnbiasedByEnumeration:
         mean = float(np.mean(estimates))
         spread = float(np.std(estimates)) / math.sqrt(len(estimates))
         assert abs(mean - truth) < 4.0 * spread + 1e-9
+
+
+# -- a hit gathers only what the estimate reads ---------------------------
+
+LINEITEM = "FROM lineitem TABLESAMPLE ({rate} PERCENT) REPEATABLE ({seed})"
+JOINED = (
+    "FROM lineitem TABLESAMPLE ({rate} PERCENT) REPEATABLE ({seed}), orders "
+    "WHERE l_orderkey = o_orderkey"
+)
+AT_VERSION = (
+    "FROM lineitem AT VERSION 1 TABLESAMPLE ({rate} PERCENT) "
+    "REPEATABLE ({seed})"
+)
+
+#: name -> (stored statement, wanted statement, reuse kind it is served by)
+PRUNED_HIT_CASES = {
+    "thin": (
+        "SELECT SUM(l_extendedprice) AS v " + LINEITEM.format(rate=40, seed=4),
+        "SELECT AVG(l_quantity) AS v " + LINEITEM.format(rate=10, seed=9),
+        "thin",
+    ),
+    "thin+predicate": (
+        "SELECT SUM(l_extendedprice) AS v " + LINEITEM.format(rate=40, seed=4),
+        "SELECT SUM(l_extendedprice) AS v, COUNT(*) AS n "
+        + LINEITEM.format(rate=10, seed=9)
+        + " WHERE l_quantity > 20 AND l_discount < 0.08",
+        "thin",
+    ),
+    "pushdown": (
+        "SELECT SUM(l_extendedprice) AS v " + LINEITEM.format(rate=40, seed=4),
+        "SELECT SUM(l_extendedprice * (1.0 - l_discount)) AS v "
+        + LINEITEM.format(rate=40, seed=4)
+        + " WHERE l_quantity > 20",
+        "pushdown",
+    ),
+    "exact": (
+        "SELECT SUM(l_extendedprice) AS v " + LINEITEM.format(rate=40, seed=4),
+        "SELECT l_returnflag, SUM(l_quantity) AS v "
+        + LINEITEM.format(rate=40, seed=4)
+        + " GROUP BY l_returnflag",
+        "exact",
+    ),
+    "join family": (
+        "SELECT SUM(l_extendedprice) AS v " + JOINED.format(rate=40, seed=4),
+        "SELECT o_orderstatus, SUM(l_extendedprice) AS v, COUNT(*) AS n "
+        + JOINED.format(rate=10, seed=9)
+        + " AND o_totalprice > 1000 GROUP BY o_orderstatus",
+        "thin",
+    ),
+    "at version": (
+        "SELECT SUM(l_extendedprice) AS v " + AT_VERSION.format(rate=40, seed=4),
+        "SELECT SUM(l_extendedprice) AS v "
+        + AT_VERSION.format(rate=10, seed=9)
+        + " WHERE l_quantity > 20",
+        "thin",
+    ),
+}
+
+
+def stored_then_wanted(case: str):
+    """A catalog holding the case's stored sample, plus the wanted
+    statement's plan, reuse decision and needed-column set."""
+    from repro.store import ReuseMatcher, canonicalize
+    from repro.store.fingerprint import draw_token_of
+
+    stored_sql, wanted_sql, kind = PRUNED_HIT_CASES[case]
+    db = fresh_tpch(catalog=True)
+    lineitem = db.table("lineitem")
+    db.update_table(
+        "lineitem",
+        lineitem.with_columns(
+            {"l_extendedprice": lineitem.column("l_extendedprice") * 1.25}
+        ),
+    )
+    assert db.sql(stored_sql, seed=1).reuse is None
+    plan = db.plan_sql(wanted_sql)
+    canon = canonicalize(
+        plan.child, db.sizes(), draw_token=draw_token_of(db.rng(1))
+    )
+    needed = set(getattr(plan, "keys", ()))
+    for spec in plan.specs:
+        if spec.expr is not None:
+            needed |= spec.expr.columns_used()
+    for pred in canon.predicates:
+        needed |= pred.columns_used()
+    needed = frozenset(needed)
+    decision = ReuseMatcher(db.synopses).peek(canon, required_columns=needed)
+    assert decision is not None and decision.kind == kind
+    return db, wanted_sql, plan, decision, needed
+
+
+@pytest.mark.parametrize("case", sorted(PRUNED_HIT_CASES))
+class TestHitGathersOnlyNeededColumns:
+    def test_pruned_materialize_equals_full_width(self, case):
+        from repro.store import materialize
+
+        _, _, _, decision, needed = stored_then_wanted(case)
+        syn = decision.synopsis
+        stored_before = syn.sample
+        stored_columns = dict(stored_before.columns)
+        full, full_params, full_clean, full_info = materialize(decision)
+        pruned, params, clean, info = materialize(decision, needed)
+        assert set(full.columns) == set(stored_columns)
+        assert set(pruned.columns) == needed < set(stored_columns)
+        assert pruned.n_rows == full.n_rows > 0
+        for name in needed:
+            assert np.array_equal(pruned.columns[name], full.columns[name])
+        assert pruned.lineage.keys() == full.lineage.keys()
+        for rel, ids in full.lineage.items():
+            assert np.array_equal(pruned.lineage[rel], ids)
+        assert params.lattice == full_params.lattice
+        assert params.a == full_params.a
+        assert np.array_equal(params.b, full_params.b)
+        assert info == full_info
+        assert clean.fingerprint() == full_clean.fingerprint()
+        # The stored synopsis is untouched: same object, every column.
+        assert syn.sample is stored_before
+        assert all(
+            syn.sample.columns[name] is col
+            for name, col in stored_columns.items()
+        )
+        assert list(syn.sample.columns) == list(stored_columns)
+
+    def test_hit_answer_equals_the_full_width_route(self, case):
+        from repro.core.rewrite import RewriteResult
+        from repro.store import materialize
+
+        db, wanted_sql, plan, decision, needed = stored_then_wanted(case)
+        sample, params, clean, _ = materialize(decision)
+        reference = db.sbox().estimate_from_sample(
+            plan, sample, RewriteResult(clean, params)
+        )
+        served = db.sql(wanted_sql, seed=1)
+        assert served.reuse is not None
+        assert served.reuse.kind == decision.kind
+        assert set(served.sample.columns) == needed
+        assert served.sample.n_rows == sample.n_rows
+        for alias, est in reference.estimates.items():
+            got = served.estimates[alias]
+            assert np.array_equal(served.values[alias], reference.values[alias])
+            assert np.array_equal(got.variance_raw, est.variance_raw)
+        if hasattr(reference, "keys"):
+            for name, col in reference.keys.items():
+                assert np.array_equal(served.keys[name], col)
+            for alias, est in reference.estimates.items():
+                assert np.array_equal(
+                    served.estimates[alias].n_samples, est.n_samples
+                )
+        else:
+            for alias, est in reference.estimates.items():
+                assert served.estimates[alias].n_sample == est.n_sample
+
+
+def test_thin_hit_with_predicate_gathers_at_most_the_needed_columns(
+    monkeypatch,
+):
+    """Every filter on the hit path is a ``Table.take``: none of them may
+    gather a column the estimate does not read (11 at full width)."""
+    from repro.relational.table import Table
+
+    db, wanted_sql, _, _, needed = stored_then_wanted("thin+predicate")
+    widths: list[int] = []
+    take = Table.take
+
+    def counting_take(self, indices):
+        widths.append(len(self.columns))
+        return take(self, indices)
+
+    monkeypatch.setattr(Table, "take", counting_take)
+    served = db.sql(wanted_sql, seed=1)
+    assert served.reuse is not None and served.reuse.kind == "thin"
+    assert served.reuse.residual_predicates == 2
+    assert len(widths) >= 2  # the residual predicates and the thinning
+    assert max(widths) <= len(needed) < len(db.table("lineitem").columns)
