@@ -101,11 +101,13 @@ class QueryResult:
     pre-aggregation result sample (with lineage) the estimates came
     from — pruned to the aggregate-relevant columns at every
     ``workers`` value and on a synopsis-catalog hit (which also keeps
-    the query's predicate columns), full width only when it was
-    executed to populate the catalog on a miss — and ``None`` when the
-    caller asked not to keep it (``keep_sample=False``: the estimate
-    then never materializes the sample at all, only merged moment
-    state).
+    the query's predicate columns); on a catalog miss it *has* every
+    column of the sampled child, of which only the ones the estimate
+    read have been gathered — the rest are copied from the base tables
+    when first read (:class:`~repro.relational.table.Columns`) — and
+    ``None`` when the caller asked not to keep it
+    (``keep_sample=False``: the estimate then never materializes the
+    sample at all, only merged moment state).
     """
 
     values: dict[str, float]
@@ -444,8 +446,9 @@ class SBox:
         reuse algebra goes through :meth:`_run_via_store` instead: a
         hit filters the stored sample, narrowed first to the columns
         the estimate and the query's predicates read, and folds it as
-        one chunk; a miss executes the child once with all columns and
-        stores it.
+        one chunk; a miss executes the child once with all columns
+        available, stores it, and gathers the columns the estimate
+        reads.
 
         ``subsample`` (Section 7) estimates the variance of every SUM
         and COUNT from a lineage-keyed sub-sample of the result rows
@@ -576,7 +579,13 @@ class SBox:
         thinning), which gathers only the columns the estimate reads —
         aggregate inputs, GROUP BY keys and the query's predicate
         columns — plus lineage; on a miss the child executes once with
-        *all* columns, is stored, and the estimate is computed from it.
+        *all* columns available, is stored, and the estimate is computed
+        from it.  Available, not copied: the sample holds its lineage
+        and, per data column, a pending gather from the base table
+        (:class:`~repro.relational.table.Columns`); the estimate runs
+        the gathers of the columns it reads, storing runs none, and a
+        later hit runs a stored column's gather the first time it needs
+        that column.
         """
         from repro.store import ReuseMatcher, canonicalize, materialize
         from repro.store.fingerprint import draw_token_of
@@ -622,7 +631,8 @@ class SBox:
             return self.estimate_from_sample(
                 plan, sample, RewriteResult(clean, params), reuse=info
             )
-        # Miss: execute the sampled child once, full-width, and store it.
+        # Miss: execute the sampled child once, no column pruned, and
+        # store it; only what the estimate below reads gets gathered.
         t2 = perf_counter()
         with maybe_span(tracer, "draw") as sp:
             sample = executor.execute(plan.child)

@@ -105,12 +105,14 @@ class Database:
         the stored sample is narrowed to what the estimate and the
         query's predicates read before any residual filter gathers it.
 
-        Trade-off: populating the catalog materializes the sampled
-        child result in full (even on the chunked engine), because
-        that is what gets stored — first-seen queries pay memory
-        proportional to their sample for later reuse (bounded by the
-        catalog's ``max_entry_bytes``: larger samples are answered but
-        not stored).  Streaming callers that must never materialize
+        Trade-off: populating the catalog keeps the sampled child
+        result (even on the chunked engine), because that is what gets
+        stored: its lineage and row positions at once, each data column
+        when a query first reads it — first-seen queries pay memory
+        proportional to their sample's rows for later reuse.  The
+        catalog budgets a sample at its fully-read size (bounded by
+        ``max_entry_bytes``: larger samples are answered but not
+        stored).  Streaming callers that must never materialize
         (``keep_sample=False``) bypass the catalog entirely.
         """
         if catalog is None:
@@ -305,7 +307,11 @@ class Database:
 
         Runs the chunked pipeline; ``workers`` (argument, database
         default, or ``REPRO_WORKERS``) and ``chunk_size`` set its pool
-        and partitioning and never change the output.
+        and partitioning and never change the output.  The result has
+        every column of the plan's output; a one-chunk run (no
+        ``workers``) returns the columns of sampled or joined rows as
+        pending gathers that run when first read, a many-chunk run
+        reads them all to concatenate the chunks.
         """
         from repro.relational.pipeline import ChunkedExecutor
 

@@ -166,17 +166,28 @@ def join_rows(
 def combine_rows(
     left: Table, right: Table, li: np.ndarray, ri: np.ndarray
 ) -> Table:
-    """Gather matched rows of a join/cross into one output table."""
+    """Matched rows of a join/cross as one output table.
+
+    Both sides' lineage is gathered here; every data column stays a
+    pending gather from its side (:class:`~repro.relational.table.Columns`),
+    run when the column is first read — a join output is as wide as
+    both inputs and its consumers read a few columns of it.
+    """
     overlap = set(left.columns) & set(right.columns)
     if overlap:
         raise SchemaError(
             f"join sides share column names {sorted(overlap)}"
         )
-    columns = {n: arr[li] for n, arr in left.columns.items()}
-    columns.update({n: arr[ri] for n, arr in right.columns.items()})
     lineage = {r: ids[li] for r, ids in left.lineage.items()}
     lineage.update({r: ids[ri] for r, ids in right.lineage.items()})
-    return Table(None, columns, lineage)
+    # Not the constructor: it converts, i.e. reads, every column.
+    return Table._share(
+        None,
+        left.columns.rows(li) | right.columns.rows(ri),
+        lineage,
+        left.schema.concat(right.schema),
+        int(li.shape[0]),
+    )
 
 
 def union_tables(left: Table, right: Table) -> Table:

@@ -4,6 +4,12 @@ A :class:`Table` stores data columns and, separately, one int64
 *lineage* column per base relation that contributed rows.  Lineage ids
 dissociate a tuple's identity from its content (the paper's Section 4.2
 requirement): the estimator only ever compares them for equality.
+
+Identity is also cheaper than content: choosing rows (:meth:`Table.take`,
+a join's matched pairs) gathers the lineage at once — every consumer
+reads it — and leaves each data column as a *pending* gather in
+:class:`Columns` that runs the first time the column is read.  An
+estimate that reads one column of a sample copies one column.
 """
 
 from __future__ import annotations
@@ -27,12 +33,111 @@ def _as_column_array(values: Any) -> np.ndarray:
     return arr
 
 
+def _gather(source: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``source[index]``: the one place a pending column gather runs."""
+    return source[index]
+
+
+class Columns(Mapping):
+    """Read-only ``name -> array`` mapping; row gathers run on first read.
+
+    A slot holds either an array or a pending gather ``(source array,
+    index array)``.  Reading a name runs ``source[index]`` once and
+    keeps the result, so every later read returns the same object.
+
+    Known without reading: names and their order, ``len``, ``in``,
+    iteration and :meth:`dtype`.  ``items()``, ``values()``,
+    ``dict(columns)`` and ``**columns`` read every column.
+
+    A pending slot is never chained: its source is always a real array
+    and :meth:`rows` composes index arrays instead, so a read is exactly
+    one gather, copying the very elements a chain of eager gathers would
+    have copied.  The set of names never changes after construction
+    (a read replaces a slot's value, never a key), so iterating while
+    another thread reads is safe.
+    """
+
+    __slots__ = ("_slots",)
+
+    def __init__(self, slots: dict[str, Any]) -> None:
+        self._slots = slots
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        slot = self._slots[name]
+        if type(slot) is tuple:
+            # Unlocked on purpose: two threads reading the same pending
+            # slot both gather and one assignment wins — equal contents.
+            slot = self._slots[name] = _gather(*slot)
+        return slot
+
+    def __iter__(self):
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._slots
+
+    def __repr__(self) -> str:
+        return f"Columns({list(self._slots)})"
+
+    def dtype(self, name: str) -> np.dtype:
+        """The column's dtype (a gather preserves it), without reading."""
+        slot = self._slots[name]
+        return (slot[0] if type(slot) is tuple else slot).dtype
+
+    def rows(self, key: "np.ndarray | slice") -> "Columns":
+        """The same columns restricted to rows ``key``, nothing read.
+
+        An index array defers the gather; a ``slice`` takes views.
+        Either way a pending slot keeps its source and gets the
+        composed index ``index[key]`` — computed once per distinct
+        parent index and shared by every column that carries it.
+        """
+        defer = not isinstance(key, slice)
+        composed: dict[int, np.ndarray] = {}
+        slots: dict[str, Any] = {}
+        for name, slot in self._slots.items():
+            if type(slot) is tuple:
+                source, parent = slot
+                index = composed.get(id(parent))
+                if index is None:
+                    index = composed[id(parent)] = parent[key]
+                slots[name] = (source, index)
+            else:
+                slots[name] = (slot, key) if defer else slot[key]
+        return Columns(slots)
+
+    def __or__(self, other: "Columns") -> "Columns":
+        """Both sides' columns (``other`` wins a shared name), nothing read."""
+        return Columns({**self._slots, **other._slots})
+
+
 class Table:
     """An immutable-by-convention columnar table.
 
-    ``columns`` maps column names to equal-length arrays; ``lineage``
-    maps base-relation names to int64 id arrays of the same length.
-    All transformation methods return new tables.
+    ``columns`` is a :class:`Columns` mapping of column names to
+    equal-length arrays; ``lineage`` maps base-relation names to int64
+    id arrays of the same length.  All transformation methods return
+    new tables.
+
+    A table built from arrays holds plain arrays.  :meth:`take`,
+    :meth:`filter`, :meth:`slice` of a gathered table and a join's
+    output hold *pending* columns — lineage is gathered on the spot,
+    a data column when it is first read; names, order, dtypes,
+    ``schema`` and ``n_rows`` are known without reading.
+    :meth:`with_lineage`, :meth:`rename` and :meth:`with_version` share
+    one :class:`Columns` object, so a column read through any of them is
+    read for all of them.
+
+    Until it is read, a pending column refers to its source array and
+    to the row index (8 bytes a row, shared by all columns of the
+    table).  That is sound because arrays handed to or returned by a
+    table are never written in place — an update copies first
+    (:meth:`with_columns`) — and it bounds lifetimes because a stored
+    sample cannot outlive its base table's invalidation: no source
+    array lives longer than a caller's own reference to a sample.
     """
 
     __slots__ = (
@@ -68,7 +173,7 @@ class Table:
         else:
             self.n_rows = 0
         self.name = name
-        self.columns = converted
+        self.columns = Columns(converted)
         self.schema = Schema(
             Column(col_name, ColumnType.from_dtype(arr.dtype))
             for col_name, arr in converted.items()
@@ -93,12 +198,12 @@ class Table:
     def _share(
         cls,
         name: str | None,
-        columns: dict[str, np.ndarray],
+        columns: "Columns | dict[str, np.ndarray]",
         lineage: dict[str, np.ndarray],
         schema: Schema,
         n_rows: int,
     ) -> "Table":
-        """Build a table from already-validated arrays, skipping checks.
+        """Build a table from already-validated columns, skipping checks.
 
         The zero-copy constructor behind :meth:`take`, :meth:`filter`,
         :meth:`slice`, :meth:`with_lineage`, and :meth:`select_columns`:
@@ -108,7 +213,9 @@ class Table:
         """
         table = cls.__new__(cls)
         table.name = name
-        table.columns = columns
+        table.columns = (
+            columns if isinstance(columns, Columns) else Columns(columns)
+        )
         table.lineage = lineage
         table.schema = schema
         table.n_rows = n_rows
@@ -188,7 +295,8 @@ class Table:
     def __reduce__(self):
         # Mmap-backed whole tables pickle as a (path, name) descriptor
         # so process-pool payloads stay O(bytes) regardless of row
-        # count; everything else rebuilds from its arrays.
+        # count; everything else rebuilds from its arrays — read
+        # first, so a pending column ships its rows, not its source.
         if self._mmap_path is not None:
             return (
                 _table_from_mmap,
@@ -196,7 +304,7 @@ class Table:
             )
         return (
             _table_rebuild,
-            (self.name, self.columns, self.lineage, self.version),
+            (self.name, dict(self.columns), self.lineage, self.version),
         )
 
     @property
@@ -216,10 +324,8 @@ class Table:
 
     def to_rows(self) -> list[tuple[Any, ...]]:
         """Materialize as row tuples (test/debug helper)."""
-        names = self.schema.names
-        return [
-            tuple(self.columns[n][i] for n in names) for i in range(self.n_rows)
-        ]
+        cols = [self.columns[n] for n in self.schema.names]
+        return [tuple(c[i] for c in cols) for i in range(self.n_rows)]
 
     def lineage_rows(self) -> list[tuple[int, ...]]:
         """Lineage tuples in canonical (sorted relation name) order."""
@@ -232,22 +338,37 @@ class Table:
     # -- transformations ---------------------------------------------------
 
     def take(self, indices: np.ndarray) -> "Table":
-        """Gather rows by position (data and lineage together)."""
+        """Rows by position: lineage gathered now, data columns pending.
+
+        Each data column is gathered from its source the first time it
+        is read (:class:`Columns`); a column nobody reads is never
+        copied.  ``indices`` is kept, not copied — like every array a
+        table holds it must not be written afterwards.  A position out
+        of range raises here when the table carries lineage, otherwise
+        at the first read.
+        """
+        indices = np.asarray(indices)
+        if indices.size == 0:
+            indices = indices.astype(np.intp)  # ``[]`` arrives as float64
         return Table._share(
             self.name,
-            {n: arr[indices] for n, arr in self.columns.items()},
+            self.columns.rows(indices),
             {r: ids[indices] for r, ids in self.lineage.items()},
             self.schema,
-            int(np.asarray(indices).shape[0]),
+            int(indices.shape[0]),
         )
 
     def slice(self, start: int, stop: int) -> "Table":
-        """Contiguous row range as zero-copy views (the chunk primitive)."""
+        """Contiguous row range as zero-copy views (the chunk primitive).
+
+        Nothing is read: an array is viewed, a pending column keeps its
+        source and a view of its index.
+        """
         start = max(0, min(int(start), self.n_rows))
         stop = max(start, min(int(stop), self.n_rows))
         return Table._share(
             self.name,
-            {n: arr[start:stop] for n, arr in self.columns.items()},
+            self.columns.rows(slice(start, stop)),
             {r: ids[start:stop] for r, ids in self.lineage.items()},
             self.schema,
             stop - start,
@@ -281,7 +402,7 @@ class Table:
         new_lineage[relation] = ids_arr
         return Table._share(
             self.name,
-            dict(self.columns),
+            self.columns,
             new_lineage,
             self.schema,
             self.n_rows,
@@ -291,7 +412,10 @@ class Table:
         """Project to the named data columns (lineage always survives).
 
         Selecting the identity column set (same names, same order)
-        returns ``self`` unchanged.
+        returns ``self`` unchanged.  Otherwise the selected columns are
+        *read* here, in this table: narrowing a stored sample is what
+        gathers a column it has not served yet, once, for every later
+        reader of that sample.
         """
         names = list(names)
         if names == list(self.columns):
@@ -307,7 +431,7 @@ class Table:
             return self
         renamed = Table._share(
             name,
-            dict(self.columns),
+            self.columns,
             dict(self.lineage),
             self.schema,
             self.n_rows,

@@ -1,9 +1,11 @@
 """The persistent sample-synopsis catalog.
 
 A *synopsis* is everything needed to answer future aggregate queries
-from an already-paid-for sample: the materialized sample table (with
-lineage), the top GUS parameters of the sampled plan, the sampling-free
-clean plan, and the canonical fingerprint it was stored under.  The
+from an already-paid-for sample: the sample table (its rows and
+lineage; each data column copied from the base table the first time a
+query reads it, see :class:`~repro.relational.table.Columns`), the top
+GUS parameters of the sampled plan, the sampling-free clean plan, and
+the canonical fingerprint it was stored under.  The
 catalog keys synopses by the canonical **core** fingerprint (the
 sampling- and selection-free skeleton) so that one stored sample can
 serve exact repeats, further-filtered queries (predicate pushdown), and
@@ -12,7 +14,9 @@ lower-rate queries (residual Bernoulli thinning) — the
 
 Operationally the catalog is a bounded, thread-safe LRU: entries are
 evicted least-recently-used when either the entry count or the byte
-budget is exceeded, and are invalidated by version stamping when any
+budget is exceeded — a sample counts at its fully-read size
+(:func:`table_nbytes`), whatever it holds so far, and storing reads
+nothing — and are invalidated by version stamping when any
 base table they were drawn from mutates (``Database`` bumps the
 version on every mutation path).
 """
@@ -23,8 +27,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from functools import cached_property
 
 from repro.core.gus import GUSParams
 from repro.obs.metrics import REGISTRY
@@ -38,18 +41,30 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 
 def table_nbytes(table: Table) -> int:
-    """Approximate resident bytes of a sample table."""
-    total = 0
-    for arr in table.columns.values():
-        total += int(np.asarray(arr).nbytes)
-    for ids in table.lineage.values():
-        total += int(ids.nbytes)
+    """Bytes of a sample table with every column read, from dtypes.
+
+    Lineage bytes plus ``n_rows × itemsize`` per data column; nothing
+    is read.  A column nobody has read yet is not resident, so this is
+    an upper bound on what the sample holds — and the same number
+    whichever columns have been read, so budget decisions do not depend
+    on the order queries arrive in.
+    """
+    total = sum(int(ids.nbytes) for ids in table.lineage.values())
+    for name in table.columns:
+        total += table.n_rows * table.columns.dtype(name).itemsize
     return total
 
 
 @dataclass(frozen=True)
 class Synopsis:
-    """One stored sample with everything reuse needs."""
+    """One stored sample with everything reuse needs.
+
+    ``sample`` has every column of the sampled expression, but holds
+    only the ones some query has read: the rest are pending gathers
+    from the base tables (:class:`~repro.relational.table.Columns`),
+    run once each when a hit first needs them.  ``nbytes`` is the
+    fully-read size (:func:`table_nbytes`).
+    """
 
     entry_id: int
     canon: CanonicalPlan = field(repr=False)
@@ -63,7 +78,7 @@ class Synopsis:
     def n_rows(self) -> int:
         return self.sample.n_rows
 
-    @property
+    @cached_property
     def columns(self) -> frozenset[str]:
         return frozenset(self.sample.columns)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.relational import plan as p
 from repro.relational.expressions import And, Expr
@@ -92,7 +93,7 @@ class SamplingDesign:
 
     dims: tuple[DimensionDesign, ...]
 
-    @property
+    @cached_property
     def exact_key(self) -> tuple:
         return tuple((d.relation, d.exact) for d in self.dims)
 
@@ -137,7 +138,7 @@ class CanonicalPlan:
     pred_keys: frozenset = field(default_factory=frozenset)
     draw_token: int | None = None
 
-    @property
+    @cached_property
     def exact_key(self) -> tuple:
         """Full identity: core + design (seeds + draw token) + predicates."""
         token = self.draw_token if self.design.rng_drawn() else None

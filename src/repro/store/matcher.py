@@ -32,9 +32,12 @@ restart — while differently-seeded requests get independent residual
 draws.
 
 Both residual operations read lineage and predicate columns only, so
-:func:`materialize` prunes before it filters: the stored synopsis stays
-full width (any later query over the same core expression may need any
-column), the served sample carries the columns its caller names.
+:func:`materialize` prunes before it filters: the stored synopsis keeps
+every column (any later query over the same core expression may need
+any of them), the served sample carries the columns its caller names.
+Pruning is also what fills the synopsis in: a stored sample holds its
+columns as pending gathers from the base tables, and narrowing it reads
+the named ones *in the stored sample* — once, for every later hit.
 """
 
 from __future__ import annotations
@@ -226,16 +229,19 @@ def materialize(
 ) -> tuple[Table, GUSParams, p.PlanNode, ReuseInfo]:
     """Serve a query's sample from a stored synopsis.
 
-    Narrows the stored sample to ``columns`` (zero-copy; lineage always
-    survives), then applies the residual predicates and the residual
-    thinning filters, and returns the served sample, its (rescaled) GUS
-    parameters, a clean plan for EXPLAIN purposes, and the
-    :class:`ReuseInfo` trace.  ``columns`` must cover whatever the
-    residual predicates read — the ``required_columns`` the decision
-    was chosen under do.  Narrowing first means every filter gathers
-    the columns the estimate reads and nothing else; the rows, their
-    order and the lineage are those of the full-width filter.  ``None``
-    serves every stored column.  The stored synopsis is never modified.
+    Narrows the stored sample to ``columns`` (lineage always survives;
+    a column no earlier query read is gathered from its base table here
+    and kept in the synopsis, every other one is shared as is), then
+    applies the residual predicates and the residual thinning filters,
+    and returns the served sample, its (rescaled) GUS parameters, a
+    clean plan for EXPLAIN purposes, and the :class:`ReuseInfo` trace.
+    ``columns`` must cover whatever the residual predicates read — the
+    ``required_columns`` the decision was chosen under do.  Narrowing
+    first means every filter gathers the columns the estimate reads and
+    nothing else; the rows, their order and the lineage are those of
+    the full-width filter.  ``None`` serves every stored column and
+    reads only what the residual predicates read.  The stored synopsis
+    is never modified beyond holding the columns read so far.
     """
     syn = decision.synopsis
     sample = syn.sample

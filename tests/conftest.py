@@ -44,3 +44,24 @@ def tpch_db() -> Database:
 def tpch_db_mid() -> Database:
     """A mid-size TPC-H instance for statistical tests."""
     return tpch_database(scale=0.1, seed=11)
+
+
+@pytest.fixture
+def gathers(monkeypatch) -> list:
+    """Every ``(source, index)`` a pending column was gathered with.
+
+    Counts through ``repro.relational.table._gather``, the one
+    module-level function that performs ``source[index]`` for a data
+    column; lineage is gathered on the spot and never passes it.
+    """
+    from repro.relational import table as table_module
+
+    calls: list[tuple[np.ndarray, np.ndarray]] = []
+    real = table_module._gather
+
+    def counting(source, index):
+        calls.append((source, index))
+        return real(source, index)
+
+    monkeypatch.setattr(table_module, "_gather", counting)
+    return calls

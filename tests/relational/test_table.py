@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchemaError
 from repro.relational.schema import Column, ColumnType, Schema
@@ -196,3 +198,282 @@ class TestZeroCopyFastPaths:
         t = Table(None, {}, {"r": np.arange(4, dtype=np.int64)})
         assert t.n_rows == 4
         assert t.slice(1, 3).n_rows == 2
+
+
+# -- pending columns: a row gather runs when its column is first read ------
+#
+# The seam is ``repro.relational.table._gather``: the one module-level
+# function that performs ``source[index]`` for a data column.  The
+# ``gathers`` fixture (tests/conftest.py) records its calls.
+
+
+def _mixed_columns(prefix: str, n: int) -> dict[str, np.ndarray]:
+    """int64, float64 (nan, -0.0, inf), bool and object columns of n rows."""
+    floats = np.array([np.nan, -0.0, 0.0, 1.5, -2.25, np.inf])
+    return {
+        f"{prefix}i": np.arange(n, dtype=np.int64) * 7 - 3,
+        f"{prefix}f": np.resize(floats, n),
+        f"{prefix}b": np.arange(n) % 3 == 0,
+        f"{prefix}s": np.array([f"s{k % 4}" for k in range(n)], dtype=object),
+    }
+
+
+def _assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    if want.dtype == object:
+        assert got.tolist() == want.tolist()
+    else:  # bytes, not ==: nan equals nan and -0.0 differs from 0.0
+        assert got.tobytes() == want.tobytes()
+
+
+class _Eager:
+    """The numpy oracle: every transformation gathers every column now."""
+
+    def __init__(self, name, columns, lineage, version=None):
+        self.name, self.version = name, version
+        self.columns, self.lineage = dict(columns), dict(lineage)
+
+    @property
+    def n_rows(self):
+        arrays = list(self.columns.values()) + list(self.lineage.values())
+        return arrays[0].shape[0]
+
+    def rows(self, key):
+        return _Eager(
+            self.name,
+            {n: a[key] for n, a in self.columns.items()},
+            {r: a[key] for r, a in self.lineage.items()},
+        )
+
+
+class TestPendingColumnsEqualEagerNumpy:
+    """Random programs over lazy tables against the eager oracle."""
+
+    @staticmethod
+    def _indices(data, n_rows, label):
+        if n_rows == 0:
+            return np.empty(0, dtype=np.int64)
+        picks = data.draw(
+            st.lists(st.integers(0, n_rows - 1), max_size=8), label=label
+        )
+        return np.array(picks, dtype=np.int64)
+
+    def _step(self, data, step, table, eager):
+        from repro.relational.executor import combine_rows
+
+        op = data.draw(
+            st.sampled_from(
+                [
+                    "take", "filter", "slice", "select_columns", "read",
+                    "with_lineage", "rename", "with_version",
+                    "with_columns", "combine_rows",
+                ]
+            ),
+            label=f"op{step}",
+        )
+        n = eager.n_rows
+        names = list(eager.columns)
+        if op == "take":
+            idx = self._indices(data, n, "take")
+            return table.take(idx), eager.rows(idx)
+        if op == "filter":
+            mask = np.array(
+                data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                dtype=bool,
+            )
+            return table.filter(mask), eager.rows(mask)
+        if op == "slice":
+            start = data.draw(st.integers(0, n + 1))
+            stop = data.draw(st.integers(0, n + 1))
+            stop = max(start, stop)
+            return table.slice(start, stop), eager.rows(slice(start, stop))
+        if op == "select_columns":
+            keep = data.draw(st.permutations(names))[
+                : data.draw(st.integers(0, len(names)))
+            ]
+            return table.select_columns(keep), _Eager(
+                eager.name, {k: eager.columns[k] for k in keep}, eager.lineage
+            )
+        if op == "read" and names:
+            name = data.draw(st.sampled_from(names))
+            _assert_same_array(table.column(name), eager.columns[name])
+            return table, eager
+        if op == "with_lineage":
+            ids = np.arange(n, dtype=np.int64) + 100 * step
+            rel = data.draw(st.sampled_from(["a", "z"]))
+            return table.with_lineage(rel, ids), _Eager(
+                eager.name, eager.columns, {**eager.lineage, rel: ids}
+            )
+        if op == "rename":
+            name = data.draw(st.sampled_from(["a", "u", None]))
+            return table.rename(name), _Eager(
+                name, eager.columns, eager.lineage
+            )
+        if op == "with_version":
+            stamped = table.with_version(step)
+            assert stamped.version == step
+            return stamped, eager
+        if op == "with_columns":
+            name = data.draw(st.sampled_from(names + [f"n{step}"]))
+            values = np.arange(n, dtype=np.float64) / 3 - step
+            return table.with_columns({name: values}), _Eager(
+                eager.name, {**eager.columns, name: values}, eager.lineage
+            )
+        if op == "combine_rows":
+            m = data.draw(st.integers(0, 4))
+            cols = _mixed_columns(f"r{step}", m)
+            lin = {f"r{step}": np.arange(m, dtype=np.int64)}
+            right, right_eager = Table("r", cols, lin), _Eager("r", cols, lin)
+            if m and data.draw(st.booleans()):  # a pending right side
+                pre = self._indices(data, m, "right take")
+                right, right_eager = right.take(pre), right_eager.rows(pre)
+            li = self._indices(data, n, "li")
+            ri = self._indices(data, right_eager.n_rows, "ri")
+            pairs = min(li.shape[0], ri.shape[0])
+            li, ri = li[:pairs], ri[:pairs]
+            left_e, right_e = eager.rows(li), right_eager.rows(ri)
+            return combine_rows(table, right, li, ri), _Eager(
+                None,
+                {**left_e.columns, **right_e.columns},
+                {**left_e.lineage, **right_e.lineage},
+            )
+        return table, eager
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_programs(self, data):
+        n = data.draw(st.integers(0, 6), label="rows")
+        cols = _mixed_columns("", n)
+        lin = {"a": np.arange(n, dtype=np.int64) * 10}
+        table, eager = Table("a", cols, lin), _Eager("a", cols, lin)
+        for step in range(data.draw(st.integers(0, 7), label="steps")):
+            table, eager = self._step(data, step, table, eager)
+        # Everything known without reading, first.
+        assert table.n_rows == eager.n_rows
+        assert table.name == eager.name
+        assert list(table.columns) == list(eager.columns)
+        assert len(table.columns) == len(eager.columns)
+        assert table.schema.names == tuple(eager.columns)
+        for name, want in eager.columns.items():
+            assert table.schema[name].type is ColumnType.from_dtype(want.dtype)
+            assert table.columns.dtype(name) == want.dtype
+        assert table.lineage.keys() == eager.lineage.keys()
+        for rel, want in eager.lineage.items():
+            _assert_same_array(table.lineage[rel], want)
+        # Then the columns, in whatever order.
+        for name in data.draw(st.permutations(list(eager.columns))):
+            got = table.columns[name]
+            _assert_same_array(got, eager.columns[name])
+            assert table.columns[name] is got  # read once, kept
+
+    @pytest.mark.parametrize("index", [[], np.empty(0, dtype=np.int64)])
+    def test_empty_index(self, index):
+        t = Table("t", _mixed_columns("", 3), {"t": np.arange(3)})
+        empty = t.take(index)
+        assert empty.n_rows == 0 and empty.to_rows() == []
+        for name, arr in t.columns.items():
+            assert empty.columns[name].dtype == arr.dtype
+
+
+class TestOneGatherPerColumnRead:
+    def _table(self, n=40):
+        return Table(
+            "t", _mixed_columns("", n), {"t": np.arange(n, dtype=np.int64)}
+        )
+
+    def test_take_after_take_after_filter_reads_with_one_gather(self, gathers):
+        base = self._table()
+        picked = (
+            base.filter(np.arange(40) % 2 == 0)
+            .take(np.array([9, 3, 3, 0, 17]))
+            .take(np.array([4, 1, 1]))
+        )
+        assert gathers == []
+        want = np.arange(40)[::2][[9, 3, 3, 0, 17]][[4, 1, 1]]
+        for name, arr in base.columns.items():
+            _assert_same_array(picked.columns[name], arr[want])
+        # One gather per column, each straight from the base array...
+        assert [
+            [n for n, arr in base.columns.items() if source is arr]
+            for source, _ in gathers
+        ] == [["i"], ["f"], ["b"], ["s"]]
+        # ...through one index object: each take composed the parent
+        # index once and every column shares the result, not one
+        # composition per column.
+        assert len({id(index) for _, index in gathers}) == 1
+        assert gathers[0][1].tolist() == want.tolist()
+
+    def test_a_column_read_between_filters_becomes_the_next_source(
+        self, gathers
+    ):
+        once = self._table().filter(np.arange(40) % 2 == 0)
+        read = once.column("i")
+        twice = once.take(np.array([5, 1]))
+        _assert_same_array(twice.column("i"), read[[5, 1]])
+        _assert_same_array(twice.column("f"), self._table().column("f")[[10, 2]])
+        assert [source is read for source, _ in gathers] == [False, True, False]
+
+    def test_nothing_but_a_read_gathers(self, gathers):
+        from repro.store.catalog import table_nbytes
+
+        lazy = self._table().filter(np.arange(40) % 3 == 0)
+        assert len(lazy.columns) == 4 and lazy.n_rows == 14
+        assert list(lazy.columns) == ["i", "f", "b", "s"]
+        assert "s" in lazy.columns and "zz" not in lazy.columns
+        assert lazy.schema.names == ("i", "f", "b", "s")
+        assert "rows=14" in repr(lazy) and "s:" in repr(lazy)
+        assert repr(lazy.columns) == "Columns(['i', 'f', 'b', 's'])"
+        shared = lazy.with_lineage("u", np.arange(14)).rename("v")
+        stamped = shared.with_version(3)
+        sliced = stamped.slice(2, 9)
+        lazy_bytes = table_nbytes(lazy)
+        assert gathers == []
+        # with_lineage / rename / with_version share what has been read.
+        assert stamped.columns is lazy.columns
+        assert stamped.column("f") is lazy.column("f") and len(gathers) == 1
+        # A slice of a pending column stays pending (one gather when it
+        # is read); a slice of a read column is a view of it.
+        _assert_same_array(sliced.slice(1, 3).column("f"), lazy.column("f")[3:5])
+        assert len(gathers) == 2
+        assert np.shares_memory(lazy.slice(3, 5).column("f"), lazy.column("f"))
+        assert len(gathers) == 2
+        # Sized from dtypes: the same before and after reading, and the
+        # sum of the arrays' own nbytes (the eager formula).
+        read = dict(lazy.columns)
+        assert len(gathers) == 2 + 3
+        assert table_nbytes(lazy) == lazy_bytes
+        assert lazy_bytes == sum(
+            np.asarray(a).nbytes
+            for a in list(read.values()) + list(lazy.lineage.values())
+        )
+        assert read["s"].dtype == object
+
+    def test_values_items_and_unpacking_read_every_column(self, gathers):
+        lazy = self._table().take(np.array([3, 1]))
+        assert [a.tolist() for a in lazy.columns.values()][0] == [18, 4]
+        assert len(gathers) == 4
+        again = self._table().take(np.array([3, 1]))
+        assert list({**again.columns}) == ["i", "f", "b", "s"]
+        assert len(gathers) == 8
+
+    def test_out_of_range_index_raises_on_the_spot(self):
+        with pytest.raises(IndexError):
+            self._table().take(np.array([40]))
+
+    def test_pickle_ships_rows_not_sources(self):
+        import pickle
+
+        big = Table(
+            "big",
+            {"x": np.arange(600_000, dtype=np.int64), "y": np.ones(600_000)},
+            {"big": np.arange(600_000, dtype=np.int64)},
+        )
+        small = big.take(np.arange(10))
+        payload = pickle.dumps(small)
+        assert len(payload) < 10_000
+        clone = pickle.loads(payload)
+        assert list(clone.columns) == ["x", "y"] and clone.n_rows == 10
+        for name in small.columns:
+            _assert_same_array(clone.columns[name], big.columns[name][:10])
+        _assert_same_array(clone.lineage["big"], np.arange(10, dtype=np.int64))

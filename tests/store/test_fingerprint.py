@@ -160,6 +160,17 @@ class TestExactKey:
         again = canonicalize(sampled_scan(0.1, seed=1), SIZES)
         assert again is not None and again.exact_key == base.exact_key
 
+    def test_exact_keys_are_built_once(self):
+        # The matcher reads them per candidate per lookup: the sort and
+        # the tuple are paid once per plan, not once per access.
+        canon = canonicalize(
+            p.Select(sampled_scan(0.1, seed=1), col("x") > lit(0)), SIZES
+        )
+        assert canon is not None
+        assert canon.exact_key is canon.exact_key
+        assert canon.design.exact_key is canon.design.exact_key
+        assert canon.exact_key[1] is canon.design.exact_key
+
 
 def test_lineage_sample_above_join_canonicalizes():
     join = p.Join(p.Scan("t"), p.Scan("u"), ["k"], ["k"])

@@ -422,14 +422,9 @@ PRUNED_HIT_CASES = {
 }
 
 
-def stored_then_wanted(case: str):
-    """A catalog holding the case's stored sample, plus the wanted
-    statement's plan, reuse decision and needed-column set."""
-    from repro.store import ReuseMatcher, canonicalize
-    from repro.store.fingerprint import draw_token_of
-
-    stored_sql, wanted_sql, kind = PRUNED_HIT_CASES[case]
-    db = fresh_tpch(catalog=True)
+def versioned_tpch(catalog: bool):
+    """``fresh_tpch`` after one ``lineitem`` write, so version 1 exists."""
+    db = fresh_tpch(catalog=catalog)
     lineitem = db.table("lineitem")
     db.update_table(
         "lineitem",
@@ -437,6 +432,31 @@ def stored_then_wanted(case: str):
             {"l_extendedprice": lineitem.column("l_extendedprice") * 1.25}
         ),
     )
+    return db
+
+
+def assert_same_answer(got, want):
+    """Bit for bit: values, raw variances, sample counts, group keys."""
+    assert got.estimates.keys() == want.estimates.keys()
+    for alias, est in want.estimates.items():
+        assert np.array_equal(got.values[alias], want.values[alias])
+        assert np.array_equal(got.estimates[alias].variance_raw, est.variance_raw)
+        if hasattr(want, "keys"):
+            assert np.array_equal(got.estimates[alias].n_samples, est.n_samples)
+        else:
+            assert got.estimates[alias].n_sample == est.n_sample
+    for name, col in getattr(want, "keys", {}).items():
+        assert np.array_equal(got.keys[name], col)
+
+
+def stored_then_wanted(case: str):
+    """A catalog holding the case's stored sample, plus the wanted
+    statement's plan, reuse decision and needed-column set."""
+    from repro.store import ReuseMatcher, canonicalize
+    from repro.store.fingerprint import draw_token_of
+
+    stored_sql, wanted_sql, kind = PRUNED_HIT_CASES[case]
+    db = versioned_tpch(catalog=True)
     assert db.sql(stored_sql, seed=1).reuse is None
     plan = db.plan_sql(wanted_sql)
     canon = canonicalize(
@@ -500,20 +520,31 @@ class TestHitGathersOnlyNeededColumns:
         assert served.reuse.kind == decision.kind
         assert set(served.sample.columns) == needed
         assert served.sample.n_rows == sample.n_rows
-        for alias, est in reference.estimates.items():
-            got = served.estimates[alias]
-            assert np.array_equal(served.values[alias], reference.values[alias])
-            assert np.array_equal(got.variance_raw, est.variance_raw)
-        if hasattr(reference, "keys"):
-            for name, col in reference.keys.items():
-                assert np.array_equal(served.keys[name], col)
-            for alias, est in reference.estimates.items():
-                assert np.array_equal(
-                    served.estimates[alias].n_samples, est.n_samples
-                )
-        else:
-            for alias, est in reference.estimates.items():
-                assert served.estimates[alias].n_sample == est.n_sample
+        assert_same_answer(served, reference)
+
+    def test_pending_columns_change_no_answer(self, case):
+        """The miss holds its columns as pending gathers and the hit
+        reads them out of the synopsis on demand: neither answer may
+        differ from the one computed with every column copied."""
+        stored_sql, wanted_sql, kind = PRUNED_HIT_CASES[case]
+        lazy = versioned_tpch(catalog=True)
+        miss = lazy.sql(stored_sql, seed=1)
+        hit = lazy.sql(wanted_sql, seed=1)
+        assert miss.reuse is None and hit.reuse.kind == kind
+        free = versioned_tpch(catalog=False)
+        assert_same_answer(miss, free.sql(stored_sql, seed=1))
+        if kind != "thin":
+            # Same design, same draw: the catalog-free run folds the
+            # very rows the hit filtered out of the stored sample.
+            assert_same_answer(hit, free.sql(wanted_sql, seed=1))
+        # A thinned realization is one no catalog-free run draws, so
+        # the reference is a catalog whose stored sample had every
+        # column read before the hit — what an eager gather stores.
+        eager = versioned_tpch(catalog=True)
+        eager.sql(stored_sql, seed=1)
+        for syn in eager.synopses._entries.values():
+            dict(syn.sample.columns)
+        assert_same_answer(hit, eager.sql(wanted_sql, seed=1))
 
 
 def test_thin_hit_with_predicate_gathers_at_most_the_needed_columns(
@@ -537,3 +568,90 @@ def test_thin_hit_with_predicate_gathers_at_most_the_needed_columns(
     assert served.reuse.residual_predicates == 2
     assert len(widths) >= 2  # the residual predicates and the thinning
     assert max(widths) <= len(needed) < len(db.table("lineitem").columns)
+
+
+# -- a miss copies only the columns that are read --------------------------
+#
+# Counted through ``repro.relational.table._gather`` (the ``gathers``
+# fixture): the one function that runs a pending column gather.
+
+
+class TestMissGathersOnDemand:
+    def test_sum_miss_gathers_one_column_and_count_none(self, gathers):
+        db = fresh_tpch(catalog=True)
+        lineitem = db.table("lineitem")
+        summed = db.sql(
+            "SELECT SUM(l_extendedprice) AS v "
+            + LINEITEM.format(rate=20, seed=4),
+            seed=1,
+        )
+        assert summed.reuse is None and len(db.synopses) == 1
+        # Draw, put and estimate together: one column (11 when
+        # ``Table.take`` copied the full width), straight from the base.
+        assert len(gathers) == 1
+        assert np.shares_memory(
+            gathers[0][0], lineitem.column("l_extendedprice")
+        )
+        del gathers[:]
+        counted = db.sql(
+            "SELECT COUNT(*) AS v " + LINEITEM.format(rate=20, seed=5), seed=1
+        )
+        assert counted.reuse is None and len(db.synopses) == 2
+        assert gathers == []
+        # Both stored samples still *have* every column, sized in full.
+        for syn in db.synopses._entries.values():
+            assert syn.columns == frozenset(lineitem.columns)
+            assert syn.nbytes == syn.n_rows * 8 * (len(lineitem.columns) + 1)
+        assert gathers == []
+        assert summed.sample.n_rows == summed.estimates["v"].n_sample
+        assert set(summed.sample.columns) == set(lineitem.columns)
+
+    def test_a_stored_column_is_gathered_from_its_base_once(self, gathers):
+        db = fresh_tpch(catalog=True)
+        db.sql(
+            "SELECT SUM(l_extendedprice) AS v "
+            + LINEITEM.format(rate=40, seed=4),
+            seed=1,
+        )
+        (syn,) = db.synopses._entries.values()
+        base = db.table("lineitem").column("l_quantity")
+        del gathers[:]
+        first = db.sql(
+            "SELECT AVG(l_quantity) AS v " + LINEITEM.format(rate=10, seed=9),
+            seed=1,
+        )
+        assert first.reuse is not None and first.reuse.kind == "thin"
+        # Into the synopsis from the base table, then out of the
+        # synopsis for the thinned rows.
+        stored = syn.sample.columns["l_quantity"]
+        assert len(gathers) == 2
+        assert np.shares_memory(gathers[0][0], base)
+        assert gathers[1][0] is stored
+        del gathers[:]
+        second = db.sql(
+            "SELECT SUM(l_quantity) AS v " + LINEITEM.format(rate=5, seed=3),
+            seed=1,
+        )
+        assert second.reuse is not None and second.reuse.kind == "thin"
+        assert [source is stored for source, _ in gathers] == [True]
+        assert syn.sample.columns["l_quantity"] is stored
+
+    def test_join_miss_gathers_what_the_estimate_reads(self, gathers):
+        db = fresh_tpch(catalog=True)
+        result = db.sql(
+            "SELECT SUM(l_extendedprice) AS v "
+            + JOINED.format(rate=20, seed=4),
+            seed=1,
+        )
+        assert result.reuse is None and len(db.synopses) == 1
+        lineitem, orders = db.table("lineitem"), db.table("orders")
+        assert set(result.sample.columns) == set(lineitem.columns) | set(
+            orders.columns
+        )
+        # The sampled side's join key and the aggregate input, each
+        # straight from the base table — not the 16 columns of the
+        # join output.
+        assert [
+            [n for n, a in lineitem.columns.items() if np.shares_memory(s, a)]
+            for s, _ in gathers
+        ] == [["l_orderkey"], ["l_extendedprice"]]

@@ -13,6 +13,7 @@ answers, unbalanced counters, or ResourceWarnings.  The invariants:
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -158,6 +159,89 @@ def test_catalog_is_thread_safe_under_direct_hammering():
         syn.nbytes for syn in catalog._entries.values()
     )
     assert catalog.resident_bytes == expected_bytes
+
+
+STORED = (
+    "SELECT SUM(l_extendedprice) AS v FROM lineitem "
+    "TABLESAMPLE (40 PERCENT) REPEATABLE (1)"
+)
+THIN = "FROM lineitem TABLESAMPLE (10 PERCENT) REPEATABLE (2)"
+#: Thin hits on STORED's synopsis, each over columns the miss never read.
+UNREAD_COLUMN_HITS = [
+    f"SELECT SUM(l_quantity) AS v {THIN}",
+    f"SELECT SUM(l_discount) AS v {THIN}",
+    f"SELECT SUM(l_tax) AS v, COUNT(*) AS n {THIN}",
+    f"SELECT AVG(l_quantity) AS v {THIN} WHERE l_shipdate > 1000",
+    f"SELECT SUM(l_quantity * l_discount) AS v {THIN}",
+    f"SELECT l_returnflag, SUM(l_tax) AS v {THIN} GROUP BY l_returnflag",
+]
+
+
+def _answer_bytes(result) -> dict:
+    out = {
+        alias: (
+            np.asarray(result.values[alias]).tobytes(),
+            np.asarray(est.variance_raw).tobytes(),
+        )
+        for alias, est in result.estimates.items()
+    }
+    for name, col in getattr(result, "keys", {}).items():
+        out[name] = col.tolist()
+    return out
+
+
+def test_concurrent_first_reads_of_a_stored_sample_agree():
+    """A stored sample's columns are gathered on first read, unlocked.
+
+    Threads that hit one freshly stored synopsis at the same moment —
+    two on every statement, so both over the same and over different
+    unread columns — must each get the single-threaded answer, and
+    leave one array per column behind.
+    """
+
+    def freshly_stored() -> Database:
+        db = tpch_database(scale=0.02, seed=3)
+        db.attach_catalog()
+        assert db.sql(STORED, seed=1).reuse is None
+        return db
+
+    single = freshly_stored()
+    expected = {q: _answer_bytes(single.sql(q, seed=1)) for q in UNREAD_COLUMN_HITS}
+    (read_alone,) = single.synopses._entries.values()
+    n_hits = len(UNREAD_COLUMN_HITS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        # The race is the first read, so every round stores afresh.
+        for _ in range(6):
+            db = freshly_stored()
+            (syn,) = db.synopses._entries.values()
+            barrier = threading.Barrier(N_THREADS)
+
+            def hit(tid: int):
+                barrier.wait(timeout=30)
+                out = []
+                for i in range(n_hits):
+                    statement = UNREAD_COLUMN_HITS[(tid // 2 + i) % n_hits]
+                    result = db.sql(statement, seed=1)
+                    assert result.reuse is not None
+                    assert result.reuse.entry_id == syn.entry_id
+                    out.append((statement, _answer_bytes(result)))
+                return out
+
+            with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
+                answers = list(pool.map(hit, range(N_THREADS), timeout=120))
+            assert len(answers) == N_THREADS
+            for thread_answers in answers:
+                assert len(thread_answers) == n_hits
+                for statement, got in thread_answers:
+                    assert got == expected[statement], statement
+            for name in ("l_quantity", "l_discount", "l_tax", "l_returnflag"):
+                kept = syn.sample.columns[name]
+                assert syn.sample.columns[name] is kept
+                assert np.array_equal(kept, read_alone.sample.columns[name])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_selftest_entrypoint_passes():
