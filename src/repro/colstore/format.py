@@ -22,10 +22,11 @@ validates every file's size against the footer.  A torn or truncated
 file therefore fails loud with :class:`~repro.errors.StorageError`
 instead of surfacing as silently-wrong numbers.
 
-String columns are dictionary-encoded (int32 codes on disk, the value
-list in the footer) and decoded to object arrays at load time — the one
-documented exception to zero-copy mapping, since variable-length
-Python strings cannot be memory-mapped directly.
+String columns are dictionary-encoded: int32 codes on disk, the value
+list (in first-seen row order) in the footer.  They load as they are
+stored — :func:`load_columnar` maps the codes and hands out ``(codes,
+values)``; the table layer decodes Python strings only for rows that
+are read as strings.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import kernels
 from repro.errors import SchemaError, StorageError
 from repro.obs.trace import get_tracer, maybe_span
 
@@ -118,10 +120,15 @@ class ColumnarWriter:
 
     def append(
         self,
-        columns: Mapping[str, np.ndarray],
+        columns: Mapping[str, "np.ndarray | tuple[np.ndarray, np.ndarray]"],
         lineage: Mapping[str, np.ndarray] | None = None,
     ) -> None:
-        """Write one block of rows (one stats entry per data column)."""
+        """Write one block of rows (one stats entry per data column).
+
+        A string column is given as an array of ``str``/``None`` or,
+        already dictionary-encoded, as a ``(codes, values)`` pair with
+        ``values[codes]`` the rows.
+        """
         if self._closed:
             raise StorageError("writer is closed")
         lineage = lineage or {}
@@ -135,8 +142,13 @@ class ColumnarWriter:
                 f"append lineage {sorted(lineage)} does not match writer "
                 f"lineage {sorted(c.name for c in self._lineage)}"
             )
-        arrays = {n: np.asarray(a) for n, a in columns.items()}
-        lengths = {a.shape[0] for a in arrays.values()}
+        blocks = {
+            n: c if type(c) is tuple else np.asarray(c)
+            for n, c in columns.items()
+        }
+        lengths = {
+            (b[0] if type(b) is tuple else b).shape[0] for b in blocks.values()
+        }
         for rel, ids in lineage.items():
             lengths.add(np.asarray(ids).shape[0])
         if len(lengths) > 1:
@@ -146,7 +158,7 @@ class ColumnarWriter:
             return
         start, stop = self.n_rows, self.n_rows + block_len
         for state in self._columns:
-            self._append_column(state, arrays[state.name], start, stop)
+            self._append_column(state, blocks[state.name], start, stop)
         for state in self._lineage:
             ids = np.ascontiguousarray(
                 np.asarray(lineage[state.name], dtype=np.int64)
@@ -156,43 +168,75 @@ class ColumnarWriter:
         self.n_rows = stop
 
     def _append_column(
-        self, state: _ColumnState, arr: np.ndarray, start: int, stop: int
+        self,
+        state: _ColumnState,
+        block: "np.ndarray | tuple[np.ndarray, np.ndarray]",
+        start: int,
+        stop: int,
     ) -> None:
+        encoded = type(block) is tuple
         if state.kind is None:
-            state.kind = "dict" if arr.dtype.kind in "OUS" else "raw"
+            strings = encoded or block.dtype.kind in "OUS"
+            state.kind = "dict" if strings else "raw"
             if state.kind == "raw":
-                if arr.dtype.kind not in _RAW_KINDS:
+                if block.dtype.kind not in _RAW_KINDS:
                     raise SchemaError(
                         f"column {state.name!r}: unsupported dtype "
-                        f"{arr.dtype!r} for columnar storage"
+                        f"{block.dtype!r} for columnar storage"
                     )
-                state.dtype = arr.dtype.newbyteorder("<")
+                state.dtype = block.dtype.newbyteorder("<")
         if state.kind == "dict":
-            block = self._encode_dict(state, arr)
+            if not encoded:
+                try:
+                    block = kernels.factorize(block)
+                except TypeError as exc:
+                    raise SchemaError(
+                        f"column {state.name!r}: dictionary-encoded "
+                        f"columns hold str/None ({exc})"
+                    ) from exc
+            out = self._encode_dict(state, *block)
         else:
-            if arr.dtype != state.dtype:
-                arr = arr.astype(state.dtype)
-            block = np.ascontiguousarray(arr)
-        state.handle.write(memoryview(block))
-        state.nbytes += block.nbytes
-        state.stats.append(self._block_stats(state, arr, start, stop))
+            if encoded:
+                block = block[1][block[0]]
+            if block.dtype != state.dtype:
+                block = block.astype(state.dtype)
+            out = np.ascontiguousarray(block)
+        state.handle.write(memoryview(out))
+        state.nbytes += out.nbytes
+        state.stats.append(self._block_stats(state, block, start, stop))
 
     @staticmethod
-    def _encode_dict(state: _ColumnState, arr: np.ndarray) -> np.ndarray:
-        codes = np.empty(arr.shape[0], dtype=_CODES_DTYPE)
-        mapping, values = state.mapping, state.values
-        for i, v in enumerate(arr.tolist()):
+    def _encode_dict(
+        state: _ColumnState, codes: np.ndarray, values: np.ndarray
+    ) -> np.ndarray:
+        """One block's file codes from its dictionary codes.
+
+        Only the block's distinct values are looked at: those new to
+        the file join its dictionary in first-seen row order (what a
+        row-by-row encoder assigns, so the bytes on disk do not depend
+        on how a block arrived), then one gather recodes the rows.
+        """
+        mapping = state.mapping
+        present = np.flatnonzero(
+            np.bincount(codes, minlength=len(values))
+        ).tolist()
+        new = [c for c in present if values[c] not in mapping]
+        if len(new) > 1:
+            first = np.full(len(values), codes.shape[0], dtype=np.int64)
+            np.minimum.at(first, codes, np.arange(codes.shape[0]))
+            new.sort(key=first.__getitem__)
+        for c in new:
+            v = values[c]
             if v is not None and not isinstance(v, str):
                 raise SchemaError(
                     f"column {state.name!r}: dictionary-encoded columns "
                     f"hold str/None, got {type(v).__name__}"
                 )
-            code = mapping.get(v, -1)
-            if code < 0:
-                code = mapping[v] = len(values)
-                values.append(v)
-            codes[i] = code
-        return codes
+            mapping[v] = len(state.values)
+            state.values.append(v)
+        recode = np.zeros(len(values), dtype=_CODES_DTYPE)
+        recode[present] = [mapping[values[c]] for c in present]
+        return recode[codes]
 
     @staticmethod
     def _block_stats(
@@ -280,7 +324,8 @@ class ColumnarData:
     path: Path
     name: str | None
     n_rows: int
-    columns: dict[str, np.ndarray]
+    #: A string column is ``(mapped int32 codes, object array of values)``.
+    columns: "dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]"
     lineage: dict[str, np.ndarray]
     block_stats: dict[str, list[tuple]]
 
@@ -335,7 +380,7 @@ def load_columnar(path: str | os.PathLike) -> ColumnarData:
             f"{FORMAT_VERSION}"
         )
     n_rows = int(footer["n_rows"])
-    columns: dict[str, np.ndarray] = {}
+    columns: dict = {}
     block_stats: dict[str, list[tuple]] = {}
     with maybe_span(
         get_tracer(),
@@ -360,15 +405,11 @@ def load_columnar(path: str | os.PathLike) -> ColumnarData:
                     tuple(block) for block in entry.get("stats", [])
                 ]
             elif kind == "dict":
-                codes = _mapped(file_path, dtype, n_rows)
                 values = np.empty(len(entry["values"]), dtype=object)
                 values[:] = entry["values"]
-                # Decoding materializes an object array: variable-length
-                # strings cannot be memory-mapped (documented exception).
                 columns[entry["name"]] = (
-                    values[np.asarray(codes)]
-                    if n_rows
-                    else np.empty(0, dtype=object)
+                    _mapped(file_path, dtype, n_rows),
+                    values,
                 )
             else:
                 raise StorageError(

@@ -46,6 +46,7 @@ from repro.errors import EstimationError
 
 __all__ = [
     "group_ids",
+    "group_keys",
     "group_firsts",
     "group_reduce",
     "group_reduce_multi",
@@ -73,28 +74,116 @@ __all__ = [
 ]
 
 
-def group_ids(columns: Sequence[np.ndarray], n_rows: int) -> tuple[np.ndarray, int]:
+def _ordered_codes(column) -> tuple[np.ndarray, np.ndarray]:
+    """A string key column as ``(codes, values)`` with ``values`` sorted.
+
+    A plain object/string array pays the per-row hashing pass of
+    :func:`repro.core.kernels.factorize`.  A dictionary-encoded column
+    — a ``(codes, values)`` pair as
+    :meth:`repro.relational.table.Columns.encoded` hands out, its
+    dictionary in any order — only has its distinct values ranked; the
+    row codes are remapped when the dictionary was not sorted already.
+    """
+    if type(column) is not tuple:
+        return kernels.factorize(column)
+    codes, values = column
+    rank, ordered = kernels.factorize(values)
+    if not np.array_equal(rank, np.arange(rank.shape[0])):
+        codes = rank[codes]
+    return codes, ordered
+
+
+def _group(
+    columns: Sequence, n_rows: int, with_keys: bool
+) -> tuple[np.ndarray, int, list[np.ndarray] | None]:
+    """Dense ids in sorted key order and, on request, each group's key.
+
+    Every column is first made something integers can stand for:
+    strings become dictionary codes (:func:`_ordered_codes`) and a
+    float column holding NaN splits into ``(value with NaN filled,
+    is-NaN)`` — the split :func:`repro.relational.executor.join_codes`
+    uses — so NaNs are one group, ordered last.  Keys whose packed
+    domain is small are ranked by counting, everything else by one
+    stable sort; both assign the same ids.
+    """
+    ranked: list[np.ndarray] = []
+    decode: list[tuple[int, np.ndarray | None, np.ndarray | None]] = []
+    for col in columns:
+        position = len(ranked)
+        if type(col) is tuple or np.asarray(col).dtype.kind in "OUS":
+            codes, values = _ordered_codes(col)
+            ranked.append(codes)
+            decode.append((position, values, None))
+            continue
+        col = np.asarray(col)
+        decode.append((position, None, col))
+        isnan = np.isnan(col) if col.dtype.kind == "f" else None
+        if isnan is not None and isnan.any():
+            ranked += [np.where(isnan, 0.0, col), isnan]
+        else:
+            ranked.append(col)
+    counted = kernels.count_ranks(ranked, n_rows)
+    if counted is not None:
+        # Counting takes integer columns only, so none was split and
+        # ``present`` lines up with ``columns``.
+        gids, present = counted
+        if not with_keys:
+            return gids, present[0].shape[0], None
+        return gids, present[0].shape[0], [
+            present[i] if values is None else values[present[i]]
+            for i, values, _ in decode
+        ]
+    order, boundary = kernels.sorted_boundaries(ranked, n_rows)
+    gids_sorted = np.cumsum(boundary) - 1
+    gids = np.empty(n_rows, dtype=np.int64)
+    gids[order] = gids_sorted
+    n_groups = int(gids_sorted[-1]) + 1
+    if not with_keys:
+        return gids, n_groups, None
+    firsts = order[boundary]
+    return gids, n_groups, [
+        col[firsts] if values is None else values[ranked[i][firsts]]
+        for i, values, col in decode
+    ]
+
+
+def group_ids(columns: Sequence, n_rows: int) -> tuple[np.ndarray, int]:
     """Assign a dense group id to each row, grouping by ``columns``.
 
     With no columns every row falls in one group (the ``S = ∅`` case).
-    Ids follow sorted key order (last column primary).  Object and
-    string columns become int64 codes first
-    (:func:`repro.core.kernels.factorize`), so the sort below runs on
-    packed integers whenever every other column is an integer too.
+    Ids follow sorted key order (last column primary; ``None`` before
+    every string, NaN after every number).  A column is an array or a
+    dictionary-encoded ``(codes, values)`` pair; object and string
+    arrays become codes first (:func:`repro.core.kernels.factorize`),
+    so the ranking runs on packed integers whenever every other column
+    is an integer too.
     """
     if n_rows == 0:
         return np.empty(0, dtype=np.int64), 0
     if not columns:
         return np.zeros(n_rows, dtype=np.int64), 1
-    columns = [
-        kernels.factorize(col) if np.asarray(col).dtype.kind in "OUS" else col
-        for col in columns
-    ]
-    order, boundary = kernels.sorted_boundaries(columns, n_rows)
-    gids_sorted = np.cumsum(boundary) - 1
-    gids = np.empty(n_rows, dtype=np.int64)
-    gids[order] = gids_sorted
-    return gids, int(gids_sorted[-1]) + 1
+    gids, n_groups, _ = _group(columns, n_rows, False)
+    return gids, n_groups
+
+
+def group_keys(
+    columns: Sequence, n_rows: int
+) -> tuple[list[np.ndarray], np.ndarray, int]:
+    """:func:`group_ids` plus the dictionary of distinct key tuples.
+
+    Returns ``(key_columns, gids, n_groups)``: ``key_columns[j][g]`` is
+    group ``g``'s value of column ``j`` (string columns as object
+    arrays, decoded from the dictionary — no row is read again).  Needs
+    at least one column.
+    """
+    if n_rows == 0:
+        empty = [
+            (col[1] if type(col) is tuple else np.asarray(col))[:0]
+            for col in columns
+        ]
+        return empty, np.empty(0, dtype=np.int64), 0
+    gids, n_groups, keys = _group(columns, n_rows, True)
+    return keys, gids, n_groups
 
 
 def group_firsts(
@@ -102,8 +191,9 @@ def group_firsts(
 ) -> np.ndarray:
     """Index of each group's first occurrence in row order.
 
-    Shared by every consumer that needs one representative row per
-    dense group id (group key values, display order): handles the
+    For consumers that need each group's *earliest* row (set union
+    keeps first occurrences); a group's key values come from
+    :func:`group_keys` without looking at rows.  Handles the
     empty-input case and keeps the ``np.minimum.at`` idiom in one
     place.
     """

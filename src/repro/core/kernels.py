@@ -7,8 +7,9 @@ one vectorized numpy routine — branch-free SplitMix64 over uint64
 arrays, radix-packed multi-key sort, ``np.bincount`` group sums — so
 the float addition order, and with it every estimate, variance and CI
 downstream, has a single definition.  String keys enter that integer
-world through one door, :func:`factorize`; a key column that is already
-sorted and distinct skips the sort altogether
+world through one door, :func:`factorize`; keys that pack into a small
+domain are ranked by counting (:func:`count_ranks`) and a key column
+that is already sorted and distinct skips the sort altogether
 (:func:`strictly_increasing`), with the same bits out.
 
 The per-row ``hashlib.blake2b`` reference implementation is kept for
@@ -30,6 +31,7 @@ __all__ = [
     "hash01_blake2b",
     "factorize",
     "pack_columns",
+    "count_ranks",
     "sorted_boundaries",
     "strictly_increasing",
     "group_sums",
@@ -93,41 +95,41 @@ def hash01_blake2b(seed: int, ids: np.ndarray) -> np.ndarray:
 # -- multi-key factorization ----------------------------------------------
 
 
-def factorize(column: np.ndarray) -> np.ndarray:
-    """Dense int64 codes for an object/string key column, in value order.
+def factorize(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dictionary-encode an object/string column: ``(codes, values)``.
 
-    ``codes[i]`` is the rank of ``column[i]`` among the column's sorted
-    distinct values, so the codes group and order rows exactly as a
-    comparison sort of the values would — but only the *distinct*
-    values are ever compared: one hashing pass finds them, they alone
-    are sorted, and a second pass looks every row's rank up.  This is
-    the one place string keys become integers; everything downstream
-    (:func:`pack_columns`, the radix sort) sees int64.
+    ``values`` holds the column's distinct values in sorted order
+    (``None``, SQL's NULL, first) and ``codes[i]`` is the int32 rank of
+    ``column[i]`` among them, so ``values[codes]`` is the column and the
+    codes group and order rows exactly as a comparison sort of the
+    values would — but only the *distinct* values are ever compared: one
+    hashing pass finds them, they alone are sorted, and a second pass
+    looks every row's rank up.  This is the one place string keys become
+    integers; everything downstream (:func:`pack_columns`, the radix
+    sort, :func:`count_ranks`) sees integers.
 
-    Unhashable values, and distinct values that do not order against
-    each other (``str`` vs ``None``), raise ``TypeError``.
+    Unhashable values, and distinct non-``None`` values that do not
+    order against each other (``str`` vs ``int``), raise ``TypeError``.
     """
-    values = np.asarray(column).tolist()
-    distinct = sorted(set(values))
-    rank = dict(zip(distinct, range(len(distinct))))
-    return np.fromiter(
-        map(rank.__getitem__, values), dtype=np.int64, count=len(values)
+    rows = np.asarray(column).tolist()
+    distinct = set(rows)
+    nulls = [None] if None in distinct else []
+    distinct.discard(None)
+    ordered = nulls + sorted(distinct)
+    rank = dict(zip(ordered, range(len(ordered))))
+    codes = np.fromiter(
+        map(rank.__getitem__, rows), dtype=np.int32, count=len(rows)
     )
+    values = np.empty(len(ordered), dtype=object)
+    values[:] = ordered
+    return codes, values
 
 
-def pack_columns(
-    columns: Sequence[np.ndarray], n_rows: int
-) -> np.ndarray | None:
-    """Pack integer key columns into one int64 key, order-preserving.
-
-    The fused multi-key factorization kernel: the packed key reproduces
-    ``np.lexsort``'s ordering exactly (last column primary, so it
-    occupies the most significant bits); sorting one int64 array uses
-    numpy's radix path and is several times faster than a multi-column
-    lexsort.  Returns ``None`` when a column is non-integer or the
-    combined value ranges exceed 63 bits — callers fall back to
-    lexsort.
-    """
+def _key_parts(
+    columns: Sequence[np.ndarray],
+) -> tuple[list[tuple[np.ndarray, int, int]], int] | None:
+    """``(column, minimum, bits)`` per integer key column and the total
+    bits, or ``None`` when a column is non-integer or 63 bits overflow."""
     parts: list[tuple[np.ndarray, int, int]] = []
     total_bits = 0
     for col in columns:
@@ -135,12 +137,15 @@ def pack_columns(
         if not np.issubdtype(col.dtype, np.integer):
             return None
         lo = int(col.min())
-        hi = int(col.max())
-        bits = (hi - lo).bit_length()
+        bits = (int(col.max()) - lo).bit_length()
         parts.append((col, lo, bits))
         total_bits += bits
         if total_bits > 63:
             return None
+    return parts, total_bits
+
+
+def _pack(parts: list[tuple[np.ndarray, int, int]], n_rows: int) -> np.ndarray:
     packed = np.zeros(n_rows, dtype=np.int64)
     shift = 0
     for col, lo, bits in parts:
@@ -160,6 +165,67 @@ def pack_columns(
     return packed
 
 
+def pack_columns(
+    columns: Sequence[np.ndarray], n_rows: int
+) -> np.ndarray | None:
+    """Pack integer key columns into one int64 key, order-preserving.
+
+    The fused multi-key factorization kernel: the packed key reproduces
+    ``np.lexsort``'s ordering exactly (last column primary, so it
+    occupies the most significant bits); sorting one int64 array uses
+    numpy's radix path and is several times faster than a multi-column
+    lexsort.  Returns ``None`` when a column is non-integer or the
+    combined value ranges exceed 63 bits — callers fall back to
+    lexsort.
+    """
+    keyed = _key_parts(columns)
+    return None if keyed is None else _pack(keyed[0], n_rows)
+
+
+#: Packed key domains up to this size are ranked by counting whatever
+#: the row count (a histogram this small costs less than any sort).
+_SMALL_DOMAIN = 1 << 10
+
+
+def count_ranks(
+    columns: Sequence[np.ndarray], n_rows: int
+) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """Dense group ids in key order by counting instead of sorting.
+
+    For integer key columns whose packed domain is no larger than the
+    row count (dictionary codes of a GROUP BY are a handful of values):
+    one histogram over the packed key marks the key tuples present,
+    their running count is each tuple's rank, and one gather ranks
+    every row — the ids a stable sort of the rows would assign
+    (:func:`sorted_boundaries`), in O(rows + domain).  Returns ``(ids,
+    key columns)``, the key columns holding each present tuple once in
+    rank order, or ``None`` when the columns do not pack that small.
+    """
+    keyed = _key_parts(columns)
+    if keyed is None:
+        return None
+    parts, total_bits = keyed
+    domain = 1 << total_bits
+    if domain > max(n_rows, _SMALL_DOMAIN):
+        return None
+    packed = _pack(parts, n_rows)
+    present = np.flatnonzero(np.bincount(packed, minlength=domain))
+    rank = np.zeros(domain, dtype=np.int64)
+    rank[present] = np.arange(present.shape[0])
+    keys = []
+    shift = 0
+    for col, lo, bits in parts:
+        offset = (present >> shift) & ((1 << bits) - 1)
+        shift += bits
+        with np.errstate(over="ignore"):
+            keys.append(
+                (offset.astype(np.uint64) + np.uint64(lo % (1 << 64))).astype(
+                    col.dtype
+                )
+            )
+    return rank[packed], keys
+
+
 def sorted_boundaries(
     columns: Sequence[np.ndarray], n_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,8 +236,8 @@ def sorted_boundaries(
     The single sort here is the workhorse behind both ``group_ids``
     and ``group_reduce``; integer keys take the packed single-array
     radix path, everything else the general lexsort (``group_ids``
-    hands string columns over as :func:`factorize` codes, so they take
-    the first).
+    hands string columns over as dictionary codes, so they take the
+    first).
     """
     packed = pack_columns(columns, n_rows)
     if packed is not None:

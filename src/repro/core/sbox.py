@@ -280,6 +280,13 @@ def _eval_vectors(recipes: list[tuple], table: Table) -> list[np.ndarray]:
     return out
 
 
+def _key_column(chunk: Table, name: str):
+    """A GROUP BY column of a chunk: strings as ``(codes, values)``
+    dictionary codes (no Python string is touched), the rest as arrays."""
+    pair = chunk.columns.encoded(name) if name in chunk.columns else None
+    return pair or chunk.column(name)  # a missing name raises SchemaError
+
+
 class _ChunkFold:
     """Picklable per-chunk fold: chunk → (moment contribution, sample?).
 
@@ -306,7 +313,7 @@ class _ChunkFold:
                 self.lattice, len(self.keys), len(self.recipes)
             )
             contrib.update(
-                fs, chunk.lineage, [chunk.column(k) for k in self.keys]
+                fs, chunk.lineage, [_key_column(chunk, k) for k in self.keys]
             )
         else:
             contrib = MomentSketchBundle(self.lattice, len(self.recipes))
@@ -437,10 +444,13 @@ class SBox:
         replicated across chunks by join fanout merge partial sums, so
         only there can a different chunking move the last float ulp.
         A GROUP BY plan folds each chunk into a
-        :class:`~repro.stream.sketch.GroupedMomentBundle`: the chunk's
-        key columns are factorized to int64 codes once, and the merges
-        union small dictionaries of distinct key tuples and re-reduce
-        on packed integers.
+        :class:`~repro.stream.sketch.GroupedMomentBundle`: string keys
+        arrive as the dictionary codes their base column carries
+        (:meth:`~repro.relational.table.Columns.encoded`), group ids
+        come from counting those codes, and the merges union small
+        dictionaries of distinct key tuples; while the lineage key is
+        one increasing column (one sampled relation, scan order)
+        neither the fold nor a merge sorts.
 
         With a synopsis catalog attached, a sampled plan inside the
         reuse algebra goes through :meth:`_run_via_store` instead: a
@@ -801,8 +811,8 @@ class SBox:
         """Per-group estimates from an already-executed sample.
 
         :meth:`estimate_from_sample` under its GROUP BY name: the
-        sample's key columns are factorized once and the rows fold, as
-        one chunk, into the
+        sample's key columns are read as dictionary codes and the rows
+        fold, as one chunk, into the
         :class:`~repro.stream.sketch.GroupedMomentBundle` that
         :meth:`run` merges; HAVING filters the estimated output.
         """

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.estimator import group_firsts, group_ids
+from repro.core.estimator import group_keys
 from repro.errors import ExecutionError
 from repro.relational.expressions import Expr
 from repro.relational.plan import AggSpec
@@ -63,18 +63,16 @@ def evaluate_group_aggregates(
 ) -> Table:
     """Evaluate grouped aggregates exactly (the ground-truth path).
 
-    One :func:`~repro.core.estimator.group_ids` pass assigns dense
+    One :func:`~repro.core.estimator.group_keys` pass assigns dense
     group ids; every aggregate is then a ``bincount`` over them.  The
     output carries one row per group — key columns first (one
     representative value each), aggregate columns after — filtered by
     ``having`` over that output schema.
     """
-    key_cols = [table.column(k) for k in keys]
-    gids, n_groups = group_ids(key_cols, table.n_rows)
-    first = group_firsts(gids, n_groups, table.n_rows)
-    outputs: dict[str, np.ndarray] = {
-        k: col[first] for k, col in zip(keys, key_cols)
-    }
+    distinct, gids, n_groups = group_keys(
+        [table.column(k) for k in keys], table.n_rows
+    )
+    outputs: dict[str, np.ndarray] = dict(zip(keys, distinct))
     counts = np.bincount(gids, minlength=n_groups)
     for spec in specs:
         if spec.kind == "count":

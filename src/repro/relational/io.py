@@ -122,7 +122,15 @@ def write_columnar(
     ) as writer:
         for start in range(0, max(table.n_rows, 1), block_rows):
             chunk = table.slice(start, start + block_rows)
-            writer.append(chunk.columns, chunk.lineage)
+            # Strings go as dictionary codes: encoded once per base
+            # column (or mapped already), never re-hashed per block.
+            writer.append(
+                {
+                    n: chunk.columns.encoded(n) or chunk.columns[n]
+                    for n in chunk.columns
+                },
+                chunk.lineage,
+            )
     return pathlib.Path(path)
 
 

@@ -77,7 +77,7 @@ from repro.relational.partition import (
     chunk_bounds,
     required_alignment,
 )
-from repro.relational.table import Table
+from repro.relational.table import Table, concat_column
 from repro.sampling.base import Draw
 
 __all__ = ["ChunkedExecutor", "concat_tables"]
@@ -90,10 +90,8 @@ def concat_tables(chunks: list[Table]) -> Table:
     if len(chunks) == 1:
         return chunks[0]
     first = chunks[0]
-    columns = {
-        name: np.concatenate([c.columns[name] for c in chunks])
-        for name in first.columns
-    }
+    parts = [c.columns for c in chunks]
+    columns = {name: concat_column(parts, name) for name in first.columns}
     lineage = {
         rel: np.concatenate([c.lineage[rel] for c in chunks])
         for rel in first.lineage
@@ -241,10 +239,9 @@ class _ScanFn:
         # Slice with an explicit row count: a fully pruned scan
         # (COUNT(*) reads no data columns) still carries its rows.
         start, stop = bound
-        cols = self.table.columns
         chunk = Table._share(
             self.table.name,
-            {n: cols[n][start:stop] for n in self.keep},
+            self.table.columns.rows(slice(start, stop), self.keep),
             {},
             self.schema,
             stop - start,

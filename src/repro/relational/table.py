@@ -10,6 +10,12 @@ a join's matched pairs) gathers the lineage at once — every consumer
 reads it — and leaves each data column as a *pending* gather in
 :class:`Columns` that runs the first time the column is read.  An
 estimate that reads one column of a sample copies one column.
+
+A string column has a second form that is cheaper still: dictionary +
+integer codes (:class:`Encoded`).  It is what the colstore keeps on
+disk and what a GROUP BY consumes; the array of Python strings is
+decoded from it — or the codes are computed from the strings — the
+first time somebody asks for the form that is not there.
 """
 
 from __future__ import annotations
@@ -19,18 +25,27 @@ from typing import Any
 
 import numpy as np
 
+from repro.core import kernels
 from repro.errors import SchemaError
 from repro.relational.schema import Column, ColumnType, Schema
 
+_OBJECT = np.dtype(object)
 
-def _as_column_array(values: Any) -> np.ndarray:
-    """Coerce input values to a 1-D storage array."""
+
+def _as_column_array(values: Any) -> "np.ndarray | Encoded":
+    """Coerce input values to a 1-D storage column.
+
+    Strings are held as :class:`Encoded`, so every table derived from
+    this one shares whichever of the two forms has been computed.
+    """
+    if type(values) is Encoded:
+        return values
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise SchemaError(f"columns must be 1-D, got shape {arr.shape}")
     if arr.dtype.kind in "US":
         arr = arr.astype(object)
-    return arr
+    return Encoded(arr) if arr.dtype == _OBJECT else arr
 
 
 def _gather(source: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -38,23 +53,127 @@ def _gather(source: np.ndarray, index: np.ndarray) -> np.ndarray:
     return source[index]
 
 
+def _rows_of(source: np.ndarray, rows: "np.ndarray | slice") -> np.ndarray:
+    """A view for a ``slice``, a (counted) gather for an index array."""
+    return source[rows] if isinstance(rows, slice) else _gather(source, rows)
+
+
+class Encoded:
+    """A string column in two forms: object array, dictionary + codes.
+
+    ``array()`` is the column as an object array of Python values and
+    ``pair()`` is ``(int32 codes, values)`` with ``values[codes]`` equal
+    to the array (``values`` distinct, in no promised order).  A column
+    built from strings has the array and computes the pair with one
+    :func:`repro.core.kernels.factorize` pass when first asked; a column
+    attached from the colstore has the pair (codes memory-mapped) and
+    decodes the array when first asked.  Either way the other form is
+    computed once and kept, and the column's content never changes.
+
+    ``rows(key)`` selects rows without computing anything: the selection
+    refers to this column and takes its rows from whichever form is
+    asked of it, so the base column's encoding is computed at most once
+    however many chunks, samples and snapshots derive from it, and a
+    selection of a memory-mapped column never decodes rows outside
+    itself.  Unlocked like :class:`Columns`: racing readers compute
+    equal contents and one assignment wins.
+    """
+
+    __slots__ = ("_parent", "_rows", "_array", "_pair")
+
+    dtype = _OBJECT
+
+    def __init__(
+        self,
+        array: np.ndarray | None = None,
+        pair: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        self._parent: Encoded | None = None
+        self._rows: np.ndarray | slice | None = None
+        self._array = array
+        self._pair = pair
+
+    def rows(self, key: "np.ndarray | slice") -> "Encoded":
+        """This column restricted to rows ``key`` (index array or slice)."""
+        selected = Encoded()
+        selected._parent = self
+        selected._rows = key
+        return selected
+
+    @property
+    def shape(self) -> tuple[int]:
+        if self._array is not None:
+            return self._array.shape
+        if self._pair is not None:
+            return self._pair[0].shape
+        if isinstance(self._rows, slice):
+            return (len(range(*self._rows.indices(self._parent.shape[0]))),)
+        return self._rows.shape
+
+    def _has_array(self) -> bool:
+        """Whether the object array exists somewhere up the chain."""
+        return self._array is not None or (
+            self._parent is not None and self._parent._has_array()
+        )
+
+    def _has_pair(self) -> bool:
+        """Whether the codes exist somewhere up the chain."""
+        return self._pair is not None or (
+            self._parent is not None and self._parent._has_pair()
+        )
+
+    def array(self) -> np.ndarray:
+        """The column as an object array (computed once, then kept)."""
+        arr = self._array
+        if arr is None:
+            if self._parent is not None and self._parent._has_array():
+                arr = _rows_of(self._parent.array(), self._rows)
+            else:  # decode these rows only
+                codes, values = self.pair()
+                arr = values[codes]
+            self._array = arr
+        return arr
+
+    def pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes, values)`` (computed once, then kept)."""
+        pair = self._pair
+        if pair is None:
+            if self._parent is None:
+                pair = kernels.factorize(self._array)
+            else:
+                codes, values = self._parent.pair()
+                pair = (_rows_of(codes, self._rows), values)
+            self._pair = pair
+        return pair
+
+    def __reduce__(self):
+        # Ships this column's own rows in the form it has.
+        if self._has_array():
+            return (Encoded, (self.array(),))
+        codes, values = self.pair()
+        return (Encoded, (None, (np.asarray(codes), values)))
+
+
 class Columns(Mapping):
     """Read-only ``name -> array`` mapping; row gathers run on first read.
 
-    A slot holds either an array or a pending gather ``(source array,
-    index array)``.  Reading a name runs ``source[index]`` once and
-    keeps the result, so every later read returns the same object.
+    A slot holds an array, an :class:`Encoded` string column, or a
+    pending gather ``(source, index array)`` whose source is either of
+    the two.  Reading a name runs ``source[index]`` once and keeps the
+    result, so every later read returns the same object; an encoded
+    column reads as its object array, the same object from every table
+    that shares the column.
 
     Known without reading: names and their order, ``len``, ``in``,
     iteration and :meth:`dtype`.  ``items()``, ``values()``,
     ``dict(columns)`` and ``**columns`` read every column.
 
-    A pending slot is never chained: its source is always a real array
-    and :meth:`rows` composes index arrays instead, so a read is exactly
-    one gather, copying the very elements a chain of eager gathers would
-    have copied.  The set of names never changes after construction
-    (a read replaces a slot's value, never a key), so iterating while
-    another thread reads is safe.
+    A pending slot is never chained: its source is always a column that
+    exists and :meth:`rows` composes index arrays instead, so a read is
+    exactly one gather, copying the very elements a chain of eager
+    gathers would have copied.  The set of names never changes after
+    construction (a read replaces a slot's value, never a key), so
+    iterating while another thread reads is safe.
     """
 
     __slots__ = ("_slots",)
@@ -62,13 +181,43 @@ class Columns(Mapping):
     def __init__(self, slots: dict[str, Any]) -> None:
         self._slots = slots
 
-    def __getitem__(self, name: str) -> np.ndarray:
+    def _column(self, name: str) -> "np.ndarray | Encoded":
+        """The slot with its pending gather, if any, resolved and kept.
+
+        A gather from an encoded source is itself encoded — a selection
+        that copies rows only in the form somebody asks of it.
+        """
         slot = self._slots[name]
         if type(slot) is tuple:
             # Unlocked on purpose: two threads reading the same pending
             # slot both gather and one assignment wins — equal contents.
-            slot = self._slots[name] = _gather(*slot)
+            source, index = slot
+            slot = self._slots[name] = (
+                source.rows(index)
+                if type(source) is Encoded
+                else _gather(source, index)
+            )
         return slot
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        slot = self._column(name)
+        return slot.array() if type(slot) is Encoded else slot
+
+    def encoded(self, name: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """A string column as ``(codes, values)``; ``None`` for any other.
+
+        ``values[codes]`` is the column this table reads; the codes are
+        restricted to this table's rows and no Python string is touched
+        unless the column was built from strings and nobody encoded it
+        before (one hashing pass, shared with every table derived from
+        the same column).
+        """
+        slot = self._column(name)
+        if type(slot) is not Encoded:
+            if slot.dtype != _OBJECT:
+                return None
+            slot = self._slots[name] = Encoded(slot)
+        return slot.pair()
 
     def __iter__(self):
         return iter(self._slots)
@@ -87,31 +236,59 @@ class Columns(Mapping):
         slot = self._slots[name]
         return (slot[0] if type(slot) is tuple else slot).dtype
 
-    def rows(self, key: "np.ndarray | slice") -> "Columns":
-        """The same columns restricted to rows ``key``, nothing read.
+    def rows(
+        self, key: "np.ndarray | slice", names: Iterable[str] | None = None
+    ) -> "Columns":
+        """The columns (all, or ``names``) restricted to rows ``key``.
 
-        An index array defers the gather; a ``slice`` takes views.
-        Either way a pending slot keeps its source and gets the
-        composed index ``index[key]`` — computed once per distinct
-        parent index and shared by every column that carries it.
+        Nothing is read.  An index array defers the gather; a ``slice``
+        takes views.  Either way a pending slot keeps its source and
+        gets the composed index ``index[key]`` — computed once per
+        distinct parent index and shared by every column that carries
+        it.
         """
         defer = not isinstance(key, slice)
         composed: dict[int, np.ndarray] = {}
         slots: dict[str, Any] = {}
-        for name, slot in self._slots.items():
+        for name in self._slots if names is None else names:
+            slot = self._slots[name]
             if type(slot) is tuple:
                 source, parent = slot
                 index = composed.get(id(parent))
                 if index is None:
                     index = composed[id(parent)] = parent[key]
                 slots[name] = (source, index)
+            elif defer:
+                slots[name] = (slot, key)
             else:
-                slots[name] = (slot, key) if defer else slot[key]
+                slots[name] = (
+                    slot.rows(key) if type(slot) is Encoded else slot[key]
+                )
         return Columns(slots)
 
     def __or__(self, other: "Columns") -> "Columns":
         """Both sides' columns (``other`` wins a shared name), nothing read."""
         return Columns({**self._slots, **other._slots})
+
+
+def concat_column(parts: "Sequence[Columns]", name: str) -> "np.ndarray | Encoded":
+    """Column ``name`` of several row sets, stacked (read in every part).
+
+    String parts that already have codes over one shared dictionary —
+    chunks of one base column — stack as codes; anything else stacks as
+    arrays.
+    """
+    slots = [part._column(name) for part in parts]
+    if all(type(slot) is Encoded and slot._has_pair() for slot in slots):
+        pairs = [slot.pair() for slot in slots]
+        values = pairs[0][1]
+        if all(pair[1] is values for pair in pairs):
+            return Encoded(
+                pair=(np.concatenate([pair[0] for pair in pairs]), values)
+            )
+    return np.concatenate(
+        [slot.array() if type(slot) is Encoded else slot for slot in slots]
+    )
 
 
 class Table:
@@ -122,7 +299,8 @@ class Table:
     id arrays of the same length.  All transformation methods return
     new tables.
 
-    A table built from arrays holds plain arrays.  :meth:`take`,
+    A table built from arrays holds plain arrays (a string column as
+    an :class:`Encoded` around its object array).  :meth:`take`,
     :meth:`filter`, :meth:`slice` of a gathered table and a join's
     output hold *pending* columns — lineage is gathered on the spot,
     a data column when it is first read; names, order, dtypes,
@@ -248,8 +426,9 @@ class Table:
         """Open a persisted columnar table as zero-copy memory maps.
 
         Data and lineage columns are ``np.memmap`` views over the files
-        on disk (dictionary-encoded string columns decode to object
-        arrays — the documented exception), so slicing chunks out of the
+        on disk — a string column is its memory-mapped codes plus the
+        footer's dictionary (:class:`Encoded`), decoded only for the
+        rows somebody reads as strings — so slicing chunks out of the
         table never copies and the OS pages data in on demand.
         """
         from repro.colstore.format import load_columnar
@@ -257,7 +436,10 @@ class Table:
         data = load_columnar(path)
         table = cls(
             name if name is not None else data.name,
-            data.columns,
+            {
+                n: Encoded(pair=c) if type(c) is tuple else c
+                for n, c in data.columns.items()
+            },
             data.lineage,
         )
         table._mmap_path = str(data.path)
@@ -272,14 +454,9 @@ class Table:
         back through :meth:`from_mmap`, so the in-RAM copy can be
         dropped.
         """
-        from repro.colstore.format import ColumnarWriter
+        from repro.relational.io import write_columnar
 
-        with ColumnarWriter(
-            path, self.name, list(self.columns), list(self.lineage)
-        ) as writer:
-            for start in range(0, max(self.n_rows, 1), block_rows):
-                chunk = self.slice(start, start + block_rows)
-                writer.append(chunk.columns, chunk.lineage)
+        write_columnar(self, path, block_rows=block_rows)
         return Table.from_mmap(path, self.name)
 
     @property
@@ -320,6 +497,17 @@ class Table:
         except KeyError:
             raise SchemaError(
                 f"no column {name!r}; available: {list(self.columns)}"
+            ) from None
+
+    def _stored(self, names: Iterable[str]) -> dict[str, Any]:
+        """Columns as held (gathers run, strings in whichever form they
+        have): what a new table over the same data is built from."""
+        try:
+            return {n: self.columns._column(n) for n in names}
+        except KeyError as missing:
+            raise SchemaError(
+                f"no column {missing.args[0]!r}; "
+                f"available: {list(self.columns)}"
             ) from None
 
     def to_rows(self) -> list[tuple[Any, ...]]:
@@ -420,11 +608,7 @@ class Table:
         names = list(names)
         if names == list(self.columns):
             return self
-        return Table(
-            self.name,
-            {n: self.column(n) for n in names},
-            self.lineage,
-        )
+        return Table(self.name, self._stored(names), self.lineage)
 
     def rename(self, name: str | None) -> "Table":
         if name == self.name:
@@ -468,14 +652,14 @@ class Table:
         """Copy-on-write column update: replace/add only ``updates``.
 
         Columns not named in ``updates`` stay the *same arrays* as this
-        table's (zero-copy sharing), which is what makes
-        snapshot-then-mutate cheap: after
+        table's (zero-copy sharing; a string column keeps its encoding
+        too), which is what makes snapshot-then-mutate cheap: after
         ``db.update_table(t, old.with_columns({...}))`` the snapshot and
         the live table share every untouched column.  Row positions are
         unchanged, so lineage (the coordinated-sampling key) carries
         over; new columns must match the row count.
         """
-        merged = dict(self.columns)
+        merged = self._stored(self.columns)
         for col_name, values in updates.items():
             arr = _as_column_array(values)
             if arr.shape != (self.n_rows,):

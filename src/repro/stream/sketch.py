@@ -35,9 +35,9 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.estimator import (
-    group_firsts,
-    group_ids,
+    group_keys,
     group_reduce,
     group_reduce_multi,
     grouped_y_terms_from_groups,
@@ -374,10 +374,7 @@ class GroupedMomentSketch:
         group column holding each distinct key once (sorted), the dense
         group id of every state entry, and the group count.
         """
-        n_entries = self.n_entries
-        owner, n_groups = group_ids(self._group_cols, n_entries)
-        first = group_firsts(owner, n_groups, n_entries)
-        return [c[first] for c in self._group_cols], owner, n_groups
+        return group_keys(self._group_cols, self.n_entries)
 
     def moments(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
         """Per-group plug-in moments for every group seen so far.
@@ -386,13 +383,13 @@ class GroupedMomentSketch:
         key columns, the ``(n_groups, lattice.size)`` moment matrix,
         and each group's running ``Σ f`` and row count.
         """
-        group_keys, owner, n_groups = self.groups()
+        key_columns, owner, n_groups = self.groups()
         y = grouped_y_terms_from_groups(
             self._sums, self._keys, owner, n_groups, self.lattice
         )
         totals = np.bincount(owner, weights=self._sums, minlength=n_groups)
         counts = np.bincount(owner, weights=self._counts, minlength=n_groups)
-        return group_keys, y, totals, counts
+        return key_columns, y, totals, counts
 
 
 class MomentSketchBundle:
@@ -543,12 +540,24 @@ class GroupedMomentBundle:
       holding every vector's ``Σ f_j`` plus a row count.
 
     ``update`` turns a batch's keys into codes once
-    (:func:`~repro.core.estimator.group_ids`, one hashing pass per
-    string column); ``merge`` unions the two dictionaries — sorting
-    distinct tuples only — remaps both sides' codes with a take and
-    re-reduces on packed integers.  No step after the per-batch
-    factorization compares a group-key value again, and
-    ``groups()``/``moments()`` read the codes as they are.
+    (:func:`~repro.core.estimator.group_keys`: a dictionary-encoded
+    string column is ranked by counting its codes, a plain one pays one
+    hashing pass); ``merge`` unions the two dictionaries — ranking
+    distinct tuples only — and remaps both sides' codes with a take.
+    No step after the per-batch factorization compares a group-key
+    value again, and ``groups()``/``moments()`` read the codes as they
+    are.
+
+    State rows need no particular order — ``moments()`` adds each
+    group's rows up in state order, and all that fixes its bits is
+    that one group's rows come in lineage-key order.  When the lineage
+    key is one strictly increasing column (a tuple-level sample of one
+    relation in scan order, chunk after chunk) every row is its own
+    state row already, so ``update`` keeps the batch as it is and
+    ``merge`` concatenates: neither sorts.  Anything else — a join
+    replicating ids, descending or repeated ids, several lineage
+    columns — compacts by a stable sort on *(group code, lineage
+    key)*, with the same moments bit for bit.
     """
 
     __slots__ = (
@@ -600,40 +609,35 @@ class GroupedMomentBundle:
 
     def _absorb(
         self,
-        group_keys: Sequence[np.ndarray],
+        dictionary: Sequence[np.ndarray],
         codes: np.ndarray,
         keys: Sequence[np.ndarray],
         sums: Sequence[np.ndarray],
         counts: np.ndarray,
         n_rows: int,
     ) -> None:
-        """Fold compacted state in: ``codes`` index ``group_keys``."""
+        """Fold compacted state in: ``codes`` index ``dictionary``."""
         self._n_rows += int(n_rows)
         if counts.size == 0:
             return
         if self._counts.size == 0:
-            self._group_keys = list(group_keys)
+            self._group_keys = list(dictionary)
             self._codes = codes
             self._keys = list(keys)
             self._sums = list(sums)
             self._counts = counts
             return
         # Union of the two dictionaries: the only place group-key values
-        # are compared, over distinct tuples.  Entries are concatenated
-        # mine-then-theirs and reduced by a stable sort, which fixes the
-        # float addition order whatever the number of chunks.
+        # are compared, over distinct tuples.
         n_mine = self._group_keys[0].shape[0]
         both = [
             np.concatenate([mine, theirs])
-            for mine, theirs in zip(self._group_keys, group_keys)
+            for mine, theirs in zip(self._group_keys, dictionary)
         ]
-        n_both = both[0].shape[0]
-        union, n_union = group_ids(both, n_both)
-        first = group_firsts(union, n_union, n_both)
-        merged_codes = np.concatenate(
-            [union[:n_mine][self._codes], union[n_mine:][codes]]
-        )
-        merged_keys = [
+        self._group_keys, union, _ = group_keys(both, both[0].shape[0])
+        merged = [
+            np.concatenate([union[:n_mine][self._codes], union[n_mine:][codes]])
+        ] + [
             np.concatenate([mine, theirs])
             for mine, theirs in zip(self._keys, keys)
         ]
@@ -641,22 +645,27 @@ class GroupedMomentBundle:
             np.concatenate([mine, theirs])
             for mine, theirs in zip(self._sums, sums)
         ] + [np.concatenate([self._counts, counts])]
-        reduced_keys, reduced = group_reduce_multi(
-            [merged_codes] + merged_keys, weights
-        )
-        self._group_keys = [col[first] for col in both]
-        self._codes = reduced_keys[0]
-        self._keys = reduced_keys[1:]
-        self._sums = reduced[: self.n_vectors]
-        self._counts = reduced[self.n_vectors]
+        if not (len(keys) == 1 and kernels.strictly_increasing(merged[1])):
+            # Entries are concatenated mine-then-theirs and reduced by a
+            # stable sort, which fixes the float addition order whatever
+            # the number of chunks.
+            merged, weights = group_reduce_multi(merged, weights)
+        self._codes = merged[0]
+        self._keys = merged[1:]
+        self._sums = weights[: self.n_vectors]
+        self._counts = weights[self.n_vectors]
 
     def update(
         self,
         fs: Sequence[np.ndarray],
         lineage: Mapping[str, np.ndarray],
-        group_cols: Sequence[np.ndarray],
+        group_cols: Sequence,
     ) -> "GroupedMomentBundle":
-        """Absorb one batch; ``group_cols[i][r]`` keys row ``r``."""
+        """Absorb one batch; ``group_cols[i][r]`` keys row ``r``.
+
+        A group column is an array or, for strings, a dictionary-encoded
+        ``(codes, values)`` pair with ``values[codes]`` the rows.
+        """
         if len(fs) != self.n_vectors:
             raise EstimationError(
                 f"expected {self.n_vectors} weight vectors, got {len(fs)}"
@@ -673,23 +682,27 @@ class GroupedMomentBundle:
         missing = [d for d in self.lattice.dims if d not in lineage]
         if missing:
             raise EstimationError(f"lineage columns missing for {missing}")
-        group_cols = [np.asarray(c) for c in group_cols]
-        gids, n_groups = group_ids(group_cols, n)
-        first = group_firsts(gids, n_groups, n)
-        keys, reduced = group_reduce_multi(
-            [gids]
-            + [
-                np.asarray(lineage[d], dtype=np.int64)
-                for d in self.lattice.dims
-            ],
-            list(fs) + [np.ones(n, dtype=np.float64)],
-        )
+        dictionary, gids, _ = group_keys(group_cols, n)
+        keys = [
+            np.asarray(lineage[d], dtype=np.int64) for d in self.lattice.dims
+        ]
+        ones = np.ones(n, dtype=np.float64)
+        if len(keys) == 1 and kernels.strictly_increasing(keys[0]):
+            # ``f + 0.0`` is what ``np.bincount`` yields for a one-row
+            # entry bit for bit (``-0.0`` becomes ``+0.0`` on both routes).
+            codes, sums, counts = gids, [f + 0.0 for f in fs], ones
+        else:
+            reduced_keys, reduced = group_reduce_multi(
+                [gids] + keys, fs + [ones]
+            )
+            codes, keys = reduced_keys[0], reduced_keys[1:]
+            sums, counts = reduced[:-1], reduced[-1]
         self._absorb(
-            [_coerce_group_column(col[first]) for col in group_cols],
-            keys[0],
-            keys[1:],
-            reduced[:-1],
-            reduced[-1],
+            [_coerce_group_column(col) for col in dictionary],
+            codes,
+            keys,
+            sums,
+            counts,
             n,
         )
         return self
@@ -740,7 +753,7 @@ class GroupedMomentBundle:
         one per-group total vector per weight vector, and the per-group
         sample row counts.
         """
-        group_keys, owner, n_groups = self.groups()
+        key_columns, owner, n_groups = self.groups()
         ys = grouped_y_terms_multi(
             self._sums, self._keys, owner, n_groups, self.lattice
         )
@@ -751,7 +764,7 @@ class GroupedMomentBundle:
         counts = np.bincount(
             owner, weights=self._counts, minlength=n_groups
         )
-        return group_keys, ys, totals, counts
+        return key_columns, ys, totals, counts
 
     def __repr__(self) -> str:
         return (

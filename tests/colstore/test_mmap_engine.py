@@ -218,3 +218,84 @@ def test_database_attach_registers_mmap(tmp_path) -> None:
     attached = db.attach("x", tmp_path / "x")
     assert attached.is_mmap
     assert db.table("x").n_rows == 10
+
+
+# -- string columns stay dictionary codes from disk to estimate --------------
+
+
+def _string_table(n: int) -> Table:
+    rng = np.random.default_rng(17)
+    flags = np.array(["N", "A", "R", None], dtype=object)
+    return Table(
+        "t",
+        {
+            "flag": flags[rng.integers(0, 4, n)],
+            "status": np.array(["O", "F"], dtype=object)[rng.integers(0, 2, n)],
+            "v": rng.normal(10.0, 3.0, n),
+        },
+    )
+
+
+def test_attach_allocates_no_per_row_string_memory(tmp_path) -> None:
+    """Attaching maps the codes; no object array is decoded at open."""
+    import tracemalloc
+
+    n = 200_000
+    _string_table(n).persist(tmp_path / "t")
+    tracemalloc.start()
+    try:
+        mapped = Table.from_mmap(tmp_path / "t")
+        chunk = mapped.slice(70_000, 70_500)
+        codes, values = chunk.columns.encoded("flag")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n  # under one byte a row (a decode would take eight)
+    assert isinstance(codes, np.memmap) and codes.shape == (500,)
+    assert values.tolist() == mapped.slice(0, 100).columns.encoded("flag")[1].tolist()
+    # Reading strings decodes the rows that were asked for, no others.
+    tracemalloc.start()
+    try:
+        strings = chunk.column("flag")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert strings.dtype == object and strings.shape == (500,)
+    assert peak < n
+
+
+@pytest.mark.parametrize("workers", [None, 1, 4])
+def test_encoded_group_keys_answer_the_same_from_ram_mmap_and_processes(
+    tmp_path, workers, monkeypatch
+) -> None:
+    ram = Database(seed=0, chunk_size=1_000)
+    ram.register("t", _string_table(6_000))
+    mapped = Database(seed=0, chunk_size=1_000)
+    mapped.register("t", _string_table(6_000).persist(tmp_path / "t", block_rows=700))
+    text = (
+        "SELECT flag, status, SUM(v) AS s, AVG(v) AS a, COUNT(*) AS n FROM t"
+        " TABLESAMPLE (35 PERCENT) WHERE status = 'O' OR v > 9.0"
+        " GROUP BY flag, status"
+    )
+
+    def answer(db, mode):
+        monkeypatch.setenv("REPRO_SCHEDULER", mode)
+        result = db.sql(text, seed=21, workers=workers)
+        out = [[k, col.tolist()] for k, col in result.keys.items()]
+        for alias, est in result.estimates.items():
+            out.append(
+                [
+                    alias,
+                    est.values.tobytes(),
+                    est.variance_raw.tobytes(),
+                    est.n_samples.tobytes(),
+                ]
+            )
+        return out
+
+    want = answer(ram, "thread")
+    # Last key primary; NULL is a group of its own, ordered first.
+    assert want[0] == ["flag", [None, "A", "N", "R", None, "A", "N", "R"]]
+    assert answer(mapped, "thread") == want
+    assert answer(mapped, "process") == want
+    assert answer(ram, "process") == want

@@ -27,6 +27,7 @@ from repro.core.estimator import (
     estimate_sum,
     exact_moments,
     group_ids,
+    group_keys,
     group_reduce,
     group_reduce_multi,
     theorem1_variance,
@@ -125,25 +126,103 @@ class TestGroupIdsFactorization:
     def test_zero_rows(self):
         gids, n = group_ids([np.empty(0, dtype=object)], 0)
         assert n == 0 and gids.size == 0
-        codes = kernels.factorize(np.empty(0, dtype=object))
-        assert codes.dtype == np.int64 and codes.size == 0
+        codes, values = kernels.factorize(np.empty(0, dtype=object))
+        assert codes.dtype == np.int32 and codes.size == 0
+        assert values.dtype == object and values.size == 0
 
     def test_codes_are_dense_sorted_ranks(self):
         col = np.array(["b", "a", "c", "a"], dtype=object)
-        np.testing.assert_array_equal(kernels.factorize(col), [1, 0, 2, 0])
+        codes, values = kernels.factorize(col)
+        np.testing.assert_array_equal(codes, [1, 0, 2, 0])
+        assert values.tolist() == ["a", "b", "c"]
+        assert values[codes].tolist() == col.tolist()
 
-    def test_unorderable_or_unhashable_values_raise_type_error(self):
-        # str vs None never ordered (np.lexsort raises TypeError on it
-        # too); there is no fallback that would group such a column.
-        mixed = np.array(["a", None, "b", None], dtype=object)
-        with pytest.raises(TypeError):
-            group_ids([mixed], 4)
+    def test_none_is_one_group_ordered_first(self):
+        # SQL's NULL group; np.lexsort cannot order None against str.
+        mixed = np.array(["b", None, "a", None], dtype=object)
         with pytest.raises(TypeError):
             np.lexsort((mixed,))
+        codes, values = kernels.factorize(mixed)
+        assert values.tolist() == [None, "a", "b"]
+        np.testing.assert_array_equal(codes, [2, 0, 1, 0])
+        gids, n = group_ids([mixed], 4)
+        assert n == 3
+        np.testing.assert_array_equal(gids, [2, 0, 1, 0])
+
+    def test_unorderable_or_unhashable_values_raise_type_error(self):
+        # There is no fallback that would group such a column.
+        mixed = np.array(["a", 1, "b", 2], dtype=object)
+        with pytest.raises(TypeError):
+            group_ids([mixed], 4)
         lists = np.empty(2, dtype=object)
         lists[0], lists[1] = [1], [2]
         with pytest.raises(TypeError):
             group_ids([lists], 2)
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_counting_sorting_and_encoded_keys_agree(self, data):
+        """One grouping, three routes: counting over small packed
+        domains, the stable sort, dictionary-encoded strings (shuffled
+        dictionary, unused entries) — same ids, same key tuples."""
+        n = data.draw(st.integers(1, 80), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        words = np.array(["pear", None, "fig", "", "Fig"], dtype=object)
+        picks = rng.integers(0, words.size, n)
+        order = rng.permutation(words.size)
+        position = np.argsort(order)  # code of words[i] in words[order]
+        span = data.draw(st.sampled_from([2, 5, 10**6]), label="int span")
+        ints = rng.integers(-span, span, n)
+        floats = rng.choice([0.0, -0.0, 1.5, np.nan, np.inf], n)
+        columns = {
+            "str": words[picks],
+            "encoded": (position[picks].astype(np.int32), words[order]),
+            "int": ints,
+            "float": floats,
+        }
+        chosen = data.draw(
+            st.lists(st.sampled_from(sorted(columns)), min_size=1, max_size=3),
+            label="columns",
+        )
+        keys, gids, n_groups = group_keys([columns[c] for c in chosen], n)
+        assert group_ids([columns[c] for c in chosen], n)[1] == n_groups
+        np.testing.assert_array_equal(
+            group_ids([columns[c] for c in chosen], n)[0], gids
+        )
+        # Reference: sort the row tuples with NULL first and NaN last.
+        plain = [words[picks] if c == "encoded" else columns[c] for c in chosen]
+
+        def sortable(value):
+            if value is None:
+                return (0, "")
+            if isinstance(value, str):
+                return (1, value)
+            return (2, 0.0) if value != value else (1, float(value))
+
+        rows = [
+            tuple(sortable(col[i]) for col in reversed(plain)) for i in range(n)
+        ]
+        distinct = sorted(set(rows))
+        want = np.array([distinct.index(row) for row in rows])
+        np.testing.assert_array_equal(gids, want)
+        assert n_groups == len(distinct)
+        for key, col in zip(keys, plain):
+            assert key.dtype == col.dtype
+            for g in range(n_groups):
+                member = col[np.flatnonzero(gids == g)[0]]
+                assert key[g] == member or (key[g] != key[g] and member != member)
+
+    def test_count_ranks_declines_wide_domains_and_non_integers(self):
+        wide = np.array([0, 5_000, 3])
+        assert kernels.count_ranks([wide], 3) is None
+        assert kernels.count_ranks([np.array([0.5, 1.5])], 2) is None
+        gids, keys = kernels.count_ranks(
+            [np.array([7, 5, 7, 6], dtype=np.int32), np.array([1, 1, 0, 1])], 4
+        )
+        np.testing.assert_array_equal(gids, [3, 1, 0, 2])
+        assert keys[0].dtype == np.int32
+        np.testing.assert_array_equal(keys[0], [7, 5, 6, 7])
+        np.testing.assert_array_equal(keys[1], [0, 1, 1, 1])
 
     def test_join_codes_pair_equal_object_keys_across_sides(self):
         left = np.array(["b", "a", "c", "b"], dtype=object)

@@ -204,3 +204,34 @@ class TestEstimatingPath:
         assert np.all(
             result.values["s_hi"][spread] > result.values["s"][spread]
         )
+
+
+class TestNullAndNanKeys:
+    """NULL strings are one group ordered first, NaN floats one group
+    ordered last — in the estimate and in the exact answer alike."""
+
+    @pytest.mark.parametrize(
+        "key, want",
+        [("x", [0.0, 1.0, 2.0, 3.0, np.nan]), ("s", [None, "a", "b"])],
+        ids=["float-nan", "string-none"],
+    )
+    def test_group_by_none_and_nan_keys(self, key, want):
+        rng = np.random.default_rng(5)
+        n = 1_000
+        floats = rng.integers(0, 4, n).astype(np.float64)
+        floats[rng.random(n) < 0.1] = np.nan
+        words = np.array(["b", None, "a"], dtype=object)[rng.integers(0, 3, n)]
+        db = Database(seed=1)
+        db.create_table("t", {"x": floats, "s": words, "v": rng.random(n)})
+        text = f"SELECT {key}, SUM(v) AS sv FROM t GROUP BY {key}"
+        exact = db.sql_exact(text)
+        sampled = db.sql(
+            text.replace("FROM t", "FROM t TABLESAMPLE (50 PERCENT)"), seed=2
+        )
+        for got in (exact.column(key), sampled.keys[key]):
+            assert len(got) == len(want)
+            assert all(g == w or (g != g and w != w) for g, w in zip(got, want))
+        isnull = np.isnan(floats) if key == "x" else np.equal(words, None)
+        assert exact.column("sv")[-1 if key == "x" else 0] == pytest.approx(
+            db.table("t").column("v")[isnull].sum()
+        )

@@ -411,6 +411,65 @@ class TestEstimationInvariance:
                 chunked.values[alias], serial.values[alias]
             )
 
+    @pytest.mark.parametrize("workers", [None, 1, 4])
+    def test_second_grouped_statement_touches_no_string_and_sorts_nothing(
+        self, workers, monkeypatch, gathers
+    ):
+        """Counts, not timings, on a table that has answered one GROUP BY.
+
+        The base key columns are dictionary-encoded by then, so a second
+        statement (other rate, other seed) hashes only dictionaries —
+        distinct values, two dictionaries' worth in a merge — gathers
+        codes instead of strings, and its single-relation fold keeps
+        scan order: no ``sorted_boundaries`` in ``update``, in any
+        merge, or in the read-out.
+        """
+        db = tpch_database(0.1, seed=3)
+        text = (
+            "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS q, "
+            "AVG(l_discount) AS d, COUNT(*) AS n FROM lineitem "
+            "TABLESAMPLE ({rate} PERCENT) GROUP BY l_returnflag, l_linestatus"
+        )
+        n_tuples = db.sql_exact(text.format(rate=100)).n_rows
+        chunk_size = (
+            None if workers is None else db.table("lineitem").n_rows // 5
+        )
+        first = db.sql(
+            text.format(rate=40), seed=5, workers=workers, chunk_size=chunk_size
+        )
+
+        hashed: list[int] = []
+        sorts: list[int] = []
+        real_factorize = kernels.factorize
+        real_boundaries = kernels.sorted_boundaries
+
+        def factorize(column):
+            hashed.append(np.asarray(column).shape[0])
+            return real_factorize(column)
+
+        def sorted_boundaries(columns, n_rows):
+            sorts.append(n_rows)
+            return real_boundaries(columns, n_rows)
+
+        monkeypatch.setattr(kernels, "factorize", factorize)
+        monkeypatch.setattr(kernels, "sorted_boundaries", sorted_boundaries)
+        del gathers[:]
+        second = db.sql(
+            text.format(rate=25), seed=6, workers=workers, chunk_size=chunk_size
+        )
+        assert second.sample.n_rows > 50 * n_tuples
+        # (Under a process pool the chunk tasks run elsewhere; the
+        # merges and the read-out are still counted here.)
+        assert hashed and max(hashed) <= 2 * n_tuples
+        assert sorts == []
+        assert not [source for source, _ in gathers if source.dtype == object]
+        # The strings are still there for whoever reads them.
+        assert second.sample.column("l_returnflag").dtype == object
+        assert list(second.keys) == list(first.keys)
+        for key in first.keys:
+            assert second.keys[key].dtype == object
+            assert second.keys[key].tolist() == first.keys[key].tolist()
+
     @pytest.mark.parametrize("workers", [None, 1, 2, 4])
     def test_ungrouped_bit_identical(self, workers):
         sbox = SBox(CATALOG)

@@ -477,3 +477,150 @@ class TestOneGatherPerColumnRead:
         for name in small.columns:
             _assert_same_array(clone.columns[name], big.columns[name][:10])
         _assert_same_array(clone.lineage["big"], np.arange(10, dtype=np.int64))
+
+
+# -- encoded string columns: dictionary + codes beside the object array ----
+#
+# ``columns.encoded(name)`` is the second read of a string column: it
+# never touches a Python string once the base column has been encoded,
+# and ``columns[name]`` keeps returning the object array it always did.
+
+
+def _decoded(pair) -> list:
+    codes, values = pair
+    assert codes.dtype == np.int32 and values.dtype == object
+    return values[codes].tolist()
+
+
+class TestEncodedColumns:
+    N = 60
+
+    def _table(self):
+        words = np.array(["N", "A", None, "R", "ä"], dtype=object)
+        cols = _mixed_columns("", self.N)
+        cols["s"] = words[np.arange(self.N) * 7 % 5]
+        return Table("t", cols, {"t": np.arange(self.N, dtype=np.int64)})
+
+    def _derived(self, base):
+        """take → filter → slice → join output → with_columns."""
+        from repro.relational.executor import combine_rows
+
+        taken = base.take(np.array([5, 50, 3, 3, 41, 17, 8, 30, 2, 59]))
+        filtered = taken.filter(np.arange(10) % 3 != 1)
+        sliced = filtered.slice(1, 6)
+        right = Table("r", {"k": np.arange(4)}, {"r": np.arange(4)})
+        joined = combine_rows(
+            sliced, right, np.array([4, 0, 2, 2]), np.array([0, 1, 2, 3])
+        )
+        updated = joined.with_columns({"extra": np.zeros(4)})
+        return [base, taken, filtered, sliced, joined, updated]
+
+    def test_encoded_composes_to_the_column_that_is_read(self, gathers):
+        base = self._table()
+        tables = self._derived(base)
+        for table in tables:
+            assert table.columns.encoded("i") is None
+            assert table.columns.encoded("f") is None
+        del gathers[:]
+        pairs = [table.columns.encoded("s") for table in tables]
+        # Codes are gathered, never objects...
+        assert all(source.dtype == np.int32 for source, _ in gathers)
+        # ...over one dictionary, the base column's.
+        assert all(pair[1] is pairs[0][1] for pair in pairs)
+        for table, pair in zip(tables, pairs):
+            assert _decoded(pair) == table.columns["s"].tolist()
+            assert table.columns.encoded("s")[0] is pair[0]  # kept
+
+    def test_base_column_is_encoded_once_and_not_at_construction(
+        self, monkeypatch
+    ):
+        from repro.core import kernels
+
+        seen: list[int] = []
+        real = kernels.factorize
+
+        def factorize(column):
+            seen.append(np.asarray(column).shape[0])
+            return real(column)
+
+        monkeypatch.setattr(kernels, "factorize", factorize)
+        base = self._table()
+        snapshot = base.with_version(1)
+        live = base.with_columns({"f": np.ones(self.N)})
+        tables = self._derived(base) + self._derived(live) + [snapshot]
+        assert seen == []  # nothing is hashed until somebody asks
+        for table in tables:
+            table.columns.encoded("s")
+        assert seen == [self.N]
+
+    def test_encoded_reads_the_same_rows_after_the_array_was_read(self):
+        base = self._table()
+        taken = base.take(np.array([9, 0, 9, 33]))
+        strings = taken.columns["s"]
+        assert _decoded(taken.columns.encoded("s")) == strings.tolist()
+        assert taken.columns["s"] is strings
+        narrower = taken.take(np.array([3, 1]))
+        assert _decoded(narrower.columns.encoded("s")) == strings[[3, 1]].tolist()
+
+    def test_tables_sharing_a_column_read_the_identical_array(self):
+        base = self._table()
+        read = base.columns["s"]
+        assert read.dtype == object
+        for other in (
+            base.with_columns({"f": np.ones(self.N)}),
+            base.with_version(4),
+            base.rename("u"),
+            base.with_lineage("z", np.arange(self.N)),
+            base.select_columns(["s", "i"]),
+        ):
+            assert other.columns["s"] is read
+        base.columns.encoded("s")
+        assert base.columns["s"] is read
+        assert base.slice(0, self.N).columns["s"].tolist() == read.tolist()
+
+    def test_plain_object_array_behind_share_is_encoded_on_demand(self):
+        words = np.array(["b", "a", "b"], dtype=object)
+        shared = Table._share(
+            None, {"s": words}, {}, Table(None, {"s": words}).schema, 3
+        )
+        assert shared.columns["s"] is words
+        assert _decoded(shared.columns.encoded("s")) == ["b", "a", "b"]
+        assert shared.columns["s"] is words
+
+    def test_encoded_pickle_round_trip(self):
+        import pickle
+
+        base = self._table()
+        picked = base.take(np.array([7, 7, 2, 58]))
+        picked.columns.encoded("s")
+        for table in (base, picked, picked.slice(1, 3)):
+            clone = pickle.loads(pickle.dumps(table))
+            assert clone.columns["s"].tolist() == table.columns["s"].tolist()
+            assert _decoded(clone.columns.encoded("s")) == (
+                table.columns["s"].tolist()
+            )
+            # The mapping itself (encoded slots included) pickles too.
+            columns = pickle.loads(pickle.dumps(table.columns))
+            assert list(columns) == list(table.columns)
+            assert _decoded(columns.encoded("s")) == table.columns["s"].tolist()
+            _assert_same_array(columns["i"], table.columns["i"])
+
+    def test_encoded_column_of_an_attached_table_stays_mapped(self, tmp_path):
+        import pickle
+
+        base = self._table()
+        mapped = base.persist(tmp_path / "t", block_rows=16)
+        codes, values = mapped.columns.encoded("s")
+        assert isinstance(codes, np.memmap)
+        # The file's dictionary, in first-seen order: not sorted.
+        assert values.tolist() == ["N", None, "ä", "A", "R"]
+        for got, want in zip(self._derived(mapped), self._derived(base)):
+            assert _decoded(got.columns.encoded("s")) == (
+                want.columns["s"].tolist()
+            )
+            assert got.columns["s"].tolist() == want.columns["s"].tolist()
+        # A chunk of it pickles as its own rows, not as the file's.
+        chunk = mapped.slice(10, 20)
+        payload = pickle.dumps(chunk.columns)
+        assert len(payload) < 2_000
+        assert pickle.loads(payload)["s"].tolist() == base.columns["s"][10:20].tolist()

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.algebra import join_gus
 from repro.core.estimator import (
@@ -236,3 +238,136 @@ class TestGroupedSketchState:
                 {"l": np.arange(3, dtype=np.int64)},
                 [np.array([0.01, 0.05, 0.09])],
             )
+
+
+# -- key-ordered folds and dictionary-encoded keys --------------------------
+#
+# ``GroupedMomentBundle`` keeps scan order when the lineage key is one
+# strictly increasing column (no sort in ``update`` or ``merge``) and
+# takes string keys as ``(codes, values)`` pairs.  Neither may change a
+# bit of ``moments()``.
+
+_KEY_WORDS = np.array(["N", "A", None, "R", "", "ä"], dtype=object)
+
+
+@st.composite
+def _keyed_batches(draw):
+    n = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    ordered = draw(st.booleans())
+    if ordered:  # a tuple-level sample of one relation in scan order
+        lineage = np.sort(rng.choice(400, n, replace=False)).astype(np.int64)
+    else:  # repeated and unordered ids: entries must be reduced
+        lineage = rng.integers(0, 12, n).astype(np.int64)
+    words = _KEY_WORDS[rng.integers(0, draw(st.integers(1, 6)), n)]
+    numbers = rng.integers(-2, 2, n)
+    fs = [
+        rng.choice([-0.0, 0.0, 0.1, -2.5, 1e9, 7.0], n),
+        rng.uniform(-3, 5, n),
+    ]
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    # The same strings over a shuffled dictionary with unused entries.
+    order = rng.permutation(_KEY_WORDS.shape[0])
+    position = {w: i for i, w in enumerate(_KEY_WORDS[order].tolist())}
+    codes = np.array([position[w] for w in words.tolist()], dtype=np.int32)
+    return ordered, lineage, words, (codes, _KEY_WORDS[order]), numbers, fs, cuts
+
+
+def _moment_bytes(bundle):
+    keys, ys, totals, counts = bundle.moments()
+    return (
+        [k.tolist() for k in keys],
+        [y.tobytes() for y in ys],
+        [t.tobytes() for t in totals],
+        counts.tobytes(),
+    )
+
+
+def _folded(lattice, fs, lineage, group_cols, parts):
+    """``update`` the first part, ``merge`` a bundle of every later one."""
+    from repro.stream.sketch import GroupedMomentBundle
+
+    merged = None
+    for part in parts:
+        bundle = GroupedMomentBundle(lattice, len(group_cols), len(fs))
+        bundle.update(
+            [f[part] for f in fs],
+            {"l": lineage[part]},
+            [
+                (c[0][part], c[1]) if type(c) is tuple else c[part]
+                for c in group_cols
+            ],
+        )
+        merged = bundle if merged is None else merged.merge(bundle)
+    return merged
+
+
+class TestKeyOrderedFoldKeepsEveryBit:
+    @given(_keyed_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_encoded_split_and_shuffled_folds_equal_one_update(self, case):
+        from unittest import mock
+
+        from repro.core import kernels
+        from repro.core.lattice import SubsetLattice
+
+        ordered, lineage, words, encoded, numbers, fs, cuts = case
+        n = lineage.shape[0]
+        lattice = SubsetLattice(("l",))
+        everything = [np.arange(n)]
+        with mock.patch.object(
+            kernels, "sorted_boundaries", wraps=kernels.sorted_boundaries
+        ) as sort:
+            want = _moment_bytes(
+                _folded(lattice, fs, lineage, [words, numbers], everything)
+            )
+            got_encoded = _moment_bytes(
+                _folded(lattice, fs, lineage, [encoded, numbers], everything)
+            )
+            parts = [p for p in np.split(np.arange(n), cuts) if p.size]
+            got_split = _moment_bytes(
+                _folded(lattice, fs, lineage, [encoded, numbers], parts)
+            )
+            in_order_sorts = sort.call_count
+        assert got_encoded == want
+        if not ordered:
+            # An id repeated across parts merges partial sums — other
+            # float additions than one update's, on either key form.
+            assert got_split == _moment_bytes(
+                _folded(lattice, fs, lineage, [words, numbers], parts)
+            )
+            return
+        assert got_split == want
+        # Key-ordered: nothing above sorted, and rows that arrive out of
+        # order fall back to the sort with the same bits (ids are
+        # distinct, so no entry's addition order can change).
+        assert in_order_sorts == 0
+        shuffle = np.random.default_rng(n).permutation(n)
+        shuffled = [shuffle[p] for p in parts]
+        assert (
+            _moment_bytes(
+                _folded(lattice, fs, lineage, [words, numbers], shuffled)
+            )
+            == want
+        )
+
+    def test_a_descending_merge_sorts_and_an_ascending_one_does_not(self):
+        from unittest import mock
+
+        from repro.core import kernels
+        from repro.core.lattice import SubsetLattice
+
+        lattice = SubsetLattice(("l",))
+        lineage = np.arange(40, dtype=np.int64) * 3
+        keys = np.array(["x", "y"], dtype=object)[np.arange(40) % 2]
+        fs = [np.linspace(-1.0, 2.0, 40)]
+        halves = [np.arange(20), np.arange(20, 40)]
+        with mock.patch.object(
+            kernels, "sorted_boundaries", wraps=kernels.sorted_boundaries
+        ) as sort:
+            up = _folded(lattice, fs, lineage, [keys], halves)
+            assert sort.call_count == 0
+            down = _folded(lattice, fs, lineage, [keys], halves[::-1])
+            assert sort.call_count == 1
+        assert _moment_bytes(up) == _moment_bytes(down)
+        assert up.n_entries == down.n_entries == 40
