@@ -6,7 +6,13 @@ per-group weight reduction behind every moment computation.  Each is
 one vectorized numpy routine — branch-free SplitMix64 over uint64
 arrays, radix-packed multi-key sort, ``np.bincount`` group sums — so
 the float addition order, and with it every estimate, variance and CI
-downstream, has a single definition.  String keys enter that integer
+downstream, has a single definition.  The lineage hash runs block by
+block with its rounds applied in place, so it stays in cache and
+allocates nothing that grows with the input: :func:`hash01` converts
+each block to uniforms, and :func:`hash_keep` — what every lineage
+filter calls — compares the 64-bit hash itself against the integer
+threshold that stands for the rate, the same decisions as
+``hash01 < p`` without the floats.  String keys enter that integer
 world through one door, :func:`factorize`; keys that pack into a small
 domain are ranked by counting (:func:`count_ranks`) and a key column
 that is already sorted and distinct skips the sort altogether
@@ -21,13 +27,14 @@ measured against.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "jit_active",
     "hash01",
+    "hash_keep",
     "hash01_blake2b",
     "factorize",
     "pack_columns",
@@ -40,7 +47,12 @@ __all__ = [
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
 _INV_2_64 = 1.0 / float(2**64)
+
+#: Ids hashed per block: three block-sized uint64 arrays (ids, hash,
+#: temporary) stay inside the L2 cache; 8 192…65 536 read within 10 %.
+_HASH_BLOCK = 1 << 14
 
 
 def jit_active() -> bool:
@@ -58,19 +70,101 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _finalize_inplace(z: np.ndarray, t: np.ndarray) -> None:
+    """:func:`_finalize` over ``z`` in place, ``t`` the one temporary."""
+    for shift, mix in ((_SHIFT1, _MIX1), (_SHIFT2, _MIX2)):
+        np.right_shift(z, shift, out=t)
+        np.bitwise_xor(z, t, out=z)
+        np.multiply(z, mix, out=z)
+    np.right_shift(z, _SHIFT3, out=t)
+    np.bitwise_xor(z, t, out=z)
+
+
+def _hashed_blocks(
+    seed: int, ids: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(start, stop, z)`` per block of the flattened ``ids``: the hashes.
+
+    ``z`` is scratch that the next block overwrites.  Both scratch
+    arrays are block-sized and allocated per call — never module state:
+    served worker threads and pool workers hash concurrently — so the
+    whole hash runs in cache and no temporary grows with the input.
+    Ids that are not already 64-bit integers are cast block by block.
+    """
+    with np.errstate(over="ignore"):
+        seed_mix = _finalize(np.uint64(seed % (2**64)) * _GAMMA + _GAMMA)
+    ids = ids.reshape(-1)
+    n = ids.shape[0]
+    z = np.empty(min(n, _HASH_BLOCK), dtype=np.uint64)
+    t = np.empty_like(z)
+    for start in range(0, n, _HASH_BLOCK):
+        stop = min(start + _HASH_BLOCK, n)
+        block = ids[start:stop]
+        zb, tb = z[: stop - start], t[: stop - start]
+        if block.dtype == np.int64 or block.dtype == np.uint64:
+            np.multiply(block.view(np.uint64), _GAMMA, out=zb)
+        else:
+            np.copyto(zb, block, casting="unsafe")
+            np.multiply(zb, _GAMMA, out=zb)
+        np.bitwise_xor(zb, seed_mix, out=zb)
+        _finalize_inplace(zb, tb)
+        yield start, stop, zb
+
+
 def hash01(seed: int, ids: np.ndarray) -> np.ndarray:
-    """Map ``(seed, id)`` pairs to deterministic uniforms in ``[0, 1)``.
+    """Map ``(seed, id)`` pairs to deterministic uniforms in ``[0, 1]``.
 
     The seed is finalized *before* being combined with the id stream:
     a plain additive combination would make ``hash01(s, i)`` a function
     of ``s + i`` only, perfectly correlating filters with nearby seeds
     at shifted ids — a real bias source for multi-stream sampling.
+
+    The uniform is the 64-bit hash ``z`` converted to float64 and scaled
+    by 2⁻⁶⁴; the conversion rounds to nearest, so ``z ≥ 2⁶⁴ − 1024``
+    (probability 2⁻⁵⁴) yields exactly 1.0.  A keep decision never needs
+    the float: see :func:`hash_keep`.
     """
-    ids_u64 = np.asarray(ids, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        seed_mix = _finalize(np.uint64(seed % (2**64)) * _GAMMA + _GAMMA)
-        z = _finalize(seed_mix ^ (ids_u64 * _GAMMA))
-    return z.astype(np.float64) * _INV_2_64
+    ids = np.asarray(ids)
+    out = np.empty(ids.size, dtype=np.float64)
+    for start, stop, z in _hashed_blocks(seed, ids):
+        np.multiply(z, _INV_2_64, out=out[start:stop])
+    return out.reshape(ids.shape)
+
+
+def _keep_threshold(p: float) -> int:
+    """Smallest integer ``z`` whose uniform ``float(z) · 2⁻⁶⁴`` is ``≥ p``.
+
+    Round-to-nearest conversion is monotone in ``z``, so for every hash
+    ``z < threshold`` exactly when ``hash01 < p``; requires ``0 < p < 1``.
+    """
+    lo, hi = 0, 2**64  # uniform(lo) < p <= uniform(hi) = 1.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if float(mid) * _INV_2_64 >= p:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def hash_keep(seed: int, ids: np.ndarray, p: float) -> np.ndarray:
+    """The Bernoulli(``p``) keep-mask of lineage ids: ``hash01 < p``.
+
+    Decided on the integer hash against :func:`_keep_threshold`, block
+    by block, so no float and no input-sized temporary is ever made.
+    ``p ≥ 1`` keeps every id and ``p ≤ 0`` none without hashing — rate
+    1 means *everything*, including the ids whose uniform rounds to 1.0.
+    """
+    ids = np.asarray(ids)
+    if p >= 1.0:
+        return np.ones(ids.shape, dtype=bool)
+    if not p > 0.0:
+        return np.zeros(ids.shape, dtype=bool)
+    threshold = np.uint64(_keep_threshold(p))
+    mask = np.empty(ids.size, dtype=bool)
+    for start, stop, z in _hashed_blocks(seed, ids):
+        np.less(z, threshold, out=mask[start:stop])
+    return mask.reshape(ids.shape)
 
 
 def hash01_blake2b(seed: int, ids: np.ndarray) -> np.ndarray:

@@ -11,7 +11,10 @@ tests compare against it.  Running the exact answer through the engine
 under test would blind the oracle to exactly that engine's failure
 modes (a pruned column, a wrongly skipped zone-map chunk, the fused
 lineage filter), so it shares only the operator kernels below with the
-pipeline, never the plan walk.
+pipeline, never the plan walk — and not the join either: the pipeline
+addresses integer keys directly (``pipeline._join_build``), so
+:func:`join_indices` here is the independent reference its index pairs
+are tested against, and the general build it falls back to.
 
 Sampling nodes draw from the supplied RNG (``TableSample``) or evaluate
 their deterministic lineage hash (``LineageSample``).  ``GUSNode`` is
@@ -25,7 +28,7 @@ construction.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -67,8 +70,8 @@ def probe_sorted(
     Returns ``(li, ri)`` in the canonical join output order: right keys
     major, matching left rows ascending within each (the stable sort
     guarantees run order equals original left row order).  This is the
-    shared probe core of the interpreter's join and the chunked
-    pipeline's build/probe.
+    probe core of the interpreter's join and of the chunked pipeline's
+    general (sorted) build.
     """
     empty = np.empty(0, dtype=np.int64)
     n_right = right_keys.shape[0]
@@ -149,6 +152,28 @@ def join_codes(
     return codes[:n_left], codes[n_left:]
 
 
+def check_join_key_dtypes(
+    left_keys: Sequence[str],
+    left_dtypes: Sequence[np.dtype | None],
+    right_keys: Sequence[str],
+    right_dtypes: Sequence[np.dtype | None],
+) -> None:
+    """Refuse an equi-join of a string key to a numeric key.
+
+    The two never compare equal, and sorting or searching them together
+    would surface as a bare ``TypeError`` from inside numpy.  A dtype of
+    ``None`` (not known yet) is skipped.
+    """
+    for lk, ld, rk, rd in zip(left_keys, left_dtypes, right_keys, right_dtypes):
+        if ld is None or rd is None:
+            continue
+        if (ld.kind in "OUS") != (rd.kind in "OUS"):
+            raise SchemaError(
+                f"cannot join {lk} ({ld}) to {rk} ({rd}): a string key "
+                "and a numeric key never match"
+            )
+
+
 def join_rows(
     left: Table,
     right: Table,
@@ -156,6 +181,12 @@ def join_rows(
     right_keys: tuple[str, ...] | list[str],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matching row-index pairs of an equi-join between two tables."""
+    check_join_key_dtypes(
+        left_keys,
+        [left.columns.dtype(k) for k in left_keys],
+        right_keys,
+        [right.columns.dtype(k) for k in right_keys],
+    )
     lkey, rkey = join_codes(
         [left.column(k) for k in left_keys],
         [right.column(k) for k in right_keys],

@@ -26,12 +26,17 @@ Reproducibility contract (tested property, not aspiration):
   the independent reference this engine is tested against.
 
 Joins execute as build/probe: the build side is materialized once and
-its (factorized) join keys sorted once — one build shared by every
+its (factorized) join keys indexed once — one build shared by every
 probe task, at any worker count — and probe chunks stream through it.
-Each output chunk is emitted in the canonical (right-major,
-left-ascending) order the reference sort-probe join produces, so
-concatenating the chunks reproduces it bit-for-bit while the join
-*output* is never materialized by streaming consumers.
+Integer keys over a compact span are addressed directly
+(:class:`_AddressedJoinBuild`: a histogram of the keys, its running
+sum, and no row order at all when the keys already ascend); any other
+keys are sorted once and binary-searched (:class:`_SortedJoinBuild`).
+:func:`_join_build` picks between them from the key dtypes and the
+build span alone.  Each output chunk is emitted in the canonical
+(right-major, left-ascending) order the reference sort-probe join
+produces, so concatenating the chunks reproduces it bit-for-bit while
+the join *output* is never materialized by streaming consumers.
 
 Column pruning: estimation consumers pass the columns they need and
 every operator forwards only those (plus whatever its own predicates
@@ -66,6 +71,7 @@ from repro.relational.aggregates import (
     evaluate_group_aggregates,
 )
 from repro.relational.executor import (
+    check_join_key_dtypes,
     combine_rows,
     intersect_tables,
     join_codes,
@@ -103,13 +109,14 @@ def concat_tables(chunks: list[Table]) -> Table:
 
 
 class _SortedJoinBuild:
-    """Build side of a chunked join: the keys, sorted once.
+    """The general build: the keys, sorted once, binary-searched per probe.
 
     The sort is stable, so equal keys stay in original row order, and
     :func:`~repro.relational.executor.probe_sorted` then emits every
     probe chunk's matches in the canonical (right-major,
-    left-ascending) order of the reference sort-probe join.  One build
-    serves every probe task, whatever the worker count.
+    left-ascending) order of the reference sort-probe join.  Float
+    (NaN) keys, mixed integer/float sides, ``uint64`` keys and integer
+    keys scattered over a sparse span join this way.
     """
 
     __slots__ = ("_sorted_keys", "_positions")
@@ -121,6 +128,97 @@ class _SortedJoinBuild:
     def probe(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Match one probe chunk; canonical-order ``(li, ri_local)``."""
         return probe_sorted(self._sorted_keys, self._positions, probe_keys)
+
+
+def _radix_order(offsets: np.ndarray, span: int) -> np.ndarray:
+    """The stable sort order of ``offsets`` in ``[0, span)``, in O(n).
+
+    ``np.argsort`` of a 16-bit key, ``kind="stable"``, is numpy's radix
+    sort; wider keys take one such pass per 16-bit digit, least
+    significant first.
+    """
+    order = np.argsort(offsets.astype(np.uint16), kind="stable")
+    shift = 16
+    while span > 1 << shift:
+        digit = (offsets[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+class _AddressedJoinBuild:
+    """Integer keys over a compact span: addressed, never searched.
+
+    ``counts[k - lo]`` build rows carry key ``k`` and sit at
+    ``starts[k - lo]`` onward in key order, so a probe is two gathers
+    where the sorted build needs two binary searches per key.  The key
+    order of the build rows is *nothing* when one comparison pass finds
+    the keys non-decreasing (a scan-order sample of a fact table
+    clustered on its parent key) and a stable radix order otherwise.
+    Slot ``span`` of both arrays is the empty run every probe key
+    outside ``[lo, lo + span)`` is sent to.  Emits exactly the
+    ``(li, ri)`` of :class:`_SortedJoinBuild`.
+    """
+
+    __slots__ = ("_lo", "_counts", "_starts", "_positions", "_distinct")
+
+    def __init__(
+        self, keys: np.ndarray, lo: int, span: int, ordered: bool
+    ) -> None:
+        offsets = keys - lo
+        counts = np.bincount(offsets, minlength=span + 1)
+        self._lo = lo
+        self._counts = counts
+        self._starts = np.cumsum(counts) - counts
+        self._positions = None if ordered else _radix_order(offsets, span)
+        self._distinct = int(counts.max()) <= 1
+
+    def probe(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Match one probe chunk; canonical-order ``(li, ri_local)``."""
+        # Modulo 2^64 a key below ``lo`` wraps to a huge unsigned offset,
+        # so one unsigned minimum sends both sides' strays to slot span.
+        offsets = probe_keys.astype(np.int64, copy=False) - self._lo
+        span = np.uint64(self._counts.shape[0] - 1)
+        slots = np.minimum(offsets.view(np.uint64), span).view(np.int64)
+        counts = self._counts[slots]
+        if self._distinct:
+            ri = np.flatnonzero(counts)
+            at = self._starts[slots[ri]]
+        else:
+            ri = np.repeat(np.arange(slots.shape[0], dtype=np.int64), counts)
+            # Run r's matches sit at starts[r], starts[r] + 1, …: the
+            # output position minus the run's first output position.
+            first = np.cumsum(counts) - counts
+            at = np.repeat(self._starts[slots] - first, counts)
+            at += np.arange(at.shape[0], dtype=np.int64)
+        return (at if self._positions is None else self._positions[at]), ri
+
+
+def _addressable(dtype: np.dtype) -> bool:
+    """Whether every value of ``dtype`` is an integer that fits int64."""
+    return dtype.kind in "ib" or (dtype.kind == "u" and dtype.itemsize < 8)
+
+
+def _join_build(keys: np.ndarray, probe_dtype: np.dtype):
+    """The build side of a chunked join, shared by every probe task.
+
+    Chosen from the two key dtypes and the build keys' span alone:
+    integers on both sides whose build span is within a fixed multiple
+    of the build rows are addressed directly, everything else is sorted
+    and searched.  Both emit the same index pairs in the same order.
+    """
+    n = keys.shape[0]
+    if n and _addressable(keys.dtype) and _addressable(probe_dtype):
+        keys = keys.astype(np.int64, copy=False)
+        ordered = bool(np.all(keys[1:] >= keys[:-1]))
+        if ordered:
+            lo, hi = int(keys[0]), int(keys[-1])
+        else:
+            lo, hi = int(keys.min()), int(keys.max())
+        span = hi - lo + 1
+        if span <= 4 * n + (1 << 16):
+            return _AddressedJoinBuild(keys, lo, span, ordered)
+    return _SortedJoinBuild(keys)
 
 
 # -- picklable chunk operators -------------------------------------------
@@ -682,6 +780,31 @@ class ChunkedExecutor:
             return self._output_columns(node.child)
         raise PlanError(f"cannot infer columns of {type(node).__name__}")
 
+    def _column_dtype(self, node: p.PlanNode, name: str) -> np.dtype | None:
+        """Dtype of an output column where a static walk can tell.
+
+        Base columns keep their dtype through sampling, filtering,
+        joins, set operations, grouping and renaming projections;
+        computed columns and aggregates are ``None`` (unknown).
+        """
+        if isinstance(node, p.Scan):
+            columns = self._base_table(node.table_name).columns
+            return columns.dtype(name) if name in columns else None
+        if isinstance(node, p.Project) and node.outputs is not None:
+            expr = node.outputs.get(name)
+            if not isinstance(expr, ex.Col):
+                return None
+            return self._column_dtype(node.child, expr.name)
+        if isinstance(node, p.Aggregate) or (
+            isinstance(node, p.GroupAggregate) and name not in node.keys
+        ):
+            return None
+        for child in node.children:
+            dtype = self._column_dtype(child, name)
+            if dtype is not None:
+                return dtype
+        return None
+
     # -- compilation -----------------------------------------------------
 
     def _compile(
@@ -828,20 +951,33 @@ class ChunkedExecutor:
             if needed is None
             else frozenset(needed & right_out) | frozenset(node.right_keys)
         )
+        # Statically known key dtypes refuse a string-to-number join
+        # before either side runs, and pick the probe: raw keys stream
+        # only when both sides are known to be numeric (a computed key
+        # is known once its chunks are buffered, and checked there).
+        left_keys, right_keys = tuple(node.left_keys), tuple(node.right_keys)
+        right_dtypes = [self._column_dtype(node.right, k) for k in right_keys]
+        check_join_key_dtypes(
+            left_keys,
+            [self._column_dtype(node.left, k) for k in left_keys],
+            right_keys,
+            right_dtypes,
+        )
         left_table = self._materialize(node.left, left_needed, align)
         right_src = self._compile(node.right, right_needed, align)
-        left_key_cols = [left_table.column(k) for k in node.left_keys]
+        left_key_cols = [left_table.column(k) for k in left_keys]
         single_numeric = (
-            len(node.left_keys) == 1
+            len(left_keys) == 1
             and left_key_cols[0].dtype.kind in "iufb"
+            and right_dtypes[0] is not None
+            and right_dtypes[0].kind in "iufb"
         )
-        right_keys = tuple(node.right_keys)
         tracer = get_tracer()
 
         if single_numeric:
             # Streaming probe: raw keys compare directly across sides.
             with maybe_span(tracer, "join.factorize_probe", kind="kernel"):
-                build = _SortedJoinBuild(left_key_cols[0])
+                build = _join_build(left_key_cols[0], right_dtypes[0])
             return _Source(
                 tasks=right_src.tasks,
                 fn=_StreamJoinFn(
@@ -854,13 +990,19 @@ class ChunkedExecutor:
         # probe per chunk on the codes.  Inputs are bounded by the base
         # tables; the join output still streams.
         rights = list(self._run_tasks(right_src, _identity, "build"))
+        check_join_key_dtypes(
+            left_keys,
+            [c.dtype for c in left_key_cols],
+            right_keys,
+            [rights[0].columns.dtype(k) for k in right_keys],
+        )
         with maybe_span(tracer, "join.factorize_probe", kind="kernel"):
             right_cols = [
                 np.concatenate([rt.column(k) for rt in rights])
                 for k in right_keys
             ]
             lcodes, rcodes = join_codes(left_key_cols, right_cols)
-            build = _SortedJoinBuild(lcodes)
+            build = _join_build(lcodes, rcodes.dtype)
         offsets = np.cumsum([0] + [rt.n_rows for rt in rights])
         return _Source(
             tasks=list(range(len(rights))),

@@ -9,10 +9,14 @@ result rows while requiring only one stored seed per relation.
 
 The hash is a SplitMix64 finalizer: cheap, stateless, and with output
 uniform enough for sampling purposes (verified statistically in the
-test suite).  The kernel is :func:`repro.core.kernels.hash01`, a single
-vectorized numpy routine, so a ``(seed, id)`` pair maps to the same
-uniform in every layer that filters on lineage; this module re-exports
-it for the sampling layer.
+test suite).  The kernels live in :mod:`repro.core.kernels`:
+``hash01`` maps a ``(seed, id)`` pair to its uniform — the same one in
+every layer that filters on lineage; re-exported here for the sampling
+layer — and ``hash_keep`` is the keep decision ``hash01 < p`` taken on
+the 64-bit hash itself, block by block in cache, which is what every
+filter (:meth:`LineageHashBernoulli.keep`, and through it the
+coordinated, composed, catalog-thinning and load-shedding samplers)
+runs.  Rate 1 keeps every id and rate 0 none, without hashing.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.gus import GUSParams, bernoulli_gus
-from repro.core.kernels import _finalize, hash01
+from repro.core.kernels import _finalize, hash01, hash_keep
 from repro.errors import ReproError
 from repro.sampling.base import Draw, SamplingMethod, row_lineage
 
@@ -45,7 +49,7 @@ class LineageHashBernoulli(SamplingMethod):
 
     def keep(self, ids: np.ndarray) -> np.ndarray:
         """The deterministic keep-mask for arbitrary lineage ids."""
-        return hash01(self.seed, ids) < self.p
+        return hash_keep(self.seed, ids, self.p)
 
     def draw(self, n_rows: int, rng: np.random.Generator) -> Draw:
         lineage = row_lineage(n_rows)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import SchemaError
 from repro.relational.database import Database
 from repro.relational.expressions import col
 from repro.relational.plan import (
@@ -144,6 +145,42 @@ class TestJoinShapes:
         )
         out = db.execute(Join(Scan("sa"), Scan("sb"), ["sa_key"], ["sb_key"]))
         assert out.n_rows == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT SUM(l_val) AS v FROM left, names WHERE l_key = n_key",
+            "SELECT SUM(l_val) AS v FROM names, left WHERE n_key = l_key",
+            "SELECT SUM(l_val) AS v FROM left TABLESAMPLE (50 PERCENT), "
+            "names WHERE l_key = n_key",
+            "SELECT SUM(l_val) AS v FROM left, names "
+            "WHERE l_key = n_key AND l_val = n_val",
+        ],
+    )
+    def test_integer_to_string_key_join_is_refused_by_name(self, db, text):
+        """Both engines, either side order: a typed refusal naming the
+        two columns, where a raw ``TypeError`` came out of numpy."""
+        db.create_table(
+            "names",
+            {
+                "n_key": np.array(["1", "2", "x"], dtype=object),
+                "n_val": np.array([1.0, 2.0, 3.0]),
+            },
+        )
+        for run in (db.sql, db.sql_exact):
+            with pytest.raises(SchemaError, match="l_key.*n_key|n_key.*l_key") as err:
+                run(text)
+            assert "int64" in str(err.value) and "object" in str(err.value)
+
+    def test_computed_key_of_the_wrong_type_is_refused_too(self, db):
+        """A key the static walk cannot type is checked once buffered."""
+        db.create_table("names", {"n_key": np.array(["1", "x"], dtype=object)})
+        doubled = Project(Scan("left"), {"d_key": col("l_key") * 2})
+        plan = Join(Scan("names"), doubled, ["n_key"], ["d_key"])
+        with pytest.raises(SchemaError, match="n_key.*d_key"):
+            db.execute(plan)
+        with pytest.raises(SchemaError, match="n_key.*d_key"):
+            db.execute_exact(plan)
 
 
 class TestEstimationOnDegenerateSamples:
