@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.estimator import estimate_sum
 from repro.core.gus import bernoulli_gus
-from repro.stream import MomentSketch, StreamingEstimator
+from repro.stream import MomentSketchBundle, StreamingEstimator
 
 #: Distinct lineage keys in the simulated entity stream.  Bounded on
 #: purpose: per-entity aggregation is the compacting regime where the
@@ -43,7 +43,7 @@ class TestUpdateThroughput:
         f, lineage = _entity_batch(rng, 50_000)
 
         def run():
-            warm.sketch.copy().update(f, lineage)
+            warm.sketch.copy().update([f], lineage)
 
         benchmark(run)
 
@@ -62,10 +62,11 @@ class TestMergeThroughput:
         lattice = StreamingEstimator(
             bernoulli_gus("stream", 0.5)
         )._pruned.lattice
-        a = MomentSketch(lattice)
-        b = MomentSketch(lattice)
-        a.update(*_entity_batch(rng, 300_000))
-        b.update(*_entity_batch(rng, 300_000))
+        a = MomentSketchBundle(lattice, 1)
+        b = MomentSketchBundle(lattice, 1)
+        for sketch in (a, b):
+            f, lineage = _entity_batch(rng, 300_000)
+            sketch.update([f], lineage)
 
         def run():
             a.copy().merge(b)

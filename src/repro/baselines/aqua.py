@@ -10,8 +10,6 @@ estimator must coincide, which the tests verify.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 import numpy as np
 
 from repro.baselines.clt_single_table import (
@@ -81,33 +79,3 @@ def aqua_estimate(
         )
     raise EstimationError(f"unknown AQUA method {method!r}")
 
-
-def aqua_from_sample(
-    sample, f_expr, fact_relation: str, catalog: Mapping[str, object], method
-) -> Estimate:
-    """Convenience wrapper taking an executed sample Table."""
-    f = np.asarray(f_expr.eval(sample), dtype=np.float64)
-    lineage = sample.lineage[fact_relation]
-    n_fact = catalog[fact_relation].n_rows  # type: ignore[attr-defined]
-    from repro.sampling import Bernoulli, WithoutReplacement
-
-    if isinstance(method, Bernoulli):
-        return aqua_estimate(
-            f,
-            lineage,
-            method="bernoulli",
-            fact_table_size=n_fact,
-            rate=method.p,
-        )
-    if isinstance(method, WithoutReplacement):
-        return aqua_estimate(
-            f,
-            lineage,
-            method="wor",
-            fact_table_size=n_fact,
-            sample_size=method.effective_size(n_fact),
-            fact_sample_count=method.effective_size(n_fact),
-        )
-    raise EstimationError(
-        f"AQUA baseline supports Bernoulli/WOR, not {method!r}"
-    )

@@ -61,6 +61,7 @@ __all__ = [
     "unbiased_y_terms",
     "unbiased_y_terms_grouped",
     "estimate_from_moments",
+    "grouped_estimates_from_moments",
     "estimate_sum",
     "estimate_sums_grouped",
     "estimate_sums_grouped_multi",
@@ -212,10 +213,10 @@ def group_reduce(
     Returns ``(key_columns, sums)``: one array per input column holding
     each distinct key combination once (in sorted key order), and the
     total weight that fell on it.  This is the accumulator core shared
-    by the batch :func:`y_terms` and the streaming
-    :class:`repro.stream.MomentSketch`: a group-sum table is additive,
-    so two tables (from two batches, shards, or sketches) merge exactly
-    by concatenating and reducing again.
+    by the batch :func:`y_terms` and the mergeable
+    :class:`repro.stream.sketch.MomentSketchBundle`: a group-sum table
+    is additive, so two tables (from two batches, shards, or sketches)
+    merge exactly by concatenating and reducing again.
     """
     keys, sums_list = group_reduce_multi(columns, [weights])
     return keys, sums_list[0]
@@ -790,6 +791,35 @@ class GroupedEstimates:
         return self.values + shift * self._spread_std()
 
 
+def grouped_estimates_from_moments(
+    params: GUSParams,
+    a: float,
+    plugin_y: np.ndarray,
+    totals: np.ndarray,
+    counts: np.ndarray,
+    *,
+    label: str = "SUM",
+) -> GroupedEstimates:
+    """Finish per-group estimates from accumulated plug-in moments.
+
+    The grouped twin of :func:`estimate_from_moments`, and the one
+    finishing step of the batch :func:`estimate_sums_grouped_multi`, the
+    SBox and :class:`repro.stream.GroupedStreamingEstimator`.  ``params``
+    is the pruned GUS whose lattice indexes the columns of the
+    ``(n_groups, lattice.size)`` matrix ``plugin_y``, ``a`` the
+    first-order inclusion probability the totals are scaled by, and
+    ``totals`` / ``counts`` each group's sample ``Σ f`` and row count.
+    """
+    yhat = unbiased_y_terms_grouped(params, plugin_y)
+    return GroupedEstimates(
+        values=totals / a,
+        variance_raw=grouped_theorem1_variance(params, yhat),
+        n_samples=counts,
+        label=label,
+        extras={"a": a, "active_dims": params.lattice.dims},
+    )
+
+
 def estimate_sums_grouped(
     params: GUSParams,
     f_sample: np.ndarray,
@@ -878,21 +908,17 @@ def estimate_sums_grouped_multi(
         sums_list, keys[1:], keys[0], n_groups, pruned.lattice
     )
     counts = np.bincount(gids, minlength=n_groups)
-    out = []
-    for f, plugin, label in zip(f_vectors, plugins, labels):
-        yhat = unbiased_y_terms_grouped(pruned, plugin)
-        var_raw = grouped_theorem1_variance(pruned, yhat)
-        totals = np.bincount(gids, weights=f, minlength=n_groups)
-        out.append(
-            GroupedEstimates(
-                values=totals / params.a,
-                variance_raw=var_raw,
-                n_samples=counts,
-                label=label,
-                extras={"a": params.a, "active_dims": pruned.lattice.dims},
-            )
+    return [
+        grouped_estimates_from_moments(
+            pruned,
+            params.a,
+            plugin,
+            np.bincount(gids, weights=f, minlength=n_groups),
+            counts,
+            label=label,
         )
-    return out
+        for f, plugin, label in zip(f_vectors, plugins, labels)
+    ]
 
 
 # -- coordinated subset sums and version differences -------------------------

@@ -34,8 +34,7 @@ from repro.core.estimator import (
     Estimate,
     GroupedEstimates,
     estimate_from_moments,
-    grouped_theorem1_variance,
-    unbiased_y_terms_grouped,
+    grouped_estimates_from_moments,
 )
 from repro.core.gus import GUSParams
 from repro.core.rewrite import RewriteResult, rewrite_to_top_gus
@@ -686,20 +685,12 @@ class SBox:
         if grouped:
             group_key_cols, ys, totals, counts = bundle.moments()
             keys = dict(zip(plan.keys, group_key_cols))
-            for j, label in enumerate(labels):
-                yhat = unbiased_y_terms_grouped(pruned, ys[j])
-                raw.append(
-                    GroupedEstimates(
-                        values=totals[j] / params.a,
-                        variance_raw=grouped_theorem1_variance(pruned, yhat),
-                        n_samples=counts,
-                        label=label,
-                        extras={
-                            "a": params.a,
-                            "active_dims": pruned.lattice.dims,
-                        },
-                    )
+            raw = [
+                grouped_estimates_from_moments(
+                    pruned, params.a, ys[j], totals[j], counts, label=label
                 )
+                for j, label in enumerate(labels)
+            ]
         elif bundle is not None:
             moments = bundle.moments()
             totals = bundle.totals()

@@ -37,16 +37,6 @@ class ColumnType(enum.Enum):
             return cls.STRING
         raise SchemaError(f"unsupported numpy dtype {dtype!r}")
 
-    def to_dtype(self) -> np.dtype:
-        """The numpy dtype used to store this column type."""
-        if self is ColumnType.INT64:
-            return np.dtype(np.int64)
-        if self is ColumnType.FLOAT64:
-            return np.dtype(np.float64)
-        if self is ColumnType.BOOL:
-            return np.dtype(np.bool_)
-        return np.dtype(object)
-
     @property
     def numeric(self) -> bool:
         return self in (ColumnType.INT64, ColumnType.FLOAT64)

@@ -11,10 +11,13 @@ Mapping to the paper's objects:
   :class:`~repro.core.gus.GUSParams` and is **fixed per estimator**;
   the algebra's guarantees are per design.
 * ``Y_S`` — the plug-in lattice moments of Section 6.3 — live in a
-  :class:`~repro.stream.sketch.MomentSketch`.  The sketch stores the
-  per-group sums *beneath* the squares (a commutative, mergeable
-  monoid) and materializes the full ``(Y_S)_{S⊆L}`` vector on demand,
-  so ``update`` is a single vectorized pass and ``merge`` is exact.
+  :class:`~repro.stream.sketch.MomentSketchBundle` (per GROUP BY group
+  in a :class:`~repro.stream.sketch.GroupedMomentBundle`).  The sketch
+  stores the per-group sums *beneath* the squares (a commutative,
+  mergeable monoid) and materializes the full ``(Y_S)_{S⊆L}`` vector
+  on demand, so ``update`` is a single vectorized pass and ``merge`` is
+  exact.  These are the accumulators the batch engine merges per chunk
+  (:meth:`repro.core.sbox.SBox.run`); a stream holds one weight vector.
 * ``Ŷ_S`` and ``σ̂²`` — the unbiased moments of the Section 6.3
   triangular recursion and Theorem 1's variance — are produced by
   :class:`~repro.stream.estimator.StreamingEstimator.estimate`, which
@@ -33,12 +36,12 @@ See ``examples/streaming_quickstart.py`` for a five-minute tour.
 
 from repro.stream.estimator import GroupedStreamingEstimator, StreamingEstimator
 from repro.stream.shard import ShardCoordinator
-from repro.stream.sketch import GroupedMomentSketch, MomentSketch
+from repro.stream.sketch import GroupedMomentBundle, MomentSketchBundle
 from repro.stream.window import SlidingWindow, TumblingWindow
 
 __all__ = [
-    "MomentSketch",
-    "GroupedMomentSketch",
+    "MomentSketchBundle",
+    "GroupedMomentBundle",
     "StreamingEstimator",
     "GroupedStreamingEstimator",
     "ShardCoordinator",

@@ -1,8 +1,9 @@
 """Streaming Theorem-1 estimation: an estimate at any moment, no rescan.
 
 :class:`StreamingEstimator` pairs a :class:`~repro.core.gus.GUSParams`
-``G(a, b̄)`` with a :class:`~repro.stream.sketch.MomentSketch` over its
-*active* lineage dimensions (inactive ones are pruned up front, exactly
+``G(a, b̄)`` with a one-vector
+:class:`~repro.stream.sketch.MomentSketchBundle` over its *active*
+lineage dimensions (inactive ones are pruned up front, exactly
 as the batch path does).  Batches of sampled tuples stream in through
 :meth:`update`; at any point :meth:`estimate` runs the Section 6.3
 unbiasing recursion on the sketch's current ``(Y_S)`` vector and emits
@@ -14,7 +15,9 @@ Two estimators over the same GUS merge exactly (:meth:`merge`), which
 is what makes the sharded and windowed drivers in
 :mod:`repro.stream.shard` and :mod:`repro.stream.window` correct: the
 merged sketch is bit-for-bit the same group table a single-process pass
-would have produced, up to float summation order.
+would have produced, up to float summation order.  The sketches are the
+classes :meth:`repro.core.sbox.SBox.run` folds its chunks into, so an
+estimator fed a query's chunks returns the engine's answer bit for bit.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ from repro.core.estimator import (
     Estimate,
     GroupedEstimates,
     estimate_from_moments,
-    grouped_theorem1_variance,
-    unbiased_y_terms_grouped,
+    grouped_estimates_from_moments,
 )
 from repro.core.gus import GUSParams
 from repro.errors import EstimationError
-from repro.stream.sketch import GroupedMomentSketch, MomentSketch
+from repro.stream.sketch import GroupedMomentBundle, MomentSketchBundle
 
 __all__ = ["StreamingEstimator", "GroupedStreamingEstimator"]
 
@@ -55,7 +57,7 @@ class StreamingEstimator:
         self.params = params
         self.label = label
         self._pruned = params.project_out_inactive()
-        self.sketch = MomentSketch(self._pruned.lattice)
+        self.sketch = MomentSketchBundle(self._pruned.lattice, 1)
 
     # -- ingestion ------------------------------------------------------
 
@@ -67,7 +69,7 @@ class StreamingEstimator:
         ``lineage`` may carry columns for pruned (inactive) dimensions;
         only the active ones are read.
         """
-        self.sketch.update(f, lineage)
+        self.sketch.update([f], lineage)
         return self
 
     def merge(self, other: "StreamingEstimator") -> "StreamingEstimator":
@@ -98,8 +100,8 @@ class StreamingEstimator:
         """
         return estimate_from_moments(
             self._pruned,
-            self.sketch.moments(),
-            self.sketch.total,
+            self.sketch.moments()[0],
+            self.sketch.totals()[0],
             self.sketch.n_rows,
             label=self.label,
         )
@@ -116,7 +118,9 @@ class GroupedStreamingEstimator:
     """Incremental per-group ``Σ f`` estimation under a fixed GUS.
 
     The grouped twin of :class:`StreamingEstimator`: batches arrive
-    with int64-coded group key columns alongside ``f`` and lineage, and
+    with group key columns alongside ``f`` and lineage — arrays of any
+    dtype or, for strings, dictionary-encoded ``(codes, values)`` pairs
+    as :class:`~repro.stream.sketch.GroupedMomentBundle` takes them — and
     :meth:`estimate` emits a
     :class:`~repro.core.estimator.GroupedEstimates` over every group
     seen so far — equal (up to float summation order) to what the batch
@@ -139,7 +143,7 @@ class GroupedStreamingEstimator:
         self.params = params
         self.label = label
         self._pruned = params.project_out_inactive()
-        self.sketch = GroupedMomentSketch(self._pruned.lattice, n_group_cols)
+        self.sketch = GroupedMomentBundle(self._pruned.lattice, n_group_cols, 1)
 
     # -- ingestion ------------------------------------------------------
 
@@ -147,10 +151,10 @@ class GroupedStreamingEstimator:
         self,
         f: np.ndarray,
         lineage: Mapping[str, np.ndarray],
-        group_cols: Sequence[np.ndarray],
+        group_cols: Sequence,
     ) -> "GroupedStreamingEstimator":
         """Absorb one batch of sampled rows; returns ``self``."""
-        self.sketch.update(f, lineage, group_cols)
+        self.sketch.update([f], lineage, group_cols)
         return self
 
     def merge(
@@ -186,20 +190,10 @@ class GroupedStreamingEstimator:
         estimates belongs to the ``g``-th distinct key combination.
         Emission never mutates the sketch.
         """
-        group_keys, y, totals, counts = self.sketch.moments()
-        yhat = unbiased_y_terms_grouped(self._pruned, y)
-        var_raw = grouped_theorem1_variance(self._pruned, yhat)
-        estimates = GroupedEstimates(
-            values=totals / self.params.a,
-            variance_raw=var_raw,
-            n_samples=counts.astype(np.int64),
-            label=self.label,
-            extras={
-                "a": self.params.a,
-                "active_dims": self._pruned.lattice.dims,
-            },
+        group_keys, ys, totals, counts = self.sketch.moments()
+        return group_keys, grouped_estimates_from_moments(
+            self._pruned, self.params.a, ys[0], totals[0], counts, label=self.label
         )
-        return group_keys, estimates
 
     def __repr__(self) -> str:
         return (

@@ -1,9 +1,10 @@
 """Sharded ingestion: N sketches in parallel, one exact estimate out.
 
-The group-sum table inside a :class:`~repro.stream.sketch.MomentSketch`
-is additive, so a stream can be partitioned across any number of shard
-sketches — different cores, processes, or machines — and the merged
-table is identical to what a single sketch would have built.  The
+The group-sum table inside a
+:class:`~repro.stream.sketch.MomentSketchBundle` is additive, so a
+stream can be partitioned across any number of shard sketches —
+different cores, processes, or machines — and the merged table is
+identical to what a single sketch would have built.  The
 :class:`ShardCoordinator` here is the single-process reference
 implementation of that protocol: it routes incoming batches to shards,
 and :meth:`estimate` merges on demand.

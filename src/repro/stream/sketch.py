@@ -8,25 +8,33 @@ monoid under "concatenate and re-reduce".  Every coarser moment
 ``Y_S`` (``S ⊂ L``) is then a pure function of that one table, because
 a lineage group on ``S`` is a union of full-lineage groups.
 
-:class:`MomentSketch` maintains exactly that table — compacted after
-every update so its size is the number of *distinct lineage keys seen*,
-not the number of rows ingested — plus the sample row count.  It
-supports three operations, all exact:
+:class:`MomentSketchBundle` maintains exactly that table for one or
+more weight vectors at once — compacted after every update so its size
+is the number of *distinct lineage keys seen*, not the number of rows
+ingested — plus the sample row count.  It supports three operations,
+all exact:
 
-* ``update(f, lineage)`` — absorb a batch in one vectorized pass;
-* ``merge(other)``       — combine two sketches (shards, windows,
-  machines) with no approximation;
-* ``moments()``          — emit the full ``(Y_S)_{S⊆L}`` vector.
+* ``update(fs, lineage)`` — absorb a batch in one vectorized pass;
+* ``merge(other)``        — combine two sketches (chunks, shards,
+  windows, machines) with no approximation;
+* ``moments()``           — emit one ``(Y_S)_{S⊆L}`` vector per weight
+  vector.
 
-The heavy lifting lives in :func:`repro.core.estimator.group_reduce`
-and :func:`repro.core.estimator.y_terms_from_groups`, the same
-accumulator core the batch ``y_terms`` is built on — one source of
-truth for the moment arithmetic.
+The heavy lifting lives in
+:func:`repro.core.estimator.group_reduce_multi` and
+:func:`repro.core.estimator.y_terms_from_groups`, the same accumulator
+core the batch ``y_terms`` is built on — one source of truth for the
+moment arithmetic.
 
-:class:`GroupedMomentSketch` extends the same idea to GROUP BY
+:class:`GroupedMomentBundle` extends the same idea to GROUP BY
 workloads by keying the table on (group key, lineage key); every
 group's moment vector is then derivable from one shared state, and the
 merge story is unchanged.
+
+There is one accumulator per query shape: the classes
+:meth:`repro.core.sbox.SBox.run` folds every chunk into are the classes
+a :class:`~repro.stream.estimator.StreamingEstimator`, a shard or a
+window merges (with a single weight vector).
 """
 
 from __future__ import annotations
@@ -38,371 +46,72 @@ import numpy as np
 from repro.core import kernels
 from repro.core.estimator import (
     group_keys,
-    group_reduce,
     group_reduce_multi,
-    grouped_y_terms_from_groups,
     grouped_y_terms_multi,
     y_terms_from_groups,
 )
 from repro.core.lattice import SubsetLattice
 from repro.errors import EstimationError
 
-__all__ = [
-    "GroupedMomentBundle",
-    "GroupedMomentSketch",
-    "MomentSketch",
-    "MomentSketchBundle",
-]
+__all__ = ["GroupedMomentBundle", "MomentSketchBundle"]
 
 
-class MomentSketch:
-    """Incremental, mergeable accumulator of the lattice moments.
+def _checked_batch(
+    lattice: SubsetLattice,
+    n_vectors: int,
+    fs: Sequence[np.ndarray],
+    lineage: Mapping[str, np.ndarray],
+    group_cols: Sequence = (),
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """One ``update`` batch as ``(float64 vectors, int64 lineage keys)``.
 
-    The state is a compact group table: ``_keys[i]`` holds the value of
-    lineage dimension ``lattice.dims[i]`` for each distinct full-lineage
-    key, ``_sums`` the running ``Σ f`` of that key's rows, and
-    ``_n_rows`` the total rows absorbed.  Lineage ids are coerced to
-    int64 so tables from different batches always concatenate cleanly.
+    Raises :class:`EstimationError` unless the batch is ``n_vectors``
+    1-d vectors of one length, with a lineage column of integer dtype
+    and that shape for every lattice dim, and group columns of that
+    length.  A float or bool lineage column is refused, not truncated.
     """
-
-    __slots__ = ("lattice", "_keys", "_sums", "_n_rows")
-
-    def __init__(self, lattice: SubsetLattice) -> None:
-        self.lattice = lattice
-        self._keys: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(lattice.n)
-        ]
-        self._sums = np.empty(0, dtype=np.float64)
-        self._n_rows = 0
-
-    # -- inspection -----------------------------------------------------
-
-    @property
-    def n_rows(self) -> int:
-        """Rows absorbed so far (the sample size for the estimator)."""
-        return self._n_rows
-
-    @property
-    def n_groups(self) -> int:
-        """Distinct full-lineage keys seen — the size of the state."""
-        return int(self._sums.shape[0])
-
-    @property
-    def total(self) -> float:
-        """The running sample sum ``Σ f``."""
-        return float(np.sum(self._sums)) if self._sums.size else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"MomentSketch(dims={list(self.lattice.dims)}, "
-            f"n_rows={self._n_rows}, n_groups={self.n_groups}, "
-            f"total={self.total:.6g})"
+    if len(fs) != n_vectors:
+        raise EstimationError(f"expected {n_vectors} weight vectors, got {len(fs)}")
+    fs = [np.asarray(f, dtype=np.float64) for f in fs]
+    shape = fs[0].shape
+    if len(shape) != 1 or any(f.shape != shape for f in fs):
+        raise EstimationError(
+            f"f vectors must be 1-d and of equal length, got shapes {[f.shape for f in fs]}"
         )
-
-    # -- mutation -------------------------------------------------------
-
-    def _coerce_batch(
-        self, f: np.ndarray, lineage: Mapping[str, np.ndarray]
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        f = np.asarray(f, dtype=np.float64)
-        if f.ndim != 1:
-            raise EstimationError(f"f must be 1-d, got shape {f.shape}")
-        missing = [d for d in self.lattice.dims if d not in lineage]
-        if missing:
-            raise EstimationError(f"lineage columns missing for {missing}")
-        cols = []
-        for d in self.lattice.dims:
-            col = np.asarray(lineage[d], dtype=np.int64)
-            if col.shape != f.shape:
-                raise EstimationError(
-                    f"lineage column {d!r} has shape {col.shape}; "
-                    f"f has shape {f.shape}"
-                )
-            cols.append(col)
-        return f, cols
-
-    def _absorb(
-        self, keys: Sequence[np.ndarray], sums: np.ndarray, n_rows: int
-    ) -> None:
-        """Fold an already-compacted group table into the state."""
-        if n_rows == 0 and sums.size == 0:
-            return
-        if self._sums.size == 0:
-            self._keys = [np.asarray(k, dtype=np.int64) for k in keys]
-            self._sums = np.asarray(sums, dtype=np.float64)
-        else:
-            merged_cols = [
-                np.concatenate([mine, np.asarray(theirs, dtype=np.int64)])
-                for mine, theirs in zip(self._keys, keys)
-            ]
-            merged_sums = np.concatenate([self._sums, sums])
-            self._keys, self._sums = group_reduce(merged_cols, merged_sums)
-        self._n_rows += int(n_rows)
-
-    def update(self, f: np.ndarray, lineage: Mapping[str, np.ndarray]) -> "MomentSketch":
-        """Absorb one batch of rows; returns ``self`` for chaining.
-
-        One :func:`group_reduce` pass compacts the batch, a second folds
-        it into the state — ``O((G + B) log (G + B))`` for state size
-        ``G`` and batch size ``B``, independent of the rows already
-        ingested when lineage keys repeat.
-        """
-        f, cols = self._coerce_batch(f, lineage)
-        if f.shape[0] == 0:
-            return self
-        keys, sums = group_reduce(cols, f)
-        self._absorb(keys, sums, f.shape[0])
-        return self
-
-    def merge(self, other: "MomentSketch") -> "MomentSketch":
-        """Fold ``other`` into ``self`` (exact); returns ``self``.
-
-        Merge is commutative and associative up to floating-point
-        summation order, so shard sketches can be combined in any
-        topology — pairwise trees, sequential folds, or one big
-        concatenate — with the same group table as a single-pass build.
-        """
-        if self.lattice != other.lattice:
-            raise EstimationError(
-                f"cannot merge sketches over different lattices: "
-                f"{self.lattice.dims} vs {other.lattice.dims}"
-            )
-        self._absorb(other._keys, other._sums, other._n_rows)
-        return self
-
-    def copy(self) -> "MomentSketch":
-        """An independent snapshot (state arrays are copied)."""
-        dup = MomentSketch(self.lattice)
-        dup._keys = [k.copy() for k in self._keys]
-        dup._sums = self._sums.copy()
-        dup._n_rows = self._n_rows
-        return dup
-
-    # -- emission -------------------------------------------------------
-
-    def moments(self) -> np.ndarray:
-        """The plug-in moment vector ``(Y_S)_{S⊆L}`` right now.
-
-        Cost is ``O(2^n)`` groupings over the *compacted* table — the
-        raw rows are never rescanned.
-        """
-        return y_terms_from_groups(self._sums, self._keys, self.lattice)
-
-
-class GroupedMomentSketch:
-    """A mergeable moment sketch per GROUP BY group, in one table.
-
-    The state generalizes :class:`MomentSketch`'s group-sum table by
-    keying on *(group key, full lineage key)*: ``_group_cols`` hold the
-    int64-coded GROUP BY values (callers with non-integer keys
-    factorize first — the SQL layer's dense group ids are exactly such
-    a coding), ``_keys`` the lineage ids, ``_sums`` the running ``Σ f``
-    and ``_counts`` the row count of each entry.  That table is still a
-    commutative monoid under concatenate-and-re-reduce, so sketches
-    merge exactly across shards and windows even when a group was seen
-    by only one shard — its entries simply survive the re-reduce
-    untouched.
-
-    :meth:`moments` factorizes the distinct group keys seen so far and
-    emits, for all of them simultaneously, the per-group plug-in moment
-    matrix the vectorized grouped estimator consumes.
-    """
-
-    __slots__ = ("lattice", "n_group_cols", "_group_cols", "_keys", "_sums", "_counts", "_n_rows")
-
-    def __init__(self, lattice: SubsetLattice, n_group_cols: int = 1) -> None:
-        if n_group_cols < 1:
-            raise EstimationError(
-                f"need at least one group column, got {n_group_cols}"
-            )
-        self.lattice = lattice
-        self.n_group_cols = int(n_group_cols)
-        self._group_cols: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(n_group_cols)
-        ]
-        self._keys: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(lattice.n)
-        ]
-        self._sums = np.empty(0, dtype=np.float64)
-        self._counts = np.empty(0, dtype=np.float64)
-        self._n_rows = 0
-
-    # -- inspection -----------------------------------------------------
-
-    @property
-    def n_rows(self) -> int:
-        """Rows absorbed so far."""
-        return self._n_rows
-
-    @property
-    def n_entries(self) -> int:
-        """Distinct (group key, lineage key) pairs — the state size."""
-        return int(self._sums.shape[0])
-
-    def __repr__(self) -> str:
-        return (
-            f"GroupedMomentSketch(dims={list(self.lattice.dims)}, "
-            f"n_group_cols={self.n_group_cols}, n_rows={self._n_rows}, "
-            f"n_entries={self.n_entries})"
-        )
-
-    # -- mutation -------------------------------------------------------
-
-    def _coerce_batch(
-        self,
-        f: np.ndarray,
-        lineage: Mapping[str, np.ndarray],
-        group_cols: Sequence[np.ndarray],
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        f = np.asarray(f, dtype=np.float64)
-        if f.ndim != 1:
-            raise EstimationError(f"f must be 1-d, got shape {f.shape}")
-        if len(group_cols) != self.n_group_cols:
-            raise EstimationError(
-                f"expected {self.n_group_cols} group columns, "
-                f"got {len(group_cols)}"
-            )
-        missing = [d for d in self.lattice.dims if d not in lineage]
-        if missing:
-            raise EstimationError(f"lineage columns missing for {missing}")
-        cols = []
-        for name, raw in [
-            *((f"group[{i}]", c) for i, c in enumerate(group_cols)),
-            *((d, lineage[d]) for d in self.lattice.dims),
-        ]:
-            raw = np.asarray(raw)
-            if not np.issubdtype(raw.dtype, np.integer):
-                raise EstimationError(
-                    f"column {name!r} has dtype {raw.dtype}; the grouped "
-                    "sketch keys on int64 — factorize non-integer group "
-                    "keys (e.g. with group_ids) before streaming them"
-                )
-            col = raw.astype(np.int64)
-            if col.shape != f.shape:
-                raise EstimationError(
-                    f"column {name!r} has shape {col.shape}; "
-                    f"f has shape {f.shape}"
-                )
-            cols.append(col)
-        return f, cols
-
-    def _absorb(
-        self,
-        cols: Sequence[np.ndarray],
-        sums: np.ndarray,
-        counts: np.ndarray,
-        n_rows: int,
-    ) -> None:
-        """Fold an already-compacted (group, lineage) table in."""
-        if n_rows == 0 and sums.size == 0:
-            return
-        state = self._group_cols + self._keys
-        if self._sums.size == 0:
-            merged = [np.asarray(c, dtype=np.int64) for c in cols]
-            keys, (self._sums, self._counts) = merged, (
-                np.asarray(sums, dtype=np.float64),
-                np.asarray(counts, dtype=np.float64),
-            )
-        else:
-            merged = [
-                np.concatenate([mine, np.asarray(theirs, dtype=np.int64)])
-                for mine, theirs in zip(state, cols)
-            ]
-            keys, (self._sums, self._counts) = group_reduce_multi(
-                merged,
-                [
-                    np.concatenate([self._sums, sums]),
-                    np.concatenate([self._counts, counts]),
-                ],
-            )
-        self._group_cols = keys[: self.n_group_cols]
-        self._keys = keys[self.n_group_cols :]
-        self._n_rows += int(n_rows)
-
-    def update(
-        self,
-        f: np.ndarray,
-        lineage: Mapping[str, np.ndarray],
-        group_cols: Sequence[np.ndarray],
-    ) -> "GroupedMomentSketch":
-        """Absorb one batch; ``group_cols[i][r]`` keys row ``r``."""
-        f, cols = self._coerce_batch(f, lineage, group_cols)
-        if f.shape[0] == 0:
-            return self
-        keys, (sums, counts) = group_reduce_multi(
-            cols, [f, np.ones(f.shape[0], dtype=np.float64)]
-        )
-        self._absorb(keys, sums, counts, f.shape[0])
-        return self
-
-    def merge(self, other: "GroupedMomentSketch") -> "GroupedMomentSketch":
-        """Fold ``other`` into ``self`` (exact); returns ``self``."""
-        if self.lattice != other.lattice:
-            raise EstimationError(
-                f"cannot merge sketches over different lattices: "
-                f"{self.lattice.dims} vs {other.lattice.dims}"
-            )
-        if self.n_group_cols != other.n_group_cols:
-            raise EstimationError(
-                f"cannot merge sketches with {self.n_group_cols} vs "
-                f"{other.n_group_cols} group columns"
-            )
-        self._absorb(
-            other._group_cols + other._keys,
-            other._sums,
-            other._counts,
-            other._n_rows,
-        )
-        return self
-
-    def copy(self) -> "GroupedMomentSketch":
-        """An independent snapshot (state arrays are copied)."""
-        dup = GroupedMomentSketch(self.lattice, self.n_group_cols)
-        dup._group_cols = [c.copy() for c in self._group_cols]
-        dup._keys = [k.copy() for k in self._keys]
-        dup._sums = self._sums.copy()
-        dup._counts = self._counts.copy()
-        dup._n_rows = self._n_rows
-        return dup
-
-    # -- emission -------------------------------------------------------
-
-    def groups(self) -> tuple[list[np.ndarray], np.ndarray, int]:
-        """Factorize the distinct group keys seen so far.
-
-        Returns ``(group_key_columns, owner, n_groups)``: one array per
-        group column holding each distinct key once (sorted), the dense
-        group id of every state entry, and the group count.
-        """
-        return group_keys(self._group_cols, self.n_entries)
-
-    def moments(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-        """Per-group plug-in moments for every group seen so far.
-
-        Returns ``(group_keys, Y, totals, counts)``: the distinct group
-        key columns, the ``(n_groups, lattice.size)`` moment matrix,
-        and each group's running ``Σ f`` and row count.
-        """
-        key_columns, owner, n_groups = self.groups()
-        y = grouped_y_terms_from_groups(
-            self._sums, self._keys, owner, n_groups, self.lattice
-        )
-        totals = np.bincount(owner, weights=self._sums, minlength=n_groups)
-        counts = np.bincount(owner, weights=self._counts, minlength=n_groups)
-        return key_columns, y, totals, counts
+    missing = [d for d in lattice.dims if d not in lineage]
+    if missing:
+        raise EstimationError(f"lineage columns missing for {missing}")
+    keys = []
+    for d in lattice.dims:
+        col = np.asarray(lineage[d])
+        if not np.issubdtype(col.dtype, np.integer):
+            raise EstimationError(f"lineage column {d!r} has non-integer dtype {col.dtype}")
+        if col.shape != shape:
+            raise EstimationError(f"lineage column {d!r} has shape {col.shape}; f has {shape}")
+        keys.append(col.astype(np.int64, copy=False))
+    for i, col in enumerate(group_cols):
+        n = len(col[0] if type(col) is tuple else col)
+        if n != shape[0]:
+            raise EstimationError(f"group column {i} has {n} rows; f has shape {shape}")
+    return fs, keys
 
 
 class MomentSketchBundle:
-    """Several :class:`MomentSketch` vectors sharing one key table.
+    """Incremental, mergeable accumulator of the lattice moments.
+
+    The state is a compact group table: ``_keys[i]`` holds the int64
+    value of lineage dimension ``lattice.dims[i]`` for each distinct
+    full-lineage key, ``_sums[j]`` the running ``Σ f_j`` of that key's
+    rows for weight vector ``j``, and ``_n_rows`` the rows absorbed.
 
     The expensive part of absorbing a batch is the sort over the
     lineage keys; the per-vector sums are one extra ``bincount`` each.
     A multi-aggregate query (every SUM/COUNT plus the two extra AVG
     vectors) therefore folds all its weight vectors through a single
-    bundle — this is what the partition-parallel SBox path merges, one
-    bundle per chunk, one merge tree per query instead of per
-    aggregate.  Every operation is exact, and the state is the same
-    commutative monoid as the single-vector sketch's.
+    bundle — one bundle per chunk, one merge tree per query instead of
+    per aggregate; the streaming tier holds a bundle of one vector.
+    Merge is commutative and associative up to floating-point summation
+    order, so bundles combine in any topology.
     """
 
     __slots__ = ("lattice", "n_vectors", "_keys", "_sums", "_n_rows")
@@ -445,19 +154,11 @@ class MomentSketchBundle:
         if n_rows == 0 and sums[0].size == 0:
             return
         if self._sums[0].size == 0:
-            self._keys = [np.asarray(k, dtype=np.int64) for k in keys]
-            self._sums = [np.asarray(s, dtype=np.float64) for s in sums]
+            self._keys, self._sums = list(keys), list(sums)
         else:
-            merged_keys = [
-                np.concatenate([mine, np.asarray(theirs, dtype=np.int64)])
-                for mine, theirs in zip(self._keys, keys)
-            ]
-            merged_sums = [
-                np.concatenate([mine, theirs])
-                for mine, theirs in zip(self._sums, sums)
-            ]
             self._keys, self._sums = group_reduce_multi(
-                merged_keys, merged_sums
+                [np.concatenate(pair) for pair in zip(self._keys, keys)],
+                [np.concatenate(pair) for pair in zip(self._sums, sums)],
             )
         self._n_rows += int(n_rows)
 
@@ -467,20 +168,10 @@ class MomentSketchBundle:
         lineage: Mapping[str, np.ndarray],
     ) -> "MomentSketchBundle":
         """Absorb one batch: ``fs[j]`` is vector ``j``'s row values."""
-        if len(fs) != self.n_vectors:
-            raise EstimationError(
-                f"expected {self.n_vectors} weight vectors, got {len(fs)}"
-            )
-        fs = [np.asarray(f, dtype=np.float64) for f in fs]
+        fs, cols = _checked_batch(self.lattice, self.n_vectors, fs, lineage)
         n = fs[0].shape[0]
         if n == 0:
             return self
-        missing = [d for d in self.lattice.dims if d not in lineage]
-        if missing:
-            raise EstimationError(f"lineage columns missing for {missing}")
-        cols = [
-            np.asarray(lineage[d], dtype=np.int64) for d in self.lattice.dims
-        ]
         keys, sums = group_reduce_multi(cols, fs)
         self._absorb(keys, sums, n)
         return self
@@ -499,6 +190,14 @@ class MomentSketchBundle:
             )
         self._absorb(other._keys, other._sums, other._n_rows)
         return self
+
+    def copy(self) -> "MomentSketchBundle":
+        """An independent snapshot, sharing the state arrays (which are
+        replaced by ``update``/``merge``, never written in place)."""
+        dup = MomentSketchBundle(self.lattice, self.n_vectors)
+        dup._keys, dup._sums = list(self._keys), list(self._sums)
+        dup._n_rows = self._n_rows
+        return dup
 
     def moments(self) -> list[np.ndarray]:
         """One plug-in moment vector ``(Y_S)_{S⊆L}`` per weight vector."""
@@ -530,8 +229,9 @@ def _coerce_group_column(raw: np.ndarray) -> np.ndarray:
 class GroupedMomentBundle:
     """Per-group moment state for several weight vectors at once.
 
-    The grouped twin of :class:`MomentSketchBundle`, and the grouped
-    partition-merge accumulator of the SBox.  The state has two parts:
+    The grouped twin of :class:`MomentSketchBundle`: the grouped
+    accumulator of the SBox's chunks and of the streaming tier.  The
+    state has two parts:
 
     * a small *dictionary* of the distinct group-key tuples seen so
       far — one array per GROUP BY column in its natural dtype (strings
@@ -666,26 +366,16 @@ class GroupedMomentBundle:
         A group column is an array or, for strings, a dictionary-encoded
         ``(codes, values)`` pair with ``values[codes]`` the rows.
         """
-        if len(fs) != self.n_vectors:
-            raise EstimationError(
-                f"expected {self.n_vectors} weight vectors, got {len(fs)}"
-            )
         if len(group_cols) != self.n_group_cols:
             raise EstimationError(
                 f"expected {self.n_group_cols} group columns, "
                 f"got {len(group_cols)}"
             )
-        fs = [np.asarray(f, dtype=np.float64) for f in fs]
+        fs, keys = _checked_batch(self.lattice, self.n_vectors, fs, lineage, group_cols)
         n = fs[0].shape[0]
         if n == 0:
             return self
-        missing = [d for d in self.lattice.dims if d not in lineage]
-        if missing:
-            raise EstimationError(f"lineage columns missing for {missing}")
         dictionary, gids, _ = group_keys(group_cols, n)
-        keys = [
-            np.asarray(lineage[d], dtype=np.int64) for d in self.lattice.dims
-        ]
         ones = np.ones(n, dtype=np.float64)
         if len(keys) == 1 and kernels.strictly_increasing(keys[0]):
             # ``f + 0.0`` is what ``np.bincount`` yields for a one-row
@@ -730,6 +420,15 @@ class GroupedMomentBundle:
             other._n_rows,
         )
         return self
+
+    def copy(self) -> "GroupedMomentBundle":
+        """An independent snapshot, sharing the state arrays (which are
+        replaced by ``update``/``merge``, never written in place)."""
+        dup = GroupedMomentBundle(self.lattice, self.n_group_cols, self.n_vectors)
+        dup._group_keys, dup._codes = list(self._group_keys), self._codes
+        dup._keys, dup._sums = list(self._keys), list(self._sums)
+        dup._counts, dup._n_rows = self._counts, self._n_rows
+        return dup
 
     def groups(self) -> tuple[list[np.ndarray], np.ndarray, int]:
         """``(group key columns, per-entry group code, n_groups)``.

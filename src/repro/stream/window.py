@@ -2,8 +2,9 @@
 
 Both windows treat one ``push(f, lineage)`` call as one *batch* — the
 natural unit of a micro-batched stream processor — and answer windowed
-SUM queries from merged :class:`~repro.stream.sketch.MomentSketch`
-state instead of re-scanning raw tuples:
+SUM queries from merged
+:class:`~repro.stream.sketch.MomentSketchBundle` state instead of
+re-scanning raw tuples:
 
 * :class:`TumblingWindow` accumulates one estimator per span of
   ``length`` batches; when a span closes, :meth:`push` returns its

@@ -1,10 +1,10 @@
-"""Multi-vector sketch bundles: equivalence with their scalar twins.
+"""Multi-vector sketch bundles: one key table, k independent vectors.
 
 A :class:`MomentSketchBundle` over k weight vectors must behave, per
-vector, exactly like k independent :class:`MomentSketch` instances fed
-the same rows — and merging bundles must commute with merging the
-scalars.  The grouped bundle is likewise pinned against the batch
-grouped estimator path, including non-integer (string) group keys.
+vector, exactly like k one-vector bundles fed the same rows — and
+merging bundles must commute with merging those.  The grouped bundle is
+likewise pinned against the batch grouped estimator path, including
+non-integer (string, float) group keys.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from repro.core.estimator import (
 from repro.core.gus import bernoulli_gus
 from repro.core.lattice import SubsetLattice
 from repro.errors import EstimationError
-from repro.stream.sketch import (
-    GroupedMomentBundle,
-    MomentSketch,
-    MomentSketchBundle,
-)
+from repro.stream.sketch import GroupedMomentBundle, MomentSketchBundle
 
 DIMS = ("l", "o")
 
@@ -44,9 +40,7 @@ def batches(draw):
     rng = np.random.default_rng(seed)
     f1 = rng.uniform(-3, 5, n)
     f2 = rng.uniform(0, 2, n)
-    lineage = {
-        d: rng.integers(0, 8, n).astype(np.int64) for d in DIMS[:n_dims]
-    }
+    lineage = {d: rng.integers(0, 8, n).astype(np.int64) for d in DIMS[:n_dims]}
     assignment = rng.integers(0, n_batches, n)
     return n_dims, f1, f2, lineage, assignment, n_batches
 
@@ -54,22 +48,23 @@ def batches(draw):
 class TestMomentSketchBundle:
     @given(batches())
     @settings(max_examples=60, deadline=None)
-    def test_matches_scalar_sketches(self, case):
+    def test_k_vector_bundle_equals_k_one_vector_bundles(self, case):
         n_dims, f1, f2, lineage, assignment, n_batches = case
         lattice = SubsetLattice(DIMS[:n_dims])
         bundle = MomentSketchBundle(lattice, 2)
-        solo1, solo2 = MomentSketch(lattice), MomentSketch(lattice)
+        solo1, solo2 = MomentSketchBundle(lattice, 1), MomentSketchBundle(lattice, 1)
         for b in range(n_batches):
             idx = np.flatnonzero(assignment == b)
             part = {d: c[idx] for d, c in lineage.items()}
             bundle.update([f1[idx], f2[idx]], part)
-            solo1.update(f1[idx], part)
-            solo2.update(f2[idx], part)
+            solo1.update([f1[idx]], part)
+            solo2.update([f2[idx]], part)
         m1, m2 = bundle.moments()
-        np.testing.assert_array_equal(m1, solo1.moments())
-        np.testing.assert_array_equal(m2, solo2.moments())
-        assert bundle.totals() == [solo1.total, solo2.total]
-        assert bundle.n_rows == solo1.n_rows
+        np.testing.assert_array_equal(m1, solo1.moments()[0])
+        np.testing.assert_array_equal(m2, solo2.moments()[0])
+        assert bundle.totals() == solo1.totals() + solo2.totals()
+        assert bundle.n_rows == solo1.n_rows == solo2.n_rows
+        assert bundle.n_groups == solo1.n_groups
 
     @given(batches())
     @settings(max_examples=40, deadline=None)
@@ -97,8 +92,11 @@ class TestMomentSketchBundle:
         with pytest.raises(EstimationError):
             MomentSketchBundle(lattice, 0)
         bundle = MomentSketchBundle(lattice, 2)
-        with pytest.raises(EstimationError):
+        with pytest.raises(EstimationError, match="2 weight vectors"):
             bundle.update([np.ones(3)], {"l": np.arange(3)})
+        with pytest.raises(EstimationError, match="equal length"):
+            bundle.update([np.ones(3), np.ones(2)], {"l": np.arange(3)})
+        assert bundle.n_rows == 0
         with pytest.raises(EstimationError):
             bundle.merge(MomentSketchBundle(lattice, 3))
         with pytest.raises(EstimationError):
@@ -155,9 +153,7 @@ def _chunk_bundle(lattice, group_cols, fs, lineage, lo, hi):
 def _fold(lattice, group_cols, fs, lineage, bounds):
     merged = GroupedMomentBundle(lattice, len(group_cols), len(fs))
     for lo, hi in zip(bounds, bounds[1:]):
-        merged.merge(
-            _chunk_bundle(lattice, group_cols, fs, lineage, lo, hi)
-        )
+        merged.merge(_chunk_bundle(lattice, group_cols, fs, lineage, lo, hi))
     return merged
 
 
@@ -165,9 +161,7 @@ class TestGroupedMomentBundle:
     @pytest.mark.parametrize("n_chunks", sorted(CHUNK_BOUNDS))
     @pytest.mark.parametrize("fanout", [False, True])
     @pytest.mark.parametrize("key_kind", ["string", "int", "string_int"])
-    def test_chunks_equal_single_pass_bit_for_bit(
-        self, key_kind, fanout, n_chunks
-    ):
+    def test_chunks_equal_single_pass_bit_for_bit(self, key_kind, fanout, n_chunks):
         group_cols, fs, lineage = _grouped_case(key_kind, fanout)
         n = fs[0].shape[0]
         params = bernoulli_gus("l", 0.5)
@@ -177,9 +171,7 @@ class TestGroupedMomentBundle:
         )
         first = group_firsts(gids, n_groups, n)
         pruned = params.project_out_inactive()
-        merged = _fold(
-            pruned.lattice, group_cols, fs, lineage, CHUNK_BOUNDS[n_chunks]
-        )
+        merged = _fold(pruned.lattice, group_cols, fs, lineage, CHUNK_BOUNDS[n_chunks])
         assert merged.n_rows == n
         group_keys, ys, totals, counts = merged.moments()
         for got, col in zip(group_keys, group_cols):

@@ -21,22 +21,18 @@ from repro.core.estimator import (
 )
 from repro.core.gus import bernoulli_gus, without_replacement_gus
 from repro.errors import EstimationError
-from repro.stream import GroupedMomentSketch, GroupedStreamingEstimator
+from repro.stream import GroupedMomentBundle, GroupedStreamingEstimator
 
 GUS_CASES = {
     "bernoulli": bernoulli_gus("l", 0.3),
-    "join": join_gus(
-        bernoulli_gus("l", 0.4), without_replacement_gus("o", 30, 100)
-    ),
+    "join": join_gus(bernoulli_gus("l", 0.4), without_replacement_gus("o", 30, 100)),
 }
 
 
 def _stream(rng, n, dims, n_groups=9):
     f = rng.integers(-3, 12, n).astype(np.float64)
     spans = {"l": 40, "o": 25}
-    lineage = {
-        d: rng.integers(0, spans[d], n).astype(np.int64) for d in dims
-    }
+    lineage = {d: rng.integers(0, spans[d], n).astype(np.int64) for d in dims}
     groups = rng.integers(0, n_groups, n).astype(np.int64)
     return f, lineage, groups
 
@@ -73,12 +69,8 @@ class TestShardMergeExactness:
         keys_many, est_many = merged.estimate()
         np.testing.assert_array_equal(keys_one[0], keys_many[0])
         np.testing.assert_array_equal(est_one.values, est_many.values)
-        np.testing.assert_array_equal(
-            est_one.n_samples, est_many.n_samples
-        )
-        np.testing.assert_allclose(
-            est_one.variance_raw, est_many.variance_raw, rtol=1e-9
-        )
+        np.testing.assert_array_equal(est_one.n_samples, est_many.n_samples)
+        np.testing.assert_allclose(est_one.variance_raw, est_many.variance_raw, rtol=1e-9)
         assert merged.n_sample == single.n_sample == 800
 
     @pytest.mark.parametrize("gus_name", sorted(GUS_CASES))
@@ -110,9 +102,7 @@ class TestShardMergeExactness:
         batch = estimate_sums_grouped(gus, f, lineage, gids, n_groups)
         np.testing.assert_array_equal(est.values, batch.values)
         np.testing.assert_array_equal(est.n_samples, batch.n_samples)
-        np.testing.assert_allclose(
-            est.variance_raw, batch.variance_raw, rtol=1e-9
-        )
+        np.testing.assert_allclose(est.variance_raw, batch.variance_raw, rtol=1e-9)
 
     def test_merge_equals_batch_grouped_estimator(self):
         """The streaming emission matches the batch grouped estimator
@@ -133,9 +123,7 @@ class TestShardMergeExactness:
         batch = estimate_sums_grouped(gus, f, lineage, gids, n_groups)
         assert keys[0].tolist() == sorted(set(groups.tolist()))
         np.testing.assert_array_equal(est.values, batch.values)
-        np.testing.assert_allclose(
-            est.variance_raw, batch.variance_raw, rtol=1e-9
-        )
+        np.testing.assert_allclose(est.variance_raw, batch.variance_raw, rtol=1e-9)
 
     def test_multi_column_group_keys(self):
         gus = GUS_CASES["bernoulli"]
@@ -158,14 +146,15 @@ class TestShardMergeExactness:
 class TestGroupedSketchState:
     def test_state_compacts_to_distinct_pairs(self):
         gus = GUS_CASES["bernoulli"]
-        sketch = GroupedMomentSketch(gus.lattice)
+        sketch = GroupedMomentBundle(gus.lattice, 1, 1)
         rng = np.random.default_rng(2)
         lin = rng.integers(0, 5, 1000).astype(np.int64)
         grp = rng.integers(0, 3, 1000).astype(np.int64)
-        sketch.update(np.ones(1000), {"l": lin}, [grp])
+        sketch.update([np.ones(1000)], {"l": lin}, [grp])
         distinct = len({(int(g), int(l)) for g, l in zip(grp, lin)})
         assert sketch.n_entries == distinct
         assert sketch.n_rows == 1000
+        assert "n_entries=" in repr(sketch)
 
     def test_empty_updates_and_empty_sketch(self):
         gus = GUS_CASES["bernoulli"]
@@ -191,22 +180,24 @@ class TestGroupedSketchState:
         b.update(
             np.array([5.0]),
             {"l": np.array([2], dtype=np.int64)},
-            [np.array([1], dtype=np.int64)],
+            [np.array([7], dtype=np.int64)],
         )
         assert a.n_sample == 2 and b.n_sample == 3
-        _, est_a = a.estimate()
-        assert est_a.n_groups == 2
+        keys_a, est_a = a.estimate()
+        assert keys_a[0].tolist() == [0, 1]
+        assert est_a.values.tolist() == [1.0 / gus.a, 2.0 / gus.a]
+        assert b.estimate()[0][0].tolist() == [0, 1, 7]
 
     def test_mismatched_merges_rejected(self):
         bern = GUS_CASES["bernoulli"]
         with pytest.raises(EstimationError, match="different lattices"):
-            GroupedMomentSketch(bern.lattice).merge(
-                GroupedMomentSketch(GUS_CASES["join"].lattice)
+            GroupedMomentBundle(bern.lattice, 1, 1).merge(
+                GroupedMomentBundle(GUS_CASES["join"].lattice, 1, 1)
             )
-        with pytest.raises(EstimationError, match="group columns"):
-            GroupedMomentSketch(bern.lattice, 1).merge(
-                GroupedMomentSketch(bern.lattice, 2)
-            )
+        with pytest.raises(EstimationError, match="different shapes"):
+            GroupedMomentBundle(bern.lattice, 1, 1).merge(GroupedMomentBundle(bern.lattice, 2, 1))
+        with pytest.raises(EstimationError, match="different shapes"):
+            GroupedMomentBundle(bern.lattice, 1, 1).merge(GroupedMomentBundle(bern.lattice, 1, 2))
         with pytest.raises(EstimationError, match="different GUS"):
             GroupedStreamingEstimator(bern).merge(
                 GroupedStreamingEstimator(bernoulli_gus("l", 0.7))
@@ -214,30 +205,39 @@ class TestGroupedSketchState:
 
     def test_batch_validation(self):
         gus = GUS_CASES["bernoulli"]
-        sketch = GroupedMomentSketch(gus.lattice)
+        sketch = GroupedMomentBundle(gus.lattice, 1, 1)
+        ids = np.zeros(2, dtype=np.int64)
         with pytest.raises(EstimationError, match="group columns"):
-            sketch.update(np.ones(2), {"l": np.zeros(2, dtype=np.int64)}, [])
+            sketch.update([np.ones(2)], {"l": ids}, [])
         with pytest.raises(EstimationError, match="missing"):
-            sketch.update(np.ones(2), {}, [np.zeros(2, dtype=np.int64)])
+            sketch.update([np.ones(2)], {}, [ids])
         with pytest.raises(EstimationError, match="shape"):
-            sketch.update(
-                np.ones(2),
-                {"l": np.zeros(3, dtype=np.int64)},
-                [np.zeros(2, dtype=np.int64)],
-            )
+            sketch.update([np.ones(2)], {"l": np.zeros(3, dtype=np.int64)}, [ids])
+        with pytest.raises(EstimationError, match="1-d"):
+            sketch.update([np.ones((2, 1))], {"l": ids}, [ids])
+        with pytest.raises(EstimationError, match="non-integer dtype"):
+            sketch.update([np.ones(2)], {"l": np.array([1.5, 2.5])}, [ids])
+        # A short group column used to surface as a bare numpy ValueError.
+        encoded = (np.zeros(3, dtype=np.int32), np.array(["x"], dtype=object))
+        for short in (np.zeros(3, dtype=np.int64), ["a", "b", "c"], encoded):
+            with pytest.raises(EstimationError, match="group column 0 has 3 rows"):
+                sketch.update([np.ones(2)], {"l": ids}, [short])
+        assert (sketch.n_rows, sketch.n_entries) == (0, 0)
         with pytest.raises(EstimationError, match="at least one group"):
-            GroupedMomentSketch(gus.lattice, 0)
+            GroupedMomentBundle(gus.lattice, 0, 1)
 
-    def test_non_integer_group_keys_rejected_loudly(self):
+    def test_float_group_keys_stay_distinct_groups(self):
         """Float keys must not silently truncate into merged groups."""
-        gus = GUS_CASES["bernoulli"]
-        sketch = GroupedMomentSketch(gus.lattice)
-        with pytest.raises(EstimationError, match="factorize"):
-            sketch.update(
-                np.ones(3),
-                {"l": np.arange(3, dtype=np.int64)},
-                [np.array([0.01, 0.05, 0.09])],
-            )
+        est = GroupedStreamingEstimator(GUS_CASES["bernoulli"])
+        est.update(
+            np.ones(3),
+            {"l": np.arange(3, dtype=np.int64)},
+            [np.array([0.05, 0.01, 0.09])],
+        )
+        est.update(np.ones(1), {"l": np.array([3])}, [np.array([0.05])])
+        keys, estimates = est.estimate()
+        assert keys[0].tolist() == [0.01, 0.05, 0.09]
+        assert estimates.n_samples.tolist() == [1, 2, 1]
 
 
 # -- key-ordered folds and dictionary-encoded keys --------------------------
@@ -285,18 +285,13 @@ def _moment_bytes(bundle):
 
 def _folded(lattice, fs, lineage, group_cols, parts):
     """``update`` the first part, ``merge`` a bundle of every later one."""
-    from repro.stream.sketch import GroupedMomentBundle
-
     merged = None
     for part in parts:
         bundle = GroupedMomentBundle(lattice, len(group_cols), len(fs))
         bundle.update(
             [f[part] for f in fs],
             {"l": lineage[part]},
-            [
-                (c[0][part], c[1]) if type(c) is tuple else c[part]
-                for c in group_cols
-            ],
+            [(c[0][part], c[1]) if type(c) is tuple else c[part] for c in group_cols],
         )
         merged = bundle if merged is None else merged.merge(bundle)
     return merged
@@ -318,16 +313,12 @@ class TestKeyOrderedFoldKeepsEveryBit:
         with mock.patch.object(
             kernels, "sorted_boundaries", wraps=kernels.sorted_boundaries
         ) as sort:
-            want = _moment_bytes(
-                _folded(lattice, fs, lineage, [words, numbers], everything)
-            )
+            want = _moment_bytes(_folded(lattice, fs, lineage, [words, numbers], everything))
             got_encoded = _moment_bytes(
                 _folded(lattice, fs, lineage, [encoded, numbers], everything)
             )
             parts = [p for p in np.split(np.arange(n), cuts) if p.size]
-            got_split = _moment_bytes(
-                _folded(lattice, fs, lineage, [encoded, numbers], parts)
-            )
+            got_split = _moment_bytes(_folded(lattice, fs, lineage, [encoded, numbers], parts))
             in_order_sorts = sort.call_count
         assert got_encoded == want
         if not ordered:
@@ -344,12 +335,7 @@ class TestKeyOrderedFoldKeepsEveryBit:
         assert in_order_sorts == 0
         shuffle = np.random.default_rng(n).permutation(n)
         shuffled = [shuffle[p] for p in parts]
-        assert (
-            _moment_bytes(
-                _folded(lattice, fs, lineage, [words, numbers], shuffled)
-            )
-            == want
-        )
+        assert _moment_bytes(_folded(lattice, fs, lineage, [words, numbers], shuffled)) == want
 
     def test_a_descending_merge_sorts_and_an_ascending_one_does_not(self):
         from unittest import mock

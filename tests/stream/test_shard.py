@@ -14,18 +14,14 @@ from repro.stream import ShardCoordinator
 GUS_CASES = {
     "bernoulli": bernoulli_gus("l", 0.3),
     "wor": without_replacement_gus("l", 25, 80),
-    "join": join_gus(
-        bernoulli_gus("l", 0.4), without_replacement_gus("o", 30, 100)
-    ),
+    "join": join_gus(bernoulli_gus("l", 0.4), without_replacement_gus("o", 30, 100)),
 }
 
 
 def _sample(rng, n, dims):
     f = rng.uniform(-2, 6, n)
     spans = {"l": 50, "o": 20}
-    lineage = {
-        d: rng.integers(0, spans[d], n).astype(np.int64) for d in dims
-    }
+    lineage = {d: rng.integers(0, spans[d], n).astype(np.int64) for d in dims}
     return f, lineage
 
 
@@ -39,15 +35,11 @@ class TestShardedExactness:
         f, lineage = _sample(rng, 700, gus.lattice.dims)
         coordinator = ShardCoordinator(gus, n_shards, policy=policy)
         for part in np.array_split(np.arange(700), 5):
-            coordinator.ingest(
-                f[part], {d: c[part] for d, c in lineage.items()}
-            )
+            coordinator.ingest(f[part], {d: c[part] for d, c in lineage.items()})
         sharded = coordinator.estimate()
         batch = estimate_sum(gus, f, lineage)
         assert sharded.value == pytest.approx(batch.value, abs=1e-9, rel=1e-9)
-        assert sharded.variance_raw == pytest.approx(
-            batch.variance_raw, abs=1e-9, rel=1e-9
-        )
+        assert sharded.variance_raw == pytest.approx(batch.variance_raw, abs=1e-9, rel=1e-9)
         assert sharded.n_sample == batch.n_sample == 700
 
     def test_all_rows_routed_exactly_once(self):
@@ -67,9 +59,7 @@ class TestShardedExactness:
         keys = rng.integers(0, 40, 2000).astype(np.int64)
         coordinator = ShardCoordinator(gus, 4, policy="lineage-hash")
         coordinator.ingest(np.ones(2000), {"l": keys})
-        per_shard_groups = sum(
-            shard.sketch.n_groups for shard in coordinator.shards
-        )
+        per_shard_groups = sum(shard.sketch.n_groups for shard in coordinator.shards)
         assert per_shard_groups == np.unique(keys).size
 
     def test_identity_gus_falls_back_to_round_robin(self):
@@ -78,9 +68,7 @@ class TestShardedExactness:
         shard high (placement never affects exactness)."""
         gus = bernoulli_gus("l", 1.0)
         coordinator = ShardCoordinator(gus, 4, policy="lineage-hash")
-        coordinator.ingest(
-            np.ones(400), {"l": np.arange(400, dtype=np.int64)}
-        )
+        coordinator.ingest(np.ones(400), {"l": np.arange(400, dtype=np.int64)})
         assert coordinator.shard_sizes() == [100, 100, 100, 100]
 
     def test_round_robin_balances(self):

@@ -23,25 +23,19 @@ def _join_sample(rng, n, l_span=40, o_span=15):
     return f, lineage
 
 
-JOIN_GUS = join_gus(
-    bernoulli_gus("l", 0.4), without_replacement_gus("o", 30, 100)
-)
+JOIN_GUS = join_gus(bernoulli_gus("l", 0.4), without_replacement_gus("o", 30, 100))
 
 
 def _assert_estimates_match(streamed, batch):
     assert streamed.value == pytest.approx(batch.value, rel=1e-9, abs=1e-9)
-    assert streamed.variance_raw == pytest.approx(
-        batch.variance_raw, rel=1e-9, abs=1e-9
-    )
+    assert streamed.variance_raw == pytest.approx(batch.variance_raw, rel=1e-9, abs=1e-9)
     assert streamed.n_sample == batch.n_sample
     assert streamed.extras["a"] == batch.extras["a"]
     assert streamed.extras["active_dims"] == batch.extras["active_dims"]
 
 
 class TestMatchesBatchPath:
-    @given(
-        st.integers(0, 200), st.integers(1, 8), st.integers(0, 2**16)
-    )
+    @given(st.integers(0, 200), st.integers(1, 8), st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_property_batched_equals_batch(self, n, n_batches, seed):
         rng = np.random.default_rng(seed)
@@ -49,9 +43,7 @@ class TestMatchesBatchPath:
         streaming = StreamingEstimator(JOIN_GUS)
         for part in np.array_split(np.arange(n), n_batches):
             streaming.update(f[part], {d: c[part] for d, c in lineage.items()})
-        _assert_estimates_match(
-            streaming.estimate(), estimate_sum(JOIN_GUS, f, lineage)
-        )
+        _assert_estimates_match(streaming.estimate(), estimate_sum(JOIN_GUS, f, lineage))
 
     def test_estimate_between_updates_is_consistent(self):
         rng = np.random.default_rng(1)
@@ -77,9 +69,7 @@ class TestMatchesBatchPath:
         left.update(f[:150], {d: c[:150] for d, c in lineage.items()})
         right.update(f[150:], {d: c[150:] for d, c in lineage.items()})
         left.merge(right)
-        _assert_estimates_match(
-            left.estimate(), estimate_sum(JOIN_GUS, f, lineage)
-        )
+        _assert_estimates_match(left.estimate(), estimate_sum(JOIN_GUS, f, lineage))
 
     def test_prunes_inactive_dims_like_batch(self):
         gus = join_gus(bernoulli_gus("l", 0.5), bernoulli_gus("o", 1.0))

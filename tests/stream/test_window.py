@@ -42,12 +42,10 @@ class TestTumblingWindow:
         ]
         # Each closed window equals the batch estimate over its span.
         for start, est in zip((0, 3), (emitted[2], emitted[5])):
-            f, lineage = _concat(batches[start:start + 3])
+            f, lineage = _concat(batches[start : start + 3])
             ref = estimate_sum(GUS, f, lineage)
             assert est.value == pytest.approx(ref.value, rel=1e-9)
-            assert est.variance_raw == pytest.approx(
-                ref.variance_raw, rel=1e-9, abs=1e-9
-            )
+            assert est.variance_raw == pytest.approx(ref.variance_raw, rel=1e-9, abs=1e-9)
         assert len(window.closed) == 2
 
     def test_flush_closes_partial_window(self):
@@ -58,9 +56,7 @@ class TestTumblingWindow:
             assert window.push(f, lin) is None
         est = window.flush()
         f, lineage = _concat(batches)
-        assert est.value == pytest.approx(
-            estimate_sum(GUS, f, lineage).value, rel=1e-9
-        )
+        assert est.value == pytest.approx(estimate_sum(GUS, f, lineage).value, rel=1e-9)
         assert window.flush() is None
 
     def test_invalid_length(self):
@@ -76,13 +72,11 @@ class TestSlidingWindow:
         for i, (f, lin) in enumerate(batches):
             window.push(f, lin)
             lo = max(0, i + 1 - 4)
-            ref_f, ref_lin = _concat(batches[lo:i + 1])
+            ref_f, ref_lin = _concat(batches[lo : i + 1])
             ref = estimate_sum(GUS, ref_f, ref_lin)
             est = window.estimate()
             assert est.value == pytest.approx(ref.value, rel=1e-9)
-            assert est.variance_raw == pytest.approx(
-                ref.variance_raw, rel=1e-9, abs=1e-9
-            )
+            assert est.variance_raw == pytest.approx(ref.variance_raw, rel=1e-9, abs=1e-9)
         assert window.n_batches == 4
 
     def test_append_presketched_batch(self):
@@ -92,9 +86,7 @@ class TestSlidingWindow:
         batch = StreamingEstimator(GUS).update(f, lin)
         window.append(batch)
         assert window.n_sample == 60
-        assert window.estimate().value == pytest.approx(
-            batch.estimate().value
-        )
+        assert window.estimate().value == pytest.approx(batch.estimate().value)
 
     def test_append_wrong_gus_rejected(self):
         window = SlidingWindow(GUS, 2)
