@@ -1,4 +1,4 @@
-"""Eval-F: the partition-parallel chunked execution core.
+"""Eval-F: the partitioned chunked execution core.
 
 Three contractual claims, recorded machine-readably in
 ``BENCH_pipeline.json`` (run ``python benchmarks/bench_pipeline.py

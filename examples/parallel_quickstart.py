@@ -4,10 +4,11 @@ Every query runs on the chunked pipeline: it streams scan → sample →
 filter → project → join probe per chunk and folds each chunk's rows
 straight into mergeable moment sketches, so an aggregate estimate never
 materializes the full joined sample.  With no workers the pipeline runs
-inline over one chunk per table; with a pool it partitions.  Because
-the moment state is a commutative monoid (the paper's Theorem 1
-moments), the answers are *bit-for-bit identical* for any worker count
-— parallelism changes wall-clock and peak memory, never results.
+over one chunk per table; with ``workers >= 1`` it cuts default-size
+chunks and folds them in order on the calling thread.  Because the
+moment state is a commutative monoid (the paper's Theorem 1 moments),
+the answers are *bit-for-bit identical* either way — chunking changes
+wall-clock and peak memory, never results.
 
 Run:  python examples/parallel_quickstart.py
 """
@@ -39,11 +40,11 @@ def main() -> None:
     db = tpch_database(scale=2.0, seed=7)
     print(f"{db!r}\n")
 
-    # 1. Same query, one engine, three configurations: inline over one
-    #    chunk (workers=0 pins it even under REPRO_WORKERS), chunked
-    #    with one worker, and chunked with a pool of 4.
+    # 1. Same query, one engine, two partitionings: one chunk per table
+    #    (workers=0 pins it even under REPRO_WORKERS) and default-size
+    #    chunks (workers=1).
     runs = {}
-    for label, workers in [("inline", 0), ("chunked@1", 1), ("chunked@4", 4)]:
+    for label, workers in [("one chunk", 0), ("chunked", 1)]:
         start = time.perf_counter()
         result = db.sql(QUERY, seed=42, workers=workers)
         runs[label] = result
@@ -52,34 +53,23 @@ def main() -> None:
             f"(n_sample={result.estimates['revenue'].n_sample}, "
             f"{time.perf_counter() - start:.3f}s)"
         )
-    assert runs["chunked@1"].values == runs["chunked@4"].values
-    assert runs["inline"].values == runs["chunked@4"].values
-    print("→ identical answers from every configuration, bit for bit\n")
+    assert runs["one chunk"].values == runs["chunked"].values
+    print("→ identical answers from both partitionings, bit for bit\n")
 
-    # 2. GROUP BY rides the same machinery: every partition folds into
-    #    one mergeable grouped sketch, per-group CIs come out exact.
-    grouped = db.sql(Q1, seed=42, workers=4)
+    # 2. GROUP BY rides the same machinery: every chunk folds into one
+    #    mergeable grouped sketch, per-group CIs come out exact.
+    grouped = db.sql(Q1, seed=42, workers=1)
     print(grouped.summary(0.95), "\n")
 
     # 3. The SBox never needs the sample materialized: with
     #    keep_sample=False the estimate is produced purely from merged
     #    moment state (result.sample is None).
     lean = db.estimate(
-        db.plan_sql(QUERY), seed=42, workers=4, keep_sample=False
+        db.plan_sql(QUERY), seed=42, workers=1, keep_sample=False
     )
     print(
         f"keep_sample=False: revenue = {lean['revenue']:,.0f}, "
         f"sample materialized: {lean.sample is not None}"
-    )
-
-    # 4. The cost model knows about partitions: the Amdahl-bounded
-    #    speedup and the (shared) join build size feed plan choice.
-    cost1 = db.cost_model().estimate(db.plan_sql(QUERY))
-    cost4 = db.cost_model().estimate(db.plan_sql(QUERY), workers=4)
-    print(
-        f"predicted: serial {cost1.describe()} vs parallel "
-        f"{cost4.describe()}; largest join build: "
-        f"{cost4.build_rows_max:,.0f} rows"
     )
 
 

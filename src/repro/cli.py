@@ -689,11 +689,7 @@ def _run_stream(args) -> int:
         gus = bernoulli_gus("stream", args.rate)
         shedder = LineageHashBernoulli(args.rate, args.seed)
         shards = ShardCoordinator(
-            gus,
-            args.shards,
-            policy=args.policy,
-            seed=args.seed,
-            workers=args.workers,
+            gus, args.shards, policy=args.policy, seed=args.seed
         )
         sliding = SlidingWindow(gus, args.sliding)
     except ReproError as exc:
@@ -775,9 +771,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="run the chunked pipeline on a pool of N workers "
-        "(default: REPRO_WORKERS, else inline and unpartitioned; "
-        "answers are worker-count invariant, bit for bit)",
+        help="partition the chunked pipeline into default-size chunks "
+        "when N >= 1, folded in order on one thread (default: "
+        "REPRO_WORKERS, else one chunk; answers are worker-count "
+        "invariant, bit for bit)",
     )
     _add_stream_subcommand(parser)
     args = parser.parse_args(argv)

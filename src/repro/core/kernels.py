@@ -87,7 +87,7 @@ def _hashed_blocks(
 
     ``z`` is scratch that the next block overwrites.  Both scratch
     arrays are block-sized and allocated per call — never module state:
-    served worker threads and pool workers hash concurrently — so the
+    served worker threads hash concurrently — so the
     whole hash runs in cache and no temporary grows with the input.
     Ids that are not already 64-bit integers are cast block by block.
     """

@@ -287,11 +287,10 @@ def _key_column(chunk: Table, name: str):
 
 
 class _ChunkFold:
-    """Picklable per-chunk fold: chunk → (moment contribution, sample?).
+    """Per-chunk fold: chunk → (moment contribution, sample?).
 
-    A module-level ``__slots__`` class (not a closure) so process-mode
-    schedulers can broadcast it to workers; only the compact bundle —
-    and, when the caller keeps the sample, the chunk — crosses back.
+    Only the compact bundle — and, when the caller keeps the sample,
+    the chunk — outlives the chunk task.
     """
 
     __slots__ = ("recipes", "lattice", "grouped", "keys", "keep_sample")
@@ -434,9 +433,9 @@ class SBox:
         the estimate comes from the merged state — the result sample is
         only materialized (column-pruned) to populate
         ``result.sample``, and not at all under ``keep_sample=False``.
-        ``workers`` sets the pool size and, absent an explicit
-        ``chunk_size``, the partitioning (none without workers: one
-        chunk, run inline).  Results are bit-for-bit identical for any
+        Chunks run on the calling thread, in order; absent an explicit
+        ``chunk_size``, ``workers`` sets the partitioning (none without
+        workers: one chunk).  Results are bit-for-bit identical for any
         worker count, and for any row partitioning whenever each
         active lineage key's rows stay within one chunk (tuple-level
         sampling always; block sampling via boundary alignment); keys

@@ -467,8 +467,8 @@ class CheckContext:
             for item in query.items
             if isinstance(item.expression, ast.QuantileCall)
         )
-        # workers=0 pins the one-chunk inline run even when the ambient
-        # environment (REPRO_WORKERS) sets a pool — the baseline must
+        # workers=0 pins the one-chunk run even when the ambient
+        # environment (REPRO_WORKERS) partitions — the baseline must
         # actually be unpartitioned.
         one_chunk = _outcome(self.db.sql, statement, seed=seed, workers=0)
         w1 = _outcome(self.db.sql, statement, seed=seed, workers=1)

@@ -9,13 +9,12 @@ one query.  The design constraints, in order of importance:
 * **Bit-identity.**  Recording a span touches only ``perf_counter_ns``
   and Python lists — never the executor RNG, never fold order — so
   traced runs produce bit-identical estimates, variances, and samples.
-* **Determinism across worker counts.**  Spans executed inside pool
-  workers (per-chunk work) are *not* recorded from the worker: the
-  worker measures and returns ``(start_ns, end_ns, rows, worker)`` plus
-  one record per plan node it ran, and the driver records the spans via
-  :meth:`Tracer.record_span` as results stream back **in chunk order**.
-  Span ids and tree shape therefore depend only on the chunking, not on
-  thread interleaving.
+* **Determinism across worker counts.**  Per-chunk work is *not*
+  recorded from inside the chunk task: the task measures and returns
+  ``(start_ns, end_ns, rows)`` plus one record per plan node it ran,
+  and the driver records the spans via :meth:`Tracer.record_span`
+  **in chunk order**.  Span ids and tree shape therefore depend only
+  on the chunking.
 * **Bounded.**  A trace keeps at most ``max_spans`` spans; further
   spans are counted in :attr:`Trace.dropped` but not stored, so a
   pathological plan cannot balloon memory.
@@ -90,8 +89,8 @@ class Trace:
         """Timing-free shape of the tree, for determinism comparisons.
 
         Returns a nested tuple of ``(name, kind, stable_attrs, children)``
-        where ``stable_attrs`` excludes wall-clock and scheduling
-        artifacts (``worker``) that legitimately vary run to run.
+        where ``stable_attrs`` excludes the wall-clock (``*_ns``)
+        attributes that legitimately vary run to run.
         """
 
         def build(parent_id: int | None) -> tuple:
@@ -105,7 +104,7 @@ class Trace:
                     sorted(
                         (k, v)
                         for k, v in span.attrs.items()
-                        if k not in ("worker",) and not k.endswith("_ns")
+                        if not k.endswith("_ns")
                     )
                 )
                 out.append(
@@ -120,7 +119,7 @@ class Tracer:
     """Collects spans for one query on one logical control flow.
 
     The nesting stack is plain instance state: a tracer is owned by the
-    thread that runs the query, and worker-side measurements enter
+    thread that runs the query, and chunk-task measurements enter
     through :meth:`record_span` (called by the driver), so no lock is
     needed on the hot path.
     """

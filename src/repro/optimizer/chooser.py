@@ -53,7 +53,7 @@ from repro.optimizer.cost import CostEstimate, CostModel
 from repro.optimizer.predictor import VariancePredictor, combined_gus
 from repro.core.gus import GUSParams
 from repro.core.sbox import QueryResult
-from repro.relational.plan import Aggregate
+from repro.relational.plan import Aggregate, Scan, walk
 from repro.sampling import LineageHashBernoulli
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -210,21 +210,12 @@ class SamplingPlanOptimizer:
         max_escalations: int = 4,
         escalation_factor: float = 2.0,
         order_limit: int = 12,
-        workers: int | None = None,
     ) -> None:
         self.db = db
         self.cost_model = (
             cost_model
             if cost_model is not None
             else CostModel.calibrate(db.tables)
-        )
-        # Candidates are costed for the engine that will actually run
-        # them: the database's resolved worker count (partition-aware
-        # Amdahl model) unless overridden here.
-        self.workers = (
-            int(workers)
-            if workers is not None
-            else (db._resolve_workers(None) or 1)
         )
         self.pilot_rate = float(pilot_rate)
         self.seed = int(seed)
@@ -234,11 +225,17 @@ class SamplingPlanOptimizer:
 
     # -- pilot ------------------------------------------------------------
 
-    def _column_owner(self) -> dict[str, str]:
+    def _column_owner(self, plan: Aggregate) -> dict[str, str]:
+        """Column name → the table the plan scans it from.
+
+        Only scanned tables count: a snapshot of a joined table carries
+        the same column names under another catalog name.
+        """
         owner: dict[str, str] = {}
-        for name, table in self.db.tables.items():
-            for column in table.schema.names:
-                owner[column] = name
+        for node in walk(plan):
+            if isinstance(node, Scan):
+                for column in self.db.table(node.table_name).schema.names:
+                    owner[column] = node.table_name
         return owner
 
     def pilot_relation_rate(self, skeleton: QuerySkeleton) -> float:
@@ -302,10 +299,7 @@ class SamplingPlanOptimizer:
                         ),
                         True,
                     )
-        return (
-            self.cost_model.estimate(plan, workers=self.workers),
-            False,
-        )
+        return self.cost_model.estimate(plan), False
 
     def report(
         self,
@@ -326,7 +320,7 @@ class SamplingPlanOptimizer:
         RNG, so hooked and hook-free runs stay bit-identical.
         """
         seed = self.seed if seed is None else int(seed)
-        skeleton = decompose(plan, self._column_owner())
+        skeleton = decompose(plan, self._column_owner(plan))
         if not skeleton.sampled:
             raise PlanError(
                 "the query samples nothing; an exact plan trivially meets "

@@ -36,27 +36,19 @@ PROBE_ROWS = 65_536
 #: Selectivity charged per residual (non-join) predicate.
 DEFAULT_SELECTIVITY = 1.0 / 3.0
 
-#: Share of a plan's work the chunked pipeline runs inside parallel
-#: chunk tasks (scan, filter, project, probe, gather); the remainder —
-#: driver-side fold of per-chunk moment state and task dispatch — is
-#: serial, which is what keeps the speedup Amdahl-bounded.
-PARALLEL_FRACTION = 0.92
-
 
 @dataclass(frozen=True)
 class CostEstimate:
     """Predicted work for one candidate plan.
 
-    ``workers`` records the partition parallelism the prediction
-    assumed.  ``build_rows_max`` is the largest join build input the
-    plan materializes — one sorted build shared by every probe task, so
-    it bounds the resident build state at any worker count.
+    ``build_rows_max`` is the largest join build input the plan
+    materializes — one build shared by every probe task, so it bounds
+    the resident build state at any chunking.
     """
 
     rows_scanned: float
     rows_joined: float
     seconds: float
-    workers: int = 1
     build_rows_max: float = 0.0
 
     @property
@@ -64,13 +56,10 @@ class CostEstimate:
         return self.rows_scanned + self.rows_joined
 
     def describe(self) -> str:
-        text = (
+        return (
             f"{self.rows_total:,.0f} rows "
-            f"(~{self.seconds * 1e3:.2f} ms predicted"
+            f"(~{self.seconds * 1e3:.2f} ms predicted)"
         )
-        if self.workers > 1:
-            text += f" @ {self.workers} workers"
-        return text + ")"
 
 
 class CostModel:
@@ -152,38 +141,18 @@ class CostModel:
 
     # -- estimation ------------------------------------------------------
 
-    def estimate(
-        self, plan: p.PlanNode, *, workers: int = 1
-    ) -> CostEstimate:
-        """Walk the plan bottom-up, accumulating predicted work.
-
-        ``workers`` models partition-parallel execution on the chunked
-        pipeline: per-chunk work (scans, filters, probes, output
-        gathers) divides across the *effective* workers — capped by the
-        CPUs this process may use, so the model never promises speedup
-        the machine cannot deliver — while the driver-side merge share
-        stays serial (Amdahl).  ``workers=1`` reproduces the serial
-        model exactly.
-        """
+    def estimate(self, plan: p.PlanNode) -> CostEstimate:
+        """Walk the plan bottom-up, accumulating predicted work."""
         state = {"scanned": 0.0, "joined": 0.0, "build_max": 0.0}
         self._rows(plan, state)
         seconds = (
             state["scanned"] * self.scan_seconds_per_row
             + state["joined"] * self.join_seconds_per_row
         )
-        workers = max(1, int(workers))
-        if workers > 1:
-            from repro.parallel import available_cpus
-
-            effective = max(1, min(workers, available_cpus()))
-            seconds = seconds * (
-                (1.0 - PARALLEL_FRACTION) + PARALLEL_FRACTION / effective
-            )
         return CostEstimate(
             state["scanned"],
             state["joined"],
             seconds,
-            workers=workers,
             build_rows_max=state["build_max"],
         )
 

@@ -14,12 +14,13 @@ Binds together the catalog, pipeline, SBox estimator, and SQL frontend:
 
 from __future__ import annotations
 
+import os
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import SchemaError
+from repro.errors import ReproError, SchemaError
 from repro.relational.plan import (
     Aggregate,
     GroupAggregate,
@@ -48,18 +49,46 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import SynopsisCatalog
 
 
+def env_workers() -> int | None:
+    """The ``REPRO_WORKERS`` engine-wide default.
+
+    Unset, empty and ``0`` mean "no default" (one chunk per source);
+    anything but a non-negative integer raises.
+    """
+    raw = os.environ.get("REPRO_WORKERS", "").strip()
+    if raw and not raw.isdecimal():
+        raise ReproError(
+            f"REPRO_WORKERS={raw!r} is not a worker count; accepted "
+            "values are unset/empty, 0 (one chunk) or a positive integer"
+        )
+    return int(raw or 0) or None
+
+
+def resolve_workers(workers: int | None) -> int | None:
+    """Resolve an explicit worker count against the environment default.
+
+    ``None`` defers to ``REPRO_WORKERS`` (itself possibly unset); any
+    integer >= 1 is taken literally; 0 and negatives resolve to
+    ``None`` — one chunk per source.
+    """
+    if workers is None:
+        return env_workers()
+    return int(workers) if workers >= 1 else None
+
+
 class Database:
     """An in-memory catalog of named tables plus the estimation stack.
 
     Every query runs on the chunked pipeline
-    (:class:`~repro.relational.pipeline.ChunkedExecutor`); ``workers``
-    selects its pool size and default partitioning, nothing else.
-    ``None`` (default) defers to the ``REPRO_WORKERS`` environment
-    variable and, failing that, runs inline and unpartitioned — each
-    source is one chunk; any value >= 1 runs that many workers over
-    :data:`~repro.relational.partition.DEFAULT_CHUNK_ROWS`-row chunks.
-    An explicit ``chunk_size`` is honoured either way.  Results are
-    bit-for-bit identical for every worker count at one chunking.
+    (:class:`~repro.relational.pipeline.ChunkedExecutor`), on the
+    calling thread; ``workers`` selects its default partitioning,
+    nothing else.  ``None`` (default) defers to the ``REPRO_WORKERS``
+    environment variable and, failing that, leaves the run
+    unpartitioned — each source is one chunk; any value >= 1 cuts
+    :data:`~repro.relational.partition.DEFAULT_CHUNK_ROWS`-row chunks
+    (a count above 1 changes nothing further).  An explicit
+    ``chunk_size`` is honoured either way.  Results are bit-for-bit
+    identical for every worker count at one chunking.
     Across chunkings executed tables are identical too, and estimates
     are whenever each lineage key's rows stay within one chunk
     (tuple-level sampling of a single table; block sampling via
@@ -128,11 +157,7 @@ class Database:
 
     def _resolve_workers(self, workers: int | None) -> int | None:
         """Per-call override → database default → ``REPRO_WORKERS``."""
-        from repro.parallel import resolve_workers
-
-        if workers is not None:
-            return resolve_workers(workers)
-        return resolve_workers(self.workers)
+        return resolve_workers(self.workers if workers is None else workers)
 
     # -- catalog -----------------------------------------------------------
 
@@ -306,8 +331,8 @@ class Database:
         """Execute a plan, drawing any samples from the RNG.
 
         Runs the chunked pipeline; ``workers`` (argument, database
-        default, or ``REPRO_WORKERS``) and ``chunk_size`` set its pool
-        and partitioning and never change the output.  The result has
+        default, or ``REPRO_WORKERS``) and ``chunk_size`` set its
+        partitioning and never change the output.  The result has
         every column of the plan's output; a one-chunk run (no
         ``workers``) returns the columns of sampled or joined rows as
         pending gathers that run when first read, a many-chunk run
@@ -359,7 +384,7 @@ class Database:
         moment sketches — the full joined sample is never materialized
         (``keep_sample=False`` skips even the pruned copy kept for
         ``result.sample``).  ``workers`` (argument, database default, or
-        ``REPRO_WORKERS``) sets the pool size and default partitioning.
+        ``REPRO_WORKERS``) sets the default partitioning.
         """
         resolved = self._resolve_workers(workers)
         if chunk_size is None:

@@ -1,21 +1,19 @@
-"""The plan execution engine: chunked, optionally partition-parallel.
+"""The plan execution engine: chunked, folded in order on the caller.
 
 :class:`ChunkedExecutor` is the one engine behind ``Database.sql`` /
 ``estimate`` / ``execute``.  A plan compiles into *(tasks, fn)* sources
 where each task is one chunk of base rows and ``fn`` runs the whole
 operator stack — scan → sample → filter → project → join probe — over
-that chunk.  Tasks are pure and independent, so a
-:class:`~repro.parallel.ChunkScheduler` runs them across workers while
-the driver consumes results strictly in chunk order.  With no worker
-count given there is nothing to partition for: every source is one
-chunk and its one task runs inline — the serial case is the pipeline
-with k = 1, not a second engine.
+that chunk.  Tasks are pure and independent; the calling thread runs
+them one after another in chunk order.  With no worker count given
+there is nothing to partition for: every source is one chunk — the
+unpartitioned case is the pipeline with k = 1, not a second engine.
 
 Reproducibility contract (tested property, not aspiration):
 
-* **Worker invariance** — the same task callables run regardless of
-  worker count, and results are folded in task order, so any
-  ``workers`` value produces bit-for-bit identical output.
+* **Worker invariance** — ``workers`` only picks the chunking, the
+  same task callables run in the same order, so every ``workers``
+  value >= 1 produces bit-for-bit identical output.
 * **Partition invariance** — randomness is a function of the *global*
   row position, never of chunk boundaries: every sampling node draws
   once over its whole base table before any chunk runs, and a chunk
@@ -27,7 +25,7 @@ Reproducibility contract (tested property, not aspiration):
 
 Joins execute as build/probe: the build side is materialized once and
 its (factorized) join keys indexed once — one build shared by every
-probe task, at any worker count — and probe chunks stream through it.
+probe task — and probe chunks stream through it.
 Integer keys over a compact span are addressed directly
 (:class:`_AddressedJoinBuild`: a histogram of the keys, its running
 sum, and no row order at all when the keys already ascend); any other
@@ -63,7 +61,6 @@ import numpy as np
 
 from repro.errors import ExecutionError, PlanError
 from repro.obs.trace import get_tracer, maybe_span
-from repro.parallel import ChunkScheduler, worker_label
 from repro.relational import expressions as ex
 from repro.relational import plan as p
 from repro.relational.aggregates import (
@@ -221,36 +218,20 @@ def _join_build(keys: np.ndarray, probe_dtype: np.dtype):
     return _SortedJoinBuild(keys)
 
 
-# -- picklable chunk operators -------------------------------------------
+# -- chunk operators -----------------------------------------------------
 #
-# Every compiled chunk function is a module-level ``__slots__`` class
-# rather than a closure, so a spawn-mode process pool can pickle the
-# whole operator stack once (pool initializer) and ship only (start,
-# stop) task bounds per chunk.  Mmap-backed base tables pickle as
-# (path, name) descriptors, so the broadcast payload stays O(bytes)
-# regardless of table size.
+# Every compiled chunk function is a module-level ``__slots__`` class:
+# a task is its ``(start, stop)`` bounds (or a buffered chunk's index),
+# and the operator stack maps it to one output chunk.
 
 
 def _identity(table: Table) -> Table:
     return table
 
 
-class _ComposedTask:
-    """``per_chunk ∘ fn`` as a picklable task callable."""
-
-    __slots__ = ("fn", "per_chunk")
-
-    def __init__(self, fn: Callable, per_chunk: Callable) -> None:
-        self.fn = fn
-        self.per_chunk = per_chunk
-
-    def __call__(self, task):
-        return self.per_chunk(self.fn(task))
-
-
 #: The running traced task's ``(log, open-probe stack)``.  Set by
-#: :class:`_TracedTask` for the extent of one task on whichever thread
-#: or process runs it, so probes never share a log across tasks.
+#: :class:`_TracedTask` for the extent of one task, so probes never
+#: share a log across tasks.
 _PROBE_FRAME: ContextVar[tuple[list, list]] = ContextVar("repro_probe_frame")
 
 
@@ -259,7 +240,7 @@ class _Probe:
 
     Appends ``[name, kind, parent index, start_ns, end_ns, rows_out]``
     to the task's log in call order (parents before children) — never
-    to the tracer, because the task may be running in a pool worker.
+    to the tracer: the driver replays the log under the task's span.
     """
 
     __slots__ = ("fn", "name", "kind")
@@ -289,12 +270,10 @@ class _Probe:
 
 
 class _TracedTask:
-    """Task wrapper that measures its own chunk from inside the worker.
+    """Task wrapper that measures its own chunk.
 
-    The worker never touches the tracer: it returns the measurement
-    (and the probes' log) and the driver records the spans in chunk
-    order, so span ids and tree shape are identical at every worker
-    count.
+    The task never touches the tracer: it returns the measurement (and
+    the probes' log) and the driver records the spans in chunk order.
     """
 
     __slots__ = ("fn", "per_chunk")
@@ -314,15 +293,14 @@ class _TracedTask:
             t1 = perf_counter_ns()
         finally:
             _PROBE_FRAME.reset(token)
-        return out, (t0, t1, rows, worker_label(), log)
+        return out, (t0, t1, rows, log)
 
 
 class _ScanFn:
     """Slice one chunk out of a base table, column-pruned, zero-copy.
 
-    Holds the base table itself (not pre-sliced views): an mmap-backed
-    table then pickles as a descriptor and each worker maps the file
-    once, paging in only the blocks its chunks touch.
+    Holds the base table itself, not pre-sliced views: an mmap-backed
+    table pages in only the blocks its chunks touch.
     """
 
     __slots__ = ("table", "keep", "schema", "wrap")
@@ -616,12 +594,12 @@ class ChunkedExecutor:
 
     The supplied generator is consumed in plan post-order, so results
     are bit-for-bit equal at the same seed for any ``workers`` and
-    ``chunk_size``.  ``workers`` is the pool size; ``None`` (or 0) runs
-    every task inline.  ``chunk_size=None`` derives the partitioning
-    from that: with no workers to feed there is nothing to partition
-    for, so each source is one chunk; with a pool it is
-    :data:`~repro.relational.partition.DEFAULT_CHUNK_ROWS`.  An
-    explicit ``chunk_size`` is always honoured.
+    ``chunk_size``.  Every task runs on the calling thread, in order;
+    ``workers`` only picks the partitioning when ``chunk_size`` is
+    ``None``: ``None`` (or 0) makes each source one chunk, any value
+    >= 1 makes :data:`~repro.relational.partition.DEFAULT_CHUNK_ROWS`
+    chunks — a count above 1 changes nothing further.  An explicit
+    ``chunk_size`` is always honoured.
     """
 
     def __init__(
@@ -632,16 +610,14 @@ class ChunkedExecutor:
         workers: int | None = 1,
         chunk_size: int | None = None,
     ) -> None:
-        inline = workers is None or workers < 1
         if chunk_size is None:
-            chunk_size = sys.maxsize if inline else DEFAULT_CHUNK_ROWS
+            one_chunk = workers is None or workers < 1
+            chunk_size = sys.maxsize if one_chunk else DEFAULT_CHUNK_ROWS
         if chunk_size < 1:
             raise ExecutionError(f"chunk_size must be >= 1, got {chunk_size}")
         self.catalog = dict(catalog)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.workers = 1 if inline else int(workers)
         self.chunk_size = int(chunk_size)
-        self.scheduler = ChunkScheduler(self.workers)
         self._draws: dict[int, Draw] = {}
         self._draw_nodes: list[p.PlanNode] = []
         self._probing = False
@@ -665,12 +641,12 @@ class ChunkedExecutor:
         per_chunk: Callable[[Table], object],
         columns: frozenset[str] | None = None,
     ) -> Iterator[object]:
-        """Apply ``per_chunk`` to every output chunk, inside the workers.
+        """Apply ``per_chunk`` to every output chunk, in chunk order.
 
         This is the streaming-consumer entry point: ``per_chunk`` runs
-        in the worker as part of the chunk task (e.g. folding the chunk
-        into a compact moment contribution), and only its —
-        typically tiny — results flow back to the driver, in order.
+        as part of the chunk task (e.g. folding the chunk into a
+        compact moment contribution), and only its — typically tiny —
+        result is yielded, so no chunk outlives its task.
         """
         self._probing = get_tracer() is not None
         self._prepare_draws(plan)
@@ -681,24 +657,21 @@ class ChunkedExecutor:
     def _run_tasks(
         self, source: "_Source", per_chunk: Callable, kind: str
     ) -> Iterator[object]:
-        """Run a source's tasks on the scheduler, results in task order.
+        """Run a source's tasks on this thread, one after another.
 
         Traced, each task measures itself (never touching the tracer)
         and the driver records a ``kind[i]`` span per task with the
-        task's probe log replayed beneath it as results stream back —
-        so span ids and tree shape are identical at every worker count.
+        task's probe log replayed beneath it.
         """
         tracer = get_tracer()
         if tracer is None:
-            yield from self.scheduler.imap(
-                _ComposedTask(source.fn, per_chunk), source.tasks
-            )
+            for task in source.tasks:
+                yield per_chunk(source.fn(task))
             return
         parent = tracer.current_id()
-        results = self.scheduler.imap(
-            _TracedTask(source.fn, per_chunk), source.tasks
-        )
-        for index, (out, (t0, t1, rows, worker, log)) in enumerate(results):
+        traced = _TracedTask(source.fn, per_chunk)
+        for index, task in enumerate(source.tasks):
+            out, (t0, t1, rows, log) = traced(task)
             task_id = tracer.record_span(
                 f"{kind}[{index}]",
                 kind,
@@ -707,7 +680,6 @@ class ChunkedExecutor:
                 parent_id=parent,
                 chunk=index,
                 rows=rows,
-                worker=worker,
             )
             ids: list[int | None] = []
             for name, span_kind, up, p0, p1, rows_out in log:
@@ -835,8 +807,8 @@ class ChunkedExecutor:
         if needed is not None:
             keep = [c for c in keep if c in needed]
             # Pruned schema only — the scan holds the *base* table (so
-            # mmap backing and descriptor pickling survive) and slices
-            # the kept columns per chunk.
+            # its mmap backing and block stats survive) and slices the
+            # kept columns per chunk.
             schema = base.select_columns(keep).schema
         bounds = chunk_bounds(n_rows, self.chunk_size, align)
         return _Source(tasks=bounds, fn=_ScanFn(base, keep, schema, wrap))

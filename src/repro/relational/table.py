@@ -146,13 +146,6 @@ class Encoded:
             self._pair = pair
         return pair
 
-    def __reduce__(self):
-        # Ships this column's own rows in the form it has.
-        if self._has_array():
-            return (Encoded, (self.array(),))
-        codes, values = self.pair()
-        return (Encoded, (None, (np.asarray(codes), values)))
-
 
 class Columns(Mapping):
     """Read-only ``name -> array`` mapping; row gathers run on first read.
@@ -469,21 +462,6 @@ class Table:
         """Per-block (start, stop, min, max) stats, if mmap-backed."""
         return self._block_stats
 
-    def __reduce__(self):
-        # Mmap-backed whole tables pickle as a (path, name) descriptor
-        # so process-pool payloads stay O(bytes) regardless of row
-        # count; everything else rebuilds from its arrays — read
-        # first, so a pending column ships its rows, not its source.
-        if self._mmap_path is not None:
-            return (
-                _table_from_mmap,
-                (self._mmap_path, self.name, self.version),
-            )
-        return (
-            _table_rebuild,
-            (self.name, dict(self.columns), self.lineage, self.version),
-        )
-
     @property
     def lineage_schema(self) -> frozenset[str]:
         """Base relations this table carries lineage for."""
@@ -684,20 +662,3 @@ class Table:
             f"Table({self.name or '<anon>'}, rows={self.n_rows}, "
             f"cols=[{cols}], lineage=[{lin}]{stamp}{backing})"
         )
-
-
-def _table_from_mmap(
-    path: str, name: str | None, version: int | None = None
-) -> Table:
-    """Unpickle target: reattach a descriptor-pickled mmap table."""
-    return Table.from_mmap(path, name).with_version(version)
-
-
-def _table_rebuild(
-    name: str | None,
-    columns: Mapping[str, Any],
-    lineage: Mapping[str, Any],
-    version: int | None = None,
-) -> Table:
-    """Unpickle target: rebuild an in-RAM table from its arrays."""
-    return Table(name, columns, lineage).with_version(version)

@@ -1,4 +1,4 @@
-"""Sharded ingestion: N sketches in parallel, one exact estimate out.
+"""Sharded ingestion: N sketches side by side, one exact estimate out.
 
 The group-sum table inside a
 :class:`~repro.stream.sketch.MomentSketchBundle` is additive, so a
@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.estimator import Estimate
 from repro.core.gus import GUSParams
 from repro.errors import EstimationError
-from repro.parallel import ChunkScheduler
 from repro.sampling.pseudorandom import hash01
 from repro.stream.estimator import StreamingEstimator
 
@@ -51,9 +50,6 @@ _ROUTING_SALT = 0x5A4D_C0DE_D155_ECED
 
 _POLICIES = ("lineage-hash", "round-robin")
 
-#: Minimum batch size worth fanning shard updates across the pool.
-_PARALLEL_BATCH_ROWS = 4_096
-
 
 class ShardCoordinator:
     """Partition tuple batches across shard sketches; merge on demand."""
@@ -64,7 +60,6 @@ class ShardCoordinator:
         "policy",
         "seed",
         "shards",
-        "scheduler",
         "_active_dims",
         "_row_counter",
     )
@@ -77,7 +72,6 @@ class ShardCoordinator:
         policy: str = "lineage-hash",
         seed: int = 0,
         label: str = "SUM",
-        workers: int | None = None,
     ) -> None:
         if n_shards < 1:
             raise EstimationError(f"need at least one shard, got {n_shards}")
@@ -92,13 +86,6 @@ class ShardCoordinator:
         self.shards = [
             StreamingEstimator(params, label=label) for _ in range(n_shards)
         ]
-        # Shard updates are independent, so they ride the same partition
-        # scheduler as the relational pipeline; results are exact either
-        # way (each shard's state is its own).  Thread mode always:
-        # updates mutate in-process shard state.
-        self.scheduler = ChunkScheduler(
-            max(1, int(workers or 1)), mode="thread"
-        )
         self._active_dims = params.project_out_inactive().lattice.dims
         self._row_counter = 0
 
@@ -141,25 +128,13 @@ class ShardCoordinator:
         lineage_arrays = {
             d: np.asarray(lineage[d]) for d in self._active_dims
         }
-
-        def update_shard(s: int) -> None:
+        for s, shard in enumerate(self.shards):
             pick = assignment == s
-            if not np.any(pick):
-                return
-            self.shards[s].update(
-                f[pick],
-                {d: col[pick] for d, col in lineage_arrays.items()},
-            )
-
-        # Each task touches exactly one shard's state, so the parallel
-        # map is race-free; `map` preserves order and raises any error.
-        # Tiny batches skip the pool — its setup would dwarf the
-        # per-shard sketch updates it spreads out.
-        if self.scheduler.workers > 1 and n >= _PARALLEL_BATCH_ROWS:
-            self.scheduler.map(update_shard, list(range(self.n_shards)))
-        else:
-            for s in range(self.n_shards):
-                update_shard(s)
+            if np.any(pick):
+                shard.update(
+                    f[pick],
+                    {d: col[pick] for d, col in lineage_arrays.items()},
+                )
         self._row_counter += n
         return self
 

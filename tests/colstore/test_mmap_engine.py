@@ -1,8 +1,8 @@
 """Mmap-backed execution: bit-identity, pruning, and catalog wiring.
 
 The headline contract: a query over memory-mapped tables returns the
-same bits as over in-RAM tables, for every worker count and both
-scheduler backends — storage is invisible to answers.  Block-stat
+same bits as over in-RAM tables, for every worker count — storage is
+invisible to answers.  Block-stat
 pruning must only ever *skip* chunks the predicate would empty anyway,
 so it is checked both behaviorally (task lists) and end-to-end.
 """
@@ -87,13 +87,11 @@ def mmap_db(tmp_path_factory) -> Database:
 
 @pytest.mark.parametrize("statement", _STATEMENTS)
 @pytest.mark.parametrize("workers", [0, 1, 4])
-@pytest.mark.parametrize("mode", ["thread", "process"])
 def test_mmap_bit_identical_to_inram(
-    inram_db, mmap_db, statement, workers, mode, monkeypatch
+    inram_db, mmap_db, statement, workers
 ) -> None:
-    """Same statement, same seed → same bits, whatever the storage,
-    worker count, or scheduler backend."""
-    monkeypatch.setenv("REPRO_SCHEDULER", mode)
+    """Same statement, same seed → same bits, whatever the storage or
+    worker count."""
     baseline = _snap(inram_db, statement, seed=9, workers=workers)
     mapped = _snap(mmap_db, statement, seed=9, workers=workers)
     assert baseline == mapped
@@ -265,8 +263,8 @@ def test_attach_allocates_no_per_row_string_memory(tmp_path) -> None:
 
 
 @pytest.mark.parametrize("workers", [None, 1, 4])
-def test_encoded_group_keys_answer_the_same_from_ram_mmap_and_processes(
-    tmp_path, workers, monkeypatch
+def test_encoded_group_keys_answer_the_same_from_ram_and_mmap(
+    tmp_path, workers
 ) -> None:
     ram = Database(seed=0, chunk_size=1_000)
     ram.register("t", _string_table(6_000))
@@ -278,8 +276,7 @@ def test_encoded_group_keys_answer_the_same_from_ram_mmap_and_processes(
         " GROUP BY flag, status"
     )
 
-    def answer(db, mode):
-        monkeypatch.setenv("REPRO_SCHEDULER", mode)
+    def answer(db):
         result = db.sql(text, seed=21, workers=workers)
         out = [[k, col.tolist()] for k, col in result.keys.items()]
         for alias, est in result.estimates.items():
@@ -293,9 +290,7 @@ def test_encoded_group_keys_answer_the_same_from_ram_mmap_and_processes(
             )
         return out
 
-    want = answer(ram, "thread")
+    want = answer(ram)
     # Last key primary; NULL is a group of its own, ordered first.
     assert want[0] == ["flag", [None, "A", "N", "R", None, "A", "N", "R"]]
-    assert answer(mapped, "thread") == want
-    assert answer(mapped, "process") == want
-    assert answer(ram, "process") == want
+    assert answer(mapped) == want

@@ -133,7 +133,7 @@ class TestExecution:
         chunks = [s for s in report.trace.spans if s.kind == "chunk"]
         assert chunks
         assert [s.attrs["chunk"] for s in chunks] == list(range(len(chunks)))
-        assert all("rows" in s.attrs and "worker" in s.attrs for s in chunks)
+        assert all("rows" in s.attrs for s in chunks)
 
     def test_catalog_hit_shows_reuse_mode(self, tpch_db_catalog):
         db = tpch_db_catalog

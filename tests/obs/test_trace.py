@@ -98,12 +98,12 @@ class TestTracer:
 class TestSkeleton:
     def _tree(self):
         tracer = Tracer("t")
-        with tracer.span("draw", rows=10, worker="1:2", merge_ns=123):
+        with tracer.span("draw", rows=10, merge_ns=123):
             with tracer.span("chunk[0]", kind="chunk", chunk=0):
                 pass
         return tracer.finish_trace()
 
-    def test_skeleton_drops_worker_and_ns_attrs(self):
+    def test_skeleton_drops_ns_attrs(self):
         skel = self._tree().skeleton()
         ((name, kind, attrs, children),) = skel
         assert name == "draw"

@@ -157,6 +157,25 @@ class TestSqlIntegration:
         assert isinstance(out, OptimizerReport)
         assert "candidate" in out.table()
 
+    @pytest.mark.parametrize("frozen", ["lineitem", "orders"])
+    def test_budget_join_survives_a_snapshot_of_either_side(self, frozen):
+        """A snapshot repeats its table's column names under another
+        catalog name; the join keys still belong to the scanned tables."""
+        from repro.data.tpch import tpch_database
+
+        text = (
+            "SELECT SUM(l_extendedprice) AS s "
+            "FROM lineitem TABLESAMPLE (5 PERCENT), orders "
+            "WHERE l_orderkey = o_orderkey WITHIN 10 % CONFIDENCE 0.95"
+        )
+        db = tpch_database(scale=0.05, seed=4)
+        db.snapshot(frozen)
+        out = db.sql(text, seed=2)
+        assert out.report.chosen.candidate.skeleton.join_conds == (
+            ("lineitem", "l_orderkey", "orders", "o_orderkey"),
+        )
+        assert "s" in out.result.values
+
 
 class TestReviewRegressions:
     def test_naive_baseline_survives_join_reordering(self, tpch_db):

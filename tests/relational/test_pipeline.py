@@ -460,8 +460,6 @@ class TestEstimationInvariance:
             text.format(rate=25), seed=6, workers=workers, chunk_size=chunk_size
         )
         assert second.sample.n_rows > 50 * n_tuples
-        # (Under a process pool the chunk tasks run elsewhere; the
-        # merges and the read-out are still counted here.)
         assert hashed and max(hashed) <= 2 * n_tuples
         assert sorts == []
         assert not [source for source, _ in gathers if source.dtype == object]
@@ -656,8 +654,8 @@ class TestEstimationInvariance:
 
 class TestPartitioning:
     def test_no_workers_means_one_chunk_per_source(self):
-        # With no pool to feed there is nothing to partition for; an
-        # explicit chunk_size is honoured all the same.
+        # No worker count means no partitioning; an explicit
+        # chunk_size is honoured all the same.
         n = 3 * DEFAULT_CHUNK_ROWS + 5
         catalog = {"t": Table("t", {"x": np.arange(n, dtype=np.int64)})}
         plan = Select(Scan("t"), col("x") >= 0)

@@ -461,23 +461,6 @@ class TestOneGatherPerColumnRead:
         with pytest.raises(IndexError):
             self._table().take(np.array([40]))
 
-    def test_pickle_ships_rows_not_sources(self):
-        import pickle
-
-        big = Table(
-            "big",
-            {"x": np.arange(600_000, dtype=np.int64), "y": np.ones(600_000)},
-            {"big": np.arange(600_000, dtype=np.int64)},
-        )
-        small = big.take(np.arange(10))
-        payload = pickle.dumps(small)
-        assert len(payload) < 10_000
-        clone = pickle.loads(payload)
-        assert list(clone.columns) == ["x", "y"] and clone.n_rows == 10
-        for name in small.columns:
-            _assert_same_array(clone.columns[name], big.columns[name][:10])
-        _assert_same_array(clone.lineage["big"], np.arange(10, dtype=np.int64))
-
 
 # -- encoded string columns: dictionary + codes beside the object array ----
 #
@@ -587,27 +570,7 @@ class TestEncodedColumns:
         assert _decoded(shared.columns.encoded("s")) == ["b", "a", "b"]
         assert shared.columns["s"] is words
 
-    def test_encoded_pickle_round_trip(self):
-        import pickle
-
-        base = self._table()
-        picked = base.take(np.array([7, 7, 2, 58]))
-        picked.columns.encoded("s")
-        for table in (base, picked, picked.slice(1, 3)):
-            clone = pickle.loads(pickle.dumps(table))
-            assert clone.columns["s"].tolist() == table.columns["s"].tolist()
-            assert _decoded(clone.columns.encoded("s")) == (
-                table.columns["s"].tolist()
-            )
-            # The mapping itself (encoded slots included) pickles too.
-            columns = pickle.loads(pickle.dumps(table.columns))
-            assert list(columns) == list(table.columns)
-            assert _decoded(columns.encoded("s")) == table.columns["s"].tolist()
-            _assert_same_array(columns["i"], table.columns["i"])
-
     def test_encoded_column_of_an_attached_table_stays_mapped(self, tmp_path):
-        import pickle
-
         base = self._table()
         mapped = base.persist(tmp_path / "t", block_rows=16)
         codes, values = mapped.columns.encoded("s")
@@ -619,8 +582,3 @@ class TestEncodedColumns:
                 want.columns["s"].tolist()
             )
             assert got.columns["s"].tolist() == want.columns["s"].tolist()
-        # A chunk of it pickles as its own rows, not as the file's.
-        chunk = mapped.slice(10, 20)
-        payload = pickle.dumps(chunk.columns)
-        assert len(payload) < 2_000
-        assert pickle.loads(payload)["s"].tolist() == base.columns["s"][10:20].tolist()

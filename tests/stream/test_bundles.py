@@ -9,8 +9,6 @@ non-integer (string, float) group keys.
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,20 +204,6 @@ class TestGroupedMomentBundle:
         for got, want in zip(ab.groups()[0], ba.groups()[0]):
             assert got.tolist() == want.tolist()
         for got, want in zip(ab.moments()[1:], ba.moments()[1:]):
-            np.testing.assert_array_equal(got, want)
-
-    def test_pickle_round_trip(self):
-        # Process-mode schedulers ship per-chunk bundles back pickled.
-        group_cols, fs, lineage = _grouped_case("string_int", fanout=True)
-        lattice = SubsetLattice(["l"])
-        head = _chunk_bundle(lattice, group_cols, fs, lineage, 0, 200)
-        tail = _chunk_bundle(lattice, group_cols, fs, lineage, 200, 400)
-        shipped = pickle.loads(pickle.dumps(head))
-        assert shipped.n_rows == head.n_rows
-        direct, via_pickle = head.merge(tail), shipped.merge(tail)
-        for got, want in zip(via_pickle.groups()[0], direct.groups()[0]):
-            assert got.tolist() == want.tolist()
-        for got, want in zip(via_pickle.moments()[1:], direct.moments()[1:]):
             np.testing.assert_array_equal(got, want)
 
     def test_group_dtype_rules(self):

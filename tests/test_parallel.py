@@ -1,76 +1,19 @@
-"""The shared partition scheduler: ordering, backends, env resolution."""
+"""Partitioned runs: worker resolution and the one-thread chunk fold."""
 
 from __future__ import annotations
 
-import os
+import multiprocessing.process
 import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.parallel import ChunkScheduler, env_workers, resolve_workers
-
-
-def _pid_and_square(i: int) -> tuple[int, int]:
-    return os.getpid(), i * i
-
-
-class TestChunkScheduler:
-    def test_results_in_submission_order(self):
-        scheduler = ChunkScheduler(4, mode="thread")
-        barrier = threading.Event()
-
-        def slow_then_fast(i: int) -> int:
-            # Make an early task finish *after* a later one to prove
-            # ordering comes from submission, not completion.
-            if i == 0:
-                barrier.wait(timeout=5.0)
-            elif i == 7:
-                barrier.set()
-            return i * i
-
-        assert scheduler.map(slow_then_fast, list(range(8))) == [
-            i * i for i in range(8)
-        ]
-
-    def test_serial_runs_inline(self):
-        thread_ids = []
-
-        def record(i):
-            thread_ids.append(threading.get_ident())
-            return i
-
-        ChunkScheduler(1).map(record, [1, 2, 3])
-        assert set(thread_ids) == {threading.get_ident()}
-
-    def test_exceptions_propagate(self):
-        def boom(i):
-            raise ValueError(f"task {i}")
-
-        with pytest.raises(ValueError, match="task"):
-            ChunkScheduler(2, mode="thread").map(boom, [0, 1, 2])
-
-    def test_imap_window_bounds_in_flight(self):
-        scheduler = ChunkScheduler(2, mode="thread")
-        seen = []
-        results = scheduler.imap(lambda i: i + 1, range(20), window=3)
-        for value in results:
-            seen.append(value)
-        assert seen == list(range(1, 21))
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            ChunkScheduler(0)
-        with pytest.raises(ReproError):
-            ChunkScheduler(2, mode="carrier-pigeon")
-
-    def test_process_mode_maps_module_level_callable_through_pool(self):
-        results = ChunkScheduler(2, mode="process").map(
-            _pid_and_square, list(range(12))
-        )
-        assert [value for _, value in results] == [i * i for i in range(12)]
-        # Every task ran in a pool worker, none in the driver.
-        assert os.getpid() not in {pid for pid, _ in results}
+from repro.fuzz.checker import fingerprint
+from repro.relational.database import Database, env_workers, resolve_workers
+from repro.relational.partition import DEFAULT_CHUNK_ROWS
+from repro.relational.pipeline import ChunkedExecutor
+from repro.relational.table import Table
 
 
 class TestWorkerResolution:
@@ -94,32 +37,52 @@ class TestWorkerResolution:
         with pytest.raises(ReproError, match="REPRO_WORKERS"):
             resolve_workers(None)
 
-    def test_env_scheduler_typo_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "proces")
-        with pytest.raises(ReproError, match="REPRO_SCHEDULER") as info:
-            ChunkScheduler(2)
-        message = str(info.value)
-        assert "'proces'" in message
-        assert "thread" in message and "process" in message
-        # An explicit mode never consults the environment.
-        assert ChunkScheduler(2, mode="thread").mode == "thread"
-
-    @pytest.mark.parametrize(
-        "raw, mode",
-        [(None, "thread"), ("", "thread"), (" Process ", "process")],
-    )
-    def test_env_scheduler_accepted_values(self, monkeypatch, raw, mode):
-        if raw is None:
-            monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_SCHEDULER", raw)
-        assert ChunkScheduler(2).mode == mode
-
     def test_resolve_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
         assert resolve_workers(None) == 3
         assert resolve_workers(2) == 2
-        # Explicit zero opts out of the chunked engine entirely.
+        # Explicit zero opts out of partitioning entirely.
         assert resolve_workers(0) is None
         monkeypatch.delenv("REPRO_WORKERS")
         assert resolve_workers(None) is None
+
+
+_ROWS = 3 * DEFAULT_CHUNK_ROWS + 1_000
+
+_STATEMENTS = (
+    "SELECT SUM(v) AS s, COUNT(*) AS n FROM t TABLESAMPLE (20 PERCENT)",
+    "SELECT g, AVG(v) AS a FROM t TABLESAMPLE (30 PERCENT) GROUP BY g",
+)
+
+
+def _table() -> Table:
+    rng = np.random.default_rng(3)
+    return Table(
+        "t",
+        {
+            "g": rng.integers(0, 7, _ROWS).astype(np.int64),
+            "v": rng.normal(10.0, 2.0, _ROWS),
+        },
+    )
+
+
+def test_many_chunks_start_no_thread_and_no_process(tmp_path, monkeypatch):
+    """``workers=4`` over four default-size chunks runs on this thread
+    and answers what ``workers=1`` answers, bit for bit."""
+    ram = Database(seed=0)
+    ram.register("t", _table())
+    mapped = Database(seed=0)
+    mapped.register("t", _table().persist(tmp_path / "t"))
+    plan = ram.plan_sql("SELECT v FROM t")
+    executor = ChunkedExecutor(ram.tables, workers=4)
+    assert len(list(executor.iter_chunks(plan))) >= 3
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__}.start() called")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    for statement in _STATEMENTS:
+        want = fingerprint(ram.sql(statement, seed=5, workers=1))
+        for db in (ram, mapped):
+            assert fingerprint(db.sql(statement, seed=5, workers=4)) == want
