@@ -6,10 +6,12 @@ The two contracts asserted here:
   estimate and raw variance bit-for-bit identical, at every worker
   count;
 * the structural part of a trace — span names, kinds, nesting, and
-  value attributes (rows, chunk indices), with worker ids and raw
-  timings excluded — is identical run to run and across worker counts:
+  value attributes (rows, chunk indices), with raw timings excluded —
+  is identical run to run and across worker counts:
   the skeleton is a function of the plan and the chunking alone.
 """
+
+import pytest
 
 from repro.obs.trace import start_trace
 
@@ -59,9 +61,9 @@ class TestSkeletonDeterminism:
     def test_chunked_skeleton_worker_invariant(self, tpch_db):
         r1, t1 = _traced(tpch_db, JOIN_Q, workers=1)
         r4, t4 = _traced(tpch_db, JOIN_Q, workers=4)
-        # Same chunks, same per-chunk rows, same order — only worker
-        # ids and wall-clock timings may differ, and those are not in
-        # the skeleton.
+        # Same chunks, same per-chunk rows, same order — only
+        # wall-clock timings may differ, and those are not in the
+        # skeleton.
         assert t1.skeleton() == t4.skeleton()
         assert _values(r1) == _values(r4)
 
@@ -80,6 +82,16 @@ class TestSkeletonDeterminism:
         kinds = frozenset({"node", "kernel", "chunk", "build"})
         assert t0.skeleton() != t4.skeleton()
         assert t0.skeleton(drop_kinds=kinds) == t4.skeleton(drop_kinds=kinds)
+
+    @pytest.mark.parametrize("workers", [0, 1, 4])
+    def test_chunk_spans_carry_only_chunk_and_rows(self, tpch_db, workers):
+        # Every chunk runs on the calling thread: a chunk span names its
+        # index and row count, and no worker.
+        _, trace = _traced(tpch_db, JOIN_Q, workers=workers)
+        chunks = [s for s in trace.spans if s.kind == "chunk"]
+        assert chunks
+        assert [s.attrs["chunk"] for s in chunks] == list(range(len(chunks)))
+        assert all(set(s.attrs) == {"chunk", "rows"} for s in chunks)
 
     def test_grouped_skeleton_worker_invariant(self, tpch_db):
         r1, t1 = _traced(tpch_db, GROUPED_Q, workers=1)

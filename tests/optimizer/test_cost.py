@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.data.workloads import figure4_plan, query1_plan
-from repro.optimizer import CostModel, decompose
+from repro.optimizer import (
+    CostModel,
+    ErrorBudget,
+    SamplingPlanOptimizer,
+    decompose,
+)
 from repro.optimizer.candidates import join_orders
 from repro.relational.plan import Aggregate, AggSpec, Scan, TableSample
 from repro.relational.expressions import col
@@ -15,6 +20,11 @@ from repro.sampling import Bernoulli
 @pytest.fixture(scope="module")
 def model(tpch_db):
     return CostModel.calibrate(tpch_db.tables)
+
+
+@pytest.fixture(scope="module")
+def opt(tpch_db):
+    return SamplingPlanOptimizer(tpch_db, seed=3)
 
 
 def _column_owner(db):
@@ -95,3 +105,17 @@ class TestPartitionAwareness:
         assert est.build_rows_max > 0.0
         scan_only = model.estimate(Scan("lineitem"))
         assert scan_only.build_rows_max == 0.0
+
+    @pytest.mark.parametrize("env", ["1", "2", "4"])
+    def test_worker_count_prices_nothing(self, model, opt, env, monkeypatch):
+        """Chunks fold on one thread, so ``REPRO_WORKERS`` must not make
+        a plan look cheaper."""
+        plan = query1_plan()
+        budget = ErrorBudget.from_percent(10.0)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        serial = model.estimate(plan)
+        ranked = [sc.cost for sc in opt.report(plan, budget).scored]
+        monkeypatch.setenv("REPRO_WORKERS", env)
+        assert model.estimate(plan) == serial
+        assert "worker" not in serial.describe()
+        assert [sc.cost for sc in opt.report(plan, budget).scored] == ranked

@@ -176,6 +176,24 @@ class TestSqlIntegration:
         )
         assert "s" in out.result.values
 
+    def test_budget_join_survives_snapshots_of_both_sides(self):
+        from repro.data.tpch import tpch_database
+
+        text = (
+            "SELECT SUM(l_extendedprice) AS s "
+            "FROM lineitem TABLESAMPLE (5 PERCENT), orders "
+            "WHERE l_orderkey = o_orderkey WITHIN 10 % CONFIDENCE 0.95"
+        )
+        db = tpch_database(scale=0.05, seed=4)
+        for name in ("lineitem", "orders", "lineitem"):
+            db.snapshot(name)
+        out = db.sql(text, seed=2)
+        skeleton = out.report.chosen.candidate.skeleton
+        assert skeleton.join_conds == (
+            ("lineitem", "l_orderkey", "orders", "o_orderkey"),
+        )
+        assert "s" in out.result.values
+
 
 class TestReviewRegressions:
     def test_naive_baseline_survives_join_reordering(self, tpch_db):

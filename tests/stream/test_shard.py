@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,30 @@ class TestShardedExactness:
         for part in np.array_split(np.arange(400), 7):
             many.ingest(f[part], {d: c[part] for d, c in lineage.items()})
         assert one.shard_sizes() == many.shard_sizes()
+
+    @pytest.mark.parametrize("n_shards", [2, 4, 8])
+    def test_large_batches_update_shards_on_this_thread(
+        self, n_shards, monkeypatch
+    ):
+        """Shard updates run in a loop: a batch of any size starts no
+        thread, and the merge stays exact."""
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("Thread.start() called")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        gus = GUS_CASES["join"]
+        rng = np.random.default_rng(n_shards)
+        f, lineage = _sample(rng, 20_000, gus.lattice.dims)
+        coordinator = ShardCoordinator(gus, n_shards)
+        coordinator.ingest(f, lineage)
+        assert all(size > 0 for size in coordinator.shard_sizes())
+        batch = estimate_sum(gus, f, lineage)
+        sharded = coordinator.estimate()
+        assert sharded.value == pytest.approx(batch.value, rel=1e-9)
+        assert sharded.variance_raw == pytest.approx(
+            batch.variance_raw, rel=1e-9
+        )
 
     def test_invalid_configuration_rejected(self):
         gus = GUS_CASES["bernoulli"]
