@@ -7,19 +7,22 @@ row-processing work, and joins pay for both inputs plus the output
 they materialize.  Cardinalities flow bottom-up — sampling scales rows
 by the method's first-order inclusion probability ``a``, equi-joins use
 the classic ``|L|·|R| / max(ndv(k_L), ndv(k_R))`` uniform-containment
-estimate with distinct counts measured on the actual base tables.
+estimate with distinct counts measured on the actual base tables, per
+join key, on first use (:class:`ColumnNdv`): a key resolves to the
+table its side of the join scans, so a snapshot never prices the live
+table or the other way round.
 
 Two machine-specific constants turn row counts into predicted seconds:
 the per-row cost of a vectorized scan/filter pass and of a sort-based
-join probe.  They are measured **once per database** by timing two
-small numpy micro-probes (:meth:`CostModel.calibrate`), so cost
-rankings reflect the hardware the query will actually run on.
+join probe.  Calibration times two micro-probes **once per database**
+(:meth:`CostModel.calibrate`), so cost rankings reflect the hardware the
+query will actually run on; it records table sizes and reads no column.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +32,7 @@ from repro.obs.metrics import REGISTRY
 from repro.relational import plan as p
 from repro.relational.executor import join_indices
 from repro.relational.table import Table
+from repro.versions.snapshots import VERSION_SEP
 
 #: Rows used by each calibration micro-probe.
 PROBE_ROWS = 65_536
@@ -62,6 +66,60 @@ class CostEstimate:
         )
 
 
+def distinct_count(table: Table, column: str) -> int:
+    """Distinct values of a column; a string column counts the codes
+    present in its dictionary encoding (``None`` is one value)."""
+    pair = table.columns.encoded(column)
+    if pair is None:
+        return int(np.unique(np.asarray(table.columns[column])).size)
+    return int(np.count_nonzero(np.bincount(pair[0])))
+
+
+class ColumnNdv(Mapping[str, int]):
+    """Distinct-value counts of base-table columns, measured on first use.
+
+    ``ndv[column]`` counts the column of the live table holding it (a
+    ``name@vN`` snapshot only when no live table does); :meth:`of`
+    counts one named table's.  Each count is kept.
+    """
+
+    def __init__(self, tables: Mapping[str, Table]) -> None:
+        self._tables = dict(
+            sorted(tables.items(), key=lambda item: VERSION_SEP in item[0])
+        )
+        self._counts: dict[tuple[str, str], int] = {}
+
+    def of(self, table: str, column: str) -> int:
+        key = (table, column)
+        if key not in self._counts:
+            self._counts[key] = distinct_count(self._tables[table], column)
+        return self._counts[key]
+
+    def owner(self, column: str, tables: Iterable[str]) -> str | None:
+        """The first of ``tables`` that holds ``column``."""
+        for name in tables:
+            if name in self._tables and column in self._tables[name].columns:
+                return name
+        return None
+
+    def __getitem__(self, column: str) -> int:
+        table = self.owner(column, self._tables)
+        if table is None:
+            raise KeyError(column)
+        return self.of(table, column)
+
+    def __contains__(self, column: object) -> bool:
+        return self.owner(column, self._tables) is not None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(
+            dict.fromkeys(c for t in self._tables.values() for c in t.columns)
+        )
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
 class CostModel:
     """Cardinality + calibrated-constant cost estimates for plans."""
 
@@ -75,7 +133,7 @@ class CostModel:
         selectivity: float = DEFAULT_SELECTIVITY,
     ) -> None:
         self.table_sizes = dict(table_sizes)
-        self.column_ndv = dict(column_ndv)
+        self.column_ndv = column_ndv  # not copied: a ColumnNdv is lazy
         self.scan_seconds_per_row = float(scan_seconds_per_row)
         self.join_seconds_per_row = float(join_seconds_per_row)
         self.selectivity = float(selectivity)
@@ -90,12 +148,13 @@ class CostModel:
         probe_rows: int = PROBE_ROWS,
         repeats: int = 3,
     ) -> "CostModel":
-        """Measure per-row constants and collect base-table statistics.
+        """Measure per-row constants and record table sizes.
 
         The scan probe times a vectorized compare-and-filter pass; the
         join probe times :func:`~repro.relational.executor.join_indices`
         on foreign-key-shaped data.  Taking the best of ``repeats``
-        keeps scheduler noise out of the constants.
+        keeps scheduler noise out of the constants.  No column is read:
+        join-key distinct counts are measured when a plan first asks.
         """
         t_calibrate = time.perf_counter()
         values = np.linspace(0.0, 1.0, probe_rows)
@@ -118,11 +177,6 @@ class CostModel:
         # right side).
         out_rows = int(join_indices(keys, right)[0].size)
         join_rows = probe_rows + right.size + out_rows
-        ndv = {
-            col: int(np.unique(np.asarray(table.columns[col])).size)
-            for table in tables.values()
-            for col in table.schema.names
-        }
         REGISTRY.gauge("repro_cost_scan_seconds_per_row").set(
             max(scan_s, 1e-12)
         )
@@ -134,7 +188,7 @@ class CostModel:
         ).observe(time.perf_counter() - t_calibrate)
         return cls(
             {name: t.n_rows for name, t in tables.items()},
-            ndv,
+            ColumnNdv(tables),
             scan_seconds_per_row=max(scan_s, 1e-12),
             join_seconds_per_row=max(join_s / join_rows, 1e-12),
         )
@@ -203,7 +257,11 @@ class CostModel:
         if isinstance(node, p.Join):
             left = self._rows(node.left, state)
             right = self._rows(node.right, state)
-            out = self._join_rows(left, right, node.left_keys, node.right_keys)
+            out = left * right / max(
+                1.0,
+                *(self._ndv(node.left, k) for k in node.left_keys),
+                *(self._ndv(node.right, k) for k in node.right_keys),
+            )
             state["joined"] += left + right + out
             # The pipeline materializes the left side as its hash-
             # partitioned build; the probe side streams.
@@ -224,19 +282,14 @@ class CostModel:
             return left + right if isinstance(node, p.Union) else min(left, right)
         raise PlanError(f"cost model cannot walk {type(node).__name__}")
 
-    def _join_rows(
-        self,
-        left_rows: float,
-        right_rows: float,
-        left_keys: tuple[str, ...],
-        right_keys: tuple[str, ...],
-    ) -> float:
-        """Uniform-containment estimate, ndv from the base tables."""
-        denom = 1.0
-        for lk, rk in zip(left_keys, right_keys):
-            denom = max(
-                denom,
-                float(self.column_ndv.get(lk, 1)),
-                float(self.column_ndv.get(rk, 1)),
+    def _ndv(self, side: p.PlanNode, key: str) -> float:
+        """ndv of ``key`` in the table ``side`` scans it from."""
+        ndv = self.column_ndv
+        if isinstance(ndv, ColumnNdv):
+            scans = (
+                n.table_name for n in p.walk(side) if isinstance(n, p.Scan)
             )
-        return left_rows * right_rows / denom
+            table = ndv.owner(key, scans)
+            if table is not None:
+                return float(ndv.of(table, key))
+        return float(ndv.get(key, 1))

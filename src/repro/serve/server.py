@@ -144,6 +144,9 @@ class ReproServer:
             for task in pending:
                 task.cancel()
         self._pool.shutdown(wait=True)
+        # Never serves again; the event loop refers to it in cycles, so
+        # drop the service (and database) instead of waiting for the GC.
+        self.service = self.handler.service = None
 
     async def serve_forever(self) -> None:
         assert self._tcp_server is not None

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 import zlib
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -93,12 +94,23 @@ class ServiceStats:
 
 
 class ServiceSession:
-    """A lightweight per-client handle onto a shared service."""
+    """A lightweight per-client handle onto a shared service.
+
+    The service tracks its sessions, so a session refers to it weakly:
+    no cycle keeps a dropped service (and its database) alive.
+    """
 
     def __init__(self, service: "QueryService", name: str) -> None:
-        self.service = service
+        self._service = weakref.ref(service)
         self.name = name
         self.queries = 0
+
+    @property
+    def service(self) -> "QueryService":
+        service = self._service()
+        if service is None:
+            raise ReproError(f"session {self.name!r} outlived its service")
+        return service
 
     def query(self, statement: str, *, seed: int | None = None) -> ServiceResponse:
         self.queries += 1

@@ -8,14 +8,18 @@ dependency — each test drives its own ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import weakref
 
 import pytest
 
 from serveutil import BUDGETED, PLAIN, fresh_service
 
+from repro.data.tpch import tpch_database
 from repro.errors import ServeError
 from repro.serve import ServeClient, ServeConfig, start_server
+from repro.service import QueryService
 
 
 def run(coro):
@@ -362,3 +366,29 @@ class TestUnexpectedExceptionsGetATerminalFrame:
         assert first["code"] == "internal"
         assert first["error"] == "ValueError: not an engine error"
         assert second["id"] == 2 and second["type"] == "result"
+
+
+class TestDrainReleasesTheDatabase:
+    def test_database_freed_without_the_cycle_collector(self):
+        """The event loop's objects hold a drained server in cycles; the
+        database behind it must not wait for a collection to be freed."""
+        db = tpch_database(scale=0.01, seed=0)
+        alive = weakref.ref(db)
+
+        async def scenario(service):
+            server = await start_server(service, make_config())
+            client = await ServeClient.connect("127.0.0.1", server.tcp_port)
+            try:
+                assert (await client.query(PLAIN, seed=1))["status"] == "ok"
+            finally:
+                await client.close()
+                await server.drain()
+
+        gc.collect()
+        gc.disable()
+        try:
+            run(scenario(QueryService(db)))
+            del db
+            assert alive() is None
+        finally:
+            gc.enable()

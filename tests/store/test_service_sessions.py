@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data.tpch import tpch_database
+from repro.errors import ReproError
 from repro.service import DEFAULT_MAX_SESSIONS, QueryService
 
 
@@ -72,3 +73,11 @@ class TestSessionRegistry:
         service.note_execution()
         service.note_execution(2)
         assert service.stats.queries == before + 3
+
+    def test_session_does_not_keep_its_service_alive(self, db):
+        service = QueryService(db)
+        session = service.session("a")
+        assert session.service is service
+        del service  # no cycle through the registry: freed at once
+        with pytest.raises(ReproError, match="outlived its service"):
+            session.query("SELECT COUNT(*) AS n FROM orders")
