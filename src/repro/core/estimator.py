@@ -231,14 +231,16 @@ def group_reduce_multi(
     both ``Σ f`` and a row count per key (the grouped sketch) pay for it
     once and run one ``bincount`` per weight vector.
 
-    A single integer key column that is strictly increasing — the
-    lineage of any tuple-level single-relation sample in scan order, or
-    of an FK join probed in key order — is its own compaction: every
-    row is a group and the rows are in key order already, so the keys
-    come back as given and each sum is ``w + 0.0``, which is what
-    ``np.bincount`` accumulates for a one-row group bit for bit
-    (``-0.0`` becomes ``+0.0`` on both routes).  Equal neighbours,
-    descending ids, several key columns and non-integer keys sort.
+    Integer keys whose packed key strictly ascends
+    (:func:`~repro.core.kernels.strictly_ascending`) — the lineage of
+    any tuple-level single-relation sample in scan order, or the
+    ``(l, o)`` lineage of an FK join probed in key order — are their
+    own compaction: every row is a group and the rows are in key order
+    already, so the keys come back as given and each sum is ``w +
+    0.0``, which is what ``np.bincount`` accumulates for a one-row
+    group bit for bit (``-0.0`` becomes ``+0.0`` on both routes).
+    Equal neighbours, descending keys and non-integer keys sort, and
+    distinct keys, once sorted, skip the ``bincount`` the same way.
     """
     weights = [np.asarray(w, dtype=np.float64) for w in weight_vectors]
     n_rows = weights[0].shape[0]
@@ -249,15 +251,16 @@ def group_reduce_multi(
         )
     if not columns:
         return [], [np.array([float(np.sum(w))]) for w in weights]
-    if len(columns) == 1 and kernels.strictly_increasing(columns[0]):
-        return [np.asarray(columns[0])], [w + 0.0 for w in weights]
+    if kernels.strictly_ascending(columns):
+        return [np.asarray(c) for c in columns], [w + 0.0 for w in weights]
     order, boundary = kernels.sorted_boundaries(columns, n_rows)
-    gids_sorted = np.cumsum(boundary) - 1
-    n_groups = int(gids_sorted[-1]) + 1
     firsts = order[boundary]
     keys = [np.asarray(col)[firsts] for col in columns]
+    if firsts.shape[0] == n_rows:  # distinct keys, sorted: as above
+        return keys, [w[order] + 0.0 for w in weights]
+    gids_sorted = np.cumsum(boundary) - 1
     sums = [
-        kernels.group_sums(gids_sorted, w[order], n_groups)
+        kernels.group_sums(gids_sorted, w[order], firsts.shape[0])
         for w in weights
     ]
     return keys, sums

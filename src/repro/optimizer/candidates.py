@@ -11,8 +11,8 @@ change.  This module makes that concrete:
   equi-join conditions, residual filters, and aggregate specs;
 * :meth:`QuerySkeleton.build` reassembles an executable plan for any
   (join order, method assignment) pair, reusing the planner's
-  left-deep-tree construction so SQL-planned and optimizer-built plans
-  are structurally identical;
+  left-deep-tree construction and filter placement so SQL-planned and
+  optimizer-built plans are structurally identical;
 * :func:`enumerate_assignments` walks a geometric rate ladder across
   the Bernoulli / lineage-hash / block / without-replacement families
   (uniform grids always; the per-relation cartesian product whenever it
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from repro.errors import PlanError, ReproError
 from repro.relational import plan as p
-from repro.relational.expressions import Expr, and_
+from repro.relational.expressions import Expr
 from repro.sampling import (
     Bernoulli,
     BlockBernoulli,
@@ -80,6 +80,7 @@ class QuerySkeleton:
     join_conds: tuple[tuple[str, str, str, str], ...]
     filters: tuple[Expr, ...]
     specs: tuple[p.AggSpec, ...]
+    column_owner: Mapping[str, str] = field(repr=False)
 
     @property
     def sampled(self) -> tuple[str, ...]:
@@ -105,9 +106,9 @@ class QuerySkeleton:
             leaves[rel] = (
                 p.TableSample(scan, methods[rel]) if rel in methods else scan
             )
-        tree = p.left_deep_join_tree(order, leaves, self.join_conds)
-        if self.filters:
-            tree = p.Select(tree, and_(*self.filters))
+        tree = p.filtered_join_tree(
+            order, leaves, self.join_conds, self.filters, self.column_owner
+        )
         return p.Aggregate(tree, self.specs)
 
 
@@ -178,6 +179,7 @@ def decompose(
         join_conds=tuple(conds),
         filters=tuple(filters),
         specs=plan.specs,
+        column_owner=column_owner,
     )
 
 

@@ -59,6 +59,7 @@ from time import perf_counter_ns
 
 import numpy as np
 
+from repro.core.kernels import _radix_order
 from repro.errors import ExecutionError, PlanError
 from repro.obs.trace import get_tracer, maybe_span
 from repro.relational import expressions as ex
@@ -125,22 +126,6 @@ class _SortedJoinBuild:
     def probe(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Match one probe chunk; canonical-order ``(li, ri_local)``."""
         return probe_sorted(self._sorted_keys, self._positions, probe_keys)
-
-
-def _radix_order(offsets: np.ndarray, span: int) -> np.ndarray:
-    """The stable sort order of ``offsets`` in ``[0, span)``, in O(n).
-
-    ``np.argsort`` of a 16-bit key, ``kind="stable"``, is numpy's radix
-    sort; wider keys take one such pass per 16-bit digit, least
-    significant first.
-    """
-    order = np.argsort(offsets.astype(np.uint16), kind="stable")
-    shift = 16
-    while span > 1 << shift:
-        digit = (offsets[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
-    return order
 
 
 class _AddressedJoinBuild:

@@ -21,12 +21,12 @@ precondition of the union/intersection rules.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.core.gus import GUSParams
 from repro.errors import PlanError, SelfJoinError
-from repro.relational.expressions import Expr
+from repro.relational.expressions import Expr, and_
 from repro.sampling.base import SamplingMethod
 from repro.sampling.composed import BiDimensionalBernoulli
 
@@ -582,6 +582,37 @@ def left_deep_join_tree(
         leftover = [f"{a}.{ac} = {c}.{cc}" for a, ac, c, cc in pending]
         raise PlanError(f"unusable join conditions: {leftover}")
     return current
+
+
+def filtered_join_tree(
+    order: Sequence[str],
+    leaves: dict[str, PlanNode],
+    joins: Sequence[tuple[str, str, str, str]],
+    filters: Sequence[Expr],
+    column_owner: Mapping[str, str],
+) -> PlanNode:
+    """:func:`left_deep_join_tree` with the WHERE conjuncts placed.
+
+    With more than one relation, a conjunct whose columns all belong to
+    one relation (``column_owner``) filters that relation's leaf; the
+    rest stay above the tree.  Selection passes a GUS through and a
+    join merges its inputs' GUS (Propositions 5 and 6), and a filtered
+    join input keeps the surviving output rows in their relative order,
+    so every answer keeps its bits while the joins touch fewer rows.
+    """
+    by_relation: dict[str, list[Expr]] = {}
+    residual: list[Expr] = []
+    for conjunct in filters:
+        owners = {column_owner.get(c) for c in conjunct.columns_used()}
+        if len(leaves) > 1 and len(owners) == 1 and owners <= leaves.keys():
+            by_relation.setdefault(owners.pop(), []).append(conjunct)
+        else:
+            residual.append(conjunct)
+    placed = dict(leaves)
+    for name, conjuncts in by_relation.items():
+        placed[name] = Select(leaves[name], and_(*conjuncts))
+    tree = left_deep_join_tree(order, placed, joins)
+    return Select(tree, and_(*residual)) if residual else tree
 
 
 def walk(plan: PlanNode):

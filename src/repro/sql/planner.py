@@ -3,8 +3,9 @@
 The planner resolves columns against the catalog, converts TABLESAMPLE
 clauses into :mod:`repro.sampling` methods, extracts equi-join
 conditions from the WHERE conjunction, builds a left-deep join tree
-(cross products where tables are unconnected), and applies the residual
-predicate on top.  Aggregate select lists become an
+(cross products where tables are unconnected), filters each table by
+the conjuncts that read it alone, and applies the residual predicate on
+top.  Aggregate select lists become an
 :class:`~repro.relational.plan.Aggregate` (or a
 :class:`~repro.relational.plan.GroupAggregate` under GROUP BY, with
 HAVING rewritten onto the grouped output schema); pure-expression lists
@@ -109,10 +110,7 @@ class _Planner:
         if any(ref.is_diff for ref in self.query.tables):
             return self._plan_version_diff()
         self._resolve_tables()
-        join_conds, filters = self._split_where()
-        tree = self._build_join_tree(join_conds)
-        if filters:
-            tree = p.Select(tree, e.and_(*filters))
+        tree = self._build_join_tree(*self._split_where())
         if self.query.group_by:
             return self._group_aggregate(tree)
         if self.query.has_aggregates:
@@ -350,17 +348,20 @@ class _Planner:
         return p.TableSample(scan, build_sampling_method(ref.sample))
 
     def _build_join_tree(
-        self, joins: list[tuple[str, str, str, str]]
+        self, joins: list[tuple[str, str, str, str]], filters: list[e.Expr]
     ) -> p.PlanNode:
         """Left-deep tree in FROM order, joining on every applicable
-        condition; unconnected tables fall back to cross products."""
+        condition (unconnected tables fall back to cross products), with
+        each filter on the one table it reads or else above the tree."""
         order = list(self.internal_names)
         trees: dict[str, p.PlanNode] = {
             internal: self._leaf(ref, internal)
             for ref, internal in zip(self.query.tables, self.internal_names)
         }
         try:
-            return p.left_deep_join_tree(order, trees, joins)
+            return p.filtered_join_tree(
+                order, trees, joins, filters, self.column_owner
+            )
         except PlanError as exc:
             raise SQLError(str(exc)) from exc
 

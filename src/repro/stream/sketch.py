@@ -250,14 +250,14 @@ class GroupedMomentBundle:
 
     State rows need no particular order — ``moments()`` adds each
     group's rows up in state order, and all that fixes its bits is
-    that one group's rows come in lineage-key order.  When the lineage
-    key is one strictly increasing column (a tuple-level sample of one
-    relation in scan order, chunk after chunk) every row is its own
-    state row already, so ``update`` keeps the batch as it is and
-    ``merge`` concatenates: neither sorts.  Anything else — a join
-    replicating ids, descending or repeated ids, several lineage
-    columns — compacts by a stable sort on *(group code, lineage
-    key)*, with the same moments bit for bit.
+    that one group's rows come in lineage-key order.  When the packed
+    lineage key strictly ascends (a tuple-level sample of one relation
+    in scan order, or an FK join probed in key order, chunk after
+    chunk) every row is its own state row already, so ``update`` keeps
+    the batch as it is and ``merge`` concatenates: neither sorts.
+    Anything else — a join replicating ids, descending or repeated
+    ids — compacts by a stable sort on *(group code, lineage key)*,
+    with the same moments bit for bit.
     """
 
     __slots__ = (
@@ -345,7 +345,7 @@ class GroupedMomentBundle:
             np.concatenate([mine, theirs])
             for mine, theirs in zip(self._sums, sums)
         ] + [np.concatenate([self._counts, counts])]
-        if not (len(keys) == 1 and kernels.strictly_increasing(merged[1])):
+        if not kernels.strictly_ascending(merged[1:]):
             # Entries are concatenated mine-then-theirs and reduced by a
             # stable sort, which fixes the float addition order whatever
             # the number of chunks.
@@ -377,7 +377,7 @@ class GroupedMomentBundle:
             return self
         dictionary, gids, _ = group_keys(group_cols, n)
         ones = np.ones(n, dtype=np.float64)
-        if len(keys) == 1 and kernels.strictly_increasing(keys[0]):
+        if kernels.strictly_ascending(keys):
             # ``f + 0.0`` is what ``np.bincount`` yields for a one-row
             # entry bit for bit (``-0.0`` becomes ``+0.0`` on both routes).
             codes, sums, counts = gids, [f + 0.0 for f in fs], ones

@@ -326,7 +326,7 @@ def _bits(values: np.ndarray) -> np.ndarray:
 
 
 class TestIdentityFold:
-    """A single strictly increasing integer key column is its own
+    """Integer key rows whose packed key strictly ascends are their own
     compaction: ``group_reduce_multi`` skips the sort and must return
     what the sort path returns, bit for bit."""
 
@@ -357,10 +357,10 @@ class TestIdentityFold:
             )
             for _ in range(data.draw(st.integers(1, 3)))
         ]
-        assert kernels.strictly_increasing(keys)
+        assert kernels.strictly_ascending([keys])
         got_keys, got_sums = group_reduce_multi([keys], weights)
         with mock.patch.object(
-            kernels, "strictly_increasing", return_value=False
+            kernels, "strictly_ascending", return_value=False
         ):
             references = [group_reduce_multi([keys], weights)]
         if n >= 2:
@@ -368,12 +368,17 @@ class TestIdentityFold:
             # path hands its groups back in key order: un-permuted.
             perm = np.array(data.draw(st.permutations(range(n))))
             if not np.array_equal(perm, np.arange(n)):
-                assert not kernels.strictly_increasing(keys[perm])
+                assert not kernels.strictly_ascending([keys[perm]])
                 references.append(
                     group_reduce_multi(
                         [keys[perm]], [w[perm] for w in weights]
                     )
                 )
+        if n:  # what the one-row groups' ``bincount`` would accumulate
+            rows = np.arange(n)
+            references.append(
+                ([keys], [np.bincount(rows, weights=w) for w in weights])
+            )
         for want_keys, want_sums in references:
             assert len(got_keys) == len(want_keys) == 1
             assert got_keys[0].dtype == want_keys[0].dtype == dtype
@@ -397,13 +402,27 @@ class TestIdentityFold:
             ([np.array([2, 5, 9, 11])], 0),
             ([np.array([1, 2, 2, 3])], 1),  # equal neighbours (block lineage)
             ([np.array([4, 3, 2, 1])], 1),
-            ([np.array([1, 2, 3, 4]), np.array([1, 2, 3, 4])], 1),
+            ([np.array([1, 2, 3, 4]), np.array([1, 2, 3, 4])], 0),
+            # (l, o) lineage of an FK join: o primary with ties, l ascends.
+            ([np.array([3, 4, 8, 9]), np.array([0, 0, 5, 5])], 0),
+            ([np.array([4, 3, 8, 9]), np.array([0, 0, 5, 5])], 1),
+            ([np.array([3, 3, 8, 9]), np.array([0, 0, 5, 5])], 1),
             ([np.array([1.0, 2.0, 3.0, 4.0])], 1),
             ([np.array([True, False, True, True])], 1),  # not an integer id
         ],
-        ids=["increasing", "equal", "descending", "two-columns", "float", "bool"],
+        ids=[
+            "increasing",
+            "equal",
+            "descending",
+            "two-columns",
+            "fk-join",
+            "tie-descends",
+            "tie-repeats",
+            "float",
+            "bool",
+        ],
     )
-    def test_only_one_increasing_integer_column_skips_the_sort(
+    def test_only_a_strictly_ascending_packed_key_skips_the_sort(
         self, columns, sorts
     ):
         with mock.patch.object(

@@ -517,6 +517,85 @@ class TestEstimationInvariance:
         db.sql_exact(text)
         assert {name for name, _ in calls} == {"argsort", "searchsorted"}
 
+    @staticmethod
+    def _core_argsorts(monkeypatch) -> list[np.dtype]:
+        """The key dtype of every ``np.argsort`` called from ``repro.core``."""
+        seen: list[np.dtype] = []
+        real = np.argsort
+
+        def counting(a, *args, **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            if caller.startswith("repro.core"):
+                seen.append(np.asarray(a).dtype)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        return seen
+
+    @pytest.mark.parametrize("workers", [None, 1, 4])
+    def test_two_sampled_fk_join_folds_without_a_sort(
+        self, workers, monkeypatch
+    ):
+        """Counts: ``lineitem TABLESAMPLE ⋈ orders TABLESAMPLE``.
+
+        Probed in key order, the ``(l, o)`` lineage strictly ascends, so
+        its compaction, every chunk merge and both one-relation masks of
+        the lattice sort nothing.
+        """
+        db = tpch_database(0.1, seed=3)
+        text = (
+            "SELECT SUM(l_extendedprice) AS v FROM lineitem TABLESAMPLE "
+            "(20 PERCENT), orders TABLESAMPLE (50 PERCENT) "
+            "WHERE l_orderkey = o_orderkey"
+        )
+        chunk_size = (
+            None if workers is None else db.table("orders").n_rows // 5
+        )
+        argsorts = self._core_argsorts(monkeypatch)
+        result = db.sql(text, seed=5, workers=workers, chunk_size=chunk_size)
+        assert result.sample.n_rows > 200
+        assert argsorts == []
+
+    @pytest.mark.parametrize("workers", [None, 1, 4])
+    def test_three_way_join_fold_sorts_by_uint16_digits_only(
+        self, workers, monkeypatch
+    ):
+        """Counts: the customer-major ``lineitem`` lineage of a three-way
+        join is scrambled, and the fold radix-sorts it — no ``argsort``
+        of a packed int64 key."""
+        db = tpch_database(0.1, seed=3)
+        text = (
+            "SELECT SUM(l_extendedprice) AS v, COUNT(*) AS n FROM lineitem "
+            "TABLESAMPLE (20 PERCENT), orders, customer WHERE l_orderkey = "
+            "o_orderkey AND o_custkey = c_custkey AND c_acctbal > 0.0"
+        )
+        argsorts = self._core_argsorts(monkeypatch)
+        result = db.sql(text, seed=5, workers=workers)
+        assert result.sample.n_rows > 200
+        assert argsorts and set(argsorts) == {np.dtype(np.uint16)}
+
+    @pytest.mark.parametrize("workers", [None, 1, 4])
+    def test_version_diff_nets_with_at_most_one_argsort(
+        self, workers, monkeypatch
+    ):
+        """Counts: both sides' keys ascend, so netting their hi-then-lo
+        concatenation merges two runs — one ``argsort`` at most."""
+        db = tpch_database(0.1, seed=3)
+        lineitem = db.table("lineitem")
+        price = lineitem.column("l_extendedprice").copy()
+        price[::7] *= 1.1
+        db.update_table(
+            "lineitem", lineitem.with_columns({"l_extendedprice": price})
+        )
+        text = (
+            "SELECT SUM(l_extendedprice) AS v FROM lineitem MINUS AT "
+            "VERSION 1 TABLESAMPLE (20 PERCENT) REPEATABLE (7)"
+        )
+        chunk_size = None if workers is None else lineitem.n_rows // 5
+        argsorts = self._core_argsorts(monkeypatch)
+        db.sql(text, workers=workers, chunk_size=chunk_size)
+        assert len(argsorts) <= 1
+
     @pytest.mark.parametrize("workers", [None, 1, 2, 4])
     def test_ungrouped_bit_identical(self, workers):
         sbox = SBox(CATALOG)
