@@ -9,12 +9,10 @@ one query.  The design constraints, in order of importance:
 * **Bit-identity.**  Recording a span touches only ``perf_counter_ns``
   and Python lists — never the executor RNG, never fold order — so
   traced runs produce bit-identical estimates, variances, and samples.
-* **Determinism across worker counts.**  Per-chunk work is *not*
-  recorded from inside the chunk task: the task measures and returns
-  ``(start_ns, end_ns, rows)`` plus one record per plan node it ran,
-  and the driver records the spans via :meth:`Tracer.record_span`
-  **in chunk order**.  Span ids and tree shape therefore depend only
-  on the chunking.
+* **Determinism across worker counts.**  Every chunk runs on the
+  thread that owns the tracer, in chunk order, and opens its own span
+  (and one per plan node it runs) directly; ``workers`` only picks the
+  chunking, so span ids and tree shape depend only on the chunking.
 * **Bounded.**  A trace keeps at most ``max_spans`` spans; further
   spans are counted in :attr:`Trace.dropped` but not stored, so a
   pathological plan cannot balloon memory.
@@ -26,6 +24,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter_ns
 
 #: Default bound on spans retained per trace.
@@ -73,15 +72,23 @@ class Trace:
                 return span
         return None
 
+    @cached_property
+    def _children(self) -> dict[int | None, list[Span]]:
+        """Parent id → child spans in recording order, built once."""
+        children: dict[int | None, list[Span]] = {}
+        for span in self.spans:
+            children.setdefault(span.parent_id, []).append(span)
+        return children
+
     def children_of(self, span_id: int | None) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span_id]
+        return list(self._children.get(span_id, ()))
 
     def find(self, name: str) -> list[Span]:
         return [s for s in self.spans if s.name == name]
 
     def self_time_ns(self, span: Span) -> int:
         child_total = sum(
-            c.duration_ns for c in self.spans if c.parent_id == span.span_id
+            c.duration_ns for c in self._children.get(span.span_id, ())
         )
         return max(0, span.duration_ns - child_total)
 
@@ -95,9 +102,7 @@ class Trace:
 
         def build(parent_id: int | None) -> tuple:
             out = []
-            for span in self.spans:
-                if span.parent_id != parent_id:
-                    continue
+            for span in self._children.get(parent_id, ()):
                 if span.kind in drop_kinds:
                     continue
                 stable = tuple(
@@ -119,8 +124,7 @@ class Tracer:
     """Collects spans for one query on one logical control flow.
 
     The nesting stack is plain instance state: a tracer is owned by the
-    thread that runs the query, and chunk-task measurements enter
-    through :meth:`record_span` (called by the driver), so no lock is
+    thread that runs the query, chunk tasks included, so no lock is
     needed on the hot path.
     """
 
@@ -174,40 +178,6 @@ class Tracer:
             yield span
         finally:
             self.finish(span)
-
-    def record_span(
-        self,
-        name: str,
-        kind: str,
-        *,
-        start_ns: int,
-        end_ns: int,
-        parent_id: int | None = None,
-        **attrs,
-    ) -> int | None:
-        """Record an already-measured span (driver-side chunk merge).
-
-        Returns the new span's id (``None`` once the bound is hit) so
-        the caller can parent further recorded spans under it.
-        """
-        if len(self.spans) >= self.max_spans:
-            self.dropped += 1
-            return None
-        self.spans.append(
-            Span(
-                name=name,
-                kind=kind,
-                span_id=self._next_id,
-                parent_id=(
-                    parent_id if parent_id is not None else self.current_id()
-                ),
-                start_ns=start_ns,
-                end_ns=end_ns,
-                attrs=dict(attrs),
-            )
-        )
-        self._next_id += 1
-        return self._next_id - 1
 
     def finish_trace(self) -> Trace:
         # Close any spans left open by exception unwinds.

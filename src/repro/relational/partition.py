@@ -1,14 +1,11 @@
-"""Row-range partitioning: the chunk layer under the pipeline executor.
+"""Row-range partitioning: the chunk bounds under the pipeline executor.
 
-A :class:`TableChunk` is a contiguous row range of a source stream —
-zero-copy column views plus the global ``[start, stop)`` coordinates
-that tie it back to the base table (sampling draws and lineage ids are
-functions of the *global* row position, never the chunk-local one, so
-any partitioning of the same rows yields the same sample).
-
-:class:`PartitionedTable` splits one table into aligned chunks;
-:func:`chunk_bounds` is the bare boundary computation shared with
-streams that have no backing table.
+A chunk is a contiguous ``[start, stop)`` row range of a source, given
+by its *global* coordinates in the base table: sampling draws and
+lineage ids are functions of the global row position, never the
+chunk-local one, so any partitioning of the same rows yields the same
+sample.  :func:`chunk_bounds` computes the ranges; the pipeline's scan
+slices zero-copy column views out of the base table per range.
 
 Alignment matters for exactness, not just speed: block-level sampling
 (``TABLESAMPLE SYSTEM``) assigns one lineage id to a whole block of
@@ -26,15 +23,11 @@ partitioning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.relational import plan as p
-from repro.relational.table import Table
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
-    "PartitionedTable",
-    "TableChunk",
     "chunk_bounds",
     "required_alignment",
 ]
@@ -47,25 +40,6 @@ DEFAULT_CHUNK_ROWS = 65_536
 #: Ceiling on the block-size lcm the partitioner will honour; beyond it
 #: chunks simply grow to one-block-per-chunk granularity.
 _MAX_ALIGNMENT = 1 << 22
-
-
-@dataclass(frozen=True)
-class TableChunk:
-    """One contiguous row range of a source stream."""
-
-    table: Table
-    start: int
-    stop: int
-    index: int
-
-    @property
-    def n_rows(self) -> int:
-        return self.stop - self.start
-
-    def __repr__(self) -> str:
-        return (
-            f"TableChunk(#{self.index}, rows [{self.start}, {self.stop}))"
-        )
 
 
 def chunk_bounds(
@@ -88,53 +62,6 @@ def chunk_bounds(
         (start, min(start + step, n_rows))
         for start in range(0, n_rows, step)
     ]
-
-
-class PartitionedTable:
-    """A table split into contiguous, zero-copy row-range chunks."""
-
-    __slots__ = ("table", "bounds")
-
-    def __init__(
-        self, table: Table, bounds: list[tuple[int, int]]
-    ) -> None:
-        self.table = table
-        self.bounds = list(bounds)
-
-    @classmethod
-    def partition(
-        cls,
-        table: Table,
-        chunk_size: int = DEFAULT_CHUNK_ROWS,
-        align: int = 1,
-    ) -> "PartitionedTable":
-        return cls(table, chunk_bounds(table.n_rows, chunk_size, align))
-
-    @property
-    def n_chunks(self) -> int:
-        return len(self.bounds)
-
-    def chunk(self, index: int) -> TableChunk:
-        start, stop = self.bounds[index]
-        return TableChunk(
-            table=self.table.slice(start, stop),
-            start=start,
-            stop=stop,
-            index=index,
-        )
-
-    def chunks(self):
-        """Iterate the chunks in row order."""
-        return (self.chunk(i) for i in range(self.n_chunks))
-
-    def __len__(self) -> int:
-        return self.n_chunks
-
-    def __repr__(self) -> str:
-        return (
-            f"PartitionedTable({self.table.name or '<anon>'}, "
-            f"rows={self.table.n_rows}, chunks={self.n_chunks})"
-        )
 
 
 def required_alignment(plan: p.PlanNode) -> int:

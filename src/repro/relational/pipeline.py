@@ -42,20 +42,17 @@ and keys read) — scans slice views instead of gathering, and join
 probes gather a handful of arrays instead of both tables' full width.
 
 Tracing: when (and only when) a tracer is active, every compiled
-operator is wrapped in a :class:`_Probe` and fused operators are
-compiled apart, so each plan node reports its own ``rows_out`` and
-timing from inside the chunk task; the driver replays those records as
-``node`` spans under the chunk's span.  Untraced runs compile no
-probes.
+operator is wrapped by :func:`_probe` and fused operators are compiled
+apart, so each plan node opens its own ``node`` span — reporting its
+``rows_out`` — under the span of the chunk it runs in.  A chunk's span
+closes before its result is yielded.  Untraced runs compile no probes.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Iterator, Mapping
-from contextvars import ContextVar
 from dataclasses import dataclass
-from time import perf_counter_ns
 
 import numpy as np
 
@@ -205,195 +202,39 @@ def _join_build(keys: np.ndarray, probe_dtype: np.dtype):
 
 # -- chunk operators -----------------------------------------------------
 #
-# Every compiled chunk function is a module-level ``__slots__`` class:
-# a task is its ``(start, stop)`` bounds (or a buffered chunk's index),
-# and the operator stack maps it to one output chunk.
+# Every compiled chunk function is a closure, made by its plan node's
+# ``_compile_*`` method over what the operator reads: a task is its
+# ``(start, stop)`` bounds (or a buffered chunk's index), and the
+# operator stack maps it to one output chunk.  Chunks run in order on
+# the thread that compiled them, the one that owns the tracer.
 
 
 def _identity(table: Table) -> Table:
     return table
 
 
-#: The running traced task's ``(log, open-probe stack)``.  Set by
-#: :class:`_TracedTask` for the extent of one task, so probes never
-#: share a log across tasks.
-_PROBE_FRAME: ContextVar[tuple[list, list]] = ContextVar("repro_probe_frame")
+def _probe(fn: Callable, name: str, kind: str) -> Callable:
+    """Traced runs only: run ``fn`` inside a span of its own.
 
-
-class _Probe:
-    """Traced runs only: time one operator or kernel inside a chunk task.
-
-    Appends ``[name, kind, parent index, start_ns, end_ns, rows_out]``
-    to the task's log in call order (parents before children) — never
-    to the tracer: the driver replays the log under the task's span.
+    The span opens under whatever span is current — the chunk's, or
+    the probe of the operator that called this one — reports the rows
+    of a table result as ``rows_out``, and closes even when ``fn``
+    raises.
     """
+    tracer = get_tracer()
 
-    __slots__ = ("fn", "name", "kind")
-
-    def __init__(self, fn: Callable, name: str, kind: str) -> None:
-        self.fn = fn
-        self.name = name
-        self.kind = kind
-
-    def __call__(self, *args):
-        log, stack = _PROBE_FRAME.get()
-        entry = [
-            self.name,
-            self.kind,
-            stack[-1] if stack else None,
-            perf_counter_ns(),
-            0,
-            None,
-        ]
-        stack.append(len(log))
-        log.append(entry)
-        out = self.fn(*args)
-        entry[4] = perf_counter_ns()
-        entry[5] = getattr(out, "n_rows", None)
-        stack.pop()
-        return out
-
-
-class _TracedTask:
-    """Task wrapper that measures its own chunk.
-
-    The task never touches the tracer: it returns the measurement (and
-    the probes' log) and the driver records the spans in chunk order.
-    """
-
-    __slots__ = ("fn", "per_chunk")
-
-    def __init__(self, fn: Callable, per_chunk: Callable) -> None:
-        self.fn = fn
-        self.per_chunk = per_chunk
-
-    def __call__(self, task):
-        log: list = []
-        token = _PROBE_FRAME.set((log, []))
+    def probed(*args):
+        span = tracer.start(name, kind)
         try:
-            t0 = perf_counter_ns()
-            chunk = self.fn(task)
-            rows = chunk.n_rows
-            out = self.per_chunk(chunk)
-            t1 = perf_counter_ns()
+            out = fn(*args)
+            rows = getattr(out, "n_rows", None)
+            if rows is not None:
+                span.attrs["rows_out"] = rows
+            return out
         finally:
-            _PROBE_FRAME.reset(token)
-        return out, (t0, t1, rows, log)
+            tracer.finish(span)
 
-
-class _ScanFn:
-    """Slice one chunk out of a base table, column-pruned, zero-copy.
-
-    Holds the base table itself, not pre-sliced views: an mmap-backed
-    table pages in only the blocks its chunks touch.
-    """
-
-    __slots__ = ("table", "keep", "schema", "wrap")
-
-    def __init__(self, table: Table, keep, schema, wrap) -> None:
-        self.table = table
-        self.keep = keep
-        self.schema = schema
-        self.wrap = wrap
-
-    def __call__(self, bound: tuple[int, int]) -> Table:
-        # Slice with an explicit row count: a fully pruned scan
-        # (COUNT(*) reads no data columns) still carries its rows.
-        start, stop = bound
-        chunk = Table._share(
-            self.table.name,
-            self.table.columns.rows(slice(start, stop), self.keep),
-            {},
-            self.schema,
-            stop - start,
-        )
-        return self.wrap(chunk, start, stop)
-
-
-class _LineageWrap:
-    """Scan epilogue: attach positional lineage ids."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __call__(self, chunk: Table, start: int, stop: int) -> Table:
-        return chunk.with_lineage(
-            self.name, np.arange(start, stop, dtype=np.int64)
-        )
-
-
-class _SampleWrap:
-    """TableSample epilogue: lineage ids plus the draw's keep-mask.
-
-    ``draw`` covers the whole base table; a chunk slices its rows.
-    """
-
-    __slots__ = ("name", "draw")
-
-    def __init__(self, name: str, draw: Draw) -> None:
-        self.name = name
-        self.draw = draw
-
-    def __call__(self, chunk: Table, start: int, stop: int) -> Table:
-        kept = chunk.with_lineage(self.name, self.draw.lineage[start:stop])
-        return kept.filter(self.draw.mask[start:stop])
-
-
-class _SampleFn:
-    """Un-fused TableSample (traced runs): draw over a scanned chunk."""
-
-    __slots__ = ("child_fn", "wrap")
-
-    def __init__(self, child_fn: Callable, wrap: _SampleWrap) -> None:
-        self.child_fn = child_fn
-        self.wrap = wrap
-
-    def __call__(self, bound: tuple[int, int]) -> Table:
-        return self.wrap(self.child_fn(bound), *bound)
-
-
-class _LineageSampleFn:
-    """Un-fused lineage sample: filter the child chunk by lineage hash."""
-
-    __slots__ = ("child_fn", "keep")
-
-    def __init__(self, child_fn: Callable, keep: Callable) -> None:
-        self.child_fn = child_fn
-        self.keep = keep
-
-    def __call__(self, task) -> Table:
-        t = self.child_fn(task)
-        return t.filter(self.keep(t.lineage))
-
-
-class _SelectFn:
-    __slots__ = ("child_fn", "predicate")
-
-    def __init__(self, child_fn: Callable, predicate) -> None:
-        self.child_fn = child_fn
-        self.predicate = predicate
-
-    def __call__(self, task) -> Table:
-        t = self.child_fn(task)
-        return t.filter(self.predicate.eval(t))
-
-
-class _ProjectFn:
-    __slots__ = ("child_fn", "outputs")
-
-    def __init__(self, child_fn: Callable, outputs: dict) -> None:
-        self.child_fn = child_fn
-        self.outputs = outputs
-
-    def __call__(self, task) -> Table:
-        t = self.child_fn(task)
-        return Table(
-            t.name,
-            {n: expr.eval(t) for n, expr in self.outputs.items()},
-            t.lineage,
-        )
+    return probed
 
 
 def _sampler_filter(
@@ -408,80 +249,6 @@ def _sampler_filter(
             lin[rel] = rt.lineage[rel][ri]
     keep = sampler.keep(lin)
     return li[keep], ri[keep]
-
-
-class _StreamJoinFn:
-    """Single-numeric-key join probe over a streaming right side."""
-
-    __slots__ = ("build", "right_fn", "key_name", "left_table", "sampler")
-
-    def __init__(self, build, right_fn, key_name, left_table, sampler) -> None:
-        self.build = build
-        self.right_fn = right_fn
-        self.key_name = key_name
-        self.left_table = left_table
-        self.sampler = sampler
-
-    def __call__(self, task) -> Table:
-        rt = self.right_fn(task)
-        li, ri = self.build.probe(rt.column(self.key_name))
-        if self.sampler is not None:
-            li, ri = _sampler_filter(self.sampler, self.left_table, rt, li, ri)
-        return combine_rows(self.left_table, rt, li, ri)
-
-
-class _BufferedJoinFn:
-    """Joint-factorized join probe over buffered right chunks."""
-
-    __slots__ = ("build", "rights", "rcodes", "offsets", "left_table", "sampler")
-
-    def __init__(
-        self, build, rights, rcodes, offsets, left_table, sampler
-    ) -> None:
-        self.build = build
-        self.rights = rights
-        self.rcodes = rcodes
-        self.offsets = offsets
-        self.left_table = left_table
-        self.sampler = sampler
-
-    def __call__(self, index: int) -> Table:
-        rt = self.rights[index]
-        codes = self.rcodes[self.offsets[index] : self.offsets[index + 1]]
-        li, ri = self.build.probe(codes)
-        if self.sampler is not None:
-            li, ri = _sampler_filter(self.sampler, self.left_table, rt, li, ri)
-        return combine_rows(self.left_table, rt, li, ri)
-
-
-class _CrossFn:
-    __slots__ = ("left_fn", "right_table")
-
-    def __init__(self, left_fn: Callable, right_table: Table) -> None:
-        self.left_fn = left_fn
-        self.right_table = right_table
-
-    def __call__(self, task) -> Table:
-        lt = self.left_fn(task)
-        li = np.repeat(
-            np.arange(lt.n_rows, dtype=np.int64), self.right_table.n_rows
-        )
-        ri = np.tile(
-            np.arange(self.right_table.n_rows, dtype=np.int64), lt.n_rows
-        )
-        return combine_rows(lt, self.right_table, li, ri)
-
-
-class _SliceFn:
-    """Pipeline breakers re-chunk a materialized result by slicing."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: Table) -> None:
-        self.table = table
-
-    def __call__(self, bound: tuple[int, int]) -> Table:
-        return self.table.slice(*bound)
 
 
 # -- block-stat scan pruning ----------------------------------------------
@@ -644,41 +411,23 @@ class ChunkedExecutor:
     ) -> Iterator[object]:
         """Run a source's tasks on this thread, one after another.
 
-        Traced, each task measures itself (never touching the tracer)
-        and the driver records a ``kind[i]`` span per task with the
-        task's probe log replayed beneath it.
+        Traced, each task runs inside a ``kind[i]`` span, parent of its
+        operators' probe spans, that closes before the task's result is
+        yielded: no span stays open while the consumer holds it.
         """
         tracer = get_tracer()
         if tracer is None:
             for task in source.tasks:
                 yield per_chunk(source.fn(task))
             return
-        parent = tracer.current_id()
-        traced = _TracedTask(source.fn, per_chunk)
         for index, task in enumerate(source.tasks):
-            out, (t0, t1, rows, log) = traced(task)
-            task_id = tracer.record_span(
-                f"{kind}[{index}]",
-                kind,
-                start_ns=t0,
-                end_ns=t1,
-                parent_id=parent,
-                chunk=index,
-                rows=rows,
-            )
-            ids: list[int | None] = []
-            for name, span_kind, up, p0, p1, rows_out in log:
-                attrs = {} if rows_out is None else {"rows_out": rows_out}
-                ids.append(
-                    tracer.record_span(
-                        name,
-                        span_kind,
-                        start_ns=p0,
-                        end_ns=p1,
-                        parent_id=task_id if up is None else ids[up],
-                        **attrs,
-                    )
-                )
+            span = tracer.start(f"{kind}[{index}]", kind, chunk=index)
+            try:
+                chunk = source.fn(task)
+                span.attrs["rows"] = chunk.n_rows
+                out = per_chunk(chunk)
+            finally:
+                tracer.finish(span)
             yield out
 
     # -- sampling draws --------------------------------------------------
@@ -775,7 +524,7 @@ class ChunkedExecutor:
             raise ExecutionError(f"cannot execute {type(node).__name__}")
         source = handler(self, node, needed, align)
         if self._probing:
-            source.fn = _Probe(source.fn, repr(node), "node")
+            source.fn = _probe(source.fn, repr(node), "node")
         return source
 
     def _scan_source(
@@ -795,25 +544,57 @@ class ChunkedExecutor:
             # its mmap backing and block stats survive) and slices the
             # kept columns per chunk.
             schema = base.select_columns(keep).schema
+
+        def scan(bound: tuple[int, int]) -> Table:
+            # Slices the base table per chunk rather than holding
+            # pre-sliced views: an mmap-backed table pages in only the
+            # blocks its chunks touch.  The explicit row count keeps the
+            # rows of a fully pruned scan (COUNT(*) reads no data
+            # columns).
+            start, stop = bound
+            chunk = Table._share(
+                base.name,
+                base.columns.rows(slice(start, stop), keep),
+                {},
+                schema,
+                stop - start,
+            )
+            return wrap(chunk, start, stop)
+
         bounds = chunk_bounds(n_rows, self.chunk_size, align)
-        return _Source(tasks=bounds, fn=_ScanFn(base, keep, schema, wrap))
+        return _Source(tasks=bounds, fn=scan)
 
     def _compile_scan(
         self, node: p.Scan, needed: frozenset[str] | None, align: int
     ) -> _Source:
         name = node.table_name
-        return self._scan_source(name, needed, align, _LineageWrap(name))
+
+        def positional_lineage(chunk: Table, start: int, stop: int) -> Table:
+            return chunk.with_lineage(
+                name, np.arange(start, stop, dtype=np.int64)
+            )
+
+        return self._scan_source(name, needed, align, positional_lineage)
 
     def _compile_table_sample(
         self, node: p.TableSample, needed: frozenset[str] | None, align: int
     ) -> _Source:
         name = node.child.table_name
-        wrap = _SampleWrap(name, self._draws[id(node)])
+        draw = self._draws[id(node)]
+
+        def sample(chunk: Table, start: int, stop: int) -> Table:
+            # The draw covers the whole base table; a chunk slices it.
+            kept = chunk.with_lineage(name, draw.lineage[start:stop])
+            return kept.filter(draw.mask[start:stop])
+
         if self._probing:
             # One operator per plan node, so the Scan reports its own rows.
             child = self._compile(node.child, needed, align)
-            return _Source(tasks=child.tasks, fn=_SampleFn(child.fn, wrap))
-        return self._scan_source(name, needed, align, wrap)
+            scan = child.fn
+            return _Source(
+                tasks=child.tasks, fn=lambda bound: sample(scan(bound), *bound)
+            )
+        return self._scan_source(name, needed, align, sample)
 
     def _compile_lineage_sample(
         self, node: p.LineageSample, needed: frozenset[str] | None, align: int
@@ -827,10 +608,15 @@ class ChunkedExecutor:
                 node.child, needed, align, sampler=node.sampler
             )
         child = self._compile(node.child, needed, align)
-        keep = node.sampler.keep
+        child_fn, keep = child.fn, node.sampler.keep
         if self._probing:
-            keep = _Probe(keep, "draw.lineage_hash", "kernel")
-        return _Source(tasks=child.tasks, fn=_LineageSampleFn(child.fn, keep))
+            keep = _probe(keep, "draw.lineage_hash", "kernel")
+
+        def lineage_sample(task) -> Table:
+            t = child_fn(task)
+            return t.filter(keep(t.lineage))
+
+        return _Source(tasks=child.tasks, fn=lineage_sample)
 
     def _scan_stats(self, node: p.PlanNode) -> Mapping[str, list] | None:
         """Block min/max stats of the base table a node scans, if any.
@@ -867,7 +653,13 @@ class ChunkedExecutor:
                     # Consumers need at least one (empty) chunk to
                     # carry the schema.
                     tasks = [(0, 0)]
-        return _Source(tasks=tasks, fn=_SelectFn(child.fn, node.predicate))
+        child_fn, predicate = child.fn, node.predicate
+
+        def select(task) -> Table:
+            t = child_fn(task)
+            return t.filter(predicate.eval(t))
+
+        return _Source(tasks=tasks, fn=select)
 
     def _compile_project(
         self, node: p.Project, needed: frozenset[str] | None, align: int
@@ -887,7 +679,14 @@ class ChunkedExecutor:
             else frozenset()
         )
         child = self._compile(node.child, child_needed, align)
-        return _Source(tasks=child.tasks, fn=_ProjectFn(child.fn, outputs))
+        child_fn = child.fn
+
+        def project(task) -> Table:
+            t = child_fn(task)
+            columns = {n: expr.eval(t) for n, expr in outputs.items()}
+            return Table(t.name, columns, t.lineage)
+
+        return _Source(tasks=child.tasks, fn=project)
 
     def _compile_join(
         self,
@@ -935,38 +734,46 @@ class ChunkedExecutor:
             # Streaming probe: raw keys compare directly across sides.
             with maybe_span(tracer, "join.factorize_probe", kind="kernel"):
                 build = _join_build(left_key_cols[0], right_dtypes[0])
-            return _Source(
-                tasks=right_src.tasks,
-                fn=_StreamJoinFn(
-                    build, right_src.fn, right_keys[0], left_table, sampler
-                ),
-            )
+            tasks, right_fn, key = right_src.tasks, right_src.fn, right_keys[0]
 
-        # Object or multi-column keys: buffer the (pruned) probe chunks
-        # and factorize both sides jointly to dense int64 codes, then
-        # probe per chunk on the codes.  Inputs are bounded by the base
-        # tables; the join output still streams.
-        rights = list(self._run_tasks(right_src, _identity, "build"))
-        check_join_key_dtypes(
-            left_keys,
-            [c.dtype for c in left_key_cols],
-            right_keys,
-            [rights[0].columns.dtype(k) for k in right_keys],
-        )
-        with maybe_span(tracer, "join.factorize_probe", kind="kernel"):
-            right_cols = [
-                np.concatenate([rt.column(k) for rt in rights])
-                for k in right_keys
-            ]
-            lcodes, rcodes = join_codes(left_key_cols, right_cols)
-            build = _join_build(lcodes, rcodes.dtype)
-        offsets = np.cumsum([0] + [rt.n_rows for rt in rights])
-        return _Source(
-            tasks=list(range(len(rights))),
-            fn=_BufferedJoinFn(
-                build, rights, rcodes, offsets, left_table, sampler
-            ),
-        )
+            def chunk_keys(task) -> tuple[Table, np.ndarray]:
+                rt = right_fn(task)
+                return rt, rt.column(key)
+
+        else:
+            # Object or multi-column keys: buffer the (pruned) probe
+            # chunks and factorize both sides jointly to dense int64
+            # codes, then probe per chunk on the codes.  Inputs are
+            # bounded by the base tables; the join output still streams.
+            rights = list(self._run_tasks(right_src, _identity, "build"))
+            check_join_key_dtypes(
+                left_keys,
+                [c.dtype for c in left_key_cols],
+                right_keys,
+                [rights[0].columns.dtype(k) for k in right_keys],
+            )
+            with maybe_span(tracer, "join.factorize_probe", kind="kernel"):
+                right_cols = [
+                    np.concatenate([rt.column(k) for rt in rights])
+                    for k in right_keys
+                ]
+                lcodes, rcodes = join_codes(left_key_cols, right_cols)
+                build = _join_build(lcodes, rcodes.dtype)
+            offsets = np.cumsum([0] + [rt.n_rows for rt in rights])
+            tasks = list(range(len(rights)))
+
+            def chunk_keys(index: int) -> tuple[Table, np.ndarray]:
+                start, stop = offsets[index], offsets[index + 1]
+                return rights[index], rcodes[start:stop]
+
+        def probe(task) -> Table:
+            rt, keys = chunk_keys(task)
+            li, ri = build.probe(keys)
+            if sampler is not None:
+                li, ri = _sampler_filter(sampler, left_table, rt, li, ri)
+            return combine_rows(left_table, rt, li, ri)
+
+        return _Source(tasks=tasks, fn=probe)
 
     def _compile_cross(
         self, node: p.CrossProduct, needed: frozenset[str] | None, align: int
@@ -983,9 +790,15 @@ class ChunkedExecutor:
         # reference interpreter's left-major output order.
         right_table = self._materialize(node.right, right_needed, align)
         left_src = self._compile(node.left, left_needed, align)
-        return _Source(
-            tasks=left_src.tasks, fn=_CrossFn(left_src.fn, right_table)
-        )
+        left_fn, n_right = left_src.fn, right_table.n_rows
+
+        def cross(task) -> Table:
+            lt = left_fn(task)
+            li = np.repeat(np.arange(lt.n_rows, dtype=np.int64), n_right)
+            ri = np.tile(np.arange(n_right, dtype=np.int64), lt.n_rows)
+            return combine_rows(lt, right_table, li, ri)
+
+        return _Source(tasks=left_src.tasks, fn=cross)
 
     def _compile_materialized(
         self, node: p.PlanNode, needed: frozenset[str] | None, align: int
@@ -993,7 +806,7 @@ class ChunkedExecutor:
         """Pipeline breakers: evaluate whole, then re-chunk the result."""
         table = self._evaluate_breaker(node, needed, align)
         bounds = chunk_bounds(table.n_rows, self.chunk_size, 1)
-        return _Source(tasks=bounds, fn=_SliceFn(table))
+        return _Source(tasks=bounds, fn=lambda bound: table.slice(*bound))
 
     def _evaluate_breaker(
         self, node: p.PlanNode, needed: frozenset[str] | None, align: int

@@ -121,7 +121,7 @@ class TestExecution:
         def boom(*args, **kwargs):
             raise AssertionError("probe compiled on an untraced run")
 
-        monkeypatch.setattr(pipeline._Probe, "__init__", boom)
+        monkeypatch.setattr(pipeline, "_probe", boom)
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         tpch_db.sql(JOIN_Q, seed=5, workers=0)
         tpch_db.sql(JOIN_Q, seed=5, workers=4)

@@ -1,11 +1,13 @@
 """Tracer mechanics: span trees, bounds, context plumbing, renderers."""
 
+import random
 import threading
 
 import pytest
 
 from repro.obs.report import profile_table, render_trace
 from repro.obs.trace import (
+    Trace,
     Tracer,
     env_trace_enabled,
     get_tracer,
@@ -63,20 +65,6 @@ class TestTracer:
         with tracer.span("dropped") as sp:
             sp.attrs["rows"] = 1  # must not raise
         assert tracer.dropped == 1
-
-    def test_record_span_uses_explicit_parent(self):
-        tracer = Tracer("t")
-        with tracer.span("driver") as driver:
-            parent = tracer.current_id()
-        tracer.record_span(
-            "chunk[0]", "chunk", start_ns=10, end_ns=30, parent_id=parent,
-            rows=5,
-        )
-        trace = tracer.finish_trace()
-        (chunk,) = trace.find("chunk[0]")
-        assert chunk.parent_id == driver.span_id
-        assert chunk.duration_ns == 20
-        assert chunk.attrs["rows"] == 5
 
     def test_finish_trace_closes_open_spans(self):
         tracer = Tracer("t")
@@ -174,3 +162,76 @@ class TestRenderers:
         assert "draw.lineage_hash (lineage-hash draw)" in text
         # Self-time decomposition covers the whole root duration.
         assert "attributed 100.0%" in text
+
+
+class _FullScanTrace(Trace):
+    """The reference: every lookup scans every span."""
+
+    def children_of(self, span_id):
+        return [s for s in self.spans if s.parent_id == span_id]
+
+    def self_time_ns(self, span):
+        child_total = sum(
+            c.duration_ns for c in self.spans if c.parent_id == span.span_id
+        )
+        return max(0, span.duration_ns - child_total)
+
+    def skeleton(self, *, drop_kinds=frozenset()):
+        def build(parent_id):
+            return tuple(
+                (
+                    s.name,
+                    s.kind,
+                    tuple(
+                        sorted(
+                            (k, v)
+                            for k, v in s.attrs.items()
+                            if not k.endswith("_ns")
+                        )
+                    ),
+                    build(s.span_id),
+                )
+                for s in self.children_of(parent_id)
+                if s.kind not in drop_kinds
+            )
+
+        return build(None)
+
+
+def _random_trace(seed: int, n_ops: int, max_spans: int) -> Trace:
+    """A random span tree: starts and finishes interleaved at random,
+    several roots once the first closes, cut at ``max_spans``."""
+    rng = random.Random(seed)
+    tracer = Tracer("q", max_spans=max_spans)
+    open_spans = [tracer.start("q", kind="query")]
+    for _ in range(n_ops):
+        if open_spans and (len(open_spans) > 6 or rng.random() < 0.45):
+            tracer.finish(open_spans.pop())
+            continue
+        span = tracer.start(
+            rng.choice(["draw", "chunk[0]", "Scan(t)", "draw.lineage_hash"]),
+            rng.choice(["phase", "chunk", "node", "kernel"]),
+            rows=rng.randrange(100),
+            wait_ns=rng.randrange(1000),
+        )
+        open_spans.append(span)
+    return tracer.finish_trace()
+
+
+@pytest.mark.parametrize(
+    "seed, max_spans", [(0, 10_000), (1, 10_000), (2, 10_000), (3, 150)]
+)
+def test_indexed_tree_matches_a_full_scan(seed, max_spans):
+    trace = _random_trace(seed, 600, max_spans)
+    reference = _FullScanTrace(trace.name, trace.spans, trace.dropped)
+    assert bool(trace.dropped) == (max_spans < 600)
+    for span_id in [None, -1, *(s.span_id for s in trace.spans)]:
+        assert trace.children_of(span_id) == reference.children_of(span_id)
+    for span in trace.spans:
+        assert trace.self_time_ns(span) == reference.self_time_ns(span)
+    assert render_trace(trace) == render_trace(reference)
+    assert profile_table(trace) == profile_table(reference)
+    for drop in (frozenset(), frozenset({"chunk", "kernel"})):
+        assert trace.skeleton(drop_kinds=drop) == reference.skeleton(
+            drop_kinds=drop
+        )

@@ -23,7 +23,6 @@ from repro.relational.expressions import col, lit
 from repro.relational.executor import Executor, join_codes
 from repro.relational.partition import (
     DEFAULT_CHUNK_ROWS,
-    PartitionedTable,
     chunk_bounds,
     required_alignment,
 )
@@ -763,18 +762,18 @@ class TestPartitioning:
             assert stop == start
             assert stop % 96 == 0
 
-    def test_partitioned_table_zero_copy(self):
+    def test_scan_chunks_are_views_of_the_base_columns(self):
         table = CATALOG["fact"]
-        part = PartitionedTable.partition(table, chunk_size=1024)
-        total = 0
-        for chunk in part.chunks():
+        chunks = list(
+            ChunkedExecutor(CATALOG, chunk_size=1024).iter_chunks(Scan("fact"))
+        )
+        assert [c.n_rows for c in chunks] == [
+            stop - start for start, stop in chunk_bounds(table.n_rows, 1024)
+        ]
+        for chunk in chunks:
             assert np.shares_memory(
-                chunk.table.columns["v"], table.columns["v"]
+                chunk.columns["v"], table.columns["v"]
             )
-            total += chunk.n_rows
-        assert total == table.n_rows
-        rebuilt = concat_tables([c.table for c in part.chunks()])
-        assert_tables_equal(rebuilt, table)
 
 
 class TestJoinProbeNeedsNoReordering:
