@@ -53,7 +53,6 @@ __all__ = [
     "y_terms",
     "y_terms_from_groups",
     "grouped_y_terms",
-    "grouped_y_terms_from_groups",
     "grouped_y_terms_multi",
     "theorem1_variance",
     "grouped_theorem1_variance",
@@ -403,22 +402,6 @@ def grouped_y_terms_multi(
     return outs
 
 
-def grouped_y_terms_from_groups(
-    group_sums: np.ndarray,
-    key_columns: Sequence[np.ndarray],
-    owner: np.ndarray,
-    n_out: int,
-    lattice: SubsetLattice,
-) -> np.ndarray:
-    """Per-output-group ``y_S`` matrix from a compacted group table.
-
-    Single-vector wrapper over :func:`grouped_y_terms_multi`.
-    """
-    return grouped_y_terms_multi(
-        [group_sums], key_columns, owner, n_out, lattice
-    )[0]
-
-
 def grouped_y_terms(
     f: np.ndarray,
     lineage: Mapping[str, np.ndarray],
@@ -431,8 +414,8 @@ def grouped_y_terms(
     ``gids`` assigns each row a dense group id in ``[0, n_groups)``
     (the output of :func:`group_ids` on the GROUP BY columns).  One
     :func:`group_reduce` pass compacts the rows on *(group, full
-    lineage)*; :func:`grouped_y_terms_from_groups` then derives every
-    submask moment for all groups at once.
+    lineage)*; :func:`grouped_y_terms_multi` then derives every submask
+    moment for all groups at once.
     """
     f = np.asarray(f, dtype=np.float64)
     gids = np.asarray(gids, dtype=np.int64)
@@ -445,9 +428,7 @@ def grouped_y_terms(
         raise EstimationError(f"lineage columns missing for {missing}")
     cols = [gids] + [np.asarray(lineage[d]) for d in lattice.dims]
     keys, sums = group_reduce(cols, f)
-    return grouped_y_terms_from_groups(
-        sums, keys[1:], keys[0], n_groups, lattice
-    )
+    return grouped_y_terms_multi([sums], keys[1:], keys[0], n_groups, lattice)[0]
 
 
 def theorem1_variance(params: GUSParams, y: np.ndarray) -> float:
@@ -605,6 +586,7 @@ def estimate_from_moments(
     n_sample: int,
     *,
     label: str = "SUM",
+    unbias: GUSParams | None = None,
 ) -> Estimate:
     """Finish an estimate from already-accumulated plug-in moments.
 
@@ -614,11 +596,16 @@ def estimate_from_moments(
     shared by the batch :func:`estimate_sum` and the streaming
     :class:`repro.stream.StreamingEstimator` — both feed the same
     unbiasing recursion and variance formula, they only accumulate the
-    moments differently.
+    moments differently.  ``unbias`` is the GUS the moments were drawn
+    under when it is not ``params`` — Section 7's sub-sampler composed
+    onto it — while the variance keeps ``params``' ``c_S/a²``.
     """
     if params.a <= 0.0:
         raise EstimationError("cannot estimate from a = 0 (null sampling)")
-    yhat = unbiased_y_terms(params, np.asarray(plugin_y, dtype=np.float64))
+    yhat = unbiased_y_terms(
+        params if unbias is None else unbias,
+        np.asarray(plugin_y, dtype=np.float64),
+    )
     var_raw = theorem1_variance(params, yhat)
     return Estimate(
         value=float(sample_total) / params.a,
@@ -802,6 +789,7 @@ def grouped_estimates_from_moments(
     counts: np.ndarray,
     *,
     label: str = "SUM",
+    unbias: GUSParams | None = None,
 ) -> GroupedEstimates:
     """Finish per-group estimates from accumulated plug-in moments.
 
@@ -812,8 +800,11 @@ def grouped_estimates_from_moments(
     ``(n_groups, lattice.size)`` matrix ``plugin_y``, ``a`` the
     first-order inclusion probability the totals are scaled by, and
     ``totals`` / ``counts`` each group's sample ``Σ f`` and row count.
+    ``unbias`` is as in :func:`estimate_from_moments`.
     """
-    yhat = unbiased_y_terms_grouped(params, plugin_y)
+    yhat = unbiased_y_terms_grouped(
+        params if unbias is None else unbias, plugin_y
+    )
     return GroupedEstimates(
         values=totals / a,
         variance_raw=grouped_theorem1_variance(params, yhat),

@@ -38,7 +38,7 @@ from repro.core.estimator import (
 )
 from repro.core.gus import GUSParams
 from repro.core.rewrite import RewriteResult, rewrite_to_top_gus
-from repro.core.subsample import SubsampleSpec, subsampled_estimate
+from repro.core.subsample import SubsampleSpec, subsample_state
 from repro.errors import EstimationError, PlanError
 from repro.obs.metrics import observe_phase_seconds
 from repro.obs.trace import (
@@ -47,7 +47,6 @@ from repro.obs.trace import (
     maybe_span,
     start_trace,
 )
-from repro.relational.aggregates import aggregate_input_vector
 from repro.relational.plan import Aggregate, AggSpec, GroupAggregate, PlanNode
 from repro.relational.table import Table
 from repro.stats.delta import ratio_estimate, ratio_estimates_grouped
@@ -332,15 +331,14 @@ def _needed_columns(plan: "Aggregate | GroupAggregate") -> frozenset[str]:
 
 def _fold_plan(
     plan: "Aggregate | GroupAggregate",
-    specs: "tuple[AggSpec, ...]",
     rewrite: RewriteResult,
     keep_sample: bool,
 ) -> tuple[_ChunkFold, list[str], dict[str, tuple[int, ...]]]:
-    """The per-chunk fold of ``specs`` plus what finishing it needs."""
+    """The per-chunk fold of the plan's specs and what finishing needs."""
     params = rewrite.params
     if params.a <= 0.0:
         raise EstimationError("cannot estimate from a = 0 (null sampling)")
-    recipes, labels, spec_inputs = _vector_plan(specs)
+    recipes, labels, spec_inputs = _vector_plan(plan.specs)
     grouped = isinstance(plan, GroupAggregate)
     fold = _ChunkFold(
         recipes,
@@ -350,15 +348,6 @@ def _fold_plan(
         keep_sample,
     )
     return fold, labels, spec_inputs
-
-
-def _refuse_grouped_subsample(plan: "Aggregate | GroupAggregate") -> None:
-    if isinstance(plan, GroupAggregate):
-        raise EstimationError(
-            "sub-sampled variance estimation is not supported for "
-            "GROUP BY queries; the grouped moment pass is already "
-            "one compaction over the sample"
-        )
 
 
 @contextmanager
@@ -448,7 +437,9 @@ class SBox:
         come from counting those codes, and the merges union small
         dictionaries of distinct key tuples; while the lineage key is
         one increasing column (one sampled relation, scan order)
-        neither the fold nor a merge sorts.
+        neither the fold nor the read-out sorts.  A merge appends the
+        chunk's compacted state; the merged state is reduced once, at
+        read-out (timed as the ``merge`` phase).
 
         With a synopsis catalog attached, a sampled plan inside the
         reuse algebra goes through :meth:`_run_via_store` instead: a
@@ -458,12 +449,16 @@ class SBox:
         available, stores it, and gathers the columns the estimate
         reads.
 
-        ``subsample`` (Section 7) estimates the variance of every SUM
-        and COUNT from a lineage-keyed sub-sample of the result rows
-        (``extras["n_subsample"]``).  An AVG always takes its variance
-        from the full sample — valid, merely not cheaper — so it is
-        bit-identical to the run without ``subsample`` and carries no
-        ``n_subsample``.  GROUP BY plans refuse ``subsample``.
+        ``subsample`` (Section 7) estimates the variance of every
+        aggregate — SUM, COUNT and both moments and the covariance of
+        an AVG, grouped or not — from a lineage-keyed sub-sample: the
+        sub-sampler keeps or drops whole lineage keys, so it filters
+        the merged moment state at read-out and the rows are never
+        gathered again.  Point estimates are bit-identical to the run
+        without ``subsample``; only variances move.
+        ``extras["n_subsample"]`` counts the kept lineage keys (the
+        kept rows whenever each row has its own key) and
+        ``extras["subsample_rates"]`` the per-relation rates.
 
         With ``REPRO_TRACE=1`` in the environment (and no trace already
         active) the run is traced and the span tree attached to
@@ -526,40 +521,24 @@ class SBox:
             if served is not None:
                 return served
         needed = _needed_columns(plan)
-        if subsample is not None:
-            # Section 7 sub-sampling needs the raw sample rows; stream
-            # the (pruned) chunks and estimate off the concatenation.
-            _refuse_grouped_subsample(plan)
-            t0 = perf_counter()
-            with maybe_span(tracer, "draw") as sp:
-                sample = concat_tables(
-                    list(executor.iter_chunks(plan.child, columns=needed))
-                )
-                sp.attrs["rows"] = sample.n_rows
-            observe_phase_seconds("draw", perf_counter() - t0)
-            return self.estimate_from_sample(
-                plan, sample, rewrite, subsample=subsample
-            )
         per_chunk, labels, spec_inputs = _fold_plan(
-            plan, plan.specs, rewrite, keep_sample
+            plan, rewrite, keep_sample
         )
         merged = None
         kept: list[Table] = []
-        merge_seconds = 0.0
         t0 = perf_counter()
         with maybe_span(tracer, "draw") as sp:
             for contrib, chunk in executor.map_chunks(
                 plan.child, per_chunk, columns=needed
             ):
-                if merged is None:
-                    merged = contrib
-                else:
-                    m0 = perf_counter()
-                    merged = merged.merge(contrib)
-                    merge_seconds += perf_counter() - m0
+                # A merge only appends; the one reduce is timed below.
+                merged = contrib if merged is None else merged.merge(contrib)
                 if chunk is not None:
                     kept.append(chunk)
             assert merged is not None  # the pipeline always emits >= 1 chunk
+            m0 = perf_counter()
+            merged.compact()
+            merge_seconds = perf_counter() - m0
             sp.attrs["rows"] = merged.n_rows
             sp.attrs["merge_ns"] = int(merge_seconds * 1e9)
         observe_phase_seconds(
@@ -569,7 +548,13 @@ class SBox:
         sample = concat_tables(kept) if keep_sample else None
         with _estimate_phase(merged.n_rows, len(plan.specs)):
             return self._finish(
-                plan, rewrite, merged, labels, spec_inputs, sample
+                plan,
+                rewrite,
+                merged,
+                labels,
+                spec_inputs,
+                sample,
+                subsample=subsample,
             )
 
     def _run_via_store(
@@ -672,47 +657,39 @@ class SBox:
         """Estimates from (merged) moment state — Section 6.3 and 6.4.
 
         ``bundle`` holds one moment vector per entry of ``labels``;
-        ``spec_inputs`` maps each folded aggregate to its vectors.  An
-        aggregate without an entry (``subsample`` given, kind not AVG)
-        takes its variance from the Section 7 sub-sample of ``sample``.
+        ``spec_inputs`` maps each aggregate to its vectors.  Under
+        ``subsample`` (Section 7) the moments come from the state
+        entries the sub-sampler keeps and are unbiased under its
+        composed design, while the totals — and so every point
+        estimate — still cover the whole sample.
         """
         params = rewrite.params
         pruned = rewrite.active_params
         grouped = isinstance(plan, GroupAggregate)
-        raw: list = []
+        keep = unbias = None
+        extras: dict = {}
+        if subsample is not None:
+            keep, unbias, extras = subsample_state(pruned, bundle, subsample)
         keys: dict[str, np.ndarray] = {}
         if grouped:
-            group_key_cols, ys, totals, counts = bundle.moments()
+            group_key_cols, ys, totals, counts = bundle.moments(keep=keep)
             keys = dict(zip(plan.keys, group_key_cols))
-            raw = [
-                grouped_estimates_from_moments(
-                    pruned, params.a, ys[j], totals[j], counts, label=label
-                )
-                for j, label in enumerate(labels)
-            ]
-        elif bundle is not None:
-            moments = bundle.moments()
-            totals = bundle.totals()
-            raw = [
-                estimate_from_moments(
-                    pruned, moments[j], totals[j], bundle.n_rows, label=label
-                )
-                for j, label in enumerate(labels)
-            ]
+            finish = grouped_estimates_from_moments
+            args = [(pruned, params.a, y, t, counts) for y, t in zip(ys, totals)]
+        else:
+            ys, totals = bundle.moments(keep=keep), bundle.totals()
+            finish = estimate_from_moments
+            args = [(pruned, y, t, bundle.n_rows) for y, t in zip(ys, totals)]
+        raw = [
+            finish(*arg, label=label, unbias=unbias)
+            for arg, label in zip(args, labels)
+        ]
         ratio = ratio_estimates_grouped if grouped else ratio_estimate
         estimates: dict = {}
         values: dict = {}
         for spec in plan.specs:
-            indices = spec_inputs.get(spec.alias)
-            if indices is None:
-                est = subsampled_estimate(
-                    params,
-                    aggregate_input_vector(sample, spec),
-                    sample.lineage,
-                    subsample,
-                    label=spec.kind.upper(),
-                )
-            elif spec.kind == "avg":
+            indices = spec_inputs[spec.alias]
+            if spec.kind == "avg":
                 num, den, both = (raw[j] for j in indices)
                 # Polarization: Cov = (Var(f+1) − Var(f) − Var(1)) / 2.
                 cov = 0.5 * (
@@ -721,6 +698,7 @@ class SBox:
                 est = ratio(num, den, cov)
             else:
                 est = raw[indices[0]]
+            est.extras.update(extras)
             estimates[spec.alias] = est
             if spec.quantile is not None:
                 values[spec.alias] = est.quantile(spec.quantile)
@@ -769,19 +747,12 @@ class SBox:
         """
         if rewrite is None:
             rewrite = self.analyze(plan.child)
-        specs = plan.specs
-        if subsample is not None:
-            _refuse_grouped_subsample(plan)
-            # Section 7 serves SUM-like aggregates from the sub-sample;
-            # an AVG keeps its full-sample variance, like every AVG.
-            specs = tuple(s for s in specs if s.kind == "avg")
-        fold, labels, spec_inputs = _fold_plan(plan, specs, rewrite, False)
+        fold, labels, spec_inputs = _fold_plan(plan, rewrite, False)
         with _estimate_phase(sample.n_rows, len(plan.specs)):
-            bundle = fold(sample)[0] if labels else None
             return self._finish(
                 plan,
                 rewrite,
-                bundle,
+                fold(sample)[0],
                 labels,
                 spec_inputs,
                 sample,

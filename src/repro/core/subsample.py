@@ -16,6 +16,11 @@ the *compaction* (Prop 8) of the sub-sampler's composed Bernoulli
 applies with the composed parameters, while the variance formula keeps
 the **original** plan's ``c_S/a²`` coefficients (we are still
 estimating the full-sample estimator's variance).
+
+The sub-sampler keeps or drops whole lineage keys, so it filters the
+fold's moment state at read-out (:func:`subsample_state`), never rows:
+the SBox finishes every sub-sampled aggregate that way, GROUP BY
+included, and :func:`subsampled_estimate` is a one-chunk fold.
 """
 
 from __future__ import annotations
@@ -26,15 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.algebra import compact_gus
-from repro.core.estimator import (
-    Estimate,
-    theorem1_variance,
-    unbiased_y_terms,
-    y_terms,
-)
+from repro.core.estimator import Estimate, estimate_from_moments
 from repro.core.gus import GUSParams
 from repro.errors import EstimationError
 from repro.sampling.composed import BiDimensionalBernoulli
+from repro.stream.sketch import MomentSketchBundle
 
 #: Section 7's rule of thumb: ~10,000 result rows suffice for the
 #: y-term estimates (based on the DBO / Turbo-DBO experience).
@@ -73,6 +74,26 @@ class SubsampleSpec:
         return {d: per_dim for d in dims}
 
 
+def subsample_state(
+    pruned: GUSParams, bundle, spec: SubsampleSpec
+) -> tuple[np.ndarray | None, GUSParams | None, dict]:
+    """Section 7 over a moment bundle's state: ``(keep, unbias, extras)``.
+
+    ``keep`` marks the state entries (lineage keys) the sub-sampler
+    keeps, for ``bundle.moments(keep=keep)``; ``unbias`` is its GUS
+    compacted onto ``pruned``.  ``extras["n_subsample"]`` counts the
+    kept keys — the kept rows whenever each row has its own key.  An
+    unsampled design has nothing to sub-sample: ``(None, None, {})``.
+    """
+    if not pruned.lattice.n:
+        return None, None, {}
+    rates = spec.rates_for(pruned.lattice.dims, bundle.n_rows)
+    sampler = BiDimensionalBernoulli(rates, seed=spec.seed)
+    keep = sampler.keep(bundle.lineage_keys())
+    extras = {"n_subsample": int(np.count_nonzero(keep)), "subsample_rates": rates}
+    return keep, compact_gus(sampler.gus(), pruned), extras
+
+
 def subsampled_estimate(
     params: GUSParams,
     f_sample: np.ndarray,
@@ -81,40 +102,20 @@ def subsampled_estimate(
     *,
     label: str = "SUM",
 ) -> Estimate:
-    """Full-sample point estimate, sub-sample variance estimate."""
+    """Full-sample point estimate, sub-sample variance estimate: a
+    one-chunk fold read out as the SBox reads out a sub-sampled query."""
     if params.a <= 0.0:
         raise EstimationError("cannot estimate from a = 0 (null sampling)")
-    f_sample = np.asarray(f_sample, dtype=np.float64)
     pruned = params.project_out_inactive()
-    value = float(np.sum(f_sample)) / params.a
-
-    if pruned.lattice.n == 0:
-        # No sampling anywhere: zero variance, nothing to sub-sample.
-        return Estimate(value, 0.0, int(f_sample.shape[0]), label=label)
-
-    rates = spec.rates_for(pruned.lattice.dims, int(f_sample.shape[0]))
-    sampler = BiDimensionalBernoulli(rates, seed=spec.seed)
-    mask = sampler.keep(lineage_sample)
-    sub_f = f_sample[mask]
-    sub_lineage = {
-        d: lineage_sample[d][mask] for d in pruned.lattice.dims
-    }
-    composed = compact_gus(sampler.gus(), pruned)
-    plugin = y_terms(sub_f, sub_lineage, pruned.lattice)
-    yhat = unbiased_y_terms(composed, plugin)
-    # The c_S/a² weights are the ORIGINAL plan's: we estimate the
-    # variance of the full-sample estimator, only the y-terms come from
-    # the sub-sample.
-    var_raw = theorem1_variance(pruned, yhat)
-    return Estimate(
-        value=value,
-        variance_raw=var_raw,
-        n_sample=int(f_sample.shape[0]),
+    bundle = MomentSketchBundle(pruned.lattice, 1).update([f_sample], lineage_sample)
+    keep, unbias, extras = subsample_state(pruned, bundle, spec)
+    est = estimate_from_moments(
+        pruned,
+        bundle.moments(keep=keep)[0],
+        bundle.totals()[0],
+        bundle.n_rows,
         label=label,
-        extras={
-            "a": params.a,
-            "active_dims": pruned.lattice.dims,
-            "n_subsample": int(sub_f.shape[0]),
-            "subsample_rates": rates,
-        },
+        unbias=unbias,
     )
+    est.extras.update(extras)
+    return est

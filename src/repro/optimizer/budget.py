@@ -88,9 +88,13 @@ class ErrorBudget:
         A clamped variance (the unbiased estimator dipped below zero on
         a too-small sample) yields a zero-width interval that proves
         nothing, so it counts as a miss — the escalation loop should
-        draw more data rather than declare victory.
+        draw more data rather than declare victory.  So does an
+        estimate of exactly zero with zero variance under a design that
+        samples (``a < 1``): no row contributed, so the zero-width
+        interval carries no information either.
         """
-        if estimate.clamped:
+        empty = estimate.value == estimate.variance_raw == 0.0
+        if estimate.clamped or (empty and estimate.extras.get("a", 1.0) < 1):
             return False
         return self.realized_fraction(estimate) <= self.relative_half_width
 

@@ -16,7 +16,7 @@ Two routing policies:
   so each shard's table stays maximally compact and the final merge
   sees no overlapping keys.
 * ``"round-robin"`` — spread rows evenly regardless of lineage.  Shard
-  tables may share keys (the merge re-reduces them exactly); useful
+  tables may share keys (the read-out reduces them exactly); useful
   when load balance matters more than compaction.
 
 Either way the merged estimate equals the batch

@@ -9,16 +9,20 @@ monoid under "concatenate and re-reduce".  Every coarser moment
 a lineage group on ``S`` is a union of full-lineage groups.
 
 :class:`MomentSketchBundle` maintains exactly that table for one or
-more weight vectors at once — compacted after every update so its size
-is the number of *distinct lineage keys seen*, not the number of rows
-ingested — plus the sample row count.  It supports three operations,
-all exact:
+more weight vectors at once, plus the sample row count.  ``update``
+compacts a batch to its distinct lineage keys and appends it as a
+*part*, ``merge`` appends the other bundle's parts, and every read
+reduces the parts once (:meth:`compact`): a stable reduce adds each
+key's partial sums in arrival order, so the bits are those of k − 1
+pairwise merges, without their k copies of the state.  All exact:
 
 * ``update(fs, lineage)`` — absorb a batch in one vectorized pass;
 * ``merge(other)``        — combine two sketches (chunks, shards,
   windows, machines) with no approximation;
-* ``moments()``           — emit one ``(Y_S)_{S⊆L}`` vector per weight
-  vector.
+* ``moments(keep=None)``  — emit one ``(Y_S)_{S⊆L}`` vector per weight
+  vector, or over the state entries a boolean ``keep`` marks: Section
+  7's sub-sampler keeps whole lineage keys, so filtering the state
+  equals filtering the rows.
 
 The heavy lifting lives in
 :func:`repro.core.estimator.group_reduce_multi` and
@@ -39,7 +43,7 @@ window merges (with a single weight vector).
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -96,25 +100,32 @@ def _checked_batch(
     return fs, keys
 
 
+def _stacked(columns: Iterable[Sequence[np.ndarray]]) -> list[np.ndarray]:
+    """Column ``i`` of every part, concatenated in part order."""
+    return [np.concatenate(parts) for parts in zip(*columns)]
+
+
 class MomentSketchBundle:
     """Incremental, mergeable accumulator of the lattice moments.
 
-    The state is a compact group table: ``_keys[i]`` holds the int64
-    value of lineage dimension ``lattice.dims[i]`` for each distinct
-    full-lineage key, ``_sums[j]`` the running ``Σ f_j`` of that key's
-    rows for weight vector ``j``, and ``_n_rows`` the rows absorbed.
+    The state is a list of compacted parts in arrival order, each a
+    ``(keys, sums)`` pair: ``keys[i]`` holds the int64 value of lineage
+    dimension ``lattice.dims[i]`` for each distinct full-lineage key of
+    the part, ``sums[j]`` that key's ``Σ f_j`` for weight vector ``j``;
+    ``_n_rows`` counts the rows absorbed.  :meth:`compact` reduces the
+    parts to one, once, when the state is read.
 
     The expensive part of absorbing a batch is the sort over the
     lineage keys; the per-vector sums are one extra ``bincount`` each.
     A multi-aggregate query (every SUM/COUNT plus the two extra AVG
     vectors) therefore folds all its weight vectors through a single
-    bundle — one bundle per chunk, one merge tree per query instead of
-    per aggregate; the streaming tier holds a bundle of one vector.
+    bundle — one bundle per chunk, one reduce per query instead of per
+    aggregate; the streaming tier holds a bundle of one vector.
     Merge is commutative and associative up to floating-point summation
     order, so bundles combine in any topology.
     """
 
-    __slots__ = ("lattice", "n_vectors", "_keys", "_sums", "_n_rows")
+    __slots__ = ("lattice", "n_vectors", "_parts", "_n_rows")
 
     def __init__(self, lattice: SubsetLattice, n_vectors: int) -> None:
         if n_vectors < 1:
@@ -123,12 +134,7 @@ class MomentSketchBundle:
             )
         self.lattice = lattice
         self.n_vectors = int(n_vectors)
-        self._keys: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(lattice.n)
-        ]
-        self._sums: list[np.ndarray] = [
-            np.empty(0, dtype=np.float64) for _ in range(n_vectors)
-        ]
+        self._parts: list[tuple[list[np.ndarray], list[np.ndarray]]] = []
         self._n_rows = 0
 
     @property
@@ -137,30 +143,44 @@ class MomentSketchBundle:
 
     @property
     def n_groups(self) -> int:
-        return int(self._sums[0].shape[0])
+        return int(self.compact()[1][0].shape[0])
+
+    def compact(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The state as one ``(keys, sums)`` table of distinct keys.
+
+        Concatenates the parts in arrival order and reduces them with
+        one :func:`~repro.core.estimator.group_reduce_multi`, which
+        skips its sort when the key strictly ascends.  Without a
+        sampled dimension each part is one total per vector, added up
+        in arrival order by ``cumsum`` (``np.sum`` is pairwise past
+        eight terms).  The result replaces the parts, so a second
+        read-out costs nothing.
+        """
+        if not self._parts:
+            return (
+                [np.empty(0, dtype=np.int64) for _ in range(self.lattice.n)],
+                [np.empty(0, dtype=np.float64) for _ in range(self.n_vectors)],
+            )
+        if len(self._parts) > 1:
+            keys = _stacked(k for k, _ in self._parts)
+            sums = _stacked(s for _, s in self._parts)
+            if self.lattice.n:
+                keys, sums = group_reduce_multi(keys, sums)
+            else:
+                sums = [np.cumsum(s)[-1:] for s in sums]
+            self._parts = [(keys, sums)]
+        return self._parts[0]
 
     def totals(self) -> list[float]:
         """The running ``Σ f_j`` of every vector."""
         return [
-            float(np.sum(s)) if s.size else 0.0 for s in self._sums
+            float(np.sum(s)) if s.size else 0.0 for s in self.compact()[1]
         ]
 
-    def _absorb(
-        self,
-        keys: Sequence[np.ndarray],
-        sums: Sequence[np.ndarray],
-        n_rows: int,
-    ) -> None:
-        if n_rows == 0 and sums[0].size == 0:
-            return
-        if self._sums[0].size == 0:
-            self._keys, self._sums = list(keys), list(sums)
-        else:
-            self._keys, self._sums = group_reduce_multi(
-                [np.concatenate(pair) for pair in zip(self._keys, keys)],
-                [np.concatenate(pair) for pair in zip(self._sums, sums)],
-            )
-        self._n_rows += int(n_rows)
+    def lineage_keys(self) -> dict[str, np.ndarray]:
+        """Each state entry's lineage key, one int64 column per dim —
+        the entries a ``moments(keep=...)`` mask runs over."""
+        return dict(zip(self.lattice.dims, self.compact()[0]))
 
     def update(
         self,
@@ -172,8 +192,8 @@ class MomentSketchBundle:
         n = fs[0].shape[0]
         if n == 0:
             return self
-        keys, sums = group_reduce_multi(cols, fs)
-        self._absorb(keys, sums, n)
+        self._parts.append(group_reduce_multi(cols, fs))
+        self._n_rows += n
         return self
 
     def merge(self, other: "MomentSketchBundle") -> "MomentSketchBundle":
@@ -188,23 +208,28 @@ class MomentSketchBundle:
                 f"cannot merge bundles of {self.n_vectors} vs "
                 f"{other.n_vectors} vectors"
             )
-        self._absorb(other._keys, other._sums, other._n_rows)
+        self._parts.extend(other._parts)
+        self._n_rows += other._n_rows
         return self
 
     def copy(self) -> "MomentSketchBundle":
-        """An independent snapshot, sharing the state arrays (which are
-        replaced by ``update``/``merge``, never written in place)."""
+        """An independent snapshot, sharing the parts (whose arrays are
+        never written in place: a read-out replaces the list)."""
         dup = MomentSketchBundle(self.lattice, self.n_vectors)
-        dup._keys, dup._sums = list(self._keys), list(self._sums)
+        dup._parts = list(self._parts)
         dup._n_rows = self._n_rows
         return dup
 
-    def moments(self) -> list[np.ndarray]:
-        """One plug-in moment vector ``(Y_S)_{S⊆L}`` per weight vector."""
-        return [
-            y_terms_from_groups(s, self._keys, self.lattice)
-            for s in self._sums
-        ]
+    def moments(self, keep: np.ndarray | None = None) -> list[np.ndarray]:
+        """One plug-in moment vector ``(Y_S)_{S⊆L}`` per weight vector.
+
+        ``keep`` restricts them to the state entries it marks.
+        """
+        keys, sums = self.compact()
+        if keep is not None:
+            keys = [k[keep] for k in keys]
+            sums = [s[keep] for s in sums]
+        return [y_terms_from_groups(s, keys, self.lattice) for s in sums]
 
     def __repr__(self) -> str:
         return (
@@ -230,11 +255,11 @@ class GroupedMomentBundle:
     """Per-group moment state for several weight vectors at once.
 
     The grouped twin of :class:`MomentSketchBundle`: the grouped
-    accumulator of the SBox's chunks and of the streaming tier.  The
-    state has two parts:
+    accumulator of the SBox's chunks and of the streaming tier.  Each
+    compacted part has two halves:
 
-    * a small *dictionary* of the distinct group-key tuples seen so
-      far — one array per GROUP BY column in its natural dtype (strings
+    * a small *dictionary* of the distinct group-key tuples it saw —
+      one array per GROUP BY column in its natural dtype (strings
       included), in sorted key order, so tuple ``g`` has code ``g``;
     * state rows keyed on *(int64 group code, full lineage key)*
       holding every vector's ``Σ f_j`` plus a row count.
@@ -242,11 +267,12 @@ class GroupedMomentBundle:
     ``update`` turns a batch's keys into codes once
     (:func:`~repro.core.estimator.group_keys`: a dictionary-encoded
     string column is ranked by counting its codes, a plain one pays one
-    hashing pass); ``merge`` unions the two dictionaries — ranking
-    distinct tuples only — and remaps both sides' codes with a take.
-    No step after the per-batch factorization compares a group-key
-    value again, and ``groups()``/``moments()`` read the codes as they
-    are.
+    hashing pass) and appends the part; ``merge`` appends the other
+    bundle's parts.  :meth:`compact` unions every part's dictionary in
+    one ``group_keys`` call — ranking distinct tuples only — and remaps
+    each part's codes with a take.  No step after the per-batch
+    factorization compares a group-key value again, and
+    ``groups()``/``moments()`` read the codes as they are.
 
     State rows need no particular order — ``moments()`` adds each
     group's rows up in state order, and all that fixes its bits is
@@ -254,23 +280,13 @@ class GroupedMomentBundle:
     lineage key strictly ascends (a tuple-level sample of one relation
     in scan order, or an FK join probed in key order, chunk after
     chunk) every row is its own state row already, so ``update`` keeps
-    the batch as it is and ``merge`` concatenates: neither sorts.
+    the batch as it is and the read-out concatenates: neither sorts.
     Anything else — a join replicating ids, descending or repeated
     ids — compacts by a stable sort on *(group code, lineage key)*,
     with the same moments bit for bit.
     """
 
-    __slots__ = (
-        "lattice",
-        "n_group_cols",
-        "n_vectors",
-        "_group_keys",
-        "_codes",
-        "_keys",
-        "_sums",
-        "_counts",
-        "_n_rows",
-    )
+    __slots__ = ("lattice", "n_group_cols", "n_vectors", "_parts", "_n_rows")
 
     def __init__(
         self, lattice: SubsetLattice, n_group_cols: int, n_vectors: int
@@ -286,17 +302,8 @@ class GroupedMomentBundle:
         self.lattice = lattice
         self.n_group_cols = int(n_group_cols)
         self.n_vectors = int(n_vectors)
-        self._group_keys: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(n_group_cols)
-        ]
-        self._codes = np.empty(0, dtype=np.int64)
-        self._keys: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(lattice.n)
-        ]
-        self._sums: list[np.ndarray] = [
-            np.empty(0, dtype=np.float64) for _ in range(n_vectors)
-        ]
-        self._counts = np.empty(0, dtype=np.float64)
+        # Each part: (dictionary, codes, lineage keys, sums, counts).
+        self._parts: list[tuple] = []
         self._n_rows = 0
 
     @property
@@ -305,55 +312,50 @@ class GroupedMomentBundle:
 
     @property
     def n_entries(self) -> int:
-        return int(self._counts.shape[0])
+        return int(self.compact()[4].shape[0])
 
-    def _absorb(
-        self,
-        dictionary: Sequence[np.ndarray],
-        codes: np.ndarray,
-        keys: Sequence[np.ndarray],
-        sums: Sequence[np.ndarray],
-        counts: np.ndarray,
-        n_rows: int,
-    ) -> None:
-        """Fold compacted state in: ``codes`` index ``dictionary``."""
-        self._n_rows += int(n_rows)
-        if counts.size == 0:
-            return
-        if self._counts.size == 0:
-            self._group_keys = list(dictionary)
-            self._codes = codes
-            self._keys = list(keys)
-            self._sums = list(sums)
-            self._counts = counts
-            return
-        # Union of the two dictionaries: the only place group-key values
-        # are compared, over distinct tuples.
-        n_mine = self._group_keys[0].shape[0]
-        both = [
-            np.concatenate([mine, theirs])
-            for mine, theirs in zip(self._group_keys, dictionary)
-        ]
-        self._group_keys, union, _ = group_keys(both, both[0].shape[0])
-        merged = [
-            np.concatenate([union[:n_mine][self._codes], union[n_mine:][codes]])
-        ] + [
-            np.concatenate([mine, theirs])
-            for mine, theirs in zip(self._keys, keys)
-        ]
-        weights = [
-            np.concatenate([mine, theirs])
-            for mine, theirs in zip(self._sums, sums)
-        ] + [np.concatenate([self._counts, counts])]
-        if not kernels.strictly_ascending(merged[1:]):
-            # Entries are concatenated mine-then-theirs and reduced by a
-            # stable sort, which fixes the float addition order whatever
-            # the number of chunks.
-            merged, weights = group_reduce_multi(merged, weights)
-        self._codes = merged[0]
-        self._keys = merged[1:]
-        self._sums = weights[: self.n_vectors]
-        self._counts = weights[self.n_vectors]
+    def compact(self) -> tuple:
+        """The state as one part: ``(dictionary, codes, keys, sums,
+        counts)``, ``codes`` indexing ``dictionary``.
+
+        One ``group_keys`` call unions the parts' dictionaries, a take
+        per part remaps its codes, and one
+        :func:`~repro.core.estimator.group_reduce_multi` — none when the
+        lineage key strictly ascends — reduces the concatenated rows.
+        The stable sort adds each entry's partial sums in arrival
+        order.  The result replaces the parts.
+        """
+        if not self._parts:
+            return (
+                [np.empty(0, dtype=np.int64) for _ in range(self.n_group_cols)],
+                np.empty(0, dtype=np.int64),
+                [np.empty(0, dtype=np.int64) for _ in range(self.lattice.n)],
+                [np.empty(0, dtype=np.float64) for _ in range(self.n_vectors)],
+                np.empty(0, dtype=np.float64),
+            )
+        if len(self._parts) > 1:
+            # Union of the dictionaries: the only place group-key values
+            # are compared, over distinct tuples.
+            both = _stacked(p[0] for p in self._parts)
+            dictionary, union, _ = group_keys(both, both[0].shape[0])
+            starts = np.cumsum([0] + [p[0][0].shape[0] for p in self._parts])
+            codes = np.concatenate(
+                [union[start + p[1]] for start, p in zip(starts, self._parts)]
+            )
+            keys = _stacked(p[2] for p in self._parts)
+            weights = _stacked(p[3] + [p[4]] for p in self._parts)
+            if not kernels.strictly_ascending(keys):
+                merged, weights = group_reduce_multi([codes] + keys, weights)
+                codes, keys = merged[0], merged[1:]
+            self._parts = [
+                (dictionary, codes, keys, weights[:-1], weights[-1])
+            ]
+        return self._parts[0]
+
+    def lineage_keys(self) -> dict[str, np.ndarray]:
+        """Each state entry's lineage key, one int64 column per dim —
+        the entries a ``moments(keep=...)`` mask runs over."""
+        return dict(zip(self.lattice.dims, self.compact()[2]))
 
     def update(
         self,
@@ -387,14 +389,9 @@ class GroupedMomentBundle:
             )
             codes, keys = reduced_keys[0], reduced_keys[1:]
             sums, counts = reduced[:-1], reduced[-1]
-        self._absorb(
-            [_coerce_group_column(col) for col in dictionary],
-            codes,
-            keys,
-            sums,
-            counts,
-            n,
-        )
+        dictionary = [_coerce_group_column(col) for col in dictionary]
+        self._parts.append((dictionary, codes, keys, sums, counts))
+        self._n_rows += n
         return self
 
     def merge(self, other: "GroupedMomentBundle") -> "GroupedMomentBundle":
@@ -411,23 +408,16 @@ class GroupedMomentBundle:
             raise EstimationError(
                 "cannot merge grouped bundles of different shapes"
             )
-        self._absorb(
-            other._group_keys,
-            other._codes,
-            other._keys,
-            other._sums,
-            other._counts,
-            other._n_rows,
-        )
+        self._parts.extend(other._parts)
+        self._n_rows += other._n_rows
         return self
 
     def copy(self) -> "GroupedMomentBundle":
-        """An independent snapshot, sharing the state arrays (which are
-        replaced by ``update``/``merge``, never written in place)."""
+        """An independent snapshot, sharing the parts (whose arrays are
+        never written in place: a read-out replaces the list)."""
         dup = GroupedMomentBundle(self.lattice, self.n_group_cols, self.n_vectors)
-        dup._group_keys, dup._codes = list(self._group_keys), self._codes
-        dup._keys, dup._sums = list(self._keys), list(self._sums)
-        dup._counts, dup._n_rows = self._counts, self._n_rows
+        dup._parts = list(self._parts)
+        dup._n_rows = self._n_rows
         return dup
 
     def groups(self) -> tuple[list[np.ndarray], np.ndarray, int]:
@@ -436,33 +426,31 @@ class GroupedMomentBundle:
         Group ``g``'s key is row ``g`` of the key columns; groups are in
         sorted key order (last column primary).
         """
-        return (
-            list(self._group_keys),
-            self._codes,
-            int(self._group_keys[0].shape[0]),
-        )
+        dictionary, codes = self.compact()[:2]
+        return list(dictionary), codes, int(dictionary[0].shape[0])
 
     def moments(
-        self,
+        self, keep: np.ndarray | None = None
     ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], np.ndarray]:
         """Per-group plug-in moments for every vector and group.
 
         Returns ``(group_keys, Ys, totals, counts)``: the distinct
         group key columns, one ``(n_groups, lattice.size)`` matrix and
         one per-group total vector per weight vector, and the per-group
-        sample row counts.
+        sample row counts.  ``keep`` restricts the ``Ys`` to the state
+        entries it marks; the totals and counts still cover them all.
         """
         key_columns, owner, n_groups = self.groups()
-        ys = grouped_y_terms_multi(
-            self._sums, self._keys, owner, n_groups, self.lattice
-        )
+        _, _, keys, sums, entry_counts = self.compact()
         totals = [
-            np.bincount(owner, weights=s, minlength=n_groups)
-            for s in self._sums
+            np.bincount(owner, weights=s, minlength=n_groups) for s in sums
         ]
-        counts = np.bincount(
-            owner, weights=self._counts, minlength=n_groups
-        )
+        counts = np.bincount(owner, weights=entry_counts, minlength=n_groups)
+        if keep is not None:
+            owner = owner[keep]
+            keys = [k[keep] for k in keys]
+            sums = [s[keep] for s in sums]
+        ys = grouped_y_terms_multi(sums, keys, owner, n_groups, self.lattice)
         return key_columns, ys, totals, counts
 
     def __repr__(self) -> str:

@@ -17,6 +17,7 @@ from repro.core.estimator import (
     estimate_sums_grouped_multi,
     group_ids,
 )
+from repro.core.sbox import GroupedQueryResult
 from repro.data.tpch import tpch_database
 from repro.errors import ReproError
 from repro.relational.executor import Executor
@@ -209,14 +210,20 @@ class TestFoldEqualsRowEstimators:
 
 def test_refusals_survive_the_merge(tpch_db):
     from repro.core.subsample import SubsampleSpec
-    from repro.errors import EstimationError
 
-    with pytest.raises(EstimationError, match="not supported for GROUP BY"):
-        tpch_db.sql(STATEMENTS["grouped"], subsample=SubsampleSpec(rate=0.5))
+    # A grouped sub-sampled statement is answered on both routes, with
+    # the point estimates of the run without ``subsample``.
+    spec = SubsampleSpec(rate=0.5)
+    full = tpch_db.sql(STATEMENTS["grouped"])
+    folded = tpch_db.sql(STATEMENTS["grouped"], subsample=spec)
     plan = tpch_db.plan_sql(STATEMENTS["grouped"])
-    with pytest.raises(EstimationError, match="not supported for GROUP BY"):
-        tpch_db.sbox().estimate_from_sample_grouped(
-            plan, tpch_db.execute(plan.child, 1), subsample=SubsampleSpec(rate=0.5)
-        )
+    staged = tpch_db.sbox().estimate_from_sample_grouped(
+        plan, tpch_db.execute(plan.child, 1), subsample=spec
+    )
+    for result in (folded, staged):
+        assert isinstance(result, GroupedQueryResult)
+        assert "n_subsample" in result.estimates["q"].extras
+        for alias in full.values:
+            assert np.array_equal(result.values[alias], full.values[alias])
     with pytest.raises(ReproError):
         tpch_db.sql("SELECT SUM(x) AS s FROM nowhere")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.sbox import GroupedQueryResult, SBox
-from repro.errors import EstimationError, PlanError
+from repro.errors import PlanError
 from repro.relational import col, lit
 from repro.relational import plan as p
 from repro.relational.database import Database
@@ -179,11 +179,22 @@ class TestEstimatingPath:
         # Estimates were filtered in lockstep with keys/values.
         assert filtered.estimates["s"].n_groups == 2
 
-    def test_subsample_spec_rejected_for_grouped(self, db):
+    def test_subsample_spec_accepted_for_grouped(self, db):
+        # Section 7 filters the grouped state at read-out: the keys and
+        # point estimates are the full sample's, only variances move.
         from repro.core.subsample import SubsampleSpec
 
-        with pytest.raises(EstimationError, match="not supported"):
-            db.estimate(self._plan(), seed=3, subsample=SubsampleSpec(0.5))
+        full = db.estimate(self._plan(), seed=3)
+        sub = db.estimate(self._plan(), seed=3, subsample=SubsampleSpec(0.5))
+        assert isinstance(sub, GroupedQueryResult)
+        assert sub.keys["kind"].tolist() == full.keys["kind"].tolist()
+        for alias, est in sub.estimates.items():
+            assert np.array_equal(sub.values[alias], full.values[alias])
+            assert 0 < est.extras["n_subsample"] < est.n_samples.sum()
+            assert est.extras["subsample_rates"] == {"events": 0.5}
+        assert not np.array_equal(
+            sub.estimates["s"].variance_raw, full.estimates["s"].variance_raw
+        )
 
     def test_sbox_run_rejects_non_aggregate_plans(self, db):
         sbox = SBox(db.tables)
