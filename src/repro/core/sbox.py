@@ -17,7 +17,10 @@ the execution engine beyond consuming its output chunks.  Theorem 1
 reads the estimate off per-lineage-key sums — additive state — so there
 is one estimator route: fold each chunk of sample rows into a moment
 bundle, merge the bundles, finish.  One already-executed sample
-(:meth:`SBox.estimate_from_sample`) is the same route with one chunk.
+(:meth:`SBox.estimate_from_sample`) is the same route with one chunk,
+and so is a synopsis catalog's hit or miss: the catalog hands the SBox
+a sample, never an answer.  :meth:`SBox.sample` returns the rows by
+the same route without estimating (a version difference's sides).
 """
 
 from __future__ import annotations
@@ -285,69 +288,46 @@ def _key_column(chunk: Table, name: str):
     return pair or chunk.column(name)  # a missing name raises SchemaError
 
 
-class _ChunkFold:
+def aggregate_columns(specs, keys=()) -> frozenset[str]:
+    """Data columns the aggregates and GROUP BY keys read per row."""
+    cols = frozenset(keys)
+    for spec in specs:
+        if spec.expr is not None:
+            cols |= spec.expr.columns_used()
+    return cols
+
+
+def _chunk_fold(
+    plan: "Aggregate | GroupAggregate",
+    rewrite: RewriteResult,
+    keep_sample: bool,
+):
     """Per-chunk fold: chunk → (moment contribution, sample?).
 
     Only the compact bundle — and, when the caller keeps the sample,
     the chunk — outlives the chunk task.
     """
+    from repro.stream.sketch import GroupedMomentBundle, MomentSketchBundle
 
-    __slots__ = ("recipes", "lattice", "grouped", "keys", "keep_sample")
-
-    def __init__(self, recipes, lattice, grouped, keys, keep_sample) -> None:
-        self.recipes = recipes
-        self.lattice = lattice
-        self.grouped = grouped
-        self.keys = tuple(keys)
-        self.keep_sample = keep_sample
-
-    def __call__(self, chunk: Table):
-        from repro.stream.sketch import GroupedMomentBundle, MomentSketchBundle
-
-        fs = _eval_vectors(self.recipes, chunk)
-        if self.grouped:
-            contrib: object = GroupedMomentBundle(
-                self.lattice, len(self.keys), len(self.recipes)
-            )
-            contrib.update(
-                fs, chunk.lineage, [_key_column(chunk, k) for k in self.keys]
-            )
-        else:
-            contrib = MomentSketchBundle(self.lattice, len(self.recipes))
-            contrib.update(fs, chunk.lineage)
-        return contrib, (chunk if self.keep_sample else None)
-
-
-def _needed_columns(plan: "Aggregate | GroupAggregate") -> frozenset[str]:
-    """Data columns the estimator reads from the sample."""
-    cols: frozenset[str] = frozenset()
-    for spec in plan.specs:
-        if spec.expr is not None:
-            cols |= spec.expr.columns_used()
-    if isinstance(plan, GroupAggregate):
-        cols |= frozenset(plan.keys)
-    return cols
-
-
-def _fold_plan(
-    plan: "Aggregate | GroupAggregate",
-    rewrite: RewriteResult,
-    keep_sample: bool,
-) -> tuple[_ChunkFold, list[str], dict[str, tuple[int, ...]]]:
-    """The per-chunk fold of the plan's specs and what finishing needs."""
-    params = rewrite.params
-    if params.a <= 0.0:
+    if rewrite.params.a <= 0.0:
         raise EstimationError("cannot estimate from a = 0 (null sampling)")
-    recipes, labels, spec_inputs = _vector_plan(plan.specs)
-    grouped = isinstance(plan, GroupAggregate)
-    fold = _ChunkFold(
-        recipes,
-        rewrite.active_params.lattice,
-        grouped,
-        plan.keys if grouped else (),
-        keep_sample,
-    )
-    return fold, labels, spec_inputs
+    recipes = _vector_plan(plan.specs)[0]
+    lattice = rewrite.active_params.lattice
+    keys = plan.keys if isinstance(plan, GroupAggregate) else None
+
+    def fold(chunk: Table):
+        fs = _eval_vectors(recipes, chunk)
+        if keys is None:
+            contrib: object = MomentSketchBundle(lattice, len(recipes))
+            contrib.update(fs, chunk.lineage)
+        else:
+            contrib = GroupedMomentBundle(lattice, len(keys), len(recipes))
+            contrib.update(
+                fs, chunk.lineage, [_key_column(chunk, k) for k in keys]
+            )
+        return contrib, (chunk if keep_sample else None)
+
+    return fold
 
 
 @contextmanager
@@ -367,10 +347,10 @@ class SBox:
     ``catalog`` maps table names to :class:`Table`; it supplies both
     execution and the base-table cardinalities the rewriter needs.
     ``synopses`` optionally plugs in a
-    :class:`~repro.store.SynopsisCatalog`: :meth:`run` then serves
-    queries from stored samples whenever the sampling algebra proves a
-    stored synopsis subsumes the query's plan, and stores fresh
-    samples on every miss.
+    :class:`~repro.store.SynopsisCatalog`: :meth:`run` and
+    :meth:`sample` then take a sampled plan's rows from stored samples
+    whenever the sampling algebra proves a stored synopsis subsumes the
+    plan, and store fresh samples on every miss.
     """
 
     def __init__(
@@ -442,12 +422,13 @@ class SBox:
         read-out (timed as the ``merge`` phase).
 
         With a synopsis catalog attached, a sampled plan inside the
-        reuse algebra goes through :meth:`_run_via_store` instead: a
-        hit filters the stored sample, narrowed first to the columns
-        the estimate and the query's predicates read, and folds it as
-        one chunk; a miss executes the child once with all columns
-        available, stores it, and gathers the columns the estimate
-        reads.
+        reuse algebra takes its rows from :meth:`_stored_sample`
+        instead of the pipeline: a hit serves the stored sample,
+        narrowed first to the columns the estimate and the query's
+        predicates read; a miss executes the child once with all
+        columns available and stores it.  Either way the rows are
+        folded as one chunk by the same :meth:`estimate_from_sample`
+        a host database calls, sub-sampled or not.
 
         ``subsample`` (Section 7) estimates the variance of every
         aggregate — SUM, COUNT and both moments and the covariance of
@@ -455,7 +436,8 @@ class SBox:
         sub-sampler keeps or drops whole lineage keys, so it filters
         the merged moment state at read-out and the rows are never
         gathered again.  Point estimates are bit-identical to the run
-        without ``subsample``; only variances move.
+        without ``subsample``; only variances move, and a catalog
+        serves and stores a sub-sampled query like any other.
         ``extras["n_subsample"]`` counts the kept lineage keys (the
         kept rows whenever each row has its own key) and
         ``extras["subsample_rates"]`` the per-relation rates.
@@ -489,6 +471,20 @@ class SBox:
             keep_sample=keep_sample,
         )
 
+    def _prepare(self, child: PlanNode, rng, workers, chunk_size):
+        """The ``analyze`` span's rewrite, and the executor to draw with."""
+        from repro.relational.pipeline import ChunkedExecutor
+
+        with maybe_span(get_tracer(), "analyze"):
+            rewrite = self.analyze(child)
+        executor = ChunkedExecutor(
+            self.catalog,
+            rng if rng is not None else self.rng,
+            workers=workers,
+            chunk_size=chunk_size,
+        )
+        return rewrite, executor
+
     def _run(
         self,
         plan: Aggregate | GroupAggregate,
@@ -500,37 +496,24 @@ class SBox:
         keep_sample: bool,
     ) -> "QueryResult | GroupedQueryResult":
         """Fold the plan's chunks into moment state, merge, finish."""
-        from repro.relational.pipeline import ChunkedExecutor, concat_tables
+        from repro.relational.pipeline import concat_tables
 
-        tracer = get_tracer()
-        with maybe_span(tracer, "analyze"):
-            rewrite = self.analyze(plan.child)
-        executor = ChunkedExecutor(
-            self.catalog,
-            rng if rng is not None else self.rng,
-            workers=workers,
-            chunk_size=chunk_size,
-        )
-        if (
-            self.synopses is not None
-            and subsample is None
-            and keep_sample
-            and rewrite.is_sampled
-        ):
-            served = self._run_via_store(plan, rewrite, executor)
-            if served is not None:
-                return served
-        needed = _needed_columns(plan)
-        per_chunk, labels, spec_inputs = _fold_plan(
-            plan, rewrite, keep_sample
-        )
+        rewrite, executor = self._prepare(plan.child, rng, workers, chunk_size)
+        keys = plan.keys if isinstance(plan, GroupAggregate) else ()
+        columns = aggregate_columns(plan.specs, keys)
+        if self.synopses is not None and keep_sample and rewrite.is_sampled:
+            stored = self._stored_sample(plan.child, columns, rewrite, executor)
+            if stored is not None:
+                sample, rewrite, reuse = stored
+                return self.estimate_from_sample(
+                    plan, sample, rewrite, subsample=subsample, reuse=reuse
+                )
+        fold = _chunk_fold(plan, rewrite, keep_sample)
         merged = None
         kept: list[Table] = []
         t0 = perf_counter()
-        with maybe_span(tracer, "draw") as sp:
-            for contrib, chunk in executor.map_chunks(
-                plan.child, per_chunk, columns=needed
-            ):
+        with maybe_span(get_tracer(), "draw") as sp:
+            for contrib, chunk in executor.map_chunks(plan.child, fold, columns=columns):
                 # A merge only appends; the one reduce is timed below.
                 merged = contrib if merged is None else merged.merge(contrib)
                 if chunk is not None:
@@ -547,38 +530,55 @@ class SBox:
         observe_phase_seconds("merge", merge_seconds)
         sample = concat_tables(kept) if keep_sample else None
         with _estimate_phase(merged.n_rows, len(plan.specs)):
-            return self._finish(
-                plan,
-                rewrite,
-                merged,
-                labels,
-                spec_inputs,
-                sample,
-                subsample=subsample,
-            )
+            return self._finish(plan, rewrite, merged, sample, subsample=subsample)
 
-    def _run_via_store(
+    def sample(
         self,
-        plan: Aggregate | GroupAggregate,
+        child: PlanNode,
+        columns: frozenset[str],
+        *,
+        rng: np.random.Generator | None = None,
+        workers: int | None = None,
+        chunk_size: int | None = None,
+    ) -> "tuple[Table, ReuseInfo | None]":
+        """``child``'s sampled rows (with lineage, at least ``columns``)
+        and their catalog reuse info, by :meth:`run`'s route: a sampled
+        child through the synopsis catalog when one is attached, every
+        other child on the pipeline.  Nothing is estimated.
+        """
+        from repro.relational.pipeline import concat_tables
+
+        rewrite, executor = self._prepare(child, rng, workers, chunk_size)
+        if self.synopses is not None and rewrite.is_sampled:
+            stored = self._stored_sample(child, columns, rewrite, executor)
+            if stored is not None:
+                return stored[0], stored[2]
+        t0 = perf_counter()
+        with maybe_span(get_tracer(), "draw") as sp:
+            rows = concat_tables(list(executor.iter_chunks(child, columns=columns)))
+            sp.attrs["rows"] = rows.n_rows
+        observe_phase_seconds("draw", perf_counter() - t0)
+        return rows, None
+
+    def _stored_sample(
+        self,
+        child: PlanNode,
+        columns: frozenset[str],
         rewrite: RewriteResult,
         executor,
-    ) -> "QueryResult | GroupedQueryResult | None":
-        """Serve from (or populate) the synopsis catalog.
+    ) -> "tuple[Table, RewriteResult, ReuseInfo | None] | None":
+        """``(sample, rewrite, reuse)`` served from (or put into) the
+        synopsis catalog; ``None`` outside the canonical reuse algebra,
+        where the caller runs the pipeline.
 
-        Returns ``None`` when the plan lies outside the canonical
-        reuse algebra — the caller then runs the regular path.  On a
-        catalog hit the sample and GUS coefficients come straight from
-        the matcher (exact reuse / predicate pushdown / residual
-        thinning), which gathers only the columns the estimate reads —
-        aggregate inputs, GROUP BY keys and the query's predicate
-        columns — plus lineage; on a miss the child executes once with
-        *all* columns available, is stored, and the estimate is computed
-        from it.  Available, not copied: the sample holds its lineage
-        and, per data column, a pending gather from the base table
-        (:class:`~repro.relational.table.Columns`); the estimate runs
-        the gathers of the columns it reads, storing runs none, and a
-        later hit runs a stored column's gather the first time it needs
-        that column.
+        A hit's sample and GUS coefficients come straight from the
+        matcher (exact reuse / predicate pushdown / residual thinning),
+        which gathers only ``columns`` and the query's predicate
+        columns, plus lineage.  A miss (``reuse`` is ``None``) executes
+        the child once with *all* columns available and stores it.
+        Available, not copied: each data column is a pending gather
+        from the base table (:class:`~repro.relational.table.Columns`)
+        that runs when the caller, or a later hit, first reads it.
         """
         from repro.store import ReuseMatcher, canonicalize, materialize
         from repro.store.fingerprint import draw_token_of
@@ -587,7 +587,7 @@ class SBox:
         t0 = perf_counter()
         with maybe_span(tracer, "store.probe", kind="store") as sp:
             canon = canonicalize(
-                plan.child,
+                child,
                 {name: t.n_rows for name, t in self.catalog.items()},
                 draw_token=draw_token_of(executor.rng),
             )
@@ -595,7 +595,7 @@ class SBox:
                 decision = None
                 sp.attrs["outcome"] = "uncanonical"
             else:
-                needed = _needed_columns(plan)
+                needed = columns
                 for pred in canon.predicates:
                     needed |= pred.columns_used()
                 matcher = ReuseMatcher(self.synopses)
@@ -621,14 +621,12 @@ class SBox:
                         info.residual_predicates
                     )
             observe_phase_seconds("residual", perf_counter() - t1)
-            return self.estimate_from_sample(
-                plan, sample, RewriteResult(clean, params), reuse=info
-            )
+            return sample, RewriteResult(clean, params), info
         # Miss: execute the sampled child once, no column pruned, and
-        # store it; only what the estimate below reads gets gathered.
+        # store it; only what the caller reads gets gathered.
         t2 = perf_counter()
         with maybe_span(tracer, "draw") as sp:
-            sample = executor.execute(plan.child)
+            sample = executor.execute(child)
             sp.attrs["rows"] = sample.n_rows
         observe_phase_seconds("draw", perf_counter() - t2)
         with maybe_span(tracer, "store.put", kind="store") as sp:
@@ -640,15 +638,13 @@ class SBox:
                 versions=self._version_stamps,
             )
             sp.attrs["stored"] = stored is not None
-        return self.estimate_from_sample(plan, sample, rewrite)
+        return sample, rewrite, None
 
     def _finish(
         self,
         plan: Aggregate | GroupAggregate,
         rewrite: RewriteResult,
         bundle,
-        labels: list[str],
-        spec_inputs: dict[str, tuple[int, ...]],
         sample: Table | None,
         *,
         subsample: SubsampleSpec | None = None,
@@ -656,13 +652,14 @@ class SBox:
     ) -> "QueryResult | GroupedQueryResult":
         """Estimates from (merged) moment state — Section 6.3 and 6.4.
 
-        ``bundle`` holds one moment vector per entry of ``labels``;
-        ``spec_inputs`` maps each aggregate to its vectors.  Under
+        ``bundle`` holds one moment vector per weight vector
+        :func:`_vector_plan` plans for the specs.  Under
         ``subsample`` (Section 7) the moments come from the state
         entries the sub-sampler keeps and are unbiased under its
         composed design, while the totals — and so every point
         estimate — still cover the whole sample.
         """
+        _, labels, spec_inputs = _vector_plan(plan.specs)
         params = rewrite.params
         pruned = rewrite.active_params
         grouped = isinstance(plan, GroupAggregate)
@@ -747,14 +744,12 @@ class SBox:
         """
         if rewrite is None:
             rewrite = self.analyze(plan.child)
-        fold, labels, spec_inputs = _fold_plan(plan, rewrite, False)
+        fold = _chunk_fold(plan, rewrite, False)
         with _estimate_phase(sample.n_rows, len(plan.specs)):
             return self._finish(
                 plan,
                 rewrite,
                 fold(sample)[0],
-                labels,
-                spec_inputs,
                 sample,
                 subsample=subsample,
                 reuse=reuse,

@@ -24,6 +24,11 @@ from repro.core.estimator import Estimate
 from repro.errors import EstimationError
 
 
+def no_contributing_row(estimate: Estimate) -> bool:
+    """A zero estimate with zero variance: no sampled row contributed."""
+    return estimate.value == estimate.variance_raw == 0.0
+
+
 @dataclass(frozen=True)
 class ErrorBudget:
     """A relative-accuracy target at a confidence level.
@@ -93,7 +98,7 @@ class ErrorBudget:
         samples (``a < 1``): no row contributed, so the zero-width
         interval carries no information either.
         """
-        empty = estimate.value == estimate.variance_raw == 0.0
+        empty = no_contributing_row(estimate)
         if estimate.clamped or (empty and estimate.extras.get("a", 1.0) < 1):
             return False
         return self.realized_fraction(estimate) <= self.relative_half_width

@@ -35,7 +35,7 @@ from time import perf_counter
 from repro.errors import PlanError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import get_tracer, maybe_span
-from repro.optimizer.budget import ErrorBudget
+from repro.optimizer.budget import ErrorBudget, no_contributing_row
 from repro.optimizer.candidates import (
     PlanCandidate,
     QuerySkeleton,
@@ -59,8 +59,12 @@ from repro.sampling import LineageHashBernoulli
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.database import Database
 
-#: Default pilot sampling rate (per relation, hash-Bernoulli).
-DEFAULT_PILOT_RATE = 0.1
+#: Share of the joined result the pilot draws (hash-Bernoulli).
+PILOT_RATE = 0.1
+#: Rate multiplier per escalation step, of the pilot and of the ladder.
+ESCALATION_FACTOR = 2.0
+#: Join orders scored per method assignment.
+ORDER_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -205,11 +209,8 @@ class SamplingPlanOptimizer:
         db: "Database",
         *,
         cost_model: CostModel | None = None,
-        pilot_rate: float = DEFAULT_PILOT_RATE,
         seed: int = 0,
         max_escalations: int = 4,
-        escalation_factor: float = 2.0,
-        order_limit: int = 12,
     ) -> None:
         self.db = db
         self.cost_model = (
@@ -217,11 +218,8 @@ class SamplingPlanOptimizer:
             if cost_model is not None
             else CostModel.calibrate(db.tables)
         )
-        self.pilot_rate = float(pilot_rate)
         self.seed = int(seed)
         self.max_escalations = int(max_escalations)
-        self.escalation_factor = float(escalation_factor)
-        self.order_limit = int(order_limit)
 
     # -- pilot ------------------------------------------------------------
 
@@ -238,29 +236,36 @@ class SamplingPlanOptimizer:
                     owner[column] = node.table_name
         return owner
 
-    def pilot_relation_rate(self, skeleton: QuerySkeleton) -> float:
-        """Per-relation rates multiply through the join (Prop 6), so take
-        the k-th root: the pilot retains ~pilot_rate of the *joined*
-        result however many relations are sampled."""
-        return self.pilot_rate ** (1.0 / max(1, len(skeleton.sampled)))
+    def _pilot(self, skeleton: QuerySkeleton, seed: int) -> tuple[VariancePredictor, float]:
+        """The pilot's predictor and the per-relation rate it used.
 
-    def _pilot(self, skeleton: QuerySkeleton, seed: int) -> VariancePredictor:
+        Per-relation rates multiply through the join (Prop 6), so the
+        pilot starts at the k-th root of :data:`PILOT_RATE`: about that
+        share of the *joined* result.  A pilot where no budgeted
+        aggregate has a contributing row predicts nothing, so it is
+        drawn again at :data:`ESCALATION_FACTOR` times the rate, up to
+        1; the hash draw is nested, so a redraw keeps every row drawn.
+        """
         # The pilot runs through the database's SBox, so with a synopsis
         # catalog attached its sample is stored and reused like any
         # other — repeated report()/optimize()/EXPLAIN SAMPLING calls
         # skip re-piloting, and a stored pilot can later serve plain
         # queries by thinning (a valid GUS sample with rescaled
         # coefficients; the algebra does not care who drew it).
-        per_rel = self.pilot_relation_rate(skeleton)
-        pilot_methods = {
-            rel: LineageHashBernoulli(
-                per_rel, seed=relation_seed(seed + 1, rel)
-            )
-            for rel in skeleton.sampled
-        }
-        pilot_plan = skeleton.build(methods=pilot_methods)
-        result = self.db.sbox().run(pilot_plan, rng=self.db.rng(seed))
-        return VariancePredictor.from_pilot(result)
+        rate = PILOT_RATE ** (1.0 / max(1, len(skeleton.sampled)))
+        while True:
+            pilot_methods = {
+                rel: LineageHashBernoulli(rate, seed=relation_seed(seed + 1, rel))
+                for rel in skeleton.sampled
+            }
+            pilot_plan = skeleton.build(methods=pilot_methods)
+            result = self.db.sbox().run(pilot_plan, rng=self.db.rng(seed))
+            budgeted = [result.estimates[a] for a in self._budget_aliases(result)]
+            # An all-AVG query (no budgeted aggregate) is refused below.
+            empty = budgeted and all(map(no_contributing_row, budgeted))
+            if not empty or rate >= 1.0:
+                return VariancePredictor.from_pilot(result), rate
+            rate = min(1.0, rate * ESCALATION_FACTOR)
 
     # -- scoring ----------------------------------------------------------
 
@@ -331,16 +336,16 @@ class SamplingPlanOptimizer:
         if before_execute is not None:
             before_execute("pilot")
         with maybe_span(tracer, "optimizer.pilot", kind="optimizer") as sp:
-            predictor = self._pilot(skeleton, seed)
+            predictor, pilot_rate = self._pilot(skeleton, seed)
             sp.attrs["pilot_rows"] = predictor.pilot.sample.n_rows
         REGISTRY.histogram(
             "repro_optimizer_seconds", stage="pilot"
         ).observe(perf_counter() - t_pilot)
         if on_pilot is not None:
-            on_pilot(predictor.pilot, self.pilot_relation_rate(skeleton))
+            on_pilot(predictor.pilot, pilot_rate)
         sizes = self.db.sizes()
         schema = frozenset(skeleton.relations)
-        orders = join_orders(skeleton, limit=self.order_limit)
+        orders = join_orders(skeleton, limit=ORDER_LIMIT)
         target = budget.target_relative_std
         critical = budget.critical_value
         matcher = self._matcher()
@@ -503,9 +508,7 @@ class SamplingPlanOptimizer:
             if met or is_fully_escalated(methods, sizes):
                 break
             REGISTRY.counter("repro_optimizer_escalations_total").inc()
-            methods = escalate_methods(
-                methods, self.escalation_factor, sizes
-            )
+            methods = escalate_methods(methods, ESCALATION_FACTOR, sizes)
         return OptimizedResult(
             report=report, result=result, attempts=tuple(attempts)
         )

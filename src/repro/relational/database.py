@@ -128,7 +128,9 @@ class Database:
         Every estimated query is then served from the catalog whenever
         a stored sample subsumes its sampling plan (exact repeat,
         predicate pushdown, or residual Bernoulli thinning), and
-        populates it otherwise.  Table mutations invalidate the
+        populates it otherwise — sub-sampled queries and each sampled
+        side of a version difference included: the catalog hands the
+        SBox a sample, never an answer.  Table mutations invalidate the
         affected synopses.  Returns the attached catalog.  A hit's
         ``result.sample`` is column-pruned like every other route's:
         the stored sample is narrowed to what the estimate and the
@@ -155,9 +157,14 @@ class Database:
         if self.synopses is not None:
             self.synopses.invalidate(name)
 
-    def _resolve_workers(self, workers: int | None) -> int | None:
-        """Per-call override → database default → ``REPRO_WORKERS``."""
-        return resolve_workers(self.workers if workers is None else workers)
+    def chunking(
+        self, workers: int | None, chunk_size: int | None
+    ) -> tuple[int | None, int | None]:
+        """Per-call override → database default (→ ``REPRO_WORKERS``)."""
+        return (
+            resolve_workers(self.workers if workers is None else workers),
+            self.chunk_size if chunk_size is None else chunk_size,
+        )
 
     # -- catalog -----------------------------------------------------------
 
@@ -340,13 +347,9 @@ class Database:
         """
         from repro.relational.pipeline import ChunkedExecutor
 
-        if chunk_size is None:
-            chunk_size = self.chunk_size
+        workers, chunk_size = self.chunking(workers, chunk_size)
         return ChunkedExecutor(
-            self.tables,
-            self.rng(seed),
-            workers=self._resolve_workers(workers),
-            chunk_size=chunk_size,
+            self.tables, self.rng(seed), workers=workers, chunk_size=chunk_size
         ).execute(plan)
 
     def execute_exact(self, plan: PlanNode) -> Table:
@@ -386,14 +389,12 @@ class Database:
         ``result.sample``).  ``workers`` (argument, database default, or
         ``REPRO_WORKERS``) sets the default partitioning.
         """
-        resolved = self._resolve_workers(workers)
-        if chunk_size is None:
-            chunk_size = self.chunk_size
+        workers, chunk_size = self.chunking(workers, chunk_size)
         return self.sbox().run(
             plan,
             subsample=subsample,
             rng=self.rng(seed),
-            workers=resolved,
+            workers=workers,
             chunk_size=chunk_size,
             keep_sample=keep_sample,
         )
@@ -511,35 +512,31 @@ class Database:
             if query.explain_sampling:
                 return optimizer.report(plan, budget, seed=seed)
             return optimizer.optimize(plan, budget, seed=seed)
+        if not query.explain_analyze:
+            return self._run_plan(plan, seed, subsample, workers, chunk_size)
+        from dataclasses import replace
+
+        from repro.obs.report import ExplainAnalyzeReport
+        from repro.obs.trace import start_trace
+
+        with start_trace("explain analyze") as tracer:
+            result = self._run_plan(plan, seed, subsample, workers, chunk_size)
+        trace = tracer.finish_trace()
+        if hasattr(result, "trace"):
+            result = replace(result, trace=trace)
+        return ExplainAnalyzeReport(result=result, trace=trace)
+
+    def _run_plan(
+        self,
+        plan: PlanNode,
+        seed: int | None,
+        subsample: "SubsampleSpec | None",
+        workers: int | None,
+        chunk_size: int | None,
+    ):
+        """Run a planned statement: difference, estimate or relation."""
         from repro.versions.plan import VersionDiff
 
-        if query.explain_analyze:
-            from dataclasses import replace
-
-            from repro.obs.report import ExplainAnalyzeReport
-            from repro.obs.trace import start_trace
-
-            with start_trace("explain analyze") as tracer:
-                if isinstance(plan, VersionDiff):
-                    result = self._estimate_version_diff(
-                        plan, seed=seed, workers=workers, chunk_size=chunk_size
-                    )
-                elif isinstance(plan, (Aggregate, GroupAggregate)):
-                    result = self.estimate(
-                        plan,
-                        seed=seed,
-                        subsample=subsample,
-                        workers=workers,
-                        chunk_size=chunk_size,
-                    )
-                else:
-                    result = self.execute(
-                        plan, seed=seed, workers=workers, chunk_size=chunk_size
-                    )
-            trace = tracer.finish_trace()
-            if hasattr(result, "trace"):
-                result = replace(result, trace=trace)
-            return ExplainAnalyzeReport(result=result, trace=trace)
         if isinstance(plan, VersionDiff):
             if subsample is not None:
                 from repro.errors import SQLError
@@ -550,8 +547,10 @@ class Database:
                     "their own closed-form variance (drop the subsample "
                     "spec)"
                 )
-            return self._estimate_version_diff(
-                plan, seed=seed, workers=workers, chunk_size=chunk_size
+            from repro.versions.engine import estimate_version_diff
+
+            return estimate_version_diff(
+                self, plan, seed=seed, workers=workers, chunk_size=chunk_size
             )
         if isinstance(plan, (Aggregate, GroupAggregate)):
             return self.estimate(
@@ -563,20 +562,6 @@ class Database:
             )
         return self.execute(
             plan, seed=seed, workers=workers, chunk_size=chunk_size
-        )
-
-    def _estimate_version_diff(
-        self,
-        plan: "PlanNode",
-        *,
-        seed: int | None,
-        workers: int | None,
-        chunk_size: int | None,
-    ):
-        from repro.versions.engine import estimate_version_diff
-
-        return estimate_version_diff(
-            self, plan, seed=seed, workers=workers, chunk_size=chunk_size
         )
 
     def sql_exact(self, text: str) -> Table:

@@ -87,10 +87,6 @@ class ProgressiveOutcome:
     elapsed: float
 
     @property
-    def time_to_first_estimate(self) -> float | None:
-        return self.frames[0].elapsed if self.frames else None
-
-    @property
     def met(self) -> bool:
         return self.optimized is not None and self.optimized.met
 

@@ -1,14 +1,16 @@
 """Execute :class:`~repro.versions.plan.VersionDiff` plans.
 
-Each side of the difference runs through the ordinary machinery — the
-sampled sides as (group-)aggregate plans through the SBox, so catalog
-synopses keyed by the versioned scan are reused and worker counts stay
-bit-identical; the exact sides as plain relational execution.  The
-sides' per-row aggregate inputs are then netted per coordination key
-(lineage row id, optionally prefixed by GROUP BY columns) and the
-closed-form subset-sum estimator of
+Each side of the difference is *read*, not estimated: one
+:meth:`SBox.sample <repro.core.sbox.SBox.sample>` call returns the
+side's sampled-and-filtered rows with their lineage — a sampled side
+through the synopsis catalog when one is attached (so synopses keyed by
+the versioned scan are served and stored), every other side on the
+pipeline.  The sides' per-row aggregate inputs are then netted per
+coordination key (lineage row id, optionally prefixed by GROUP BY
+columns) and the closed-form subset-sum estimator of
 :mod:`repro.core.estimator` turns the netted ``g`` values into unbiased
-change estimates with exact variance.
+change estimates with exact variance: a coordinated difference needs
+each side's per-key values, never a Theorem 1 estimate of a side.
 
 Determinism: coordinated Bernoulli draws are pure per-key hashes (no
 RNG), the per-side samples are bit-identical for any worker count, and
@@ -32,10 +34,10 @@ from repro.core.estimator import (
     group_firsts,
     group_ids,
 )
-from repro.core.sbox import apply_having_grouped
+from repro.core.sbox import aggregate_columns, apply_having_grouped
 from repro.errors import PlanError
 from repro.relational.aggregates import aggregate_input_vector
-from repro.relational.plan import Aggregate, GroupAggregate, PlanNode
+from repro.relational.plan import PlanNode
 from repro.relational.table import Table
 from repro.versions.plan import VersionDiff
 
@@ -145,46 +147,6 @@ class GroupedVersionDiffResult:
         return "\n".join(lines)
 
 
-def _side_sample(
-    db: "Database",
-    plan: VersionDiff,
-    child: PlanNode,
-    *,
-    seed: int | None,
-    workers: int | None,
-    chunk_size: int | None,
-) -> "tuple[Table, ReuseInfo | None]":
-    """One side's sampled-and-filtered rows (with lineage).
-
-    Sampled sides run as aggregate plans through the SBox so the
-    synopsis catalog can serve the versioned scan; only the kept
-    sample is consumed here.  Exact sides (``rate=None`` carries no
-    sampling nodes) execute directly.
-    """
-    if plan.rate is None:
-        table = db.execute(
-            child, seed=seed, workers=workers, chunk_size=chunk_size
-        )
-        return table, None
-    agg: Aggregate | GroupAggregate
-    if plan.keys:
-        # The grouped wrapper keeps the GROUP BY columns in the pruned
-        # chunked-path sample; its own per-side estimates are discarded.
-        agg = GroupAggregate(child, plan.keys, plan.specs, None)
-    else:
-        agg = Aggregate(child, plan.specs)
-    result = db.estimate(
-        agg,
-        seed=seed,
-        workers=workers,
-        chunk_size=chunk_size,
-        keep_sample=True,
-    )
-    if result.sample is None:  # pragma: no cover - keep_sample=True above
-        raise PlanError("side estimation returned no sample")
-    return result.sample, result.reuse
-
-
 def _lineage_key(child: PlanNode, sample: Table) -> np.ndarray:
     """The coordination key column: the side's single lineage dim."""
     names = child.lineage_schema()
@@ -211,11 +173,14 @@ def estimate_version_diff(
             f"estimate_version_diff expects a VersionDiff plan; "
             f"got {type(plan).__name__}"
         )
-    hi_sample, hi_reuse = _side_sample(
-        db, plan, plan.hi_child, seed=seed, workers=workers, chunk_size=chunk_size
-    )
-    lo_sample, lo_reuse = _side_sample(
-        db, plan, plan.lo_child, seed=seed, workers=workers, chunk_size=chunk_size
+    # Each side's rows, exact or sampled alike: the GROUP BY keys and
+    # the columns the specs read, with lineage, and their reuse info.
+    workers, chunk_size = db.chunking(workers, chunk_size)
+    columns = aggregate_columns(plan.specs, plan.keys)
+    sbox = db.sbox()
+    (hi_sample, hi_reuse), (lo_sample, lo_reuse) = (
+        sbox.sample(child, columns, rng=db.rng(seed), workers=workers, chunk_size=chunk_size)
+        for child in (plan.hi_child, plan.lo_child)
     )
     p = 1.0 if plan.rate is None else plan.rate
     reuse = {"hi": hi_reuse, "lo": lo_reuse}

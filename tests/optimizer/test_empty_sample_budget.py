@@ -4,7 +4,8 @@ The statement joins two 1 % samples under a filter that keeps the 20
 largest of 150 orders, so a few seeds draw no matching row at all: the
 estimate is ``0 ± 0``, a zero-width interval that excludes the true
 total.  Such an answer carries no information, so the escalation loop
-must not report the budget as met.
+must not report the budget as met, and a pilot drawn that empty is
+drawn again at a higher rate before it ranks any candidate.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 from repro.core.estimator import Estimate
 from repro.data.tpch import tpch_database
 from repro.optimizer import ErrorBudget
+from repro.optimizer.chooser import PILOT_RATE
 from repro.serve.progressive import run_progressive
 
 STATEMENT = """
@@ -23,7 +25,7 @@ WHERE l_orderkey = o_orderkey AND o_totalprice >= 14392.05
 WITHIN 20 % CONFIDENCE 0.95
 """
 
-#: Seeds whose first draw has no contributing row at this scale.
+#: Seeds whose first pilot draw has no contributing row at this scale.
 EMPTY_SEEDS = (42, 145, 281)
 
 
@@ -58,11 +60,24 @@ def test_no_seed_meets_the_budget_with_an_interval_missing_the_truth(
 
 
 @pytest.mark.parametrize("seed", EMPTY_SEEDS)
-def test_empty_first_draw_escalates(db, seed):
-    answer = db.sql(STATEMENT, seed=seed)
-    assert answer.attempts[0].n_sample == 0
+def test_empty_first_draw_escalates(db, truth, seed):
+    pilots = []
+    answer = db.optimizer().optimize(
+        db.plan_sql(STATEMENT),
+        ErrorBudget(0.2, 0.95),
+        seed=seed,
+        on_pilot=lambda result, rate: pilots.append((result, rate)),
+    )
+    ((pilot, rate),) = pilots
+    # The first pilot (at the square root of PILOT_RATE per relation)
+    # had no contributing row; the one that ranked the candidates did.
+    assert rate > PILOT_RATE**0.5
+    assert pilot.sample.n_rows == answer.report.pilot_rows > 0
+    assert pilot.estimates["rev"].value > 0.0
     assert not answer.attempts[0].met
     assert len(answer.attempts) > 1
+    ci = answer.result.estimates["rev"].ci(0.95)
+    assert answer.met and ci.lo <= truth <= ci.hi
 
 
 @pytest.mark.parametrize("seed", EMPTY_SEEDS)
