@@ -22,9 +22,10 @@ def _empirical_inclusions(method, n_rows: int, trials: int, seed: int):
     single = 0
     pair = 0
     for _ in range(trials):
-        mask = method.draw(n_rows, rng).mask
-        single += int(mask[0])
-        pair += int(mask[0] and mask[1])
+        # Kept positions ascend: rows 0 and 1 are kept iff they lead.
+        first = set(method.draw(n_rows, rng).rows[:2].tolist())
+        single += 0 in first
+        pair += {0, 1} <= first
     return single / trials, pair / trials
 
 

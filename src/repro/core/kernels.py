@@ -12,8 +12,11 @@ so it stays in cache and allocates nothing that grows with the input:
 :func:`hash01` converts each block to uniforms, and :func:`hash_keep`
 — what every lineage filter calls — compares the 64-bit hash itself
 against the integer threshold that stands for the rate, the same
-decisions as ``hash01 < p`` without the floats.  String keys enter
-that integer world through one door, :func:`factorize`; keys that pack
+decisions as ``hash01 < p`` without the floats.  A lineage-hash draw
+over a base table, :func:`hash_keep_positions`, makes each block's ids
+in scratch and keeps only the kept positions, so neither an ``arange``
+nor a mask of the table is ever made.  String keys enter that integer
+world through one door, :func:`factorize`; keys that pack
 into a small domain are ranked by counting (:func:`count_ranks`) and
 keys that are already sorted and distinct skip the sort altogether
 (:func:`strictly_ascending`), with the same bits out.
@@ -35,6 +38,7 @@ __all__ = [
     "jit_active",
     "hash01",
     "hash_keep",
+    "hash_keep_positions",
     "hash01_blake2b",
     "factorize",
     "pack_columns",
@@ -80,6 +84,12 @@ def _finalize_inplace(z: np.ndarray, t: np.ndarray) -> None:
     np.bitwise_xor(z, t, out=z)
 
 
+def _seed_mix(seed: int) -> np.uint64:
+    """The finalized seed every id's ``id · γ`` is xor-ed with."""
+    with np.errstate(over="ignore"):
+        return _finalize(np.uint64(seed % (2**64)) * _GAMMA + _GAMMA)
+
+
 def _hashed_blocks(
     seed: int, ids: np.ndarray
 ) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -91,8 +101,7 @@ def _hashed_blocks(
     whole hash runs in cache and no temporary grows with the input.
     Ids that are not already 64-bit integers are cast block by block.
     """
-    with np.errstate(over="ignore"):
-        seed_mix = _finalize(np.uint64(seed % (2**64)) * _GAMMA + _GAMMA)
+    seed_mix = _seed_mix(seed)
     ids = ids.reshape(-1)
     n = ids.shape[0]
     z = np.empty(min(n, _HASH_BLOCK), dtype=np.uint64)
@@ -165,6 +174,41 @@ def hash_keep(seed: int, ids: np.ndarray, p: float) -> np.ndarray:
     for start, stop, z in _hashed_blocks(seed, ids):
         np.less(z, threshold, out=mask[start:stop])
     return mask.reshape(ids.shape)
+
+
+def hash_keep_positions(seed: int, n: int, p: float) -> np.ndarray:
+    """The positions ``i < n`` whose id ``i`` :func:`hash_keep` keeps.
+
+    ``flatnonzero(hash_keep(seed, arange(n), p))`` without the ``arange``
+    and without the mask: each block's ``id · γ`` is one add of
+    ``start · γ`` (mod 2⁶⁴) to the first block's, in scratch every
+    block reuses, so only the kept positions (int64, ascending) grow
+    with ``n``.  This is the draw of a lineage-hash sampler over a base
+    table, whose lineage ids are the row positions.
+    """
+    if p >= 1.0:
+        return np.arange(n, dtype=np.int64)
+    if not p > 0.0 or n <= 0:
+        return np.empty(0, dtype=np.int64)
+    threshold = np.uint64(_keep_threshold(p))
+    seed_mix = _seed_mix(seed)
+    size = min(n, _HASH_BLOCK)
+    first = np.arange(size, dtype=np.uint64) * _GAMMA
+    z = np.empty(size, dtype=np.uint64)
+    t = np.empty_like(z)
+    keep = np.empty(size, dtype=bool)
+    parts = []
+    for start in range(0, n, _HASH_BLOCK):
+        m = min(_HASH_BLOCK, n - start)
+        zb = z[:m]
+        np.add(first[:m], np.uint64(start * int(_GAMMA) % 2**64), out=zb)
+        np.bitwise_xor(zb, seed_mix, out=zb)
+        _finalize_inplace(zb, t[:m])
+        np.less(zb, threshold, out=keep[:m])
+        kept = np.flatnonzero(keep[:m])
+        kept += start
+        parts.append(kept)
+    return np.concatenate(parts)
 
 
 def hash01_blake2b(seed: int, ids: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from repro.relational.plan import (
     TableSample,
 )
 from repro.relational.table import Table
-from repro.sampling.base import Draw, SamplingMethod
+from repro.sampling.base import Draw, SamplingMethod, row_lineage
 
 
 class _LineageOnly(SamplingMethod):
@@ -41,15 +41,17 @@ class _LineageOnly(SamplingMethod):
 
     Block sampling assigns block-granularity lineage; the ground-truth
     run must observe the *same* lineage ids as the sampled run, so the
-    exact plan applies lineage assignment without any filtering.
+    exact plan applies lineage assignment without any filtering — the
+    wrapped method's :meth:`~SamplingMethod.lineage_of` every row, and
+    no draw (the generator is not touched).
     """
 
     def __init__(self, inner: SamplingMethod) -> None:
         self.inner = inner
 
     def draw(self, n_rows: int, rng: np.random.Generator) -> Draw:
-        lineage = self.inner.draw(n_rows, rng).lineage
-        return Draw(mask=np.ones(n_rows, dtype=bool), lineage=lineage)
+        rows = row_lineage(n_rows)
+        return Draw(rows, self.inner.lineage_of(rows))
 
     def gus(self, relation: str, n_rows: int):  # pragma: no cover
         from repro.core.gus import identity_gus

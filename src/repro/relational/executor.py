@@ -289,7 +289,7 @@ class Executor:
         table = self.execute(node.child)
         draw = node.method.draw(table.n_rows, self.rng)
         relation = node.child.table_name
-        return table.with_lineage(relation, draw.lineage).filter(draw.mask)
+        return table.take(draw.rows).with_lineage(relation, draw.lineage)
 
     def _lineage_sample(self, node: p.LineageSample) -> Table:
         table = self.execute(node.child)

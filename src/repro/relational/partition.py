@@ -29,6 +29,7 @@ from repro.relational import plan as p
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
     "chunk_bounds",
+    "chunk_step",
     "required_alignment",
 ]
 
@@ -42,6 +43,18 @@ DEFAULT_CHUNK_ROWS = 65_536
 _MAX_ALIGNMENT = 1 << 22
 
 
+def chunk_step(chunk_size: int, align: int = 1) -> int:
+    """Rows per chunk of :func:`chunk_bounds`: chunk ``i`` starts at
+    ``i · step``, so a global row position ``r`` lies in chunk
+    ``r // step``."""
+    chunk_size = max(1, int(chunk_size))
+    align = max(1, int(align))
+    step = max(chunk_size, align)
+    if align > 1:
+        step = (step // align) * align
+    return step
+
+
 def chunk_bounds(
     n_rows: int, chunk_size: int, align: int = 1
 ) -> list[tuple[int, int]]:
@@ -51,11 +64,7 @@ def chunk_bounds(
     An empty input yields one empty range so a pipeline always carries
     at least one (schema-bearing) chunk.
     """
-    chunk_size = max(1, int(chunk_size))
-    align = max(1, int(align))
-    step = max(chunk_size, align)
-    if align > 1:
-        step = (step // align) * align
+    step = chunk_step(chunk_size, align)
     if n_rows <= 0:
         return [(0, 0)]
     return [

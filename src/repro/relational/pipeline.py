@@ -17,7 +17,11 @@ Reproducibility contract (tested property, not aspiration):
 * **Partition invariance** — randomness is a function of the *global*
   row position, never of chunk boundaries: every sampling node draws
   once over its whole base table before any chunk runs, and a chunk
-  only slices that draw.  The draws consume the generator in plan
+  only slices that draw.  A draw is the sorted kept positions and
+  their lineage ids, made block by block, so nothing in it grows with
+  the table; one ``bincount`` at compile time finds where each chunk's
+  positions start, and a chunk takes them (a chunk that keeps every
+  row stays a view).  The draws consume the generator in plan
   post-order, exactly as the reference interpreter
   (:class:`~repro.relational.executor.Executor`) does, so one seed maps
   to one realization on both — which is what lets the interpreter be
@@ -76,6 +80,7 @@ from repro.relational.executor import (
 from repro.relational.partition import (
     DEFAULT_CHUNK_ROWS,
     chunk_bounds,
+    chunk_step,
     required_alignment,
 )
 from repro.relational.table import Table, concat_column
@@ -581,11 +586,21 @@ class ChunkedExecutor:
     ) -> _Source:
         name = node.child.table_name
         draw = self._draws[id(node)]
+        rows, lineage = draw.rows, draw.lineage
+        # Chunk ``i`` covers positions ``[i·step, (i+1)·step)``, so its
+        # kept positions are ``rows[offsets[i]:offsets[i + 1]]``.
+        step = chunk_step(self.chunk_size, align)
+        n_chunks = -(-self._base_table(name).n_rows // step)
+        counts = np.bincount(rows // step, minlength=n_chunks)
+        offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
 
         def sample(chunk: Table, start: int, stop: int) -> Table:
-            # The draw covers the whole base table; a chunk slices it.
-            kept = chunk.with_lineage(name, draw.lineage[start:stop])
-            return kept.filter(draw.mask[start:stop])
+            lo = offsets[start // step]
+            hi = offsets[start // step + 1] if stop > start else lo
+            if hi - lo < stop - start:
+                kept = rows[lo:hi]
+                chunk = chunk.take(kept - start if start else kept)
+            return chunk.with_lineage(name, lineage[lo:hi])
 
         if self._probing:
             # One operator per plan node, so the Scan reports its own rows.

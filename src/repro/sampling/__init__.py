@@ -2,9 +2,9 @@
 
 Each method implements two duties:
 
-* **execution** — draw a boolean keep-mask over a base table (plus the
-  lineage ids the draw is keyed on, which is what makes block sampling
-  analysable), and
+* **execution** — draw the kept positions of a base table, block by
+  block (plus their lineage ids under the method's sampling unit, which
+  is what makes block sampling analysable), and
 * **analysis** — report its GUS parameters ``G(a, b̄)`` so the rewriter
   can fold it into the plan's single top quasi-operator.
 

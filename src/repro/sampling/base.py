@@ -14,14 +14,23 @@ from repro.core.gus import GUSParams
 class Draw:
     """Outcome of executing a sampling method over a base table.
 
-    ``mask`` marks the kept rows.  ``lineage`` gives the lineage id of
-    *every* row (kept or not) under this method's sampling unit — row
-    ids for tuple-level methods, block ids for block-level ones.  The
-    executor attaches ``lineage[mask]`` to the surviving rows.
+    ``rows`` holds the kept positions, strictly ascending int64.
+    ``lineage`` holds the lineage ids of those rows only, under the
+    method's sampling unit: the positions themselves (the same array as
+    ``rows``) for tuple-level methods, block ids for block-level ones
+    (Section 4.2: a tuple's identity is apart from its content, so a
+    base-table sample's positions *are* its lineage).  Nothing in a draw
+    grows with the base table, only with the sample.  Both arrays are
+    made read-only here: a catalog stores them as a sample's lineage and
+    as the index of its pending column gathers.
     """
 
-    mask: np.ndarray
+    rows: np.ndarray
     lineage: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.rows.flags.writeable = False
+        self.lineage.flags.writeable = False
 
 
 class SamplingMethod(abc.ABC):
@@ -33,7 +42,20 @@ class SamplingMethod(abc.ABC):
 
     @abc.abstractmethod
     def draw(self, n_rows: int, rng: np.random.Generator) -> Draw:
-        """Sample a keep-mask (and lineage ids) for a table of ``n_rows``."""
+        """The kept positions (and their lineage ids) of ``n_rows`` rows.
+
+        A draw allocates in proportion to the sample, not the table: it
+        is made block by block, or per sampling block, never as a value
+        per table row (without-replacement's ``Generator.choice`` is
+        the one exception, see :class:`WithoutReplacement`).  The
+        generator is consumed exactly as one whole-table draw would
+        consume it, so later draws of the same plan see the same stream.
+        """
+
+    def lineage_of(self, rows: np.ndarray) -> np.ndarray:
+        """Lineage ids of base-table positions ``rows`` in this method's
+        sampling unit: the positions themselves (tuple-level)."""
+        return rows
 
     @abc.abstractmethod
     def gus(self, relation: str, n_rows: int) -> GUSParams:

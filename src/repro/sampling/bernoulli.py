@@ -6,7 +6,12 @@ import numpy as np
 
 from repro.core.gus import GUSParams, bernoulli_gus
 from repro.errors import ReproError
-from repro.sampling.base import Draw, SamplingMethod, row_lineage
+from repro.sampling.base import Draw, SamplingMethod
+
+#: Uniforms per block of a draw: one block-sized buffer is reused, so no
+#: temporary of a draw grows with the table (65 536 drew fastest of
+#: 2¹⁴, 2¹⁶ and 2¹⁸ at 0.3 M and 4 M rows on a 2-core x86 VM).
+DRAW_BLOCK_ROWS = 1 << 16
 
 
 class Bernoulli(SamplingMethod):
@@ -29,8 +34,19 @@ class Bernoulli(SamplingMethod):
         return cls(percent / 100.0)
 
     def draw(self, n_rows: int, rng: np.random.Generator) -> Draw:
-        mask = rng.random(n_rows) < self.p
-        return Draw(mask=mask, lineage=row_lineage(n_rows))
+        # Consecutive ``random`` calls continue one stream: block by
+        # block they read the uniforms ``rng.random(n_rows)`` would, and
+        # leave the generator where it would (also at p = 0 and p = 1).
+        uniforms = np.empty(min(n_rows, DRAW_BLOCK_ROWS))
+        parts = [np.empty(0, dtype=np.int64)]
+        for start in range(0, n_rows, DRAW_BLOCK_ROWS):
+            block = uniforms[: min(DRAW_BLOCK_ROWS, n_rows - start)]
+            rng.random(out=block)
+            kept = np.flatnonzero(block < self.p)
+            kept += start
+            parts.append(kept)
+        rows = np.concatenate(parts)
+        return Draw(rows, rows)
 
     def gus(self, relation: str, n_rows: int) -> GUSParams:
         return bernoulli_gus(relation, self.p)

@@ -18,15 +18,32 @@ from repro.errors import ReproError
 from repro.sampling.base import Draw, SamplingMethod
 
 
-def _block_ids(n_rows: int, rows_per_block: int) -> np.ndarray:
-    return np.arange(n_rows, dtype=np.int64) // rows_per_block
-
-
 def _n_blocks(n_rows: int, rows_per_block: int) -> int:
     return -(-n_rows // rows_per_block) if n_rows else 0
 
 
-class BlockBernoulli(SamplingMethod):
+class _BlockMethod(SamplingMethod):
+    """Lineage is the block id; a draw is the rows of its kept blocks."""
+
+    rows_per_block: int
+
+    def lineage_of(self, rows: np.ndarray) -> np.ndarray:
+        return rows // self.rows_per_block
+
+    def _draw_blocks(self, n_rows: int, kept_blocks: np.ndarray) -> Draw:
+        """The rows of the ascending ``kept_blocks``, made from the kept
+        blocks alone — no block id per table row."""
+        width = self.rows_per_block
+        rows = (
+            kept_blocks[:, None] * width
+            + np.arange(min(width, n_rows), dtype=np.int64)
+        ).reshape(-1)
+        if rows.shape[0] and rows[-1] >= n_rows:  # the last block is short
+            rows = rows[rows < n_rows]
+        return Draw(rows, self.lineage_of(rows))
+
+
+class BlockBernoulli(_BlockMethod):
     """Keep each block of ``rows_per_block`` consecutive rows with
     probability ``p`` (SYSTEM-style Bernoulli)."""
 
@@ -41,10 +58,8 @@ class BlockBernoulli(SamplingMethod):
         self.rows_per_block = int(rows_per_block)
 
     def draw(self, n_rows: int, rng: np.random.Generator) -> Draw:
-        blocks = _block_ids(n_rows, self.rows_per_block)
         keep_block = rng.random(_n_blocks(n_rows, self.rows_per_block)) < self.p
-        mask = keep_block[blocks] if n_rows else np.zeros(0, dtype=bool)
-        return Draw(mask=mask, lineage=blocks)
+        return self._draw_blocks(n_rows, np.flatnonzero(keep_block))
 
     def gus(self, relation: str, n_rows: int) -> GUSParams:
         # Over block lineage this is plain Bernoulli: same-block pairs
@@ -58,7 +73,7 @@ class BlockBernoulli(SamplingMethod):
         )
 
 
-class BlockWithoutReplacement(SamplingMethod):
+class BlockWithoutReplacement(_BlockMethod):
     """Keep exactly ``n_blocks`` randomly chosen blocks."""
 
     __slots__ = ("n_blocks", "rows_per_block")
@@ -72,14 +87,12 @@ class BlockWithoutReplacement(SamplingMethod):
         self.rows_per_block = int(rows_per_block)
 
     def draw(self, n_rows: int, rng: np.random.Generator) -> Draw:
-        blocks = _block_ids(n_rows, self.rows_per_block)
         total = _n_blocks(n_rows, self.rows_per_block)
         keep = min(self.n_blocks, total)
-        keep_block = np.zeros(total, dtype=bool)
+        chosen = np.empty(0, dtype=np.int64)
         if keep:
-            keep_block[rng.choice(total, size=keep, replace=False)] = True
-        mask = keep_block[blocks] if n_rows else np.zeros(0, dtype=bool)
-        return Draw(mask=mask, lineage=blocks)
+            chosen = np.sort(rng.choice(total, size=keep, replace=False))
+        return self._draw_blocks(n_rows, chosen)
 
     def gus(self, relation: str, n_rows: int) -> GUSParams:
         total = _n_blocks(n_rows, self.rows_per_block)

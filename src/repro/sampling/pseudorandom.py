@@ -16,7 +16,10 @@ layer — and ``hash_keep`` is the keep decision ``hash01 < p`` taken on
 the 64-bit hash itself, block by block in cache, which is what every
 filter (:meth:`LineageHashBernoulli.keep`, and through it the
 coordinated, composed, catalog-thinning and load-shedding samplers)
-runs.  Rate 1 keeps every id and rate 0 none, without hashing.
+runs.  A draw over a base table keeps positions, whose ids are the
+positions themselves: ``hash_keep_positions`` hashes them block by
+block without an ``arange`` of the table.  Rate 1 keeps every id and
+rate 0 none, without hashing.
 """
 
 from __future__ import annotations
@@ -24,9 +27,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.gus import GUSParams, bernoulli_gus
-from repro.core.kernels import _finalize, hash01, hash_keep
+from repro.core.kernels import (
+    _finalize,
+    hash01,
+    hash_keep,
+    hash_keep_positions,
+)
 from repro.errors import ReproError
-from repro.sampling.base import Draw, SamplingMethod, row_lineage
+from repro.sampling.base import Draw, SamplingMethod
 
 __all__ = ["hash01", "_finalize", "LineageHashBernoulli"]
 
@@ -52,8 +60,8 @@ class LineageHashBernoulli(SamplingMethod):
         return hash_keep(self.seed, ids, self.p)
 
     def draw(self, n_rows: int, rng: np.random.Generator) -> Draw:
-        lineage = row_lineage(n_rows)
-        return Draw(mask=self.keep(lineage), lineage=lineage)
+        rows = hash_keep_positions(self.seed, n_rows, self.p)
+        return Draw(rows, rows)
 
     def gus(self, relation: str, n_rows: int) -> GUSParams:
         return bernoulli_gus(relation, self.p)

@@ -180,10 +180,10 @@ class TestEscalation:
         rng = np.random.default_rng(0)
         low = LineageHashBernoulli(0.1, seed=42)
         high = LineageHashBernoulli(0.2, seed=42)
-        kept_low = low.draw(10_000, rng).mask
-        kept_high = high.draw(10_000, rng).mask
-        assert np.all(kept_high[kept_low])
-        assert kept_high.sum() > kept_low.sum()
+        kept_low = low.draw(10_000, rng).rows
+        kept_high = high.draw(10_000, rng).rows
+        assert np.all(np.isin(kept_low, kept_high))
+        assert kept_high.size > kept_low.size
 
     def test_escalate_doubles_rates_and_caps(self):
         sizes = {"a": 1000, "b": 50}

@@ -22,12 +22,13 @@ class TestBernoulli:
     def test_keep_rate_statistics(self):
         rng = np.random.default_rng(0)
         draw = Bernoulli(0.3).draw(50_000, rng)
-        rate = draw.mask.mean()
+        rate = draw.rows.size / 50_000
         assert rate == pytest.approx(0.3, abs=0.01)
 
     def test_lineage_is_row_ids(self):
         draw = Bernoulli(0.5).draw(10, np.random.default_rng(0))
-        np.testing.assert_array_equal(draw.lineage, np.arange(10))
+        assert draw.rows.size > 0
+        np.testing.assert_array_equal(draw.lineage, draw.rows)
 
     def test_gus_matches_figure1(self):
         g = Bernoulli(0.25).gus("r", 1000)
@@ -48,12 +49,12 @@ class TestBernoulli:
 class TestWithoutReplacement:
     def test_exact_size(self):
         draw = WithoutReplacement(100).draw(1000, np.random.default_rng(0))
-        assert draw.mask.sum() == 100
+        assert draw.rows.size == 100
 
     def test_small_table_keeps_all(self):
         method = WithoutReplacement(100)
         draw = method.draw(30, np.random.default_rng(0))
-        assert draw.mask.all()
+        np.testing.assert_array_equal(draw.rows, np.arange(30))
         assert method.gus("r", 30).a == pytest.approx(1.0)
 
     def test_gus_matches_figure1(self):
@@ -63,8 +64,7 @@ class TestWithoutReplacement:
 
     def test_no_duplicates(self):
         draw = WithoutReplacement(500).draw(1000, np.random.default_rng(1))
-        kept = draw.lineage[draw.mask]
-        assert len(set(kept.tolist())) == 500
+        assert len(set(draw.lineage.tolist())) == 500
 
     def test_negative_size_rejected(self):
         with pytest.raises(ReproError):
@@ -95,15 +95,16 @@ class TestBlockSampling:
         draw = BlockBernoulli(0.5, rows_per_block=10).draw(
             100, np.random.default_rng(0)
         )
+        kept = np.isin(np.arange(100), draw.rows)
         for block in range(10):
-            rows = slice(block * 10, (block + 1) * 10)
-            column = draw.mask[rows]
+            column = kept[block * 10 : (block + 1) * 10]
             assert column.all() or not column.any()
 
     def test_lineage_is_block_id(self):
-        draw = BlockBernoulli(0.5, rows_per_block=4).draw(
+        draw = BlockBernoulli(1.0, rows_per_block=4).draw(
             10, np.random.default_rng(0)
         )
+        np.testing.assert_array_equal(draw.rows, np.arange(10))
         np.testing.assert_array_equal(
             draw.lineage, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
         )
@@ -117,9 +118,9 @@ class TestBlockSampling:
         draw = BlockWithoutReplacement(3, rows_per_block=10).draw(
             100, np.random.default_rng(5)
         )
-        kept_blocks = set(draw.lineage[draw.mask].tolist())
+        kept_blocks = set(draw.lineage.tolist())
         assert len(kept_blocks) == 3
-        assert draw.mask.sum() == 30
+        assert draw.rows.size == 30
 
     def test_block_wor_gus_hypergeometric(self):
         g = BlockWithoutReplacement(3, 10).gus("r", 100)
@@ -136,7 +137,7 @@ class TestBlockSampling:
 
     def test_empty_table(self):
         draw = BlockBernoulli(0.5, 10).draw(0, np.random.default_rng(0))
-        assert draw.mask.size == 0
+        assert draw.rows.size == 0
 
 
 class TestHash01:
