@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +40,10 @@ class GUSParams:
 
     ``b`` is stored as a dense vector over the subset lattice of the
     lineage schema; ``b[mask]`` is ``b_T`` for the subset encoded by
-    ``mask`` (see :class:`~repro.core.lattice.SubsetLattice`).
+    ``mask`` (see :class:`~repro.core.lattice.SubsetLattice`).  No
+    attribute can be set after construction and ``b`` is read-only, so
+    one instance may be shared by every caller (:func:`bernoulli_gus`
+    hands out memoized ones).
     """
 
     __slots__ = ("lattice", "a", "b")
@@ -52,13 +56,23 @@ class GUSParams:
         *,
         validate: bool = True,
     ) -> None:
-        self.lattice = lattice
-        self.a = float(a)
         arr = validate_vector(lattice, np.asarray(b, dtype=np.float64))
         arr.setflags(write=False)
-        self.b = arr
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "a", float(a))
+        object.__setattr__(self, "b", arr)
         if validate:
             self._check()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"GUSParams is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GUSParams is immutable (cannot delete {name!r})")
+
+    def __reduce__(self):
+        # Slot state would be restored by setattr; rebuild instead.
+        return (_restore, (self.lattice, self.a, self.b))
 
     # -- construction helpers -------------------------------------------
 
@@ -181,6 +195,10 @@ class GUSParams:
         return GUSParams(sub, self.a, vec, validate=False)
 
 
+def _restore(lattice: SubsetLattice, a: float, b: np.ndarray) -> GUSParams:
+    return GUSParams(lattice, a, b, validate=False)
+
+
 # ---------------------------------------------------------------------------
 # Constructors for known sampling methods (paper Figure 1) and the
 # semiring's distinguished elements.
@@ -206,12 +224,17 @@ def null_gus(schema: Iterable[str]) -> GUSParams:
     return GUSParams(lattice, 0.0, np.zeros(lattice.size))
 
 
+@lru_cache(maxsize=1024)
 def bernoulli_gus(relation: str, p: float) -> GUSParams:
     """Bernoulli(p) sampling of a single relation.
 
     ``a = p``; distinct tuples are included independently so
     ``b_∅ = p²``; a pair with identical lineage is one tuple, so
-    ``b_R = p`` (paper Figure 1, first row).
+    ``b_R = p`` (paper Figure 1, first row).  Memoized: the same
+    ``(relation, p)`` returns the same (immutable) instance, because
+    the rewrite, the catalog's fingerprints and thinning, and the
+    optimizer's scoring all ask for the same few designs on every
+    request.
     """
     if not 0.0 <= p <= 1.0:
         raise ReproError(f"Bernoulli rate p={p} is not a probability")
@@ -222,12 +245,13 @@ def bernoulli_gus(relation: str, p: float) -> GUSParams:
     )
 
 
+@lru_cache(maxsize=1024)
 def without_replacement_gus(relation: str, n: int, population: int) -> GUSParams:
     """Fixed-size WOR (simple random) sampling of ``n`` of ``N`` tuples.
 
     ``a = n/N``; a pair of *distinct* tuples is jointly included with
     the hypergeometric probability ``n(n−1)/(N(N−1))`` (paper Figure 1,
-    second row).
+    second row).  Memoized like :func:`bernoulli_gus`.
     """
     if population <= 0:
         raise ReproError(f"population {population} must be positive")

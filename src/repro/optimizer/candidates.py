@@ -121,9 +121,6 @@ class PlanCandidate:
     methods: dict[str, SamplingMethod]
     skeleton: QuerySkeleton = field(repr=False)
 
-    def plan(self) -> p.Aggregate:
-        return self.skeleton.build(self.order, self.methods)
-
 
 def decompose(
     plan: p.Aggregate, column_owner: Mapping[str, str]

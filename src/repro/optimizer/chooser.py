@@ -12,7 +12,15 @@ a guaranteed-accuracy answer:
    predictor, predicted cost from the calibrated
    :class:`~repro.optimizer.cost.CostModel` — and choose the cheapest
    candidate whose prediction meets the
-   :class:`~repro.optimizer.budget.ErrorBudget`;
+   :class:`~repro.optimizer.budget.ErrorBudget`.  What depends on the
+   join order is paid once per order: its plan, its canonical core,
+   the catalog read and each stored synopsis's residual predicates.
+   What depends on the method assignment is paid once per assignment:
+   the combined GUS and its variance, the per-relation rates, and the
+   design its first attempt executes.  A candidate then costs a rate
+   comparison against the order's synopses (a stored sample that would
+   serve its first attempt makes it cost one pass over that sample)
+   or a cost walk over the order's plan at the assignment's rates;
 4. execute the chosen plan through the SBox; if the *realized* interval
    misses the budget (pilot noise, unlucky draw), **escalate**: retry
    at geometrically increased rates, with hash-keyed filters reusing
@@ -269,42 +277,32 @@ class SamplingPlanOptimizer:
 
     # -- scoring ----------------------------------------------------------
 
-    def _matcher(self):
-        """A reuse matcher over the database's synopsis catalog, if any."""
-        synopses = getattr(self.db, "synopses", None)
-        if synopses is None:
-            return None
-        from repro.store import ReuseMatcher
+    def _usable_synopses(
+        self, skeleton: QuerySkeleton, orders, sizes
+    ) -> "dict[tuple[str, ...], list] | None":
+        """Per join order, the stored synopses of its core with their
+        residual predicates (the matcher's residual step); ``None``
+        without a synopsis catalog.
 
-        return ReuseMatcher(synopses)
-
-    def _candidate_cost(
-        self, candidate: PlanCandidate, sizes, matcher, draw_token
-    ) -> tuple[CostEstimate, bool]:
-        """Predicted cost, discounted when a stored synopsis subsumes it.
-
-        A cached candidate costs one pass over the stored sample (the
-        matcher will serve it by pushdown/thinning at execution time),
-        which is what lets the chooser prefer already-paid-for samples
-        over fresh scans.  ``draw_token`` identifies the RNG stream the
-        execution will consume, so RNG-drawn designs match exactly the
-        synopses their execution would actually hit.
+        The core is built without samplers: the as-written methods play
+        no part in which synopses cover which predicates, and one that
+        :func:`~repro.store.canonicalize` refuses (WITH REPLACEMENT)
+        must not switch reuse off for every other assignment.
         """
-        plan = candidate.plan()
-        if matcher is not None:
-            from repro.store import canonicalize
+        catalog = getattr(self.db, "synopses", None)
+        if catalog is None:
+            return None
+        from repro.store import canonicalize
+        from repro.store.matcher import usable_synopses
 
-            canon = canonicalize(plan.child, sizes, draw_token=draw_token)
-            if canon is not None:
-                decision = matcher.peek(canon)
-                if decision is not None:
-                    return (
-                        self.cost_model.reuse_estimate(
-                            decision.synopsis.n_rows
-                        ),
-                        True,
-                    )
-        return self.cost_model.estimate(plan), False
+        usable = {}
+        for order in orders:
+            core = canonicalize(skeleton.build(order, {}).child, sizes)
+            usable[order] = (
+                [] if core is None
+                else usable_synopses(core, catalog.candidates(core))
+            )
+        return usable
 
     def report(
         self,
@@ -344,51 +342,77 @@ class SamplingPlanOptimizer:
         if on_pilot is not None:
             on_pilot(predictor.pilot, pilot_rate)
         sizes = self.db.sizes()
-        schema = frozenset(skeleton.relations)
+        schema = sorted(skeleton.relations)
         orders = join_orders(skeleton, limit=ORDER_LIMIT)
         target = budget.target_relative_std
         critical = budget.critical_value
-        matcher = self._matcher()
-        draw_token = None
-        if matcher is not None:
-            from repro.store.fingerprint import draw_token_of
-
-            # The escalation loop's first attempt executes with
-            # db.rng(seed): that stream's identity is what any stored
-            # RNG-drawn synopsis must match to be served.
-            draw_token = draw_token_of(self.db.rng(seed))
-
         scored: list[ScoredCandidate] = []
         naive: ScoredCandidate | None = None
         n_scored = 0
         t_score = perf_counter()
         with maybe_span(tracer, "optimizer.score", kind="optimizer") as sp:
+            # Per join order, once: the plan every candidate over it is
+            # priced on, and the synopses that could serve it.
+            plans = {order: skeleton.build(order) for order in orders}
+            usable = self._usable_synopses(skeleton, orders, sizes)
+            draw_token = None
+            if usable is not None:
+                from repro.store.fingerprint import design_of, draw_token_of
+                from repro.store.matcher import best_decision
+
+                # The escalation loop's first attempt executes with
+                # db.rng(seed): that stream's identity is what any
+                # stored RNG-drawn synopsis must match to be served.
+                draw_token = draw_token_of(self.db.rng(seed))
+            cost_sizes = self.cost_model.table_sizes
             for assignment in enumerate_assignments(
                 skeleton, sizes, seed=seed
             ):
                 label, methods = assignment.label, assignment.methods
-                params = combined_gus(methods, sizes, sorted(schema))
+                # Per assignment, once: the variance, the rates the
+                # cost walk prices it at, and the design its first
+                # attempt (reusable_methods, as optimize runs it) would
+                # ask the catalog for.
+                params = combined_gus(methods, sizes, schema)
                 rel_std = predictor.predicted_relative_std(params)
                 feasible = rel_std <= target
+                rates = {
+                    rel: m.gus(rel, cost_sizes.get(rel, 0)).a
+                    for rel, m in methods.items()
+                }
+                design = (
+                    None if usable is None
+                    else design_of(reusable_methods(methods, seed), sizes)
+                )
                 # Variance is join-order independent; cost is not.  Keep
                 # the cheapest order per assignment (the ranking only
                 # ever needs the per-assignment winner).
                 best: ScoredCandidate | None = None
                 for order in orders:
-                    candidate = PlanCandidate(
-                        label, order, methods, skeleton
+                    decision = (
+                        None if design is None
+                        else best_decision(design, draw_token, usable[order])
                     )
-                    cost, reused = self._candidate_cost(
-                        candidate, sizes, matcher, draw_token
-                    )
+                    # A cached candidate costs one pass over the stored
+                    # sample (served by pushdown/thinning at execution),
+                    # which is what lets the chooser prefer already-
+                    # paid-for samples over fresh scans.
+                    if decision is None:
+                        cost = self.cost_model.estimate(plans[order], rates)
+                    else:
+                        cost = self.cost_model.reuse_estimate(
+                            decision.synopsis.n_rows
+                        )
                     n_scored += 1
                     sc = ScoredCandidate(
-                        candidate=candidate,
+                        candidate=PlanCandidate(
+                            label, order, methods, skeleton
+                        ),
                         params=params,
                         predicted_relative_half_width=rel_std * critical,
                         cost=cost,
                         feasible=feasible,
-                        reused=reused,
+                        reused=decision is not None,
                     )
                     if best is None or cost.seconds < best.cost.seconds:
                         best = sc

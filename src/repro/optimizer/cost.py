@@ -195,10 +195,19 @@ class CostModel:
 
     # -- estimation ------------------------------------------------------
 
-    def estimate(self, plan: p.PlanNode) -> CostEstimate:
-        """Walk the plan bottom-up, accumulating predicted work."""
+    def estimate(
+        self, plan: p.PlanNode, rates: Mapping[str, float] | None = None
+    ) -> CostEstimate:
+        """Walk the plan bottom-up, accumulating predicted work.
+
+        ``rates`` (relation → first-order inclusion rate ``a``) prices
+        each ``TableSample`` of a named relation at that rate instead of
+        its own method's, so one plan per join order prices every
+        method assignment over it; take the rates at
+        :attr:`table_sizes`, as the walk does.
+        """
         state = {"scanned": 0.0, "joined": 0.0, "build_max": 0.0}
-        self._rows(plan, state)
+        self._rows(plan, state, rates or {})
         seconds = (
             state["scanned"] * self.scan_seconds_per_row
             + state["joined"] * self.join_seconds_per_row
@@ -225,38 +234,43 @@ class CostModel:
             seconds=rows * self.scan_seconds_per_row,
         )
 
-    def _rows(self, node: p.PlanNode, state: dict[str, float]) -> float:
+    def _rows(
+        self,
+        node: p.PlanNode,
+        state: dict[str, float],
+        rates: Mapping[str, float],
+    ) -> float:
         if isinstance(node, p.Scan):
             n = float(self.table_sizes.get(node.table_name, 0))
             state["scanned"] += n
             return n
         if isinstance(node, p.TableSample):
-            n = self._rows(node.child, state)
-            a = node.method.gus(
-                node.child.table_name,
-                self.table_sizes.get(node.child.table_name, 0),
-            ).a
+            n = self._rows(node.child, state, rates)
+            name = node.child.table_name
+            a = rates.get(name)
+            if a is None:
+                a = node.method.gus(name, self.table_sizes.get(name, 0)).a
             state["scanned"] += n  # the filter pass touches every row
             return n * a
         if isinstance(node, p.LineageSample):
-            n = self._rows(node.child, state)
+            n = self._rows(node.child, state, rates)
             state["scanned"] += n
             return n * node.sampler.gus().a
         if isinstance(node, p.Select):
-            n = self._rows(node.child, state)
+            n = self._rows(node.child, state, rates)
             state["scanned"] += n
             return n * self.selectivity
         if isinstance(node, p.Project):
-            n = self._rows(node.child, state)
+            n = self._rows(node.child, state, rates)
             state["scanned"] += n
             return n
         if isinstance(node, p.Aggregate):
-            n = self._rows(node.child, state)
+            n = self._rows(node.child, state, rates)
             state["scanned"] += n
             return 1.0
         if isinstance(node, p.Join):
-            left = self._rows(node.left, state)
-            right = self._rows(node.right, state)
+            left = self._rows(node.left, state, rates)
+            right = self._rows(node.right, state, rates)
             out = left * right / max(
                 1.0,
                 *(self._ndv(node.left, k) for k in node.left_keys),
@@ -268,16 +282,16 @@ class CostModel:
             state["build_max"] = max(state["build_max"], left)
             return out
         if isinstance(node, p.CrossProduct):
-            left = self._rows(node.left, state)
-            right = self._rows(node.right, state)
+            left = self._rows(node.left, state, rates)
+            right = self._rows(node.right, state, rates)
             out = left * right
             state["joined"] += left + right + out
             # Cross products stream the left side and hold the right.
             state["build_max"] = max(state["build_max"], right)
             return out
         if isinstance(node, (p.Union, p.Intersect)):
-            left = self._rows(node.left, state)
-            right = self._rows(node.right, state)
+            left = self._rows(node.left, state, rates)
+            right = self._rows(node.right, state, rates)
             state["joined"] += left + right
             return left + right if isinstance(node, p.Union) else min(left, right)
         raise PlanError(f"cost model cannot walk {type(node).__name__}")

@@ -4,7 +4,9 @@ Theorem 1's variance splits into data terms (``y_S``) and sampling
 terms (``c_S / a²``).  One executed *pilot* sample yields unbiased
 ``Ŷ_S`` estimates of the data terms over the full query schema; every
 candidate sampling design then costs only its own ``c_S / a²`` weights
-— a Möbius transform and a dot product — to score.  This module is the
+— a Möbius transform and a dot product — to score (the chooser
+builds no plan per candidate: join-order work is paid once per order,
+see :mod:`repro.optimizer.chooser`).  This module is the
 shared engine behind both the interactive advisor
 (:mod:`repro.apps.advisor`) and the cost-based optimizer: the advisor
 ranks a handful of hand-named strategies, the optimizer sweeps hundreds

@@ -89,32 +89,45 @@ class DimensionDesign:
 
 @dataclass(frozen=True)
 class SamplingDesign:
-    """The per-relation sampling designs of one plan, canonically ordered."""
+    """The per-relation sampling designs of one plan, canonically ordered.
+
+    Every derived view is computed once per design: the matcher asks a
+    stored design for its rates once per candidate it is compared with.
+    """
 
     dims: tuple[DimensionDesign, ...]
+
+    @classmethod
+    def of(cls, dims: Mapping[str, DimensionDesign]) -> "SamplingDesign":
+        return cls(dims=tuple(dims[rel] for rel in sorted(dims)))
 
     @cached_property
     def exact_key(self) -> tuple:
         return tuple((d.relation, d.exact) for d in self.dims)
 
-    @property
+    @cached_property
     def rates(self) -> dict[str, float]:
         return {d.relation: d.rate for d in self.dims}
 
     def rate_of(self, relation: str) -> float:
-        for d in self.dims:
-            if d.relation == relation:
-                return d.rate
-        return 1.0
+        return self.rates.get(relation, 1.0)
+
+    @cached_property
+    def _bernoulli_only(self) -> bool:
+        return all(d.bernoulli for d in self.dims)
 
     def bernoulli_only(self) -> bool:
-        return all(d.bernoulli for d in self.dims)
+        return self._bernoulli_only
+
+    @cached_property
+    def _rng_drawn(self) -> bool:
+        return any(d.rng_drawn for d in self.dims)
 
     def rng_drawn(self) -> bool:
         """True when any dimension's realization depends on the RNG."""
-        return any(d.rng_drawn for d in self.dims)
+        return self._rng_drawn
 
-    @property
+    @cached_property
     def sampled_relations(self) -> frozenset[str]:
         return frozenset(d.relation for d in self.dims)
 
@@ -176,6 +189,21 @@ def _method_dimension(
         # else realizes through the executor RNG.
         rng_drawn=not isinstance(method, LineageHashBernoulli),
     )
+
+
+def design_of(
+    methods: Mapping[str, SamplingMethod], sizes: Mapping[str, int]
+) -> SamplingDesign | None:
+    """The design of one ``TABLESAMPLE`` per relation, as
+    :func:`canonicalize` would factor it out of a plan holding them;
+    ``None`` when a method is outside the reuse algebra."""
+    dims: dict[str, DimensionDesign] = {}
+    for rel, method in methods.items():
+        dim = _method_dimension(rel, method, sizes, "tablesample")
+        if dim is None:
+            return None
+        dims[rel] = dim
+    return SamplingDesign.of(dims)
 
 
 class _NotCanonical(Exception):
@@ -257,9 +285,7 @@ def canonicalize(
         core_key = visit(plan)
     except _NotCanonical:
         return None
-    design = SamplingDesign(
-        dims=tuple(dims[rel] for rel in sorted(dims))
-    )
+    design = SamplingDesign.of(dims)
     pred_keys = frozenset(pr.key() for pr in preds)
     return CanonicalPlan(
         core_key=core_key,

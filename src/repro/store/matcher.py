@@ -25,11 +25,20 @@ it.  Three reuse modes, in preference order:
   estimator.  The query side must be Bernoulli-family (its rates are
   free parameters); the stored side may be *any* GUS.
 
+A decision takes two steps.  The *residual* step
+(:func:`usable_synopses`) compares predicates and
+depends on the query's core expression only; the *design* step
+(:func:`best_decision`) compares sampling designs and rates.  The
+optimizer runs the residual step once per join order and the design
+step once per candidate design; :func:`choose` runs both for one
+query.
+
 The residual thinning seeds are a stable hash of (stored design,
 relation, requested design), so the same request thins the same way
 every time — including after an eviction-and-repopulate or a process
 restart — while differently-seeded requests get independent residual
-draws.
+draws.  The requested design's hash (``design_token``) is taken only
+for the thin decision :func:`choose` returns, the one that is served.
 
 Both residual operations read lineage and predicate columns only, so
 :func:`materialize` prunes before it filters: the stored synopsis keeps
@@ -43,7 +52,7 @@ the named ones *in the stored sample* — once, for every later hit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,7 +63,7 @@ from repro.relational.expressions import Expr
 from repro.relational.table import Table
 from repro.sampling.pseudorandom import LineageHashBernoulli
 from repro.store.catalog import Synopsis, SynopsisCatalog
-from repro.store.fingerprint import RATE_TOL, CanonicalPlan
+from repro.store.fingerprint import RATE_TOL, CanonicalPlan, SamplingDesign
 
 _KIND_RANK = {"exact": 0, "pushdown": 1, "thin": 2}
 
@@ -80,7 +89,9 @@ class ReuseDecision:
     thinning seeds: two queries at the same reduced rate but different
     identities (REPEATABLE(5) vs REPEATABLE(6)) get independent
     residual draws instead of collapsing onto one realization, while
-    repeats of the same statement stay deterministic.
+    repeats of the same statement stay deterministic.  It is set on
+    the decision :func:`choose` returns; :func:`best_decision` leaves
+    it 0, since only a served decision thins.
     """
 
     synopsis: Synopsis
@@ -127,32 +138,59 @@ def thin_seed(stored_token: int, relation: str, design_token: int = 0) -> int:
     return int.from_bytes(digest, "big") & (2**63 - 1)
 
 
-def _decide(canon: CanonicalPlan, syn: Synopsis) -> ReuseDecision | None:
-    """Can this synopsis serve this query?  (Pure; no catalog state.)"""
+def usable_synopses(
+    canon: CanonicalPlan,
+    candidates: list[Synopsis],
+    required_columns: frozenset[str] = frozenset(),
+) -> list[tuple[Synopsis, tuple[Expr, ...]]]:
+    """The residual step: each candidate that has ``required_columns``
+    and applied no conjunct the query lacks (a *more* filtered stored
+    sample is unusable), with the query's conjuncts it has not applied.
+    Reads predicates only, so it holds for every design over the same
+    core."""
+    usable = []
+    for syn in candidates:
+        stored = syn.canon
+        if not required_columns <= syn.columns:
+            continue
+        if not stored.pred_keys <= canon.pred_keys:
+            continue
+        residual = tuple(
+            pr for pr in canon.predicates if pr.key() not in stored.pred_keys
+        )
+        usable.append((syn, residual))
+    return usable
+
+
+def _decide(
+    design: SamplingDesign,
+    draw_token: int | None,
+    syn: Synopsis,
+    residual: tuple[Expr, ...],
+) -> ReuseDecision | None:
+    """The design step: can this synopsis serve this design, and how?
+    (Pure; no catalog state.)  A thin decision carries no
+    ``design_token`` yet: :func:`choose` hashes one for the decision it
+    returns."""
     stored = syn.canon
-    if not stored.pred_keys <= canon.pred_keys:
-        return None  # the stored sample is *more* filtered: unusable
-    residual = tuple(
-        pr for pr in canon.predicates if pr.key() not in stored.pred_keys
-    )
-    same_design = stored.design.exact_key == canon.design.exact_key
+    same_design = stored.design.exact_key == design.exact_key
     if same_design and stored.design.rng_drawn():
         # RNG-drawn designs realize through the executor stream: only
         # the same stream position is the same request.
-        same_design = stored.draw_token == canon.draw_token
+        same_design = stored.draw_token == draw_token
     if same_design:
         kind = "exact" if not residual else "pushdown"
         return ReuseDecision(synopsis=syn, kind=kind, residual=residual)
     # Rate subsumption: the query's rates must be freely choosable
     # (Bernoulli family) and dominated by the stored rates everywhere.
-    if not canon.design.bernoulli_only():
+    if not design.bernoulli_only():
         return None
     thin: list[tuple[str, float]] = []
     for rel in sorted(
-        stored.design.sampled_relations | canon.design.sampled_relations
+        stored.design.sampled_relations | design.sampled_relations
     ):
-        want = canon.design.rate_of(rel)
-        have = syn.canon.design.rate_of(rel)
+        want = design.rate_of(rel)
+        have = stored.design.rate_of(rel)
         if want > have + RATE_TOL:
             return None  # stored sample is too thin on this dimension
         if have <= 0.0:
@@ -168,28 +206,22 @@ def _decide(canon: CanonicalPlan, syn: Synopsis) -> ReuseDecision | None:
         # swaps realizations alongside a genuine rate reduction.
         return None
     return ReuseDecision(
-        synopsis=syn,
-        kind="thin",
-        residual=residual,
-        thin_rates=tuple(thin),
-        design_token=design_token_of(canon),
+        synopsis=syn, kind="thin", residual=residual, thin_rates=tuple(thin)
     )
 
 
-def choose(
-    canon: CanonicalPlan,
-    candidates: list[Synopsis],
-    *,
-    required_columns: frozenset[str] = frozenset(),
+def best_decision(
+    design: SamplingDesign,
+    draw_token: int | None,
+    usable: list[tuple[Synopsis, tuple[Expr, ...]]],
 ) -> ReuseDecision | None:
-    """Pick the best usable synopsis: exact > pushdown > thin, then
-    fewest residual operations, then the smallest stored sample."""
+    """The best design step over :func:`usable_synopses`: exact >
+    pushdown > thin, then fewest residual operations, then the smallest
+    stored sample."""
     best: ReuseDecision | None = None
     best_rank: tuple | None = None
-    for syn in candidates:
-        if not required_columns <= syn.columns:
-            continue
-        decision = _decide(canon, syn)
+    for syn, residual in usable:
+        decision = _decide(design, draw_token, syn, residual)
         if decision is None:
             continue
         rank = (
@@ -200,6 +232,24 @@ def choose(
         )
         if best_rank is None or rank < best_rank:
             best, best_rank = decision, rank
+    return best
+
+
+def choose(
+    canon: CanonicalPlan,
+    candidates: list[Synopsis],
+    *,
+    required_columns: frozenset[str] = frozenset(),
+) -> ReuseDecision | None:
+    """Pick the best usable synopsis (:func:`best_decision`); a thin
+    decision gets the query's ``design_token``."""
+    best = best_decision(
+        canon.design,
+        canon.draw_token,
+        usable_synopses(canon, candidates, required_columns),
+    )
+    if best is not None and best.kind == "thin":
+        best = replace(best, design_token=design_token_of(canon))
     return best
 
 
@@ -285,7 +335,7 @@ class ReuseMatcher:
         *,
         required_columns: frozenset[str] = frozenset(),
     ) -> ReuseDecision | None:
-        """Non-accounting probe (used by the optimizer's cost scoring)."""
+        """Non-accounting probe: the decision :meth:`match` would take."""
         return choose(
             canon,
             self.catalog.candidates(canon),

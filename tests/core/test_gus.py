@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,28 @@ class TestAccessors:
         g = bernoulli_gus("r", 0.5)
         with pytest.raises(ValueError):
             g.b[0] = 0.0
+
+    @pytest.mark.parametrize("name", ["a", "b", "lattice"])
+    def test_attributes_cannot_be_reassigned(self, name):
+        """A memoized instance is shared: no caller may rebind a part."""
+        g = bernoulli_gus("r", 0.5)
+        before = getattr(g, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(g, name, before)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(g, name)
+        assert getattr(g, name) is before
+
+    def test_bernoulli_gus_is_memoized(self):
+        assert bernoulli_gus("r", 0.25) is bernoulli_gus("r", 0.25)
+        assert bernoulli_gus("r", 0.25) is not bernoulli_gus("s", 0.25)
+        assert bernoulli_gus("r", 0.25) is not bernoulli_gus("r", 0.5)
+
+    def test_pickle_round_trip(self):
+        g = without_replacement_gus("r", 3, 10)
+        back = pickle.loads(pickle.dumps(g))
+        assert back.approx_equal(g, tol=0.0)
+        assert not back.b.flags.writeable
 
     def test_approx_equal(self):
         g1 = bernoulli_gus("r", 0.5)
