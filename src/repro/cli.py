@@ -380,7 +380,7 @@ def _add_query_subcommand(subcommands) -> None:
     )
     query.add_argument(
         "--progressive", action="store_true",
-        help="stream tightening (estimate, ci) frames as the "
+        help="stream one (estimate, ci) frame per rung as the "
         "escalation ladder runs",
     )
     query.add_argument(

@@ -102,7 +102,7 @@ class AttemptRecord:
 
     ``rate`` is the largest per-relation sampling fraction of the
     attempt's method assignment — the "how much data so far" label a
-    progressive client displays next to the tightening interval.
+    progressive client displays next to the rung's interval.
     """
 
     attempt: int

@@ -4,8 +4,8 @@ Layers, transport-independent first:
 
 * :mod:`repro.serve.protocol` — the NDJSON wire format;
 * :mod:`repro.serve.progressive` — the escalation ladder as a stream of
-  monotonically tightening frames (bit-identical to a non-progressive
-  run at the same seed);
+  frames, each with its own rung's interval (the last one bit-identical
+  to a non-progressive run at the same seed);
 * :mod:`repro.serve.admission` — admit / degrade / reject, with the
   Section 8 load shedder as the policy engine;
 * :mod:`repro.serve.handler` — the one request brain every front-end

@@ -13,20 +13,13 @@ frame near-free), then every escalation attempt until the error budget
 is met, the ladder tops out at a full scan, the deadline passes, or the
 client goes away.
 
-Two contracts the server advertises are enforced here:
-
-* **Monotone convergence** — the streamed interval of frame *k* is
-  never wider than frame *k−1*'s.  Raw confidence intervals cannot
-  promise that (an unlucky rung can widen), so frames carry the
-  *envelope*: the running intersection of all raw intervals, falling
-  back to an interval centred on the current estimate with the smaller
-  of (previous, current) half-widths whenever the intersection is empty
-  or excludes the estimate.  The displayed interval is always a subset
-  of the current raw interval's width, so the final frame still meets
-  the budget whenever the raw answer does.
-* **Bit-identity** — the hooks only observe; the RNG stream, chosen
-  plan, and final answer equal a non-progressive ``db.sql(...)`` run of
-  the same statement at the same seed.
+Each frame carries its own rung's interval, at the budget's level and
+method.  A frame may be wider than the one before: the pilot runs at a
+fixed rate, and under a loose budget the optimizer may answer from a
+cheaper rung below it.
+The hooks only observe, so the RNG stream, the chosen plan and the
+final frame's estimate *and interval* equal a non-progressive
+``db.sql(...)`` run of the same statement at the same seed.
 
 Cancellation is cooperative: ``cancelled``/``deadline`` are checked
 before each engine execution (never inside one), so an abandoned ladder
@@ -66,10 +59,6 @@ class ProgressiveFrame:
     n_sample: int
     elapsed: float
 
-    @property
-    def width(self) -> float:
-        return self.ci_hi - self.ci_lo
-
 
 @dataclass(frozen=True)
 class ProgressiveOutcome:
@@ -77,7 +66,7 @@ class ProgressiveOutcome:
 
     ``status`` is ``ok`` (budget loop ran to completion), ``deadline``,
     or ``cancelled``; the two aborts keep the frames streamed so far —
-    the client's last interval stands, it just stops tightening.
+    the client's last frame stands, no further rung runs.
     """
 
     status: str
@@ -156,7 +145,6 @@ def run_progressive(
     alias = _display_alias(plan)
 
     frames: list[ProgressiveFrame] = []
-    envelope: tuple[float, float] | None = None
 
     def check(stage: str) -> None:
         if cancelled is not None and cancelled():
@@ -167,29 +155,15 @@ def run_progressive(
             note_execution()
 
     def push(stage: str, result: "QueryResult", rate: float) -> None:
-        nonlocal envelope
         est = result.estimates[alias]
         ci = est.ci(budget.level, budget.method)
-        lo, hi = float(ci.lo), float(ci.hi)
-        value = float(est.value)
-        if envelope is None:
-            envelope = (lo, hi)
-        else:
-            ilo, ihi = max(envelope[0], lo), min(envelope[1], hi)
-            if ilo <= value <= ihi:
-                envelope = (ilo, ihi)
-            else:
-                # Empty intersection, or it excludes the new point
-                # estimate: recentre, at no more than either width.
-                half = min(hi - lo, envelope[1] - envelope[0]) / 2.0
-                envelope = (value - half, value + half)
         frame = ProgressiveFrame(
             sequence=len(frames),
             stage=stage,
             alias=alias,
-            estimate=value,
-            ci_lo=envelope[0],
-            ci_hi=envelope[1],
+            estimate=float(est.value),
+            ci_lo=float(ci.lo),
+            ci_hi=float(ci.hi),
             rate=float(rate),
             n_sample=int(est.n_sample),
             elapsed=time.monotonic() - start,

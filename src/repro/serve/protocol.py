@@ -5,8 +5,8 @@ object tagged with the request's ``id`` so responses of pipelined
 requests can interleave on one connection:
 
 * ``{"type": "frame", ...}`` — a progressive estimate; zero or more
-  per query, each carrying ``(estimate, ci_lo, ci_hi, rate)`` with the
-  interval guaranteed no wider than the previous frame's;
+  per query, each carrying ``(estimate, ci_lo, ci_hi, rate)`` of its
+  own rung; the last one's interval is the answer's;
 * ``{"type": "result", ...}`` — the terminal answer (exactly one per
   accepted request);
 * ``{"type": "error", "code": ..., ...}`` — the terminal failure.

@@ -18,6 +18,8 @@ noise.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -414,3 +416,46 @@ class TestGroupedMomentsDirect:
                 pruned.lattice,
             )
             np.testing.assert_array_equal(matrix[g], vec)
+
+
+class TestOnePassAcrossGroups:
+    """The grouped estimate is one vectorized pass, whatever the groups.
+
+    Counted, not timed: every Python and C function call (numpy's and
+    the kernels' included) made by one :func:`estimate_sums_grouped`
+    call.  A per-group loop anywhere in the compaction, the moment
+    matrices or the unbiasing adds calls per group.  The inputs keep
+    every data-dependent branch the same at both group counts: each
+    row appears twice (no compaction is the identity), and the lineage
+    keys are wide enough that every packed key takes the same number
+    of 16-bit radix passes at 10 and at 1 000 groups.
+    """
+
+    @staticmethod
+    def _calls(n_groups: int, n: int = 5_000) -> int:
+        rng = np.random.default_rng(0)
+        f = np.tile(rng.uniform(0.0, 10.0, n), 2)
+        lineage = {
+            "l": np.tile(rng.integers(0, 1 << 20, n), 2),
+            "o": np.tile(rng.integers(0, 1 << 16, n), 2),
+        }
+        groups = np.tile(rng.permutation(np.arange(n) % n_groups), 2)
+        gus = join_gus(bernoulli_gus("l", 0.1), bernoulli_gus("o", 0.5))
+        gids, n_out = group_ids([groups], 2 * n)
+        assert n_out == n_groups
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        sys.setprofile(count)
+        try:
+            estimate_sums_grouped(gus, f, lineage, gids, n_out)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_call_count_does_not_grow_with_the_groups(self):
+        self._calls(10)  # first-use caches (lattice transforms) filled
+        assert self._calls(1_000) == self._calls(10)

@@ -201,3 +201,37 @@ class TestOtherNodes:
         plan = TableSample(Scan("customer"), WithoutReplacement(150))
         result = rewrite_to_top_gus(plan, SIZES)
         assert result.params.a == pytest.approx(0.1)
+
+
+class TestLatticeScaling:
+    """A chain of eight joins, ``k`` of them sampled.
+
+    The rewrite keeps every relation in the top GUS's schema, and
+    pruning the identity ones leaves a lattice of ``2^k`` cells, so
+    the analysis of two sampled relations costs like two, not eight.
+    """
+
+    @staticmethod
+    def _chain(k_sampled: int, n_total: int = 8):
+        sizes = {f"r{i}": 10_000 for i in range(n_total)}
+        tree = None
+        for i in range(n_total):
+            leaf = Scan(f"r{i}")
+            if i < k_sampled:
+                leaf = TableSample(leaf, Bernoulli(0.5))
+            tree = (
+                leaf
+                if tree is None
+                else Join(tree, leaf, [f"k{i - 1}"], [f"k{i}"])
+            )
+        return tree, sizes
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_pruned_lattice_has_two_to_the_k_cells(self, k):
+        tree, sizes = self._chain(k)
+        params = rewrite_to_top_gus(tree, sizes).params
+        assert params.schema == {f"r{i}" for i in range(8)}
+        pruned = params.project_out_inactive()
+        assert pruned.schema == {f"r{i}" for i in range(k)}
+        assert pruned.lattice.size == 2**k
+        assert pruned.a == pytest.approx(0.5**k)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.subsample import SubsampleSpec
-from repro.data.workloads import query1_plan
+from repro.core.estimator import exact_moments
+from repro.core.subsample import SubsampleSpec, subsampled_estimate
+from repro.data.workloads import REVENUE_EXPR, query1_plan
 from repro.errors import PlanError
 from repro.relational.expressions import col, lit
 from repro.relational.plan import (
@@ -17,7 +18,7 @@ from repro.relational.plan import (
     Select,
     TableSample,
 )
-from repro.sampling import Bernoulli
+from repro.sampling import Bernoulli, BlockBernoulli, WithoutReplacement
 
 
 def _mk_db(n_orders=300, n_lines=2000, seed=5):
@@ -84,8 +85,6 @@ class TestPointEstimates:
         assert est.ci(0.95, "chebyshev").width > est.ci(0.95, "normal").width
 
     def test_variance_estimate_tracks_true_variance(self, db, plan):
-        from repro.core.estimator import exact_moments
-
         rewrite = db.analyze(plan)
         full = db.execute_exact(plan.child)
         f = (col("l_discount") * (lit(1.0) - col("l_tax"))).eval(full)
@@ -97,6 +96,36 @@ class TestPointEstimates:
             ]
         )
         assert var_estimates.mean() == pytest.approx(true_var, rel=0.25)
+
+
+class TestCoverageAcrossSchemes:
+    """95 % intervals cover at the nominal rate whatever the scheme."""
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            Bernoulli(0.2),
+            WithoutReplacement(400),
+            # 125 blocks of 16 rows: enough blocks for the CLT.
+            BlockBernoulli(0.2, 16),
+        ],
+        ids=["bernoulli", "wor", "block"],
+    )
+    def test_single_table_coverage(self, db, method):
+        plan = Aggregate(
+            TableSample(Scan("lineitem"), method),
+            [AggSpec("sum", REVENUE_EXPR, "revenue")],
+        )
+        truth = db.execute_exact(plan).to_rows()[0][0]
+        trials = 120
+        hits = sum(
+            db.estimate(plan, seed=seed).estimates["revenue"]
+            .ci(0.95)
+            .contains(truth)
+            for seed in range(trials)
+        )
+        # 0.87 is 4σ below 0.95 at 120 trials.
+        assert hits / trials > 0.87
 
 
 class TestAggregateKinds:
@@ -261,6 +290,41 @@ class TestSubsampledVariance:
                 sub.estimates[alias].variance_raw
                 != full.estimates[alias].variance_raw
             )
+
+
+class TestSubsampleWidthFactor:
+    """Section 7: a small sub-sample still gives a usable interval.
+
+    An error in Ŷ only scales the interval's width, so the width factor
+    ``sqrt(var_estimate / true_var)`` of one 3 379-row join sample stays
+    near 1 as the per-dimension sub-sampling rate falls to 1/8.
+    """
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        db = _mk_db(n_orders=2000, n_lines=20_000)
+        plan = query1_plan(lineitem_rate=0.5, orders_rows=1000)
+        params = db.analyze(plan).params
+        sample = db.execute(plan.child, seed=13)
+        f = np.asarray(REVENUE_EXPR.eval(sample), dtype=np.float64)
+        full = db.execute_exact(plan.child)
+        f_full = np.asarray(REVENUE_EXPR.eval(full), dtype=np.float64)
+        _, true_var = exact_moments(params, f_full, full.lineage)
+        return params, f, sample.lineage, true_var
+
+    @pytest.mark.parametrize("rate", [1.0, 0.5, 0.25, 0.125])
+    def test_width_factor_stays_near_one(self, inputs, rate):
+        params, f, lineage, true_var = inputs
+        estimates = np.array(
+            [
+                subsampled_estimate(
+                    params, f, lineage, SubsampleSpec(rate=rate, seed=seed)
+                ).variance_raw
+                for seed in range(12)
+            ]
+        )
+        width_factor = np.sqrt(np.maximum(estimates, 0.0) / true_var)
+        assert 0.4 < width_factor.mean() < 2.5
 
 
 class TestQueryResultAPI:

@@ -118,11 +118,16 @@ class TestProgressiveOverTcp:
             assert result["status"] == "ok"
             assert result["met"] is True
             assert len(frames) == result["frames"] >= 2
-            widths = [f["ci_hi"] - f["ci_lo"] for f in frames]
-            assert all(
-                b <= a + 1e-9 for a, b in zip(widths, widths[1:])
+            last = frames[-1]
+            assert (
+                result["estimate"],
+                result["ci_lo"],
+                result["ci_hi"],
+            ) == (last["estimate"], last["ci_lo"], last["ci_hi"])
+            # ... and it is the interval the answer's text prints.
+            assert f"[{last['ci_lo']:.6g}, {last['ci_hi']:.6g}]" in (
+                result["text"]
             )
-            assert result["estimate"] == frames[-1]["estimate"]
 
         run(scenario())
 

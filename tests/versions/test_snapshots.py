@@ -101,6 +101,38 @@ class TestSnapshotAPI:
             [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
         )
 
+    def test_update_chain_shares_every_untouched_column(self):
+        """Four updates that each rewrite ``v``: one buffer per version
+        for ``v``, one buffer in all for every other column."""
+        db = make_db()
+        db.create_table(
+            "w",
+            {
+                "k": np.arange(6, dtype=np.int64),
+                "g": np.arange(6, dtype=np.int64) % 2,
+                "x": np.linspace(0.5, 1.5, 6),
+                "v": np.ones(6),
+            },
+        )
+        for step in range(4):
+            v = db.table("w").column("v").copy()
+            v[step] += 1.0
+            db.update_table("w", db.table("w").with_columns({"v": v}))
+        assert db.versions_of("w") == (1, 2, 3, 4)
+        chain = [db.table("w")] + [db.table("w", version=n) for n in (1, 2, 3, 4)]
+        arrays = [np.asarray(t.column(name)) for t in chain for name in t.columns]
+        distinct: list[np.ndarray] = []
+        for arr in arrays:
+            if not any(np.shares_memory(arr, seen) for seen in distinct):
+                distinct.append(arr)
+        # Three shared columns plus five private ``v`` buffers: 20
+        # arrays in 8 buffers, the 2.5x sharing of a 4-deep chain.
+        assert len(arrays) == 20 and len(distinct) == 3 + 5
+        for name in ("k", "g", "x"):
+            first = np.asarray(chain[0].column(name))
+            for table in chain[1:]:
+                assert np.shares_memory(np.asarray(table.column(name)), first)
+
     def test_resolve_version(self):
         db = make_db()
         with pytest.raises(SchemaError):
