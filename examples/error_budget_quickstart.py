@@ -6,7 +6,9 @@ cost-based optimizer close the loop:
 
 1. one cheap pilot execution prices *every* candidate sampling design
    (Theorem 1 separates data moments from sampling coefficients);
-2. a micro-probe-calibrated cost model prices each candidate's work;
+2. a cost model prices each candidate's work: estimated row counts at
+   fixed per-row constants, so the plan chosen is the same on any
+   machine;
 3. the cheapest candidate predicted to meet the budget runs; if the
    realized interval misses, rates escalate geometrically — hash-keyed
    filters keep every already-drawn tuple across attempts.

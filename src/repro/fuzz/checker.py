@@ -319,15 +319,15 @@ def diff_outcomes(
 class CheckContext:
     """Shared state for checking many statements against one schema.
 
-    Holds the fuzz tables and a persistent plain :class:`Database`
-    (keeping its calibrated cost model warm for budget queries);
-    catalog databases are built fresh per reuse check so one
-    statement's synopses never serve another's.  Every database grows
-    the same deterministic ``fact`` version history
-    (:func:`install_fuzz_versions`), so generated ``AT VERSION`` pins
-    and coordinated version differences check exactly like any other
-    statement — including the exact oracle, which nets the two sides
-    at rate 1.
+    Holds the fuzz tables, a persistent plain :class:`Database`
+    (keeping its cost model's join-key distinct counts warm for budget
+    queries) and its memory-mapped twin; catalog databases are built
+    fresh per reuse check so one statement's synopses never serve
+    another's.  Every database grows the same deterministic ``fact``
+    version history (:func:`install_fuzz_versions`), so generated
+    ``AT VERSION`` pins and coordinated version differences check
+    exactly like any other statement — including the exact oracle,
+    which nets the two sides at rate 1.
     """
 
     def __init__(
@@ -494,22 +494,20 @@ class CheckContext:
                     f"one chunk vs many chunks disagree: {detail}",
                 )
             )
-        if query.budget is None:
-            # Budget queries recalibrate a cost model per database from
-            # timing micro-probes, so the chosen design (and thus the
-            # answer) is legitimately db-instance-specific; every other
-            # statement must be bit-identical across storage backends.
-            mmap_w1 = _outcome(self.mmap_db.sql, statement, seed=seed, workers=1)
-            detail = diff_outcomes(w1, mmap_w1, 0.0)
-            if detail is not None:
-                failures.append(
-                    CheckFailure(
-                        "determinism",
-                        statement,
-                        seed,
-                        f"mmap backend vs in-RAM not bit-identical: {detail}",
-                    )
+        # Every statement, a budget statement included (its cost model
+        # times nothing, so the design it picks depends on the data
+        # alone), must be bit-identical across storage backends.
+        mmap_w1 = _outcome(self.mmap_db.sql, statement, seed=seed, workers=1)
+        detail = diff_outcomes(w1, mmap_w1, 0.0)
+        if detail is not None:
+            failures.append(
+                CheckFailure(
+                    "determinism",
+                    statement,
+                    seed,
+                    f"mmap backend vs in-RAM not bit-identical: {detail}",
                 )
+            )
         return failures
 
     def check_reuse(self, statement: str, seed: int) -> list[CheckFailure]:

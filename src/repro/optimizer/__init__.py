@@ -8,7 +8,8 @@ pilot execution prices *every* candidate sampling design:
   accuracy contract;
 * :mod:`repro.optimizer.candidates` — SOA-equivalent plan variants
   (sampling families × rate ladder × join orders);
-* :mod:`repro.optimizer.cost` — micro-probe-calibrated cost model;
+* :mod:`repro.optimizer.cost` — cardinality cost model at fixed
+  per-row constants;
 * :mod:`repro.optimizer.predictor` — pilot-sample variance prediction
   (shared with the Section 8 advisor);
 * :mod:`repro.optimizer.chooser` — the optimizer proper, with the

@@ -9,8 +9,9 @@ a guaranteed-accuracy answer:
    relation) and build a
    :class:`~repro.optimizer.predictor.VariancePredictor` from it;
 3. score every candidate — predicted relative CI half-width from the
-   predictor, predicted cost from the calibrated
-   :class:`~repro.optimizer.cost.CostModel` — and choose the cheapest
+   predictor, predicted cost from the database's
+   :class:`~repro.optimizer.cost.CostModel` (fixed per-row constants,
+   so the ranking depends on no clock) — and choose the cheapest
    candidate whose prediction meets the
    :class:`~repro.optimizer.budget.ErrorBudget`.  What depends on the
    join order is paid once per order: its plan, its canonical core,
@@ -57,7 +58,7 @@ from repro.optimizer.candidates import (
     relation_seed,
     reusable_methods,
 )
-from repro.optimizer.cost import CostEstimate, CostModel
+from repro.optimizer.cost import CostEstimate
 from repro.optimizer.predictor import VariancePredictor, combined_gus
 from repro.core.gus import GUSParams
 from repro.core.sbox import QueryResult
@@ -216,16 +217,11 @@ class SamplingPlanOptimizer:
         self,
         db: "Database",
         *,
-        cost_model: CostModel | None = None,
         seed: int = 0,
         max_escalations: int = 4,
     ) -> None:
         self.db = db
-        self.cost_model = (
-            cost_model
-            if cost_model is not None
-            else CostModel.calibrate(db.tables)
-        )
+        self.cost_model = db.cost_model()
         self.seed = int(seed)
         self.max_escalations = int(max_escalations)
 

@@ -1,4 +1,4 @@
-"""Plan cost model, calibrated per database with micro-probes.
+"""Plan cost model: cardinalities times fixed per-row constants.
 
 Candidates are compared on a simple but honest model of this engine's
 executor: every base table is scanned in full (Bernoulli/WOR filters
@@ -12,33 +12,35 @@ join key, on first use (:class:`ColumnNdv`): a key resolves to the
 table its side of the join scans, so a snapshot never prices the live
 table or the other way round.
 
-Two machine-specific constants turn row counts into predicted seconds:
-the per-row cost of a vectorized scan/filter pass and of a sort-based
-join probe.  Calibration times two micro-probes **once per database**
-(:meth:`CostModel.calibrate`), so cost rankings reflect the hardware the
-query will actually run on; it records table sizes and reads no column.
+Two fixed constants turn row counts into predicted seconds: the per-row
+cost of a scan/filter pass and of a join.  Nothing is timed, so a
+candidate's cost — and with it the plan a ``WITHIN`` statement picks —
+is a function of the data and the statement alone, the same on every
+machine and every storage backend.  :meth:`CostModel.calibrate` builds
+a catalog's model: table sizes now, join-key distinct counts on first
+use.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import PlanError
-from repro.obs.metrics import REGISTRY
 from repro.relational import plan as p
-from repro.relational.executor import join_indices
 from repro.relational.table import Table
 from repro.versions.snapshots import VERSION_SEP
 
-#: Rows used by each calibration micro-probe.
-PROBE_ROWS = 65_536
+#: Predicted seconds per row of a scan or filter pass.
+SCAN_SECONDS_PER_ROW = 5e-9
+
+#: Predicted seconds per row a join touches (both inputs and output).
+JOIN_SECONDS_PER_ROW = 3e-8
 
 #: Selectivity charged per residual (non-join) predicate.
-DEFAULT_SELECTIVITY = 1.0 / 3.0
+SELECTIVITY = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -121,76 +123,23 @@ class ColumnNdv(Mapping[str, int]):
 
 
 class CostModel:
-    """Cardinality + calibrated-constant cost estimates for plans."""
+    """Cardinality estimates priced at fixed per-row constants."""
 
     def __init__(
-        self,
-        table_sizes: Mapping[str, int],
-        column_ndv: Mapping[str, int],
-        *,
-        scan_seconds_per_row: float = 5e-9,
-        join_seconds_per_row: float = 3e-8,
-        selectivity: float = DEFAULT_SELECTIVITY,
+        self, table_sizes: Mapping[str, int], column_ndv: Mapping[str, int]
     ) -> None:
         self.table_sizes = dict(table_sizes)
         self.column_ndv = column_ndv  # not copied: a ColumnNdv is lazy
-        self.scan_seconds_per_row = float(scan_seconds_per_row)
-        self.join_seconds_per_row = float(join_seconds_per_row)
-        self.selectivity = float(selectivity)
-
-    # -- calibration -----------------------------------------------------
 
     @classmethod
-    def calibrate(
-        cls,
-        tables: Mapping[str, Table],
-        *,
-        probe_rows: int = PROBE_ROWS,
-        repeats: int = 3,
-    ) -> "CostModel":
-        """Measure per-row constants and record table sizes.
+    def calibrate(cls, tables: Mapping[str, Table]) -> "CostModel":
+        """The model of a catalog: its table sizes, read now, and its
+        join-key distinct counts, measured when a plan first asks.
 
-        The scan probe times a vectorized compare-and-filter pass; the
-        join probe times :func:`~repro.relational.executor.join_indices`
-        on foreign-key-shaped data.  Taking the best of ``repeats``
-        keeps scheduler noise out of the constants.  No column is read:
-        join-key distinct counts are measured when a plan first asks.
+        No column is read here.
         """
-        t_calibrate = time.perf_counter()
-        values = np.linspace(0.0, 1.0, probe_rows)
-        keys = np.arange(probe_rows, dtype=np.int64) % (probe_rows // 8)
-
-        def best(fn) -> float:
-            times = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        scan_s = best(lambda: values[values > 0.5]) / probe_rows
-        right = keys[: probe_rows // 4]
-        join_s = best(lambda: join_indices(keys, right))
-        # Charge the constant per touched row: both inputs plus the
-        # output the probe actually emits (measured, not assumed — the
-        # key repetition factor makes the output much larger than the
-        # right side).
-        out_rows = int(join_indices(keys, right)[0].size)
-        join_rows = probe_rows + right.size + out_rows
-        REGISTRY.gauge("repro_cost_scan_seconds_per_row").set(
-            max(scan_s, 1e-12)
-        )
-        REGISTRY.gauge("repro_cost_join_seconds_per_row").set(
-            max(join_s / join_rows, 1e-12)
-        )
-        REGISTRY.histogram(
-            "repro_optimizer_seconds", stage="calibrate"
-        ).observe(time.perf_counter() - t_calibrate)
         return cls(
-            {name: t.n_rows for name, t in tables.items()},
-            ColumnNdv(tables),
-            scan_seconds_per_row=max(scan_s, 1e-12),
-            join_seconds_per_row=max(join_s / join_rows, 1e-12),
+            {name: t.n_rows for name, t in tables.items()}, ColumnNdv(tables)
         )
 
     # -- estimation ------------------------------------------------------
@@ -209,8 +158,8 @@ class CostModel:
         state = {"scanned": 0.0, "joined": 0.0, "build_max": 0.0}
         self._rows(plan, state, rates or {})
         seconds = (
-            state["scanned"] * self.scan_seconds_per_row
-            + state["joined"] * self.join_seconds_per_row
+            state["scanned"] * SCAN_SECONDS_PER_ROW
+            + state["joined"] * JOIN_SECONDS_PER_ROW
         )
         return CostEstimate(
             state["scanned"],
@@ -231,7 +180,7 @@ class CostModel:
         return CostEstimate(
             rows_scanned=rows,
             rows_joined=0.0,
-            seconds=rows * self.scan_seconds_per_row,
+            seconds=rows * SCAN_SECONDS_PER_ROW,
         )
 
     def _rows(
@@ -259,7 +208,7 @@ class CostModel:
         if isinstance(node, p.Select):
             n = self._rows(node.child, state, rates)
             state["scanned"] += n
-            return n * self.selectivity
+            return n * SELECTIVITY
         if isinstance(node, p.Project):
             n = self._rows(node.child, state, rates)
             state["scanned"] += n

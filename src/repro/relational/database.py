@@ -428,7 +428,9 @@ class Database:
     # -- optimization ----------------------------------------------------------
 
     def cost_model(self) -> "CostModel":
-        """The micro-probe-calibrated cost model (cached per catalog)."""
+        """The catalog's cost model: table sizes and lazy join-key
+        distinct counts, priced at fixed per-row constants (cached per
+        catalog, dropped when a table changes)."""
         from repro.optimizer import CostModel
 
         if self._cost_model is None:
@@ -436,10 +438,9 @@ class Database:
         return self._cost_model
 
     def optimizer(self, **kwargs) -> "SamplingPlanOptimizer":
-        """A sampling-plan optimizer sharing this database's cost model."""
+        """A sampling-plan optimizer over this database."""
         from repro.optimizer import SamplingPlanOptimizer
 
-        kwargs.setdefault("cost_model", self.cost_model())
         return SamplingPlanOptimizer(self, **kwargs)
 
     def optimize(

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.data.tpch import tpch_database
-from repro.optimizer import CostModel, ErrorBudget
+from repro.optimizer import ErrorBudget
 from repro.relational.plan import (
     Aggregate,
     AggSpec,
@@ -192,12 +192,7 @@ def _answers(db, versioned, workers, chunk_size) -> dict[str, str]:
             _fused_plan(), seed=231, workers=workers, chunk_size=chunk_size
         )
     )
-    # The optimizer ranks candidates by a cost model whose constants are
-    # timed on this box; the default constants make the choice repeat.
-    calibrated = db.cost_model()
-    optimizer = db.optimizer(
-        cost_model=CostModel(calibrated.table_sizes, calibrated.column_ndv)
-    )
+    optimizer = db.optimizer()
     for name, (text, percent) in BUDGETS.items():
         optimized = optimizer.optimize(
             db.plan_sql(text), ErrorBudget.from_percent(percent, 0.95), seed=241

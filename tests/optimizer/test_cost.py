@@ -1,6 +1,8 @@
-"""Cost model: calibration, cardinality flow, ranking sanity."""
+"""Cost model: fixed constants, cardinality flow, ranking sanity."""
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 import pytest
@@ -41,9 +43,17 @@ def _column_owner(db):
 
 
 class TestCalibration:
-    def test_constants_positive(self, model):
-        assert model.scan_seconds_per_row > 0.0
-        assert model.join_seconds_per_row > 0.0
+    def test_constants_are_fixed(self, model, tpch_db):
+        """Calibrating reads the catalog, not the clock: a row costs
+        the same in every model."""
+        assert cost.SCAN_SECONDS_PER_ROW == 5e-9
+        assert cost.JOIN_SECONDS_PER_ROW == 3e-8
+        plan = query1_plan()
+        est = model.estimate(plan)
+        assert est.seconds == (
+            est.rows_scanned * 5e-9 + est.rows_joined * 3e-8
+        )
+        assert CostModel.calibrate(tpch_db.tables).estimate(plan) == est
 
     def test_statistics_match_catalog(self, model, tpch_db):
         assert model.table_sizes["lineitem"] == (
@@ -140,6 +150,59 @@ _BUDGET_JOIN = (
     "SELECT SUM(l_extendedprice) AS v FROM lineitem TABLESAMPLE "
     "(5 PERCENT), orders WHERE l_orderkey = o_orderkey"
 )
+
+
+_JOIN3 = (
+    "SELECT SUM(l_extendedprice) AS v, COUNT(*) AS n FROM lineitem "
+    "TABLESAMPLE (10 PERCENT), orders TABLESAMPLE (50 PERCENT), "
+    "customer TABLESAMPLE (50 PERCENT) WHERE l_orderkey = o_orderkey "
+    "AND o_custkey = c_custkey AND c_acctbal > 0.0"
+)
+
+
+def _scored_bits(sc) -> tuple:
+    return (
+        sc.name,
+        sc.candidate.order,
+        struct.pack("<d", sc.predicted_relative_half_width),
+        struct.pack(
+            "<4d",
+            sc.cost.rows_scanned,
+            sc.cost.rows_joined,
+            sc.cost.seconds,
+            sc.cost.build_rows_max,
+        ),
+        sc.feasible,
+        sc.reused,
+    )
+
+
+class TestInstanceIndependence:
+    """A ranking is a function of the data, the statement and the seed:
+    two databases holding the same tables — one in RAM, one its
+    memory-mapped twin — score every candidate to the same bits."""
+
+    def test_ram_and_mmap_twins_score_alike(self, tmp_path):
+        tables = tpch_database(0.2, seed=42).tables
+        ram = Database.from_tables(tables)
+        mmap = Database.from_tables(
+            {
+                name: table.persist(str(tmp_path / name))
+                for name, table in tables.items()
+            }
+        )
+        budget = ErrorBudget.from_percent(15.0, 0.95)
+        ram_report, mmap_report = (
+            db.optimizer().report(db.plan_sql(_JOIN3), budget, seed=3)
+            for db in (ram, mmap)
+        )
+        assert len(ram_report.scored) > 1
+        assert [_scored_bits(sc) for sc in mmap_report.scored] == [
+            _scored_bits(sc) for sc in ram_report.scored
+        ]
+        assert _scored_bits(mmap_report.chosen) == _scored_bits(
+            ram_report.chosen
+        )
 
 
 class TestLazyNdv:

@@ -125,8 +125,11 @@ class TestOptimize:
             query1_plan(), ErrorBudget.from_percent(10.0), seed=7
         )
         assert result.attempts
-        # The facade shares the cached cost model.
+        # The facade and every optimizer share the cached cost model.
         assert tpch_db.cost_model() is tpch_db.cost_model()
+        assert SamplingPlanOptimizer(tpch_db).cost_model is (
+            tpch_db.cost_model()
+        )
 
 
 class TestSqlIntegration:

@@ -10,8 +10,9 @@ pilot size, for five statement shapes at two seeds, with and without a
 catalog.  The catalog is loaded first by plain statements: RNG-drawn
 samples at seeds no report uses (thinning sources) and coordinated
 samples without the reports' filters (pushdown sources for the
-coordinated candidates).  The cost model is built by hand with its
-default constants, because calibration times this machine.
+coordinated candidates).  The optimizer prices candidates with the
+database's own cost model, whose per-row constants are fixed, so the
+digests hold on any machine.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import struct
 import pytest
 
 from repro.data.tpch import tpch_database
-from repro.optimizer import CostModel, ErrorBudget, SamplingPlanOptimizer
-from repro.optimizer.cost import ColumnNdv
+from repro.optimizer import ErrorBudget
 from repro.relational.plan import Aggregate, AggSpec, Join, Scan, TableSample
 from repro.sampling import CoordinatedBernoulli
 
@@ -170,9 +170,7 @@ def _reports(catalog: bool) -> dict[str, str]:
     if catalog:
         db.attach_catalog()
         _load(db)
-    optimizer = SamplingPlanOptimizer(
-        db, cost_model=CostModel(db.sizes(), ColumnNdv(db.tables))
-    )
+    optimizer = db.optimizer()
     got = {}
     for seed in SEEDS:
         for name, (text, percent) in STATEMENTS.items():

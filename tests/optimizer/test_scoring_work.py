@@ -20,7 +20,7 @@ import pytest
 
 import repro.store
 from repro.data.tpch import tpch_database
-from repro.optimizer import CostModel, ErrorBudget, SamplingPlanOptimizer
+from repro.optimizer import ErrorBudget
 from repro.optimizer.candidates import (
     QuerySkeleton,
     decompose,
@@ -28,7 +28,6 @@ from repro.optimizer.candidates import (
     reusable_methods,
 )
 from repro.optimizer.chooser import ORDER_LIMIT
-from repro.optimizer.cost import ColumnNdv
 from repro.store import ReuseMatcher, canonicalize, matcher
 from repro.store.catalog import SynopsisCatalog
 from repro.store.fingerprint import draw_token_of
@@ -44,12 +43,6 @@ JOIN2 = (
     "(5 PERCENT), orders WHERE l_orderkey = o_orderkey AND o_orderdate < 1500"
 )
 SINGLE = "SELECT SUM(l_extendedprice) AS v FROM lineitem TABLESAMPLE (5 PERCENT)"
-
-
-def _optimizer(db) -> SamplingPlanOptimizer:
-    return SamplingPlanOptimizer(
-        db, cost_model=CostModel(db.sizes(), ColumnNdv(db.tables))
-    )
 
 
 def _orders(optimizer, plan) -> list[tuple[str, ...]]:
@@ -101,7 +94,7 @@ def test_scoring_pays_per_join_order_not_per_candidate(monkeypatch):
 
     monkeypatch.setattr(matcher, "choose", counted_choose)
 
-    optimizer = _optimizer(db)
+    optimizer = db.optimizer()
     plan = db.plan_sql(JOIN3)
     orders = _orders(optimizer, plan)
     at_pilot: dict[str, int] = {}
@@ -148,7 +141,7 @@ def test_reused_means_the_first_attempt_is_served(text, seed):
     db = tpch_database(0.5, seed=1)
     db.attach_catalog()
     db.sql(text, seed=7)
-    optimizer = _optimizer(db)
+    optimizer = db.optimizer()
     report = optimizer.report(
         db.plan_sql(text), ErrorBudget.from_percent(50.0, 0.95), seed=seed
     )
@@ -164,7 +157,7 @@ def test_chosen_cached_candidate_is_served_as_scored():
     db = tpch_database(0.5, seed=1)
     db.attach_catalog()
     db.sql(SINGLE, seed=7)
-    result = _optimizer(db).optimize(
+    result = db.optimizer().optimize(
         db.plan_sql(SINGLE), ErrorBudget.from_percent(50.0, 0.95), seed=7
     )
     chosen = result.report.chosen

@@ -6,6 +6,7 @@ import pytest
 
 from repro.data.tpch import tpch_database
 from repro.optimizer import CostModel
+from repro.optimizer.cost import SCAN_SECONDS_PER_ROW
 
 
 @pytest.fixture()
@@ -26,7 +27,7 @@ def test_reuse_estimate_is_cheaper_than_any_scan():
     model = CostModel({"t": 1000}, {"k": 100})
     reuse = model.reuse_estimate(50)
     assert reuse.rows_total == 50
-    assert reuse.seconds < model.scan_seconds_per_row * 1000
+    assert reuse.seconds < SCAN_SECONDS_PER_ROW * 1000
     assert model.reuse_estimate(-3).rows_total == 0.0
 
 
