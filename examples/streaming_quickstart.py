@@ -5,7 +5,7 @@ engine (``repro.stream``) computes the *same* Theorem 1 answer from
 mergeable moment sketches, so you can
 
 1. feed a sample in micro-batches and ask for an estimate at any time,
-2. split ingestion across shards and merge exactly, and
+2. split a stream across k estimators and merge them exactly, and
 3. answer tumbling/sliding window queries without re-scanning tuples.
 
 Run:  python examples/streaming_quickstart.py
@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.algebra import join_gus
 from repro.core.estimator import estimate_sum
 from repro.core.gus import bernoulli_gus
-from repro.stream import ShardCoordinator, SlidingWindow, StreamingEstimator
+from repro.stream import SlidingWindow, StreamingEstimator
 
 
 def make_sample(rng, n):
@@ -53,14 +53,20 @@ def main() -> None:
     print(f"  sketch holds {streaming.sketch.n_groups} lineage groups "
           f"for {streaming.n_sample} rows\n")
 
-    # -- 2. sharded ingestion, exact merge ------------------------------
-    shards = ShardCoordinator(gus, n_shards=4, policy="lineage-hash")
-    for part in np.array_split(np.arange(20_000), 16):
-        shards.ingest(f[part], {d: c[part] for d, c in lineage.items()})
-    merged = shards.estimate()
-    print("4 shards, lineage-hash routing")
-    print(f"  shard sizes: {shards.shard_sizes()}")
-    print(f"  merged estimate: {merged.value:,.1f} "
+    # -- 2. split ingestion, exact merge --------------------------------
+    # Any split works: each estimator sees every 4th row here, so the
+    # parts share lineage groups, and the merge still adds them exactly.
+    parts = [StreamingEstimator(gus) for _ in range(4)]
+    for i, part in enumerate(parts):
+        rows = np.arange(i, 20_000, 4)
+        part.update(f[rows], {d: c[rows] for d, c in lineage.items()})
+    merged = parts[0].copy()
+    for part in parts[1:]:
+        merged.merge(part)
+    split = merged.estimate()
+    print("4 estimators, each fed every 4th row, merged")
+    print(f"  rows per estimator: {[part.n_sample for part in parts]}")
+    print(f"  merged estimate: {split.value:,.1f} "
           f"(batch: {batch.value:,.1f} — identical)\n")
 
     # -- 3. sliding windows ---------------------------------------------

@@ -6,7 +6,7 @@ Usage::
     python -m repro --scale 0.5 --seed 7     # bigger instance
     python -m repro --load orders=o.csv --load lineitem=l.csv
     python -m repro -c "SELECT COUNT(*) AS n FROM lineitem TABLESAMPLE (10 PERCENT)"
-    python -m repro stream --windows 8 --shards 4   # streaming engine demo
+    python -m repro stream --windows 8              # streaming engine demo
     cat workload.sql | python -m repro serve --workers 8   # catalog service
     python -m repro serve --selftest                # concurrent self-check
     python -m repro serve --tcp --port 7799         # network serving tier
@@ -612,10 +612,12 @@ def _add_stream_subcommand(parser: argparse.ArgumentParser) -> None:
 
     Simulates ``--windows`` micro-batches of a value stream, sheds each
     tuple with a lineage-keyed Bernoulli filter at a fixed ``--rate``
-    (one GUS for the whole session), routes the kept tuples through a
-    :class:`~repro.stream.ShardCoordinator`, and prints per-window,
+    (one GUS for the whole session), estimates each window from its own
+    :class:`~repro.stream.StreamingEstimator`, and prints per-window,
     sliding, and cumulative SUM estimates with their error bounds next
-    to the ground truth the simulator knows.
+    to the ground truth the simulator knows.  The cumulative column is
+    one estimator that merges every window's estimator — the same exact
+    merge that splits a stream across any number of parts.
     """
     subcommands = parser.add_subparsers(
         dest="subcommand", metavar="{stream,serve,query,profile,fuzz,ingest}"
@@ -627,9 +629,9 @@ def _add_stream_subcommand(parser: argparse.ArgumentParser) -> None:
     _add_ingest_subcommand(subcommands)
     stream = subcommands.add_parser(
         "stream",
-        help="streaming engine demo: sharded, windowed estimates "
+        help="streaming engine demo: windowed and merged estimates "
         "over a load-shed stream",
-        description="Streaming GUS estimation demo: sharded, windowed "
+        description="Streaming GUS estimation demo: windowed and merged "
         "SUM estimates over a load-shed synthetic stream.",
     )
     stream.add_argument(
@@ -642,14 +644,6 @@ def _add_stream_subcommand(parser: argparse.ArgumentParser) -> None:
     stream.add_argument(
         "--rate", type=float, default=0.25,
         help="Bernoulli keep-rate of the shedder (default 0.25)",
-    )
-    stream.add_argument(
-        "--shards", type=int, default=4,
-        help="shard sketches to partition ingestion across",
-    )
-    stream.add_argument(
-        "--policy", choices=("lineage-hash", "round-robin"),
-        default="lineage-hash", help="shard routing policy",
     )
     stream.add_argument(
         "--sliding", type=int, default=3,
@@ -672,7 +666,7 @@ def _run_stream(args) -> int:
 
     from repro.core.gus import bernoulli_gus
     from repro.sampling.pseudorandom import LineageHashBernoulli
-    from repro.stream import ShardCoordinator, SlidingWindow, StreamingEstimator
+    from repro.stream import SlidingWindow, StreamingEstimator
 
     if not 0.0 < args.rate <= 1.0:
         print(f"error: --rate {args.rate} not in (0, 1]", file=sys.stderr)
@@ -688,9 +682,7 @@ def _run_stream(args) -> int:
     try:
         gus = bernoulli_gus("stream", args.rate)
         shedder = LineageHashBernoulli(args.rate, args.seed)
-        shards = ShardCoordinator(
-            gus, args.shards, policy=args.policy, seed=args.seed
-        )
+        cumulative = StreamingEstimator(gus)
         sliding = SlidingWindow(gus, args.sliding)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -698,8 +690,8 @@ def _run_stream(args) -> int:
     next_id = 0
     true_total = 0.0
     print(
-        f"shedding at rate {args.rate:g}, {args.shards} shard(s) "
-        f"[{args.policy}], sliding window of {args.sliding}"
+        f"shedding at rate {args.rate:g}, "
+        f"sliding window of {args.sliding}"
     )
     print(
         f"{'window':>7}{'arrivals':>10}{'kept':>8}{'true sum':>12}"
@@ -714,23 +706,23 @@ def _run_stream(args) -> int:
         keep = shedder.keep(ids)
         kept, kept_ids = values[keep], ids[keep]
         batch = StreamingEstimator(gus).update(kept, {"stream": kept_ids})
-        shards.ingest(kept, {"stream": kept_ids})
+        cumulative.merge(batch)
         sliding.append(batch)
         est = batch.estimate()
         print(
             f"{window:>7}{n:>10}{kept.size:>8}{values.sum():>12,.0f}"
             f"{est.value:>12,.0f}{est.ci(args.level).width / 2:>9,.0f}"
             f"{sliding.estimate().value:>13,.0f}"
-            f"{shards.estimate().value:>13,.0f}"
+            f"{cumulative.estimate().value:>13,.0f}"
         )
-    final = shards.estimate()
+    final = cumulative.estimate()
     ci = final.ci(args.level)
     print(
         f"\nsession: true {true_total:,.0f}, estimated {final.value:,.0f} "
         f"[{ci.lo:,.0f}, {ci.hi:,.0f}] @{args.level:.0%} "
         f"(hit: {ci.contains(true_total)})"
     )
-    print(f"shard sizes: {shards.shard_sizes()} ({final.n_sample} rows kept)")
+    print(f"rows kept: {final.n_sample} of {next_id} arrivals")
     return 0
 
 

@@ -214,7 +214,7 @@ def group_reduce(
     total weight that fell on it.  This is the accumulator core shared
     by the batch :func:`y_terms` and the mergeable
     :class:`repro.stream.sketch.MomentSketchBundle`: a group-sum table
-    is additive, so two tables (from two batches, shards, or sketches)
+    is additive, so two tables (from two batches, chunks, or sketches)
     merge exactly by concatenating and reducing again.
     """
     keys, sums_list = group_reduce_multi(columns, [weights])

@@ -3,8 +3,8 @@
 The fuzzer generates seeded random queries over the full SQL surface
 (joins × sampling families/rates/seeds × GROUP BY/HAVING × ``WITHIN``
 budgets × snapshot pins and coordinated version differences × catalog
-reuse × worker counts), checks each one three ways —
-exact-executor oracle, one-chunk/many-chunk/cross-worker determinism, and
+reuse), checks each one three ways — exact-executor oracle,
+one-chunk/many-chunk/storage-backend determinism, and
 statistical unbiasedness + CI coverage via a sequential
 probability-ratio test — and greedily shrinks any failure to a minimal
 statement + seed with a ready-to-paste regression test.

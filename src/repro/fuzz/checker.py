@@ -8,12 +8,12 @@ Every statement is checked against independent evidence:
    (every sampler at rate 1) must reproduce the exact executor's
    answer, group set included;
 3. **determinism** — the same statement + seed must agree across one
-   chunk vs many chunks and across worker counts (results are
-   bit-identical across worker counts; one chunk vs many may differ
-   in the last ulp when lineage keys collide, so that comparison gets
-   a 1e-12 relative tolerance), across the in-RAM and
-   memory-mapped columnar storage backends (bit-identical: same bytes,
-   different page source), and across a synopsis catalog miss → hit;
+   chunk vs many small chunks (:data:`MANY_CHUNK_ROWS`; a merge of
+   many chunks may differ from one fold in the last ulp when lineage
+   keys collide, so that comparison gets a 1e-12 relative tolerance),
+   across the in-RAM and memory-mapped columnar storage backends
+   (bit-identical: same bytes, different page source), and across a
+   synopsis catalog miss → hit;
 4. **statistical** — unbiasedness and CI coverage over re-randomized
    trials, decided by the sequential tests in
    :mod:`repro.stats.sequential` instead of a fixed trial count.
@@ -25,6 +25,7 @@ the statement survived everything it was eligible for.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +48,15 @@ __all__ = [
     "reseeded_statement",
 ]
 
+#: Rows per chunk of the checker's one-chunk runs: more than any table
+#: holds, whatever the ambient ``REPRO_WORKERS``.
+ONE_CHUNK_ROWS = sys.maxsize
+
+#: Rows per chunk of its many-chunk runs: the fuzz ``fact`` table (400
+#: rows) folds as 58 chunks and ``dim`` (60) as 9, so a sample's rows of
+#: one lineage key land in several chunks and the merge is exercised.
+MANY_CHUNK_ROWS = 7
+
 #: Relative tolerance for one-chunk vs many-chunk point estimates:
 #: merged moment state adds per-chunk partial sums of a lineage key, so
 #: join fanout can move the last float ulp (measured ~1e-16 relative).
@@ -62,8 +72,8 @@ ORACLE_RTOL = 1e-9
 #: σ̂ is pure summation-cancellation noise of order ``√ε·scale·√n`` —
 #: and one fold and a merge of several sum moments in different
 #: orders, so their noise differs (measured: variances 1.7e-15 vs
-#: 1.4e-15 around a true 0, quantiles 5e-9 apart).  Worker-count
-#: comparisons share one summation order and stay bit-exact.
+#: 1.4e-15 around a true 0, quantiles 5e-9 apart).  The storage-backend
+#: comparison shares one summation order and stays bit-exact.
 QUANTILE_SIGMA_ATOL = 1e-6
 
 #: SPRT hypotheses for the CI-coverage test.  Coverage is measured on
@@ -460,31 +470,17 @@ class CheckContext:
         return []
 
     def check_determinism(self, statement: str, seed: int) -> list[CheckFailure]:
-        """One chunk vs many vs cross-worker-count vs mmap agreement."""
+        """One chunk vs many chunks vs the mmap backend agreement."""
         query = parse(statement)
         quantile_aliases = frozenset(
             item.alias
             for item in query.items
             if isinstance(item.expression, ast.QuantileCall)
         )
-        # workers=0 pins the one-chunk run even when the ambient
-        # environment (REPRO_WORKERS) partitions — the baseline must
-        # actually be unpartitioned.
-        one_chunk = _outcome(self.db.sql, statement, seed=seed, workers=0)
-        w1 = _outcome(self.db.sql, statement, seed=seed, workers=1)
-        w3 = _outcome(self.db.sql, statement, seed=seed, workers=3)
+        one_chunk = _outcome(self.db.sql, statement, seed=seed, chunk_size=ONE_CHUNK_ROWS)
+        many = _outcome(self.db.sql, statement, seed=seed, chunk_size=MANY_CHUNK_ROWS)
         failures = []
-        detail = diff_outcomes(w1, w3, 0.0)
-        if detail is not None:
-            failures.append(
-                CheckFailure(
-                    "determinism",
-                    statement,
-                    seed,
-                    f"workers=1 vs workers=3 not bit-identical: {detail}",
-                )
-            )
-        detail = diff_outcomes(one_chunk, w1, SERIAL_CHUNKED_RTOL, quantile_aliases)
+        detail = diff_outcomes(one_chunk, many, SERIAL_CHUNKED_RTOL, quantile_aliases)
         if detail is not None:
             failures.append(
                 CheckFailure(
@@ -496,9 +492,12 @@ class CheckContext:
             )
         # Every statement, a budget statement included (its cost model
         # times nothing, so the design it picks depends on the data
-        # alone), must be bit-identical across storage backends.
-        mmap_w1 = _outcome(self.mmap_db.sql, statement, seed=seed, workers=1)
-        detail = diff_outcomes(w1, mmap_w1, 0.0)
+        # alone), must be bit-identical across storage backends.  The
+        # optimizer runs its plans as one chunk whatever ``chunk_size``
+        # says, so for a budget statement this is the comparison that
+        # tells something.
+        mmap_many = _outcome(self.mmap_db.sql, statement, seed=seed, chunk_size=MANY_CHUNK_ROWS)
+        detail = diff_outcomes(many, mmap_many, 0.0)
         if detail is not None:
             failures.append(
                 CheckFailure(
@@ -513,7 +512,7 @@ class CheckContext:
     def check_reuse(self, statement: str, seed: int) -> list[CheckFailure]:
         """Catalog miss, then hit, vs a catalog-free run — all equal.
 
-        Bit-equality is pinned to one chunk (``workers=0``): the
+        Bit-equality is pinned to one chunk (:data:`ONE_CHUNK_ROWS`): the
         catalog populates and serves from the *materialized* sample —
         one fold over all of it — while a catalog-free run over many
         chunks merges per-chunk folds: the same sample bits summed in a
@@ -524,10 +523,11 @@ class CheckContext:
         query = parse(statement)
         if query.budget is not None:
             return []  # the optimizer owns its own sampling design
-        plain = _outcome(self.fresh_db().sql, statement, seed=seed, workers=0)
+        one_chunk = {"seed": seed, "chunk_size": ONE_CHUNK_ROWS}
+        plain = _outcome(self.fresh_db().sql, statement, **one_chunk)
         with_catalog = self.fresh_db(catalog=True)
-        miss = _outcome(with_catalog.sql, statement, seed=seed, workers=0)
-        hit = _outcome(with_catalog.sql, statement, seed=seed, workers=0)
+        miss = _outcome(with_catalog.sql, statement, **one_chunk)
+        hit = _outcome(with_catalog.sql, statement, **one_chunk)
         failures = []
         detail = diff_outcomes(plain, miss, 0.0)
         if detail is not None:
@@ -554,8 +554,9 @@ class CheckContext:
             for item in query.items
             if isinstance(item.expression, ast.QuantileCall)
         )
-        chunked = _outcome(self.fresh_db().sql, statement, seed=seed, workers=2)
-        chunked_miss = _outcome(self.fresh_db(catalog=True).sql, statement, seed=seed, workers=2)
+        many = {"seed": seed, "chunk_size": MANY_CHUNK_ROWS}
+        chunked = _outcome(self.fresh_db().sql, statement, **many)
+        chunked_miss = _outcome(self.fresh_db(catalog=True).sql, statement, **many)
         detail = diff_outcomes(chunked, chunked_miss, SERIAL_CHUNKED_RTOL, quantile_aliases)
         if detail is not None:
             failures.append(

@@ -391,8 +391,10 @@ class QueryGenerator:
             return self._versioned_query()
         tables, join = self._tables()
 
+        # Budgets go on ``fact`` alone and on its joins, where the
+        # optimizer also ranks join orders.
         budget = None
-        if len(tables) == 1 and tables[0] == "fact" and self._chance(0.06):
+        if "fact" in tables and self._chance(0.06):
             budget = ast.ErrorBudgetClause(
                 percent=float(self._pick((5, 10, 20, 40))),
                 level=self._pick((0.9, 0.95)),

@@ -1,9 +1,9 @@
-"""Streaming GUS estimation: Theorem 1 over unbounded, sharded streams.
+"""Streaming GUS estimation: Theorem 1 over unbounded, split streams.
 
 The batch estimator (:mod:`repro.core.estimator`) computes everything
 in one pass over a materialized sample.  This package re-expresses the
 same mathematics as *mergeable accumulators*, so estimates flow from
-data that never sits in one place — micro-batches, shards, windows.
+data that never sits in one place — micro-batches, parts, windows.
 
 Mapping to the paper's objects:
 
@@ -24,10 +24,11 @@ Mapping to the paper's objects:
   feeds the sketch's moments through the *same*
   :func:`~repro.core.estimator.estimate_from_moments` finishing step
   the batch path uses.
-* Scale-out and windows are pure composition of merges:
-  :class:`~repro.stream.shard.ShardCoordinator` partitions a stream
-  across N sketches and merges on demand (provably equal to the batch
-  answer), while :class:`~repro.stream.window.TumblingWindow` and
+* Splits and windows are pure composition of merges: estimators fed
+  any split of a stream (contiguous, interleaved, keyed by lineage)
+  merge into one that equals the batch answer — the property the
+  engine relies on for every multi-chunk query — while
+  :class:`~repro.stream.window.TumblingWindow` and
   :class:`~repro.stream.window.SlidingWindow` answer windowed queries
   from per-batch sketches instead of re-scanning tuples.
 
@@ -35,7 +36,6 @@ See ``examples/streaming_quickstart.py`` for a five-minute tour.
 """
 
 from repro.stream.estimator import GroupedStreamingEstimator, StreamingEstimator
-from repro.stream.shard import ShardCoordinator
 from repro.stream.sketch import GroupedMomentBundle, MomentSketchBundle
 from repro.stream.window import SlidingWindow, TumblingWindow
 
@@ -44,7 +44,6 @@ __all__ = [
     "GroupedMomentBundle",
     "StreamingEstimator",
     "GroupedStreamingEstimator",
-    "ShardCoordinator",
     "TumblingWindow",
     "SlidingWindow",
 ]

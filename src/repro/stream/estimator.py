@@ -11,11 +11,12 @@ a full :class:`~repro.core.estimator.Estimate` — point value, unbiased
 variance, confidence intervals — without touching any previously seen
 row.
 
-Two estimators over the same GUS merge exactly (:meth:`merge`), which
-is what makes the sharded and windowed drivers in
-:mod:`repro.stream.shard` and :mod:`repro.stream.window` correct: the
-merged sketch is bit-for-bit the same group table a single-process pass
-would have produced, up to float summation order.  The sketches are the
+Two estimators over the same GUS merge exactly (:meth:`merge`), so a
+stream split into any number of parts — each fed to its own estimator
+— merges back into the answer one estimator over the whole stream
+gives, and the windows in :mod:`repro.stream.window` are correct: the
+merged sketch is the same group table a single pass would have
+produced, up to float summation order.  The sketches are the
 classes :meth:`repro.core.sbox.SBox.run` folds its chunks into, so an
 estimator fed a query's chunks returns the engine's answer bit for bit.
 """

@@ -17,8 +17,8 @@ key's partial sums in arrival order, so the bits are those of k − 1
 pairwise merges, without their k copies of the state.  All exact:
 
 * ``update(fs, lineage)`` — absorb a batch in one vectorized pass;
-* ``merge(other)``        — combine two sketches (chunks, shards,
-  windows, machines) with no approximation;
+* ``merge(other)``        — combine two sketches (chunks, parts of a
+  split stream, windows) with no approximation;
 * ``moments(keep=None)``  — emit one ``(Y_S)_{S⊆L}`` vector per weight
   vector, or over the state entries a boolean ``keep`` marks: Section
   7's sub-sampler keeps whole lineage keys, so filtering the state
@@ -37,8 +37,8 @@ merge story is unchanged.
 
 There is one accumulator per query shape: the classes
 :meth:`repro.core.sbox.SBox.run` folds every chunk into are the classes
-a :class:`~repro.stream.estimator.StreamingEstimator`, a shard or a
-window merges (with a single weight vector).
+a :class:`~repro.stream.estimator.StreamingEstimator` or a window
+merges (with a single weight vector).
 """
 
 from __future__ import annotations

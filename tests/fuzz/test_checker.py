@@ -8,6 +8,7 @@ import dataclasses
 import pytest
 
 from repro.fuzz.checker import (
+    MANY_CHUNK_ROWS,
     CheckContext,
     check_statement,
     diff_fingerprints,
@@ -15,8 +16,12 @@ from repro.fuzz.checker import (
     oracle_statement,
     reseeded_statement,
 )
+from repro.fuzz.generator import QueryGenerator
+from repro.optimizer import OptimizedResult
 from repro.relational.database import Database
+from repro.relational.pipeline import ChunkedExecutor
 from repro.sql.parser import parse
+from repro.sql.printer import query_to_sql
 
 
 @pytest.fixture(scope="module")
@@ -120,13 +125,15 @@ class TestInjectedBugsAreCaught:
         )
         assert failures and failures[0].kind == "oracle"
 
-    def test_determinism_check_catches_worker_dependence(self, monkeypatch):
+    def test_determinism_check_catches_chunk_size_dependence(self, monkeypatch):
         local = CheckContext()
         real_sql = Database.sql
 
         def crooked(self, text, **kwargs):
+            # An engine whose answer moves once the 400-row fact table
+            # is cut into more than one chunk.
             result = real_sql(self, text, **kwargs)
-            if kwargs.get("workers") == 3:
+            if kwargs.get("chunk_size", 400) < 400:
                 for alias in list(result.values):
                     result.values[alias] = result.values[alias] + 1.0
             return result
@@ -250,3 +257,62 @@ class TestDegenerateOracle:
         # AVG over a 0-row table: the exact answer is NaN, so the
         # estimator's refusal at rate 1 is an agreeing outcome.
         assert ctx.check_oracle("SELECT AVG(v_val) AS a0\nFROM void", 1) == []
+
+
+class TestTwinsRunWhatTheyCompare:
+    """Each differential twin really runs the computation it names."""
+
+    STATEMENT = "SELECT SUM(f_val) AS a0\nFROM fact TABLESAMPLE (50 PERCENT)"
+
+    @staticmethod
+    def _count_folds(monkeypatch) -> list[int]:
+        """Chunks per fold of every query run from now on."""
+        folds: list[int] = []
+        real = ChunkedExecutor._run_tasks
+
+        def counting(self, source, per_chunk, kind):
+            if kind == "chunk":
+                folds.append(len(source.tasks))
+            return real(self, source, per_chunk, kind)
+
+        monkeypatch.setattr(ChunkedExecutor, "_run_tasks", counting)
+        return folds
+
+    def test_many_chunk_runs_fold_many_chunks(self, ctx, monkeypatch):
+        many = -(-400 // MANY_CHUNK_ROWS)
+        assert many > 1
+        folds = self._count_folds(monkeypatch)
+        assert ctx.check_determinism(self.STATEMENT, 1) == []
+        # one chunk, then many chunks in RAM and on the mmap twin
+        assert folds == [1, many, many]
+        folds.clear()
+        assert ctx.check_reuse(self.STATEMENT, 1) == []
+        # catalog-free and catalog-miss runs, once at each chunking
+        assert folds == [1, 1, many, many]
+
+    def test_seed_zero_compares_a_join_budget_across_backends(self, ctx, monkeypatch):
+        """The first 20 statements of ``repro fuzz --seed 0`` hold a
+        ``WITHIN`` budget over a join that both storage backends answer
+        (the optimizer ranks join orders there), and the determinism
+        check runs it on both."""
+        generator = QueryGenerator(0)
+        statements = [query_to_sql(generator.query()) for _ in range(20)]
+        answered = []
+        real_sql = Database.sql
+
+        def spy(self, text, **kwargs):
+            result = real_sql(self, text, **kwargs)
+            if isinstance(result, OptimizedResult):
+                answered.append((self is ctx.mmap_db, text))
+            return result
+
+        monkeypatch.setattr(Database, "sql", spy)
+        for index, statement in enumerate(statements):
+            query = parse(statement)
+            if query.budget is None or len(query.tables) < 2:
+                continue
+            assert ctx.check_determinism(statement, index) == []
+        assert any(mmap for mmap, _ in answered)
+        assert {text for mmap, text in answered if mmap} == {
+            text for mmap, text in answered if not mmap
+        }

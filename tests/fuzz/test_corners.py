@@ -1,6 +1,6 @@
 """Degenerate-cardinality corners: empty tables and zero surviving
-rows must flow through every execution path — serial, chunked across
-worker counts, and catalog reuse — with identical, finite answers.
+rows must flow through every execution path — one chunk, chunked at
+several sizes, and catalog reuse — with identical, finite answers.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class TestEmptyTable:
     def test_chunked_matches_serial_on_empty_table(self, ctx):
         statement = "SELECT SUM(v_val) AS s\nFROM void TABLESAMPLE (50 PERCENT)"
         serial = ctx.db.sql(statement, seed=2)
-        for workers in (2, 3, 5):
-            chunked = ctx.db.sql(statement, seed=2, workers=workers)
+        for chunk_size in (1, 2, 7):
+            chunked = ctx.db.sql(statement, seed=2, chunk_size=chunk_size)
             assert chunked.values["s"] == serial.values["s"] == 0.0
 
     def test_grouped_empty_table_yields_zero_groups(self, ctx):
@@ -70,13 +70,13 @@ class TestZeroSurvivingRows:
     def test_full_battery_when_predicate_kills_every_row(self, ctx, statement):
         assert check_statement(ctx, statement, seed=13, statistical=True) == []
 
-    def test_estimate_is_exact_zero_across_worker_counts(self, ctx):
+    def test_estimate_is_exact_zero_across_chunk_sizes(self, ctx):
         statement = (
             f"SELECT SUM(f_val) AS s\n"
             f"FROM fact TABLESAMPLE (60 PERCENT)\n{IMPOSSIBLE}"
         )
-        for workers in (1, 2, 4):
-            result = ctx.db.sql(statement, seed=7, workers=workers)
+        for chunk_size in (1, 7, 400):
+            result = ctx.db.sql(statement, seed=7, chunk_size=chunk_size)
             assert result.values["s"] == 0.0
 
     def test_reuse_path_with_zero_surviving_rows(self, ctx):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.fuzz import CheckContext, check_statement
+from repro.fuzz.checker import MANY_CHUNK_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +125,8 @@ def test_quantile_sigma_noise_not_flagged_as_nondeterminism(ctx):
     aggregate's true variance ~0, so σ̂ is summation-cancellation noise
     and serial vs chunked (different summation orders) land 5e-9 apart
     — beyond SERIAL_CHUNKED_RTOL on the value, but exactly the √ε·σ
-    slack quantile aliases are granted.  Worker-count comparisons must
-    remain bit-exact.
+    slack quantile aliases are granted.  The storage-backend comparison
+    at one chunking must remain bit-exact.
     """
     statement = (
         "SELECT QUANTILE(AVG(d_weight), 0.95) AS a0\n"
@@ -134,8 +135,8 @@ def test_quantile_sigma_noise_not_flagged_as_nondeterminism(ctx):
     )
     assert check_statement(ctx, statement, seed=8547, statistical=True) == []
     assert (
-        ctx.db.sql(statement, seed=8547, workers=2).values["a0"]
-        == ctx.db.sql(statement, seed=8547, workers=5).values["a0"]
+        ctx.db.sql(statement, seed=8547, chunk_size=MANY_CHUNK_ROWS).values["a0"]
+        == ctx.mmap_db.sql(statement, seed=8547, chunk_size=MANY_CHUNK_ROWS).values["a0"]
     )
 
 

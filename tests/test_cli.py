@@ -175,29 +175,40 @@ class TestStreamSubcommand:
                 "stream",
                 "--windows", "3",
                 "--arrivals", "800",
-                "--shards", "2",
                 "--seed", "5",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "session:" in out
-        assert "shard sizes:" in out
+        assert "rows kept:" in out
         # One table row per window.
         assert sum(line.strip().startswith(d) for d in "012" for line in out.splitlines()) >= 3
 
-    def test_round_robin_policy(self, capsys):
+    def test_cumulative_column_merges_every_window(self, capsys):
+        """A sliding window as long as the session merges the same
+        batches the cumulative estimator merged, so the two columns
+        agree on every row, and the kept rows add up to the session's."""
         code = main(
             [
                 "stream",
-                "--windows", "2",
+                "--windows", "4",
                 "--arrivals", "300",
-                "--shards", "3",
-                "--policy", "round-robin",
+                "--sliding", "4",
+                "--seed", "3",
             ]
         )
         assert code == 0
-        assert "round-robin" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        rows = [
+            line.split()
+            for line in out.splitlines()
+            if line.strip()[:1].isdigit()
+        ]
+        assert len(rows) == 4
+        assert all(row[-2] == row[-1] for row in rows)
+        kept = sum(int(row[2]) for row in rows)
+        assert f"rows kept: {kept} of " in out
 
     def test_invalid_rate_rejected(self, capsys):
         code = main(["stream", "--rate", "1.5"])
@@ -228,7 +239,7 @@ class TestWorkersFlag:
     def test_stream_accepts_workers(self, capsys):
         code = main(
             ["--workers", "2", "stream", "--windows", "2",
-             "--arrivals", "200", "--shards", "2"]
+             "--arrivals", "200"]
         )
         assert code == 0
         assert "session:" in capsys.readouterr().out
