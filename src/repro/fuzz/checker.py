@@ -469,6 +469,14 @@ class CheckContext:
             ]
         return []
 
+    def budget_plans(self, statement: str, seed: int) -> bool:
+        """Whether the optimizer answers a ``WITHIN`` statement (one
+        chunk) rather than refusing it."""
+        outcome = _outcome(
+            self.db.sql, statement, seed=seed, chunk_size=ONE_CHUNK_ROWS
+        )
+        return outcome[0] == "ok"
+
     def check_determinism(self, statement: str, seed: int) -> list[CheckFailure]:
         """One chunk vs many chunks vs the mmap backend agreement."""
         query = parse(statement)
@@ -492,10 +500,9 @@ class CheckContext:
             )
         # Every statement, a budget statement included (its cost model
         # times nothing, so the design it picks depends on the data
-        # alone), must be bit-identical across storage backends.  The
-        # optimizer runs its plans as one chunk whatever ``chunk_size``
-        # says, so for a budget statement this is the comparison that
-        # tells something.
+        # alone), must be bit-identical across storage backends.  A
+        # budget statement's pilot and attempts run at the chunking
+        # asked for, so both comparisons above and below reach it.
         mmap_many = _outcome(self.mmap_db.sql, statement, seed=seed, chunk_size=MANY_CHUNK_ROWS)
         detail = diff_outcomes(many, mmap_many, 0.0)
         if detail is not None:

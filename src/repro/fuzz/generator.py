@@ -56,6 +56,14 @@ FUZZ_VERSIONS = 2
 #: Fraction of ``f_val`` rows each version step perturbs.
 VERSION_CHANGE_FRACTION = 0.05
 
+#: Share of budget statements drawn in the unconstrained shape — an
+#: ``AVG`` budget, an unsampled table, a ``1 ROWS`` join sample — which
+#: the optimizer refuses (identically on both backends).  The rest are
+#: ``SUM``/``COUNT`` budgets over tables that each carry a ``PERCENT``
+#: clause: shapes it plans, so the backend and chunk comparisons
+#: compare answers rather than two error strings.
+BUDGET_REFUSAL_SHARE = 0.15
+
 #: Draw weight per registered ``TABLESAMPLE`` surface form (see
 #: :func:`repro.sampling.sql_sample_tags`).  A registered family whose
 #: tag has no weight here is skipped — the generator cannot guess a
@@ -208,6 +216,17 @@ class QueryGenerator:
         expr: ast.SqlExpr = agg
         if allow_quantile and self._chance(0.15):
             expr = ast.QuantileCall(agg, self._pick((0.5, 0.9, 0.95)))
+        return self._item(expr)
+
+    def _budget_aggregate(self, tables: list[str]) -> ast.SelectItem:
+        """A ``SUM`` or ``COUNT(*)`` item: what a budget can predict."""
+        if self._chance(0.7):
+            agg = ast.AggCall("sum", self._agg_argument(tables))
+        else:
+            agg = ast.AggCall("count", None)
+        return self._item(agg)
+
+    def _item(self, expr: ast.SqlExpr) -> ast.SelectItem:
         alias = f"a{self._alias_n}"
         self._alias_n += 1
         return ast.SelectItem(expr, alias)
@@ -241,6 +260,12 @@ class QueryGenerator:
                 kind, amount, rows_per_block=self._pick((4, 16, 64))
             )
         raise ValueError(f"no clause shape for sample tag {tag!r}")
+
+    def _budget_sample(self) -> ast.SampleClause:
+        """A ``PERCENT`` clause, the form every plannable budget carries."""
+        return self._sample_for_tag(
+            self._pick(("percent", "percent-repeatable"))
+        )
 
     def _sample(self) -> ast.SampleClause | None:
         """A sample clause drawn from the registered family surface."""
@@ -394,22 +419,31 @@ class QueryGenerator:
         # Budgets go on ``fact`` alone and on its joins, where the
         # optimizer also ranks join orders.
         budget = None
+        plannable = False
         if "fact" in tables and self._chance(0.06):
             budget = ast.ErrorBudgetClause(
                 percent=float(self._pick((5, 10, 20, 40))),
                 level=self._pick((0.9, 0.95)),
             )
+            plannable = not self._chance(BUDGET_REFUSAL_SHARE)
 
         # Budget queries go through the optimizer: single plain
         # aggregate, no GROUP BY, no QUANTILE.
-        n_aggs = 1 if budget is not None else self.rand.randint(1, 3)
-        items = tuple(
-            self._aggregate(tables, allow_quantile=budget is None)
-            for _ in range(n_aggs)
-        )
+        if plannable:
+            items = (self._budget_aggregate(tables),)
+        else:
+            n_aggs = 1 if budget is not None else self.rand.randint(1, 3)
+            items = tuple(
+                self._aggregate(tables, allow_quantile=budget is None)
+                for _ in range(n_aggs)
+            )
 
         refs = tuple(
-            ast.TableRef(name, sample=self._sample()) for name in tables
+            ast.TableRef(
+                name,
+                sample=self._budget_sample() if plannable else self._sample(),
+            )
+            for name in tables
         )
 
         where = join

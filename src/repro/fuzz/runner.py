@@ -34,6 +34,9 @@ class FuzzReport:
     seconds: float
     queries: int = 0
     statistical_queries: int = 0
+    #: ``WITHIN`` statements the optimizer planned / refused.
+    budgets_planned: int = 0
+    budgets_refused: int = 0
     failures: list[ReproCase] = field(default_factory=list)
 
     @property
@@ -46,6 +49,8 @@ class FuzzReport:
             "seconds": self.seconds,
             "queries": self.queries,
             "statistical_queries": self.statistical_queries,
+            "budgets_planned": self.budgets_planned,
+            "budgets_refused": self.budgets_refused,
             "ok": self.ok,
             "failures": [
                 {
@@ -68,7 +73,9 @@ class FuzzReport:
         lines = [
             f"fuzz: {self.queries} queries "
             f"({self.statistical_queries} with sequential statistical "
-            f"acceptance) in {self.seconds:.1f}s, seed {self.seed}: "
+            f"acceptance, {self.budgets_planned} budgets planned and "
+            f"{self.budgets_refused} refused) in {self.seconds:.1f}s, "
+            f"seed {self.seed}: "
             + ("all checks passed" if self.ok else
                f"{len(self.failures)} SURVIVING FAILURE(S)")
         ]
@@ -106,13 +113,19 @@ def run_fuzz(
     while clock() < deadline:
         if max_queries is not None and index >= max_queries:
             break
-        statement = query_to_sql(generator.query())
+        query = generator.query()
+        statement = query_to_sql(query)
         query_seed = seed * 1_000_003 + index
         statistical = index % STATISTICAL_EVERY == 0
         failures = check_statement(
             ctx, statement, query_seed, statistical=statistical
         )
         report.queries += 1
+        if query.budget is not None:
+            if ctx.budget_plans(statement, query_seed):
+                report.budgets_planned += 1
+            else:
+                report.budgets_refused += 1
         if statistical:
             report.statistical_queries += 1
         for failure in failures[:1]:  # shrink the first failure per query

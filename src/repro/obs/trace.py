@@ -143,6 +143,10 @@ class Tracer:
     def current_id(self) -> int | None:
         return self._stack[-1].span_id if self._stack else None
 
+    def current(self) -> Span | _NullSpan:
+        """The innermost open span (an attribute sink when none is)."""
+        return self._stack[-1] if self._stack else _NullSpan()
+
     def start(self, name: str, kind: str = "phase", **attrs):
         if len(self.spans) >= self.max_spans:
             self.dropped += 1

@@ -240,7 +240,13 @@ class SamplingPlanOptimizer:
                     owner[column] = node.table_name
         return owner
 
-    def _pilot(self, skeleton: QuerySkeleton, seed: int) -> tuple[VariancePredictor, float]:
+    def _pilot(
+        self,
+        skeleton: QuerySkeleton,
+        seed: int,
+        workers: int | None,
+        chunk_size: int | None,
+    ) -> tuple[VariancePredictor, float]:
         """The pilot's predictor and the per-relation rate it used.
 
         Per-relation rates multiply through the join (Prop 6), so the
@@ -263,7 +269,12 @@ class SamplingPlanOptimizer:
                 for rel in skeleton.sampled
             }
             pilot_plan = skeleton.build(methods=pilot_methods)
-            result = self.db.sbox().run(pilot_plan, rng=self.db.rng(seed))
+            result = self.db.sbox().run(
+                pilot_plan,
+                rng=self.db.rng(seed),
+                workers=workers,
+                chunk_size=chunk_size,
+            )
             budgeted = [result.estimates[a] for a in self._budget_aliases(result)]
             # An all-AVG query (no budgeted aggregate) is refused below.
             empty = budgeted and all(map(no_contributing_row, budgeted))
@@ -308,6 +319,8 @@ class SamplingPlanOptimizer:
         seed: int | None = None,
         on_pilot: "Callable[[QueryResult, float], None] | None" = None,
         before_execute: "Callable[[str], None] | None" = None,
+        workers: int | None = None,
+        chunk_size: int | None = None,
     ) -> OptimizerReport:
         """Enumerate, score, and rank — the ``EXPLAIN SAMPLING`` path.
 
@@ -317,6 +330,8 @@ class SamplingPlanOptimizer:
         stage label before any engine execution; raising from it aborts
         the run (cooperative cancellation).  Neither hook touches the
         RNG, so hooked and hook-free runs stay bit-identical.
+        ``workers`` and ``chunk_size`` chunk the pilot's run as they
+        chunk :meth:`~repro.core.sbox.SBox.run` (default: one chunk).
         """
         seed = self.seed if seed is None else int(seed)
         skeleton = decompose(plan, self._column_owner(plan))
@@ -330,7 +345,9 @@ class SamplingPlanOptimizer:
         if before_execute is not None:
             before_execute("pilot")
         with maybe_span(tracer, "optimizer.pilot", kind="optimizer") as sp:
-            predictor, pilot_rate = self._pilot(skeleton, seed)
+            predictor, pilot_rate = self._pilot(
+                skeleton, seed, workers, chunk_size
+            )
             sp.attrs["pilot_rows"] = predictor.pilot.sample.n_rows
         REGISTRY.histogram(
             "repro_optimizer_seconds", stage="pilot"
@@ -466,6 +483,8 @@ class SamplingPlanOptimizer:
             "Callable[[AttemptRecord, QueryResult], None] | None"
         ) = None,
         before_execute: "Callable[[str], None] | None" = None,
+        workers: int | None = None,
+        chunk_size: int | None = None,
     ) -> OptimizedResult:
         """Choose, execute, and escalate until the budget is realized.
 
@@ -478,6 +497,8 @@ class SamplingPlanOptimizer:
         in-flight ladder between (never inside) executions.  Hooks only
         observe results; the RNG stream, the chosen plan, and the final
         answer are bit-identical to a hook-free ``optimize`` call.
+        ``workers`` and ``chunk_size`` chunk the pilot and every attempt
+        (see :meth:`report`).
         """
         seed = self.seed if seed is None else int(seed)
         report = self.report(
@@ -486,6 +507,8 @@ class SamplingPlanOptimizer:
             seed=seed,
             on_pilot=on_pilot,
             before_execute=before_execute,
+            workers=workers,
+            chunk_size=chunk_size,
         )
         skeleton = report.chosen.candidate.skeleton
         order = report.chosen.candidate.order
@@ -505,7 +528,10 @@ class SamplingPlanOptimizer:
                 methods=methods_label(methods),
             ) as sp:
                 result = self.db.sbox().run(
-                    executable, rng=self.db.rng(seed + attempt)
+                    executable,
+                    rng=self.db.rng(seed + attempt),
+                    workers=workers,
+                    chunk_size=chunk_size,
                 )
                 realized = self._realized(result, budget)
                 met = all(

@@ -484,7 +484,9 @@ class Database:
         routes through the sampling-plan optimizer and returns an
         :class:`~repro.optimizer.OptimizedResult`; an ``EXPLAIN
         SAMPLING`` prefix skips execution of the final plan and returns
-        the ranked :class:`~repro.optimizer.OptimizerReport`.
+        the ranked :class:`~repro.optimizer.OptimizerReport`.  Either
+        way ``workers`` and ``chunk_size`` chunk every plan the
+        statement runs (the pilot and each attempt included).
         """
         from repro.sql.parser import parse
         from repro.sql.planner import plan_query
@@ -509,10 +511,15 @@ class Database:
                 if clause is not None
                 else ErrorBudget.from_percent(5.0)
             )
+            workers, chunk_size = self.chunking(workers, chunk_size)
             optimizer = self.optimizer()
-            if query.explain_sampling:
-                return optimizer.report(plan, budget, seed=seed)
-            return optimizer.optimize(plan, budget, seed=seed)
+            run = (
+                optimizer.report if query.explain_sampling
+                else optimizer.optimize
+            )
+            return run(
+                plan, budget, seed=seed, workers=workers, chunk_size=chunk_size
+            )
         if not query.explain_analyze:
             return self._run_plan(plan, seed, subsample, workers, chunk_size)
         from dataclasses import replace

@@ -195,14 +195,16 @@ def join_rows(
 
 
 def combine_rows(
-    left: Table, right: Table, li: np.ndarray, ri: np.ndarray
+    left: Table, right: Table, li: np.ndarray | slice, ri: np.ndarray
 ) -> Table:
     """Matched rows of a join/cross as one output table.
 
     Both sides' lineage is gathered here; every data column stays a
     pending gather from its side (:class:`~repro.relational.table.Columns`),
     run when the column is first read — a join output is as wide as
-    both inputs and its consumers read a few columns of it.
+    both inputs and its consumers read a few columns of it.  ``li`` may
+    be a ``slice`` (a run of left rows, matched whole): the left side's
+    lineage and columns are then views.
     """
     overlap = set(left.columns) & set(right.columns)
     if overlap:
@@ -217,7 +219,7 @@ def combine_rows(
         left.columns.rows(li) | right.columns.rows(ri),
         lineage,
         left.schema.concat(right.schema),
-        int(li.shape[0]),
+        int(ri.shape[0]),
     )
 
 

@@ -31,14 +31,17 @@ Joins execute as build/probe: the build side is materialized once and
 its (factorized) join keys indexed once — one build shared by every
 probe task — and probe chunks stream through it.
 Integer keys over a compact span are addressed directly
-(:class:`_AddressedJoinBuild`: a histogram of the keys, its running
-sum, and no row order at all when the keys already ascend); any other
-keys are sorted once and binary-searched (:class:`_SortedJoinBuild`).
-:func:`_join_build` picks between them from the key dtypes and the
-build span alone.  Each output chunk is emitted in the canonical
-(right-major, left-ascending) order the reference sort-probe join
-produces, so concatenating the chunks reproduces it bit-for-bit while
-the join *output* is never materialized by streaming consumers.
+(:class:`_AddressedJoinBuild`: no row order at all when the keys
+already ascend; a probe chunk whose keys strictly ascend — a scanned
+primary key — walks the build in key order, any other reads a
+histogram of the keys and its running sum, built on first use); any
+other keys are sorted once and binary-searched
+(:class:`_SortedJoinBuild`).  :func:`_join_build` picks between them
+from the key dtypes and the build span alone.  Each output chunk is
+emitted in the canonical (right-major, left-ascending) order the
+reference sort-probe join produces, so concatenating the chunks
+reproduces it bit-for-bit while the join *output* is never
+materialized by streaming consumers.
 
 Column pruning: estimation consumers pass the columns they need and
 every operator forwards only those (plus whatever its own predicates
@@ -55,6 +58,7 @@ closes before its result is yielded.  Untraced runs compile no probes.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
@@ -121,6 +125,9 @@ class _SortedJoinBuild:
 
     __slots__ = ("_sorted_keys", "_positions")
 
+    #: The one probe path, named like :attr:`_AddressedJoinBuild.path`.
+    path = "sorted"
+
     def __init__(self, keys: np.ndarray) -> None:
         self._positions = np.argsort(keys, kind="stable")
         self._sorted_keys = keys[self._positions]
@@ -131,49 +138,121 @@ class _SortedJoinBuild:
 
 
 class _AddressedJoinBuild:
-    """Integer keys over a compact span: addressed, never searched.
+    """Integer keys over a compact span: addressed, never searched per key.
 
-    ``counts[k - lo]`` build rows carry key ``k`` and sit at
-    ``starts[k - lo]`` onward in key order, so a probe is two gathers
-    where the sorted build needs two binary searches per key.  The key
-    order of the build rows is *nothing* when one comparison pass finds
-    the keys non-decreasing (a scan-order sample of a fact table
+    The build rows in key order are *nothing* when one comparison pass
+    finds the keys non-decreasing (a scan-order sample of a fact table
     clustered on its parent key) and a stable radix order otherwise.
-    Slot ``span`` of both arrays is the empty run every probe key
-    outside ``[lo, lo + span)`` is sent to.  Emits exactly the
-    ``(li, ri)`` of :class:`_SortedJoinBuild`.
+    Each probe chunk takes one of three paths, named by :attr:`path`
+    after the call:
+
+    * ``ascending`` — the chunk's keys strictly ascend (a scanned
+      primary key) over a span of at most ``4·m + 65 536`` for its ``m``
+      rows.  The canonical order (right-major, then build key order) is
+      then the build's own key order: two scalar bisections find the
+      build rows whose keys lie in the chunk's range, and a lookup over
+      the chunk's key span turns each of their keys into its probe row
+      or drops it (contiguous probe keys need no lookup: key ``first +
+      i`` is row ``i``).  No probe row is expanded into its build
+      run, and a fully matched run of a key-ordered build comes back
+      as a ``slice``, which the gathers downstream take as views.
+    * ``distinct`` / ``expanded`` — any other chunk reads the count
+      table: ``counts[k - lo]`` build rows carry key ``k`` and sit at
+      ``starts[k - lo]`` onward in key order, so a probe is two gathers,
+      and repeated build keys are expanded run by run.  Slot ``span`` is
+      the empty run every probe key outside ``[lo, lo + span)`` is sent
+      to.  The table is built on the first chunk that needs it.
+
+    Every path emits exactly the ``(li, ri)`` of
+    :class:`_SortedJoinBuild`, ``li`` possibly as a ``slice``.
     """
 
-    __slots__ = ("_lo", "_counts", "_starts", "_positions", "_distinct")
+    __slots__ = ("_lo", "_span", "_keys", "_positions", "_table", "path")
 
     def __init__(
         self, keys: np.ndarray, lo: int, span: int, ordered: bool
     ) -> None:
-        offsets = keys - lo
-        counts = np.bincount(offsets, minlength=span + 1)
         self._lo = lo
-        self._counts = counts
-        self._starts = np.cumsum(counts) - counts
-        self._positions = None if ordered else _radix_order(offsets, span)
-        self._distinct = int(counts.max()) <= 1
+        self._span = span
+        if ordered:
+            self._positions = None
+            self._keys = keys
+        else:
+            self._positions = _radix_order(keys - lo, span)
+            self._keys = keys[self._positions]
+        self._table = None
+        self.path: str | None = None
 
-    def probe(self, probe_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def probe(
+        self, probe_keys: np.ndarray
+    ) -> tuple[np.ndarray | slice, np.ndarray]:
         """Match one probe chunk; canonical-order ``(li, ri_local)``."""
+        keys = probe_keys.astype(np.int64, copy=False)
+        m = keys.shape[0]
+        if not m:
+            self.path = "ascending"
+            return keys, keys
+        if m == 1 or bool(np.all(keys[1:] > keys[:-1])):
+            first, last = int(keys[0]), int(keys[-1])
+            if last - first < 4 * m + (1 << 16):
+                self.path = "ascending"
+                return self._walk(keys, first, last)
+        return self._expand(keys)
+
+    def _walk(
+        self, probe_keys: np.ndarray, first: int, last: int
+    ) -> tuple[np.ndarray | slice, np.ndarray]:
+        """The ``ascending`` path: the build's key order over the chunk."""
+        start = bisect_left(self._keys, first)
+        stop = bisect_right(self._keys, last, start)
+        # Over contiguous probe keys, key ``first + i`` is probe row i.
+        ri = self._keys[start:stop] - first
+        hit = None
+        m = probe_keys.shape[0]
+        span = last - first + 1
+        if span > m:  # gaps: look each key's row up
+            lookup = np.full(span, -1, dtype=np.int64)
+            lookup[probe_keys - first] = np.arange(m, dtype=np.int64)
+            ri = lookup[ri]
+            matched = ri >= 0
+            if not matched.all():
+                hit = np.flatnonzero(matched)
+                ri = ri[hit]
+        if hit is None:
+            if self._positions is None:
+                return slice(start, stop), ri
+            return self._positions[start:stop], ri
+        hit += start
+        return (hit if self._positions is None else self._positions[hit]), ri
+
+    def _expand(
+        self, probe_keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``distinct`` / ``expanded`` paths: through the count table."""
+        if self._table is None:
+            counts = np.bincount(
+                self._keys - self._lo, minlength=self._span + 1
+            )
+            distinct = int(counts.max()) <= 1
+            self._table = counts, np.cumsum(counts) - counts, distinct
+        counts, starts, distinct = self._table
+        self.path = "distinct" if distinct else "expanded"
         # Modulo 2^64 a key below ``lo`` wraps to a huge unsigned offset,
         # so one unsigned minimum sends both sides' strays to slot span.
-        offsets = probe_keys.astype(np.int64, copy=False) - self._lo
-        span = np.uint64(self._counts.shape[0] - 1)
-        slots = np.minimum(offsets.view(np.uint64), span).view(np.int64)
-        counts = self._counts[slots]
-        if self._distinct:
-            ri = np.flatnonzero(counts)
-            at = self._starts[slots[ri]]
+        offsets = probe_keys - self._lo
+        slots = np.minimum(
+            offsets.view(np.uint64), np.uint64(self._span)
+        ).view(np.int64)
+        hits = counts[slots]
+        if distinct:
+            ri = np.flatnonzero(hits)
+            at = starts[slots[ri]]
         else:
-            ri = np.repeat(np.arange(slots.shape[0], dtype=np.int64), counts)
+            ri = np.repeat(np.arange(slots.shape[0], dtype=np.int64), hits)
             # Run r's matches sit at starts[r], starts[r] + 1, …: the
             # output position minus the run's first output position.
-            first = np.cumsum(counts) - counts
-            at = np.repeat(self._starts[slots] - first, counts)
+            first = np.cumsum(hits) - hits
+            at = np.repeat(starts[slots] - first, hits)
             at += np.arange(at.shape[0], dtype=np.int64)
         return (at if self._positions is None else self._positions[at]), ri
 
@@ -243,9 +322,11 @@ def _probe(fn: Callable, name: str, kind: str) -> Callable:
 
 
 def _sampler_filter(
-    sampler, left_t: Table, rt: Table, li: np.ndarray, ri: np.ndarray
+    sampler, left_t: Table, rt: Table, li: np.ndarray | slice, ri: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply a fused lineage sample to index pairs pre-gather."""
+    if isinstance(li, slice):
+        li = np.arange(li.start, li.stop, dtype=np.int64)
     lin = {}
     for rel in sampler.rates:
         if rel in left_t.lineage:
@@ -781,9 +862,13 @@ class ChunkedExecutor:
                 start, stop = offsets[index], offsets[index + 1]
                 return rights[index], rcodes[start:stop]
 
+        probing = self._probing
+
         def probe(task) -> Table:
             rt, keys = chunk_keys(task)
             li, ri = build.probe(keys)
+            if probing:  # this join's node span is the innermost open one
+                tracer.current().attrs["probe"] = build.path
             if sampler is not None:
                 li, ri = _sampler_filter(sampler, left_table, rt, li, ri)
             return combine_rows(left_table, rt, li, ri)

@@ -9,7 +9,10 @@ import pytest
 
 from repro.fuzz.checker import (
     MANY_CHUNK_ROWS,
+    ONE_CHUNK_ROWS,
+    SERIAL_CHUNKED_RTOL,
     CheckContext,
+    _outcome,
     check_statement,
     diff_fingerprints,
     diff_outcomes,
@@ -289,6 +292,30 @@ class TestTwinsRunWhatTheyCompare:
         assert ctx.check_reuse(self.STATEMENT, 1) == []
         # catalog-free and catalog-miss runs, once at each chunking
         assert folds == [1, 1, many, many]
+
+    def test_a_budget_statement_folds_the_chunks_it_is_given(
+        self, ctx, monkeypatch
+    ):
+        """``WITHIN`` honours ``chunk_size``: the pilot and every attempt
+        of a ``fact ⋈ dim`` budget fold many chunks at 7 rows, and the
+        answer agrees with one chunk at the determinism tolerance."""
+        statement = (
+            "SELECT SUM(d_weight) AS a0\n"
+            "FROM fact TABLESAMPLE (50 PERCENT), dim TABLESAMPLE (50 PERCENT)"
+            "\nWHERE f_key = d_key\nWITHIN 20 % CONFIDENCE 0.95"
+        )
+        folds = self._count_folds(monkeypatch)
+        one = _outcome(
+            ctx.db.sql, statement, seed=3, chunk_size=ONE_CHUNK_ROWS
+        )
+        assert one[0] == "ok" and folds and set(folds) == {1}
+        folds.clear()
+        many = _outcome(
+            ctx.db.sql, statement, seed=3, chunk_size=MANY_CHUNK_ROWS
+        )
+        assert many[0] == "ok" and len(folds) >= 2
+        assert min(folds) > 1
+        assert diff_outcomes(one, many, SERIAL_CHUNKED_RTOL) is None
 
     def test_seed_zero_compares_a_join_budget_across_backends(self, ctx, monkeypatch):
         """The first 20 statements of ``repro fuzz --seed 0`` hold a

@@ -105,3 +105,24 @@ def test_generator_covers_the_surface():
         "sample:system_percent",
         "sample:system_blocks",
     }
+
+
+def test_most_budget_statements_of_seed_zero_plan():
+    """The first 600 statements of ``repro fuzz --seed 0``: most
+    ``WITHIN`` statements are shapes the optimizer plans (a ``SUM`` or
+    ``COUNT`` over tables that each carry a sample clause), joins among
+    them, and a few deliberate refusal shapes remain, so both outcomes
+    are compared across backends and chunkings."""
+    ctx = CheckContext()
+    generator = QueryGenerator(0)
+    budgets = []
+    for index in range(600):
+        query = generator.query()
+        if query.budget is not None:
+            planned = ctx.budget_plans(query_to_sql(query), index)
+            budgets.append((len(query.tables), planned))
+    planned = [tables for tables, ok in budgets if ok]
+    assert len(budgets) >= 15
+    assert len(planned) >= 0.75 * len(budgets)
+    assert len(planned) < len(budgets)
+    assert max(planned) > 1

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 
 from repro.fuzz import CheckContext, FuzzReport, run_fuzz
+from repro.fuzz.generator import QueryGenerator
 from repro.fuzz.runner import STATISTICAL_EVERY
 from repro.fuzz.shrink import ReproCase
 
@@ -17,6 +18,20 @@ def test_bounded_run_is_clean_and_counts_add_up():
     assert report.queries == 24
     assert report.statistical_queries == 24 // STATISTICAL_EVERY
     assert report.seed == 0
+
+
+def test_budget_statements_are_counted_planned_or_refused():
+    ctx = CheckContext()
+    generator = QueryGenerator(0)
+    budgets = sum(
+        generator.query().budget is not None for _ in range(120)
+    )
+    report = run_fuzz(seconds=3600.0, seed=0, max_queries=120, ctx=ctx)
+    assert report.ok
+    assert report.budgets_planned + report.budgets_refused == budgets
+    assert report.budgets_planned > 0
+    assert f"{report.budgets_planned} budgets planned" in report.summary()
+    assert report.to_json()["budgets_refused"] == report.budgets_refused
 
 
 def test_time_budget_stops_the_campaign():

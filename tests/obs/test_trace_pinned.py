@@ -7,7 +7,9 @@ chunk operators opened their own spans (when each chunk task logged
 its plan-node timings and the executor's task loop replayed the log
 into the tracer); every statement shape, chunking and storage has to keep
 reproducing them, and every span has to lie inside its parent's
-interval.
+interval.  The one attribute the digests leave out is a join span's
+``probe`` — the path its build took for the chunk, which came later
+than the digests — and it is pinned apart, per shape, below.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ def _shape(trace) -> list[tuple]:
                 sorted(
                     (k, _plain(v))
                     for k, v in s.attrs.items()
-                    if not k.endswith("_ns")
+                    if not k.endswith("_ns") and k != "probe"
                 )
             ),
         )
@@ -212,6 +214,52 @@ def test_trace_shape_is_pinned(databases, shape, chunking, storage):
     trace = _traced(databases[storage], shape, chunking)
     assert not trace.dropped
     assert _digest(trace) == PINNED[shape, chunking, storage]
+
+
+#: shape → the ``probe`` path every chunk of each of its joins takes.
+#: ``lineitem ⋈ orders`` and ``⋈ customer`` probe a scanned primary key
+#: (a filter on it keeps it ascending), so a silent fall back to the
+#: count table fails here.
+PROBE_PATHS = {
+    "fk_join": {"Join(l_orderkey = o_orderkey)": "ascending"},
+    "grouped": {},
+    "lineage_sample": {"Join(l_orderkey = o_orderkey)": "ascending"},
+    "scan_project": {},
+    "string_key": {"Join(l_returnflag = f_flag)": "ascending"},
+    "three_way": {
+        "Join(l_orderkey = o_orderkey)": "ascending",
+        "Join(o_custkey = c_custkey)": "ascending",
+    },
+}
+
+
+@pytest.mark.parametrize("storage", ["ram", "mmap"])
+@pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_join_spans_name_their_probe_path(databases, shape, chunking, storage):
+    trace = _traced(databases[storage], shape, chunking)
+    joins = [s for s in trace.spans if s.name.startswith("Join(")]
+    assert {s.name for s in joins} == set(PROBE_PATHS[shape])
+    for span in joins:
+        assert span.attrs["probe"] == PROBE_PATHS[shape][span.name]
+
+
+@pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
+def test_a_sampled_primary_key_probe_stays_ascending(databases, chunking):
+    """``orders TABLESAMPLE (50 PERCENT)``: kept keys still ascend, with
+    gaps, so the lookup half of the ascending path runs."""
+    workers, chunk_size = CHUNKINGS[chunking]
+    with start_trace("q") as tracer:
+        databases["ram"].sql(
+            "SELECT SUM(l_extendedprice) AS v FROM lineitem TABLESAMPLE "
+            "(10 PERCENT), orders TABLESAMPLE (50 PERCENT) "
+            "WHERE l_orderkey = o_orderkey",
+            seed=11,
+            workers=workers,
+            chunk_size=chunk_size,
+        )
+    joins = [s for s in tracer.finish_trace().spans if "probe" in s.attrs]
+    assert joins and {s.attrs["probe"] for s in joins} == {"ascending"}
 
 
 @pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
