@@ -42,7 +42,7 @@ def main() -> None:
 
     print("\n== hot-path profile: self-time by kernel ==")
     with start_trace("profile") as tracer:
-        db.sql(QUERY, seed=8, workers=4)
+        db.sql(QUERY, seed=8, chunk_size=65_536)
     print(profile_table(tracer.finish_trace()))
 
     print("\n== tracing never changes an answer ==")

@@ -3,12 +3,12 @@
 Every query runs on the chunked pipeline: it streams scan → sample →
 filter → project → join probe per chunk and folds each chunk's rows
 straight into mergeable moment sketches, so an aggregate estimate never
-materializes the full joined sample.  With no workers the pipeline runs
-over one chunk per table; with ``workers >= 1`` it cuts default-size
-chunks and folds them in order on the calling thread.  Because the
-moment state is a commutative monoid (the paper's Theorem 1 moments),
-the answers are *bit-for-bit identical* either way — chunking changes
-wall-clock and peak memory, never results.
+materializes the full joined sample.  A table of up to 2^20 rows is one
+chunk; a larger one, or any table given a ``chunk_size``, is cut into
+chunks folded in order on the calling thread.  Because the moment state
+is a commutative monoid (the paper's Theorem 1 moments), the answers
+are *bit-for-bit identical* either way — chunking changes wall-clock
+and peak memory, never results.
 
 Run:  python examples/parallel_quickstart.py
 """
@@ -41,12 +41,11 @@ def main() -> None:
     print(f"{db!r}\n")
 
     # 1. Same query, one engine, two partitionings: one chunk per table
-    #    (workers=0 pins it even under REPRO_WORKERS) and default-size
-    #    chunks (workers=1).
+    #    (the default at this size) and 16 384-row chunks.
     runs = {}
-    for label, workers in [("one chunk", 0), ("chunked", 1)]:
+    for label, chunk_size in [("one chunk", None), ("chunked", 16_384)]:
         start = time.perf_counter()
-        result = db.sql(QUERY, seed=42, workers=workers)
+        result = db.sql(QUERY, seed=42, chunk_size=chunk_size)
         runs[label] = result
         print(
             f"{label:>10}: revenue = {result['revenue']:,.0f}  "
@@ -58,14 +57,14 @@ def main() -> None:
 
     # 2. GROUP BY rides the same machinery: every chunk folds into one
     #    mergeable grouped sketch, per-group CIs come out exact.
-    grouped = db.sql(Q1, seed=42, workers=1)
+    grouped = db.sql(Q1, seed=42, chunk_size=16_384)
     print(grouped.summary(0.95), "\n")
 
     # 3. The SBox never needs the sample materialized: with
     #    keep_sample=False the estimate is produced purely from merged
     #    moment state (result.sample is None).
     lean = db.estimate(
-        db.plan_sql(QUERY), seed=42, workers=1, keep_sample=False
+        db.plan_sql(QUERY), seed=42, chunk_size=16_384, keep_sample=False
     )
     print(
         f"keep_sample=False: revenue = {lean['revenue']:,.0f}, "

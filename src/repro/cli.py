@@ -478,7 +478,7 @@ def _add_profile_subcommand(subcommands) -> None:
     )
     profile.add_argument(
         "--workers", type=int, default=argparse.SUPPRESS, metavar="N",
-        help="chunked-pipeline worker count",
+        help="accepted and ignored (the engine chunks each source itself)",
     )
 
 
@@ -763,10 +763,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="partition the chunked pipeline into default-size chunks "
-        "when N >= 1, folded in order on one thread (default: "
-        "REPRO_WORKERS, else one chunk; answers are worker-count "
-        "invariant, bit for bit)",
+        help="accepted and ignored: the engine chunks each source "
+        "itself (one chunk up to 2^20 rows)",
     )
     _add_stream_subcommand(parser)
     args = parser.parse_args(argv)

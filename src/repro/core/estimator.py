@@ -335,6 +335,8 @@ def grouped_y_terms_multi(
     owner: np.ndarray,
     n_out: int,
     lattice: SubsetLattice,
+    *,
+    totals: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Per-output-group ``y_S`` matrices for several weight vectors.
 
@@ -354,6 +356,11 @@ def grouped_y_terms_multi(
     This works because a GUS filter restricted to any data-defined row
     subset is the same GUS: group membership is a property of the data,
     so Theorem 1 applies verbatim group by group.
+
+    ``totals``, when the caller has them, are the per-group sums
+    ``np.bincount(owner, weights=sums_list[j], minlength=n_out)`` over
+    these same entries; the ``y_∅`` column squares them instead of
+    counting them again.
     """
     sums_list = [np.asarray(s, dtype=np.float64) for s in sums_list]
     owner = np.asarray(owner, dtype=np.int64)
@@ -375,9 +382,13 @@ def grouped_y_terms_multi(
         return outs
     for mask in lattice.masks():
         if mask == 0:
-            for out, sums in zip(outs, sums_list):
-                totals = np.bincount(owner, weights=sums, minlength=n_out)
-                out[:, 0] = totals * totals
+            if totals is None:
+                totals = [
+                    np.bincount(owner, weights=sums, minlength=n_out)
+                    for sums in sums_list
+                ]
+            for out, total in zip(outs, totals):
+                out[:, 0] = total * total
         elif mask == lattice.full_mask:
             for out, sums in zip(outs, sums_list):
                 out[:, mask] = np.bincount(

@@ -101,7 +101,7 @@ class QueryResult:
     quasi-operator of the SOA-equivalent plan; ``sample`` is the
     pre-aggregation result sample (with lineage) the estimates came
     from — pruned to the aggregate-relevant columns at every
-    ``workers`` value and on a synopsis-catalog hit (which also keeps
+    chunking and on a synopsis-catalog hit (which also keeps
     the query's predicate columns); on a catalog miss it *has* every
     column of the sampled child, of which only the ones the estimate
     read have been gathered — the rest are copied from the base tables
@@ -396,16 +396,17 @@ class SBox:
         A :class:`~repro.relational.plan.GroupAggregate` plan returns a
         :class:`GroupedQueryResult`.
 
-        There is one route at every ``workers`` value: the plan streams
-        chunk by chunk through the pipeline, every chunk's rows fold
-        straight into mergeable moment state inside the chunk task, and
-        the estimate comes from the merged state — the result sample is
+        There is one route at every chunking: the plan streams chunk
+        by chunk through the pipeline, every chunk's rows fold straight
+        into mergeable moment state inside the chunk task, and the
+        estimate comes from the merged state — the result sample is
         only materialized (column-pruned) to populate
         ``result.sample``, and not at all under ``keep_sample=False``.
         Chunks run on the calling thread, in order; absent an explicit
-        ``chunk_size``, ``workers`` sets the partitioning (none without
-        workers: one chunk).  Results are bit-for-bit identical for any
-        worker count, and for any row partitioning whenever each
+        ``chunk_size`` each source chunks itself (one chunk up to
+        :data:`~repro.relational.partition.CHUNK_ROWS` rows), and
+        ``workers`` is accepted and ignored.  Results are bit-for-bit
+        identical for any row partitioning whenever each
         active lineage key's rows stay within one chunk (tuple-level
         sampling always; block sampling via boundary alignment); keys
         replicated across chunks by join fanout merge partial sums, so

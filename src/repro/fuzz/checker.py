@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: Rows per chunk of the checker's one-chunk runs: more than any table
-#: holds, whatever the ambient ``REPRO_WORKERS``.
+#: holds.
 ONE_CHUNK_ROWS = sys.maxsize
 
 #: Rows per chunk of its many-chunk runs: the fuzz ``fact`` table (400

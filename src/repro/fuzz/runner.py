@@ -31,6 +31,7 @@ class FuzzReport:
     """Everything one fuzz campaign produced."""
 
     seed: int
+    #: Seconds the campaign took, read off the run's clock.
     seconds: float
     queries: int = 0
     statistical_queries: int = 0
@@ -108,7 +109,8 @@ def run_fuzz(
         ctx = CheckContext()
     generator = QueryGenerator(seed)
     report = FuzzReport(seed=seed, seconds=seconds)
-    deadline = clock() + seconds
+    start = clock()
+    deadline = start + seconds
     index = 0
     while clock() < deadline:
         if max_queries is not None and index >= max_queries:
@@ -131,5 +133,5 @@ def run_fuzz(
         for failure in failures[:1]:  # shrink the first failure per query
             report.failures.append(shrink_failure(ctx, failure))
         index += 1
-    report.seconds = seconds
+    report.seconds = clock() - start
     return report

@@ -9,10 +9,10 @@ one query.  The design constraints, in order of importance:
 * **Bit-identity.**  Recording a span touches only ``perf_counter_ns``
   and Python lists — never the executor RNG, never fold order — so
   traced runs produce bit-identical estimates, variances, and samples.
-* **Determinism across worker counts.**  Every chunk runs on the
-  thread that owns the tracer, in chunk order, and opens its own span
-  (and one per plan node it runs) directly; ``workers`` only picks the
-  chunking, so span ids and tree shape depend only on the chunking.
+* **Determinism.**  Every chunk runs on the thread that owns the
+  tracer, in chunk order, and opens its own span (and one per plan
+  node it runs) directly, so span ids and tree shape depend only on
+  the chunking, which ``workers`` no longer touches.
 * **Bounded.**  A trace keeps at most ``max_spans`` spans; further
   spans are counted in :attr:`Trace.dropped` but not stored, so a
   pathological plan cannot balloon memory.

@@ -330,8 +330,9 @@ class SamplingPlanOptimizer:
         stage label before any engine execution; raising from it aborts
         the run (cooperative cancellation).  Neither hook touches the
         RNG, so hooked and hook-free runs stay bit-identical.
-        ``workers`` and ``chunk_size`` chunk the pilot's run as they
-        chunk :meth:`~repro.core.sbox.SBox.run` (default: one chunk).
+        ``chunk_size`` chunks the pilot's run as it chunks
+        :meth:`~repro.core.sbox.SBox.run` (default: the source's own
+        chunking); ``workers`` is passed along and ignored.
         """
         seed = self.seed if seed is None else int(seed)
         skeleton = decompose(plan, self._column_owner(plan))
@@ -497,8 +498,8 @@ class SamplingPlanOptimizer:
         in-flight ladder between (never inside) executions.  Hooks only
         observe results; the RNG stream, the chosen plan, and the final
         answer are bit-identical to a hook-free ``optimize`` call.
-        ``workers`` and ``chunk_size`` chunk the pilot and every attempt
-        (see :meth:`report`).
+        ``chunk_size`` chunks the pilot and every attempt (see
+        :meth:`report`).
         """
         seed = self.seed if seed is None else int(seed)
         report = self.report(

@@ -50,10 +50,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def env_workers() -> int | None:
-    """The ``REPRO_WORKERS`` engine-wide default.
+    """The ``REPRO_WORKERS`` engine-wide default worker count.
 
-    Unset, empty and ``0`` mean "no default" (one chunk per source);
-    anything but a non-negative integer raises.
+    Unset, empty and ``0`` mean "no default"; anything but a
+    non-negative integer raises.  The count changes nothing — the
+    engine chunks each source itself — and is still read, and
+    checked, only until callers stop passing ``workers``.
     """
     raw = os.environ.get("REPRO_WORKERS", "").strip()
     if raw and not raw.isdecimal():
@@ -69,7 +71,8 @@ def resolve_workers(workers: int | None) -> int | None:
 
     ``None`` defers to ``REPRO_WORKERS`` (itself possibly unset); any
     integer >= 1 is taken literally; 0 and negatives resolve to
-    ``None`` — one chunk per source.
+    ``None``.  No value changes the chunking or an answer: the pipeline
+    accepts the count and ignores it.
     """
     if workers is None:
         return env_workers()
@@ -81,15 +84,13 @@ class Database:
 
     Every query runs on the chunked pipeline
     (:class:`~repro.relational.pipeline.ChunkedExecutor`), on the
-    calling thread; ``workers`` selects its default partitioning,
-    nothing else.  ``None`` (default) defers to the ``REPRO_WORKERS``
-    environment variable and, failing that, leaves the run
-    unpartitioned — each source is one chunk; any value >= 1 cuts
-    :data:`~repro.relational.partition.DEFAULT_CHUNK_ROWS`-row chunks
-    (a count above 1 changes nothing further).  An explicit
-    ``chunk_size`` is honoured either way.  Results are bit-for-bit
-    identical for every worker count at one chunking.
-    Across chunkings executed tables are identical too, and estimates
+    calling thread, and the chunking is the source's own: a source of
+    up to :data:`~repro.relational.partition.CHUNK_ROWS` (2^20) rows is
+    one chunk and a larger one is cut into chunks of that many rows.
+    ``chunk_size`` (argument or database default) is the one override.
+    ``workers`` (argument, database default, or ``REPRO_WORKERS``) is
+    accepted and changes nothing; it stays until callers stop passing
+    it.  Across chunkings executed tables are identical, and estimates
     are whenever each lineage key's rows stay within one chunk
     (tuple-level sampling of a single table; block sampling via
     boundary alignment); when join fanout replicates a key across
@@ -160,7 +161,11 @@ class Database:
     def chunking(
         self, workers: int | None, chunk_size: int | None
     ) -> tuple[int | None, int | None]:
-        """Per-call override → database default (→ ``REPRO_WORKERS``)."""
+        """Per-call override → database default (→ ``REPRO_WORKERS``).
+
+        Only ``chunk_size`` reaches the chunking; the resolved worker
+        count is passed along and ignored.
+        """
         return (
             resolve_workers(self.workers if workers is None else workers),
             self.chunk_size if chunk_size is None else chunk_size,
@@ -337,13 +342,13 @@ class Database:
     ) -> Table:
         """Execute a plan, drawing any samples from the RNG.
 
-        Runs the chunked pipeline; ``workers`` (argument, database
-        default, or ``REPRO_WORKERS``) and ``chunk_size`` set its
-        partitioning and never change the output.  The result has
-        every column of the plan's output; a one-chunk run (no
-        ``workers``) returns the columns of sampled or joined rows as
-        pending gathers that run when first read, a many-chunk run
-        reads them all to concatenate the chunks.
+        Runs the chunked pipeline; ``chunk_size`` (argument or
+        database default) sets its partitioning and never changes the
+        output.  The result has every column of the plan's output; a
+        one-chunk run (any source under the chunk bound) returns the
+        columns of sampled or joined rows as pending gathers that run
+        when first read, a many-chunk run reads them all to
+        concatenate the chunks.
         """
         from repro.relational.pipeline import ChunkedExecutor
 
@@ -386,8 +391,8 @@ class Database:
         The SBox folds each chunk's sample rows directly into mergeable
         moment sketches — the full joined sample is never materialized
         (``keep_sample=False`` skips even the pruned copy kept for
-        ``result.sample``).  ``workers`` (argument, database default, or
-        ``REPRO_WORKERS``) sets the default partitioning.
+        ``result.sample``).  ``chunk_size`` (argument or database
+        default) overrides the source's own chunking.
         """
         workers, chunk_size = self.chunking(workers, chunk_size)
         return self.sbox().run(
@@ -485,8 +490,8 @@ class Database:
         :class:`~repro.optimizer.OptimizedResult`; an ``EXPLAIN
         SAMPLING`` prefix skips execution of the final plan and returns
         the ranked :class:`~repro.optimizer.OptimizerReport`.  Either
-        way ``workers`` and ``chunk_size`` chunk every plan the
-        statement runs (the pilot and each attempt included).
+        way ``chunk_size`` chunks every plan the statement runs (the
+        pilot and each attempt included).
         """
         from repro.sql.parser import parse
         from repro.sql.planner import plan_query

@@ -5,7 +5,10 @@ by its *global* coordinates in the base table: sampling draws and
 lineage ids are functions of the global row position, never the
 chunk-local one, so any partitioning of the same rows yields the same
 sample.  :func:`chunk_bounds` computes the ranges; the pipeline's scan
-slices zero-copy column views out of the base table per range.
+slices zero-copy column views out of the base table per range.  The
+chunking is a property of the source alone: unless a query names a
+``chunk_size``, a source of up to :data:`CHUNK_ROWS` rows is one chunk
+and a larger one is cut into :data:`CHUNK_ROWS`-row chunks.
 
 Alignment matters for exactness, not just speed: block-level sampling
 (``TABLESAMPLE SYSTEM``) assigns one lineage id to a whole block of
@@ -27,44 +30,39 @@ import math
 from repro.relational import plan as p
 
 __all__ = [
-    "DEFAULT_CHUNK_ROWS",
+    "CHUNK_ROWS",
     "chunk_bounds",
-    "chunk_step",
     "required_alignment",
 ]
 
-#: Default rows per chunk: large enough that per-chunk numpy dispatch
-#: overhead is negligible, small enough that a chunk of a wide table
-#: stays comfortably inside L2/L3-sized working sets.
-DEFAULT_CHUNK_ROWS = 65_536
+#: Rows per chunk when no ``chunk_size`` is given.  Every source of up
+#: to this many rows folds as one chunk — one dictionary, one key
+#: packing and one set of ``bincount`` passes per query instead of one
+#: per chunk — and a larger source is cut into chunks of this size, so
+#: no fold's working set grows with the table.
+CHUNK_ROWS = 1 << 20
 
 #: Ceiling on the block-size lcm the partitioner will honour; beyond it
 #: chunks simply grow to one-block-per-chunk granularity.
 _MAX_ALIGNMENT = 1 << 22
 
 
-def chunk_step(chunk_size: int, align: int = 1) -> int:
-    """Rows per chunk of :func:`chunk_bounds`: chunk ``i`` starts at
-    ``i · step``, so a global row position ``r`` lies in chunk
-    ``r // step``."""
-    chunk_size = max(1, int(chunk_size))
+def chunk_bounds(
+    n_rows: int, chunk_size: int | None = None, align: int = 1
+) -> list[tuple[int, int]]:
+    """Split ``[0, n_rows)`` into ``[start, stop)`` ranges.
+
+    Chunks hold ``chunk_size`` rows — :data:`CHUNK_ROWS` when ``None``
+    — rounded down to a multiple of ``align`` (at least one ``align``),
+    so boundaries land on multiples of ``align`` (except the final
+    stop).  An empty input yields one empty range so a pipeline always
+    carries at least one (schema-bearing) chunk.
+    """
+    chunk_size = max(1, int(CHUNK_ROWS if chunk_size is None else chunk_size))
     align = max(1, int(align))
     step = max(chunk_size, align)
     if align > 1:
         step = (step // align) * align
-    return step
-
-
-def chunk_bounds(
-    n_rows: int, chunk_size: int, align: int = 1
-) -> list[tuple[int, int]]:
-    """Split ``[0, n_rows)`` into ``[start, stop)`` ranges.
-
-    Boundaries land on multiples of ``align`` (except the final stop).
-    An empty input yields one empty range so a pipeline always carries
-    at least one (schema-bearing) chunk.
-    """
-    step = chunk_step(chunk_size, align)
     if n_rows <= 0:
         return [(0, 0)]
     return [

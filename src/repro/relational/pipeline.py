@@ -5,27 +5,41 @@
 where each task is one chunk of base rows and ``fn`` runs the whole
 operator stack — scan → sample → filter → project → join probe — over
 that chunk.  Tasks are pure and independent; the calling thread runs
-them one after another in chunk order.  With no worker count given
-there is nothing to partition for: every source is one chunk — the
-unpartitioned case is the pipeline with k = 1, not a second engine.
+them one after another in chunk order.  The chunking is the source's
+own: a source of up to :data:`~repro.relational.partition.CHUNK_ROWS`
+rows is one chunk — the unpartitioned case is the pipeline with k = 1,
+not a second engine — and a larger one is cut into chunks of that
+many rows, unless the caller names a ``chunk_size``.
 
 Reproducibility contract (tested property, not aspiration):
 
-* **Worker invariance** — ``workers`` only picks the chunking, the
-  same task callables run in the same order, so every ``workers``
-  value >= 1 produces bit-for-bit identical output.
+* **Chunking invariance** — moments are additive and every operator
+  maps a chunk of rows to the chunk of its output, so how a source is
+  cut, and which of its blocks pruning skips, decides how much work a
+  query does and not its answer: executed tables are the same at every
+  ``chunk_size``, and so are estimates whenever each lineage key's rows
+  stay within one chunk (join fanout that spreads a key over chunks
+  adds its partial sums in another order, which can move the last
+  float ulp of a point estimate).
 * **Partition invariance** — randomness is a function of the *global*
   row position, never of chunk boundaries: every sampling node draws
   once over its whole base table before any chunk runs, and a chunk
   only slices that draw.  A draw is the sorted kept positions and
   their lineage ids, made block by block, so nothing in it grows with
-  the table; one ``bincount`` at compile time finds where each chunk's
-  positions start, and a chunk takes them (a chunk that keeps every
-  row stays a view).  The draws consume the generator in plan
-  post-order, exactly as the reference interpreter
+  the table; two scalar bisections find a task's positions in it, and
+  the task takes them (a task that keeps every row stays a view).  The
+  draws consume the generator in plan post-order, exactly as the
+  reference interpreter
   (:class:`~repro.relational.executor.Executor`) does, so one seed maps
   to one realization on both — which is what lets the interpreter be
   the independent reference this engine is tested against.
+* **Block pruning** — a selection over a scan of a table with block
+  min/max stats (a persisted table) cuts each task to the runs of
+  stats blocks its ``col OP literal`` conjuncts may match, widened to
+  whole sampling blocks.  The rows it skips are rows the predicate
+  drops anyway, and the draws were made over the whole table first,
+  so pruning changes no sample; one big chunk prunes what a chunk per
+  block would.
 
 Joins execute as build/probe: the build side is materialized once and
 its (factorized) join keys indexed once — one build shared by every
@@ -57,10 +71,11 @@ closes before its result is yielded.  Untraced runs compile no probes.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -81,12 +96,7 @@ from repro.relational.executor import (
     probe_sorted,
     union_tables,
 )
-from repro.relational.partition import (
-    DEFAULT_CHUNK_ROWS,
-    chunk_bounds,
-    chunk_step,
-    required_alignment,
-)
+from repro.relational.partition import chunk_bounds, required_alignment
 from repro.relational.table import Table, concat_column
 from repro.sampling.base import Draw
 
@@ -297,6 +307,10 @@ def _identity(table: Table) -> Table:
     return table
 
 
+def _unnumbered(chunk: Table, start: int, stop: int) -> Table:
+    return chunk
+
+
 def _probe(fn: Callable, name: str, kind: str) -> Callable:
     """Traced runs only: run ``fn`` inside a span of its own.
 
@@ -386,34 +400,61 @@ def _range_may_satisfy(op: str, lo: float, hi: float, value: float) -> bool:
     return hi >= value  # ">="
 
 
-def _chunk_may_match(
-    start: int,
-    stop: int,
-    conjuncts: list[tuple[str, str, float]],
-    stats: Mapping[str, list],
-) -> bool:
-    """Whether any row of ``[start, stop)`` can satisfy every conjunct.
+def _ruled_out(
+    conjuncts: list[tuple[str, str, float]], stats: Mapping[str, list]
+) -> list[tuple[int, int]]:
+    """The row ranges no row of which can satisfy every conjunct.
 
-    A chunk is pruned when some conjunct is unsatisfiable in *all* the
-    stats blocks it overlaps.  Blocks with ``None`` bounds (all-NaN or
-    unindexed) conservatively may match, and a chunk overlapping no
-    stats block at all is conservatively kept.
+    Each is a stats block in which some conjunct is unsatisfiable;
+    they come merged and in row order.  Blocks with ``None`` bounds
+    (all-NaN or unindexed) conservatively may match, and rows no stats
+    block covers are conservatively kept.
     """
-    for col, op, value in conjuncts:
-        blocks = stats.get(col)
-        if not blocks:
-            continue
-        possible = overlapped = False
-        for bstart, bstop, lo, hi in blocks:
-            if bstop <= start or bstart >= stop:
-                continue
-            overlapped = True
-            if lo is None or _range_may_satisfy(op, lo, hi, value):
-                possible = True
-                break
-        if overlapped and not possible:
-            return False
-    return True
+    blocks = sorted(
+        (bstart, bstop)
+        for col, op, value in conjuncts
+        for bstart, bstop, lo, hi in stats.get(col) or ()
+        if lo is not None and not _range_may_satisfy(op, lo, hi, value)
+    )
+    merged: list[tuple[int, int]] = []
+    for bstart, bstop in blocks:
+        if merged and bstart <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], bstop))
+        else:
+            merged.append((bstart, bstop))
+    return merged
+
+
+def _kept_runs(
+    bound: tuple[int, int], dropped: list[tuple[int, int]], align: int
+) -> list[tuple[int, int]]:
+    """The runs of ``bound`` outside the ``dropped`` ranges.
+
+    Each run widens outward to multiples of ``align`` (within
+    ``bound``, whose start is one), so a sampling block never straddles
+    two tasks; runs that then meet are joined.
+    """
+    start, stop = bound
+    runs: list[tuple[int, int]] = []
+    at = start
+    first = bisect_right(dropped, start, key=itemgetter(1))
+    for dstart, dstop in islice(dropped, first, None):
+        if dstart >= stop:
+            break
+        if dstart > at:
+            runs.append((at, dstart))
+        at = dstop
+    if at < stop:
+        runs.append((at, stop))
+    widened: list[tuple[int, int]] = []
+    for rstart, rstop in runs:
+        rstart -= rstart % align
+        rstop = min(stop, rstop + -rstop % align)
+        if widened and rstart <= widened[-1][1]:
+            widened[-1] = (widened[-1][0], rstop)
+        else:
+            widened.append((rstart, rstop))
+    return widened
 
 
 # -- the pipeline --------------------------------------------------------
@@ -431,13 +472,13 @@ class ChunkedExecutor:
     """Chunked plan execution over the columnar engine.
 
     The supplied generator is consumed in plan post-order, so results
-    are bit-for-bit equal at the same seed for any ``workers`` and
-    ``chunk_size``.  Every task runs on the calling thread, in order;
-    ``workers`` only picks the partitioning when ``chunk_size`` is
-    ``None``: ``None`` (or 0) makes each source one chunk, any value
-    >= 1 makes :data:`~repro.relational.partition.DEFAULT_CHUNK_ROWS`
-    chunks — a count above 1 changes nothing further.  An explicit
-    ``chunk_size`` is always honoured.
+    are bit-for-bit equal at the same seed for any ``chunk_size``.
+    Every task runs on the calling thread, in order.  The chunking is
+    the source's own: with ``chunk_size`` ``None`` a source of up to
+    :data:`~repro.relational.partition.CHUNK_ROWS` rows is one chunk
+    and a larger one is cut into chunks of that many rows; an explicit
+    ``chunk_size`` is always honoured.  ``workers`` is accepted for
+    existing callers and ignored: it changes nothing.
     """
 
     def __init__(
@@ -445,17 +486,14 @@ class ChunkedExecutor:
         catalog: Mapping[str, Table],
         rng: np.random.Generator | None = None,
         *,
-        workers: int | None = 1,
+        workers: int | None = None,
         chunk_size: int | None = None,
     ) -> None:
-        if chunk_size is None:
-            one_chunk = workers is None or workers < 1
-            chunk_size = sys.maxsize if one_chunk else DEFAULT_CHUNK_ROWS
-        if chunk_size < 1:
+        if chunk_size is not None and chunk_size < 1:
             raise ExecutionError(f"chunk_size must be >= 1, got {chunk_size}")
         self.catalog = dict(catalog)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.chunk_size = int(chunk_size)
+        self.chunk_size = None if chunk_size is None else int(chunk_size)
         self._draws: dict[int, Draw] = {}
         self._draw_nodes: list[p.PlanNode] = []
         self._probing = False
@@ -668,25 +706,24 @@ class ChunkedExecutor:
         name = node.child.table_name
         draw = self._draws[id(node)]
         rows, lineage = draw.rows, draw.lineage
-        # Chunk ``i`` covers positions ``[i·step, (i+1)·step)``, so its
-        # kept positions are ``rows[offsets[i]:offsets[i + 1]]``.
-        step = chunk_step(self.chunk_size, align)
-        n_chunks = -(-self._base_table(name).n_rows // step)
-        counts = np.bincount(rows // step, minlength=n_chunks)
-        offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
 
         def sample(chunk: Table, start: int, stop: int) -> Table:
-            lo = offsets[start // step]
-            hi = offsets[start // step + 1] if stop > start else lo
+            # The draw ascends, so a task's kept positions are the run
+            # two scalar bisections find: any [start, stop) will do.
+            lo = bisect_left(rows, start)
+            hi = bisect_left(rows, stop, lo)
             if hi - lo < stop - start:
                 kept = rows[lo:hi]
                 chunk = chunk.take(kept - start if start else kept)
             return chunk.with_lineage(name, lineage[lo:hi])
 
         if self._probing:
-            # One operator per plan node, so the Scan reports its own rows.
-            child = self._compile(node.child, needed, align)
-            scan = child.fn
+            # One operator per plan node, so the Scan reports its own
+            # rows.  The sample stamps the lineage of the rows it keeps,
+            # so the scan numbers none: a chunk's worth of positions
+            # would be the largest allocation of a traced run.
+            child = self._scan_source(name, needed, align, _unnumbered)
+            scan = _probe(child.fn, repr(node.child), "node")
             return _Source(
                 tasks=child.tasks, fn=lambda bound: sample(scan(bound), *bound)
             )
@@ -719,8 +756,8 @@ class ChunkedExecutor:
 
         Pruning below a TableSample is sound because draws are fixed
         per *global* row position in :meth:`_prepare_draws` (never per
-        surviving chunk), so skipping a chunk whose rows the predicate
-        would discard anyway changes no draw and no surviving row.
+        surviving task), so skipping rows the predicate would discard
+        anyway changes no draw and no surviving row.
         """
         if isinstance(node, p.Scan):
             return self._base_table(node.table_name).block_stats
@@ -737,18 +774,22 @@ class ChunkedExecutor:
         child = self._compile(node.child, child_needed, align)
         tasks = child.tasks
         stats = self._scan_stats(node.child)
-        if stats:
-            conjuncts = _predicate_conjuncts(node.predicate)
-            if conjuncts:
-                tasks = [
-                    bound
-                    for bound in tasks
-                    if _chunk_may_match(bound[0], bound[1], conjuncts, stats)
-                ]
-                if not tasks:
-                    # Consumers need at least one (empty) chunk to
-                    # carry the schema.
-                    tasks = [(0, 0)]
+        dropped = (
+            _ruled_out(_predicate_conjuncts(node.predicate), stats)
+            if stats
+            else []
+        )
+        if dropped:
+            # Cut each task to the runs of blocks the predicate may
+            # match: one chunk over a whole table prunes what a chunk
+            # per block would.
+            tasks = [
+                run for bound in tasks for run in _kept_runs(bound, dropped, align)
+            ]
+            if not tasks:
+                # Consumers need at least one (empty) chunk to carry
+                # the schema.
+                tasks = [(0, 0)]
         child_fn, predicate = child.fn, node.predicate
 
         def select(task) -> Table:

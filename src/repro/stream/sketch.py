@@ -450,7 +450,15 @@ class GroupedMomentBundle:
             owner = owner[keep]
             keys = [k[keep] for k in keys]
             sums = [s[keep] for s in sums]
-        ys = grouped_y_terms_multi(sums, keys, owner, n_groups, self.lattice)
+        ys = grouped_y_terms_multi(
+            sums,
+            keys,
+            owner,
+            n_groups,
+            self.lattice,
+            # Unrestricted, y_∅ is the square of the totals just counted.
+            totals=totals if keep is None else None,
+        )
         return key_columns, ys, totals, counts
 
     def __repr__(self) -> str:

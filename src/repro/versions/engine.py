@@ -13,9 +13,9 @@ change estimates with exact variance: a coordinated difference needs
 each side's per-key values, never a Theorem 1 estimate of a side.
 
 Determinism: coordinated Bernoulli draws are pure per-key hashes (no
-RNG), the per-side samples are bit-identical for any worker count, and
-the netting reduce keys are unique per side — so a versioned query's
-numbers do not depend on ``workers`` or ``seed``.
+RNG), the per-side samples are bit-identical at any chunking, and the
+netting reduce keys are unique per side — so a versioned query's
+numbers do not depend on the chunking or ``seed``.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The headline contract: a query over memory-mapped tables returns the
 same bits as over in-RAM tables, for every worker count — storage is
 invisible to answers.  Block-stat
-pruning must only ever *skip* chunks the predicate would empty anyway,
-so it is checked both behaviorally (task lists) and end-to-end.
+pruning must only ever *skip* rows the predicate would drop anyway, so
+it is checked both behaviorally (task lists) and end-to-end.
 """
 
 from __future__ import annotations
@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 
 from repro.fuzz.checker import fingerprint
+from repro.obs.trace import start_trace
 from repro.relational import expressions as ex
 from repro.relational.database import Database
 from repro.relational.partition import required_alignment
 from repro.relational.pipeline import (
     ChunkedExecutor,
-    _chunk_may_match,
+    _kept_runs,
     _predicate_conjuncts,
+    _ruled_out,
 )
 from repro.relational.table import Table
 
@@ -144,6 +146,74 @@ def test_pruning_skips_unmatchable_chunks(tmp_path) -> None:
     assert len(tasks) == 10
 
 
+def _draw_and_tasks(db: Database, statement: str, seed: int):
+    """The sample positions and pruned tasks of a default-chunked run."""
+    plan = db.plan_sql(statement).child  # what the aggregate folds
+    executor = ChunkedExecutor(db.tables, np.random.default_rng(seed))
+    executor._prepare_draws(plan)
+    (draw,) = executor._draws.values()
+    return draw.rows, executor._compile(plan, None, required_alignment(plan)).tasks
+
+
+def _sampled_rows(db: Database, statement: str, seed: int) -> int:
+    """Rows the statement's sampling node hands on, over all tasks."""
+    with start_trace("q") as tracer:
+        db.sql(statement, seed=seed)
+    return sum(
+        span.attrs["rows_out"]
+        for span in tracer.finish_trace().spans
+        if span.name.startswith("TableSample(")
+    )
+
+
+_BLOCK_PRUNED = {
+    # One 256-row block, tuple-level: exactly that block is gathered.
+    "SELECT SUM(v) AS s, COUNT(*) AS n FROM t TABLESAMPLE (30 PERCENT)"
+    " WHERE a >= 1024 AND a < 1280": [(1024, 1280)],
+    # SYSTEM blocks of 100 rows: the run widens to whole sampling blocks.
+    "SELECT SUM(v) AS s, COUNT(*) AS n FROM t"
+    " TABLESAMPLE (SYSTEM (50 PERCENT, 100)) WHERE a >= 1024 AND a < 1280": [
+        (1000, 1300)
+    ],
+    # b cycles every 1 024 rows: four separate runs of one chunk.
+    "SELECT AVG(v) AS m FROM t TABLESAMPLE (SYSTEM (40 PERCENT, 64))"
+    " WHERE b >= 256 AND b < 512": [
+        (256, 512), (1280, 1536), (2304, 2560), (3328, 3584)
+    ],
+}
+
+
+@pytest.mark.parametrize("statement", sorted(_BLOCK_PRUNED))
+def test_one_chunk_prunes_by_block(tmp_path, statement) -> None:
+    """A table under the chunk bound is one chunk, and its block stats
+    still cut the scan to the blocks the predicate may match: only
+    their sampled rows are gathered, and the answer is the in-RAM (no
+    stats) answer, bit for bit."""
+    n = 4096
+    table = Table(
+        "t",
+        {
+            "a": np.arange(n, dtype=np.int64),
+            "b": np.arange(n, dtype=np.int64) % 1024,
+            "v": np.cos(np.arange(n) * 0.01),
+        },
+    )
+    mapped = Database(seed=0)
+    mapped.register("t", table.persist(tmp_path / "t", block_rows=256))
+    ram = Database(seed=0)
+    ram.register("t", table)
+
+    rows, tasks = _draw_and_tasks(mapped, statement, seed=3)
+    assert tasks == _BLOCK_PRUNED[statement]
+    kept = sum(
+        int(np.count_nonzero((rows >= start) & (rows < stop)))
+        for start, stop in tasks
+    )
+    assert 0 < _sampled_rows(mapped, statement, seed=3) == kept < rows.size
+    assert _sampled_rows(ram, statement, seed=3) == rows.size
+    assert _snap(mapped, statement, seed=3) == _snap(ram, statement, seed=3)
+
+
 def test_pruned_results_equal_unpruned(tmp_path) -> None:
     db = Database(seed=0, chunk_size=16)
     table = Table(
@@ -184,14 +254,35 @@ def test_conjunct_extraction() -> None:
     assert _predicate_conjuncts(pred) == []
 
 
-def test_chunk_may_match_respects_open_bounds() -> None:
+def test_ruled_out_respects_open_bounds() -> None:
     stats = {"a": [(0, 10, None, None)]}  # all-NaN block: unknown range
-    assert _chunk_may_match(0, 10, [("a", "<", 5.0)], stats)
+    assert _ruled_out([("a", "<", 5.0)], stats) == []
     stats = {"a": [(0, 10, 20.0, 30.0)]}
-    assert not _chunk_may_match(0, 10, [("a", "<", 5.0)], stats)
-    assert _chunk_may_match(0, 10, [("a", "=", 25.0)], stats)
-    # A chunk overlapping no stats block is conservatively kept.
-    assert _chunk_may_match(50, 60, [("a", "<", 5.0)], stats)
+    assert _ruled_out([("a", "<", 5.0)], stats) == [(0, 10)]
+    assert _ruled_out([("a", "=", 25.0)], stats) == []
+    # Rows no stats block covers are conservatively kept.
+    dropped = _ruled_out([("a", "<", 5.0)], stats)
+    assert _kept_runs((50, 60), dropped, 1) == [(50, 60)]
+    assert _kept_runs((0, 60), dropped, 1) == [(10, 60)]
+
+
+def test_kept_runs_widen_to_whole_sampling_blocks() -> None:
+    stats = {
+        "a": [(0, 10, 0.0, 1.0), (10, 20, 5.0, 6.0), (20, 30, 0.0, 1.0)],
+        "b": [(0, 15, 0.0, 0.0), (15, 30, 9.0, 9.0)],
+    }
+    # Any conjunct rules its blocks out: a > 3 drops [0, 10) and
+    # [20, 30), b < 5 drops [15, 30).
+    dropped = _ruled_out([("a", ">", 3.0), ("b", "<", 5.0)], stats)
+    assert dropped == [(0, 10), (15, 30)]
+    assert _kept_runs((0, 30), dropped, 1) == [(10, 15)]
+    assert _kept_runs((0, 30), dropped, 4) == [(8, 16)]
+    assert _kept_runs((0, 30), dropped, 16) == [(0, 16)]
+    assert _kept_runs((16, 30), dropped, 16) == []
+    # Runs that meet once widened become one task.
+    dropped = [(3, 5), (9, 11)]
+    assert _kept_runs((0, 16), dropped, 1) == [(0, 3), (5, 9), (11, 16)]
+    assert _kept_runs((0, 16), dropped, 4) == [(0, 16)]
 
 
 # -- database wiring ----------------------------------------------------------

@@ -44,6 +44,27 @@ def test_time_budget_stops_the_campaign():
     # Budget of 5 ticks, one tick consumed per loop iteration check.
     report = run_fuzz(seconds=5.0, seed=1, ctx=ctx, clock=clock)
     assert 0 < report.queries <= 5
+    # The report carries the time spent, read off the same clock: tick
+    # 0 starts the campaign, ticks 1..queries pass the loop check, the
+    # next one fails it and the last one is the read-out.
+    assert report.seconds == float(report.queries + 2)
+    assert f"in {report.seconds:.1f}s" in report.summary()
+
+
+def test_report_records_the_time_spent_not_the_budget():
+    ctx = CheckContext()
+    # Start, three loop checks (the third meets ``max_queries``), end.
+    ticks = iter([0.0, 0.25, 0.5, 0.75, 1.5])
+
+    def clock() -> float:
+        return next(ticks)
+
+    report = run_fuzz(
+        seconds=3600.0, seed=0, max_queries=2, ctx=ctx, clock=clock
+    )
+    assert report.queries == 2
+    assert report.seconds == 1.5
+    assert "in 1.5s" in report.summary()
 
 
 def test_report_json_round_trips(tmp_path):

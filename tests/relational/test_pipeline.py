@@ -1,9 +1,9 @@
 """Execution invariance of the chunked pipeline.
 
-The contract under test: for any worker count (none included) and any
-row partitioning, the pipeline produces bit-for-bit the same output —
-exactly the output of the independent reference interpreter
-(``Executor``), sampling included.
+The contract under test: for any row partitioning (and any ``workers``
+value, which the engine accepts and ignores), the pipeline produces
+bit-for-bit the same output — exactly the output of the independent
+reference interpreter (``Executor``), sampling included.
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ from repro.data.tpch import tpch_database
 from repro.errors import ExecutionError
 from repro.relational.expressions import col, lit
 from repro.relational.executor import Executor, join_codes
-from repro.relational.partition import (
-    DEFAULT_CHUNK_ROWS,
-    chunk_bounds,
-    required_alignment,
-)
+from repro.relational import partition
+from repro.relational.partition import chunk_bounds, required_alignment
 from repro.relational.pipeline import ChunkedExecutor, concat_tables
 from repro.relational.plan import (
     AggSpec,
@@ -737,28 +734,40 @@ class TestEstimationInvariance:
 
 
 class TestPartitioning:
-    def test_no_workers_means_one_chunk_per_source(self):
-        # No worker count means no partitioning; an explicit
-        # chunk_size is honoured all the same.
-        n = 3 * DEFAULT_CHUNK_ROWS + 5
-        catalog = {"t": Table("t", {"x": np.arange(n, dtype=np.int64)})}
-        plan = Select(Scan("t"), col("x") >= 0)
+    def test_a_source_is_one_chunk_up_to_the_bound(self, monkeypatch):
+        # The bound is patched down to 64 rows.  Up to it a source is
+        # one chunk, above it 64-row chunks, whatever ``workers`` says;
+        # an explicit chunk_size is honoured either way.
+        monkeypatch.setattr(partition, "CHUNK_ROWS", 64)
+        n = 3 * 64 + 5
+        catalog = {
+            "t": Table("t", {"x": np.arange(n, dtype=np.int64)}),
+            "small": Table("small", {"x": np.arange(40, dtype=np.int64)}),
+        }
 
-        def chunk_rows(**kwargs):
+        def chunk_rows(plan, **kwargs):
             chunks = ChunkedExecutor(catalog, **kwargs).iter_chunks(plan)
             return [c.n_rows for c in chunks]
 
-        assert chunk_rows(workers=None) == [n]
-        assert chunk_rows(workers=0) == [n]
-        assert chunk_rows(workers=1) == [DEFAULT_CHUNK_ROWS] * 3 + [5]
-        assert chunk_rows(workers=None, chunk_size=n // 2 + 1) == [
-            n // 2 + 1,
-            n - n // 2 - 1,
-        ]
-        # Pipeline breakers re-chunk by the same rule.
+        big = Select(Scan("t"), col("x") >= 0)
+        small = Select(Scan("small"), col("x") >= 0)
+        for workers in (None, 0, 1, 4):
+            assert chunk_rows(small, workers=workers) == [40]
+            assert chunk_rows(big, workers=workers) == [64] * 3 + [5]
+            assert chunk_rows(big, workers=workers, chunk_size=n // 2 + 1) == [
+                n // 2 + 1,
+                n - n // 2 - 1,
+            ]
+            assert chunk_rows(small, workers=workers, chunk_size=16) == [
+                16,
+                16,
+                8,
+            ]
+        # Pipeline breakers re-chunk their result by the same rule.
+        assert chunk_rows(Union(Scan("small"), Scan("small"))) == [40]
         union = Union(Scan("t"), Scan("t"))
-        whole = ChunkedExecutor(catalog, workers=None).iter_chunks(union)
-        assert [c.n_rows for c in whole] == [n]
+        assert chunk_rows(union) == [64] * 3 + [5]
+        assert chunk_rows(union, chunk_size=n) == [n]
 
     def test_chunk_bounds_cover_and_align(self):
         assert chunk_bounds(0, 10) == [(0, 0)]

@@ -229,6 +229,69 @@ def test_a_k_chunk_fold_reduces_and_unions_once(k, monkeypatch):
     assert calls == {"reduce": 1, "union": 1}
 
 
+def _two_pass_grouped_moments(bundle, keep):
+    """The read-out counting each vector's totals twice: once for the
+    totals, once more inside ``grouped_y_terms_multi`` for ``y_∅``."""
+    dictionary, owner, n_groups = bundle.groups()
+    _, _, keys, sums, entry_counts = bundle.compact()
+    totals = [np.bincount(owner, weights=s, minlength=n_groups) for s in sums]
+    counts = np.bincount(owner, weights=entry_counts, minlength=n_groups)
+    if keep is not None:
+        owner, keys = owner[keep], [k[keep] for k in keys]
+        sums = [s[keep] for s in sums]
+    ys = grouped_y_terms_multi(sums, keys, owner, n_groups, bundle.lattice)
+    return dictionary, ys, totals, counts
+
+
+def _moment_bytes(dictionary, ys, totals, counts):
+    return (
+        [d.tolist() for d in dictionary],
+        [y.tobytes() for y in ys],
+        [t.tobytes() for t in totals],
+        counts.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("shape", ["ascending", "repeated", "unsampled"])
+@pytest.mark.parametrize("restricted", [False, True])
+def test_grouped_read_out_counts_the_totals_once(shape, restricted, monkeypatch):
+    """``y_∅`` squares the totals the read-out already counted: bit for
+    bit the two-pass answer, one ``bincount`` per vector fewer when
+    nothing is kept out (a ``keep`` mask needs its own kept totals)."""
+    fs, lineage, groups = _rows(shape, 600, seed=7)
+    lattice = SubsetLattice(tuple(lineage))
+    bundle = GroupedMomentBundle(lattice, 2, 2)
+    for idx in _chunks(600, 3):
+        bundle.update(
+            [f[idx] for f in fs],
+            {d: c[idx] for d, c in lineage.items()},
+            [g[idx] for g in groups],
+        )
+    keep = None
+    if restricted:
+        keep = np.random.default_rng(1).random(bundle.n_entries) < 0.6
+    bundle.compact()  # a cached reduce, outside both counts
+    bincount = np.bincount
+
+    def bincounts(read_out):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        try:
+            return read_out(), len(calls)
+        finally:
+            monkeypatch.undo()
+
+    want, two_pass = bincounts(lambda: _two_pass_grouped_moments(bundle, keep))
+    got, one_pass = bincounts(lambda: bundle.moments(keep))
+    assert _moment_bytes(*got) == _moment_bytes(*want)
+    assert two_pass - one_pass == (0 if restricted else bundle.n_vectors)
+
+
 # -- (c) Section 7 filters the state ------------------------------------
 
 

@@ -1,9 +1,15 @@
-"""Partitioned runs: worker resolution and the one-thread chunk fold."""
+"""Partitioned runs: the source's own chunking and the one-thread fold.
+
+The bound a source folds as one chunk up to
+(:data:`~repro.relational.partition.CHUNK_ROWS`, 2^20 rows) is patched
+down to :data:`_BOUND` here, so a small table crosses it.
+"""
 
 from __future__ import annotations
 
 import multiprocessing.process
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +18,13 @@ from repro.core.sbox import SBox
 from repro.errors import ReproError
 from repro.fuzz.checker import fingerprint
 from repro.obs.trace import start_trace
+from repro.relational import partition
 from repro.relational.database import Database, env_workers, resolve_workers
-from repro.relational.partition import DEFAULT_CHUNK_ROWS
+from repro.relational.expressions import col
 from repro.relational.pipeline import ChunkedExecutor
+from repro.relational.plan import Aggregate, AggSpec, LineageSample, Scan
 from repro.relational.table import Table
+from repro.sampling.composed import BiDimensionalBernoulli
 
 
 class TestWorkerResolution:
@@ -49,7 +58,16 @@ class TestWorkerResolution:
         assert resolve_workers(None) is None
 
 
-_ROWS = 3 * DEFAULT_CHUNK_ROWS + 1_000
+#: The patched chunk bound: ``_ROWS`` folds as four chunks by default.
+_BOUND = 4_096
+
+_ROWS = 3 * _BOUND + 1_000
+
+
+@pytest.fixture
+def small_bound(monkeypatch):
+    monkeypatch.setattr(partition, "CHUNK_ROWS", _BOUND)
+
 
 _STATEMENTS = (
     "SELECT SUM(v) AS s, COUNT(*) AS n FROM t TABLESAMPLE (20 PERCENT)",
@@ -76,25 +94,30 @@ def _refuse_threads_and_processes(monkeypatch) -> None:
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
 
-def test_many_chunks_start_no_thread_and_no_process(tmp_path, monkeypatch):
-    """``workers=4`` over four default-size chunks runs on this thread
-    and answers what ``workers=1`` answers, bit for bit."""
+def test_many_chunks_start_no_thread_and_no_process(
+    tmp_path, monkeypatch, small_bound
+):
+    """A source over the bound folds as bound-size chunks on this
+    thread, at any ``workers``, and answers what one chunk answers, bit
+    for bit."""
     ram = Database(seed=0)
     ram.register("t", _table())
     mapped = Database(seed=0)
     mapped.register("t", _table().persist(tmp_path / "t"))
     plan = ram.plan_sql("SELECT v FROM t")
     executor = ChunkedExecutor(ram.tables, workers=4)
-    assert len(list(executor.iter_chunks(plan))) >= 3
+    assert len(list(executor.iter_chunks(plan))) == 4
 
     _refuse_threads_and_processes(monkeypatch)
     for statement in _STATEMENTS:
-        want = fingerprint(ram.sql(statement, seed=5, workers=1))
+        want = fingerprint(ram.sql(statement, seed=5, chunk_size=_ROWS))
         for db in (ram, mapped):
-            assert fingerprint(db.sql(statement, seed=5, workers=4)) == want
+            for workers in (None, 1, 4):
+                got = db.sql(statement, seed=5, workers=workers)
+                assert fingerprint(got) == want
 
 
-# -- what ``workers`` still decides -------------------------------------------
+# -- the chunking is the source's, ``workers`` decides nothing -----------------
 
 
 def _answer(result):
@@ -112,26 +135,71 @@ def _answer(result):
     return fingerprint(result), variances
 
 
-def _n_chunks(**kwargs) -> int:
+def _chunk_rows(n_rows: int = _ROWS, **kwargs) -> list[int]:
     db = Database(seed=0)
-    db.register("t", _table())
+    db.register("t", Table("t", {"v": np.arange(n_rows, dtype=np.float64)}))
     executor = ChunkedExecutor(db.tables, **kwargs)
     chunks = list(executor.iter_chunks(db.plan_sql("SELECT v FROM t")))
-    assert sum(chunk.n_rows for chunk in chunks) == _ROWS
-    return len(chunks)
+    return [chunk.n_rows for chunk in chunks]
 
 
 @pytest.mark.parametrize("workers", [None, 0, 1, 2, 4])
-def test_workers_picks_only_the_chunking(workers):
-    """``None``/``0`` is one chunk; any count >= 1 is the same
-    default-size chunking."""
-    want = 1 if not workers else -(-_ROWS // DEFAULT_CHUNK_ROWS)
-    assert _n_chunks(workers=workers) == want
+def test_a_source_is_one_chunk_up_to_the_bound(workers, small_bound):
+    """Up to the bound a source is one chunk and above it bound-size
+    chunks, whatever ``workers`` says."""
+    assert _chunk_rows(_BOUND, workers=workers) == [_BOUND]
+    assert _chunk_rows(17, workers=workers) == [17]
+    assert _chunk_rows(workers=workers) == [_BOUND] * 3 + [1_000]
+
+
+def test_the_bound_is_two_to_the_twentieth():
+    assert partition.CHUNK_ROWS == 1 << 20
+    assert _chunk_rows() == [_ROWS]
+
+
+def test_a_fold_over_many_bounds_peaks_at_one_chunk(monkeypatch):
+    """A sampled scan over four times the bound, with no ``workers`` or
+    ``chunk_size``, folds four chunks, and its traced peak is a chunk's
+    working set (lineage ids, hash, mask), not the table's."""
+    bound = 1 << 16
+    monkeypatch.setattr(partition, "CHUNK_ROWS", bound)
+    n = 4 * bound
+    rng = np.random.default_rng(0)
+    db = Database(seed=0)
+    db.register("t", Table("t", {"v": rng.normal(size=n), "w": rng.normal(size=n)}))
+    # A lineage sample keeps rows by a hash of their ids, chunk by chunk:
+    # no draw over the whole table, so what a chunk allocates is the peak.
+    plan = Aggregate(
+        LineageSample(Scan("t"), BiDimensionalBernoulli({"t": 0.01}, seed=3)),
+        [AggSpec("sum", col("v"), "s"), AggSpec("count", None, "n")],
+    )
+
+    def peak(**kwargs) -> int:
+        db.estimate(plan, seed=0, keep_sample=False, **kwargs)  # warm caches
+        tracemalloc.start()
+        try:
+            db.estimate(plan, seed=0, keep_sample=False, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with start_trace("q") as tracer:
+        db.estimate(plan, seed=0, keep_sample=False)
+    spans = tracer.finish_trace().spans
+    assert sum(span.kind == "chunk" for span in spans) >= 4
+    default, one_chunk = peak(), peak(chunk_size=n)
+    # About 14 bytes per bound row here; a fold of the whole table as
+    # one chunk peaks at about three times that.
+    assert default <= 24 * bound, default
+    assert 2 * default < one_chunk, (default, one_chunk)
 
 
 @pytest.mark.parametrize("workers", [None, 0, 1, 4])
-def test_explicit_chunk_size_wins_over_workers(workers):
-    assert _n_chunks(workers=workers, chunk_size=50_000) == -(-_ROWS // 50_000)
+def test_explicit_chunk_size_wins_over_workers(workers, small_bound):
+    want = [5_000, 5_000, _ROWS - 10_000]
+    assert _chunk_rows(workers=workers, chunk_size=5_000) == want
+    # Above the bound too: an explicit size is never capped.
+    assert _chunk_rows(workers=workers, chunk_size=_ROWS) == [_ROWS]
 
 
 def _chunk_spans(db: Database, statement: str, **kwargs) -> int:
@@ -141,16 +209,16 @@ def _chunk_spans(db: Database, statement: str, **kwargs) -> int:
 
 
 @pytest.mark.parametrize("env", ["1", "2", "4"])
-def test_repro_workers_sets_the_default_chunking(env, monkeypatch):
+def test_repro_workers_leaves_the_chunking(env, monkeypatch, small_bound):
     db = Database(seed=0)
     db.register("t", _table())
     statement = _STATEMENTS[0]
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    one_chunk = _chunk_spans(db, statement)
-    want = _answer(db.sql(statement, seed=5, workers=1))
+    default = _chunk_spans(db, statement)
+    want = _answer(db.sql(statement, seed=5))
     monkeypatch.setenv("REPRO_WORKERS", env)
-    assert _chunk_spans(db, statement) == _chunk_spans(db, statement, workers=1)
-    assert _chunk_spans(db, statement) > one_chunk == 1
+    assert _chunk_spans(db, statement) == default == 4
+    assert _chunk_spans(db, statement, workers=1) == default
     assert _answer(db.sql(statement, seed=5)) == want
 
 
@@ -231,10 +299,10 @@ _ROUTES = {
 @pytest.mark.parametrize("backing", ["ram", "mmap"])
 @pytest.mark.parametrize("route", sorted(_ROUTES))
 def test_no_route_starts_a_thread_or_process(
-    route, backing, tmp_path, monkeypatch
+    route, backing, tmp_path, monkeypatch, small_bound
 ):
-    """Every entry point folds its chunks on the caller, and a count
-    above 1 answers what 1 answers, bit for bit."""
+    """Every entry point folds its (four) chunks on the caller, and no
+    ``workers`` count changes its answer, bit for bit."""
     db = _database(backing, tmp_path)
     run = _ROUTES[route]
     _refuse_threads_and_processes(monkeypatch)
