@@ -207,7 +207,6 @@ def _child_main(mode: str, data_dir: str, chunk_size: int) -> int:
     result = sbox.run(
         join_sample_plan(),
         rng=np.random.default_rng(0),
-        workers=1,
         keep_sample=False,
     )
     seconds = time.perf_counter() - start

@@ -10,7 +10,7 @@ is a commutative monoid (the paper's Theorem 1 moments), the answers
 are *bit-for-bit identical* either way — chunking changes wall-clock
 and peak memory, never results.
 
-Run:  python examples/parallel_quickstart.py
+Run:  python examples/chunking_quickstart.py
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ A full reproduction of Nirkhiwale, Dobra and Jermaine's GUS sampling
 algebra: a relational engine with lineage, TABLESAMPLE operators, the
 GUS quasi-operator algebra with SOA-equivalent plan rewriting, the SBox
 estimator with normal/Chebyshev confidence intervals, the Section 7
-sub-sampled variance estimator, baselines, and the Section 8
-applications.
+sub-sampled variance estimator, and the Section 8 applications.
 
 Quickstart::
 

@@ -44,7 +44,7 @@ def _build_database(args):
 
     attach = getattr(args, "attach", None) or []
     if args.load or attach:
-        db = Database(seed=args.seed, workers=args.workers)
+        db = Database(seed=args.seed)
         if args.load:
             from repro.relational.io import read_csv
 
@@ -66,7 +66,6 @@ def _build_database(args):
         from repro.data.tpch import tpch_database
 
         db = tpch_database(scale=args.scale, seed=args.seed)
-        db.workers = args.workers
     if getattr(args, "mmap", False):
         import os
         import tempfile
@@ -476,10 +475,6 @@ def _add_profile_subcommand(subcommands) -> None:
         "--level", type=float, default=argparse.SUPPRESS,
         help="confidence level for printed intervals",
     )
-    profile.add_argument(
-        "--workers", type=int, default=argparse.SUPPRESS, metavar="N",
-        help="accepted and ignored (the engine chunks each source itself)",
-    )
 
 
 def _run_profile(args) -> int:
@@ -760,11 +755,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--level", type=float, default=0.95,
         help="confidence level for printed intervals",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="accepted and ignored: the engine chunks each source "
-        "itself (one chunk up to 2^20 rows)",
     )
     _add_stream_subcommand(parser)
     args = parser.parse_args(argv)

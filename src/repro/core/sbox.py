@@ -387,7 +387,6 @@ class SBox:
         *,
         subsample: SubsampleSpec | None = None,
         rng: np.random.Generator | None = None,
-        workers: int | None = None,
         chunk_size: int | None = None,
         keep_sample: bool = True,
     ) -> "QueryResult | GroupedQueryResult":
@@ -404,9 +403,8 @@ class SBox:
         ``result.sample``, and not at all under ``keep_sample=False``.
         Chunks run on the calling thread, in order; absent an explicit
         ``chunk_size`` each source chunks itself (one chunk up to
-        :data:`~repro.relational.partition.CHUNK_ROWS` rows), and
-        ``workers`` is accepted and ignored.  Results are bit-for-bit
-        identical for any row partitioning whenever each
+        :data:`~repro.relational.partition.CHUNK_ROWS` rows).  Results
+        are bit-for-bit identical for any row partitioning whenever each
         active lineage key's rows stay within one chunk (tuple-level
         sampling always; block sampling via boundary alignment); keys
         replicated across chunks by join fanout merge partial sums, so
@@ -458,7 +456,6 @@ class SBox:
                     plan,
                     subsample=subsample,
                     rng=rng,
-                    workers=workers,
                     chunk_size=chunk_size,
                     keep_sample=keep_sample,
                 )
@@ -467,12 +464,11 @@ class SBox:
             plan,
             subsample=subsample,
             rng=rng,
-            workers=workers,
             chunk_size=chunk_size,
             keep_sample=keep_sample,
         )
 
-    def _prepare(self, child: PlanNode, rng, workers, chunk_size):
+    def _prepare(self, child: PlanNode, rng, chunk_size):
         """The ``analyze`` span's rewrite, and the executor to draw with."""
         from repro.relational.pipeline import ChunkedExecutor
 
@@ -481,7 +477,6 @@ class SBox:
         executor = ChunkedExecutor(
             self.catalog,
             rng if rng is not None else self.rng,
-            workers=workers,
             chunk_size=chunk_size,
         )
         return rewrite, executor
@@ -492,14 +487,13 @@ class SBox:
         *,
         subsample: SubsampleSpec | None,
         rng: np.random.Generator | None,
-        workers: int | None,
         chunk_size: int | None,
         keep_sample: bool,
     ) -> "QueryResult | GroupedQueryResult":
         """Fold the plan's chunks into moment state, merge, finish."""
         from repro.relational.pipeline import concat_tables
 
-        rewrite, executor = self._prepare(plan.child, rng, workers, chunk_size)
+        rewrite, executor = self._prepare(plan.child, rng, chunk_size)
         keys = plan.keys if isinstance(plan, GroupAggregate) else ()
         columns = aggregate_columns(plan.specs, keys)
         if self.synopses is not None and keep_sample and rewrite.is_sampled:
@@ -539,7 +533,6 @@ class SBox:
         columns: frozenset[str],
         *,
         rng: np.random.Generator | None = None,
-        workers: int | None = None,
         chunk_size: int | None = None,
     ) -> "tuple[Table, ReuseInfo | None]":
         """``child``'s sampled rows (with lineage, at least ``columns``)
@@ -549,7 +542,7 @@ class SBox:
         """
         from repro.relational.pipeline import concat_tables
 
-        rewrite, executor = self._prepare(child, rng, workers, chunk_size)
+        rewrite, executor = self._prepare(child, rng, chunk_size)
         if self.synopses is not None and rewrite.is_sampled:
             stored = self._stored_sample(child, columns, rewrite, executor)
             if stored is not None:

@@ -5,7 +5,7 @@ octave, covering ~1e-9 .. ~1e6) so that
 
 * quantiles (p50/p95/p99) are computable from bucket counts with a
   bounded relative error of ``2**0.25`` (≈19%), and
-* snapshots from different threads or fork'd workers merge by
+* snapshots from different threads or processes merge by
   element-wise addition — merging is exact and associative, the same
   contract as the chunked executor's moment-sketch merge.
 

@@ -12,7 +12,7 @@ one query.  The design constraints, in order of importance:
 * **Determinism.**  Every chunk runs on the thread that owns the
   tracer, in chunk order, and opens its own span (and one per plan
   node it runs) directly, so span ids and tree shape depend only on
-  the chunking, which ``workers`` no longer touches.
+  the chunking.
 * **Bounded.**  A trace keeps at most ``max_spans`` spans; further
   spans are counted in :attr:`Trace.dropped` but not stored, so a
   pathological plan cannot balloon memory.

@@ -244,7 +244,6 @@ class SamplingPlanOptimizer:
         self,
         skeleton: QuerySkeleton,
         seed: int,
-        workers: int | None,
         chunk_size: int | None,
     ) -> tuple[VariancePredictor, float]:
         """The pilot's predictor and the per-relation rate it used.
@@ -272,7 +271,6 @@ class SamplingPlanOptimizer:
             result = self.db.sbox().run(
                 pilot_plan,
                 rng=self.db.rng(seed),
-                workers=workers,
                 chunk_size=chunk_size,
             )
             budgeted = [result.estimates[a] for a in self._budget_aliases(result)]
@@ -319,7 +317,6 @@ class SamplingPlanOptimizer:
         seed: int | None = None,
         on_pilot: "Callable[[QueryResult, float], None] | None" = None,
         before_execute: "Callable[[str], None] | None" = None,
-        workers: int | None = None,
         chunk_size: int | None = None,
     ) -> OptimizerReport:
         """Enumerate, score, and rank — the ``EXPLAIN SAMPLING`` path.
@@ -332,7 +329,7 @@ class SamplingPlanOptimizer:
         RNG, so hooked and hook-free runs stay bit-identical.
         ``chunk_size`` chunks the pilot's run as it chunks
         :meth:`~repro.core.sbox.SBox.run` (default: the source's own
-        chunking); ``workers`` is passed along and ignored.
+        chunking).
         """
         seed = self.seed if seed is None else int(seed)
         skeleton = decompose(plan, self._column_owner(plan))
@@ -346,9 +343,7 @@ class SamplingPlanOptimizer:
         if before_execute is not None:
             before_execute("pilot")
         with maybe_span(tracer, "optimizer.pilot", kind="optimizer") as sp:
-            predictor, pilot_rate = self._pilot(
-                skeleton, seed, workers, chunk_size
-            )
+            predictor, pilot_rate = self._pilot(skeleton, seed, chunk_size)
             sp.attrs["pilot_rows"] = predictor.pilot.sample.n_rows
         REGISTRY.histogram(
             "repro_optimizer_seconds", stage="pilot"
@@ -484,7 +479,6 @@ class SamplingPlanOptimizer:
             "Callable[[AttemptRecord, QueryResult], None] | None"
         ) = None,
         before_execute: "Callable[[str], None] | None" = None,
-        workers: int | None = None,
         chunk_size: int | None = None,
     ) -> OptimizedResult:
         """Choose, execute, and escalate until the budget is realized.
@@ -508,7 +502,6 @@ class SamplingPlanOptimizer:
             seed=seed,
             on_pilot=on_pilot,
             before_execute=before_execute,
-            workers=workers,
             chunk_size=chunk_size,
         )
         skeleton = report.chosen.candidate.skeleton
@@ -531,7 +524,6 @@ class SamplingPlanOptimizer:
                 result = self.db.sbox().run(
                     executable,
                     rng=self.db.rng(seed + attempt),
-                    workers=workers,
                     chunk_size=chunk_size,
                 )
                 realized = self._realized(result, budget)

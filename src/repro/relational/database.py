@@ -14,13 +14,12 @@ Binds together the catalog, pipeline, SBox estimator, and SQL frontend:
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import ReproError, SchemaError
+from repro.errors import SchemaError
 from repro.relational.plan import (
     Aggregate,
     GroupAggregate,
@@ -49,36 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import SynopsisCatalog
 
 
-def env_workers() -> int | None:
-    """The ``REPRO_WORKERS`` engine-wide default worker count.
-
-    Unset, empty and ``0`` mean "no default"; anything but a
-    non-negative integer raises.  The count changes nothing — the
-    engine chunks each source itself — and is still read, and
-    checked, only until callers stop passing ``workers``.
-    """
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    if raw and not raw.isdecimal():
-        raise ReproError(
-            f"REPRO_WORKERS={raw!r} is not a worker count; accepted "
-            "values are unset/empty, 0 (one chunk) or a positive integer"
-        )
-    return int(raw or 0) or None
-
-
-def resolve_workers(workers: int | None) -> int | None:
-    """Resolve an explicit worker count against the environment default.
-
-    ``None`` defers to ``REPRO_WORKERS`` (itself possibly unset); any
-    integer >= 1 is taken literally; 0 and negatives resolve to
-    ``None``.  No value changes the chunking or an answer: the pipeline
-    accepts the count and ignores it.
-    """
-    if workers is None:
-        return env_workers()
-    return int(workers) if workers >= 1 else None
-
-
 class Database:
     """An in-memory catalog of named tables plus the estimation stack.
 
@@ -88,9 +57,7 @@ class Database:
     up to :data:`~repro.relational.partition.CHUNK_ROWS` (2^20) rows is
     one chunk and a larger one is cut into chunks of that many rows.
     ``chunk_size`` (argument or database default) is the one override.
-    ``workers`` (argument, database default, or ``REPRO_WORKERS``) is
-    accepted and changes nothing; it stays until callers stop passing
-    it.  Across chunkings executed tables are identical, and estimates
+    Across chunkings executed tables are identical, and estimates
     are whenever each lineage key's rows stay within one chunk
     (tuple-level sampling of a single table; block sampling via
     boundary alignment); when join fanout replicates a key across
@@ -105,7 +72,6 @@ class Database:
         self,
         seed: int | None = None,
         *,
-        workers: int | None = None,
         chunk_size: int | None = None,
         catalog: "SynopsisCatalog | bool | None" = None,
     ) -> None:
@@ -113,7 +79,6 @@ class Database:
         self.snapshots = SnapshotRegistry()
         self._rng = np.random.default_rng(seed)
         self._cost_model: "CostModel | None" = None
-        self.workers = workers
         self.chunk_size = chunk_size
         self.synopses: "SynopsisCatalog | None" = None
         # Identity tests, not truthiness: an empty SynopsisCatalog has
@@ -157,19 +122,6 @@ class Database:
     def _invalidate_synopses(self, name: str) -> None:
         if self.synopses is not None:
             self.synopses.invalidate(name)
-
-    def chunking(
-        self, workers: int | None, chunk_size: int | None
-    ) -> tuple[int | None, int | None]:
-        """Per-call override → database default (→ ``REPRO_WORKERS``).
-
-        Only ``chunk_size`` reaches the chunking; the resolved worker
-        count is passed along and ignored.
-        """
-        return (
-            resolve_workers(self.workers if workers is None else workers),
-            self.chunk_size if chunk_size is None else chunk_size,
-        )
 
     # -- catalog -----------------------------------------------------------
 
@@ -337,7 +289,6 @@ class Database:
         plan: PlanNode,
         seed: int | None = None,
         *,
-        workers: int | None = None,
         chunk_size: int | None = None,
     ) -> Table:
         """Execute a plan, drawing any samples from the RNG.
@@ -352,9 +303,10 @@ class Database:
         """
         from repro.relational.pipeline import ChunkedExecutor
 
-        workers, chunk_size = self.chunking(workers, chunk_size)
         return ChunkedExecutor(
-            self.tables, self.rng(seed), workers=workers, chunk_size=chunk_size
+            self.tables,
+            self.rng(seed),
+            chunk_size=self.chunk_size if chunk_size is None else chunk_size,
         ).execute(plan)
 
     def execute_exact(self, plan: PlanNode) -> Table:
@@ -382,7 +334,7 @@ class Database:
         *,
         seed: int | None = None,
         subsample: "SubsampleSpec | None" = None,
-        workers: int | None = None,
+        workers: int | None = None,  # ignored; goes with ROADMAP item 2(f)
         chunk_size: int | None = None,
         keep_sample: bool = True,
     ) -> "QueryResult | GroupedQueryResult":
@@ -394,13 +346,11 @@ class Database:
         ``result.sample``).  ``chunk_size`` (argument or database
         default) overrides the source's own chunking.
         """
-        workers, chunk_size = self.chunking(workers, chunk_size)
         return self.sbox().run(
             plan,
             subsample=subsample,
             rng=self.rng(seed),
-            workers=workers,
-            chunk_size=chunk_size,
+            chunk_size=self.chunk_size if chunk_size is None else chunk_size,
             keep_sample=keep_sample,
         )
 
@@ -473,7 +423,7 @@ class Database:
         *,
         seed: int | None = None,
         subsample: "SubsampleSpec | None" = None,
-        workers: int | None = None,
+        workers: int | None = None,  # ignored; goes with ROADMAP item 2(f)
         chunk_size: int | None = None,
     ) -> (
         "QueryResult | GroupedQueryResult | Table | OptimizedResult"
@@ -516,24 +466,23 @@ class Database:
                 if clause is not None
                 else ErrorBudget.from_percent(5.0)
             )
-            workers, chunk_size = self.chunking(workers, chunk_size)
             optimizer = self.optimizer()
             run = (
                 optimizer.report if query.explain_sampling
                 else optimizer.optimize
             )
-            return run(
-                plan, budget, seed=seed, workers=workers, chunk_size=chunk_size
-            )
+            if chunk_size is None:
+                chunk_size = self.chunk_size
+            return run(plan, budget, seed=seed, chunk_size=chunk_size)
         if not query.explain_analyze:
-            return self._run_plan(plan, seed, subsample, workers, chunk_size)
+            return self._run_plan(plan, seed, subsample, chunk_size)
         from dataclasses import replace
 
         from repro.obs.report import ExplainAnalyzeReport
         from repro.obs.trace import start_trace
 
         with start_trace("explain analyze") as tracer:
-            result = self._run_plan(plan, seed, subsample, workers, chunk_size)
+            result = self._run_plan(plan, seed, subsample, chunk_size)
         trace = tracer.finish_trace()
         if hasattr(result, "trace"):
             result = replace(result, trace=trace)
@@ -544,7 +493,6 @@ class Database:
         plan: PlanNode,
         seed: int | None,
         subsample: "SubsampleSpec | None",
-        workers: int | None,
         chunk_size: int | None,
     ):
         """Run a planned statement: difference, estimate or relation."""
@@ -563,19 +511,13 @@ class Database:
             from repro.versions.engine import estimate_version_diff
 
             return estimate_version_diff(
-                self, plan, seed=seed, workers=workers, chunk_size=chunk_size
+                self, plan, seed=seed, chunk_size=chunk_size
             )
         if isinstance(plan, (Aggregate, GroupAggregate)):
             return self.estimate(
-                plan,
-                seed=seed,
-                subsample=subsample,
-                workers=workers,
-                chunk_size=chunk_size,
+                plan, seed=seed, subsample=subsample, chunk_size=chunk_size
             )
-        return self.execute(
-            plan, seed=seed, workers=workers, chunk_size=chunk_size
-        )
+        return self.execute(plan, seed=seed, chunk_size=chunk_size)
 
     def sql_exact(self, text: str) -> Table:
         """Ground truth for a SQL query: strip sampling, run exactly."""

@@ -477,8 +477,7 @@ class ChunkedExecutor:
     the source's own: with ``chunk_size`` ``None`` a source of up to
     :data:`~repro.relational.partition.CHUNK_ROWS` rows is one chunk
     and a larger one is cut into chunks of that many rows; an explicit
-    ``chunk_size`` is always honoured.  ``workers`` is accepted for
-    existing callers and ignored: it changes nothing.
+    ``chunk_size`` is always honoured.
     """
 
     def __init__(
@@ -486,7 +485,7 @@ class ChunkedExecutor:
         catalog: Mapping[str, Table],
         rng: np.random.Generator | None = None,
         *,
-        workers: int | None = None,
+        workers: int | None = None,  # ignored; goes with ROADMAP item 2(f)
         chunk_size: int | None = None,
     ) -> None:
         if chunk_size is not None and chunk_size < 1:

@@ -459,7 +459,9 @@ class Table:
 
     @property
     def block_stats(self) -> Mapping[str, list] | None:
-        """Per-block (start, stop, min, max) stats, if mmap-backed."""
+        """Per-column block (start, stop, min, max) stats, if any: an
+        mmap-backed table's, or the untouched columns' of one updated
+        by :meth:`with_columns`."""
         return self._block_stats
 
     @property
@@ -635,7 +637,8 @@ class Table:
         ``db.update_table(t, old.with_columns({...}))`` the snapshot and
         the live table share every untouched column.  Row positions are
         unchanged, so lineage (the coordinated-sampling key) carries
-        over; new columns must match the row count.
+        over; new columns must match the row count.  Scan-prune block
+        stats carry over for the untouched columns only.
         """
         merged = self._stored(self.columns)
         for col_name, values in updates.items():
@@ -646,7 +649,15 @@ class Table:
                     f"expected ({self.n_rows},)"
                 )
             merged[col_name] = arr
-        return Table(self.name, merged, self.lineage)
+        updated = Table(self.name, merged, self.lineage)
+        if self._block_stats is not None:
+            # Rows keep their positions, so an untouched column's block
+            # min/max still bounds it; a replaced column's stale bounds
+            # would prune rows that now match.
+            updated._block_stats = {
+                c: s for c, s in self._block_stats.items() if c not in updates
+            }
+        return updated
 
     def head(self, k: int = 10) -> "Table":
         return self.take(np.arange(min(k, self.n_rows)))

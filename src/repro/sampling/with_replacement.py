@@ -1,7 +1,7 @@
 """Fixed-size sampling *with* replacement.
 
-This exists for the online-aggregation-style baseline
-(:mod:`repro.baselines.split_sample`).  It is **not** a GUS method:
+This exists for the online-aggregation-style split-sample baseline
+the tests compare GUS against.  It is **not** a GUS method:
 drawing with replacement produces duplicate tuples, so the process is
 not a randomized filter, and the paper (Section 9) explicitly leaves it
 outside the algebra.  ``gus()`` therefore raises
@@ -37,7 +37,7 @@ class WithReplacement(SamplingMethod):
     def draw(self, n_rows: int, rng: np.random.Generator) -> Draw:
         raise NotGUSError(
             "with-replacement sampling produces duplicates and cannot run "
-            "as a filter; use draw_indices() (baselines) or a without-"
+            "as a filter; use draw_indices() or a without-"
             "replacement method"
         )
 

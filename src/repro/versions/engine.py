@@ -164,7 +164,7 @@ def estimate_version_diff(
     plan: VersionDiff,
     *,
     seed: int | None = None,
-    workers: int | None = None,
+    workers: int | None = None,  # ignored; goes with ROADMAP item 2(f)
     chunk_size: int | None = None,
 ) -> VersionDiffResult | GroupedVersionDiffResult:
     """Estimate every aggregate of a :class:`VersionDiff` plan."""
@@ -175,11 +175,12 @@ def estimate_version_diff(
         )
     # Each side's rows, exact or sampled alike: the GROUP BY keys and
     # the columns the specs read, with lineage, and their reuse info.
-    workers, chunk_size = db.chunking(workers, chunk_size)
+    if chunk_size is None:
+        chunk_size = db.chunk_size
     columns = aggregate_columns(plan.specs, plan.keys)
     sbox = db.sbox()
     (hi_sample, hi_reuse), (lo_sample, lo_reuse) = (
-        sbox.sample(child, columns, rng=db.rng(seed), workers=workers, chunk_size=chunk_size)
+        sbox.sample(child, columns, rng=db.rng(seed), chunk_size=chunk_size)
         for child in (plan.hi_child, plan.lo_child)
     )
     p = 1.0 if plan.rate is None else plan.rate

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.clt_single_table import (
+from tests.baselines.clt_single_table import (
     clt_bernoulli_estimate,
     clt_wor_estimate,
 )

@@ -3,9 +3,8 @@
 These are the formulas the paper's Related Work credits to the earliest
 database sampling literature.  They only apply to a single sampled
 relation — precisely the limitation the GUS algebra removes — and they
-serve two roles here: a correctness cross-check (GUS must reduce to
-them in the single-table case) and a baseline for the benchmark
-harness.
+serve the tests as a correctness cross-check: GUS must reduce to them
+in the single-table case.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ times, so scaling the joined sum by ``N₁N₂/(n₁n₂)`` is unbiased for the
 full join total.  The price relative to GUS: WR needs *k·n* total
 sampled rows to produce *k* degrees of freedom, and the CI uses a
 t-quantile on few observations — visibly wider intervals at equal
-budget, which the baseline benchmark shows.
+budget, which ``test_baselines.py`` checks.
 """
 
 from __future__ import annotations

@@ -11,18 +11,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    aqua_estimate,
-    clt_bernoulli_estimate,
-    clt_wor_estimate,
-    split_sample_join_estimate,
-)
-from repro.baselines.aqua import per_fact_totals
 from repro.core.estimator import estimate_sum
 from repro.core.gus import bernoulli_gus, without_replacement_gus
 from repro.errors import EstimationError
 from repro.relational.expressions import col
 from repro.relational.table import Table
+from tests.baselines.aqua import aqua_estimate, per_fact_totals
+from tests.baselines.clt_single_table import (
+    clt_bernoulli_estimate,
+    clt_wor_estimate,
+)
+from tests.baselines.split_sample import split_sample_join_estimate
 
 
 class TestCLTBernoulli:

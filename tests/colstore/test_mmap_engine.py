@@ -1,7 +1,7 @@
 """Mmap-backed execution: bit-identity, pruning, and catalog wiring.
 
 The headline contract: a query over memory-mapped tables returns the
-same bits as over in-RAM tables, for every worker count — storage is
+same bits as over in-RAM tables, at every chunking — storage is
 invisible to answers.  Block-stat
 pruning must only ever *skip* rows the predicate would drop anyway, so
 it is checked both behaviorally (task lists) and end-to-end.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data.tpch import tpch_database
 from repro.fuzz.checker import fingerprint
 from repro.obs.trace import start_trace
 from repro.relational import expressions as ex
@@ -88,22 +89,15 @@ def mmap_db(tmp_path_factory) -> Database:
 
 
 @pytest.mark.parametrize("statement", _STATEMENTS)
-@pytest.mark.parametrize("workers", [0, 1, 4])
+@pytest.mark.parametrize("chunk_size", [None, 7, 10**9])
 def test_mmap_bit_identical_to_inram(
-    inram_db, mmap_db, statement, workers
+    inram_db, mmap_db, statement, chunk_size
 ) -> None:
     """Same statement, same seed → same bits, whatever the storage or
-    worker count."""
-    baseline = _snap(inram_db, statement, seed=9, workers=workers)
-    mapped = _snap(mmap_db, statement, seed=9, workers=workers)
+    chunking (the databases' own 64 rows, 7 rows, one chunk)."""
+    baseline = _snap(inram_db, statement, seed=9, chunk_size=chunk_size)
+    mapped = _snap(mmap_db, statement, seed=9, chunk_size=chunk_size)
     assert baseline == mapped
-
-
-def test_mmap_bit_identical_across_worker_counts(mmap_db) -> None:
-    for statement in _STATEMENTS:
-        w1 = _snap(mmap_db, statement, seed=5, workers=1)
-        w4 = _snap(mmap_db, statement, seed=5, workers=4)
-        assert w1 == w4, statement
 
 
 # -- block-stat pruning -------------------------------------------------------
@@ -112,7 +106,7 @@ def test_mmap_bit_identical_across_worker_counts(mmap_db) -> None:
 def _compiled_tasks(db: Database, statement: str, chunk_size: int):
     plan = db.plan_sql(statement)
     executor = ChunkedExecutor(
-        db.tables, np.random.default_rng(0), workers=1, chunk_size=chunk_size
+        db.tables, np.random.default_rng(0), chunk_size=chunk_size
     )
     executor._prepare_draws(plan)
     return executor._compile(plan, None, required_alignment(plan)).tasks
@@ -232,9 +226,63 @@ def test_pruned_results_equal_unpruned(tmp_path) -> None:
         " WHERE a < 64",
         "SELECT COUNT(*) AS n FROM t WHERE a = 700",
     ]:
-        pruned = _snap(db, statement, seed=1, workers=2)
-        full = _snap(db2, statement, seed=1, workers=2)
+        pruned = _snap(db, statement, seed=1)
+        full = _snap(db2, statement, seed=1)
         assert pruned == full, statement
+
+
+@pytest.fixture(scope="module")
+def updated_lineitem(tmp_path_factory):
+    """``lineitem`` persisted, then one column replaced — every price
+    negated, so no old bound of that column still holds — beside its
+    in-RAM twin updated the same way."""
+    root = tmp_path_factory.mktemp("updated")
+    ram = tpch_database(0.2, seed=11)
+    mapped = tpch_database(0.2, seed=11)
+    mapped.persist("lineitem", str(root / "lineitem"), block_rows=1024)
+    for db in (ram, mapped):
+        lineitem = db.table("lineitem")
+        price = -lineitem.column("l_extendedprice")
+        db.update_table(
+            "lineitem", lineitem.with_columns({"l_extendedprice": price})
+        )
+    return ram, mapped
+
+
+def test_an_update_keeps_the_untouched_columns_zone_maps(updated_lineitem):
+    ram, mapped = updated_lineitem
+    lineitem = mapped.table("lineitem")
+    n = lineitem.n_rows
+    assert "l_orderkey" in lineitem.block_stats
+    assert "l_extendedprice" not in lineitem.block_stats
+    orderkey = lineitem.column("l_orderkey")
+    cut = int(orderkey[n // 3])
+    statement = (
+        "SELECT COUNT(*) AS n, SUM(l_extendedprice) AS s FROM lineitem "
+        f"TABLESAMPLE (15 PERCENT) WHERE l_orderkey < {cut}"
+    )
+    _, tasks = _draw_and_tasks(mapped, statement, seed=3)
+    kept = sum(stop - start for start, stop in tasks)
+    # ``lineitem`` is clustered on its order key: the scan keeps the
+    # 1 024-row blocks that hold the first third, no more.
+    matching = int(np.count_nonzero(orderkey < cut))
+    assert matching <= kept < matching + 1024 < n
+    assert _draw_and_tasks(ram, statement, seed=3)[1] == [(0, n)]
+    assert _snap(mapped, statement, seed=3) == _snap(ram, statement, seed=3)
+
+
+def test_an_update_drops_the_replaced_columns_zone_maps(updated_lineitem):
+    """Every price is negative now, so the old (positive) bounds would
+    rule out every block; without them nothing is pruned."""
+    ram, mapped = updated_lineitem
+    n = mapped.table("lineitem").n_rows
+    statement = (
+        "SELECT COUNT(*) AS n, SUM(l_extendedprice) AS s FROM lineitem "
+        "TABLESAMPLE (15 PERCENT) WHERE l_extendedprice < 0.0"
+    )
+    assert _draw_and_tasks(mapped, statement, seed=3)[1] == [(0, n)]
+    assert mapped.sql(statement, seed=3).values["n"] > 0
+    assert _snap(mapped, statement, seed=3) == _snap(ram, statement, seed=3)
 
 
 def test_conjunct_extraction() -> None:
@@ -353,9 +401,8 @@ def test_attach_allocates_no_per_row_string_memory(tmp_path) -> None:
     assert peak < n
 
 
-@pytest.mark.parametrize("workers", [None, 1, 4])
 def test_encoded_group_keys_answer_the_same_from_ram_and_mmap(
-    tmp_path, workers
+    tmp_path,
 ) -> None:
     ram = Database(seed=0, chunk_size=1_000)
     ram.register("t", _string_table(6_000))
@@ -368,7 +415,7 @@ def test_encoded_group_keys_answer_the_same_from_ram_and_mmap(
     )
 
     def answer(db):
-        result = db.sql(text, seed=21, workers=workers)
+        result = db.sql(text, seed=21)
         out = [[k, col.tolist()] for k, col in result.keys.items()]
         for alias, est in result.estimates.items():
             out.append(

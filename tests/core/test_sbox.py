@@ -257,8 +257,7 @@ class TestSubsampledVariance:
         )
 
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_subsample_moves_only_variances(self, db, plan, workers):
+    def test_subsample_moves_only_variances(self, db, plan):
         # The rule SBox.run documents: every aggregate, AVG included,
         # takes its variance from the sub-sample; every point estimate
         # is the full sample's, bit for bit.
@@ -271,11 +270,10 @@ class TestSubsampledVariance:
                 AggSpec("avg", col("l_discount"), "q", quantile=0.9),
             ],
         )
-        full = db.estimate(mixed, seed=3, workers=workers, chunk_size=97)
+        full = db.estimate(mixed, seed=3, chunk_size=97)
         sub = db.estimate(
             mixed,
             seed=3,
-            workers=workers,
             chunk_size=97,
             subsample=SubsampleSpec(rate=0.5, seed=1),
         )

@@ -109,9 +109,7 @@ def databases(tmp_path_factory):
 def _answers(db, chunk_size) -> dict[str, str]:
     got = {}
     for position, (name, text) in enumerate(STATEMENTS.items()):
-        result = db.sql(
-            text, seed=300 + position, workers=None, chunk_size=chunk_size
-        )
+        result = db.sql(text, seed=300 + position, chunk_size=chunk_size)
         got[name] = _digest(result)
     for name in EXACT:
         got[f"exact:{name}"] = _exact_digest(db, STATEMENTS[name])

@@ -66,9 +66,8 @@ def databases(tmp_path_factory):
 
 @pytest.mark.parametrize("storage", ["ram", "mmap"])
 @pytest.mark.parametrize("chunk_size", [None, 997])
-@pytest.mark.parametrize("workers", [None, 1, 2, 4])
 def test_every_route_reproduces_the_pinned_grouped_answers(
-    databases, storage, workers, chunk_size
+    databases, storage, chunk_size
 ) -> None:
     db = databases[storage]
     got = {
@@ -76,7 +75,6 @@ def test_every_route_reproduces_the_pinned_grouped_answers(
             db.sql(
                 _Q1.format(rate=rate),
                 seed=100 + position,
-                workers=workers,
                 chunk_size=chunk_size,
             )
         )

@@ -174,23 +174,17 @@ def databases(tmp_path_factory):
     }
 
 
-def _answers(db, versioned, workers, chunk_size) -> dict[str, str]:
+def _answers(db, versioned, chunk_size) -> dict[str, str]:
     got = {
         "versiondiff": _digest(
-            versioned.sql(
-                _VERSIONDIFF, seed=211, workers=workers, chunk_size=chunk_size
-            )
+            versioned.sql(_VERSIONDIFF, seed=211, chunk_size=chunk_size)
         )
     }
     for position, (name, text) in enumerate(STATEMENTS.items()):
-        result = db.sql(
-            text, seed=200 + position, workers=workers, chunk_size=chunk_size
-        )
+        result = db.sql(text, seed=200 + position, chunk_size=chunk_size)
         got[name] = _digest(result)
     got["fused_lineage_filter"] = _digest(
-        db.estimate(
-            _fused_plan(), seed=231, workers=workers, chunk_size=chunk_size
-        )
+        db.estimate(_fused_plan(), seed=231, chunk_size=chunk_size)
     )
     optimizer = db.optimizer()
     for name, (text, percent) in BUDGETS.items():
@@ -206,8 +200,7 @@ def _answers(db, versioned, workers, chunk_size) -> dict[str, str]:
 
 @pytest.mark.parametrize("storage", ["ram", "mmap"])
 @pytest.mark.parametrize("chunk_size", [None, 997])
-@pytest.mark.parametrize("workers", [None, 1, 2, 4])
 def test_every_route_reproduces_the_pinned_join_answers(
-    databases, storage, workers, chunk_size
+    databases, storage, chunk_size
 ) -> None:
-    assert _answers(*databases[storage], workers, chunk_size) == PINNED
+    assert _answers(*databases[storage], chunk_size) == PINNED

@@ -50,8 +50,8 @@ STATEMENTS = {
     ),
 }
 
-#: name → digest over (catalog off/on) × (workers None/2) × seeds 1, 2,
-#: each run twice.
+#: name → digest over (catalog off/on) × (chunk_size default/997) ×
+#: seeds 1, 2, each run twice.
 PINNED = {
     "scalar": "08ac9d6c502cd958",
     "grouped_where": "4d57f923c8ede3eb",
@@ -108,12 +108,14 @@ def _digest(results) -> str:
 def _diff_digest(name: str) -> str:
     results = []
     for catalog in (False, True):
-        for workers in (None, 2):
+        for chunk_size in (None, 997):
             db = _versioned(catalog)
             for seed in (1, 2):
                 for _ in range(2):
                     results.append(
-                        db.sql(STATEMENTS[name], seed=seed, workers=workers)
+                        db.sql(
+                            STATEMENTS[name], seed=seed, chunk_size=chunk_size
+                        )
                     )
     return _digest(results)
 
@@ -159,13 +161,13 @@ def _answer(result) -> tuple:
 def test_a_subsampled_query_is_stored_then_served(name):
     text, spec = SUBSAMPLED[name], SubsampleSpec(rate=0.5)
     plain = tpch_database(0.5, seed=42)
-    expected = _answer(plain.sql(text, seed=4, subsample=spec, workers=0))
+    expected = _answer(plain.sql(text, seed=4, subsample=spec))
     db = tpch_database(0.5, seed=42)
     db.attach_catalog()
-    first = db.sql(text, seed=4, subsample=spec, workers=0)
+    first = db.sql(text, seed=4, subsample=spec)
     assert first.reuse is None
     assert len(db.synopses) == 1
-    repeat = db.sql(text, seed=4, subsample=spec, workers=0)
+    repeat = db.sql(text, seed=4, subsample=spec)
     assert repeat.reuse is not None and repeat.reuse.kind == "exact"
     assert _answer(first) == expected
     assert _answer(repeat) == expected

@@ -1,10 +1,10 @@
 """One route from plan to estimate.
 
 ``Database.sql`` / ``estimate`` / ``execute`` run one engine (the
-chunked pipeline; no workers means one chunk) and one estimator (fold
-chunks into moment bundles, merge, finish).  ``estimate_from_sample*``
-is that estimator on one chunk, and the serial ``Executor`` is only the
-oracle's reference interpreter.
+chunked pipeline; a source under the chunk bound is one chunk) and one
+estimator (fold chunks into moment bundles, merge, finish).
+``estimate_from_sample*`` is that estimator on one chunk, and the
+serial ``Executor`` is only the oracle's reference interpreter.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class TestOneCallEqualsStaged:
     @pytest.mark.parametrize("name", sorted(STATEMENTS))
     def test_sql_equals_execute_then_estimate_from_sample(self, tpch_db, name):
         text = STATEMENTS[name]
-        one_call = tpch_db.sql(text, seed=5, workers=None)
+        one_call = tpch_db.sql(text, seed=5)
         staged = _staged(tpch_db, text, 5)
         assert _answer(one_call) == _answer(staged)
         # The one-call sample is pruned; the staged one is full width.
@@ -113,9 +113,9 @@ class TestReferenceIsOffTheQueryPath:
         monkeypatch.setattr(Executor, "execute", refuse)
         return db
 
-    @pytest.mark.parametrize("workers", [None, 0, 1, 3])
-    def test_every_statement_class_answers_without_it(self, db, workers):
-        run = {"seed": 5, "workers": workers, "chunk_size": 500}
+    @pytest.mark.parametrize("chunk_size", [None, 500])
+    def test_every_statement_class_answers_without_it(self, db, chunk_size):
+        run = {"seed": 5, "chunk_size": chunk_size}
         assert db.sql(STATEMENTS["join"], **run).values["s"] > 0
         assert db.sql(STATEMENTS["grouped"], **run).n_groups > 0
         rows = db.sql(

@@ -4,7 +4,7 @@
 them; a streaming estimator holds a one-vector bundle of the same class.
 Fed the very chunks the engine saw, it must therefore return the engine's
 answer bit for bit — not "equal up to summation order" — string GROUP BY
-keys included, at every worker count.
+keys included, at every chunking.
 """
 
 from __future__ import annotations
@@ -36,23 +36,20 @@ SEED = 5
 CHUNK_ROWS = 64
 
 
-@pytest.mark.parametrize("workers", [None, 1, 4])
+@pytest.mark.parametrize("chunk_size", [None, CHUNK_ROWS])
 @pytest.mark.parametrize("name", sorted(STATEMENTS))
-def test_streamed_chunks_equal_sbox_run_bit_for_bit(tpch_db, name, workers):
+def test_streamed_chunks_equal_sbox_run_bit_for_bit(tpch_db, name, chunk_size):
     plan = tpch_db.plan_sql(STATEMENTS[name])
     grouped = isinstance(plan, GroupAggregate)
-    chunk_size = None if workers is None else CHUNK_ROWS
     engine = tpch_db.sbox().run(
-        plan, rng=tpch_db.rng(SEED), workers=workers, chunk_size=chunk_size, keep_sample=False
+        plan, rng=tpch_db.rng(SEED), chunk_size=chunk_size, keep_sample=False
     )
 
     if grouped:
         streaming = GroupedStreamingEstimator(engine.gus, n_group_cols=len(plan.keys))
     else:
         streaming = StreamingEstimator(engine.gus)
-    executor = ChunkedExecutor(
-        tpch_db.tables, tpch_db.rng(SEED), workers=workers, chunk_size=chunk_size
-    )
+    executor = ChunkedExecutor(tpch_db.tables, tpch_db.rng(SEED), chunk_size=chunk_size)
     n_chunks = 0
     for chunk in executor.iter_chunks(plan.child):
         n_chunks += 1
@@ -62,7 +59,7 @@ def test_streamed_chunks_equal_sbox_run_bit_for_bit(tpch_db, name, workers):
             streaming.update(f, chunk.lineage, [chunk.column(k) for k in plan.keys])
         else:
             streaming.update(f, chunk.lineage)
-    assert (n_chunks == 1) == (workers is None)
+    assert (n_chunks == 1) == (chunk_size is None)
 
     want = engine.estimates["s"]
     if grouped:

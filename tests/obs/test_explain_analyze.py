@@ -67,15 +67,12 @@ class TestExecution:
         )
         assert report.result.trace is report.trace
 
-    @pytest.mark.parametrize("workers", [0, 1, 4])
-    def test_trace_has_per_node_timings_and_rows(self, tpch_db, workers):
+    @pytest.mark.parametrize("chunk_size", [None, 256])  # 1 chunk vs 5
+    def test_trace_has_per_node_timings_and_rows(self, tpch_db, chunk_size):
         # One engine, one trace shape: every plan node reports its rows
-        # at every worker count, under the span of the chunk it ran in.
+        # at every chunking, under the span of the chunk it ran in.
         report = tpch_db.sql(
-            "EXPLAIN ANALYZE " + JOIN_Q,
-            seed=5,
-            workers=workers,
-            chunk_size=256 if workers else None,  # 1 chunk vs 5
+            "EXPLAIN ANALYZE " + JOIN_Q, seed=5, chunk_size=chunk_size
         )
         spans = {s.span_id: s for s in report.trace.spans}
         nodes = [s for s in report.trace.spans if s.kind == "node"]
@@ -99,18 +96,15 @@ class TestExecution:
         assert "Scan(lineitem)" in text
         assert "rows_out=" in text
 
-    def test_per_node_rows_identical_at_every_worker_count(self, tpch_db):
+    def test_per_node_rows_identical_at_every_chunking(self, tpch_db):
         traces = [
             tpch_db.sql(
-                "EXPLAIN ANALYZE " + JOIN_Q,
-                seed=5,
-                workers=workers,
-                chunk_size=chunk_size,
+                "EXPLAIN ANALYZE " + JOIN_Q, seed=5, chunk_size=chunk_size
             ).trace
-            for workers, chunk_size in [(None, None), (0, None), (1, 256), (4, 100)]
+            for chunk_size in [None, 256, 100]
         ]
         chunks = [sum(s.kind == "chunk" for s in t.spans) for t in traces]
-        assert chunks[:2] == [1, 1] and chunks[2] > 1 and chunks[3] > chunks[2]
+        assert chunks[0] == 1 and chunks[1] > 1 and chunks[2] > chunks[1]
         totals = [_node_rows(t) for t in traces]
         assert all(t == totals[0] for t in totals[1:])
         assert totals[0]["Join(l_orderkey = o_orderkey)"] > 0
@@ -123,13 +117,15 @@ class TestExecution:
 
         monkeypatch.setattr(pipeline, "_probe", boom)
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        tpch_db.sql(JOIN_Q, seed=5, workers=0)
-        tpch_db.sql(JOIN_Q, seed=5, workers=4)
+        tpch_db.sql(JOIN_Q, seed=5)
+        tpch_db.sql(JOIN_Q, seed=5, chunk_size=256)
         with pytest.raises(AssertionError, match="probe compiled"):
-            tpch_db.sql("EXPLAIN ANALYZE " + JOIN_Q, seed=5, workers=0)
+            tpch_db.sql("EXPLAIN ANALYZE " + JOIN_Q, seed=5)
 
     def test_chunked_trace_has_per_chunk_spans(self, tpch_db):
-        report = tpch_db.sql("EXPLAIN ANALYZE " + JOIN_Q, seed=5, workers=4)
+        report = tpch_db.sql(
+            "EXPLAIN ANALYZE " + JOIN_Q, seed=5, chunk_size=256
+        )
         chunks = [s for s in report.trace.spans if s.kind == "chunk"]
         assert chunks
         assert [s.attrs["chunk"] for s in chunks] == list(range(len(chunks)))
@@ -181,12 +177,14 @@ class TestExecution:
         assert report.result.trace is report.trace
         assert report.trace.find("estimate")
 
-    @pytest.mark.parametrize("workers", [0, 1, 4])
-    def test_non_aggregate_query_returns_table_report(self, tpch_db, workers):
+    @pytest.mark.parametrize("chunk_size", [None, 256])
+    def test_non_aggregate_query_returns_table_report(
+        self, tpch_db, chunk_size
+    ):
         report = tpch_db.sql(
             "EXPLAIN ANALYZE SELECT l_extendedprice FROM lineitem "
             "WHERE l_quantity > 30",
-            workers=workers,
+            chunk_size=chunk_size,
         )
         assert isinstance(report, ExplainAnalyzeReport)
         assert report.result.n_rows > 0

@@ -21,15 +21,10 @@ def _attributed_percent(table: str) -> float:
 
 
 class TestAttribution:
-    @pytest.mark.parametrize("workers", [0, 1, 4])
-    def test_profile_attributes_most_of_traced_time(self, tpch_db, workers):
+    @pytest.mark.parametrize("chunk_size", [None, 256])  # 1 chunk vs 5
+    def test_profile_attributes_most_of_traced_time(self, tpch_db, chunk_size):
         with start_trace("profile") as tracer:
-            tpch_db.sql(
-                JOIN_Q,
-                seed=5,
-                workers=workers,
-                chunk_size=256 if workers else None,  # 1 chunk vs 5
-            )
+            tpch_db.sql(JOIN_Q, seed=5, chunk_size=chunk_size)
         trace = tracer.finish_trace()
         table = profile_table(trace)
         # Self-time decomposition is exhaustive by construction; the
@@ -51,27 +46,24 @@ class TestAttribution:
         )
         with start_trace("labels") as tracer:
             tpch_db.sql(JOIN_Q, seed=5)
-            fused = tpch_db.execute(hashed, workers=2, chunk_size=256)
+            fused = tpch_db.execute(hashed, chunk_size=256)
         seen = {s.name for s in tracer.finish_trace().spans if s.kind == "kernel"}
         assert seen == set(KERNEL_LABELS)
         # Tracing compiles the fused lineage filter apart; same rows.
-        plain = tpch_db.execute(hashed, workers=2, chunk_size=256)
+        plain = tpch_db.execute(hashed, chunk_size=256)
         assert plain.n_rows == fused.n_rows
         for name in plain.columns:
             assert (plain.column(name) == fused.column(name)).all()
 
 
 class TestProfileCLI:
-    @pytest.mark.parametrize("workers", ["0", "1", "4"])
-    def test_profile_subcommand_end_to_end(self, capsys, workers):
+    def test_profile_subcommand_end_to_end(self, capsys):
         from repro.cli import main
 
         code = main(
             [
                 "--scale",
                 "0.02",
-                "--workers",
-                workers,
                 "profile",
                 "SELECT SUM(l_extendedprice) AS rev FROM lineitem "
                 "TABLESAMPLE (20 PERCENT) REPEATABLE (7)",

@@ -57,56 +57,52 @@ SQL_FK_JOIN = (
     "TABLESAMPLE (20 PERCENT), orders WHERE l_orderkey = o_orderkey"
 )
 
-#: name → how to run it on ``(db, workers, chunk_size)``.
+#: name → how to run it on ``(db, chunk_size)``.
 SHAPES = {
-    "fk_join": lambda db, w, c: db.sql(
+    "fk_join": lambda db, c: db.sql(
         SQL_FK_JOIN,
         seed=5,
-        workers=w,
         chunk_size=c,
     ),
-    "grouped": lambda db, w, c: db.sql(
+    "grouped": lambda db, c: db.sql(
         "SELECT l_returnflag, SUM(l_quantity) AS qty FROM lineitem "
         "TABLESAMPLE (25 PERCENT) GROUP BY l_returnflag",
         seed=6,
-        workers=w,
         chunk_size=c,
     ),
-    "three_way": lambda db, w, c: db.sql(
+    "three_way": lambda db, c: db.sql(
         "SELECT SUM(l_extendedprice) AS v, COUNT(*) AS n FROM lineitem "
         "TABLESAMPLE (10 PERCENT), orders, customer WHERE "
         "l_orderkey = o_orderkey AND o_custkey = c_custkey "
         "AND c_acctbal > 0.0",
         seed=7,
-        workers=w,
         chunk_size=c,
     ),
-    "string_key": lambda db, w, c: db.sql(
+    "string_key": lambda db, c: db.sql(
         "SELECT SUM(l_extendedprice * f_weight) AS v FROM lineitem "
         "TABLESAMPLE (20 PERCENT), flags WHERE l_returnflag = f_flag",
         seed=8,
-        workers=w,
         chunk_size=c,
     ),
-    "scan_project": lambda db, w, c: db.execute(
+    "scan_project": lambda db, c: db.execute(
         db.plan_sql(
             "SELECT l_orderkey, l_quantity FROM lineitem "
             "TABLESAMPLE (10 PERCENT) WHERE l_quantity > 10"
         ),
         seed=9,
-        workers=w,
         chunk_size=c,
     ),
-    "lineage_sample": lambda db, w, c: db.estimate(
-        _lineage_sample_plan(), seed=10, workers=w, chunk_size=c
+    "lineage_sample": lambda db, c: db.estimate(
+        _lineage_sample_plan(), seed=10, chunk_size=c
     ),
 }
 
-#: name → ``(workers, chunk_size)``.
+#: name → ``chunk_size``: one chunk named explicitly, the source's own
+#: (one chunk below 2^20 rows), and 997-row chunks.
 CHUNKINGS = {
-    "one_chunk": (None, None),
-    "default": (1, None),
-    "small": (4, 997),
+    "one_chunk": 10**9,
+    "default": None,
+    "small": 997,
 }
 
 PINNED: dict[tuple[str, str, str], str] = {
@@ -201,9 +197,8 @@ def _digest(trace) -> str:
 
 
 def _traced(db, shape: str, chunking: str):
-    workers, chunk_size = CHUNKINGS[chunking]
     with start_trace("q") as tracer:
-        SHAPES[shape](db, workers, chunk_size)
+        SHAPES[shape](db, CHUNKINGS[chunking])
     return tracer.finish_trace()
 
 
@@ -248,15 +243,13 @@ def test_join_spans_name_their_probe_path(databases, shape, chunking, storage):
 def test_a_sampled_primary_key_probe_stays_ascending(databases, chunking):
     """``orders TABLESAMPLE (50 PERCENT)``: kept keys still ascend, with
     gaps, so the lookup half of the ascending path runs."""
-    workers, chunk_size = CHUNKINGS[chunking]
     with start_trace("q") as tracer:
         databases["ram"].sql(
             "SELECT SUM(l_extendedprice) AS v FROM lineitem TABLESAMPLE "
             "(10 PERCENT), orders TABLESAMPLE (50 PERCENT) "
             "WHERE l_orderkey = o_orderkey",
             seed=11,
-            workers=workers,
-            chunk_size=chunk_size,
+            chunk_size=CHUNKINGS[chunking],
         )
     joins = [s for s in tracer.finish_trace().spans if "probe" in s.attrs]
     assert joins and {s.attrs["probe"] for s in joins} == {"ascending"}

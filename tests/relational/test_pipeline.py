@@ -1,7 +1,6 @@
 """Execution invariance of the chunked pipeline.
 
-The contract under test: for any row partitioning (and any ``workers``
-value, which the engine accepts and ignores), the pipeline produces
+The contract under test: for any row partitioning the pipeline produces
 bit-for-bit the same output — exactly the output of the independent
 reference interpreter (``Executor``), sampling included.
 """
@@ -134,16 +133,12 @@ class TestChunkedMatchesSerial:
     """compat mode: chunked output == legacy executor, bit for bit."""
 
     @pytest.mark.parametrize("plan_name", sorted(PLANS))
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_all_plans(self, plan_name, workers):
+    def test_all_plans(self, plan_name):
         plan = PLANS[plan_name]
         serial = Executor(CATALOG, np.random.default_rng(42)).execute(plan)
         for chunk_size in (509, 4096, 10**6):
             chunked = ChunkedExecutor(
-                CATALOG,
-                np.random.default_rng(42),
-                workers=workers,
-                chunk_size=chunk_size,
+                CATALOG, np.random.default_rng(42), chunk_size=chunk_size
             ).execute(plan)
             assert_tables_equal(serial, chunked)
 
@@ -152,7 +147,7 @@ class TestChunkedMatchesSerial:
         plan = PLANS["join"]
         serial = Executor(CATALOG, np.random.default_rng(0)).execute(plan)
         chunked = ChunkedExecutor(
-            CATALOG, np.random.default_rng(0), workers=4, chunk_size=10**9
+            CATALOG, np.random.default_rng(0), chunk_size=10**9
         ).execute(plan)
         assert_tables_equal(serial, chunked)
 
@@ -194,7 +189,7 @@ class TestJoinEdgeCases:
         }
         for ex in (
             Executor(catalog),
-            ChunkedExecutor(catalog, workers=2, chunk_size=2),
+            ChunkedExecutor(catalog, chunk_size=2),
         ):
             got = {
                 tuple(
@@ -219,9 +214,7 @@ class TestJoinEdgeCases:
         catalog = {"l": left, "r": right}
         plan = Join(Scan("l"), Scan("r"), ["a"], ["c"])
         serial = Executor(catalog).execute(plan)
-        chunked = ChunkedExecutor(catalog, workers=2, chunk_size=1).execute(
-            plan
-        )
+        chunked = ChunkedExecutor(catalog, chunk_size=1).execute(plan)
         # 1.0 ↔ 1.0 once, and the left NaN meets both right NaNs.
         assert serial.n_rows == chunked.n_rows == 3
         assert_tables_equal(serial, chunked)
@@ -229,9 +222,7 @@ class TestJoinEdgeCases:
         # componentwise — (nan, x) only matches (nan, y) when x == y.
         plan2 = Join(Scan("l"), Scan("r"), ["a", "x"], ["c", "y"])
         serial2 = Executor(catalog).execute(plan2)
-        chunked2 = ChunkedExecutor(catalog, workers=2, chunk_size=1).execute(
-            plan2
-        )
+        chunked2 = ChunkedExecutor(catalog, chunk_size=1).execute(plan2)
         assert serial2.n_rows == chunked2.n_rows == 0
         assert_tables_equal(serial2, chunked2)
 
@@ -248,9 +239,7 @@ class TestJoinEdgeCases:
             Join(Scan("r"), Scan("l"), ["c"], ["a"]),
         ):
             serial = Executor(catalog).execute(plan)
-            chunked = ChunkedExecutor(
-                catalog, workers=4, chunk_size=1
-            ).execute(plan)
+            chunked = ChunkedExecutor(catalog, chunk_size=1).execute(plan)
             assert chunked.n_rows == 0
             assert_tables_equal(serial, chunked)
 
@@ -263,16 +252,15 @@ class TestJoinEdgeCases:
 
 
 class TestHypothesisInvariance:
-    """Bit-for-bit equality for arbitrary row splits and workers."""
+    """Bit-for-bit equality for arbitrary row splits."""
 
     @given(
         n_rows=st.integers(0, 400),
         chunk_size=st.integers(1, 500),
-        workers=st.sampled_from([None, 1, 2, 4]),
         seed=st.integers(0, 2**20),
     )
     @settings(max_examples=60, deadline=None)
-    def test_sampled_join_pipeline(self, n_rows, chunk_size, workers, seed):
+    def test_sampled_join_pipeline(self, n_rows, chunk_size, seed):
         rng = np.random.default_rng(seed)
         catalog = {
             "f": Table(
@@ -301,14 +289,11 @@ class TestHypothesisInvariance:
         )
         serial = Executor(catalog, np.random.default_rng(seed)).execute(plan)
         chunked = ChunkedExecutor(
-            catalog,
-            np.random.default_rng(seed),
-            workers=workers,
-            chunk_size=chunk_size,
+            catalog, np.random.default_rng(seed), chunk_size=chunk_size
         ).execute(plan)
         assert_tables_equal(serial, chunked)
         unpartitioned = ChunkedExecutor(
-            catalog, np.random.default_rng(seed), workers=None
+            catalog, np.random.default_rng(seed)
         ).execute(plan)
         assert_tables_equal(unpartitioned, chunked)
 
@@ -316,8 +301,7 @@ class TestHypothesisInvariance:
 class TestEstimationInvariance:
     """SBox estimates are the same for one chunk and for many."""
 
-    @pytest.mark.parametrize("workers", [None, 1, 2, 4])
-    def test_grouped_bit_identical(self, workers):
+    def test_grouped_bit_identical(self):
         sbox = SBox(CATALOG)
         plan = GroupAggregate(
             TableSample(Scan("fact"), Bernoulli(0.2)),
@@ -332,10 +316,7 @@ class TestEstimationInvariance:
         legacy = sbox.run(plan, rng=np.random.default_rng(9))
         for chunk_size in (97, 1024, 10**6):
             result = sbox.run(
-                plan,
-                rng=np.random.default_rng(9),
-                workers=workers,
-                chunk_size=chunk_size,
+                plan, rng=np.random.default_rng(9), chunk_size=chunk_size
             )
             for key in legacy.keys:
                 assert (result.keys[key] == legacy.keys[key]).all()
@@ -397,7 +378,7 @@ class TestEstimationInvariance:
 
         monkeypatch.setattr(kernels, "sorted_boundaries", sorted_boundaries)
         monkeypatch.setattr(np, "lexsort", lexsort)
-        chunked = db.sql(text, seed=5, workers=1, chunk_size=chunk_size)
+        chunked = db.sql(text, seed=5, chunk_size=chunk_size)
         serial = db.sbox().estimate_from_sample_grouped(
             db.plan_sql(text), chunked.sample
         )
@@ -409,9 +390,9 @@ class TestEstimationInvariance:
                 chunked.values[alias], serial.values[alias]
             )
 
-    @pytest.mark.parametrize("workers", [None, 1, 4])
+    @pytest.mark.parametrize("chunked", [False, True])
     def test_second_grouped_statement_touches_no_string_and_sorts_nothing(
-        self, workers, monkeypatch, gathers
+        self, chunked, monkeypatch, gathers
     ):
         """Counts, not timings, on a table that has answered one GROUP BY.
 
@@ -429,12 +410,8 @@ class TestEstimationInvariance:
             "TABLESAMPLE ({rate} PERCENT) GROUP BY l_returnflag, l_linestatus"
         )
         n_tuples = db.sql_exact(text.format(rate=100)).n_rows
-        chunk_size = (
-            None if workers is None else db.table("lineitem").n_rows // 5
-        )
-        first = db.sql(
-            text.format(rate=40), seed=5, workers=workers, chunk_size=chunk_size
-        )
+        chunk_size = db.table("lineitem").n_rows // 5 if chunked else None
+        first = db.sql(text.format(rate=40), seed=5, chunk_size=chunk_size)
 
         hashed: list[int] = []
         sorts: list[int] = []
@@ -452,9 +429,7 @@ class TestEstimationInvariance:
         monkeypatch.setattr(kernels, "factorize", factorize)
         monkeypatch.setattr(kernels, "sorted_boundaries", sorted_boundaries)
         del gathers[:]
-        second = db.sql(
-            text.format(rate=25), seed=6, workers=workers, chunk_size=chunk_size
-        )
+        second = db.sql(text.format(rate=25), seed=6, chunk_size=chunk_size)
         assert second.sample.n_rows > 50 * n_tuples
         # The read-out unions every chunk's dictionary in one call, so
         # one call sees up to a dictionary per chunk, and the total
@@ -462,7 +437,7 @@ class TestEstimationInvariance:
         n_rows = db.table("lineitem").n_rows
         n_chunks = 1 if chunk_size is None else -(-n_rows // chunk_size)
         assert hashed and max(hashed) <= n_chunks * n_tuples
-        assert sum(hashed) <= {None: 5, 1: 86, 4: 86}[workers]
+        assert sum(hashed) <= (86 if chunked else 5)
         assert sorts == []
         assert not [source for source, _ in gathers if source.dtype == object]
         # The strings are still there for whoever reads them.
@@ -472,9 +447,9 @@ class TestEstimationInvariance:
             assert second.keys[key].dtype == object
             assert second.keys[key].tolist() == first.keys[key].tolist()
 
-    @pytest.mark.parametrize("workers", [None, 1, 4])
+    @pytest.mark.parametrize("chunked", [False, True])
     def test_foreign_key_join_neither_sorts_nor_searches(
-        self, workers, monkeypatch
+        self, chunked, monkeypatch
     ):
         """Counts, not timings: ``lineitem TABLESAMPLE ⋈ orders``.
 
@@ -489,9 +464,7 @@ class TestEstimationInvariance:
             "SELECT SUM(l_extendedprice) AS v FROM lineitem TABLESAMPLE "
             "(20 PERCENT), orders WHERE l_orderkey = o_orderkey"
         )
-        chunk_size = (
-            None if workers is None else db.table("orders").n_rows // 5
-        )
+        chunk_size = db.table("orders").n_rows // 5 if chunked else None
         join_modules = (
             "repro.relational.pipeline",
             "repro.relational.executor",
@@ -511,7 +484,7 @@ class TestEstimationInvariance:
 
         monkeypatch.setattr(np, "argsort", counted("argsort"))
         monkeypatch.setattr(np, "searchsorted", counted("searchsorted"))
-        result = db.sql(text, seed=5, workers=workers, chunk_size=chunk_size)
+        result = db.sql(text, seed=5, chunk_size=chunk_size)
         assert result.sample.n_rows > 500
         assert calls == []
         # The interpreter still joins by sort + search: the reference is
@@ -534,9 +507,9 @@ class TestEstimationInvariance:
         monkeypatch.setattr(np, "argsort", counting)
         return seen
 
-    @pytest.mark.parametrize("workers", [None, 1, 4])
+    @pytest.mark.parametrize("chunked", [False, True])
     def test_two_sampled_fk_join_folds_without_a_sort(
-        self, workers, monkeypatch
+        self, chunked, monkeypatch
     ):
         """Counts: ``lineitem TABLESAMPLE ⋈ orders TABLESAMPLE``.
 
@@ -550,17 +523,14 @@ class TestEstimationInvariance:
             "(20 PERCENT), orders TABLESAMPLE (50 PERCENT) "
             "WHERE l_orderkey = o_orderkey"
         )
-        chunk_size = (
-            None if workers is None else db.table("orders").n_rows // 5
-        )
+        chunk_size = db.table("orders").n_rows // 5 if chunked else None
         argsorts = self._core_argsorts(monkeypatch)
-        result = db.sql(text, seed=5, workers=workers, chunk_size=chunk_size)
+        result = db.sql(text, seed=5, chunk_size=chunk_size)
         assert result.sample.n_rows > 200
         assert argsorts == []
 
-    @pytest.mark.parametrize("workers", [None, 1, 4])
     def test_three_way_join_fold_sorts_by_uint16_digits_only(
-        self, workers, monkeypatch
+        self, monkeypatch
     ):
         """Counts: the customer-major ``lineitem`` lineage of a three-way
         join is scrambled, and the fold radix-sorts it — no ``argsort``
@@ -572,13 +542,13 @@ class TestEstimationInvariance:
             "o_orderkey AND o_custkey = c_custkey AND c_acctbal > 0.0"
         )
         argsorts = self._core_argsorts(monkeypatch)
-        result = db.sql(text, seed=5, workers=workers)
+        result = db.sql(text, seed=5)
         assert result.sample.n_rows > 200
         assert argsorts and set(argsorts) == {np.dtype(np.uint16)}
 
-    @pytest.mark.parametrize("workers", [None, 1, 4])
+    @pytest.mark.parametrize("chunked", [False, True])
     def test_version_diff_nets_with_at_most_one_argsort(
-        self, workers, monkeypatch
+        self, chunked, monkeypatch
     ):
         """Counts: both sides' keys ascend, so netting their hi-then-lo
         concatenation merges two runs — one ``argsort`` at most."""
@@ -593,13 +563,12 @@ class TestEstimationInvariance:
             "SELECT SUM(l_extendedprice) AS v FROM lineitem MINUS AT "
             "VERSION 1 TABLESAMPLE (20 PERCENT) REPEATABLE (7)"
         )
-        chunk_size = None if workers is None else lineitem.n_rows // 5
+        chunk_size = lineitem.n_rows // 5 if chunked else None
         argsorts = self._core_argsorts(monkeypatch)
-        db.sql(text, workers=workers, chunk_size=chunk_size)
+        db.sql(text, chunk_size=chunk_size)
         assert len(argsorts) <= 1
 
-    @pytest.mark.parametrize("workers", [None, 1, 2, 4])
-    def test_ungrouped_bit_identical(self, workers):
+    def test_ungrouped_bit_identical(self):
         sbox = SBox(CATALOG)
         plan = Aggregate(
             TableSample(Scan("fact"), Bernoulli(0.35)),
@@ -612,10 +581,7 @@ class TestEstimationInvariance:
         legacy = sbox.run(plan, rng=np.random.default_rng(4))
         for chunk_size in (131, 10**6):
             result = sbox.run(
-                plan,
-                rng=np.random.default_rng(4),
-                workers=workers,
-                chunk_size=chunk_size,
+                plan, rng=np.random.default_rng(4), chunk_size=chunk_size
             )
             for alias in legacy.values:
                 assert result.values[alias] == legacy.values[alias]
@@ -639,22 +605,18 @@ class TestEstimationInvariance:
         )
         legacy = sbox.run(plan, rng=np.random.default_rng(1))
         reference = None
-        for workers in (1, 2, 4):
-            for chunk_size in (61, 999, 10**6):
-                result = sbox.run(
-                    plan,
-                    rng=np.random.default_rng(1),
-                    workers=workers,
-                    chunk_size=chunk_size,
+        for chunk_size in (61, 999, 10**6):
+            result = sbox.run(
+                plan, rng=np.random.default_rng(1), chunk_size=chunk_size
+            )
+            if reference is None:
+                reference = result
+            else:
+                assert result.values == reference.values
+                assert (
+                    result.estimates["t"].variance_raw
+                    == reference.estimates["t"].variance_raw
                 )
-                if reference is None:
-                    reference = result
-                else:
-                    assert result.values == reference.values
-                    assert (
-                        result.estimates["t"].variance_raw
-                        == reference.estimates["t"].variance_raw
-                    )
         # Moments (hence variances) match the legacy path exactly; the
         # point estimate agrees up to float summation order.
         assert (
@@ -682,10 +644,7 @@ class TestEstimationInvariance:
         reference = None
         for chunk_size in (1, 100, 1000, 10**6):
             result = sbox.run(
-                plan,
-                rng=np.random.default_rng(2),
-                workers=3,
-                chunk_size=chunk_size,
+                plan, rng=np.random.default_rng(2), chunk_size=chunk_size
             )
             if reference is None:
                 reference = result
@@ -719,11 +678,9 @@ class TestEstimationInvariance:
             TableSample(Scan("fact"), Bernoulli(0.3)),
             [AggSpec("sum", col("v"), "t")],
         )
-        with_sample = sbox.run(
-            plan, rng=np.random.default_rng(8), workers=2
-        )
+        with_sample = sbox.run(plan, rng=np.random.default_rng(8))
         without = sbox.run(
-            plan, rng=np.random.default_rng(8), workers=2, keep_sample=False
+            plan, rng=np.random.default_rng(8), keep_sample=False
         )
         assert without.sample is None
         assert with_sample.sample is not None
@@ -736,8 +693,8 @@ class TestEstimationInvariance:
 class TestPartitioning:
     def test_a_source_is_one_chunk_up_to_the_bound(self, monkeypatch):
         # The bound is patched down to 64 rows.  Up to it a source is
-        # one chunk, above it 64-row chunks, whatever ``workers`` says;
-        # an explicit chunk_size is honoured either way.
+        # one chunk, above it 64-row chunks; an explicit chunk_size is
+        # honoured either way.
         monkeypatch.setattr(partition, "CHUNK_ROWS", 64)
         n = 3 * 64 + 5
         catalog = {
@@ -751,18 +708,13 @@ class TestPartitioning:
 
         big = Select(Scan("t"), col("x") >= 0)
         small = Select(Scan("small"), col("x") >= 0)
-        for workers in (None, 0, 1, 4):
-            assert chunk_rows(small, workers=workers) == [40]
-            assert chunk_rows(big, workers=workers) == [64] * 3 + [5]
-            assert chunk_rows(big, workers=workers, chunk_size=n // 2 + 1) == [
-                n // 2 + 1,
-                n - n // 2 - 1,
-            ]
-            assert chunk_rows(small, workers=workers, chunk_size=16) == [
-                16,
-                16,
-                8,
-            ]
+        assert chunk_rows(small) == [40]
+        assert chunk_rows(big) == [64] * 3 + [5]
+        assert chunk_rows(big, chunk_size=n // 2 + 1) == [
+            n // 2 + 1,
+            n - n // 2 - 1,
+        ]
+        assert chunk_rows(small, chunk_size=16) == [16, 16, 8]
         # Pipeline breakers re-chunk their result by the same rule.
         assert chunk_rows(Union(Scan("small"), Scan("small"))) == [40]
         union = Union(Scan("t"), Scan("t"))
@@ -793,7 +745,7 @@ class TestPartitioning:
 
 class TestJoinProbeNeedsNoReordering:
     @pytest.mark.parametrize("name", ["join", "join_string", "lineage_sample"])
-    def test_join_at_four_workers_never_lexsorts(self, name, monkeypatch):
+    def test_a_chunked_join_never_lexsorts(self, name, monkeypatch):
         """One sorted build emits every probe chunk in canonical order;
         per-worker build buckets had to ``np.lexsort`` each chunk's pairs
         back into it."""
@@ -809,7 +761,7 @@ class TestJoinProbeNeedsNoReordering:
         monkeypatch.setattr(np, "lexsort", counting)
         chunks = list(
             ChunkedExecutor(
-                CATALOG, np.random.default_rng(3), workers=4, chunk_size=512
+                CATALOG, np.random.default_rng(3), chunk_size=512
             ).iter_chunks(plan)
         )
         monkeypatch.undo()
@@ -820,7 +772,7 @@ class TestJoinProbeNeedsNoReordering:
 
 class TestJoinKeyEquality:
     def test_negative_zero_and_nan_keys_match_their_equals(self):
-        """-0.0 joins +0.0 and NaN joins NaN at every worker count, as
+        """-0.0 joins +0.0 and NaN joins NaN in one-row chunks, as
         on the reference interpreter (a build keyed on raw float bits
         once dropped these matches)."""
         left = Table(
@@ -833,8 +785,5 @@ class TestJoinKeyEquality:
         plan = Join(Scan("l"), Scan("r"), ["a"], ["c"])
         serial = Executor(catalog).execute(plan)
         assert serial.n_rows == 3  # -0.0 == 0.0, 1.0 == 1.0, nan ~ nan
-        for workers in (2, 4):
-            chunked = ChunkedExecutor(
-                catalog, workers=workers, chunk_size=1
-            ).execute(plan)
-            assert_tables_equal(serial, chunked)
+        chunked = ChunkedExecutor(catalog, chunk_size=1).execute(plan)
+        assert_tables_equal(serial, chunked)

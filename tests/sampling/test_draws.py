@@ -151,7 +151,6 @@ def test_a_stored_synopsis_cannot_be_written() -> None:
         "SELECT SUM(l_extendedprice) AS v FROM lineitem "
         "TABLESAMPLE (10 PERCENT)",
         seed=4,
-        workers=0,
     )
     (synopsis,) = db.synopses._entries.values()
     lineage = synopsis.sample.lineage["lineitem"]
@@ -214,7 +213,7 @@ def test_an_mmap_query_allocates_the_sample_and_a_chunk(
     text = MMAP_QUERIES[query]
 
     def run():
-        mmap_db.sql(text, seed=5, workers=1, subsample=subsample)
+        mmap_db.sql(text, seed=5, subsample=subsample)
 
     run()  # first-use caches (encodings, statistics) are not per query
     assert _peak_bytes(run) < 4 * 2**20

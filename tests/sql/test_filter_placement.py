@@ -120,11 +120,11 @@ def test_exact_answers_are_unchanged(db, text):
 
 
 @pytest.mark.parametrize("text", [THREE_WAY, TWO_SAMPLED])
-@pytest.mark.parametrize("workers", [None, 1, 4])
-def test_estimates_keep_every_bit(db, text, workers):
+@pytest.mark.parametrize("chunk_size", [None, 997])
+def test_estimates_keep_every_bit(db, text, chunk_size):
     plan = db.plan_sql(text)
-    pushed = db.estimate(plan, seed=11, workers=workers)
-    hoisted = db.estimate(_hoisted(plan), seed=11, workers=workers)
+    pushed = db.estimate(plan, seed=11, chunk_size=chunk_size)
+    hoisted = db.estimate(_hoisted(plan), seed=11, chunk_size=chunk_size)
     assert pushed.sample.n_rows == hoisted.sample.n_rows > 0
     for alias, est in pushed.estimates.items():
         other = hoisted.estimates[alias]

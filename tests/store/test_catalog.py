@@ -233,8 +233,8 @@ class TestChunkedEnginePopulation:
         "SELECT SUM(x) AS s FROM t TABLESAMPLE (50 PERCENT) REPEATABLE (3)"
     )
 
-    def _db(self, workers: int | None) -> Database:
-        db = Database(seed=0, catalog=True, workers=workers)
+    def _db(self, chunk_size: int | None) -> Database:
+        db = Database(seed=0, catalog=True, chunk_size=chunk_size)
         db.create_table(
             "t",
             {
@@ -245,8 +245,8 @@ class TestChunkedEnginePopulation:
         return db
 
     def test_miss_and_hit_match_serial_engine_bitwise(self):
-        chunked = self._db(workers=2)
-        serial = self._db(workers=None)
+        chunked = self._db(chunk_size=64)
+        serial = self._db(chunk_size=None)
         first = chunked.sql(self.QUERY, seed=1)
         assert first.reuse is None and len(chunked.synopses) == 1
         second = chunked.sql(self.QUERY, seed=1)
@@ -260,7 +260,7 @@ class TestChunkedEnginePopulation:
         )
 
     def test_clear_empties_the_catalog(self):
-        db = self._db(workers=None)
+        db = self._db(chunk_size=None)
         db.sql(self.QUERY, seed=1)
         assert len(db.synopses) == 1
         db.synopses.clear()

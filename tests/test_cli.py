@@ -219,27 +219,3 @@ class TestStreamSubcommand:
         code = main(["stream", "--windows", "0"])
         assert code == 2
         assert ">= 1" in capsys.readouterr().err
-
-
-class TestWorkersFlag:
-    def test_workers_flag_matches_serial(self, capsys):
-        query = (
-            "SELECT COUNT(*) AS n FROM lineitem "
-            "TABLESAMPLE (25 PERCENT) REPEATABLE (3)"
-        )
-        assert main(["--scale", "0.02", "-c", query]) == 0
-        serial_out = capsys.readouterr().out
-        assert (
-            main(["--scale", "0.02", "--workers", "3", "-c", query]) == 0
-        )
-        parallel_out = capsys.readouterr().out
-        # Same seed, same draw, same engine contract: identical output.
-        assert parallel_out == serial_out
-
-    def test_stream_accepts_workers(self, capsys):
-        code = main(
-            ["--workers", "2", "stream", "--windows", "2",
-             "--arrivals", "200"]
-        )
-        assert code == 0
-        assert "session:" in capsys.readouterr().out

@@ -15,47 +15,15 @@ import numpy as np
 import pytest
 
 from repro.core.sbox import SBox
-from repro.errors import ReproError
 from repro.fuzz.checker import fingerprint
 from repro.obs.trace import start_trace
 from repro.relational import partition
-from repro.relational.database import Database, env_workers, resolve_workers
+from repro.relational.database import Database
 from repro.relational.expressions import col
 from repro.relational.pipeline import ChunkedExecutor
 from repro.relational.plan import Aggregate, AggSpec, LineageSample, Scan
 from repro.relational.table import Table
 from repro.sampling.composed import BiDimensionalBernoulli
-
-
-class TestWorkerResolution:
-    def test_env_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert env_workers() is None
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert env_workers() == 4
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        assert env_workers() is None
-        monkeypatch.setenv("REPRO_WORKERS", "")
-        assert env_workers() is None
-
-    @pytest.mark.parametrize("bad", ["abc", "-3", "2.5"])
-    def test_env_workers_rejects_garbage(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_WORKERS", bad)
-        with pytest.raises(ReproError, match="REPRO_WORKERS") as info:
-            env_workers()
-        assert bad in str(info.value)
-        assert "positive integer" in str(info.value)
-        with pytest.raises(ReproError, match="REPRO_WORKERS"):
-            resolve_workers(None)
-
-    def test_resolve_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(2) == 2
-        # Explicit zero opts out of partitioning entirely.
-        assert resolve_workers(0) is None
-        monkeypatch.delenv("REPRO_WORKERS")
-        assert resolve_workers(None) is None
 
 
 #: The patched chunk bound: ``_ROWS`` folds as four chunks by default.
@@ -98,26 +66,23 @@ def test_many_chunks_start_no_thread_and_no_process(
     tmp_path, monkeypatch, small_bound
 ):
     """A source over the bound folds as bound-size chunks on this
-    thread, at any ``workers``, and answers what one chunk answers, bit
-    for bit."""
+    thread, and answers what one chunk answers, bit for bit."""
     ram = Database(seed=0)
     ram.register("t", _table())
     mapped = Database(seed=0)
     mapped.register("t", _table().persist(tmp_path / "t"))
     plan = ram.plan_sql("SELECT v FROM t")
-    executor = ChunkedExecutor(ram.tables, workers=4)
+    executor = ChunkedExecutor(ram.tables)
     assert len(list(executor.iter_chunks(plan))) == 4
 
     _refuse_threads_and_processes(monkeypatch)
     for statement in _STATEMENTS:
         want = fingerprint(ram.sql(statement, seed=5, chunk_size=_ROWS))
         for db in (ram, mapped):
-            for workers in (None, 1, 4):
-                got = db.sql(statement, seed=5, workers=workers)
-                assert fingerprint(got) == want
+            assert fingerprint(db.sql(statement, seed=5)) == want
 
 
-# -- the chunking is the source's, ``workers`` decides nothing -----------------
+# -- the chunking is the source's --------------------------------------------
 
 
 def _answer(result):
@@ -143,13 +108,12 @@ def _chunk_rows(n_rows: int = _ROWS, **kwargs) -> list[int]:
     return [chunk.n_rows for chunk in chunks]
 
 
-@pytest.mark.parametrize("workers", [None, 0, 1, 2, 4])
-def test_a_source_is_one_chunk_up_to_the_bound(workers, small_bound):
+def test_a_source_is_one_chunk_up_to_the_bound(small_bound):
     """Up to the bound a source is one chunk and above it bound-size
-    chunks, whatever ``workers`` says."""
-    assert _chunk_rows(_BOUND, workers=workers) == [_BOUND]
-    assert _chunk_rows(17, workers=workers) == [17]
-    assert _chunk_rows(workers=workers) == [_BOUND] * 3 + [1_000]
+    chunks."""
+    assert _chunk_rows(_BOUND) == [_BOUND]
+    assert _chunk_rows(17) == [17]
+    assert _chunk_rows() == [_BOUND] * 3 + [1_000]
 
 
 def test_the_bound_is_two_to_the_twentieth():
@@ -158,8 +122,8 @@ def test_the_bound_is_two_to_the_twentieth():
 
 
 def test_a_fold_over_many_bounds_peaks_at_one_chunk(monkeypatch):
-    """A sampled scan over four times the bound, with no ``workers`` or
-    ``chunk_size``, folds four chunks, and its traced peak is a chunk's
+    """A sampled scan over four times the bound, with no ``chunk_size``,
+    folds four chunks, and its traced peak is a chunk's
     working set (lineage ids, hash, mask), not the table's."""
     bound = 1 << 16
     monkeypatch.setattr(partition, "CHUNK_ROWS", bound)
@@ -194,32 +158,11 @@ def test_a_fold_over_many_bounds_peaks_at_one_chunk(monkeypatch):
     assert 2 * default < one_chunk, (default, one_chunk)
 
 
-@pytest.mark.parametrize("workers", [None, 0, 1, 4])
-def test_explicit_chunk_size_wins_over_workers(workers, small_bound):
+def test_an_explicit_chunk_size_is_always_honoured(small_bound):
     want = [5_000, 5_000, _ROWS - 10_000]
-    assert _chunk_rows(workers=workers, chunk_size=5_000) == want
+    assert _chunk_rows(chunk_size=5_000) == want
     # Above the bound too: an explicit size is never capped.
-    assert _chunk_rows(workers=workers, chunk_size=_ROWS) == [_ROWS]
-
-
-def _chunk_spans(db: Database, statement: str, **kwargs) -> int:
-    with start_trace("q") as tracer:
-        db.sql(statement, seed=5, **kwargs)
-    return sum(span.kind == "chunk" for span in tracer.finish_trace().spans)
-
-
-@pytest.mark.parametrize("env", ["1", "2", "4"])
-def test_repro_workers_leaves_the_chunking(env, monkeypatch, small_bound):
-    db = Database(seed=0)
-    db.register("t", _table())
-    statement = _STATEMENTS[0]
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    default = _chunk_spans(db, statement)
-    want = _answer(db.sql(statement, seed=5))
-    monkeypatch.setenv("REPRO_WORKERS", env)
-    assert _chunk_spans(db, statement) == default == 4
-    assert _chunk_spans(db, statement, workers=1) == default
-    assert _answer(db.sql(statement, seed=5)) == want
+    assert _chunk_rows(chunk_size=_ROWS) == [_ROWS]
 
 
 # -- no route through the engine starts a thread or a process ------------------
@@ -247,42 +190,39 @@ _JOIN = (
 )
 
 
-def _route_sql(db, workers):
-    return db.sql(_STATEMENTS[0], seed=5, workers=workers)
+def _route_sql(db):
+    return db.sql(_STATEMENTS[0], seed=5)
 
 
-def _route_grouped(db, workers):
-    return db.sql(_GROUPED, seed=5, workers=workers)
+def _route_grouped(db):
+    return db.sql(_GROUPED, seed=5)
 
 
-def _route_join(db, workers):
-    return db.sql(_JOIN, seed=5, workers=workers)
+def _route_join(db):
+    return db.sql(_JOIN, seed=5)
 
 
-def _route_execute(db, workers):
+def _route_execute(db):
     plan = db.plan_sql("SELECT g, v FROM t TABLESAMPLE (10 PERCENT)")
-    return db.execute(plan, seed=5, workers=workers)
+    return db.execute(plan, seed=5)
 
 
-def _route_sbox(db, workers):
+def _route_sbox(db):
     plan = db.plan_sql(_GROUPED)
-    return SBox(db.tables).run(
-        plan, rng=np.random.default_rng(5), workers=workers
-    )
+    return SBox(db.tables).run(plan, rng=np.random.default_rng(5))
 
 
-def _route_version_diff(db, workers):
+def _route_version_diff(db):
     return db.sql(
         "SELECT SUM(v) AS s FROM t MINUS AT VERSION 1 "
         "TABLESAMPLE (20 PERCENT) REPEATABLE (3)",
         seed=5,
-        workers=workers,
     )
 
 
-def _route_traced(db, workers):
+def _route_traced(db):
     with start_trace("q"):
-        return db.sql(_JOIN, seed=5, workers=workers)
+        return db.sql(_JOIN, seed=5)
 
 
 _ROUTES = {
@@ -296,16 +236,34 @@ _ROUTES = {
 }
 
 
+def _chunk_spans(db: Database) -> int:
+    with start_trace("q") as tracer:
+        _route_sql(db)
+    return sum(span.kind == "chunk" for span in tracer.finish_trace().spans)
+
+
 @pytest.mark.parametrize("backing", ["ram", "mmap"])
 @pytest.mark.parametrize("route", sorted(_ROUTES))
 def test_no_route_starts_a_thread_or_process(
     route, backing, tmp_path, monkeypatch, small_bound
 ):
-    """Every entry point folds its (four) chunks on the caller, and no
-    ``workers`` count changes its answer, bit for bit."""
+    """Every entry point folds its (four) chunks on the caller, and
+    answers the same with threads and processes refused, bit for bit."""
     db = _database(backing, tmp_path)
     run = _ROUTES[route]
+    want = _answer(run(db))
     _refuse_threads_and_processes(monkeypatch)
-    want = _answer(run(db, 1))
-    assert _answer(run(db, 2)) == want
-    assert _answer(run(db, 4)) == want
+    assert _answer(run(db)) == want
+
+
+def test_repro_workers_is_not_read(tmp_path, monkeypatch, small_bound):
+    """``REPRO_WORKERS`` is no setting: a value that is no worker count
+    raises nothing, and every route answers as without it, bit for bit,
+    over the same four chunks."""
+    db = _database("ram", tmp_path)
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    want = {name: _answer(run(db)) for name, run in _ROUTES.items()}
+    assert _chunk_spans(db) == 4
+    monkeypatch.setenv("REPRO_WORKERS", "abc")
+    assert {name: _answer(run(db)) for name, run in _ROUTES.items()} == want
+    assert _chunk_spans(db) == 4

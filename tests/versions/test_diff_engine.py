@@ -106,8 +106,10 @@ class TestSampledDiff:
         assert est.extras["nonzero"] <= N_CHANGED
         assert 0 < result.n_matched < N_ROWS
 
-    @pytest.mark.parametrize("workers", [0, 1, 4])
-    def test_bit_identical_across_workers_and_seeds(self, workers):
+    @pytest.mark.parametrize(
+        "chunk_size, seed", [(None, 41), (7, 42), (64, 45)]
+    )
+    def test_bit_identical_across_chunkings_and_seeds(self, chunk_size, seed):
         db = make_db()
         statement = (
             "SELECT SUM(val) AS s, COUNT(*) AS n\n"
@@ -115,7 +117,7 @@ class TestSampledDiff:
             "TABLESAMPLE (25 PERCENT) REPEATABLE (7)"
         )
         baseline = db.sql(statement)
-        result = db.sql(statement, workers=workers, seed=workers + 41)
+        result = db.sql(statement, chunk_size=chunk_size, seed=seed)
         assert result.values == baseline.values
         for alias, est in result.estimates.items():
             assert est.variance_raw == (
