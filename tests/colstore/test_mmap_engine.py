@@ -89,12 +89,13 @@ def mmap_db(tmp_path_factory) -> Database:
 
 
 @pytest.mark.parametrize("statement", _STATEMENTS)
-@pytest.mark.parametrize("chunk_size", [None, 7, 10**9])
+@pytest.mark.parametrize("chunk_size", [None, 7, 100, 10**9])
 def test_mmap_bit_identical_to_inram(
     inram_db, mmap_db, statement, chunk_size
 ) -> None:
     """Same statement, same seed → same bits, whatever the storage or
-    chunking (the databases' own 64 rows, 7 rows, one chunk)."""
+    chunking (the databases' own 64 rows, 7 rows, 100 rows, one
+    chunk)."""
     baseline = _snap(inram_db, statement, seed=9, chunk_size=chunk_size)
     mapped = _snap(mmap_db, statement, seed=9, chunk_size=chunk_size)
     assert baseline == mapped
@@ -401,12 +402,13 @@ def test_attach_allocates_no_per_row_string_memory(tmp_path) -> None:
     assert peak < n
 
 
+@pytest.mark.parametrize("chunk_size", [None, 700, 1_000])
 def test_encoded_group_keys_answer_the_same_from_ram_and_mmap(
-    tmp_path,
+    tmp_path, chunk_size
 ) -> None:
-    ram = Database(seed=0, chunk_size=1_000)
+    ram = Database(seed=0, chunk_size=chunk_size)
     ram.register("t", _string_table(6_000))
-    mapped = Database(seed=0, chunk_size=1_000)
+    mapped = Database(seed=0, chunk_size=chunk_size)
     mapped.register("t", _string_table(6_000).persist(tmp_path / "t", block_rows=700))
     text = (
         "SELECT flag, status, SUM(v) AS s, AVG(v) AS a, COUNT(*) AS n FROM t"

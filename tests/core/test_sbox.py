@@ -257,7 +257,8 @@ class TestSubsampledVariance:
         )
 
 
-    def test_subsample_moves_only_variances(self, db, plan):
+    @pytest.mark.parametrize("chunk_size", [None, 97])
+    def test_subsample_moves_only_variances(self, db, plan, chunk_size):
         # The rule SBox.run documents: every aggregate, AVG included,
         # takes its variance from the sub-sample; every point estimate
         # is the full sample's, bit for bit.
@@ -270,11 +271,11 @@ class TestSubsampledVariance:
                 AggSpec("avg", col("l_discount"), "q", quantile=0.9),
             ],
         )
-        full = db.estimate(mixed, seed=3, chunk_size=97)
+        full = db.estimate(mixed, seed=3, chunk_size=chunk_size)
         sub = db.estimate(
             mixed,
             seed=3,
-            chunk_size=97,
+            chunk_size=chunk_size,
             subsample=SubsampleSpec(rate=0.5, seed=1),
         )
         assert list(sub.estimates) == ["s", "n", "m", "q"]

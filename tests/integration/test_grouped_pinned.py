@@ -4,8 +4,8 @@ The benchmark's grouped class is TPC-H Q1 over a sampled ``lineitem``
 at nine rates (``benchmarks/e2e`` → ``streams.grouped_requests``).  The
 digests below were taken at the commit *before* string keys travelled
 as dictionary codes and the key-ordered fold stopped sorting; every
-route from statement to estimate — inline, chunked on threads, small
-chunks, memory-mapped tables — has to keep reproducing them: keys,
+route from statement to estimate — one chunk, small chunks,
+memory-mapped tables — has to keep reproducing them: keys,
 values, raw variances, sample counts and interval bounds.
 """
 
@@ -65,7 +65,7 @@ def databases(tmp_path_factory):
 
 
 @pytest.mark.parametrize("storage", ["ram", "mmap"])
-@pytest.mark.parametrize("chunk_size", [None, 997])
+@pytest.mark.parametrize("chunk_size", [None, 64, 997, 4096])
 def test_every_route_reproduces_the_pinned_grouped_answers(
     databases, storage, chunk_size
 ) -> None:

@@ -8,10 +8,9 @@ lineage sample fused into a join probe, a ``WITHIN … CONFIDENCE``
 ladder over a join and over one table, and a ``MINUS AT VERSION``
 difference.  The digests were taken at the commit *before* the hash
 ran block-wise on an integer threshold and integer-key joins addressed
-instead of searching; every route from statement to estimate — inline,
-chunked on threads, small chunks, memory-mapped tables — has to keep
-reproducing them: values, raw variances, sample counts and interval
-bounds.
+instead of searching; every route from statement to estimate — one
+chunk, small chunks, memory-mapped tables — has to keep reproducing
+them: values, raw variances, sample counts and interval bounds.
 """
 
 from __future__ import annotations
@@ -199,7 +198,7 @@ def _answers(db, versioned, chunk_size) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("storage", ["ram", "mmap"])
-@pytest.mark.parametrize("chunk_size", [None, 997])
+@pytest.mark.parametrize("chunk_size", [None, 64, 997, 4096])
 def test_every_route_reproduces_the_pinned_join_answers(
     databases, storage, chunk_size
 ) -> None:

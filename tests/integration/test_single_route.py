@@ -113,7 +113,7 @@ class TestReferenceIsOffTheQueryPath:
         monkeypatch.setattr(Executor, "execute", refuse)
         return db
 
-    @pytest.mark.parametrize("chunk_size", [None, 500])
+    @pytest.mark.parametrize("chunk_size", [None, 7, 500])
     def test_every_statement_class_answers_without_it(self, db, chunk_size):
         run = {"seed": 5, "chunk_size": chunk_size}
         assert db.sql(STATEMENTS["join"], **run).values["s"] > 0

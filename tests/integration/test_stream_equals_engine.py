@@ -33,10 +33,9 @@ STATEMENTS = {
     ),
 }
 SEED = 5
-CHUNK_ROWS = 64
 
 
-@pytest.mark.parametrize("chunk_size", [None, CHUNK_ROWS])
+@pytest.mark.parametrize("chunk_size", [None, 7, 64, 250])
 @pytest.mark.parametrize("name", sorted(STATEMENTS))
 def test_streamed_chunks_equal_sbox_run_bit_for_bit(tpch_db, name, chunk_size):
     plan = tpch_db.plan_sql(STATEMENTS[name])

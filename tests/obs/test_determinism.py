@@ -49,7 +49,7 @@ def _values(result):
 
 
 class TestSkeletonDeterminism:
-    @pytest.mark.parametrize("chunk_size", [None, 100])
+    @pytest.mark.parametrize("chunk_size", [None, 7, 100])
     @pytest.mark.parametrize("statement", [JOIN_Q, GROUPED_Q])
     def test_repeat_runs_identical_skeleton(
         self, tpch_db, statement, chunk_size
@@ -79,7 +79,7 @@ class TestSkeletonDeterminism:
         assert t0.skeleton() != t4.skeleton()
         assert t0.skeleton(drop_kinds=kinds) == t4.skeleton(drop_kinds=kinds)
 
-    @pytest.mark.parametrize("chunk_size", [None, 100])
+    @pytest.mark.parametrize("chunk_size", [None, 7, 100])
     def test_chunk_spans_carry_only_chunk_and_rows(self, tpch_db, chunk_size):
         # Every chunk runs on the calling thread: a chunk span names its
         # index and row count, and no worker.

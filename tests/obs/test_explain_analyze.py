@@ -67,7 +67,7 @@ class TestExecution:
         )
         assert report.result.trace is report.trace
 
-    @pytest.mark.parametrize("chunk_size", [None, 256])  # 1 chunk vs 5
+    @pytest.mark.parametrize("chunk_size", [None, 256, 100])  # 1, 5, 13 chunks
     def test_trace_has_per_node_timings_and_rows(self, tpch_db, chunk_size):
         # One engine, one trace shape: every plan node reports its rows
         # at every chunking, under the span of the chunk it ran in.
@@ -177,7 +177,7 @@ class TestExecution:
         assert report.result.trace is report.trace
         assert report.trace.find("estimate")
 
-    @pytest.mark.parametrize("chunk_size", [None, 256])
+    @pytest.mark.parametrize("chunk_size", [None, 256, 100])
     def test_non_aggregate_query_returns_table_report(
         self, tpch_db, chunk_size
     ):

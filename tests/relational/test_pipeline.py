@@ -133,14 +133,14 @@ class TestChunkedMatchesSerial:
     """compat mode: chunked output == legacy executor, bit for bit."""
 
     @pytest.mark.parametrize("plan_name", sorted(PLANS))
-    def test_all_plans(self, plan_name):
+    @pytest.mark.parametrize("chunk_size", [61, 509, 4096, 10**6])
+    def test_all_plans(self, plan_name, chunk_size):
         plan = PLANS[plan_name]
         serial = Executor(CATALOG, np.random.default_rng(42)).execute(plan)
-        for chunk_size in (509, 4096, 10**6):
-            chunked = ChunkedExecutor(
-                CATALOG, np.random.default_rng(42), chunk_size=chunk_size
-            ).execute(plan)
-            assert_tables_equal(serial, chunked)
+        chunked = ChunkedExecutor(
+            CATALOG, np.random.default_rng(42), chunk_size=chunk_size
+        ).execute(plan)
+        assert_tables_equal(serial, chunked)
 
     def test_single_chunk_covers_everything(self):
         """All rows in one partition is just the serial path."""
@@ -301,7 +301,8 @@ class TestHypothesisInvariance:
 class TestEstimationInvariance:
     """SBox estimates are the same for one chunk and for many."""
 
-    def test_grouped_bit_identical(self):
+    @pytest.mark.parametrize("chunk_size", [13, 97, 1024, 10**6])
+    def test_grouped_bit_identical(self, chunk_size):
         sbox = SBox(CATALOG)
         plan = GroupAggregate(
             TableSample(Scan("fact"), Bernoulli(0.2)),
@@ -314,28 +315,25 @@ class TestEstimationInvariance:
             ],
         )
         legacy = sbox.run(plan, rng=np.random.default_rng(9))
-        for chunk_size in (97, 1024, 10**6):
-            result = sbox.run(
-                plan, rng=np.random.default_rng(9), chunk_size=chunk_size
+        result = sbox.run(
+            plan, rng=np.random.default_rng(9), chunk_size=chunk_size
+        )
+        for key in legacy.keys:
+            assert (result.keys[key] == legacy.keys[key]).all()
+        for alias in legacy.values:
+            assert np.array_equal(result.values[alias], legacy.values[alias])
+            assert np.array_equal(
+                result.estimates[alias].variance_raw,
+                legacy.estimates[alias].variance_raw,
             )
-            for key in legacy.keys:
-                assert (result.keys[key] == legacy.keys[key]).all()
-            for alias in legacy.values:
-                assert np.array_equal(
-                    result.values[alias], legacy.values[alias]
-                )
-                assert np.array_equal(
-                    result.estimates[alias].variance_raw,
-                    legacy.estimates[alias].variance_raw,
-                )
-                assert np.array_equal(
-                    result.estimates[alias].n_samples,
-                    legacy.estimates[alias].n_samples,
-                )
-                lo, hi = result.estimates[alias].ci_bounds(0.95)
-                llo, lhi = legacy.estimates[alias].ci_bounds(0.95)
-                assert np.array_equal(lo, llo, equal_nan=True)
-                assert np.array_equal(hi, lhi, equal_nan=True)
+            assert np.array_equal(
+                result.estimates[alias].n_samples,
+                legacy.estimates[alias].n_samples,
+            )
+            lo, hi = result.estimates[alias].ci_bounds(0.95)
+            llo, lhi = legacy.estimates[alias].ci_bounds(0.95)
+            assert np.array_equal(lo, llo, equal_nan=True)
+            assert np.array_equal(hi, lhi, equal_nan=True)
 
     def test_no_sort_compares_more_strings_than_distinct_groups(
         self, monkeypatch
@@ -529,8 +527,9 @@ class TestEstimationInvariance:
         assert result.sample.n_rows > 200
         assert argsorts == []
 
+    @pytest.mark.parametrize("chunked", [False, True])
     def test_three_way_join_fold_sorts_by_uint16_digits_only(
-        self, monkeypatch
+        self, chunked, monkeypatch
     ):
         """Counts: the customer-major ``lineitem`` lineage of a three-way
         join is scrambled, and the fold radix-sorts it — no ``argsort``
@@ -541,8 +540,9 @@ class TestEstimationInvariance:
             "TABLESAMPLE (20 PERCENT), orders, customer WHERE l_orderkey = "
             "o_orderkey AND o_custkey = c_custkey AND c_acctbal > 0.0"
         )
+        chunk_size = db.table("lineitem").n_rows // 5 if chunked else None
         argsorts = self._core_argsorts(monkeypatch)
-        result = db.sql(text, seed=5)
+        result = db.sql(text, seed=5, chunk_size=chunk_size)
         assert result.sample.n_rows > 200
         assert argsorts and set(argsorts) == {np.dtype(np.uint16)}
 
@@ -568,7 +568,8 @@ class TestEstimationInvariance:
         db.sql(text, chunk_size=chunk_size)
         assert len(argsorts) <= 1
 
-    def test_ungrouped_bit_identical(self):
+    @pytest.mark.parametrize("chunk_size", [7, 131, 4096, 10**6])
+    def test_ungrouped_bit_identical(self, chunk_size):
         sbox = SBox(CATALOG)
         plan = Aggregate(
             TableSample(Scan("fact"), Bernoulli(0.35)),
@@ -579,20 +580,19 @@ class TestEstimationInvariance:
             ],
         )
         legacy = sbox.run(plan, rng=np.random.default_rng(4))
-        for chunk_size in (131, 10**6):
-            result = sbox.run(
-                plan, rng=np.random.default_rng(4), chunk_size=chunk_size
+        result = sbox.run(
+            plan, rng=np.random.default_rng(4), chunk_size=chunk_size
+        )
+        for alias in legacy.values:
+            assert result.values[alias] == legacy.values[alias]
+            assert (
+                result.estimates[alias].variance_raw
+                == legacy.estimates[alias].variance_raw
             )
-            for alias in legacy.values:
-                assert result.values[alias] == legacy.values[alias]
-                assert (
-                    result.estimates[alias].variance_raw
-                    == legacy.estimates[alias].variance_raw
-                )
-                assert (
-                    result.estimates[alias].n_sample
-                    == legacy.estimates[alias].n_sample
-                )
+            assert (
+                result.estimates[alias].n_sample
+                == legacy.estimates[alias].n_sample
+            )
 
     def test_join_estimate_invariant_and_variance_exact(self):
         sbox = SBox(CATALOG)

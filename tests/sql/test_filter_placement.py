@@ -120,7 +120,7 @@ def test_exact_answers_are_unchanged(db, text):
 
 
 @pytest.mark.parametrize("text", [THREE_WAY, TWO_SAMPLED])
-@pytest.mark.parametrize("chunk_size", [None, 997])
+@pytest.mark.parametrize("chunk_size", [None, 64, 997])
 def test_estimates_keep_every_bit(db, text, chunk_size):
     plan = db.plan_sql(text)
     pushed = db.estimate(plan, seed=11, chunk_size=chunk_size)

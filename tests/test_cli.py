@@ -219,3 +219,28 @@ class TestStreamSubcommand:
         code = main(["stream", "--windows", "0"])
         assert code == 2
         assert ">= 1" in capsys.readouterr().err
+
+
+class TestNoEngineWorkersFlag:
+    """The engine sizes its own chunks: only ``repro serve`` has a
+    ``--workers`` (its request pool), and everywhere else the option is
+    unknown."""
+
+    QUERY = (
+        "SELECT COUNT(*) AS n FROM lineitem "
+        "TABLESAMPLE (25 PERCENT) REPEATABLE (3)"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scale", "0.02", "--workers=3", "-c", QUERY],
+            ["--scale", "0.02", "profile", "--workers=3", QUERY],
+        ],
+        ids=["main", "profile"],
+    )
+    def test_workers_is_an_unknown_option(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --workers=3" in capsys.readouterr().err

@@ -108,12 +108,19 @@ def _chunk_rows(n_rows: int = _ROWS, **kwargs) -> list[int]:
     return [chunk.n_rows for chunk in chunks]
 
 
-def test_a_source_is_one_chunk_up_to_the_bound(small_bound):
+@pytest.mark.parametrize(
+    "n_rows, want",
+    [
+        (17, [17]),
+        (_BOUND, [_BOUND]),
+        (_BOUND + 1, [_BOUND, 1]),
+        (_ROWS, [_BOUND] * 3 + [1_000]),
+    ],
+)
+def test_a_source_is_one_chunk_up_to_the_bound(n_rows, want, small_bound):
     """Up to the bound a source is one chunk and above it bound-size
     chunks."""
-    assert _chunk_rows(_BOUND) == [_BOUND]
-    assert _chunk_rows(17) == [17]
-    assert _chunk_rows() == [_BOUND] * 3 + [1_000]
+    assert _chunk_rows(n_rows) == want
 
 
 def test_the_bound_is_two_to_the_twentieth():
@@ -158,11 +165,21 @@ def test_a_fold_over_many_bounds_peaks_at_one_chunk(monkeypatch):
     assert 2 * default < one_chunk, (default, one_chunk)
 
 
-def test_an_explicit_chunk_size_is_always_honoured(small_bound):
-    want = [5_000, 5_000, _ROWS - 10_000]
-    assert _chunk_rows(chunk_size=5_000) == want
-    # Above the bound too: an explicit size is never capped.
-    assert _chunk_rows(chunk_size=_ROWS) == [_ROWS]
+@pytest.mark.parametrize(
+    "chunk_size, want",
+    [
+        (1_000, [1_000] * 13 + [288]),
+        (5_000, [5_000, 5_000, _ROWS - 10_000]),
+        (_BOUND, [_BOUND] * 3 + [1_000]),
+        # Above the bound too: an explicit size is never capped.
+        (_ROWS, [_ROWS]),
+        (2 * _ROWS, [_ROWS]),
+    ],
+)
+def test_an_explicit_chunk_size_is_always_honoured(
+    chunk_size, want, small_bound
+):
+    assert _chunk_rows(chunk_size=chunk_size) == want
 
 
 # -- no route through the engine starts a thread or a process ------------------
@@ -256,14 +273,18 @@ def test_no_route_starts_a_thread_or_process(
     assert _answer(run(db)) == want
 
 
-def test_repro_workers_is_not_read(tmp_path, monkeypatch, small_bound):
-    """``REPRO_WORKERS`` is no setting: a value that is no worker count
-    raises nothing, and every route answers as without it, bit for bit,
-    over the same four chunks."""
-    db = _database("ram", tmp_path)
+@pytest.mark.parametrize("backing", ["ram", "mmap"])
+@pytest.mark.parametrize("env", ["abc", "-3", "2.5", "1", "4"])
+def test_repro_workers_is_not_read(
+    env, backing, tmp_path, monkeypatch, small_bound
+):
+    """``REPRO_WORKERS`` is no setting: neither a value that is no worker
+    count nor one that is raises anything, and every route answers as
+    without it, bit for bit, over the same four chunks."""
+    db = _database(backing, tmp_path)
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     want = {name: _answer(run(db)) for name, run in _ROUTES.items()}
     assert _chunk_spans(db) == 4
-    monkeypatch.setenv("REPRO_WORKERS", "abc")
+    monkeypatch.setenv("REPRO_WORKERS", env)
     assert {name: _answer(run(db)) for name, run in _ROUTES.items()} == want
     assert _chunk_spans(db) == 4

@@ -106,9 +106,8 @@ class TestSampledDiff:
         assert est.extras["nonzero"] <= N_CHANGED
         assert 0 < result.n_matched < N_ROWS
 
-    @pytest.mark.parametrize(
-        "chunk_size, seed", [(None, 41), (7, 42), (64, 45)]
-    )
+    @pytest.mark.parametrize("seed", [41, 42, 45])
+    @pytest.mark.parametrize("chunk_size", [None, 7, 64])
     def test_bit_identical_across_chunkings_and_seeds(self, chunk_size, seed):
         db = make_db()
         statement = (
