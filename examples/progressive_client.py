@@ -94,8 +94,7 @@ async def main() -> None:
 
     server = await start_server(
         service,
-        ServeConfig(port=0, http_port=0, workers=4, capacity=4.0,
-                    queue_limit=6),
+        ServeConfig(port=0, http_port=0, capacity=4.0, queue_limit=6),
     )
     print(f"server on tcp:{server.tcp_port} http:{server.http_port}\n")
     try:

@@ -6,8 +6,8 @@ Run with::
 
 Shows the three reuse modes the sampling algebra decides (exact,
 predicate pushdown, residual thinning), catalog invalidation on table
-mutation, and the concurrent serving front-end with its throughput
-win over fresh-sampling every query.
+mutation, and the serving front-end with its throughput win over
+fresh-sampling every query.
 """
 
 from __future__ import annotations
@@ -52,12 +52,13 @@ def main() -> None:
     db.update_table("lineitem", db.table("lineitem"))
     show("after update_table", db.sql(BASE, seed=1))
 
-    print("\n== concurrent serving ==")
+    print("\n== serving ==")
     service = QueryService(db)
     workload = [BASE, THINNED, FILTERED] * 20
     service.query(BASE)  # warm the base synopsis
     start = time.perf_counter()
-    service.query_many(workload, workers=4)
+    for statement in workload:
+        service.query(statement)
     with_catalog = time.perf_counter() - start
 
     fresh_db = tpch_database(scale=0.2, seed=42)

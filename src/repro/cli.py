@@ -7,8 +7,8 @@ Usage::
     python -m repro --load orders=o.csv --load lineitem=l.csv
     python -m repro -c "SELECT COUNT(*) AS n FROM lineitem TABLESAMPLE (10 PERCENT)"
     python -m repro stream --windows 8              # streaming engine demo
-    cat workload.sql | python -m repro serve --workers 8   # catalog service
-    python -m repro serve --selftest                # concurrent self-check
+    cat workload.sql | python -m repro serve        # catalog service
+    python -m repro serve --selftest                # service self-check
     python -m repro serve --tcp --port 7799         # network serving tier
     python -m repro query --connect 127.0.0.1:7799 --progressive \
         "SELECT SUM(l_extendedprice) AS rev FROM lineitem \
@@ -220,30 +220,26 @@ def run_statement(db, text: str, level: float = 0.95) -> str:
 
 
 def _add_serve_subcommand(subcommands) -> None:
-    """Register ``repro serve`` — the concurrent catalog-backed service.
+    """Register ``repro serve`` — the catalog-backed query service.
 
-    Reads one SQL statement per line from stdin, serves them across a
-    thread pool sharing one sample-synopsis catalog (plus a result
-    cache), and prints each answer tagged with how it was served
-    (``fresh`` / ``exact`` / ``pushdown`` / ``thin`` /
-    ``result-cache``).  ``--selftest`` runs a built-in concurrent
-    workload instead and exits non-zero on any inconsistency.
+    Reads one SQL statement per line from stdin, serves them in order
+    over one sample-synopsis catalog (plus a result cache), and prints
+    each answer tagged with how it was served (``fresh`` / ``exact`` /
+    ``pushdown`` / ``thin`` / ``result-cache``).  ``--selftest`` runs
+    a built-in workload instead and exits non-zero on any
+    inconsistency.
     """
     serve = subcommands.add_parser(
         "serve",
-        help="concurrent query service over a shared sample-synopsis "
+        help="query service over a shared sample-synopsis "
         "catalog (reads SQL statements from stdin)",
-        description="Concurrent approximate-query service: statements "
+        description="Approximate-query service: statements "
         "share a sample-synopsis catalog, so repeated and subsumed "
         "queries are served from stored samples instead of fresh scans.",
     )
     serve.add_argument(
-        "--workers", dest="serve_workers", type=int, default=4,
-        metavar="N", help="serving threads (default 4)",
-    )
-    serve.add_argument(
         "--selftest", action="store_true",
-        help="run the built-in concurrent workload and verify "
+        help="run the built-in workload and verify "
         "answers are repeat-identical",
     )
     serve.add_argument(
@@ -293,14 +289,9 @@ def _add_serve_subcommand(subcommands) -> None:
 def _run_serve(args) -> int:
     from repro.service import QueryService, selftest, serve_statements
 
-    if args.serve_workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     if args.selftest:
         scale = min(args.scale, 0.05)  # the self-test stays small
-        ok = selftest(
-            workers=args.serve_workers, scale=scale, seed=args.seed
-        )
+        ok = selftest(scale=scale, seed=args.seed)
         return 0 if ok else 1
     try:
         db = _build_database(args)
@@ -315,9 +306,7 @@ def _run_serve(args) -> int:
     if not statements:
         print("serve: no statements on stdin", file=sys.stderr)
         return 0
-    served = serve_statements(
-        service, statements, workers=args.serve_workers
-    )
+    served = serve_statements(service, statements)
     # Per-statement errors are printed in-stream; the exit code only
     # signals total failure.
     return 0 if served else 1
@@ -332,7 +321,6 @@ def _run_serve_tcp(service, args) -> int:
         host=args.host,
         port=args.port,
         http_port=args.http_port,
-        workers=args.serve_workers,
         capacity=args.capacity,
         queue_limit=args.queue_limit,
         default_deadline_ms=args.deadline_ms,

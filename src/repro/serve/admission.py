@@ -119,11 +119,11 @@ def degrade_statement(statement: str, rate: float) -> str | None:
 
 
 class AdmissionController:
-    """Thread-safe request gate in front of the worker pool.
+    """Thread-safe request gate in front of the engine thread.
 
     ``capacity`` is the sustainable requests per ``window_seconds``;
     ``queue_limit`` bounds how many admitted requests may be waiting
-    for a worker before arrivals are rejected outright.  Callers
+    for the engine before arrivals are rejected outright.  Callers
     bracket execution with :meth:`decide` / :meth:`release` so the
     controller tracks queue depth; a shed request never holds a slot.
     """

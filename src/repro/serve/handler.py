@@ -3,7 +3,7 @@
 The handler owns the request lifecycle the transports share: admission
 (admit / degrade / reject via the :mod:`repro.serve.admission`
 controller), execution against the :class:`~repro.service.QueryService`
-(plain queries through the result-cache/coalescing path, progressive
+(plain queries through the result-cache path, progressive
 queries through :func:`~repro.serve.progressive.run_progressive`),
 error isolation, and the serving metrics.  Transports only move bytes:
 the asyncio server calls :meth:`immediate` / :meth:`admit` /
@@ -16,7 +16,7 @@ All serving metrics land in the service's own registry
 (``service.metrics``), so ``\\metrics`` and HTTP ``/metrics`` expose
 them with no extra plumbing:
 
-* ``repro_serve_queue_wait_seconds`` — admission-to-worker latency;
+* ``repro_serve_queue_wait_seconds`` — admission-to-engine latency;
 * ``repro_serve_request_seconds{outcome=ok|error|cancelled|deadline}``;
 * ``repro_serve_ttfe_seconds`` / ``repro_serve_ttb_seconds`` — time to
   first estimate vs time to budget (progressive);
@@ -88,7 +88,7 @@ class RequestHandler:
         if self.admission is not None and decision.admitted:
             self.admission.release()
 
-    # -- immediate (no worker needed) --------------------------------------
+    # -- immediate (no engine needed) --------------------------------------
 
     def immediate(self, request: Request) -> dict | None:
         """Answer ops that need no engine work; ``None`` means execute."""
@@ -103,7 +103,7 @@ class RequestHandler:
                     "text": self.service.metrics_text().rstrip()}
         return None
 
-    # -- execution (worker thread) -----------------------------------------
+    # -- execution (engine thread) -----------------------------------------
 
     def execute(
         self,
@@ -118,7 +118,7 @@ class RequestHandler:
         """Run one admitted query request to its terminal payload.
 
         Never raises: engine errors become ``type: "error"`` payloads so
-        one bad statement cannot take down its worker or connection —
+        one bad statement cannot take down the engine or its connection —
         and so does any other exception (logged with its traceback,
         reported by type under ``code: "internal"``), because a request
         whose task dies without a terminal frame leaves its client

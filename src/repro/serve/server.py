@@ -11,10 +11,14 @@ One :class:`ReproServer` binds two listeners over a shared
   progressive frames collected into the response body), enough for a
   scraper and curl without a web framework.
 
-Execution runs on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-— the engine is numpy-heavy, so worker threads release the GIL while
-the event loop keeps accepting, shedding, and streaming.  Progressive
-frames cross from worker thread to socket via
+Every admitted request executes on **one engine thread**, in arrival
+order: the event loop keeps accepting, shedding, answering pings and
+streaming frames while the engine works, and load is shed as *data*
+(the admission controller degrades a request's sampling rate), not
+spread over more threads.  One thread makes every answer reproducible
+— a repeat queued behind its first execution is a result-cache hit,
+and which stored synopsis a request thins never depends on timing.
+Progressive frames cross from the engine thread to the socket via
 ``loop.call_soon_threadsafe``, which serializes writes per connection
 in arrival order.  Per-request deadlines and client disconnects cancel
 cooperatively: a :class:`threading.Event` per in-flight request is
@@ -23,8 +27,8 @@ cancelled ladder stops cleanly, releases its queue slot, and records a
 ``cancelled`` outcome.
 
 ``drain()`` is the graceful shutdown: stop accepting, let in-flight
-requests finish (cancelling whatever outlives the timeout), then shut
-the pool down.
+requests finish (cancelling whatever outlives the timeout), then stop
+the engine thread.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 7799
     http_port: int = 0
-    workers: int = 4
+    workers: int | None = None  # ignored; goes with ROADMAP item 2(f)
     capacity: float = 32.0
     queue_limit: int = 64
     min_rate: float = DEFAULT_MIN_RATE
@@ -80,10 +84,8 @@ class ReproServer:
             admission=self.admission,
             default_deadline_ms=self.config.default_deadline_ms,
         )
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, self.config.workers),
-            thread_name_prefix="repro-serve",
-        )
+        # The one engine thread: requests run on it in arrival order.
+        self._engine = ThreadPoolExecutor(1, "repro-engine")
         self._tcp_server: asyncio.AbstractServer | None = None
         self._http_server: asyncio.AbstractServer | None = None
         self._request_tasks: set[asyncio.Task] = set()
@@ -143,7 +145,7 @@ class ReproServer:
             _, pending = await asyncio.wait(conns, timeout=1.0)
             for task in pending:
                 task.cancel()
-        self._pool.shutdown(wait=True)
+        self._engine.shutdown(wait=True)
         # Never serves again; the event loop refers to it in cycles, so
         # drop the service (and database) instead of waiting for the GC.
         self.service = self.handler.service = None
@@ -185,7 +187,7 @@ class ReproServer:
 
         try:
             payload = await loop.run_in_executor(
-                self._pool,
+                self._engine,
                 lambda: self.handler.execute(
                     request,
                     decision,
@@ -352,7 +354,7 @@ class ReproServer:
         frames: list[dict] = []
         queued_at = time.perf_counter()
         task = loop.run_in_executor(
-            self._pool,
+            self._engine,
             lambda: self.handler.execute(
                 request,
                 decision,

@@ -1,7 +1,7 @@
-"""A thread-safe concurrent query service over a shared synopsis catalog.
+"""A query service over a shared synopsis catalog.
 
 This is the serving front-end the ROADMAP's "heavy traffic" north star
-asks for: many sessions issue SQL concurrently against one
+asks for: sessions issue SQL against one
 :class:`~repro.relational.database.Database` whose sampling cost is
 amortized through the :mod:`repro.store` catalog.  Three layers of
 reuse, fastest first:
@@ -14,16 +14,19 @@ reuse, fastest first:
 3. **fresh execution** — a miss executes once and populates the
    catalog for everyone else.
 
-Thread model: query execution itself is lock-free (numpy reads over an
-immutable-by-convention catalog of tables); the service lock only
-guards the result cache, the per-session bookkeeping, and table
-mutations.  Mutations swap the table reference atomically and
-invalidate the affected synopses, so in-flight queries see a
+Thread model: the serving tier runs every request on one engine
+thread, in arrival order, so a repeat queued behind its first
+execution is a result-cache hit and every answer is reproducible.  The
+service lock still guards the result cache, the per-session
+bookkeeping and table mutations, because other threads (the event
+loop, a library caller) read stats and refresh tables while the
+engine runs.  Mutations swap the table reference atomically and
+invalidate the affected synopses, so a running query sees a
 consistent snapshot and later queries never reuse stale samples.
 
 ``repro serve`` wraps this in a line-oriented CLI loop;
-``repro serve --selftest`` runs a built-in concurrent workload and
-verifies answers are identical across repeats.
+``repro serve --selftest`` runs a built-in workload and verifies
+answers are identical across repeats.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import time
 import weakref
 import zlib
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
@@ -77,15 +79,12 @@ class ServiceResponse:
 class ServiceStats:
     """Service-level counters (the catalog keeps its own).
 
-    ``result_cache_hits`` counts answers actually read back from the
-    result cache; ``coalesced_hits`` counts waiters that piggybacked on
-    a concurrent in-flight execution of the same request — related but
-    distinct reuse, reported separately.
+    ``result_cache_hits`` counts answers read back from the result
+    cache.
     """
 
     queries: int = 0
     result_cache_hits: int = 0
-    coalesced_hits: int = 0
     errors: int = 0
     sessions_evicted: int = 0
 
@@ -118,7 +117,7 @@ class ServiceSession:
 
 
 class QueryService:
-    """Concurrent SQL serving over one database + shared synopsis catalog."""
+    """SQL serving over one database + shared synopsis catalog."""
 
     def __init__(
         self,
@@ -135,7 +134,6 @@ class QueryService:
         self._lock = threading.Lock()
         self._results: OrderedDict[tuple, ServiceResponse] = OrderedDict()
         self._result_cache_size = int(result_cache_size)
-        self._inflight: dict[tuple, Future] = {}
         self._sessions: OrderedDict[str, ServiceSession] = OrderedDict()
         self._max_sessions = max(1, int(max_sessions))
         self.stats = ServiceStats()
@@ -156,12 +154,9 @@ class QueryService:
         """Serve one SQL statement; deterministic for a given seed.
 
         With ``seed=None`` a stable per-statement seed is derived, so
-        repeats of the same text hit the result cache and concurrent
-        clients always observe one consistent answer per statement.
-        Concurrent requests for the same (statement, seed) coalesce:
-        one thread executes, the rest wait on its answer — the engine
-        never runs the same request twice at once (dogpile protection),
-        and all clients see the one realization.
+        repeats of the same text hit the result cache.  Requests served
+        one after another, as the serving tier's one engine thread
+        does, observe one answer per statement.
         """
         start = time.perf_counter()
         # Only the edges are trimmed: collapsing interior whitespace
@@ -182,37 +177,20 @@ class QueryService:
             if hit is not None:
                 self._results.move_to_end(key)
                 self.stats.result_cache_hits += 1
-            else:
-                pending = self._inflight.get(key)
-                if pending is None:
-                    pending = self._inflight[key] = Future()
-                    owner = True
-                else:
-                    owner = False
         if hit is not None:
             self._observe_latency("result-cache", start)
             return replace(hit, cached=True, session=session)
-        if not owner:
-            response = pending.result()  # raises what the owner raised
-            with self._lock:
-                self.stats.coalesced_hits += 1
-            self._observe_latency("coalesced", start)
-            return replace(response, cached=True, session=session)
         try:
             response = self._execute(key)
-        except BaseException as exc:
+        except BaseException:
             with self._lock:
                 self.stats.errors += 1
-                self._inflight.pop(key, None)
-            pending.set_exception(exc)
             self._observe_latency("error", start)
             raise
         with self._lock:
             self._results[key] = response
             while len(self._results) > self._result_cache_size:
                 self._results.popitem(last=False)
-            self._inflight.pop(key, None)
-        pending.set_result(response)
         self._observe_latency("fresh", start)
         return replace(response, session=session)
 
@@ -241,16 +219,6 @@ class QueryService:
             reuse=getattr(result, "reuse", None),
             trace=getattr(result, "trace", None),
         )
-
-    def query_many(
-        self, statements: Iterable[str], *, workers: int = 4
-    ) -> list[ServiceResponse]:
-        """Serve a batch concurrently, preserving submission order."""
-        items = list(statements)
-        if not items:
-            return []
-        with ThreadPoolExecutor(max_workers=max(1, int(workers))) as pool:
-            return list(pool.map(self.query, items))
 
     def session(self, name: str) -> ServiceSession:
         """Get-or-create the named session handle (bounded registry).
@@ -345,9 +313,6 @@ class QueryService:
         reg.counter("repro_service_result_cache_hits_total").inc(
             service.result_cache_hits
         )
-        reg.counter("repro_service_coalesced_hits_total").inc(
-            service.coalesced_hits
-        )
         reg.counter("repro_service_errors_total").inc(service.errors)
         reg.counter("repro_service_sessions_evicted_total").inc(
             service.sessions_evicted
@@ -394,7 +359,6 @@ class QueryService:
         return (
             f"served {service.queries} "
             f"(result-cache {service.result_cache_hits}, "
-            f"coalesced {service.coalesced_hits}, "
             f"store hits {store.hits}/{store.lookups} "
             f"[{store.exact_hits} exact, {store.pushdown_hits} pushdown, "
             f"{store.thin_hits} thin], "
@@ -433,20 +397,18 @@ def serve_statements(
     service: QueryService,
     statements: Iterable[str],
     *,
-    workers: int = 4,
     out: Callable[[str], Any] = print,
 ) -> int:
-    """Serve a statement stream concurrently, printing in order.
+    """Serve a statement stream in order, printing each answer.
 
     Failures are isolated per statement — one malformed line prints an
     error and the rest of the stream is still served.  Returns the
     number of statements answered successfully.
 
     Lines starting with a backslash are service commands, answered at
-    their position in the output stream (they see whatever concurrent
-    statements have completed by then): ``\\stats`` prints the one-line
-    counter summary with latency quantiles, ``\\metrics`` the full
-    Prometheus exposition.
+    their position in the stream (they see every statement before
+    them): ``\\stats`` prints the one-line counter summary with
+    latency quantiles, ``\\metrics`` the full Prometheus exposition.
     """
     # The per-statement logic (serving, tagging, error isolation) and
     # the \stats/\metrics commands are the network tier's request
@@ -454,52 +416,40 @@ def serve_statements(
     from repro.serve.handler import RequestHandler
 
     handler = RequestHandler(service)
-    items = list(statements)
     served = 0
-    with ThreadPoolExecutor(max_workers=max(1, int(workers))) as pool:
-        futures = [
-            None if s.startswith("\\") else pool.submit(handler.serve_text, s)
-            for s in items
-        ]
-        for statement, future in zip(items, futures):
-            if future is None:
-                out(handler.command_text(statement))
-                continue
-            lines, ok = future.result()
-            for line in lines:
-                out(line)
-            served += ok
+    for statement in statements:
+        if statement.startswith("\\"):
+            out(handler.command_text(statement))
+            continue
+        lines, ok = handler.serve_text(statement)
+        for line in lines:
+            out(line)
+        served += ok
     out(f"-- {service.stats_line()}")
     return served
 
 
 def selftest(
     *,
-    workers: int = 4,
     scale: float = 0.02,
     seed: int = 0,
     repeats: int = 3,
     out: Callable[[str], Any] = print,
 ) -> bool:
-    """Concurrent end-to-end check of the catalog + service stack.
+    """End-to-end check of the catalog + service stack.
 
-    Runs the self-test workload ``repeats`` times across ``workers``
-    threads against a shared catalog and verifies that (1) every
-    statement's answer is identical on every repeat, (2) the store
-    actually served reuse hits, and (3) the result cache engaged.
+    Serves the self-test workload ``repeats`` times in a row against a
+    shared catalog and verifies that (1) every statement's answer is
+    identical on every repeat, (2) the store actually served reuse
+    hits, and (3) the result cache engaged.
     """
     from repro.data.tpch import tpch_database
 
     db = tpch_database(scale=scale, seed=seed)
     db.attach_catalog()
     service = QueryService(db)
-    # Warm the base synopsis so the concurrent storm has a stored
-    # sample to subsume (otherwise every distinct statement can miss
-    # simultaneously on the first wave and the hit check gets racy).
-    warm = service.query(SELFTEST_STATEMENTS[0])
     workload = list(SELFTEST_STATEMENTS) * max(1, int(repeats))
-    responses = service.query_many(workload, workers=max(2, int(workers)))
-    responses.append(warm)
+    responses = [service.query(statement) for statement in workload]
     by_statement: dict[str, str] = {}
     consistent = True
     for response in responses:
@@ -511,12 +461,11 @@ def selftest(
     ok = (
         consistent
         and store.hits > 0
-        and stats.result_cache_hits + stats.coalesced_hits > 0
+        and stats.result_cache_hits > 0
         and stats.errors == 0
     )
     out(
         f"selftest {'ok' if ok else 'FAILED'}: "
-        f"{len(responses)} statements across {max(2, int(workers))} "
-        f"threads; {service.stats_line()}"
+        f"{len(responses)} statements; {service.stats_line()}"
     )
     return ok

@@ -13,9 +13,7 @@ from repro.relational.expressions import col, lit
 from repro.relational.plan import (
     Aggregate,
     AggSpec,
-    Join,
     Scan,
-    Select,
     TableSample,
 )
 from repro.sampling import Bernoulli, BlockBernoulli, WithoutReplacement

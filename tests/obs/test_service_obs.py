@@ -39,7 +39,7 @@ class TestSnapshotConsistency:
                 for i in range(per_thread):
                     # Distinct seeds force fresh executions (each with
                     # a store lookup); repeats exercise the result
-                    # cache and coalescing paths.
+                    # cache.
                     service.query(STMT, seed=(tid * per_thread + i) % 40)
             except BaseException as exc:  # noqa: BLE001 - recorded
                 errors.append(exc)
@@ -70,7 +70,6 @@ class TestSnapshotConsistency:
             assert store.hits + store.misses == store.lookups, store
             assert (
                 stats.result_cache_hits
-                + stats.coalesced_hits
                 + stats.errors
                 <= stats.queries
             ), stats
@@ -131,7 +130,6 @@ class TestServeCommands:
         served = serve_statements(
             service,
             [STMT, GROUPED, "\\stats", "\\metrics", "\\bogus"],
-            workers=2,
             out=lines.append,
         )
         assert served == 2
@@ -149,7 +147,6 @@ class TestServeCommands:
         served = serve_statements(
             service,
             ["SELECT broken FROM nowhere", STMT],
-            workers=2,
             out=lines.append,
         )
         assert served == 1

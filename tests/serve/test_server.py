@@ -1,4 +1,4 @@
-"""End-to-end asyncio server tests: concurrency, faults, drain, HTTP.
+"""End-to-end asyncio server tests: one engine thread, faults, drain, HTTP.
 
 All servers bind ephemeral ports (``port=0``); every test drains its
 server, so nothing leaks across tests.  pytest-asyncio is not a
@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import threading
 import weakref
 
 import pytest
@@ -32,7 +33,7 @@ def service():
 
 
 def make_config(**overrides) -> ServeConfig:
-    defaults = dict(port=0, http_port=0, workers=4)
+    defaults = dict(port=0, http_port=0)
     defaults.update(overrides)
     return ServeConfig(**defaults)
 
@@ -135,7 +136,7 @@ class TestProgressiveOverTcp:
         service = fresh_service()
 
         async def scenario():
-            server = await start_server(service, make_config(workers=2))
+            server = await start_server(service, make_config())
             client = await ServeClient.connect("127.0.0.1", server.tcp_port)
             try:
                 rid = await client.start_query(
@@ -159,7 +160,7 @@ class TestProgressiveOverTcp:
         service = fresh_service()
 
         async def scenario():
-            server = await start_server(service, make_config(workers=2))
+            server = await start_server(service, make_config())
             client = await ServeClient.connect("127.0.0.1", server.tcp_port)
             await client.start_query(
                 BUDGETED, mode="progressive", seed=77, deadline_ms=60_000
@@ -213,7 +214,7 @@ class TestConcurrentMix:
 
         async def scenario():
             server = await start_server(
-                service, make_config(workers=4, capacity=1000)
+                service, make_config(capacity=1000)
             )
             port = server.tcp_port
             all_results = await asyncio.gather(
@@ -244,7 +245,7 @@ class TestConcurrentMix:
         async def scenario():
             server = await start_server(
                 service,
-                make_config(workers=2, capacity=2, queue_limit=4),
+                make_config(capacity=2, queue_limit=4),
             )
             client = await ServeClient.connect("127.0.0.1", server.tcp_port)
             statuses = []
@@ -350,7 +351,7 @@ class TestUnexpectedExceptionsGetATerminalFrame:
         monkeypatch.setattr(service, "query", explode)
 
         async def scenario():
-            server = await start_server(service, make_config(workers=1))
+            server = await start_server(service, make_config())
             reader, writer = await raw_connection(server.tcp_port)
             try:
                 writer.write(
@@ -397,3 +398,96 @@ class TestDrainReleasesTheDatabase:
             assert alive() is None
         finally:
             gc.enable()
+
+
+#: A pipelined burst: misses, thin and pushdown hits on whichever
+#: synopsis the misses before them stored, and queued repeats.
+BURST = [
+    ("SELECT SUM(l_extendedprice) AS v FROM lineitem "
+     "TABLESAMPLE (30 PERCENT) REPEATABLE (1)", 1),
+    ("SELECT SUM(l_quantity) AS v FROM lineitem "
+     "TABLESAMPLE (50 PERCENT) REPEATABLE (1)", 1),
+    ("SELECT SUM(l_extendedprice) AS v FROM lineitem "
+     "TABLESAMPLE (10 PERCENT) REPEATABLE (2)", 2),
+    ("SELECT AVG(l_quantity) AS v FROM lineitem "
+     "TABLESAMPLE (20 PERCENT) REPEATABLE (2) WHERE l_quantity > 25", 2),
+    ("SELECT SUM(l_extendedprice) AS v FROM lineitem "
+     "TABLESAMPLE (30 PERCENT) REPEATABLE (1)", 1),
+    ("SELECT SUM(o_totalprice) AS v FROM orders "
+     "TABLESAMPLE (25 PERCENT) REPEATABLE (3)", 3),
+    ("SELECT SUM(l_tax) AS v, COUNT(*) AS n FROM lineitem "
+     "TABLESAMPLE (20 PERCENT) REPEATABLE (1)", 4),
+    ("SELECT SUM(l_extendedprice) AS v FROM lineitem "
+     "TABLESAMPLE (10 PERCENT) REPEATABLE (2)", 2),
+    (PLAIN, 5),
+]
+
+
+def record_sql_calls(service: QueryService, monkeypatch) -> list[tuple]:
+    """Record (thread, statement, seed) of every engine execution."""
+    calls: list[tuple] = []
+    real_sql = service.db.sql
+
+    def recording_sql(text, **kwargs):
+        calls.append((threading.get_ident(), text, kwargs.get("seed")))
+        return real_sql(text, **kwargs)
+
+    monkeypatch.setattr(service.db, "sql", recording_sql)
+    return calls
+
+
+class TestOneEngineThread:
+    def test_pipelined_burst_runs_in_order_on_one_thread(
+        self, monkeypatch
+    ):
+        """On the default config every request of a pipelined burst
+        executes on one engine thread (not the event loop's), in
+        arrival order, and answers what a twin service queried
+        serially in the same order answers, bit for bit."""
+        service, twin = fresh_service(), fresh_service()
+        served_calls = record_sql_calls(service, monkeypatch)
+        twin_calls = record_sql_calls(twin, monkeypatch)
+
+        async def scenario():
+            server = await start_server(service, make_config())
+            reader, writer = await raw_connection(server.tcp_port)
+            try:
+                writer.write(b"".join(
+                    json.dumps(
+                        {"id": i, "statement": text, "seed": seed}
+                    ).encode() + b"\n"
+                    for i, (text, seed) in enumerate(BURST)
+                ))
+                await writer.drain()
+                answers = [
+                    json.loads(await reader.readline()) for _ in BURST
+                ]
+            finally:
+                writer.close()
+                await server.drain()
+            return answers
+
+        answers = run(asyncio.wait_for(scenario(), ANSWER_TIMEOUT_S))
+        loop_thread = threading.get_ident()
+        assert [a["id"] for a in answers] == list(range(len(BURST)))
+        assert all(a["status"] == "ok" for a in answers), answers
+        assert not any("degraded" in answer for answer in answers)
+        threads = {thread for thread, _, _ in served_calls}
+        assert len(threads) == 1 and loop_thread not in threads
+        serial = [twin.query(text, seed=seed) for text, seed in BURST]
+        assert [call[1:] for call in served_calls] == [
+            call[1:] for call in twin_calls
+        ]
+        for answer, response in zip(answers, serial):
+            assert answer["text"] == response.text
+            assert json.dumps(answer["values"]) == json.dumps(
+                response.values
+            )
+            want_tag = (
+                "result-cache" if response.cached
+                else response.reuse.kind if response.reuse else "fresh"
+            )
+            assert answer["tag"] == want_tag
+        # The queued repeats never reached the engine.
+        assert answers[4]["tag"] == "result-cache"
+        assert len(served_calls) == len(BURST) - 2

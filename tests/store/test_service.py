@@ -120,70 +120,35 @@ class TestQueryService:
         )
         assert not service.query(QUERY).cached
 
-    def test_query_many_empty(self, service):
-        assert service.query_many([]) == []
-
-    def test_coalesced_waiters_counted_separately(self, service):
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        release = threading.Event()
-        entered = threading.Event()
-        real_sql = service.db.sql
-
-        def slow_sql(text, **kwargs):
-            entered.set()
-            release.wait(timeout=5.0)
-            return real_sql(text, **kwargs)
-
-        service.db.sql = slow_sql
-        try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                owner = pool.submit(service.query, QUERY)
-                assert entered.wait(timeout=5.0)
-                waiter = pool.submit(service.query, QUERY)
-                while service.stats.queries < 2:
-                    pass  # the waiter has registered before we release
-                release.set()
-                owner_response = owner.result(timeout=5.0)
-                waiter_response = waiter.result(timeout=5.0)
-        finally:
-            service.db.sql = real_sql
-        assert not owner_response.cached and waiter_response.cached
-        assert service.stats.coalesced_hits == 1
-        assert service.stats.result_cache_hits == 0
-        assert owner_response.text == waiter_response.text
+    def test_serve_statements_empty_stream(self, service):
+        lines: list[str] = []
+        assert serve_statements(service, [], out=lines.append) == 0
+        assert len(lines) == 1 and lines[0].startswith("-- served 0 ")
 
     def test_serve_statements_prints_tags(self, service):
         lines: list[str] = []
         served = serve_statements(
-            service, [QUERY, QUERY], workers=2, out=lines.append
+            service, [QUERY, QUERY], out=lines.append
         )
         assert served == 2
-        text = "\n".join(lines)
-        assert "fresh" in text
+        # Served in order: the repeat is a result-cache hit.
+        assert lines[0].startswith("-- [fresh, ")
+        assert lines[2].startswith("-- [result-cache, ")
         assert "served" in lines[-1]
 
 
 class TestServeCli:
     def test_serve_selftest(self, capsys):
-        code = main(
-            ["--scale", "0.01", "serve", "--selftest", "--workers", "2"]
-        )
+        code = main(["--scale", "0.01", "serve", "--selftest"])
         out = capsys.readouterr().out
         assert code == 0
         assert "selftest ok" in out
-
-    def test_serve_rejects_bad_workers(self, capsys):
-        code = main(["serve", "--workers", "0"])
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
 
     def test_serve_reads_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "sys.stdin", io.StringIO(QUERY + "\n\n" + QUERY + "\n")
         )
-        code = main(["--scale", "0.01", "serve", "--workers", "2"])
+        code = main(["--scale", "0.01", "serve"])
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("v = ") == 2
@@ -210,7 +175,7 @@ class TestServeCli:
             "sys.stdin",
             io.StringIO("SELECT nope FROM nothing\n" + QUERY + "\n"),
         )
-        code = main(["--scale", "0.01", "serve", "--workers", "2"])
+        code = main(["--scale", "0.01", "serve"])
         out = capsys.readouterr().out
         assert code == 0
         assert "-- [error] SELECT nope FROM nothing" in out

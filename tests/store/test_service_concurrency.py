@@ -246,5 +246,5 @@ def test_concurrent_first_reads_of_a_stored_sample_agree():
 
 def test_selftest_entrypoint_passes():
     messages: list[str] = []
-    assert selftest(workers=4, scale=0.01, out=messages.append)
+    assert selftest(scale=0.01, out=messages.append)
     assert messages and "selftest ok" in messages[-1]

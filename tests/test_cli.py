@@ -222,9 +222,9 @@ class TestStreamSubcommand:
 
 
 class TestNoEngineWorkersFlag:
-    """The engine sizes its own chunks: only ``repro serve`` has a
-    ``--workers`` (its request pool), and everywhere else the option is
-    unknown."""
+    """The engine sizes its own chunks and one engine thread serves:
+    ``--workers`` is an unknown option everywhere, ``repro serve``
+    included."""
 
     QUERY = (
         "SELECT COUNT(*) AS n FROM lineitem "
@@ -236,8 +236,10 @@ class TestNoEngineWorkersFlag:
         [
             ["--scale", "0.02", "--workers=3", "-c", QUERY],
             ["--scale", "0.02", "profile", "--workers=3", QUERY],
+            ["--scale", "0.02", "serve", "--workers=3"],
+            ["--scale", "0.02", "serve", "--selftest", "--workers=3"],
         ],
-        ids=["main", "profile"],
+        ids=["main", "profile", "serve", "serve-selftest"],
     )
     def test_workers_is_an_unknown_option(self, argv, capsys):
         with pytest.raises(SystemExit) as exited:

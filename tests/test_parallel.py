@@ -7,6 +7,7 @@ down to :data:`_BOUND` here, so a small table crosses it.
 
 from __future__ import annotations
 
+import io
 import multiprocessing.process
 import threading
 import tracemalloc
@@ -14,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.sbox import SBox
 from repro.fuzz.checker import fingerprint
 from repro.obs.trace import start_trace
@@ -24,6 +26,12 @@ from repro.relational.pipeline import ChunkedExecutor
 from repro.relational.plan import Aggregate, AggSpec, LineageSample, Scan
 from repro.relational.table import Table
 from repro.sampling.composed import BiDimensionalBernoulli
+from repro.service import (
+    SELFTEST_STATEMENTS,
+    QueryService,
+    selftest,
+    serve_statements,
+)
 
 
 #: The patched chunk bound: ``_ROWS`` folds as four chunks by default.
@@ -288,3 +296,53 @@ def test_repro_workers_is_not_read(
     monkeypatch.setenv("REPRO_WORKERS", env)
     assert {name: _answer(run(db)) for name, run in _ROUTES.items()} == want
     assert _chunk_spans(db) == 4
+
+
+# -- nor does serving: one engine thread, and none off the caller's --------
+
+_SERVED = [*_STATEMENTS, _JOIN, _STATEMENTS[0], "\\stats"]
+
+
+def _answer_lines(lines) -> list[str]:
+    """The printed answers, without the timed tags and stats lines."""
+    return [line for line in lines if not line.startswith("-- ")]
+
+
+@pytest.mark.parametrize("backing", ["ram", "mmap"])
+def test_serve_statements_starts_no_thread_or_process(
+    backing, tmp_path, monkeypatch, small_bound
+):
+    """The stdin service serves its stream in order on the caller, and
+    answers the same with threads and processes refused."""
+    free, refused = (
+        QueryService(_database(backing, tmp_path / name))
+        for name in ("free", "refused")
+    )
+    want: list[str] = []
+    assert serve_statements(free, _SERVED, out=want.append) == 4
+    _refuse_threads_and_processes(monkeypatch)
+    got: list[str] = []
+    assert serve_statements(refused, _SERVED, out=got.append) == 4
+    assert _answer_lines(got) == _answer_lines(want)
+    assert got[-4].startswith("-- [result-cache, ")
+
+
+def test_selftest_starts_no_thread_or_process(monkeypatch):
+    _refuse_threads_and_processes(monkeypatch)
+    messages: list[str] = []
+    assert selftest(scale=0.01, out=messages.append)
+    assert messages[-1].startswith("selftest ok")
+
+
+def test_stdin_serve_starts_no_thread_or_process(monkeypatch, capsys):
+    """``repro serve`` reading stdin answers as with threads allowed."""
+    stdin = "\n".join(SELFTEST_STATEMENTS) + "\n"
+
+    def serve() -> list[str]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert main(["--scale", "0.01", "serve"]) == 0
+        return _answer_lines(capsys.readouterr().out.splitlines())
+
+    want = serve()
+    _refuse_threads_and_processes(monkeypatch)
+    assert serve() == want
