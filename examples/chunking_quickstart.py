@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 
 from repro.data.tpch import tpch_database
+from repro.service import render_result
 
 QUERY = """
 SELECT SUM(l_extendedprice * (1 - l_discount)) AS revenue,
@@ -61,7 +62,7 @@ def main() -> None:
     # 2. GROUP BY rides the same machinery: every chunk folds into one
     #    mergeable grouped sketch, per-group CIs come out exact.
     grouped = db.sql(Q1, seed=42, chunk_size=16_384)
-    print(grouped.summary(0.95), "\n")
+    print(render_result(grouped, 0.95) + "\n")
 
     # 3. The SBox never needs the sample materialized: with
     #    keep_sample=False the estimate is produced purely from merged

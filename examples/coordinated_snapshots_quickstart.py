@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.relational.database import Database
+from repro.service import render_result
 
 N_USERS = 200_000
 
@@ -70,7 +71,7 @@ def main() -> None:
             ).column("lift")
         )[0]
     )
-    print(delta.summary(level=0.95))
+    print(render_result(delta, 0.95))
     print(f"exact lift: {truth:,.0f}  (sampled keys: {delta.n_matched})\n")
 
     # 4. Why coordination matters: difference two *independent* samples
@@ -99,7 +100,7 @@ def main() -> None:
         "TABLESAMPLE (25 PERCENT) REPEATABLE (3)\n"
         "GROUP BY cohort"
     )
-    print(per_cohort.summary(level=0.95))
+    print(render_result(per_cohort, 0.95))
 
     # 6. Snapshots pin reports: freeze today's live table explicitly,
     #    keep mutating, and yesterday's numbers stay reproducible.

@@ -23,6 +23,7 @@ from repro.data.workloads import (
     QUERY1_BUDGET_SQL,
     QUERY1_EXPLAIN_SAMPLING_SQL,
 )
+from repro.service import render_result
 
 
 def main() -> None:
@@ -37,7 +38,7 @@ def main() -> None:
     print(QUERY1_BUDGET_SQL.strip())
     result = db.sql(QUERY1_BUDGET_SQL, seed=1)
     print()
-    print(result.summary())
+    print(render_result(result, 0.95))
 
     truth = db.sql_exact(QUERY1_BUDGET_SQL).to_rows()[0][0]
     estimate = result.result.estimates["revenue"]

@@ -64,6 +64,7 @@ async def progressive_tour(service: QueryService, port: int) -> None:
     await client.cancel(rid)
     terminal = await client.wait(rid)
     print(f"  cancelled mid-ladder -> status {terminal['status']!r}")
+    assert terminal["status"] == "cancelled"
     await client.close()
 
 

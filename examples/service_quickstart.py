@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 
 from repro.data.tpch import tpch_database
-from repro.service import QueryService, default_seed
+from repro.service import QueryService, default_seed, render_result
 
 BASE = (
     "SELECT SUM(l_extendedprice) AS rev, COUNT(*) AS n "
@@ -35,7 +35,7 @@ def show(tag: str, result) -> None:
         f"({reuse.stored_rows} stored -> {reuse.served_rows} served rows)"
     )
     print(f"[{tag}] {how}")
-    print("   " + result.summary().replace("\n", "\n   "))
+    print("   " + render_result(result, 0.95).replace("\n", "\n   "))
 
 
 def main() -> None:

@@ -37,6 +37,7 @@ import argparse
 import sys
 
 from repro.errors import ReproError
+from repro.service import render_result
 
 
 def _build_database(args):
@@ -80,107 +81,6 @@ def _build_database(args):
     return db
 
 
-def _format_grouped(result, level: float, footer: str | None = None) -> str:
-    """Per-group table: key columns, then ``value [lo, hi]`` per alias."""
-    key_names = list(result.keys)
-    aliases = list(result.values)
-    bounds = {
-        alias: result.estimates[alias].ci_bounds(level)
-        for alias in aliases
-    }
-    lines = ["\t".join(key_names + [f"{a} [lo, hi]" for a in aliases])]
-    shown = min(result.n_groups, 50)
-    for g in range(shown):
-        cells = [str(result.keys[k][g]) for k in key_names]
-        for alias in aliases:
-            lo, hi = bounds[alias][0][g], bounds[alias][1][g]
-            cells.append(
-                f"{result.values[alias][g]:.6g} [{lo:.6g}, {hi:.6g}]"
-            )
-        lines.append("\t".join(cells))
-    if result.n_groups > shown:
-        lines.append(f"... ({result.n_groups} groups total)")
-    if footer is None:
-        footer = (
-            f"-- {result.n_groups} groups @{level:.0%}, "
-            f"{result.sample.n_rows} sample rows, a = {result.gus.a:.4g}"
-        )
-    lines.append(footer)
-    return "\n".join(lines)
-
-
-def _diff_footer(result, prefix: str) -> str:
-    rate = result.plan.rate if result.plan is not None else None
-    mode = f"coordinated p = {rate:g}" if rate is not None else "exact"
-    return f"-- {prefix}, {result.n_matched} matched keys, {mode}"
-
-
-def _format_result(result, level: float) -> str:
-    from repro.core.sbox import GroupedQueryResult, QueryResult
-    from repro.obs.report import ExplainAnalyzeReport
-    from repro.optimizer import OptimizedResult, OptimizerReport
-
-    if isinstance(result, ExplainAnalyzeReport):
-        return (
-            _format_result(result.result, level)
-            + "\n"
-            + result.render_trace()
-        )
-    if isinstance(result, OptimizerReport):
-        return result.table()
-    if isinstance(result, OptimizedResult):
-        return (
-            _format_result(result.result, result.report.budget.level)
-            + "\n-- "
-            + result.outcome_line()
-        )
-    from repro.versions.engine import (
-        GroupedVersionDiffResult,
-        VersionDiffResult,
-    )
-
-    if isinstance(result, GroupedVersionDiffResult):
-        return _format_grouped(
-            result,
-            level,
-            footer=_diff_footer(
-                result, f"{result.n_groups} segments @{level:.0%}"
-            ),
-        )
-    if isinstance(result, VersionDiffResult):
-        lines = []
-        for alias, value in result.values.items():
-            est = result.estimates[alias]
-            ci = est.ci(level)
-            lines.append(
-                f"{alias} = {value:.6g}   "
-                f"[{ci.lo:.6g}, {ci.hi:.6g}] @{level:.0%}"
-            )
-        lines.append(_diff_footer(result, "version diff"))
-        return "\n".join(lines)
-    if isinstance(result, GroupedQueryResult):
-        return _format_grouped(result, level)
-    if isinstance(result, QueryResult):
-        lines = []
-        for alias, value in result.values.items():
-            est = result.estimates[alias]
-            ci = est.ci(level)
-            lines.append(
-                f"{alias} = {value:.6g}   "
-                f"[{ci.lo:.6g}, {ci.hi:.6g}] @{level:.0%}"
-                + ("  (variance clamped)" if est.clamped else "")
-            )
-        lines.append(f"-- {result.sample.n_rows} sample rows, a = {result.gus.a:.4g}")
-        return "\n".join(lines)
-    # A plain table: print up to 20 rows.
-    lines = ["\t".join(result.schema.names)]
-    for row in result.head(20).to_rows():
-        lines.append("\t".join(str(v) for v in row))
-    if result.n_rows > 20:
-        lines.append(f"... ({result.n_rows} rows total)")
-    return "\n".join(lines)
-
-
 def run_statement(db, text: str, level: float = 0.95) -> str:
     """Execute one shell statement and return the printable output."""
     stripped = text.strip()
@@ -212,11 +112,11 @@ def run_statement(db, text: str, level: float = 0.95) -> str:
         if command == "explain":
             return db.explain(db.plan_sql(rest))
         if command == "exact":
-            return _format_result(db.sql_exact(rest), level)
+            return render_result(db.sql_exact(rest), level)
         if command in ("quit", "q", "exit"):
             raise EOFError
         return f"unknown command \\{command}; try \\tables, \\explain, \\exact, \\quit"
-    return _format_result(db.sql(stripped), level)
+    return render_result(db.sql(stripped), level)
 
 
 def _add_serve_subcommand(subcommands) -> None:
@@ -481,7 +381,7 @@ def _run_profile(args) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(_format_result(result, args.level))
+    print(render_result(result, args.level))
     print()
     print(render_trace(trace))
     print()

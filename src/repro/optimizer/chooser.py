@@ -191,7 +191,8 @@ class OptimizedResult:
         return self.result.values[alias]
 
     def outcome_line(self) -> str:
-        """The one-line verdict shared by :meth:`summary` and the CLI."""
+        """The one-line verdict :func:`repro.service.render_result`
+        prints under the answer."""
         last = self.attempts[-1]
         chosen = self.report.chosen
         return (
@@ -200,13 +201,6 @@ class OptimizedResult:
             f"{'met' if last.met else 'MISSED'} after "
             f"{len(self.attempts)} attempt(s), realized "
             f"±{last.realized_relative_half_width:.2%}"
-        )
-
-    def summary(self) -> str:
-        return (
-            self.result.summary(self.report.budget.level)
-            + "\n"
-            + self.outcome_line()
         )
 
 

@@ -8,9 +8,12 @@ Layers, transport-independent first:
   to a non-progressive run at the same seed);
 * :mod:`repro.serve.admission` — admit / degrade / reject, with the
   Section 8 load shedder as the policy engine;
-* :mod:`repro.serve.handler` — the one request brain every front-end
-  (TCP, HTTP, the ``repro serve`` stdin loop) shares;
-* :mod:`repro.serve.server` — the asyncio TCP + HTTP tier;
+* :mod:`repro.serve.handler` — the one request lifecycle (admit,
+  execute, release) every front-end (TCP, HTTP, the ``repro serve``
+  stdin loop) runs;
+* :mod:`repro.serve.server` — the asyncio TCP + HTTP tier, both
+  listeners over one admit / run-on-the-engine-thread / release
+  coroutine;
 * :mod:`repro.serve.client` — the async client and the CLI's sync
   one-shot wrapper.
 """

@@ -6,11 +6,12 @@ controller), execution against the :class:`~repro.service.QueryService`
 (plain queries through the result-cache path, progressive
 queries through :func:`~repro.serve.progressive.run_progressive`),
 error isolation, and the serving metrics.  Transports only move bytes:
-the asyncio server calls :meth:`immediate` / :meth:`admit` /
-:meth:`execute` / :meth:`release`, while the line-oriented ``repro
-serve`` stdin loop uses the text wrappers :meth:`serve_text` /
-:meth:`command_text` — so ``\\stats``, ``\\metrics``, and per-statement
-error isolation have exactly one implementation.
+the asyncio server's TCP and HTTP listeners and the line-oriented
+``repro serve`` stdin loop (:func:`~repro.service.serve_statements`)
+all call :meth:`immediate` / :meth:`admit` / :meth:`execute` /
+:meth:`release` and print or encode the payload they get back — so
+``stats``, ``metrics``, tagging and per-statement error isolation have
+exactly one implementation.
 
 All serving metrics land in the service's own registry
 (``service.metrics``), so ``\\metrics`` and HTTP ``/metrics`` expose
@@ -33,6 +34,7 @@ from repro.errors import ReproError
 from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.progressive import ProgressiveFrame, run_progressive
 from repro.serve.protocol import Request, error_payload, frame_payload
+from repro.service import render_result
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service import QueryService
@@ -125,8 +127,11 @@ class RequestHandler:
         waiting forever.
         ``emit`` receives progressive frame payloads as rungs land;
         ``cancelled`` is the cooperative abort poll (client went away).
+        ``queued_at`` is the request's arrival, a :func:`time.monotonic`
+        instant: a progressive deadline counts from it, so time spent
+        queued behind other requests is inside the deadline.
         """
-        start = time.perf_counter()
+        start = time.monotonic()
         if queued_at is not None:
             self.metrics.histogram(
                 "repro_serve_queue_wait_seconds"
@@ -134,10 +139,16 @@ class RequestHandler:
         try:
             if request.mode == "progressive":
                 payload = self._execute_progressive(
-                    request, decision, emit, cancelled
+                    request,
+                    decision.statement,
+                    emit,
+                    cancelled,
+                    start if queued_at is None else queued_at,
                 )
             else:
-                payload = self._execute_final(request, decision, session)
+                payload = self._execute_final(
+                    request, decision.statement, session
+                )
         except ReproError as exc:
             self._observe(start, "error")
             return error_payload(request.id, str(exc))
@@ -147,30 +158,32 @@ class RequestHandler:
             return error_payload(
                 request.id, f"{type(exc).__name__}: {exc}", code="internal"
             )
-        self._observe(start, payload.get("status", "ok"))
+        if decision.action == "degrade":
+            payload["degraded"] = {
+                "rate": decision.rate,
+                "reason": decision.reason,
+            }
+        self._observe(start, payload["status"])
         return payload
 
     def _observe(self, start: float, outcome: str) -> None:
         self.metrics.histogram(
             "repro_serve_request_seconds", outcome=outcome
-        ).observe(time.perf_counter() - start)
+        ).observe(time.monotonic() - start)
 
     def _execute_final(
-        self,
-        request: Request,
-        decision: AdmissionDecision,
-        session: str | None,
+        self, request: Request, statement: str, session: str | None
     ) -> dict:
         target = (
             self.service.session(session) if session else self.service
         )
-        response = target.query(decision.statement, seed=request.seed)
+        response = target.query(statement, seed=request.seed)
         tag = (
             "result-cache"
             if response.cached
             else (response.reuse.kind if response.reuse else "fresh")
         )
-        payload = {
+        return {
             "id": request.id,
             "type": "result",
             "status": "ok",
@@ -180,34 +193,26 @@ class RequestHandler:
             "tag": tag,
             "elapsed_ms": response.elapsed * 1e3,
         }
-        if decision.action == "degrade":
-            payload["degraded"] = {
-                "rate": decision.rate,
-                "reason": decision.reason,
-            }
-        return payload
 
     def _execute_progressive(
         self,
         request: Request,
-        decision: AdmissionDecision,
+        statement: str,
         emit: Callable[[dict], None] | None,
         cancelled: Callable[[], bool] | None,
+        arrived: float,
     ) -> dict:
-        from repro.cli import _format_result
-
         deadline_ms = (
             request.deadline_ms
             if request.deadline_ms is not None
             else self.default_deadline_ms
         )
-        deadline = time.monotonic() + deadline_ms / 1e3
-        start = time.perf_counter()
+        start = time.monotonic()
         first_at: list[float] = []
 
         def on_frame(frame: ProgressiveFrame) -> None:
             if not first_at:
-                first_at.append(time.perf_counter() - start)
+                first_at.append(time.monotonic() - start)
                 self.metrics.histogram(
                     "repro_serve_ttfe_seconds"
                 ).observe(first_at[0])
@@ -217,13 +222,13 @@ class RequestHandler:
 
         outcome = run_progressive(
             self.service.db,
-            decision.statement,
+            statement,
             seed=request.seed,
             budget_percent=request.budget_percent,
             confidence=request.confidence,
             emit=on_frame,
             cancelled=cancelled,
-            deadline=deadline,
+            deadline=arrived + deadline_ms / 1e3,
             note_execution=self.service.note_execution,
         )
         payload = {
@@ -246,51 +251,14 @@ class RequestHandler:
         if outcome.status == "ok":
             assert outcome.optimized is not None
             self.metrics.histogram("repro_serve_ttb_seconds").observe(
-                time.perf_counter() - start
+                time.monotonic() - start
             )
             payload["met"] = outcome.optimized.met
             payload["values"] = {
                 alias: float(value)
                 for alias, value in outcome.optimized.result.values.items()
             }
-            payload["text"] = _format_result(
+            payload["text"] = render_result(
                 outcome.optimized, self.service.level
             )
-        if decision.action == "degrade":
-            payload["degraded"] = {
-                "rate": decision.rate,
-                "reason": decision.reason,
-            }
         return payload
-
-    # -- the line-oriented stdin loop --------------------------------------
-
-    def serve_text(self, statement: str) -> tuple[list[str], int]:
-        """One stdin statement → printable lines + served count (0 or 1).
-
-        Error isolation lives here: a failing statement yields its
-        error lines and the stream continues.
-        """
-        try:
-            response = self.service.query(statement)
-        except ReproError as exc:
-            return [f"-- [error] {statement}", f"error: {exc}"], 0
-        tag = (
-            "result-cache"
-            if response.cached
-            else (response.reuse.kind if response.reuse else "fresh")
-        )
-        return [
-            f"-- [{tag}, {response.elapsed * 1e3:.1f} ms] "
-            f"{response.statement}",
-            response.text,
-        ], 1
-
-    def command_text(self, line: str) -> str:
-        """A ``\\command`` line → its printable answer."""
-        command = line.lstrip("\\").strip().lower()
-        if command == "stats":
-            return f"-- {self.service.stats_line()}"
-        if command == "metrics":
-            return self.service.metrics_text().rstrip()
-        return f"-- unknown command {line!r}; try \\stats or \\metrics"

@@ -11,6 +11,11 @@ One :class:`ReproServer` binds two listeners over a shared
   progressive frames collected into the response body), enough for a
   scraper and curl without a web framework.
 
+Both listeners run a query through one coroutine,
+:meth:`ReproServer._serve`: admit, execute on the engine thread,
+release in ``finally``.  TCP writes the payload it returns; HTTP
+answers a ``rejected`` one with 503.
+
 Every admitted request executes on **one engine thread**, in arrival
 order: the event loop keeps accepting, shedding, answering pings and
 streaming frames while the engine works, and load is shed as *data*
@@ -20,11 +25,13 @@ spread over more threads.  One thread makes every answer reproducible
 and which stored synopsis a request thins never depends on timing.
 Progressive frames cross from the engine thread to the socket via
 ``loop.call_soon_threadsafe``, which serializes writes per connection
-in arrival order.  Per-request deadlines and client disconnects cancel
-cooperatively: a :class:`threading.Event` per in-flight request is
-polled by the escalation ladder *between* engine executions, so a
-cancelled ladder stops cleanly, releases its queue slot, and records a
-``cancelled`` outcome.
+in arrival order.  Per-request deadlines, ``cancel`` requests and
+client disconnects stop a progressive ladder cooperatively, *between*
+engine executions, so it stops cleanly, releases its queue slot, and
+records its outcome.  A deadline counts from the request's arrival,
+so it bounds the time spent queued behind other requests too.  A
+TCP request's cancel :class:`threading.Event` is registered when its
+line is read, so a ``cancel`` read in the same chunk finds it.
 
 ``drain()`` is the graceful shutdown: stop accepting, let in-flight
 requests finish (cancelling whatever outlives the timeout), then stop
@@ -38,7 +45,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ProtocolError
 from repro.serve.admission import DEFAULT_MIN_RATE, AdmissionController
@@ -165,46 +172,34 @@ class ReproServer:
         self._request_tasks.add(task)
         task.add_done_callback(self._request_tasks.discard)
 
-    async def _run_request(
+    async def _serve(
         self,
         request: Request,
-        writer: asyncio.StreamWriter,
-        inflight: dict[int, threading.Event],
+        emit: Callable[[dict], None],
         session: str,
-    ) -> None:
-        """One admitted query request, admission to terminal payload."""
+        cancelled: Callable[[], bool] | None = None,
+    ) -> dict:
+        """One query request's lifecycle, TCP and HTTP alike: admit, run
+        on the engine thread, release; returns the terminal payload (a
+        ``rejected`` error if admission shed it)."""
+        queued_at = time.monotonic()
         decision, rejected = self.handler.admit(request)
         if rejected is not None:
-            self._write_json(writer, rejected)
-            return
-        cancel = threading.Event()
-        inflight[request.id] = cancel
-        loop = asyncio.get_running_loop()
-        queued_at = time.perf_counter()
-
-        def emit(payload: dict) -> None:
-            loop.call_soon_threadsafe(self._write_json, writer, payload)
-
+            return rejected
         try:
-            payload = await loop.run_in_executor(
+            return await asyncio.get_running_loop().run_in_executor(
                 self._engine,
                 lambda: self.handler.execute(
                     request,
                     decision,
                     emit,
-                    cancelled=cancel.is_set,
+                    cancelled=cancelled,
                     session=session,
                     queued_at=queued_at,
                 ),
             )
         finally:
             self.handler.release(decision)
-            inflight.pop(request.id, None)
-        self._write_json(writer, payload)
-        try:
-            await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass
 
     # -- TCP ---------------------------------------------------------------
 
@@ -218,6 +213,24 @@ class ReproServer:
             self._connections[me] = writer
         inflight: dict[int, threading.Event] = {}
         tasks: set[asyncio.Task] = set()
+        loop = asyncio.get_running_loop()
+
+        def emit(payload: dict) -> None:
+            loop.call_soon_threadsafe(self._write_json, writer, payload)
+
+        async def answer(request: Request, cancel: threading.Event) -> None:
+            try:
+                payload = await self._serve(
+                    request, emit, session, cancelled=cancel.is_set
+                )
+            finally:
+                inflight.pop(request.id, None)
+            self._write_json(writer, payload)
+            try:
+                await writer.drain()
+            except (ConnectionError, RuntimeError):
+                pass
+
         try:
             while True:
                 try:
@@ -252,9 +265,10 @@ class ReproServer:
                 if answered is not None:
                     self._write_json(writer, answered)
                     continue
-                task = asyncio.ensure_future(
-                    self._run_request(request, writer, inflight, session)
-                )
+                # Registered before the task exists, so a cancel read
+                # in the same chunk as its query finds it.
+                cancel = inflight[request.id] = threading.Event()
+                task = asyncio.ensure_future(answer(request, cancel))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
                 self._track(task)
@@ -339,42 +353,21 @@ class ReproServer:
             request = decode_request(json.dumps(raw))
         except (ProtocolError, json.JSONDecodeError) as exc:
             payload = error_payload(-1, str(exc), "bad-request")
-            return "400 Bad Request", _json_bytes(payload), "application/json"
+            return "400 Bad Request", encode(payload), "application/json"
         answered = self.handler.immediate(request)
         if answered is not None:
-            return "200 OK", _json_bytes(answered), "application/json"
-        decision, rejected = self.handler.admit(request)
-        if rejected is not None:
-            return (
-                "503 Service Unavailable",
-                _json_bytes(rejected),
-                "application/json",
-            )
-        loop = asyncio.get_running_loop()
+            return "200 OK", encode(answered), "application/json"
         frames: list[dict] = []
-        queued_at = time.perf_counter()
-        task = loop.run_in_executor(
-            self._engine,
-            lambda: self.handler.execute(
-                request,
-                decision,
-                frames.append,
-                session="http",
-                queued_at=queued_at,
-            ),
-        )
-        try:
-            payload = await task
-        finally:
-            self.handler.release(decision)
+        payload = await self._serve(request, frames.append, "http")
+        if payload.get("code") == "rejected":
+            status = "503 Service Unavailable"
+        elif payload["type"] == "result":
+            status = "200 OK"
+        else:
+            status = "400 Bad Request"
         if frames:
             payload = dict(payload, frame_stream=frames)
-        status = "200 OK" if payload.get("type") == "result" else "400 Bad Request"
-        return status, _json_bytes(payload), "application/json"
-
-
-def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+        return status, encode(payload), "application/json"
 
 
 async def start_server(

@@ -24,9 +24,14 @@ engine runs.  Mutations swap the table reference atomically and
 invalidate the affected synopses, so a running query sees a
 consistent snapshot and later queries never reuse stale samples.
 
-``repro serve`` wraps this in a line-oriented CLI loop;
-``repro serve --selftest`` runs a built-in workload and verifies
-answers are identical across repeats.
+An answer has one text format, :func:`render_result`: a response's
+``text`` is it, and so is what the shell and ``repro -c`` print.
+
+``repro serve`` wraps this in a line-oriented CLI loop,
+:func:`serve_statements`, whose every line is a request of the
+serving tier's :class:`~repro.serve.handler.RequestHandler`, as a TCP
+or HTTP request is; ``repro serve --selftest`` runs a built-in
+workload and verifies answers are identical across repeats.
 """
 
 from __future__ import annotations
@@ -58,6 +63,91 @@ DEFAULT_MAX_SESSIONS = 1024
 def default_seed(statement: str) -> int:
     """Stable per-statement seed, so identical statements are cacheable."""
     return zlib.crc32(statement.encode("utf-8")) & 0x7FFFFFFF
+
+
+def render_result(result: Any, level: float) -> str:
+    """The one text format of an answer.
+
+    The shell, ``repro -c``, ``repro profile`` and every served
+    ``text`` print this.  An estimate is one ``alias = value   [lo, hi]
+    @level`` line per aggregate; a GROUP BY answer is a table with one
+    ``value [lo, hi]`` cell per aggregate and group (the first 50).
+    Each ends in a ``--`` footer.  A budgeted answer prints at its
+    budget's level, followed by the optimizer's verdict.  A plain
+    table prints as its first 20 rows.
+    """
+    from repro.core.sbox import GroupedQueryResult, QueryResult
+    from repro.obs.report import ExplainAnalyzeReport
+    from repro.optimizer import OptimizedResult, OptimizerReport
+    from repro.versions.engine import (
+        GroupedVersionDiffResult,
+        VersionDiffResult,
+    )
+
+    if isinstance(result, ExplainAnalyzeReport):
+        return (
+            render_result(result.result, level) + "\n" + result.render_trace()
+        )
+    if isinstance(result, OptimizerReport):
+        return result.table()
+    if isinstance(result, OptimizedResult):
+        return (
+            render_result(result.result, result.report.budget.level)
+            + "\n-- "
+            + result.outcome_line()
+        )
+    if isinstance(result, (VersionDiffResult, GroupedVersionDiffResult)):
+        rate = result.plan.rate if result.plan is not None else None
+        mode = f"coordinated p = {rate:g}" if rate is not None else "exact"
+        sampled = f"{result.n_matched} matched keys, {mode}"
+    elif isinstance(result, (QueryResult, GroupedQueryResult)):
+        # ``keep_sample=False`` answers carry no sample to count.
+        rows = "" if result.sample is None else f"{result.sample.n_rows} sample rows, "
+        sampled = f"{rows}a = {result.gus.a:.4g}"
+    else:
+        lines = ["\t".join(result.schema.names)]
+        for row in result.head(20).to_rows():
+            lines.append("\t".join(str(v) for v in row))
+        if result.n_rows > 20:
+            lines.append(f"... ({result.n_rows} rows total)")
+        return "\n".join(lines)
+    if isinstance(result, (GroupedQueryResult, GroupedVersionDiffResult)):
+        groups = "groups" if isinstance(result, GroupedQueryResult) else "segments"
+        lines = _group_lines(result, level)
+        lines.append(f"-- {result.n_groups} {groups} @{level:.0%}, {sampled}")
+        return "\n".join(lines)
+    lines = []
+    for alias, value in result.values.items():
+        est = result.estimates[alias]
+        ci = est.ci(level)
+        clamped = isinstance(result, QueryResult) and est.clamped
+        lines.append(
+            f"{alias} = {value:.6g}   [{ci.lo:.6g}, {ci.hi:.6g}] @{level:.0%}"
+            + ("  (variance clamped)" if clamped else "")
+        )
+    prefix = "version diff, " if isinstance(result, VersionDiffResult) else ""
+    lines.append(f"-- {prefix}{sampled}")
+    return "\n".join(lines)
+
+
+def _group_lines(result: Any, level: float) -> list[str]:
+    """Header and group rows: key columns, then ``value [lo, hi]``."""
+    key_names = list(result.keys)
+    aliases = list(result.values)
+    bounds = {
+        alias: result.estimates[alias].ci_bounds(level) for alias in aliases
+    }
+    lines = ["\t".join(key_names + [f"{a} [lo, hi]" for a in aliases])]
+    shown = min(result.n_groups, 50)
+    for g in range(shown):
+        cells = [str(result.keys[k][g]) for k in key_names]
+        for alias in aliases:
+            lo, hi = bounds[alias][0][g], bounds[alias][1][g]
+            cells.append(f"{result.values[alias][g]:.6g} [{lo:.6g}, {hi:.6g}]")
+        lines.append("\t".join(cells))
+    if result.n_groups > shown:
+        lines.append(f"... ({result.n_groups} groups total)")
+    return lines
 
 
 @dataclass(frozen=True)
@@ -201,15 +291,13 @@ class QueryService:
 
     def _execute(self, key: tuple) -> ServiceResponse:
         """Run one (statement, seed) pair on the engine (no caching)."""
-        from repro.cli import _format_result
-
         text, seed, _epoch = key
         start = time.perf_counter()
         result = self.db.sql(text, seed=seed)
         elapsed = time.perf_counter() - start
         return ServiceResponse(
             statement=text,
-            text=_format_result(result, self.level),
+            text=render_result(result, self.level),
             values=dict(result.values)
             if isinstance(getattr(result, "values", None), dict)
             else None,
@@ -393,6 +481,10 @@ SELFTEST_STATEMENTS = (
 )
 
 
+#: The stdin loop's commands and the prefix of each one's printed text.
+_COMMAND_PREFIX = {"stats": "-- ", "metrics": ""}
+
+
 def serve_statements(
     service: QueryService,
     statements: Iterable[str],
@@ -410,21 +502,38 @@ def serve_statements(
     them): ``\\stats`` prints the one-line counter summary with
     latency quantiles, ``\\metrics`` the full Prometheus exposition.
     """
-    # The per-statement logic (serving, tagging, error isolation) and
-    # the \stats/\metrics commands are the network tier's request
-    # handler — one implementation for stdin and TCP alike.
+    # Each line is a request of the network tier's handler: a statement
+    # goes through admit / execute / release like a TCP query, a
+    # command is an immediate request.  The lines printed are the
+    # payload's.
     from repro.serve.handler import RequestHandler
+    from repro.serve.protocol import Request
 
     handler = RequestHandler(service)
     served = 0
-    for statement in statements:
-        if statement.startswith("\\"):
-            out(handler.command_text(statement))
+    for rid, line in enumerate(statements):
+        if line.startswith("\\"):
+            op = line.lstrip("\\").strip().lower()
+            if op not in _COMMAND_PREFIX:
+                out(f"-- unknown command {line!r}; try \\stats or \\metrics")
+                continue
+            answer = handler.immediate(Request(id=rid, op=op))
+            out(_COMMAND_PREFIX[op] + answer["text"])
             continue
-        lines, ok = handler.serve_text(statement)
-        for line in lines:
-            out(line)
-        served += ok
+        request = Request(id=rid, op="query", statement=line.strip())
+        decision, _ = handler.admit(request)
+        payload = handler.execute(request, decision)
+        handler.release(decision)
+        if payload["type"] == "error":
+            out(f"-- [error] {request.statement}")
+            out(f"error: {payload['error']}")
+            continue
+        out(
+            f"-- [{payload['tag']}, {payload['elapsed_ms']:.1f} ms] "
+            f"{request.statement}"
+        )
+        out(payload["text"])
+        served += 1
     out(f"-- {service.stats_line()}")
     return served
 

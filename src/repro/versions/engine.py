@@ -72,17 +72,6 @@ class VersionDiffResult:
     def __getitem__(self, alias: str) -> float:
         return self.values[alias]
 
-    def summary(self, level: float = 0.95, method: str = "normal") -> str:
-        """Human-readable per-aggregate report."""
-        lines = []
-        for alias, est in self.estimates.items():
-            ci = est.ci(level, method)
-            lines.append(
-                f"{alias}: {est.value:.6g}  ±{(ci.hi - ci.lo) / 2:.4g} "
-                f"({level:.0%} {method}; keys={est.n_sample})"
-            )
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class GroupedVersionDiffResult:
@@ -128,23 +117,6 @@ class GroupedVersionDiffResult:
                 columns[f"{alias}_lo"] = lo
                 columns[f"{alias}_hi"] = hi
         return Table(None, columns)
-
-    def summary(self, level: float = 0.95, method: str = "normal") -> str:
-        """Human-readable per-segment report."""
-        lines = []
-        key_names = list(self.keys)
-        bounds = {
-            alias: est.ci_bounds(level, method)
-            for alias, est in self.estimates.items()
-        }
-        for g in range(self.n_groups):
-            key_text = ", ".join(f"{n}={self.keys[n][g]}" for n in key_names)
-            parts = []
-            for alias, vals in self.values.items():
-                lo, hi = bounds[alias][0][g], bounds[alias][1][g]
-                parts.append(f"{alias}: {vals[g]:.6g} [{lo:.6g}, {hi:.6g}]")
-            lines.append(f"({key_text})  " + "  ".join(parts))
-        return "\n".join(lines)
 
 
 def _lineage_key(child: PlanNode, sample: Table) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.relational.plan import (
     TableSample,
 )
 from repro.sampling import Bernoulli, BlockBernoulli, WithoutReplacement
+from repro.service import render_result
 
 
 def _mk_db(n_orders=300, n_lines=2000, seed=5):
@@ -325,11 +328,20 @@ class TestSubsampleWidthFactor:
 
 
 class TestQueryResultAPI:
-    def test_getitem_and_summary(self, db, plan):
+    def test_getitem_and_rendered_answer(self, db, plan):
         res = db.estimate(plan, seed=0)
         assert res["revenue"] == res.estimates["revenue"].value
-        text = res.summary()
+        text = render_result(res, 0.95)
         assert "revenue" in text
+
+    def test_rendered_answer_without_a_kept_sample(self, db, plan):
+        kept = render_result(db.estimate(plan, seed=0), 0.95)
+        res = db.estimate(plan, seed=0, keep_sample=False)
+        assert res.sample is None
+        # The same lines, less the footer's sample-row count.
+        assert render_result(res, 0.95) == re.sub(
+            r"-- \d+ sample rows, ", "-- ", kept
+        )
 
     def test_gus_exposed(self, db, plan):
         res = db.estimate(plan, seed=0)

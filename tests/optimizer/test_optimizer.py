@@ -16,6 +16,7 @@ from repro.optimizer import (
 from repro.relational.plan import Aggregate, AggSpec, Scan, TableSample
 from repro.relational.expressions import col
 from repro.sampling import Bernoulli
+from repro.service import render_result
 
 
 @pytest.fixture(scope="module")
@@ -112,11 +113,11 @@ class TestOptimize:
         assert result["revenue"] == pytest.approx(truth, rel=0.25)
         assert result.result.plan is not None
 
-    def test_summary_mentions_budget_and_plan(self, tpch_db):
+    def test_rendered_answer_mentions_budget_and_plan(self, tpch_db):
         result = optimize(
             tpch_db, query1_plan(), ErrorBudget.from_percent(10.0), seed=6
         )
-        text = result.summary()
+        text = render_result(result, 0.95)
         assert "plan:" in text and "budget" in text
         assert "attempt" in text
 

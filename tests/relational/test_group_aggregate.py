@@ -11,6 +11,7 @@ from repro.relational import col, lit
 from repro.relational import plan as p
 from repro.relational.database import Database
 from repro.sampling.pseudorandom import LineageHashBernoulli
+from repro.service import render_result
 
 
 def _spec(kind, expr, alias, quantile=None):
@@ -164,7 +165,8 @@ class TestEstimatingPath:
         assert np.all(result.values["s"] <= hi)
         table = result.table(level=0.95)
         assert "s_lo" in table.schema.names and "s_hi" in table.schema.names
-        assert result.summary().count("\n") == result.n_groups - 1
+        # Header, one line per group, footer.
+        assert render_result(result, 0.95).count("\n") == result.n_groups + 1
         assert result["n"] is result.values["n"]
         assert len(result.group_rows()) == result.n_groups
 

@@ -1,6 +1,8 @@
-"""The shared request brain: execution, outcomes, metrics, text loop."""
+"""The shared request brain: execution, outcomes, metrics, stdin loop."""
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -9,6 +11,7 @@ from serveutil import BUDGETED, PLAIN, fresh_service
 from repro.serve.admission import AdmissionController
 from repro.serve.handler import RequestHandler
 from repro.serve.protocol import Request
+from repro.service import serve_statements
 
 
 def _request(statement: str, rid: int = 1, **kwargs) -> Request:
@@ -138,6 +141,27 @@ class TestExecuteProgressive:
             == 1
         )
 
+    def test_deadline_counts_from_arrival(self):
+        """Time spent queued before the engine picks a request up is
+        inside its deadline: a warm statement that arrived a second ago
+        with a 500 ms deadline runs no rung."""
+        service = fresh_service()
+        handler = RequestHandler(service)
+        warm = _request(BUDGETED, mode="progressive", seed=4)
+        decision, _ = handler.admit(warm)
+        assert handler.execute(warm, decision)["status"] == "ok"
+        handler.release(decision)
+        request = _request(
+            BUDGETED, rid=2, mode="progressive", seed=4, deadline_ms=500
+        )
+        decision, _ = handler.admit(request)
+        payload = handler.execute(
+            request, decision, queued_at=time.monotonic() - 1.0
+        )
+        handler.release(decision)
+        assert payload["status"] == "deadline"
+        assert payload["frames"] == 0
+
 
 class TestAdmissionWiring:
     def test_reject_releases_nothing_and_answers(self):
@@ -182,22 +206,55 @@ class TestAdmissionWiring:
 
 
 class TestTextLoop:
-    def test_serve_text_success_lines(self, shared_service):
-        handler = RequestHandler(shared_service)
-        lines, served = handler.serve_text(PLAIN)
+    """The stdin loop: each statement is an admit / execute / release
+    request, each ``\\`` command an immediate one."""
+
+    def test_statement_lines(self, shared_service):
+        lines: list[str] = []
+        served = serve_statements(shared_service, [PLAIN], out=lines.append)
         assert served == 1
         assert lines[0].startswith("-- [")
         assert "avg_qty" in lines[1]
 
-    def test_serve_text_error_lines(self, shared_service):
-        handler = RequestHandler(shared_service)
-        lines, served = handler.serve_text("SELECT oops")
+    def test_error_lines(self, shared_service):
+        lines: list[str] = []
+        served = serve_statements(
+            shared_service, ["SELECT oops"], out=lines.append
+        )
         assert served == 0
         assert lines[0].startswith("-- [error]")
         assert lines[1].startswith("error:")
 
-    def test_command_text(self, shared_service):
-        handler = RequestHandler(shared_service)
-        assert handler.command_text("\\stats").startswith("-- served")
-        assert "repro_service" in handler.command_text("\\metrics")
-        assert "unknown command" in handler.command_text("\\bogus")
+    def test_command_lines(self, shared_service):
+        lines: list[str] = []
+        serve_statements(
+            shared_service, ["\\stats", "\\metrics", "\\bogus"],
+            out=lines.append,
+        )
+        assert lines[0].startswith("-- served")
+        assert "repro_service" in lines[1]
+        assert "unknown command" in lines[2]
+
+    def test_unexpected_exception_prints_an_error_and_the_stream_goes_on(
+        self, monkeypatch
+    ):
+        service = fresh_service()
+        original = service.db.sql
+
+        def explode(statement, **kwargs):
+            if "boom" in statement:
+                raise ValueError("not an engine error")
+            return original(statement, **kwargs)
+
+        monkeypatch.setattr(service.db, "sql", explode)
+        lines: list[str] = []
+        served = serve_statements(
+            service, ["SELECT boom", PLAIN], out=lines.append
+        )
+        assert served == 1
+        assert lines[:2] == [
+            "-- [error] SELECT boom",
+            "error: ValueError: not an engine error",
+        ]
+        assert lines[2].startswith("-- [fresh, ")
+        assert "avg_qty" in lines[3]

@@ -156,6 +156,40 @@ class TestProgressiveOverTcp:
         stats, store = service.snapshot_stats()
         assert store.lookups <= stats.queries
 
+    def test_cancel_in_the_same_write_as_its_query(self):
+        """The request's cancel event exists before its task runs, so a
+        cancel read in the same chunk as its query finds it."""
+        service = fresh_service()
+        query = {
+            "id": 1, "statement": BUDGETED, "mode": "progressive",
+            "seed": 42, "deadline_ms": 60_000,
+        }
+
+        async def scenario():
+            server = await start_server(service, make_config())
+            reader, writer = await raw_connection(server.tcp_port)
+            replies: dict[int, dict] = {}
+            try:
+                writer.write(
+                    json.dumps(query).encode()
+                    + b'\n{"id": 2, "op": "cancel", "target": 1}\n'
+                )
+                await writer.drain()
+                while 1 not in replies:
+                    reply = json.loads(await reader.readline())
+                    if reply["type"] != "frame":
+                        replies[reply["id"]] = reply
+            finally:
+                writer.close()
+                await server.drain()
+            assert server.admission.queued == 0
+            return replies
+
+        replies = run(asyncio.wait_for(scenario(), ANSWER_TIMEOUT_S))
+        assert replies[2]["cancelled"] == 1
+        assert replies[1]["type"] == "result"
+        assert replies[1]["status"] == "cancelled"
+
     def test_disconnect_mid_query_cancels_ladder(self):
         service = fresh_service()
 

@@ -4,7 +4,8 @@ A module that only tests import belongs under ``tests/``.  This walks
 the static imports — function-level ones included — from the entry
 points a user runs (``import repro``, ``python -m repro``, the
 ``repro`` console script and the serving tier) and fails on any
-module of the package that none of them reaches.
+module of the package that none of them reaches.  The same walk
+checks the layering: only ``repro.__main__`` imports ``repro.cli``.
 """
 
 from __future__ import annotations
@@ -85,3 +86,16 @@ def test_every_module_sits_on_a_user_route():
     # imported there.
     assert "repro.relational.pipeline" in reached
     assert set(modules) - reached == TEST_ONLY
+
+
+def test_only_the_entry_point_imports_the_cli():
+    """The CLI sits on top: the answer's text format and the serving
+    tier live below it, so no module but ``repro.__main__`` imports
+    ``repro.cli``."""
+    modules = _modules()
+    importers = {
+        name
+        for name, path in modules.items()
+        if "repro.cli" in _imported(name, path, modules)
+    }
+    assert importers == {"repro.__main__"}

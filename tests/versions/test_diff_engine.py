@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.relational.database import Database
+from repro.service import render_result
 from repro.versions.engine import (
     GroupedVersionDiffResult,
     VersionDiffResult,
@@ -145,15 +146,17 @@ class TestSampledDiff:
 
 
 class TestResultSurfaces:
-    def test_scalar_summary_reports_intervals(self):
+    def test_scalar_rendered_answer_reports_intervals(self):
         db = make_db()
         result = db.sql(
             "SELECT SUM(val) AS s\n"
             "FROM fact AT VERSION 2 MINUS AT VERSION 1 "
             "TABLESAMPLE (50 PERCENT) REPEATABLE (2)"
         )
-        text = result.summary(level=0.95)
-        assert "s:" in text and "±" in text and "95%" in text
+        text = render_result(result, 0.95)
+        ci = result.estimates["s"].ci(0.95)
+        assert f"s = {result['s']:.6g}   [{ci.lo:.6g}, {ci.hi:.6g}] @95%" in text
+        assert text.endswith("coordinated p = 0.5")
 
     def test_quantile_column_reports_the_quantile(self):
         db = make_db()
