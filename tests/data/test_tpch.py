@@ -58,11 +58,13 @@ class TestGenerator:
     def test_deterministic(self):
         a = generate_tpch(scale=0.01, seed=5)
         b = generate_tpch(scale=0.01, seed=5)
+        assert list(a) == list(b)
         for name in a:
-            np.testing.assert_array_equal(
-                a[name].column(a[name].schema.names[0]),
-                b[name].column(b[name].schema.names[0]),
-            )
+            assert a[name].schema.names == b[name].schema.names
+            for column in a[name].schema.names:
+                np.testing.assert_array_equal(
+                    a[name].column(column), b[name].column(column)
+                )
 
     def test_different_seeds_differ(self):
         a = generate_tpch(scale=0.01, seed=5)
