@@ -22,6 +22,9 @@ Quickstart::
     print(est.value, est.ci(0.95))
 """
 
+import ctypes
+import os
+
 from repro.core import (
     ConfidenceInterval,
     Estimate,
@@ -46,6 +49,39 @@ from repro.errors import (
     SelfJoinError,
     SQLError,
 )
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for the whole process.
+
+    glibc starts by serving blocks of 128 KiB and more with fresh
+    ``mmap`` calls, raises that threshold to the largest mmapped block
+    the process has freed, and returns free heap above twice the
+    threshold to the system.  A query's temporaries then cost page
+    faults or not depending on what the process happened to free
+    before it: an attach-only process took 700–800 faults and 1.4–2 ms
+    of system time per join.  Pinned at 8 MiB — one ``CHUNK_ROWS``
+    (2^20-row) column of 8-byte values, the largest temporary a chunk
+    makes — with trimming at glibc's own 2× that, the heap keeps those
+    pages across queries.  Nothing happens off glibc, or when the user
+    chose a threshold through ``MALLOC_MMAP_THRESHOLD_``,
+    ``MALLOC_TRIM_THRESHOLD_`` or a ``glibc.malloc`` tunable.
+    """
+    if (
+        "MALLOC_MMAP_THRESHOLD_" in os.environ
+        or "MALLOC_TRIM_THRESHOLD_" in os.environ
+        or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")
+    ):
+        return
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
 
 __version__ = "1.0.0"
 

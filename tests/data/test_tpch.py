@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.data.distributions import skewed_ints, zipf_ranks
 from repro.data.tpch import TPCH_TABLES, generate_tpch, tpch_database
 from repro.data.workloads import (
@@ -16,6 +17,7 @@ from repro.data.workloads import (
     query1_plan,
 )
 from repro.errors import ReproError
+from repro.relational.table import Table
 
 
 class TestDistributions:
@@ -52,6 +54,34 @@ class TestDistributions:
     def test_invalid_support(self):
         with pytest.raises(ValueError):
             zipf_ranks(10, 0, 1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "n_draws, n_values, alpha",
+        [
+            (5_000, 2_000, 0.8),
+            (5_000, 300, 0.6),
+            (2_000, 7, 0.0),  # uniform
+            (1_000, 1, 0.8),  # one value
+            (3_000, 500, 50.0),  # a flat cdf tail full of ties
+            (0, 10, 1.0),  # no draws
+        ],
+    )
+    def test_zipf_guide_table_equals_binary_search(
+        self, n_draws, n_values, alpha
+    ):
+        weights = 1.0 / np.power(
+            np.arange(1, n_values + 1, dtype=np.float64), alpha
+        )
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        for seed in range(40):
+            ranks = zipf_ranks(
+                n_draws, n_values, alpha, np.random.default_rng(seed)
+            )
+            u = np.random.default_rng(seed).random(n_draws)
+            expected = np.searchsorted(cdf, u, side="left")
+            assert ranks.dtype == np.int64
+            np.testing.assert_array_equal(ranks, expected)
 
 
 class TestGenerator:
@@ -103,6 +133,57 @@ class TestGenerator:
     def test_invalid_scale(self):
         with pytest.raises(ReproError):
             generate_tpch(scale=0)
+
+    @pytest.mark.parametrize("scale, seed", [(0.0001, 0), (0.0001, 3), (0.2, 9)])
+    def test_string_pairs_equal_factorize(self, scale, seed):
+        tables = generate_tpch(scale, seed)
+        absent = 0
+        for table in tables.values():
+            for name in table.schema.names:
+                column = table.column(name)
+                if column.dtype != object:
+                    continue
+                codes, values = table.columns.encoded(name)
+                want_codes, want_values = kernels.factorize(column)
+                assert codes.dtype == want_codes.dtype == np.int32
+                np.testing.assert_array_equal(codes, want_codes)
+                assert values.dtype == object
+                assert values.tolist() == want_values.tolist()
+                absent += len(values) < {
+                    "c_mktsegment": 5,
+                    "p_brand": 25,
+                    "o_orderstatus": 3,
+                    "l_returnflag": 3,
+                    "l_linestatus": 2,
+                }[name]
+        if scale < 0.001:
+            # Five parts cannot carry 25 brands: the dictionary holds
+            # only the values that occur, as factorize's does.
+            assert absent > 0
+
+    def test_persisted_generated_table_equals_plain_strings(self, tmp_path):
+        for name, table in generate_tpch(0.05, 4).items():
+            plain = Table(
+                name,
+                {
+                    c: np.array(table.column(c).tolist(), dtype=object)
+                    if table.column(c).dtype == object
+                    else table.column(c)
+                    for c in table.schema.names
+                },
+            )
+            table.persist(tmp_path / "generated" / name)
+            plain.persist(tmp_path / "plain" / name)
+            files = sorted(
+                p.name for p in (tmp_path / "generated" / name).iterdir()
+            )
+            assert files == sorted(
+                p.name for p in (tmp_path / "plain" / name).iterdir()
+            )
+            for file_name in files:
+                assert (tmp_path / "generated" / name / file_name).read_bytes() == (
+                    tmp_path / "plain" / name / file_name
+                ).read_bytes(), (name, file_name)
 
     def test_database_helper(self):
         db = tpch_database(scale=0.01, seed=0)
