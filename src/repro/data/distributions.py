@@ -5,7 +5,10 @@ and skew is exactly what makes sampling variance interesting: the
 ``y_S`` terms grow with the concentration of the aggregate on few
 lineage groups.  These helpers provide deterministic Zipf-like draws
 without scipy's sampling (which has no generator-seeded Zipf with
-bounded support).
+bounded support).  Each call is whole-array numpy work around one
+``rng.random(n_draws)`` (plus one ``rng.permutation`` in
+:func:`skewed_ints`), so its ranks are a function of the generator's
+state alone.
 """
 
 from __future__ import annotations
@@ -37,9 +40,14 @@ def zipf_ranks(
     cdf /= cdf[-1]
     u = rng.random(n_draws)
     buckets = 4 * n_values
-    guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="left")
-    bucket = (u * buckets).astype(np.int64)
-    ranks = guide[np.maximum(bucket - 1, 0)]
+    guide = np.searchsorted(
+        cdf, np.arange(buckets) / buckets, side="left"
+    ).astype(np.int64)
+    # In place: never more than three draw-sized arrays at once.
+    ranks = (u * buckets).astype(np.int64)
+    ranks -= 1
+    np.maximum(ranks, 0, out=ranks)
+    ranks = guide[ranks]
     # cdf[-1] == 1.0 > u, so no rank steps past the support.
     behind = np.flatnonzero(cdf[ranks] < u)
     while behind.size:

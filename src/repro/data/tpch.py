@@ -198,9 +198,11 @@ def _lineitem(
     # date (old lines are mostly resolved), line status follows it.
     # Codes index _RETURNFLAGS ("A", "N", "R") and _LINESTATUS ("F", "O").
     old = shipdate < 1_700
-    resolved = 2 * rng.integers(0, 2, n)
-    returnflag = _strings(_RETURNFLAGS, np.where(old, resolved, 1))
-    linestatus = _strings(_LINESTATUS, (~old).astype(np.int64))
+    flags = rng.integers(0, 2, n)
+    flags *= 2
+    flags[~old] = 1
+    returnflag = _strings(_RETURNFLAGS, flags)
+    linestatus = _strings(_LINESTATUS, (~old).astype(np.int8))
     return Table(
         "lineitem",
         {

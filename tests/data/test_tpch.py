@@ -134,7 +134,9 @@ class TestGenerator:
         with pytest.raises(ReproError):
             generate_tpch(scale=0)
 
-    @pytest.mark.parametrize("scale, seed", [(0.0001, 0), (0.0001, 3), (0.2, 9)])
+    @pytest.mark.parametrize(
+        "scale, seed", [(0.0001, 0), (0.0001, 3), (0.2, 9)]
+    )
     def test_string_pairs_equal_factorize(self, scale, seed):
         tables = generate_tpch(scale, seed)
         absent = 0
@@ -172,17 +174,15 @@ class TestGenerator:
                     for c in table.schema.names
                 },
             )
-            table.persist(tmp_path / "generated" / name)
-            plain.persist(tmp_path / "plain" / name)
-            files = sorted(
-                p.name for p in (tmp_path / "generated" / name).iterdir()
-            )
-            assert files == sorted(
-                p.name for p in (tmp_path / "plain" / name).iterdir()
-            )
+            generated_dir = tmp_path / "generated" / name
+            plain_dir = tmp_path / "plain" / name
+            table.persist(generated_dir)
+            plain.persist(plain_dir)
+            files = sorted(p.name for p in generated_dir.iterdir())
+            assert files == sorted(p.name for p in plain_dir.iterdir())
             for file_name in files:
-                assert (tmp_path / "generated" / name / file_name).read_bytes() == (
-                    tmp_path / "plain" / name / file_name
+                assert (generated_dir / file_name).read_bytes() == (
+                    plain_dir / file_name
                 ).read_bytes(), (name, file_name)
 
     def test_database_helper(self):
