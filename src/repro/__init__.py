@@ -59,8 +59,9 @@ def _pin_malloc_thresholds() -> None:
     the process has freed, and returns free heap above twice the
     threshold to the system.  A query's temporaries then cost page
     faults or not depending on what the process happened to free
-    before it: an attach-only process took 700–800 faults and 1.4–2 ms
-    of system time per join.  Pinned at 8 MiB — one ``CHUNK_ROWS``
+    before it: a process that only attached persisted tables paid
+    hundreds of faults per join that one which had generated them
+    first did not.  Pinned at 8 MiB — one ``CHUNK_ROWS``
     (2^20-row) column of 8-byte values, the largest temporary a chunk
     makes — with trimming at glibc's own 2× that, the heap keeps those
     pages across queries.  Nothing happens off glibc, or when the user
