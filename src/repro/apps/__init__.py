@@ -4,20 +4,20 @@
   of query results to random tuple loss;
 * :mod:`repro.apps.advisor`       — predict the variance of alternative
   sampling strategies from one observed sample;
-* :mod:`repro.apps.cardinality`   — intermediate-result size estimation
-  with confidence intervals, for plan selection;
 * :mod:`repro.apps.load_shedding` — stream load shedding with
   error-aware sampling rates, including the multi-stream join case the
   paper highlights as newly analysable.
+
+Section 8's cardinality estimate needs no module of its own: a sampled
+``COUNT(*)`` through :meth:`repro.relational.database.Database.estimate`
+is the intermediate-result size, and its ``ci`` is Theorem 1's interval.
 """
 
 from repro.apps.advisor import (
     AdvisorReport,
     StrategyOutcome,
     advise,
-    recommend,
 )
-from repro.apps.cardinality import CardinalityEstimate, estimate_cardinality
 from repro.apps.load_shedding import (
     LoadShedder,
     StreamJoinShedder,
@@ -29,11 +29,8 @@ __all__ = [
     "robustness_report",
     "RobustnessReport",
     "advise",
-    "recommend",
     "AdvisorReport",
     "StrategyOutcome",
-    "estimate_cardinality",
-    "CardinalityEstimate",
     "LoadShedder",
     "StreamJoinShedder",
     "combine_independent",

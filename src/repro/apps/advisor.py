@@ -147,27 +147,3 @@ def advise(
         )
     outcomes.sort(key=lambda o: o.predicted_variance)
     return AdvisorReport(tuple(outcomes))
-
-
-def recommend(
-    report: AdvisorReport, target_relative_std: float
-) -> StrategyOutcome | None:
-    """Cheapest strategy predicted to meet an error target.
-
-    "Cheapest" means the smallest expected sample fraction ``a`` (the
-    dominant cost driver: expected result rows scale with ``a``).
-    Returns ``None`` when no candidate meets the target — the caller
-    should widen the candidate set or relax the target.
-    """
-    if target_relative_std <= 0:
-        raise EstimationError(
-            f"target relative std {target_relative_std} must be positive"
-        )
-    feasible = [
-        o
-        for o in report.outcomes
-        if o.predicted_relative_std <= target_relative_std
-    ]
-    if not feasible:
-        return None
-    return min(feasible, key=lambda o: o.expected_sample_fraction)

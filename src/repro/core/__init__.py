@@ -27,7 +27,6 @@ from repro.core.gus import (
     bernoulli_gus,
     identity_gus,
     null_gus,
-    single_relation_gus,
     without_replacement_gus,
 )
 from repro.core.lattice import SubsetLattice
@@ -39,7 +38,6 @@ __all__ = [
     "ConfidenceInterval",
     "bernoulli_gus",
     "without_replacement_gus",
-    "single_relation_gus",
     "identity_gus",
     "null_gus",
     "join_gus",

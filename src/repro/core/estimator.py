@@ -52,7 +52,6 @@ __all__ = [
     "group_reduce_multi",
     "y_terms",
     "y_terms_from_groups",
-    "grouped_y_terms",
     "grouped_y_terms_multi",
     "theorem1_variance",
     "grouped_theorem1_variance",
@@ -62,11 +61,8 @@ __all__ = [
     "estimate_from_moments",
     "grouped_estimates_from_moments",
     "estimate_sum",
-    "estimate_sums_grouped",
-    "estimate_sums_grouped_multi",
     "difference_inputs",
     "estimate_subset_sum",
-    "estimate_difference",
     "estimate_subset_sums_grouped",
     "Estimate",
     "GroupedEstimates",
@@ -411,35 +407,6 @@ def grouped_y_terms_multi(
                     sub_owner, weights=sub_sums * sub_sums, minlength=n_out
                 )
     return outs
-
-
-def grouped_y_terms(
-    f: np.ndarray,
-    lineage: Mapping[str, np.ndarray],
-    lattice: SubsetLattice,
-    gids: np.ndarray,
-    n_groups: int,
-) -> np.ndarray:
-    """Per-group plug-in moments ``Y_S`` for every group and mask.
-
-    ``gids`` assigns each row a dense group id in ``[0, n_groups)``
-    (the output of :func:`group_ids` on the GROUP BY columns).  One
-    :func:`group_reduce` pass compacts the rows on *(group, full
-    lineage)*; :func:`grouped_y_terms_multi` then derives every submask
-    moment for all groups at once.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    gids = np.asarray(gids, dtype=np.int64)
-    if gids.shape != f.shape:
-        raise EstimationError(
-            f"group ids have shape {gids.shape}; f has shape {f.shape}"
-        )
-    missing = [d for d in lattice.dims if d not in lineage]
-    if missing:
-        raise EstimationError(f"lineage columns missing for {missing}")
-    cols = [gids] + [np.asarray(lineage[d]) for d in lattice.dims]
-    keys, sums = group_reduce(cols, f)
-    return grouped_y_terms_multi([sums], keys[1:], keys[0], n_groups, lattice)[0]
 
 
 def theorem1_variance(params: GUSParams, y: np.ndarray) -> float:
@@ -805,8 +772,9 @@ def grouped_estimates_from_moments(
     """Finish per-group estimates from accumulated plug-in moments.
 
     The grouped twin of :func:`estimate_from_moments`, and the one
-    finishing step of the batch :func:`estimate_sums_grouped_multi`, the
-    SBox and :class:`repro.stream.GroupedStreamingEstimator`.  ``params``
+    finishing step of every grouped estimate: the SBox reads its
+    :class:`~repro.stream.sketch.GroupedMomentBundle` out through it,
+    and so does a grouped stream.  ``params``
     is the pruned GUS whose lattice indexes the columns of the
     ``(n_groups, lattice.size)`` matrix ``plugin_y``, ``a`` the
     first-order inclusion probability the totals are scaled by, and
@@ -823,107 +791,6 @@ def grouped_estimates_from_moments(
         label=label,
         extras={"a": a, "active_dims": params.lattice.dims},
     )
-
-
-def estimate_sums_grouped(
-    params: GUSParams,
-    f_sample: np.ndarray,
-    lineage_sample: Mapping[str, np.ndarray],
-    gids: np.ndarray,
-    n_groups: int,
-    *,
-    label: str = "SUM",
-) -> GroupedEstimates:
-    """Estimate ``Σ f`` per group with Theorem 1 error bounds.
-
-    The grouped twin of :func:`estimate_sum`: ``gids`` assigns each
-    sample row a dense group id (from :func:`group_ids` over the GROUP
-    BY columns) and every group's estimate/variance comes out of one
-    vectorized pass — per-mask lexsorts over the compacted *(group,
-    lineage)* table and a matrix unbiasing recursion, never a per-group
-    Python loop.  Restricting a GUS to a data-defined subset leaves its
-    ``(a, b̄)`` unchanged, so each group's numbers equal what
-    :func:`estimate_sum` would return on that group's rows alone.
-    """
-    if params.a <= 0.0:
-        raise EstimationError("cannot estimate from a = 0 (null sampling)")
-    f_sample = np.asarray(f_sample, dtype=np.float64)
-    gids = np.asarray(gids, dtype=np.int64)
-    if gids.shape != f_sample.shape:
-        raise EstimationError(
-            f"group ids have shape {gids.shape}; f has shape {f_sample.shape}"
-        )
-    if gids.size and (int(gids.min()) < 0 or int(gids.max()) >= n_groups):
-        raise EstimationError(
-            f"group ids must lie in [0, {n_groups}); got range "
-            f"[{int(gids.min())}, {int(gids.max())}]"
-        )
-    return estimate_sums_grouped_multi(
-        params, [f_sample], lineage_sample, gids, n_groups, labels=[label]
-    )[0]
-
-
-def estimate_sums_grouped_multi(
-    params: GUSParams,
-    f_vectors: Sequence[np.ndarray],
-    lineage_sample: Mapping[str, np.ndarray],
-    gids: np.ndarray,
-    n_groups: int,
-    *,
-    labels: Sequence[str] | None = None,
-) -> list[GroupedEstimates]:
-    """Grouped estimates for several aggregate vectors over one sample.
-
-    The expensive part of grouped estimation is keyed on the *(group,
-    lineage)* columns only: the compaction sort and every lattice
-    mask's subgroup structure are identical for all aggregates of one
-    query.  This entry point pays for them once and adds a ``bincount``
-    per weight vector — a multi-aggregate GROUP BY (TPC-H Q1 has six)
-    costs barely more than a single-aggregate one.
-    """
-    if params.a <= 0.0:
-        raise EstimationError("cannot estimate from a = 0 (null sampling)")
-    f_vectors = [np.asarray(f, dtype=np.float64) for f in f_vectors]
-    gids = np.asarray(gids, dtype=np.int64)
-    if labels is None:
-        labels = ["SUM"] * len(f_vectors)
-    if len(labels) != len(f_vectors):
-        raise EstimationError(
-            f"{len(labels)} labels for {len(f_vectors)} aggregate vectors"
-        )
-    for f in f_vectors:
-        if gids.shape != f.shape:
-            raise EstimationError(
-                f"group ids have shape {gids.shape}; f has shape {f.shape}"
-            )
-    if gids.size and (int(gids.min()) < 0 or int(gids.max()) >= n_groups):
-        raise EstimationError(
-            f"group ids must lie in [0, {n_groups}); got range "
-            f"[{int(gids.min())}, {int(gids.max())}]"
-        )
-    pruned = params.project_out_inactive()
-    missing = [d for d in pruned.lattice.dims if d not in lineage_sample]
-    if missing:
-        raise EstimationError(f"lineage columns missing for {missing}")
-    cols = [gids] + [
-        np.asarray(lineage_sample[d]) for d in pruned.lattice.dims
-    ]
-    keys, sums_list = group_reduce_multi(cols, f_vectors)
-    plugins = grouped_y_terms_multi(
-        sums_list, keys[1:], keys[0], n_groups, pruned.lattice
-    )
-    counts = np.bincount(gids, minlength=n_groups)
-    return [
-        grouped_estimates_from_moments(
-            pruned,
-            params.a,
-            plugin,
-            np.bincount(gids, weights=f, minlength=n_groups),
-            counts,
-            label=label,
-        )
-        for f, plugin, label in zip(f_vectors, plugins, labels)
-    ]
 
 
 # -- coordinated subset sums and version differences -------------------------
@@ -1038,29 +905,6 @@ def estimate_subset_sum(
             "nonzero": int(np.count_nonzero(f)),
         },
     )
-
-
-def estimate_difference(
-    p: float,
-    hi_key_columns: Sequence[np.ndarray],
-    hi_f: np.ndarray,
-    lo_key_columns: Sequence[np.ndarray],
-    lo_f: np.ndarray,
-    *,
-    label: str = "SUM",
-) -> Estimate:
-    """Estimate ``Σ f_hi − Σ f_lo`` from coordinated samples of two
-    versions.
-
-    Requires the two samples to share their Bernoulli draws by key
-    (:class:`~repro.sampling.CoordinatedBernoulli`): only then is the
-    per-key indicator common to both sides and the difference a single
-    subset sum over ``g = f_hi − f_lo``.
-    """
-    _keys, gs = difference_inputs(
-        hi_key_columns, [hi_f], lo_key_columns, [lo_f]
-    )
-    return estimate_subset_sum(p, gs[0], label=label)
 
 
 def estimate_subset_sums_grouped(

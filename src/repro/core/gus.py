@@ -267,18 +267,3 @@ def without_replacement_gus(relation: str, n: int, population: int) -> GUSParams
         a,
         {frozenset(): b_empty, frozenset([relation]): a},
     )
-
-
-def single_relation_gus(relation: str, a: float, b_empty: float) -> GUSParams:
-    """An arbitrary single-relation GUS from its two free parameters.
-
-    Any uniform filter over one relation is determined by ``a`` and
-    ``b_∅`` (``b_R = a`` is forced); this is the generic entry point for
-    vendor-defined ``SYSTEM`` sampling once its two probabilities are
-    known.
-    """
-    return GUSParams.from_mapping(
-        [relation],
-        a,
-        {frozenset(): b_empty, frozenset([relation]): a},
-    )

@@ -2,16 +2,13 @@
 
 A GUS method over a lineage schema ``L`` carries one coefficient ``b_T``
 per subset ``T ⊆ L``.  This module provides a compact bitmask
-representation of that lattice together with the two transforms the
-theory needs:
-
-* the **zeta transform** ``(ζv)[S] = Σ_{T ⊆ S} v[T]``, and
-* the **Möbius transform** ``(µv)[S] = Σ_{T ⊆ S} (−1)^{|S|−|T|} v[T]``,
-
-which are mutual inverses on the subset lattice.  Theorem 1's variance
-coefficients are exactly ``c = µ(b)``, and the unbiasing coefficients
-``κ_{S,T}`` are Möbius transforms of ``b`` restricted to the sub-lattice
-above ``S`` (see :func:`kappa`).
+representation of that lattice together with the transform the theory
+needs, the **Möbius transform**
+``(µv)[S] = Σ_{T ⊆ S} (−1)^{|S|−|T|} v[T]`` — the inverse of the zeta
+transform ``(ζv)[S] = Σ_{T ⊆ S} v[T]`` on the subset lattice.
+Theorem 1's variance coefficients are exactly ``c = µ(b)``, and the
+unbiasing coefficients ``κ_{S,T}`` are Möbius transforms of ``b``
+restricted to the sub-lattice above ``S`` (see :func:`kappa`).
 
 Vectors over the lattice are numpy arrays of length ``2**n`` indexed by
 bitmask; bit ``i`` corresponds to ``lattice.dims[i]``.
@@ -171,86 +168,48 @@ def _mask_popcounts(masks: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=2 * (MATRIX_MAX_DIMS + 1))
-def subset_transform_matrix(n: int, signed: bool) -> np.ndarray:
-    """Memoized dense ``2ⁿ×2ⁿ`` zeta (``signed=False``) or Möbius
-    (``signed=True``) subset-transform matrix.
+@lru_cache(maxsize=MATRIX_MAX_DIMS + 1)
+def subset_transform_matrix(n: int) -> np.ndarray:
+    """Memoized dense ``2ⁿ×2ⁿ`` Möbius subset-transform matrix.
 
-    ``M[S, T]`` is nonzero iff ``T ⊆ S``; the signed variant carries
-    ``(−1)^{|S|−|T|}``.  Advisor/optimizer scoring evaluates Theorem 1
-    for hundreds of candidate GUS vectors over the *same* lattice arity,
-    so the matrix is built once per arity and every transform becomes a
-    single matmul.  Superset transforms use the transpose (``T ⊆ S``
-    read backwards).  Returned arrays are read-only — never mutate them.
+    ``M[S, T]`` is ``(−1)^{|S|−|T|}`` if ``T ⊆ S`` and zero otherwise.
+    Advisor/optimizer scoring evaluates Theorem 1 for hundreds of
+    candidate GUS vectors over the *same* lattice arity, so the matrix
+    is built once per arity and every transform becomes a single
+    matmul.  Returned arrays are read-only — never mutate them.
     """
     size = 1 << n
     s = np.arange(size, dtype=np.int64)[:, None]
     t = np.arange(size, dtype=np.int64)[None, :]
     is_subset = (t & ~s) == 0
-    if signed:
-        odd = (_mask_popcounts(s ^ t) & 1).astype(bool)
-        matrix = np.where(is_subset, np.where(odd, -1.0, 1.0), 0.0)
-    else:
-        matrix = is_subset.astype(np.float64)
+    odd = (_mask_popcounts(s ^ t) & 1).astype(bool)
+    matrix = np.where(is_subset, np.where(odd, -1.0, 1.0), 0.0)
     matrix.setflags(write=False)
     return matrix
 
 
-def _sweep(vec: np.ndarray, n: int, *, sign: float, supersets: bool) -> np.ndarray:
-    """Per-axis O(n·2ⁿ) transform sweep (fallback for large arities)."""
+def _sweep(vec: np.ndarray, n: int) -> np.ndarray:
+    """Per-axis O(n·2ⁿ) Möbius sweep (fallback for large arities)."""
     out = np.array(vec, dtype=np.float64, copy=True).reshape((2,) * n)
     for axis in range(n):
         hi = [slice(None)] * n
         lo = [slice(None)] * n
         hi[axis], lo[axis] = 1, 0
-        if supersets:
-            out[tuple(lo)] += sign * out[tuple(hi)]
-        else:
-            out[tuple(hi)] += sign * out[tuple(lo)]
+        out[tuple(hi)] -= out[tuple(lo)]
     return out.reshape(-1)
-
-
-def zeta_subsets(vec: np.ndarray, n: int) -> np.ndarray:
-    """Subset-sum (zeta) transform: ``out[S] = Σ_{T⊆S} vec[T]``.
-
-    One matmul against the memoized per-arity matrix for small ``n``,
-    the standard per-axis hypercube sweep beyond
-    :data:`MATRIX_MAX_DIMS`.
-    """
-    if n <= MATRIX_MAX_DIMS:
-        return subset_transform_matrix(n, False) @ np.asarray(vec, dtype=np.float64)
-    return _sweep(vec, n, sign=1.0, supersets=False)
 
 
 def mobius_subsets(vec: np.ndarray, n: int) -> np.ndarray:
     """Möbius transform: ``out[S] = Σ_{T⊆S} (−1)^{|S|−|T|} vec[T]``.
 
-    Inverse of :func:`zeta_subsets`.  Theorem 1's ``c_S`` coefficients
-    are ``mobius_subsets(b)``.
+    Inverse of the zeta transform ``out[S] = Σ_{T⊆S} vec[T]``.
+    Theorem 1's ``c_S`` coefficients are ``mobius_subsets(b)``.  One
+    matmul against the memoized per-arity matrix for small ``n``, the
+    standard per-axis hypercube sweep beyond :data:`MATRIX_MAX_DIMS`.
     """
     if n <= MATRIX_MAX_DIMS:
-        return subset_transform_matrix(n, True) @ np.asarray(vec, dtype=np.float64)
-    return _sweep(vec, n, sign=-1.0, supersets=False)
-
-
-def zeta_supersets(vec: np.ndarray, n: int) -> np.ndarray:
-    """Superset-sum transform: ``out[S] = Σ_{T⊇S} vec[T]``."""
-    if n <= MATRIX_MAX_DIMS:
-        return subset_transform_matrix(n, False).T @ np.asarray(vec, dtype=np.float64)
-    return _sweep(vec, n, sign=1.0, supersets=True)
-
-
-def mobius_supersets(vec: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`zeta_supersets`:
-    ``out[S] = Σ_{T⊇S} (−1)^{|T|−|S|} vec[T]``.
-
-    This recovers the *exact-agreement* pair weights ``d_S`` from the
-    *at-least-agreement* data moments ``y_S`` (``y = ζ⁺(d)``), the
-    identity at the heart of Theorem 1's proof.
-    """
-    if n <= MATRIX_MAX_DIMS:
-        return subset_transform_matrix(n, True).T @ np.asarray(vec, dtype=np.float64)
-    return _sweep(vec, n, sign=-1.0, supersets=True)
+        return subset_transform_matrix(n) @ np.asarray(vec, dtype=np.float64)
+    return _sweep(vec, n)
 
 
 def kappa(b: np.ndarray, s_mask: int, t_mask: int) -> float:

@@ -17,7 +17,6 @@ from repro.relational.plan import (
     AggSpec,
     Join,
     LineageSample,
-    PlanNode,
     Scan,
     Select,
     TableSample,
@@ -132,24 +131,3 @@ def figure5_plan(
         ),
     )
     return Aggregate(sub, [AggSpec("sum", REVENUE_EXPR, "revenue")])
-
-
-def single_table_plan(
-    rate: float = 0.1, expression=None, alias: str = "total"
-) -> Aggregate:
-    """A one-relation Bernoulli SUM — the classical baseline setting."""
-    expr = expression if expression is not None else col("l_extendedprice")
-    return Aggregate(
-        TableSample(Scan("lineitem"), Bernoulli(rate)),
-        [AggSpec("sum", expr, alias)],
-    )
-
-
-def all_paper_plans() -> dict[str, PlanNode]:
-    """Every named workload, keyed for harness iteration."""
-    return {
-        "query1": query1_plan(),
-        "figure4": figure4_plan(),
-        "figure5": figure5_plan(),
-        "single_table": single_table_plan(),
-    }

@@ -79,10 +79,6 @@ class ProtocolError(ServeError):
         self.code = code
 
 
-class AdmissionRejected(ServeError):
-    """The admission queue is full; the request was shed outright."""
-
-
 class QueryCancelled(ServeError):
     """The client went away; the in-flight ladder was abandoned."""
 

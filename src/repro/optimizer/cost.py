@@ -153,7 +153,7 @@ class CostModel:
         each ``TableSample`` of a named relation at that rate instead of
         its own method's, so one plan per join order prices every
         method assignment over it; take the rates at
-        :attr:`table_sizes`, as the walk does.
+        ``self.table_sizes``, as the walk does.
         """
         state = {"scanned": 0.0, "joined": 0.0, "build_max": 0.0}
         self._rows(plan, state, rates or {})

@@ -20,8 +20,6 @@ from repro.relational.expressions import (
     and_,
     col,
     lit,
-    not_,
-    or_,
 )
 from repro.relational.plan import (
     Aggregate,
@@ -56,8 +54,6 @@ __all__ = [
     "col",
     "lit",
     "and_",
-    "or_",
-    "not_",
     "PlanNode",
     "Scan",
     "Select",

@@ -431,9 +431,9 @@ class Database:
     ):
         """Parse and run SQL.
 
-        Aggregate queries return a :class:`QueryResult`; GROUP BY
-        aggregate queries a
-        :class:`~repro.core.sbox.GroupedQueryResult` with per-group
+        Aggregate queries return a
+        :class:`~repro.core.sbox.QueryResult`; GROUP BY aggregate queries
+        a :class:`~repro.core.sbox.GroupedQueryResult` with per-group
         estimates and intervals; non-aggregate queries the result
         :class:`Table`.  A ``WITHIN ... % CONFIDENCE ...`` budget
         routes through the sampling-plan optimizer and returns an

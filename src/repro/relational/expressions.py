@@ -284,18 +284,3 @@ def and_(*exprs: Expr) -> Expr:
     for e in exprs[1:]:
         acc = And(acc, e)
     return acc
-
-
-def or_(*exprs: Expr) -> Expr:
-    """Disjunction of one or more predicates."""
-    if not exprs:
-        raise SchemaError("or_() needs at least one predicate")
-    acc = exprs[0]
-    for e in exprs[1:]:
-        acc = Or(acc, e)
-    return acc
-
-
-def not_(expr: Expr) -> Expr:
-    """Negation builder."""
-    return Not(expr)

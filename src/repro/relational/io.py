@@ -1,18 +1,19 @@
-"""CSV import/export and columnar persistence for tables.
+"""CSV import and columnar persistence for tables.
 
 Deliberately small: comma-separated, header row required, type
 inference over int → float → string.  Enough to load external data into
-the engine and to export query samples for inspection — not a general
-CSV toolkit.  :func:`ingest_csv` streams a (possibly multi-GB) CSV into
-the memory-mapped columnar layout in blocks, so ingest memory stays
-O(block) rather than O(file); :func:`write_columnar` /
-:func:`read_columnar` are the table-level entry points to that layout.
+the engine — not a general CSV toolkit.  :func:`read_csv` takes a path
+or any file-like object (``io.StringIO`` for text in hand).
+:func:`ingest_csv` streams a (possibly multi-GB) CSV into the
+memory-mapped columnar layout in blocks, so ingest memory stays
+O(block) rather than O(file); :func:`write_columnar` writes a table to
+that layout and :meth:`repro.relational.table.Table.from_mmap` opens
+it.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import pathlib
 
 import numpy as np
@@ -78,31 +79,6 @@ def read_csv(source, name: str | None = None) -> Table:
     return Table(name, columns)
 
 
-def write_csv(table: Table, destination) -> None:
-    """Write a table (data columns only) to a path or file-like object."""
-    if isinstance(destination, (str, pathlib.Path)):
-        with open(destination, "w", newline="") as handle:
-            write_csv(table, handle)
-            return
-    writer = csv.writer(destination)
-    names = table.schema.names
-    writer.writerow(names)
-    for row in table.to_rows():
-        writer.writerow(row)
-
-
-def read_csv_text(text: str, name: str | None = None) -> Table:
-    """Convenience: load from a CSV string (used heavily in tests)."""
-    return read_csv(io.StringIO(text), name=name)
-
-
-def to_csv_text(table: Table) -> str:
-    """Convenience: render a table as a CSV string."""
-    buffer = io.StringIO()
-    write_csv(table, buffer)
-    return buffer.getvalue()
-
-
 # -- columnar persistence --------------------------------------------------
 
 #: Default rows per ingest/persist block (one stats block each).
@@ -132,11 +108,6 @@ def write_columnar(
                 chunk.lineage,
             )
     return pathlib.Path(path)
-
-
-def read_columnar(path, name: str | None = None) -> Table:
-    """Open a persisted columnar table as a zero-copy mmap-backed Table."""
-    return Table.from_mmap(path, name)
 
 
 def _csv_header(reader) -> list[str]:

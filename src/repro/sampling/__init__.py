@@ -8,9 +8,8 @@ Each method implements two duties:
 * **analysis** — report its GUS parameters ``G(a, b̄)`` so the rewriter
   can fold it into the plan's single top quasi-operator.
 
-With-replacement sampling is provided for the online-aggregation-style
-baseline but deliberately refuses GUS conversion: it is not a filter
-(paper, Section 9).
+Sampling with replacement has no method here: it is not a randomized
+filter and has no GUS (paper, Section 9).
 """
 
 from repro.sampling.base import SamplingMethod
@@ -28,14 +27,12 @@ from repro.sampling.registry import (
     relation_seed,
     sql_sample_tags,
 )
-from repro.sampling.with_replacement import WithReplacement
 from repro.sampling.without_replacement import WithoutReplacement
 
 __all__ = [
     "SamplingMethod",
     "Bernoulli",
     "WithoutReplacement",
-    "WithReplacement",
     "BlockBernoulli",
     "BlockWithoutReplacement",
     "CoordinatedBernoulli",

@@ -47,9 +47,10 @@ class SamplingMethod(abc.ABC):
         A draw allocates in proportion to the sample, not the table: it
         is made block by block, or per sampling block, never as a value
         per table row (without-replacement's ``Generator.choice`` is
-        the one exception, see :class:`WithoutReplacement`).  The
-        generator is consumed exactly as one whole-table draw would
-        consume it, so later draws of the same plan see the same stream.
+        the one exception, see
+        :class:`~repro.sampling.WithoutReplacement`).  The generator is
+        consumed exactly as one whole-table draw would consume it, so
+        later draws of the same plan see the same stream.
         """
 
     def lineage_of(self, rows: np.ndarray) -> np.ndarray:

@@ -14,8 +14,9 @@ way the sampling algebra invites — instead of dropping a fraction of
   ``rate`` of its original work but still returns a statistically valid
   (wider) interval.  A statement with nothing to degrade is admitted
   as-is;
-* queue full → **reject** (:class:`~repro.errors.AdmissionRejected`),
-  the only outright shed.
+* queue full → **reject**: the request's terminal response is an
+  error payload with code ``rejected`` (HTTP answers it with 503), the
+  only outright shed.
 
 The rewrite is a pure AST transformation round-tripped through
 :func:`~repro.sql.printer.query_to_sql`, so a degraded statement is a

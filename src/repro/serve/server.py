@@ -14,7 +14,10 @@ One :class:`ReproServer` binds two listeners over a shared
 Both listeners run a query through one coroutine,
 :meth:`ReproServer._serve`: admit, execute on the engine thread,
 release in ``finally``.  TCP writes the payload it returns; HTTP
-answers a ``rejected`` one with 503.
+answers a ``rejected`` one with 503.  Every HTTP request gets a status
+line: one whose headers cannot be read (a ``Content-Length`` that is
+not a non-negative number) gets 400, and one the server fails on gets
+500 with an ``internal`` error body.
 
 Every admitted request executes on **one engine thread**, in arrival
 order: the event loop keeps accepting, shedding, answering pings and
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import threading
 import time
 from dataclasses import dataclass
@@ -54,6 +58,8 @@ from repro.serve.protocol import Request, decode_request, encode, error_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service import QueryService
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -301,6 +307,15 @@ class ReproServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             writer.close()
             return
+        except Exception as exc:
+            # A request the server fails on still gets a status line:
+            # closing without one leaves the client reading nothing.
+            _LOG.exception("HTTP request failed")
+            status = "500 Internal Server Error"
+            payload = error_payload(
+                -1, f"{type(exc).__name__}: {exc}", code="internal"
+            )
+            body, content_type = encode(payload), "application/json"
         writer.write(
             (
                 f"HTTP/1.1 {status}\r\n"
@@ -331,7 +346,12 @@ class ReproServer:
                 break
             name, _, value = header.partition(":")
             if name.strip().lower() == "content-length":
-                length = int(value.strip() or 0)
+                try:
+                    length = int(value.strip() or 0)
+                except ValueError:
+                    length = -1
+        if length < 0:
+            return "400 Bad Request", b"bad Content-Length\n", "text/plain"
         if method == "GET" and path == "/healthz":
             status = "ok" if not self._draining else "draining"
             return "200 OK", (status + "\n").encode(), "text/plain"

@@ -1,7 +1,7 @@
 """Statistical extensions: the delta method, running moments, and
 sequential acceptance tests."""
 
-from repro.stats.delta import covariance_estimate, ratio_estimate
+from repro.stats.delta import ratio_estimate
 from repro.stats.moments import RunningMoments
 from repro.stats.sequential import (
     BernoulliSPRT,
@@ -11,7 +11,6 @@ from repro.stats.sequential import (
 
 __all__ = [
     "ratio_estimate",
-    "covariance_estimate",
     "RunningMoments",
     "BernoulliSPRT",
     "SequentialBiasGuard",

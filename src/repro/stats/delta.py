@@ -15,37 +15,10 @@ already exact and unbiased:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 import numpy as np
 
-from repro.core.estimator import (
-    Estimate,
-    GroupedEstimates,
-    estimate_sum,
-    estimate_sums_grouped,
-)
-from repro.core.gus import GUSParams
+from repro.core.estimator import Estimate, GroupedEstimates
 from repro.errors import EstimationError
-
-
-def covariance_estimate(
-    params: GUSParams,
-    f: np.ndarray,
-    g: np.ndarray,
-    lineage: Mapping[str, np.ndarray],
-) -> float:
-    """Unbiased estimate of ``Cov(X_f, X_g)`` by polarization.
-
-    Unbiasedness is inherited: each of the three variance estimates is
-    unbiased and expectation is linear.
-    """
-    var_sum = estimate_sum(params, np.asarray(f) + np.asarray(g), lineage)
-    var_f = estimate_sum(params, f, lineage)
-    var_g = estimate_sum(params, g, lineage)
-    return 0.5 * (
-        var_sum.variance_raw - var_f.variance_raw - var_g.variance_raw
-    )
 
 
 def ratio_estimate(
@@ -83,38 +56,6 @@ def ratio_estimate(
             "denominator": denominator.value,
             "covariance": covariance,
         },
-    )
-
-
-def grouped_covariance_estimate(
-    params: GUSParams,
-    f: np.ndarray,
-    g: np.ndarray,
-    lineage: Mapping[str, np.ndarray],
-    gids: np.ndarray,
-    n_groups: int,
-    *,
-    var_f: GroupedEstimates | None = None,
-    var_g: GroupedEstimates | None = None,
-) -> np.ndarray:
-    """Per-group :func:`covariance_estimate`, one polarization pass.
-
-    Group membership is data-defined, so the scalar argument applies
-    group by group; the three variance vectors come out of the
-    vectorized grouped estimator.  Callers that already hold the
-    estimates for ``f`` and/or ``g`` (the AVG path always does) pass
-    them via ``var_f``/``var_g`` so only the ``f+g`` moments are
-    computed fresh.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    var_sum = estimate_sums_grouped(params, f + g, lineage, gids, n_groups)
-    if var_f is None:
-        var_f = estimate_sums_grouped(params, f, lineage, gids, n_groups)
-    if var_g is None:
-        var_g = estimate_sums_grouped(params, g, lineage, gids, n_groups)
-    return 0.5 * (
-        var_sum.variance_raw - var_f.variance_raw - var_g.variance_raw
     )
 
 

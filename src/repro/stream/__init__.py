@@ -28,22 +28,22 @@ Mapping to the paper's objects:
   any split of a stream (contiguous, interleaved, keyed by lineage)
   merge into one that equals the batch answer — the property the
   engine relies on for every multi-chunk query — while
-  :class:`~repro.stream.window.TumblingWindow` and
-  :class:`~repro.stream.window.SlidingWindow` answer windowed queries
-  from per-batch sketches instead of re-scanning tuples.
+  :class:`~repro.stream.window.SlidingWindow` answers windowed queries
+  from per-batch sketches instead of re-scanning tuples.  A GROUP BY
+  stream is a :class:`~repro.stream.sketch.GroupedMomentBundle` read out
+  through :func:`~repro.core.estimator.grouped_estimates_from_moments`,
+  the pair the SBox folds a grouped query with.
 
 See ``examples/streaming_quickstart.py`` for a five-minute tour.
 """
 
-from repro.stream.estimator import GroupedStreamingEstimator, StreamingEstimator
+from repro.stream.estimator import StreamingEstimator
 from repro.stream.sketch import GroupedMomentBundle, MomentSketchBundle
-from repro.stream.window import SlidingWindow, TumblingWindow
+from repro.stream.window import SlidingWindow
 
 __all__ = [
     "MomentSketchBundle",
     "GroupedMomentBundle",
     "StreamingEstimator",
-    "GroupedStreamingEstimator",
-    "TumblingWindow",
     "SlidingWindow",
 ]

@@ -14,30 +14,30 @@ row.
 Two estimators over the same GUS merge exactly (:meth:`merge`), so a
 stream split into any number of parts — each fed to its own estimator
 — merges back into the answer one estimator over the whole stream
-gives, and the windows in :mod:`repro.stream.window` are correct: the
+gives, and :class:`~repro.stream.window.SlidingWindow` is correct: the
 merged sketch is the same group table a single pass would have
 produced, up to float summation order.  The sketches are the
 classes :meth:`repro.core.sbox.SBox.run` folds its chunks into, so an
 estimator fed a query's chunks returns the engine's answer bit for bit.
+A grouped stream needs no estimator class of its own: a
+:class:`~repro.stream.sketch.GroupedMomentBundle` fed the batches and
+read out through
+:func:`~repro.core.estimator.grouped_estimates_from_moments` is the
+pair the SBox folds a GROUP BY query with.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as np
 
-from repro.core.estimator import (
-    Estimate,
-    GroupedEstimates,
-    estimate_from_moments,
-    grouped_estimates_from_moments,
-)
+from repro.core.estimator import Estimate, estimate_from_moments
 from repro.core.gus import GUSParams
 from repro.errors import EstimationError
-from repro.stream.sketch import GroupedMomentBundle, MomentSketchBundle
+from repro.stream.sketch import MomentSketchBundle
 
-__all__ = ["StreamingEstimator", "GroupedStreamingEstimator"]
+__all__ = ["StreamingEstimator"]
 
 
 class StreamingEstimator:
@@ -112,94 +112,4 @@ class StreamingEstimator:
             f"StreamingEstimator(a={self.params.a:.6g}, "
             f"dims={list(self._pruned.lattice.dims)}, "
             f"n_sample={self.n_sample})"
-        )
-
-
-class GroupedStreamingEstimator:
-    """Incremental per-group ``Σ f`` estimation under a fixed GUS.
-
-    The grouped twin of :class:`StreamingEstimator`: batches arrive
-    with group key columns alongside ``f`` and lineage — arrays of any
-    dtype or, for strings, dictionary-encoded ``(codes, values)`` pairs
-    as :class:`~repro.stream.sketch.GroupedMomentBundle` takes them — and
-    :meth:`estimate` emits a
-    :class:`~repro.core.estimator.GroupedEstimates` over every group
-    seen so far — equal (up to float summation order) to what the batch
-    :func:`~repro.core.estimator.estimate_sums_grouped` would produce
-    on all rows at once.  Merging estimators over the same GUS is exact
-    even for groups only one side ever saw.
-    """
-
-    __slots__ = ("params", "label", "_pruned", "sketch")
-
-    def __init__(
-        self,
-        params: GUSParams,
-        *,
-        n_group_cols: int = 1,
-        label: str = "SUM",
-    ) -> None:
-        if params.a <= 0.0:
-            raise EstimationError("cannot estimate from a = 0 (null sampling)")
-        self.params = params
-        self.label = label
-        self._pruned = params.project_out_inactive()
-        self.sketch = GroupedMomentBundle(self._pruned.lattice, n_group_cols, 1)
-
-    # -- ingestion ------------------------------------------------------
-
-    def update(
-        self,
-        f: np.ndarray,
-        lineage: Mapping[str, np.ndarray],
-        group_cols: Sequence,
-    ) -> "GroupedStreamingEstimator":
-        """Absorb one batch of sampled rows; returns ``self``."""
-        self.sketch.update([f], lineage, group_cols)
-        return self
-
-    def merge(
-        self, other: "GroupedStreamingEstimator"
-    ) -> "GroupedStreamingEstimator":
-        """Fold another estimator over the *same* GUS into this one."""
-        if not self.params.approx_equal(other.params):
-            raise EstimationError(
-                "cannot merge streaming estimators with different GUS params"
-            )
-        self.sketch.merge(other.sketch)
-        return self
-
-    def copy(self) -> "GroupedStreamingEstimator":
-        dup = GroupedStreamingEstimator(
-            self.params,
-            n_group_cols=self.sketch.n_group_cols,
-            label=self.label,
-        )
-        dup.sketch = self.sketch.copy()
-        return dup
-
-    # -- emission -------------------------------------------------------
-
-    @property
-    def n_sample(self) -> int:
-        return self.sketch.n_rows
-
-    def estimate(self) -> tuple[list[np.ndarray], GroupedEstimates]:
-        """Current per-group estimates with Theorem 1 error bounds.
-
-        Returns ``(group_key_columns, estimates)``; row ``g`` of the
-        estimates belongs to the ``g``-th distinct key combination.
-        Emission never mutates the sketch.
-        """
-        group_keys, ys, totals, counts = self.sketch.moments()
-        return group_keys, grouped_estimates_from_moments(
-            self._pruned, self.params.a, ys[0], totals[0], counts, label=self.label
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"GroupedStreamingEstimator(a={self.params.a:.6g}, "
-            f"dims={list(self._pruned.lattice.dims)}, "
-            f"n_sample={self.n_sample}, "
-            f"n_entries={self.sketch.n_entries})"
         )

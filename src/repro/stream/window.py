@@ -1,19 +1,16 @@
-"""Tumbling and sliding windows over a sketched stream.
+"""A sliding window over a sketched stream.
 
-Both windows treat one ``push(f, lineage)`` call as one *batch* — the
-natural unit of a micro-batched stream processor — and answer windowed
-SUM queries from merged
+:class:`SlidingWindow` treats one ``push(f, lineage)`` call as one
+*batch* — the natural unit of a micro-batched stream processor — and
+answers windowed SUM queries from merged
 :class:`~repro.stream.sketch.MomentSketchBundle` state instead of
-re-scanning raw tuples:
-
-* :class:`TumblingWindow` accumulates one estimator per span of
-  ``length`` batches; when a span closes, :meth:`push` returns its
-  :class:`~repro.core.estimator.Estimate` and starts a fresh span.
-* :class:`SlidingWindow` keeps the last ``length`` per-batch sketches
-  in a deque; :meth:`estimate` merges them, so the window advances by
-  dropping a whole sketch — no "subtract a batch" numerics, and the
-  merge cost scales with the number of *distinct lineage keys*, not
-  tuples.
+re-scanning raw tuples.  It keeps the last ``length`` per-batch
+sketches in a deque; :meth:`SlidingWindow.estimate` merges them, so the
+window advances by dropping a whole sketch — no "subtract a batch"
+numerics, and the merge cost scales with the number of *distinct
+lineage keys*, not tuples.  A tumbling window is one
+:class:`~repro.stream.estimator.StreamingEstimator` per span, started
+afresh when the span closes.
 
 The GUS must be fixed across the window (a varying sampling design is
 not a single GUS; see :class:`repro.apps.load_shedding.LoadShedder` for
@@ -32,50 +29,7 @@ from repro.core.gus import GUSParams
 from repro.errors import EstimationError
 from repro.stream.estimator import StreamingEstimator
 
-__all__ = ["TumblingWindow", "SlidingWindow"]
-
-
-def _check_length(length: int) -> int:
-    if length < 1:
-        raise EstimationError(f"window length must be >= 1, got {length}")
-    return int(length)
-
-
-class TumblingWindow:
-    """Non-overlapping windows of ``length`` batches each."""
-
-    __slots__ = ("params", "length", "label", "_current", "_pushed", "closed")
-
-    def __init__(
-        self, params: GUSParams, length: int, *, label: str = "SUM"
-    ) -> None:
-        self.params = params
-        self.length = _check_length(length)
-        self.label = label
-        self._current = StreamingEstimator(params, label=label)
-        self._pushed = 0
-        #: Estimates of every window closed so far, oldest first.
-        self.closed: list[Estimate] = []
-
-    def push(
-        self, f: np.ndarray, lineage: Mapping[str, np.ndarray]
-    ) -> Estimate | None:
-        """Absorb one batch; returns the window's estimate when it closes."""
-        self._current.update(f, lineage)
-        self._pushed += 1
-        if self._pushed < self.length:
-            return None
-        return self.flush()
-
-    def flush(self) -> Estimate | None:
-        """Close the current window early (``None`` if it is empty)."""
-        if self._pushed == 0:
-            return None
-        est = self._current.estimate()
-        self.closed.append(est)
-        self._current = StreamingEstimator(self.params, label=self.label)
-        self._pushed = 0
-        return est
+__all__ = ["SlidingWindow"]
 
 
 class SlidingWindow:
@@ -86,8 +40,10 @@ class SlidingWindow:
     def __init__(
         self, params: GUSParams, length: int, *, label: str = "SUM"
     ) -> None:
+        if length < 1:
+            raise EstimationError(f"window length must be >= 1, got {length}")
         self.params = params
-        self.length = _check_length(length)
+        self.length = int(length)
         self.label = label
         self._batches: deque[StreamingEstimator] = deque(maxlen=self.length)
 

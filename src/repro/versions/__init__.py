@@ -17,8 +17,8 @@ This package is the time-travel layer on top of the relational core:
 Snapshots are copy-on-write: a snapshot shares every column array (or
 every colstore column file, for mmap tables) with the table it froze,
 so taking one is O(1) in data volume.  Coordination keys are the row
-lineage ids, which :meth:`Table.with_columns`-style update/append
-mutations keep stable.
+lineage ids, which update/append mutations in the style of
+:meth:`~repro.relational.table.Table.with_columns` keep stable.
 
 The estimation-side names are imported lazily so that the relational
 core (``Database`` imports :mod:`repro.versions.snapshots`) never pays
@@ -28,7 +28,6 @@ for — or cyclically depends on — the SBox stack.
 from repro.versions.snapshots import (
     SnapshotRegistry,
     base_name,
-    is_versioned_name,
     split_versioned_name,
     versioned_name,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "base_name",
     "estimate_version_diff",
     "exact_version_diff",
-    "is_versioned_name",
     "split_versioned_name",
     "versioned_name",
 ]

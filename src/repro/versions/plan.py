@@ -3,9 +3,10 @@
 :class:`VersionDiff` is the logical form of ``SELECT agg(...) FROM t AT
 VERSION hi MINUS AT VERSION lo``.  It is *not* executable by the
 relational executor: like the GUS quasi-operator it is intercepted one
-level up (by :meth:`Database.sql`), which evaluates each side through
-the estimation pipeline and combines the per-key aggregate inputs with
-the coordinated difference estimator in :mod:`repro.versions.engine`.
+level up (by :meth:`~repro.relational.database.Database.sql`), which
+evaluates each side through the estimation pipeline and combines the
+per-key aggregate inputs with the coordinated difference estimator in
+:mod:`repro.versions.engine`.
 
 The node holds the two *pre-aggregate* subtrees (scan + coordinated
 sample + filters per side) so the engine can choose the evaluation

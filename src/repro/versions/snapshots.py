@@ -29,11 +29,6 @@ def versioned_name(base: str, version: int) -> str:
     return f"{base}{VERSION_SEP}{version:d}"
 
 
-def is_versioned_name(name: str) -> bool:
-    """Whether ``name`` is an internal snapshot name."""
-    return split_versioned_name(name)[1] is not None
-
-
 def split_versioned_name(name: str) -> tuple[str, int | None]:
     """``(base, version)`` of a catalog name; ``(name, None)`` if live."""
     base, sep, suffix = name.rpartition(VERSION_SEP)

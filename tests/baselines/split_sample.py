@@ -27,7 +27,7 @@ from repro.core.estimator import Estimate
 from repro.errors import EstimationError
 from repro.relational.executor import join_indices
 from repro.relational.table import Table
-from repro.sampling.with_replacement import WithReplacement
+from tests.baselines.with_replacement import WithReplacement
 
 
 def _epoch_estimate(

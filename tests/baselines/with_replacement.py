@@ -1,12 +1,12 @@
 """Fixed-size sampling *with* replacement.
 
-This exists for the online-aggregation-style split-sample baseline
-the tests compare GUS against.  It is **not** a GUS method:
-drawing with replacement produces duplicate tuples, so the process is
-not a randomized filter, and the paper (Section 9) explicitly leaves it
-outside the algebra.  ``gus()`` therefore raises
-:class:`~repro.errors.NotGUSError`, which is exactly the error a user
-sees if they try to push such a sample through the SBox.
+The draw of the online-aggregation-style split-sample baseline
+(``tests/baselines/split_sample.py``) that the tests compare GUS
+against.  It is **not** a GUS method: drawing with replacement produces
+duplicate tuples, so the process is not a randomized filter, and the
+paper (Section 9) explicitly leaves it outside the algebra.  ``gus()``
+therefore raises :class:`~repro.errors.NotGUSError` — the refusal the
+SBox and the synopsis catalog are tested against.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError
-from repro.relational.io import ingest_csv, read_csv_text
+from repro.relational.io import ingest_csv, read_csv
 
 _CSV = "a,b,s\n" + "\n".join(f"{i},{i * 0.5},name{i % 7}" for i in range(100))
 
@@ -23,7 +23,7 @@ def test_ingest_matches_read_csv(tmp_path) -> None:
     source = tmp_path / "t.csv"
     source.write_text(_CSV + "\n")
     table = ingest_csv(source, tmp_path / "t", block_rows=7)
-    reference = read_csv_text(_CSV, name="t")
+    reference = read_csv(io.StringIO(_CSV), name="t")
     assert table.is_mmap
     assert table.n_rows == reference.n_rows
     for name in reference.columns:

@@ -29,20 +29,19 @@ from repro.core.algebra import join_gus
 from repro.core.estimator import (
     GroupedEstimates,
     estimate_sum,
-    estimate_sums_grouped,
     group_ids,
-    grouped_y_terms,
     unbiased_y_terms_grouped,
 )
 from repro.core.gus import bernoulli_gus, without_replacement_gus
 from repro.errors import EstimationError
-from repro.stats.delta import (
+from repro.stats.delta import ratio_estimate, ratio_estimates_grouped
+from tests.reference import (
     covariance_estimate,
+    estimate_sums_grouped,
     grouped_covariance_estimate,
-    ratio_estimate,
-    ratio_estimates_grouped,
+    grouped_y_terms,
+    ref_grouped_estimates,
 )
-from tests.reference import ref_grouped_estimates
 
 GUS_CASES = {
     "bernoulli": bernoulli_gus("r1", 0.5),

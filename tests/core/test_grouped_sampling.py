@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.core.algebra import join_gus
-from repro.core.estimator import estimate_sums_grouped
 from repro.core.gus import bernoulli_gus, without_replacement_gus
 from repro.sampling.pseudorandom import LineageHashBernoulli
 from tests.enumeration import (
@@ -28,6 +27,7 @@ from tests.enumeration import (
     cross_join_world,
     wor_outcomes,
 )
+from tests.reference import estimate_sums_grouped
 
 N_GROUPS = 2
 

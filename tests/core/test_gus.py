@@ -12,7 +12,6 @@ from repro.core.gus import (
     bernoulli_gus,
     identity_gus,
     null_gus,
-    single_relation_gus,
     without_replacement_gus,
 )
 from repro.core.lattice import SubsetLattice
@@ -132,7 +131,9 @@ class TestAccessors:
 
     def test_approx_equal(self):
         g1 = bernoulli_gus("r", 0.5)
-        g2 = single_relation_gus("r", 0.5, 0.25)
+        g2 = GUSParams.from_mapping(
+            ["r"], 0.5, {frozenset(): 0.25, frozenset(["r"]): 0.5}
+        )
         assert g1.approx_equal(g2)
         assert not g1.approx_equal(bernoulli_gus("r", 0.6))
         assert not g1.approx_equal(bernoulli_gus("s", 0.5))

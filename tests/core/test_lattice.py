@@ -12,10 +12,7 @@ from repro.core.lattice import (
     iter_submasks,
     kappa,
     mobius_subsets,
-    mobius_supersets,
     popcount,
-    zeta_subsets,
-    zeta_supersets,
 )
 from repro.errors import LatticeError
 
@@ -90,15 +87,18 @@ class TestSubmaskIteration:
         assert list(iter_submasks(0)) == [0]
 
 
-class TestTransforms:
-    def _naive_zeta_sub(self, vec, n):
-        out = np.zeros_like(vec)
-        for s in range(1 << n):
-            for t in range(1 << n):
-                if t & ~s == 0:
-                    out[s] += vec[t]
-        return out
+def _naive_zeta(vec, n):
+    """The zeta transform ``out[S] = Σ_{T⊆S} vec[T]``, the Möbius
+    transform's inverse, as the plain double sum."""
+    out = np.zeros_like(vec)
+    for s in range(1 << n):
+        for t in range(1 << n):
+            if t & ~s == 0:
+                out[s] += vec[t]
+    return out
 
+
+class TestTransforms:
     def _naive_mobius_sub(self, vec, n):
         out = np.zeros_like(vec)
         for s in range(1 << n):
@@ -110,7 +110,7 @@ class TestTransforms:
 
     @given(st.integers(0, 4), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_zeta_matches_naive(self, n, data):
+    def test_mobius_inverts_naive_zeta(self, n, data):
         vec = np.array(
             data.draw(
                 st.lists(
@@ -121,7 +121,7 @@ class TestTransforms:
             )
         )
         np.testing.assert_allclose(
-            zeta_subsets(vec, n), self._naive_zeta_sub(vec, n), atol=1e-9
+            mobius_subsets(_naive_zeta(vec, n), n), vec, atol=1e-9
         )
 
     @given(st.integers(0, 4), st.data())
@@ -153,43 +153,18 @@ class TestTransforms:
             )
         )
         np.testing.assert_allclose(
-            mobius_subsets(zeta_subsets(vec, n), n), vec, atol=1e-7
+            mobius_subsets(_naive_zeta(vec, n), n), vec, atol=1e-7
         )
         np.testing.assert_allclose(
-            zeta_subsets(mobius_subsets(vec, n), n), vec, atol=1e-7
+            _naive_zeta(mobius_subsets(vec, n), n), vec, atol=1e-7
         )
-
-    @given(st.integers(0, 5), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_superset_roundtrip(self, n, data):
-        vec = np.array(
-            data.draw(
-                st.lists(
-                    st.floats(-100, 100, allow_nan=False),
-                    min_size=1 << n,
-                    max_size=1 << n,
-                )
-            )
-        )
-        np.testing.assert_allclose(
-            mobius_supersets(zeta_supersets(vec, n), n), vec, atol=1e-7
-        )
-
-    def test_zeta_supersets_definition(self):
-        # 2 dims: out[S] = sum over T >= S.
-        vec = np.array([1.0, 2.0, 3.0, 4.0])
-        out = zeta_supersets(vec, 2)
-        assert out[0] == pytest.approx(10.0)
-        assert out[1] == pytest.approx(6.0)  # {0}: masks 1 and 3
-        assert out[2] == pytest.approx(7.0)  # {1}: masks 2 and 3
-        assert out[3] == pytest.approx(4.0)
 
     def test_transforms_do_not_mutate_input(self):
-        vec = np.arange(8, dtype=np.float64)
-        copy = vec.copy()
-        zeta_subsets(vec, 3)
-        mobius_subsets(vec, 3)
-        np.testing.assert_array_equal(vec, copy)
+        for n in (3, 9):  # the matrix, the sweep
+            vec = np.arange(1 << n, dtype=np.float64)
+            copy = vec.copy()
+            mobius_subsets(vec, n)
+            np.testing.assert_array_equal(vec, copy)
 
 
 class TestKappa:
@@ -252,19 +227,7 @@ class TestMemoizedTransformMatrices:
                 )
             )
         )
-        assert np.allclose(
-            zeta_subsets(vec, n), _sweep(vec, n, sign=1.0, supersets=False)
-        )
-        assert np.allclose(
-            mobius_subsets(vec, n), _sweep(vec, n, sign=-1.0, supersets=False)
-        )
-        assert np.allclose(
-            zeta_supersets(vec, n), _sweep(vec, n, sign=1.0, supersets=True)
-        )
-        assert np.allclose(
-            mobius_supersets(vec, n),
-            _sweep(vec, n, sign=-1.0, supersets=True),
-        )
+        assert np.allclose(mobius_subsets(vec, n), _sweep(vec, n))
 
     def test_matrices_are_cached_per_arity(self):
         from repro.core.lattice import subset_transform_matrix
@@ -282,7 +245,7 @@ class TestMemoizedTransformMatrices:
     def test_cached_matrices_are_readonly(self):
         from repro.core.lattice import subset_transform_matrix
 
-        matrix = subset_transform_matrix(3, True)
+        matrix = subset_transform_matrix(3)
         with pytest.raises(ValueError):
             matrix[0, 0] = 99.0
 
@@ -290,16 +253,11 @@ class TestMemoizedTransformMatrices:
         from repro.core.lattice import MATRIX_MAX_DIMS
 
         n = MATRIX_MAX_DIMS + 1
-        vec = np.zeros(1 << n)
-        vec[0] = 1.0
-        out = zeta_subsets(vec, n)  # ζ(δ_∅) = 1 everywhere
-        assert np.all(out == 1.0)
+        out = mobius_subsets(np.ones(1 << n), n)  # µ(1) = δ_∅
+        assert out[0] == 1.0 and np.all(out[1:] == 0.0)
 
     def test_transforms_stay_mutual_inverses(self):
         rng = np.random.default_rng(0)
         for n in (1, 3, 5, 8):
             vec = rng.normal(size=1 << n)
-            assert np.allclose(mobius_subsets(zeta_subsets(vec, n), n), vec)
-            assert np.allclose(
-                zeta_supersets(mobius_supersets(vec, n), n), vec
-            )
+            assert np.allclose(mobius_subsets(_naive_zeta(vec, n), n), vec)

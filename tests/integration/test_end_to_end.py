@@ -245,7 +245,7 @@ class TestWithReplacementRefusal:
         """The paper's Section 9 boundary, enforced end to end."""
         from repro.relational.plan import Aggregate, AggSpec, TableSample
         from repro.relational.expressions import col
-        from repro.sampling import WithReplacement
+        from tests.baselines.with_replacement import WithReplacement
 
         plan = Aggregate(
             TableSample(Scan("lineitem"), WithReplacement(100)),

@@ -12,17 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.estimator import (
-    estimate_sum,
-    estimate_sums_grouped_multi,
-    group_ids,
-)
+from repro.core.estimator import estimate_sum, group_ids
 from repro.core.sbox import GroupedQueryResult
 from repro.data.tpch import tpch_database
 from repro.errors import ReproError
 from repro.relational.executor import Executor
 from repro.relational.plan import GroupAggregate
-from repro.stats.delta import covariance_estimate, ratio_estimate
+from repro.stats.delta import ratio_estimate
+from tests.reference import covariance_estimate, estimate_sums_grouped_multi
 
 SAMPLED = "lineitem TABLESAMPLE (30 PERCENT) REPEATABLE (11)"
 STATEMENTS = {

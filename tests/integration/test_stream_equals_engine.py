@@ -1,9 +1,10 @@
 """The streaming tier and the engine hold the same accumulator.
 
 ``SBox.run`` folds every chunk of a plan into a moment bundle and merges
-them; a streaming estimator holds a one-vector bundle of the same class.
-Fed the very chunks the engine saw, it must therefore return the engine's
-answer bit for bit — not "equal up to summation order" — string GROUP BY
+them; a streaming estimator holds a one-vector bundle of the same class,
+and a grouped stream is a one-vector ``GroupedMomentBundle`` read out by
+``grouped_estimates_from_moments``.  Fed the very chunks the engine saw,
+either must therefore return the engine's answer bit for bit — not "equal up to summation order" — string GROUP BY
 keys included, at every chunking.
 """
 
@@ -17,7 +18,7 @@ from repro.core.gus import bernoulli_gus
 from repro.relational.aggregates import aggregate_input_vector
 from repro.relational.pipeline import ChunkedExecutor
 from repro.relational.plan import GroupAggregate
-from repro.stream import GroupedStreamingEstimator, StreamingEstimator
+from repro.stream import GroupedMomentBundle, StreamingEstimator
 
 SCAN = "lineitem TABLESAMPLE (30 PERCENT)"
 # Both sides sampled: two active lineage dimensions, and every kept order
@@ -44,8 +45,9 @@ def test_streamed_chunks_equal_sbox_run_bit_for_bit(tpch_db, name, chunk_size):
         plan, rng=tpch_db.rng(SEED), chunk_size=chunk_size, keep_sample=False
     )
 
+    pruned = engine.gus.project_out_inactive()
     if grouped:
-        streaming = GroupedStreamingEstimator(engine.gus, n_group_cols=len(plan.keys))
+        streaming = GroupedMomentBundle(pruned.lattice, len(plan.keys), 1)
     else:
         streaming = StreamingEstimator(engine.gus)
     executor = ChunkedExecutor(tpch_db.tables, tpch_db.rng(SEED), chunk_size=chunk_size)
@@ -55,14 +57,17 @@ def test_streamed_chunks_equal_sbox_run_bit_for_bit(tpch_db, name, chunk_size):
         f = aggregate_input_vector(chunk, plan.specs[0])
         if grouped:
             # Plain object-dtype strings: the stream tier needs no pre-factorizing.
-            streaming.update(f, chunk.lineage, [chunk.column(k) for k in plan.keys])
+            streaming.update([f], chunk.lineage, [chunk.column(k) for k in plan.keys])
         else:
             streaming.update(f, chunk.lineage)
     assert (n_chunks == 1) == (chunk_size is None)
 
     want = engine.estimates["s"]
     if grouped:
-        keys, got = streaming.estimate()
+        keys, ys, totals, counts = streaming.moments()
+        got = grouped_estimates_from_moments(
+            pruned, engine.gus.a, ys[0], totals[0], counts
+        )
         assert [k.tolist() for k in keys] == [engine.keys[k].tolist() for k in plan.keys]
         assert keys[0].dtype == object and got.n_groups >= 3
         assert got.values.tobytes() == want.values.tobytes()

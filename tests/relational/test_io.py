@@ -1,24 +1,24 @@
-"""CSV import/export tests."""
+"""CSV import tests."""
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 import pytest
 
 from repro.errors import SchemaError
-from repro.relational.io import (
-    read_csv,
-    read_csv_text,
-    to_csv_text,
-    write_csv,
-)
+from repro.relational.io import read_csv
 from repro.relational.schema import ColumnType
-from repro.relational.table import Table
+
+
+def _read_text(text, name=None):
+    return read_csv(io.StringIO(text), name=name)
 
 
 class TestReadCsv:
     def test_type_inference(self):
-        table = read_csv_text(
+        table = _read_text(
             "id,price,label\n1,2.5,aa\n2,3.0,bb\n", name="t"
         )
         assert table.schema["id"].type is ColumnType.INT64
@@ -27,29 +27,29 @@ class TestReadCsv:
         assert table.n_rows == 2
 
     def test_int_column_stays_int(self):
-        table = read_csv_text("x\n1\n2\n3\n")
+        table = _read_text("x\n1\n2\n3\n")
         assert table.column("x").dtype == np.int64
 
     def test_mixed_numeric_becomes_float(self):
-        table = read_csv_text("x\n1\n2.5\n")
+        table = _read_text("x\n1\n2.5\n")
         assert table.column("x").dtype == np.float64
 
     def test_empty_body_allowed(self):
-        table = read_csv_text("a,b\n")
+        table = _read_text("a,b\n")
         assert table.n_rows == 0
         assert table.schema.names == ("a", "b")
 
     def test_missing_header_rejected(self):
         with pytest.raises(SchemaError, match="empty"):
-            read_csv_text("")
+            _read_text("")
 
     def test_blank_header_field_rejected(self):
         with pytest.raises(SchemaError, match="header"):
-            read_csv_text("a,,c\n1,2,3\n")
+            _read_text("a,,c\n1,2,3\n")
 
     def test_ragged_row_rejected(self):
         with pytest.raises(SchemaError, match="row 3"):
-            read_csv_text("a,b\n1,2\n3\n")
+            _read_text("a,b\n1,2\n3\n")
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -59,30 +59,6 @@ class TestReadCsv:
         assert table.column("v").tolist() == [10.5, 20.25]
 
 
-class TestWriteCsv:
-    def test_roundtrip_through_text(self):
-        original = Table(
-            "t",
-            {
-                "a": np.array([1, 2], dtype=np.int64),
-                "b": np.array([0.5, 1.5]),
-                "c": np.array(["x", "y"], dtype=object),
-            },
-        )
-        text = to_csv_text(original)
-        back = read_csv_text(text, name="t")
-        assert back.schema.names == original.schema.names
-        assert back.column("a").tolist() == [1, 2]
-        assert back.column("b").tolist() == [0.5, 1.5]
-        assert back.column("c").tolist() == ["x", "y"]
-
-    def test_write_to_path(self, tmp_path):
-        table = Table("t", {"x": np.arange(3)})
-        path = tmp_path / "out.csv"
-        write_csv(table, path)
-        assert read_csv(path).n_rows == 3
-
-
 class TestDatabaseFromCsv:
     def test_csv_backed_sql_query(self):
         from repro.relational.database import Database
@@ -90,7 +66,7 @@ class TestDatabaseFromCsv:
         db = Database(seed=0)
         db.register(
             "sales",
-            read_csv_text(
+            _read_text(
                 "sale_id,amount\n0,10.0\n1,20.0\n2,30.0\n3,40.0\n",
                 name="sales",
             ),

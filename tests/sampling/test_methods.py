@@ -13,9 +13,9 @@ from repro.sampling import (
     BlockWithoutReplacement,
     LineageHashBernoulli,
     WithoutReplacement,
-    WithReplacement,
     hash01,
 )
+from tests.baselines.with_replacement import WithReplacement
 
 
 class TestBernoulli:

@@ -42,6 +42,26 @@ async def raw_connection(port):
     return await asyncio.open_connection("127.0.0.1", port)
 
 
+async def http(port, request: bytes) -> tuple[str, bytes]:
+    """One raw HTTP exchange: the status line and the body."""
+    reader, writer = await raw_connection(port)
+    writer.write(request)
+    await writer.drain()
+    data = await reader.read()
+    writer.close()
+    head, _, body = data.partition(b"\r\n\r\n")
+    return (head.decode().splitlines() or [""])[0], body
+
+
+def http_query(payload: dict) -> bytes:
+    body = json.dumps(payload).encode()
+    return (
+        b"POST /query HTTP/1.1\r\nHost: x\r\n"
+        + f"Content-Length: {len(body)}\r\n\r\n".encode()
+        + body
+    )
+
+
 class TestProtocolOverTcp:
     def test_ping_stats_metrics(self, service):
         async def scenario():
@@ -303,36 +323,25 @@ class TestHttpSurface:
     def test_healthz_metrics_query_and_404(self, service):
         async def scenario():
             server = await start_server(service, make_config())
-
-            async def http(request: bytes) -> tuple[str, bytes]:
-                reader, writer = await raw_connection(server.http_port)
-                writer.write(request)
-                await writer.drain()
-                data = await reader.read()
-                writer.close()
-                head, _, body = data.partition(b"\r\n\r\n")
-                return head.decode().splitlines()[0], body
-
+            port = server.http_port
             try:
                 status, body = await http(
-                    b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                    port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
                 )
                 assert status == "HTTP/1.1 200 OK" and body == b"ok\n"
 
                 status, body = await http(
-                    b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"
+                    port, b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"
                 )
                 assert status == "HTTP/1.1 200 OK"
                 assert b"repro_service_queries_total" in body
 
-                payload = json.dumps(
-                    {"statement": BUDGETED, "mode": "progressive",
-                     "seed": 7}
-                ).encode()
                 status, body = await http(
-                    b"POST /query HTTP/1.1\r\nHost: x\r\n"
-                    + f"Content-Length: {len(payload)}\r\n\r\n".encode()
-                    + payload
+                    port,
+                    http_query(
+                        {"statement": BUDGETED, "mode": "progressive",
+                         "seed": 7}
+                    ),
                 )
                 assert status == "HTTP/1.1 200 OK"
                 answer = json.loads(body)
@@ -340,15 +349,85 @@ class TestHttpSurface:
                 assert len(answer["frame_stream"]) == answer["frames"]
 
                 status, body = await http(
+                    port,
                     b"POST /query HTTP/1.1\r\nHost: x\r\n"
-                    b"Content-Length: 9\r\n\r\nnot json!"
+                    b"Content-Length: 9\r\n\r\nnot json!",
                 )
                 assert status == "HTTP/1.1 400 Bad Request"
 
                 status, _ = await http(
-                    b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+                    port, b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
                 )
                 assert status == "HTTP/1.1 404 Not Found"
+            finally:
+                await server.drain()
+
+        run(scenario())
+
+    def test_a_failed_answer_gets_500_and_the_server_keeps_serving(
+        self, service
+    ):
+        """A final GROUP BY answer carries arrays the JSON encoder
+        refuses; the client still gets a status line and an
+        ``internal`` error, and the next request is served."""
+        grouped = (
+            "SELECT l_returnflag, SUM(l_quantity) AS q FROM lineitem "
+            "TABLESAMPLE (10 PERCENT) GROUP BY l_returnflag"
+        )
+
+        async def scenario():
+            server = await start_server(service, make_config())
+            port = server.http_port
+            try:
+                status, body = await http(
+                    port, http_query({"statement": grouped, "seed": 1})
+                )
+                assert status == "HTTP/1.1 500 Internal Server Error"
+                answer = json.loads(body)
+                assert answer["type"] == "error"
+                assert answer["code"] == "internal"
+                status, _ = await http(
+                    port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                )
+                assert status == "HTTP/1.1 200 OK"
+            finally:
+                await server.drain()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_a_bad_content_length_gets_400(self, service, length):
+        async def scenario():
+            server = await start_server(service, make_config())
+            try:
+                status, body = await http(
+                    server.http_port,
+                    b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                    + f"Content-Length: {length}\r\n\r\n".encode()
+                    + b"{}",
+                )
+                assert status == "HTTP/1.1 400 Bad Request"
+                assert body == b"bad Content-Length\n"
+            finally:
+                await server.drain()
+
+        run(scenario())
+
+    def test_a_full_queue_gets_503(self, service):
+        """With no queue room, admission sheds the query outright: the
+        terminal payload is a ``rejected`` error, which HTTP maps to
+        503."""
+
+        async def scenario():
+            server = await start_server(service, make_config(queue_limit=0))
+            try:
+                status, body = await http(
+                    server.http_port, http_query({"statement": PLAIN})
+                )
+                assert status == "HTTP/1.1 503 Service Unavailable"
+                answer = json.loads(body)
+                assert answer["code"] == "rejected"
+                assert "queue full" in answer["error"]
             finally:
                 await server.drain()
 

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from repro.core.estimator import Estimate, estimate_sum
 from repro.core.gus import bernoulli_gus
 from repro.errors import EstimationError
-from repro.stats import RunningMoments, covariance_estimate, ratio_estimate
+from repro.stats import RunningMoments, ratio_estimate
 
 from tests.enumeration import JoinedWorld, bernoulli_outcomes
+from tests.reference import covariance_estimate
 
 
 class TestCovariancePolarization:

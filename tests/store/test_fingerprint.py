@@ -140,7 +140,7 @@ class TestOutsideTheAlgebra:
         assert canonicalize(node, SIZES) is None
 
     def test_with_replacement_is_not_canonical(self):
-        from repro.sampling.with_replacement import WithReplacement
+        from tests.baselines.with_replacement import WithReplacement
 
         plan = p.TableSample(p.Scan("t"), WithReplacement(10))
         assert canonicalize(plan, SIZES) is None

@@ -655,3 +655,40 @@ class TestMissGathersOnDemand:
             [n for n, a in lineitem.columns.items() if np.shares_memory(s, a)]
             for s, _ in gathers
         ] == [["l_orderkey"], ["l_extendedprice"]]
+
+
+# -- a stored sample's lineage ids are base-table row positions ------------
+
+
+@pytest.mark.parametrize("storage", ["ram", "mmap"])
+def test_stored_lineage_ids_are_base_row_positions(tmp_path, storage):
+    """Reading a base column at a stored sample's lineage ids gives the
+    sample's column: the ids are row positions of the live base table,
+    for a one-table sample and for both sides of a join, in RAM and
+    memory-mapped.  Thinning and write-time synopsis upkeep rely on it."""
+    db = fresh_tpch(catalog=True)
+    if storage == "mmap":
+        for name in ("lineitem", "orders"):
+            db.persist(name, str(tmp_path / name), block_rows=4096)
+    db.sql("SELECT SUM(l_extendedprice) AS v " + LINEITEM.format(rate=20, seed=4))
+    db.sql(
+        "SELECT SUM(l_extendedprice * o_totalprice) AS v "
+        "FROM lineitem TABLESAMPLE (20 PERCENT) REPEATABLE (4), "
+        "orders TABLESAMPLE (50 PERCENT) REPEATABLE (5) "
+        "WHERE l_orderkey = o_orderkey"
+    )
+    samples = [syn.sample for syn in db.synopses._entries.values()]
+    assert sorted(sorted(s.lineage) for s in samples) == [
+        ["lineitem"],
+        ["lineitem", "orders"],
+    ]
+    for sample in samples:
+        assert sample.n_rows > 0
+        for rel, ids in sample.lineage.items():
+            base = db.table(rel)
+            assert base.is_mmap == (storage == "mmap")
+            for name in base.columns:
+                assert np.array_equal(
+                    np.asarray(base.column(name))[ids],
+                    np.asarray(sample.column(name)),
+                ), (rel, name)

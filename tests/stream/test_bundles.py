@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimator import (
-    estimate_sums_grouped_multi,
     group_firsts,
     group_ids,
     grouped_theorem1_variance,
@@ -25,6 +24,7 @@ from repro.core.gus import bernoulli_gus
 from repro.core.lattice import SubsetLattice
 from repro.errors import EstimationError
 from repro.stream.sketch import GroupedMomentBundle, MomentSketchBundle
+from tests.reference import estimate_sums_grouped_multi
 
 DIMS = ("l", "o")
 

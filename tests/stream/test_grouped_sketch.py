@@ -15,18 +15,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algebra import join_gus
-from repro.core.estimator import (
-    estimate_sums_grouped,
-    group_ids,
-)
+from repro.core.estimator import group_ids, grouped_estimates_from_moments
 from repro.core.gus import bernoulli_gus, without_replacement_gus
 from repro.errors import EstimationError
-from repro.stream import GroupedMomentBundle, GroupedStreamingEstimator
+from repro.stream import GroupedMomentBundle
+from tests.reference import estimate_sums_grouped
 
 GUS_CASES = {
     "bernoulli": bernoulli_gus("l", 0.3),
     "join": join_gus(bernoulli_gus("l", 0.4), without_replacement_gus("o", 30, 100)),
 }
+
+
+def _bundle(gus, n_group_cols=1):
+    """A one-vector grouped bundle over ``gus``'s active dimensions."""
+    return GroupedMomentBundle(gus.project_out_inactive().lattice, n_group_cols, 1)
+
+
+def _estimate(gus, bundle):
+    """``(group_key_columns, estimates)`` as the SBox reads a bundle out."""
+    keys, ys, totals, counts = bundle.moments()
+    return keys, grouped_estimates_from_moments(
+        gus.project_out_inactive(), gus.a, ys[0], totals[0], counts
+    )
 
 
 def _stream(rng, n, dims, n_groups=9):
@@ -47,17 +58,17 @@ class TestShardMergeExactness:
         rng = np.random.default_rng(37 * n_shards + len(gus_name))
         f, lineage, groups = _stream(rng, 800, dims)
 
-        single = GroupedStreamingEstimator(gus)
-        single.update(f, lineage, [groups])
+        single = _bundle(gus)
+        single.update([f], lineage, [groups])
 
-        shards = [GroupedStreamingEstimator(gus) for _ in range(n_shards)]
+        shards = [_bundle(gus) for _ in range(n_shards)]
         assignment = rng.integers(0, n_shards, 800)
         for s, shard in enumerate(shards):
             pick = assignment == s
             # several micro-batches per shard, to exercise re-reduction
             for part in np.array_split(np.flatnonzero(pick), 3):
                 shard.update(
-                    f[part],
+                    [f[part]],
                     {d: c[part] for d, c in lineage.items()},
                     [groups[part]],
                 )
@@ -65,13 +76,13 @@ class TestShardMergeExactness:
         for shard in shards[1:]:
             merged.merge(shard)
 
-        keys_one, est_one = single.estimate()
-        keys_many, est_many = merged.estimate()
+        keys_one, est_one = _estimate(gus, single)
+        keys_many, est_many = _estimate(gus, merged)
         np.testing.assert_array_equal(keys_one[0], keys_many[0])
         np.testing.assert_array_equal(est_one.values, est_many.values)
         np.testing.assert_array_equal(est_one.n_samples, est_many.n_samples)
         np.testing.assert_allclose(est_one.variance_raw, est_many.variance_raw, rtol=1e-9)
-        assert merged.n_sample == single.n_sample == 800
+        assert merged.n_rows == single.n_rows == 800
 
     @pytest.mark.parametrize("gus_name", sorted(GUS_CASES))
     def test_groups_exclusive_to_one_shard(self, gus_name):
@@ -84,18 +95,18 @@ class TestShardMergeExactness:
         # group id == shard id: perfectly disjoint group placement
         groups = rng.integers(0, n_shards, 600).astype(np.int64)
 
-        shards = [GroupedStreamingEstimator(gus) for _ in range(n_shards)]
+        shards = [_bundle(gus) for _ in range(n_shards)]
         for s, shard in enumerate(shards):
             pick = groups == s
             shard.update(
-                f[pick],
+                [f[pick]],
                 {d: c[pick] for d, c in lineage.items()},
                 [groups[pick]],
             )
         merged = shards[0]
         for shard in shards[1:]:
             merged.merge(shard)
-        keys, est = merged.estimate()
+        keys, est = _estimate(gus, merged)
         assert keys[0].tolist() == list(range(n_shards))
 
         gids, n_groups = group_ids([groups], 600)
@@ -111,14 +122,14 @@ class TestShardMergeExactness:
         dims = gus.lattice.dims
         rng = np.random.default_rng(11)
         f, lineage, groups = _stream(rng, 700, dims)
-        streaming = GroupedStreamingEstimator(gus)
+        streaming = _bundle(gus)
         for part in np.array_split(np.arange(700), 6):
             streaming.update(
-                f[part],
+                [f[part]],
                 {d: c[part] for d, c in lineage.items()},
                 [groups[part]],
             )
-        keys, est = streaming.estimate()
+        keys, est = _estimate(gus, streaming)
         gids, n_groups = group_ids([groups], 700)
         batch = estimate_sums_grouped(gus, f, lineage, gids, n_groups)
         assert keys[0].tolist() == sorted(set(groups.tolist()))
@@ -130,12 +141,12 @@ class TestShardMergeExactness:
         rng = np.random.default_rng(23)
         f, lineage, g1 = _stream(rng, 400, gus.lattice.dims, n_groups=3)
         g2 = rng.integers(0, 2, 400).astype(np.int64)
-        a = GroupedStreamingEstimator(gus, n_group_cols=2)
-        b = GroupedStreamingEstimator(gus, n_group_cols=2)
+        a = _bundle(gus, n_group_cols=2)
+        b = _bundle(gus, n_group_cols=2)
         half = 200
-        a.update(f[:half], {d: c[:half] for d, c in lineage.items()}, [g1[:half], g2[:half]])
-        b.update(f[half:], {d: c[half:] for d, c in lineage.items()}, [g1[half:], g2[half:]])
-        keys, est = a.merge(b).estimate()
+        a.update([f[:half]], {d: c[:half] for d, c in lineage.items()}, [g1[:half], g2[:half]])
+        b.update([f[half:]], {d: c[half:] for d, c in lineage.items()}, [g1[half:], g2[half:]])
+        keys, est = _estimate(gus, a.merge(b))
         gids, n_groups = group_ids([g1, g2], 400)
         batch = estimate_sums_grouped(gus, f, lineage, gids, n_groups)
         assert len(keys) == 2
@@ -158,35 +169,35 @@ class TestGroupedSketchState:
 
     def test_empty_updates_and_empty_sketch(self):
         gus = GUS_CASES["bernoulli"]
-        est = GroupedStreamingEstimator(gus)
+        est = _bundle(gus)
         est.update(
-            np.empty(0),
+            [np.empty(0)],
             {"l": np.empty(0, dtype=np.int64)},
             [np.empty(0, dtype=np.int64)],
         )
-        keys, bundle = est.estimate()
+        keys, bundle = _estimate(gus, est)
         assert bundle.n_groups == 0
         assert keys[0].shape == (0,)
 
     def test_copy_is_independent(self):
         gus = GUS_CASES["bernoulli"]
-        a = GroupedStreamingEstimator(gus)
+        a = _bundle(gus)
         a.update(
-            np.array([1.0, 2.0]),
+            [np.array([1.0, 2.0])],
             {"l": np.array([0, 1], dtype=np.int64)},
             [np.array([0, 1], dtype=np.int64)],
         )
         b = a.copy()
         b.update(
-            np.array([5.0]),
+            [np.array([5.0])],
             {"l": np.array([2], dtype=np.int64)},
             [np.array([7], dtype=np.int64)],
         )
-        assert a.n_sample == 2 and b.n_sample == 3
-        keys_a, est_a = a.estimate()
+        assert a.n_rows == 2 and b.n_rows == 3
+        keys_a, est_a = _estimate(gus, a)
         assert keys_a[0].tolist() == [0, 1]
         assert est_a.values.tolist() == [1.0 / gus.a, 2.0 / gus.a]
-        assert b.estimate()[0][0].tolist() == [0, 1, 7]
+        assert _estimate(gus, b)[0][0].tolist() == [0, 1, 7]
 
     def test_mismatched_merges_rejected(self):
         bern = GUS_CASES["bernoulli"]
@@ -198,10 +209,6 @@ class TestGroupedSketchState:
             GroupedMomentBundle(bern.lattice, 1, 1).merge(GroupedMomentBundle(bern.lattice, 2, 1))
         with pytest.raises(EstimationError, match="different shapes"):
             GroupedMomentBundle(bern.lattice, 1, 1).merge(GroupedMomentBundle(bern.lattice, 1, 2))
-        with pytest.raises(EstimationError, match="different GUS"):
-            GroupedStreamingEstimator(bern).merge(
-                GroupedStreamingEstimator(bernoulli_gus("l", 0.7))
-            )
 
     def test_batch_validation(self):
         gus = GUS_CASES["bernoulli"]
@@ -228,14 +235,15 @@ class TestGroupedSketchState:
 
     def test_float_group_keys_stay_distinct_groups(self):
         """Float keys must not silently truncate into merged groups."""
-        est = GroupedStreamingEstimator(GUS_CASES["bernoulli"])
+        gus = GUS_CASES["bernoulli"]
+        est = _bundle(gus)
         est.update(
-            np.ones(3),
+            [np.ones(3)],
             {"l": np.arange(3, dtype=np.int64)},
             [np.array([0.05, 0.01, 0.09])],
         )
-        est.update(np.ones(1), {"l": np.array([3])}, [np.array([0.05])])
-        keys, estimates = est.estimate()
+        est.update([np.ones(1)], {"l": np.array([3])}, [np.array([0.05])])
+        keys, estimates = _estimate(gus, est)
         assert keys[0].tolist() == [0.01, 0.05, 0.09]
         assert estimates.n_samples.tolist() == [1, 2, 1]
 

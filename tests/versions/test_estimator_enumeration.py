@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.core.estimator import (
     ClosedFormGroupedEstimates,
     difference_inputs,
-    estimate_difference,
     estimate_subset_sum,
     estimate_subset_sums_grouped,
 )
@@ -96,9 +95,10 @@ class TestDifferenceByEnumeration:
         for mask in subsets(len(pairs)):
             k = int(mask.sum())
             prob = p**k * (1.0 - p) ** (len(pairs) - k)
-            est = estimate_difference(
-                p, [keys[mask]], hi[mask], [keys[mask]], lo[mask]
+            _, gs = difference_inputs(
+                [keys[mask]], [hi[mask]], [keys[mask]], [lo[mask]]
             )
+            est = estimate_subset_sum(p, gs[0])
             e_value += prob * est.value
             e_square += prob * est.value**2
             e_var += prob * est.variance_raw
@@ -112,7 +112,8 @@ class TestDifferenceByEnumeration:
         keys = np.arange(4, dtype=np.int64)
         hi = np.array([1.0, 2.0, 3.0, 9.0])
         lo = np.array([1.0, 2.0, 3.0, 4.0])
-        est = estimate_difference(0.5, [keys], hi, [keys], lo)
+        _, gs = difference_inputs([keys], [hi], [keys], [lo])
+        est = estimate_subset_sum(0.5, gs[0])
         assert est.value == pytest.approx((9.0 - 4.0) / 0.5)
         # Only the one changed key feeds σ̂²: (1-p)/p² · 5².
         assert est.variance_raw == pytest.approx(0.5 / 0.25 * 25.0)

@@ -10,7 +10,6 @@ from repro.relational.database import Database
 from repro.versions.snapshots import (
     SnapshotRegistry,
     base_name,
-    is_versioned_name,
     split_versioned_name,
     versioned_name,
 )
@@ -34,8 +33,8 @@ class TestNaming:
         assert split_versioned_name("t@v3") == ("t", 3)
         assert split_versioned_name("t") == ("t", None)
         assert base_name("t@v12") == "t"
-        assert is_versioned_name("t@v1")
-        assert not is_versioned_name("t")
+        assert split_versioned_name("t@v1")[1] is not None
+        assert split_versioned_name("t")[1] is None
 
     def test_versions_start_at_one(self):
         with pytest.raises(SchemaError):
