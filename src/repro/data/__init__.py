@@ -2,13 +2,7 @@
 
 from repro.data.distributions import skewed_ints, zipf_ranks
 from repro.data.tpch import TPCH_TABLES, generate_tpch, tpch_database
-from repro.data.workloads import (
-    FIGURE4_SQL,
-    QUERY1_SQL,
-    figure4_plan,
-    figure5_plan,
-    query1_plan,
-)
+from repro.data.workloads import figure4_plan, figure5_plan, query1_plan
 
 __all__ = [
     "generate_tpch",
@@ -16,8 +10,6 @@ __all__ = [
     "TPCH_TABLES",
     "zipf_ranks",
     "skewed_ints",
-    "QUERY1_SQL",
-    "FIGURE4_SQL",
     "query1_plan",
     "figure4_plan",
     "figure5_plan",

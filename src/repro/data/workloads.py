@@ -23,36 +23,6 @@ from repro.relational.plan import (
 )
 from repro.sampling import Bernoulli, BiDimensionalBernoulli, WithoutReplacement
 
-#: The introduction's estimation query, in the paper's SQL.
-QUERY1_SQL = """
-SELECT SUM(l_discount * (1.0 - l_tax)) AS revenue
-FROM lineitem TABLESAMPLE (10 PERCENT),
-     orders TABLESAMPLE (1000 ROWS)
-WHERE l_orderkey = o_orderkey AND l_extendedprice > 100.0
-"""
-
-#: The approximate-view form with explicit quantile bounds.
-QUERY1_QUANTILE_SQL = """
-CREATE VIEW approx (lo, hi) AS
-SELECT QUANTILE(SUM(l_discount * (1.0 - l_tax)), 0.05) AS lo,
-       QUANTILE(SUM(l_discount * (1.0 - l_tax)), 0.95) AS hi
-FROM lineitem TABLESAMPLE (10 PERCENT),
-     orders TABLESAMPLE (1000 ROWS)
-WHERE l_orderkey = o_orderkey AND l_extendedprice > 100.0
-"""
-
-#: The Figure 4 four-relation query.
-FIGURE4_SQL = """
-SELECT SUM(l_extendedprice * (1.0 - l_discount)) AS revenue
-FROM lineitem TABLESAMPLE (10 PERCENT),
-     orders TABLESAMPLE (1000 ROWS),
-     customer,
-     part TABLESAMPLE (50 PERCENT)
-WHERE l_orderkey = o_orderkey
-  AND o_custkey = c_custkey
-  AND l_partkey = p_partkey
-"""
-
 #: Query 1 as an error-budget query: the optimizer picks the rates.
 QUERY1_BUDGET_SQL = """
 SELECT SUM(l_discount * (1.0 - l_tax)) AS revenue

@@ -86,6 +86,10 @@ QUANTILE_SIGMA_ATOL = 1e-6
 COVERAGE_P_PASS = 0.90
 COVERAGE_P_FAIL = 0.50
 
+#: Reseeded trials the statistical check runs before it gives up on a
+#: verdict.
+MAX_TRIALS = 60
+
 #: Coverage is only assessed for designs expected to draw at least this
 #: many rows (tuple-level sampling).  Below it, σ̂ is estimated from a
 #: handful of draws that usually miss the heavy tail entirely, and no
@@ -340,21 +344,13 @@ class CheckContext:
     which nets the two sides at rate 1.
     """
 
-    def __init__(
-        self,
-        data_seed: int = 0,
-        *,
-        max_trials: int = 60,
-        tables: dict[str, dict] | None = None,
-    ) -> None:
-        arrays = tables if tables is not None else build_fuzz_tables(data_seed)
+    def __init__(self) -> None:
         self.tables = {
-            name: Table(name, cols) for name, cols in arrays.items()
+            name: Table(name, cols)
+            for name, cols in build_fuzz_tables().items()
         }
-        self.data_seed = data_seed
         self.db = Database.from_tables(self.tables)
         self._install_versions(self.db)
-        self.max_trials = max_trials
         # The mmap twin: the same tables persisted to the columnar
         # layout once and memory-mapped back, so the determinism check
         # can difference the storage backends.  The directory object is
@@ -374,13 +370,13 @@ class CheckContext:
     def _install_versions(self, db: Database) -> None:
         """Grow the fact table's snapshot history on one database.
 
-        The mutations are deterministic in ``data_seed`` and the fact
-        contents, so every database a check compares (plain, mmap twin,
-        catalog rebuilds) carries a bit-identical version chain and
-        versioned statements stay differential.
+        The mutations are deterministic in the fact contents, so every
+        database a check compares (plain, mmap twin, catalog rebuilds)
+        carries a bit-identical version chain and versioned statements
+        stay differential.
         """
         if "fact" in self.tables:
-            install_fuzz_versions(db, self.data_seed)
+            install_fuzz_versions(db)
 
     def fresh_db(self, *, catalog: bool = False) -> Database:
         db = Database.from_tables(self.tables, catalog=catalog)
@@ -669,7 +665,7 @@ class CheckContext:
             alias: SequentialBiasGuard(min_n=DRIFT_MIN_N) for alias in truth
         } if drift_ok else {}
         refused = 0
-        for trial in range(self.max_trials):
+        for trial in range(MAX_TRIALS):
             if all(
                 test.decision != "undecided"
                 for tests in (coverage, drift)

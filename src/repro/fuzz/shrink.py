@@ -181,13 +181,11 @@ def _recheck(
     return check(statement, seed)
 
 
-def shrink_failure(
-    ctx: CheckContext,
-    failure: CheckFailure,
-    *,
-    max_candidates: int = MAX_CANDIDATES,
-) -> ReproCase:
-    """Greedily minimize a failing statement, preserving failure kind."""
+def shrink_failure(ctx: CheckContext, failure: CheckFailure) -> ReproCase:
+    """Greedily minimize a failing statement, preserving failure kind.
+
+    Evaluates at most :data:`MAX_CANDIDATES` candidates.
+    """
     try:
         current = parse(failure.statement)
     except ReproError:
@@ -200,7 +198,7 @@ def shrink_failure(
             detail=failure.detail,
         )
     detail = failure.detail
-    budget = max_candidates
+    budget = MAX_CANDIDATES
     progress = True
     while progress and budget > 0:
         progress = False

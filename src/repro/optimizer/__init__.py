@@ -40,7 +40,6 @@ from repro.optimizer.chooser import (
     OptimizerReport,
     SamplingPlanOptimizer,
     ScoredCandidate,
-    optimize,
 )
 
 __all__ = [
@@ -64,5 +63,4 @@ __all__ = [
     "OptimizerReport",
     "SamplingPlanOptimizer",
     "ScoredCandidate",
-    "optimize",
 ]

@@ -240,17 +240,16 @@ def enumerate_assignments(
     skeleton: QuerySkeleton,
     table_sizes: Mapping[str, int],
     *,
-    ladder: Sequence[float] = RATE_LADDER,
-    families: Sequence[str] = FAMILIES,
     seed: int = 0,
 ) -> list[Assignment]:
     """All per-relation method assignments to score.
 
-    Always includes the query as written and the uniform
-    (same family, same rate everywhere) grid; adds the per-relation
-    Bernoulli-rate cartesian product while it stays under
-    :data:`MAX_CARTESIAN` — rate *asymmetry* (sampling the skewed
-    relation harder) is where most of the optimizer's winnings live.
+    Always includes the query as written and the uniform (same family,
+    same rate everywhere) grid over :data:`FAMILIES` ×
+    :data:`RATE_LADDER`; adds the per-relation Bernoulli-rate cartesian
+    product while it stays under :data:`MAX_CARTESIAN` — rate
+    *asymmetry* (sampling the skewed relation harder) is where most of
+    the optimizer's winnings live.
     """
     sampled = skeleton.sampled
     if not sampled:
@@ -266,8 +265,8 @@ def enumerate_assignments(
             seen.add(label)
             out.append(Assignment(label, methods, uniform_bernoulli))
 
-    for family in families:
-        for rate in ladder:
+    for family in FAMILIES:
+        for rate in RATE_LADDER:
             add(
                 {
                     rel: make_method(family, rate, rel, table_sizes[rel], seed)
@@ -275,8 +274,8 @@ def enumerate_assignments(
                 },
                 uniform_bernoulli=(family == "bernoulli"),
             )
-    if len(ladder) ** len(sampled) <= MAX_CARTESIAN:
-        grids = [[(rel, rate) for rate in ladder] for rel in sampled]
+    if len(RATE_LADDER) ** len(sampled) <= MAX_CARTESIAN:
+        grids = [[(rel, rate) for rate in RATE_LADDER] for rel in sampled]
         combos: list[list[tuple[str, float]]] = [[]]
         for grid in grids:
             combos = [combo + [entry] for combo in combos for entry in grid]

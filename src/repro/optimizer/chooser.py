@@ -74,6 +74,10 @@ PILOT_RATE = 0.1
 ESCALATION_FACTOR = 2.0
 #: Join orders scored per method assignment.
 ORDER_LIMIT = 12
+#: Re-executions at escalated rates after the first attempt.
+MAX_ESCALATIONS = 4
+#: The seed of a ``report`` / ``optimize`` call that names none.
+DEFAULT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -207,17 +211,9 @@ class OptimizedResult:
 class SamplingPlanOptimizer:
     """Cost-based sampling-plan optimizer over one database."""
 
-    def __init__(
-        self,
-        db: "Database",
-        *,
-        seed: int = 0,
-        max_escalations: int = 4,
-    ) -> None:
+    def __init__(self, db: "Database") -> None:
         self.db = db
         self.cost_model = db.cost_model()
-        self.seed = int(seed)
-        self.max_escalations = int(max_escalations)
 
     # -- pilot ------------------------------------------------------------
 
@@ -325,7 +321,7 @@ class SamplingPlanOptimizer:
         :meth:`~repro.core.sbox.SBox.run` (default: the source's own
         chunking).
         """
-        seed = self.seed if seed is None else int(seed)
+        seed = DEFAULT_SEED if seed is None else int(seed)
         skeleton = decompose(plan, self._column_owner(plan))
         if not skeleton.sampled:
             raise PlanError(
@@ -477,7 +473,8 @@ class SamplingPlanOptimizer:
     ) -> OptimizedResult:
         """Choose, execute, and escalate until the budget is realized.
 
-        The hooks expose the loop's intermediate state to streaming
+        The loop escalates at most :data:`MAX_ESCALATIONS` times.  The
+        hooks expose the loop's intermediate state to streaming
         callers: ``on_pilot`` fires after the pilot execution,
         ``on_attempt`` after every escalation attempt (with its full
         :class:`~repro.core.sbox.QueryResult`), and ``before_execute``
@@ -489,7 +486,7 @@ class SamplingPlanOptimizer:
         ``chunk_size`` chunks the pilot and every attempt (see
         :meth:`report`).
         """
-        seed = self.seed if seed is None else int(seed)
+        seed = DEFAULT_SEED if seed is None else int(seed)
         report = self.report(
             plan,
             budget,
@@ -505,7 +502,7 @@ class SamplingPlanOptimizer:
 
         tracer = get_tracer()
         attempts: list[AttemptRecord] = []
-        for attempt in range(self.max_escalations + 1):
+        for attempt in range(MAX_ESCALATIONS + 1):
             if before_execute is not None:
                 before_execute(f"attempt[{attempt}]")
             executable = skeleton.build(order, methods)
@@ -556,17 +553,3 @@ class SamplingPlanOptimizer:
             budget.realized_fraction(result.estimates[alias])
             for alias in self._budget_aliases(result)
         )
-
-
-def optimize(
-    db: "Database",
-    plan: Aggregate,
-    budget: ErrorBudget,
-    *,
-    seed: int | None = None,
-    **kwargs,
-) -> OptimizedResult:
-    """One-shot convenience: build an optimizer and run the full loop."""
-    return SamplingPlanOptimizer(db, **kwargs).optimize(
-        plan, budget, seed=seed
-    )

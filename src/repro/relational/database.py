@@ -108,9 +108,9 @@ class Database:
         when a query first reads it — first-seen queries pay memory
         proportional to their sample's rows for later reuse.  The
         catalog budgets a sample at its fully-read size (bounded by
-        ``max_entry_bytes``: larger samples are answered but not
-        stored).  Streaming callers that must never materialize
-        (``keep_sample=False``) bypass the catalog entirely.
+        :data:`~repro.store.catalog.MAX_ENTRY_BYTES`: larger samples are
+        answered but not stored).  Streaming callers that must never
+        materialize (``keep_sample=False``) bypass the catalog entirely.
         """
         if catalog is None:
             from repro.store import SynopsisCatalog
@@ -392,11 +392,11 @@ class Database:
             self._cost_model = CostModel.calibrate(self.tables)
         return self._cost_model
 
-    def optimizer(self, **kwargs) -> "SamplingPlanOptimizer":
+    def optimizer(self) -> "SamplingPlanOptimizer":
         """A sampling-plan optimizer over this database."""
         from repro.optimizer import SamplingPlanOptimizer
 
-        return SamplingPlanOptimizer(self, **kwargs)
+        return SamplingPlanOptimizer(self)
 
     def optimize(
         self,

@@ -22,9 +22,6 @@ from repro.colstore.format import ColumnarWriter
 from repro.errors import SchemaError
 from repro.relational.table import Table
 
-#: Public alias matching the format's writer class.
-ColumnWriter = ColumnarWriter
-
 
 def _infer_column(values: list[str]) -> np.ndarray:
     """int64 if every value parses as int, else float64, else object.
@@ -158,7 +155,8 @@ def ingest_csv(
     Two streaming passes, each holding only ``block_rows`` rows of text
     in RAM: pass one joins each column's per-block inferred type over
     the int → float → string lattice; pass two converts blocks to the
-    final dtypes and appends them through :class:`ColumnWriter`.  A
+    final dtypes and appends them through
+    :class:`~repro.colstore.format.ColumnarWriter`.  A
     multi-GB CSV therefore ingests with O(block) memory.
     """
     if not isinstance(source, (str, pathlib.Path)):

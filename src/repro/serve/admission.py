@@ -36,7 +36,7 @@ from repro.errors import SQLError
 
 #: Never degrade a statement's sampling below this fraction of its
 #: requested rates — past that the answer is noise, not an estimate.
-DEFAULT_MIN_RATE = 0.25
+MIN_RATE = 0.25
 
 #: Ceiling for a widened ``WITHIN`` budget: the grammar requires the
 #: percentage to stay strictly below 100, and an interval wider than
@@ -49,8 +49,8 @@ MAX_BUDGET_PERCENT = 95.0
 #: is admitted unchanged instead of being degraded again.
 DEGRADED_MEMORY = 256
 
-#: Default arrival window the capacity is measured against (seconds).
-DEFAULT_WINDOW_SECONDS = 1.0
+#: Arrival window the capacity is measured against (seconds).
+WINDOW_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,14 @@ def degrade_statement(statement: str, rate: float) -> str | None:
 class AdmissionController:
     """Thread-safe request gate in front of the engine thread.
 
-    ``capacity`` is the sustainable requests per ``window_seconds``;
-    ``queue_limit`` bounds how many admitted requests may be waiting
-    for the engine before arrivals are rejected outright.  Callers
-    bracket execution with :meth:`decide` / :meth:`release` so the
-    controller tracks queue depth; a shed request never holds a slot.
+    ``capacity`` is the sustainable requests per
+    :data:`WINDOW_SECONDS`; ``queue_limit`` bounds how many admitted
+    requests may be waiting for the engine before arrivals are rejected
+    outright.  A degraded statement keeps at least :data:`MIN_RATE` of
+    its requested data.  ``clock`` lets a test drive the window.
+    Callers bracket execution with :meth:`decide` / :meth:`release` so
+    the controller tracks queue depth; a shed request never holds a
+    slot.  ``decisions`` counts arrivals by action.
     """
 
     def __init__(
@@ -134,13 +137,10 @@ class AdmissionController:
         capacity: float = 16.0,
         queue_limit: int = 32,
         *,
-        min_rate: float = DEFAULT_MIN_RATE,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
         clock=time.monotonic,
     ) -> None:
-        self.shedder = LoadShedder(capacity, min_rate=min_rate)
+        self.shedder = LoadShedder(capacity, min_rate=MIN_RATE)
         self.queue_limit = int(queue_limit)
-        self.window_seconds = float(window_seconds)
         self._clock = clock
         self._lock = threading.Lock()
         self._window_start = clock()
@@ -151,7 +151,7 @@ class AdmissionController:
         #: refinement re-submission — is admitted unchanged rather than
         #: compounding another round of degradation on top.
         self._degraded_texts: OrderedDict[str, None] = OrderedDict()
-        #: Totals by action, for /metrics and the bench's shed rate.
+        #: Totals by action (the benchmark reads them).
         self.decisions: dict[str, int] = {
             "admit": 0,
             "degrade": 0,
@@ -166,7 +166,7 @@ class AdmissionController:
 
     def _arrive(self) -> int:
         now = self._clock()
-        if now - self._window_start >= self.window_seconds:
+        if now - self._window_start >= WINDOW_SECONDS:
             self._window_start = now
             self._window_arrivals = 0
         self._window_arrivals += 1
@@ -215,11 +215,3 @@ class AdmissionController:
     def queued(self) -> int:
         with self._lock:
             return self._queued
-
-    def shed_rate(self) -> float:
-        """Fraction of arrivals not admitted unchanged (for the bench)."""
-        with self._lock:
-            total = sum(self.decisions.values())
-            if total == 0:
-                return 0.0
-            return 1.0 - self.decisions["admit"] / total

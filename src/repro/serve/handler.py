@@ -114,7 +114,7 @@ class RequestHandler:
         emit: Callable[[dict], None] | None = None,
         *,
         cancelled: Callable[[], bool] | None = None,
-        session: str | None = None,
+        session: str | None = None,  # ignored; goes with ROADMAP item 2(f)
         queued_at: float | None = None,
     ) -> dict:
         """Run one admitted query request to its terminal payload.
@@ -130,6 +130,7 @@ class RequestHandler:
         ``queued_at`` is the request's arrival, a :func:`time.monotonic`
         instant: a progressive deadline counts from it, so time spent
         queued behind other requests is inside the deadline.
+        ``session`` is accepted and ignored (ROADMAP item 2(f)).
         """
         start = time.monotonic()
         if queued_at is not None:
@@ -146,9 +147,7 @@ class RequestHandler:
                     start if queued_at is None else queued_at,
                 )
             else:
-                payload = self._execute_final(
-                    request, decision.statement, session
-                )
+                payload = self._execute_final(request, decision.statement)
         except ReproError as exc:
             self._observe(start, "error")
             return error_payload(request.id, str(exc))
@@ -171,13 +170,8 @@ class RequestHandler:
             "repro_serve_request_seconds", outcome=outcome
         ).observe(time.monotonic() - start)
 
-    def _execute_final(
-        self, request: Request, statement: str, session: str | None
-    ) -> dict:
-        target = (
-            self.service.session(session) if session else self.service
-        )
-        response = target.query(statement, seed=request.seed)
+    def _execute_final(self, request: Request, statement: str) -> dict:
+        response = self.service.query(statement, seed=request.seed)
         tag = (
             "result-cache"
             if response.cached

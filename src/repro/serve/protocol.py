@@ -12,7 +12,8 @@ requests can interleave on one connection:
 * ``{"type": "error", "code": ..., ...}`` — the terminal failure.
 
 Decoding is strict: anything that is not a JSON object with a known
-``op`` raises :class:`~repro.errors.ProtocolError`, which the server
+``op``, or whose numbers are booleans, non-finite or out of range,
+raises :class:`~repro.errors.ProtocolError`, which the server
 answers in-stream without dropping the connection — one malformed line
 must not poison the statements behind it.
 """
@@ -20,6 +21,7 @@ must not poison the statements behind it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
@@ -50,6 +52,17 @@ class Request:
 def _require(condition: bool, message: str, code: str = "bad-request") -> None:
     if not condition:
         raise ProtocolError(message, code=code)
+
+
+def _number(value: object, lo: float, hi: float) -> bool:
+    """``value`` is absent, or a finite JSON number (not a boolean)
+    strictly between ``lo`` and ``hi``."""
+    return value is None or (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and lo < value < hi
+    )
 
 
 def decode_request(line: str | bytes) -> Request:
@@ -86,22 +99,17 @@ def decode_request(line: str | bytes) -> Request:
     )
     deadline_ms = raw.get("deadline_ms")
     _require(
-        deadline_ms is None
-        or (isinstance(deadline_ms, (int, float)) and deadline_ms > 0),
-        "'deadline_ms' must be a positive number",
+        _number(deadline_ms, 0.0, math.inf),
+        "'deadline_ms' must be a positive finite number",
     )
+    # The bound of SQL's ``WITHIN p %``.
     budget_percent = raw.get("budget_percent")
     _require(
-        budget_percent is None
-        or (isinstance(budget_percent, (int, float)) and budget_percent > 0),
-        "'budget_percent' must be a positive number",
+        _number(budget_percent, 0.0, 100.0),
+        "'budget_percent' must be in (0, 100)",
     )
     confidence = raw.get("confidence")
-    _require(
-        confidence is None
-        or (isinstance(confidence, (int, float)) and 0.0 < confidence < 1.0),
-        "'confidence' must be in (0, 1)",
-    )
+    _require(_number(confidence, 0.0, 1.0), "'confidence' must be in (0, 1)")
     target = raw.get("target")
     if op == "cancel":
         _require(

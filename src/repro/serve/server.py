@@ -37,8 +37,8 @@ TCP request's cancel :class:`threading.Event` is registered when its
 line is read, so a ``cancel`` read in the same chunk finds it.
 
 ``drain()`` is the graceful shutdown: stop accepting, let in-flight
-requests finish (cancelling whatever outlives the timeout), then stop
-the engine thread.
+requests finish (cancelling whatever outlives
+:data:`DRAIN_TIMEOUT_S`), then stop the engine thread.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ProtocolError
-from repro.serve.admission import DEFAULT_MIN_RATE, AdmissionController
+from repro.serve.admission import AdmissionController
 from repro.serve.handler import DEFAULT_DEADLINE_MS, RequestHandler
 from repro.serve.protocol import Request, decode_request, encode, error_payload
 
@@ -60,6 +60,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service import QueryService
 
 _LOG = logging.getLogger(__name__)
+
+#: Seconds ``drain()`` gives in-flight requests before cancelling them.
+DRAIN_TIMEOUT_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,7 @@ class ServeConfig:
     workers: int | None = None  # ignored; goes with ROADMAP item 2(f)
     capacity: float = 32.0
     queue_limit: int = 64
-    min_rate: float = DEFAULT_MIN_RATE
     default_deadline_ms: float = DEFAULT_DEADLINE_MS
-    drain_timeout: float = 10.0
 
 
 class ReproServer:
@@ -88,9 +89,7 @@ class ReproServer:
         self.service = service
         self.config = config or ServeConfig()
         self.admission = AdmissionController(
-            self.config.capacity,
-            self.config.queue_limit,
-            min_rate=self.config.min_rate,
+            self.config.capacity, self.config.queue_limit
         )
         self.handler = RequestHandler(
             service,
@@ -103,7 +102,6 @@ class ReproServer:
         self._http_server: asyncio.AbstractServer | None = None
         self._request_tasks: set[asyncio.Task] = set()
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
-        self._next_conn = 0
         self._draining = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -132,10 +130,10 @@ class ReproServer:
     async def drain(self) -> None:
         """Graceful shutdown: stop accepting, finish or cancel in-flight.
 
-        In-flight requests get ``drain_timeout`` to complete; whatever
-        outlives it is cancelled.  Live connections are then closed
-        (their handlers see EOF and exit), so the call returns with no
-        tasks left behind regardless of idle clients.
+        In-flight requests get :data:`DRAIN_TIMEOUT_S` seconds to
+        complete; whatever outlives them is cancelled.  Live connections
+        are then closed (their handlers see EOF and exit), so the call
+        returns with no tasks left behind regardless of idle clients.
         """
         self._draining = True
         for server in (self._tcp_server, self._http_server):
@@ -143,9 +141,7 @@ class ReproServer:
                 server.close()
         tasks = [t for t in self._request_tasks if not t.done()]
         if tasks:
-            _, pending = await asyncio.wait(
-                tasks, timeout=self.config.drain_timeout
-            )
+            _, pending = await asyncio.wait(tasks, timeout=DRAIN_TIMEOUT_S)
             for task in pending:
                 task.cancel()
             if pending:
@@ -182,7 +178,6 @@ class ReproServer:
         self,
         request: Request,
         emit: Callable[[dict], None],
-        session: str,
         cancelled: Callable[[], bool] | None = None,
     ) -> dict:
         """One query request's lifecycle, TCP and HTTP alike: admit, run
@@ -200,7 +195,6 @@ class ReproServer:
                     decision,
                     emit,
                     cancelled=cancelled,
-                    session=session,
                     queued_at=queued_at,
                 ),
             )
@@ -212,8 +206,6 @@ class ReproServer:
     async def _handle_tcp(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._next_conn += 1
-        session = f"tcp-{self._next_conn}"
         me = asyncio.current_task()
         if me is not None:
             self._connections[me] = writer
@@ -227,7 +219,7 @@ class ReproServer:
         async def answer(request: Request, cancel: threading.Event) -> None:
             try:
                 payload = await self._serve(
-                    request, emit, session, cancelled=cancel.is_set
+                    request, emit, cancelled=cancel.is_set
                 )
             finally:
                 inflight.pop(request.id, None)
@@ -378,7 +370,7 @@ class ReproServer:
         if answered is not None:
             return "200 OK", encode(answered), "application/json"
         frames: list[dict] = []
-        payload = await self._serve(request, frames.append, "http")
+        payload = await self._serve(request, frames.append)
         if payload.get("code") == "rejected":
             status = "503 Service Unavailable"
         elif payload["type"] == "result":

@@ -1,7 +1,7 @@
 """A query service over a shared synopsis catalog.
 
 This is the serving front-end the ROADMAP's "heavy traffic" north star
-asks for: sessions issue SQL against one
+asks for: clients issue SQL against one
 :class:`~repro.relational.database.Database` whose sampling cost is
 amortized through the :mod:`repro.store` catalog.  Three layers of
 reuse, fastest first:
@@ -17,12 +17,12 @@ reuse, fastest first:
 Thread model: the serving tier runs every request on one engine
 thread, in arrival order, so a repeat queued behind its first
 execution is a result-cache hit and every answer is reproducible.  The
-service lock still guards the result cache, the per-session
-bookkeeping and table mutations, because other threads (the event
-loop, a library caller) read stats and refresh tables while the
-engine runs.  Mutations swap the table reference atomically and
-invalidate the affected synopses, so a running query sees a
-consistent snapshot and later queries never reuse stale samples.
+service lock still guards the result cache, the counters and table
+mutations, because other threads (the event loop, a library caller)
+read stats and refresh tables while the engine runs.  Mutations swap
+the table reference atomically and invalidate the affected synopses,
+so a running query sees a consistent snapshot and later queries never
+reuse stale samples.
 
 An answer has one text format, :func:`render_result`: a response's
 ``text`` is it, and so is what the shell and ``repro -c`` print.
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -53,11 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.table import Table
     from repro.store import CatalogStats, ReuseInfo
 
-#: Default size of the per-service result cache (answers, not samples).
-DEFAULT_RESULT_CACHE = 256
-
-#: Default bound on tracked sessions (LRU-evicted beyond this).
-DEFAULT_MAX_SESSIONS = 1024
+#: Answers the per-service result cache keeps (LRU; answers, not samples).
+RESULT_CACHE_SIZE = 256
 
 
 def default_seed(statement: str) -> int:
@@ -161,7 +157,6 @@ class ServiceResponse:
     elapsed: float
     cached: bool = False
     reuse: "ReuseInfo | None" = field(default=None, repr=False)
-    session: str | None = None
     trace: "Trace | None" = field(default=None, repr=False)
 
 
@@ -176,56 +171,26 @@ class ServiceStats:
     queries: int = 0
     result_cache_hits: int = 0
     errors: int = 0
-    sessions_evicted: int = 0
 
     def copy(self) -> "ServiceStats":
         return replace(self)
 
 
-class ServiceSession:
-    """A lightweight per-client handle onto a shared service.
+class QueryService:
+    """SQL serving over one database + shared synopsis catalog.
 
-    The service tracks its sessions, so a session refers to it weakly:
-    no cycle keeps a dropped service (and its database) alive.
+    ``level`` is the confidence level answers are printed at.  The
+    result cache keeps the :data:`RESULT_CACHE_SIZE` most recently
+    served answers.
     """
 
-    def __init__(self, service: "QueryService", name: str) -> None:
-        self._service = weakref.ref(service)
-        self.name = name
-        self.queries = 0
-
-    @property
-    def service(self) -> "QueryService":
-        service = self._service()
-        if service is None:
-            raise ReproError(f"session {self.name!r} outlived its service")
-        return service
-
-    def query(self, statement: str, *, seed: int | None = None) -> ServiceResponse:
-        self.queries += 1
-        return self.service.query(statement, seed=seed, session=self.name)
-
-
-class QueryService:
-    """SQL serving over one database + shared synopsis catalog."""
-
-    def __init__(
-        self,
-        db: "Database",
-        *,
-        level: float = 0.95,
-        result_cache_size: int = DEFAULT_RESULT_CACHE,
-        max_sessions: int = DEFAULT_MAX_SESSIONS,
-    ) -> None:
+    def __init__(self, db: "Database", *, level: float = 0.95) -> None:
         if db.synopses is None:
             db.attach_catalog()
         self.db = db
         self.level = float(level)
         self._lock = threading.Lock()
         self._results: OrderedDict[tuple, ServiceResponse] = OrderedDict()
-        self._result_cache_size = int(result_cache_size)
-        self._sessions: OrderedDict[str, ServiceSession] = OrderedDict()
-        self._max_sessions = max(1, int(max_sessions))
         self.stats = ServiceStats()
         #: Per-service metrics (latency histograms by outcome); the
         #: process-wide :data:`~repro.obs.metrics.REGISTRY` keeps the
@@ -235,11 +200,7 @@ class QueryService:
     # -- serving -----------------------------------------------------------
 
     def query(
-        self,
-        statement: str,
-        *,
-        seed: int | None = None,
-        session: str | None = None,
+        self, statement: str, *, seed: int | None = None
     ) -> ServiceResponse:
         """Serve one SQL statement; deterministic for a given seed.
 
@@ -269,7 +230,7 @@ class QueryService:
                 self.stats.result_cache_hits += 1
         if hit is not None:
             self._observe_latency("result-cache", start)
-            return replace(hit, cached=True, session=session)
+            return replace(hit, cached=True)
         try:
             response = self._execute(key)
         except BaseException:
@@ -279,10 +240,10 @@ class QueryService:
             raise
         with self._lock:
             self._results[key] = response
-            while len(self._results) > self._result_cache_size:
+            while len(self._results) > RESULT_CACHE_SIZE:
                 self._results.popitem(last=False)
         self._observe_latency("fresh", start)
-        return replace(response, session=session)
+        return response
 
     def _observe_latency(self, outcome: str, start: float) -> None:
         self.metrics.histogram(
@@ -307,32 +268,6 @@ class QueryService:
             reuse=getattr(result, "reuse", None),
             trace=getattr(result, "trace", None),
         )
-
-    def session(self, name: str) -> ServiceSession:
-        """Get-or-create the named session handle (bounded registry).
-
-        Sessions are tracked in an LRU so many-connection churn (one
-        session per TCP connection, connections come and go) cannot
-        grow service memory without bound: beyond ``max_sessions`` the
-        least-recently-touched session record is evicted and counted in
-        ``stats.sessions_evicted``.  An evicted name can reconnect —
-        it simply gets a fresh handle with a zeroed query count.
-        """
-        with self._lock:
-            existing = self._sessions.get(name)
-            if existing is not None:
-                self._sessions.move_to_end(name)
-                return existing
-            created = self._sessions[name] = ServiceSession(self, name)
-            while len(self._sessions) > self._max_sessions:
-                self._sessions.popitem(last=False)
-                self.stats.sessions_evicted += 1
-            return created
-
-    @property
-    def session_count(self) -> int:
-        with self._lock:
-            return len(self._sessions)
 
     def note_execution(self, count: int = 1) -> None:
         """Account engine executions driven by an external loop.
@@ -402,10 +337,6 @@ class QueryService:
             service.result_cache_hits
         )
         reg.counter("repro_service_errors_total").inc(service.errors)
-        reg.counter("repro_service_sessions_evicted_total").inc(
-            service.sessions_evicted
-        )
-        reg.gauge("repro_service_sessions").set(float(self.session_count))
         reg.counter("repro_catalog_lookups_total").inc(store.lookups)
         reg.counter("repro_catalog_hits_total", mode="exact").inc(
             store.exact_hits
@@ -451,9 +382,7 @@ class QueryService:
             f"[{store.exact_hits} exact, {store.pushdown_hits} pushdown, "
             f"{store.thin_hits} thin], "
             f"misses {store.misses}, evictions {store.evictions}, "
-            f"invalidations {store.invalidations}, "
-            f"sessions {self.session_count} "
-            f"(evicted {service.sessions_evicted}){quantiles})"
+            f"invalidations {store.invalidations}{quantiles})"
         )
 
 
@@ -479,6 +408,9 @@ SELFTEST_STATEMENTS = (
     "SELECT SUM(o_totalprice) AS total "
     "FROM orders TABLESAMPLE (25 PERCENT) REPEATABLE (3)",
 )
+
+#: How many times in a row the self-test serves its workload.
+SELFTEST_REPEATS = 3
 
 
 #: The stdin loop's commands and the prefix of each one's printed text.
@@ -542,22 +474,21 @@ def selftest(
     *,
     scale: float = 0.02,
     seed: int = 0,
-    repeats: int = 3,
     out: Callable[[str], Any] = print,
 ) -> bool:
     """End-to-end check of the catalog + service stack.
 
-    Serves the self-test workload ``repeats`` times in a row against a
-    shared catalog and verifies that (1) every statement's answer is
-    identical on every repeat, (2) the store actually served reuse
-    hits, and (3) the result cache engaged.
+    Serves the self-test workload :data:`SELFTEST_REPEATS` times in a
+    row against a shared catalog and verifies that (1) every
+    statement's answer is identical on every repeat, (2) the store
+    actually served reuse hits, and (3) the result cache engaged.
     """
     from repro.data.tpch import tpch_database
 
     db = tpch_database(scale=scale, seed=seed)
     db.attach_catalog()
     service = QueryService(db)
-    workload = list(SELFTEST_STATEMENTS) * max(1, int(repeats))
+    workload = list(SELFTEST_STATEMENTS) * SELFTEST_REPEATS
     responses = [service.query(statement) for statement in workload]
     by_statement: dict[str, str] = {}
     consistent = True

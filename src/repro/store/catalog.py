@@ -35,9 +35,14 @@ from repro.relational.plan import PlanNode
 from repro.relational.table import Table
 from repro.store.fingerprint import CanonicalPlan
 
-#: Default catalog bounds: entries and resident sample bytes.
-DEFAULT_MAX_ENTRIES = 64
-DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+#: Catalog bounds: entries and resident sample bytes.
+MAX_ENTRIES = 64
+MAX_BYTES = 256 * 1024 * 1024
+
+#: The largest sample the catalog stores: one sample may never dominate
+#: (or exceed) the whole budget, so a larger one is answered but not
+#: stored.
+MAX_ENTRY_BYTES = MAX_BYTES // 4
 
 
 def table_nbytes(table: Table) -> int:
@@ -106,25 +111,13 @@ class CatalogStats:
 
 
 class SynopsisCatalog:
-    """Bounded, thread-safe store of sample synopses keyed by core plan."""
+    """Bounded, thread-safe store of sample synopses keyed by core plan.
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        max_entry_bytes: int | None = None,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError("catalog needs max_entries >= 1")
-        self.max_entries = int(max_entries)
-        self.max_bytes = int(max_bytes)
-        # One sample may never dominate (or exceed) the whole budget:
-        # oversized samples are simply not stored.
-        self.max_entry_bytes = (
-            int(max_entry_bytes)
-            if max_entry_bytes is not None
-            else max(1, self.max_bytes // 4)
-        )
+    Holds at most :data:`MAX_ENTRIES` synopses and :data:`MAX_BYTES`
+    of samples, none larger than :data:`MAX_ENTRY_BYTES`.
+    """
+
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._entries: OrderedDict[int, Synopsis] = OrderedDict()
         self._by_key: dict[tuple, list[int]] = {}
@@ -246,13 +239,13 @@ class SynopsisCatalog:
         ``versions`` are the :meth:`version_stamps` read before the
         sample's table snapshot was taken.  If any referenced table
         mutated since, the sample describes dead data: it is discarded
-        and ``None`` returned.  Samples larger than ``max_entry_bytes``
-        are not stored either — one huge sample must not evict the
-        whole working set (the query's answer is unaffected; only
-        reuse is skipped).
+        and ``None`` returned.  Samples larger than
+        :data:`MAX_ENTRY_BYTES` are not stored either — one huge sample
+        must not evict the whole working set (the query's answer is
+        unaffected; only reuse is skipped).
         """
         nbytes = table_nbytes(sample)
-        if nbytes > self.max_entry_bytes:
+        if nbytes > MAX_ENTRY_BYTES:
             return None
         with self._lock:
             if versions is not None and any(
@@ -313,8 +306,8 @@ class SynopsisCatalog:
 
     def _enforce_bounds(self, keep: int) -> None:
         """Evict LRU entries until bounds hold (never the one just put)."""
-        while len(self._entries) > self.max_entries or (
-            self._bytes > self.max_bytes and len(self._entries) > 1
+        while len(self._entries) > MAX_ENTRIES or (
+            self._bytes > MAX_BYTES and len(self._entries) > 1
         ):
             victim = next(
                 (eid for eid in self._entries if eid != keep), None

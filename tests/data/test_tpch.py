@@ -8,15 +8,29 @@ import pytest
 from repro.core import kernels
 from repro.data.distributions import skewed_ints, zipf_ranks
 from repro.data.tpch import TPCH_TABLES, generate_tpch, tpch_database
-from repro.data.workloads import (
-    FIGURE4_SQL,
-    QUERY1_SQL,
-    figure4_plan,
-    figure5_plan,
-    query1_plan,
-)
+from repro.data.workloads import figure4_plan, figure5_plan, query1_plan
 from repro.errors import ReproError
 from repro.relational.table import Table
+
+#: The introduction's estimation query, in the paper's SQL.
+QUERY1_SQL = """
+SELECT SUM(l_discount * (1.0 - l_tax)) AS revenue
+FROM lineitem TABLESAMPLE (10 PERCENT),
+     orders TABLESAMPLE (1000 ROWS)
+WHERE l_orderkey = o_orderkey AND l_extendedprice > 100.0
+"""
+
+#: The Figure 4 four-relation query.
+FIGURE4_SQL = """
+SELECT SUM(l_extendedprice * (1.0 - l_discount)) AS revenue
+FROM lineitem TABLESAMPLE (10 PERCENT),
+     orders TABLESAMPLE (1000 ROWS),
+     customer,
+     part TABLESAMPLE (50 PERCENT)
+WHERE l_orderkey = o_orderkey
+  AND o_custkey = c_custkey
+  AND l_partkey = p_partkey
+"""
 
 
 class TestDistributions:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.fuzz import shrink
 from repro.fuzz.checker import CheckContext, CheckFailure
 from repro.fuzz.shrink import ReproCase, shrink_failure
 from repro.sql.parser import parse
@@ -62,9 +63,10 @@ def test_unparseable_statement_returned_unshrunk(ctx):
     assert case.seed == 7
 
 
-def test_shrink_respects_candidate_budget(ctx):
+def test_shrink_respects_candidate_budget(ctx, monkeypatch):
+    monkeypatch.setattr(shrink, "MAX_CANDIDATES", 1)
     original = ctx.check_roundtrip(BLOATED, 3)[0]
-    case = shrink_failure(ctx, original, max_candidates=1)
+    case = shrink_failure(ctx, original)
     # One candidate evaluation cannot reach the minimum, but the result
     # must still be a valid reproduction of the same kind.
     assert ctx.check_roundtrip(case.statement, 3)[0].kind == "plan"

@@ -8,11 +8,7 @@ import pytest
 
 from repro.data.workloads import query1_plan
 from repro.errors import EstimationError, PlanError
-from repro.optimizer import (
-    ErrorBudget,
-    SamplingPlanOptimizer,
-    optimize,
-)
+from repro.optimizer import ErrorBudget, SamplingPlanOptimizer, chooser
 from repro.relational.plan import Aggregate, AggSpec, Scan, TableSample
 from repro.relational.expressions import col
 from repro.sampling import Bernoulli
@@ -21,7 +17,7 @@ from repro.service import render_result
 
 @pytest.fixture(scope="module")
 def opt(tpch_db):
-    return SamplingPlanOptimizer(tpch_db, seed=3)
+    return SamplingPlanOptimizer(tpch_db)
 
 
 def _single_table(rate=0.2, alias="t"):
@@ -33,7 +29,9 @@ def _single_table(rate=0.2, alias="t"):
 
 class TestReport:
     def test_ranked_feasible_first_by_cost(self, opt):
-        report = opt.report(query1_plan(), ErrorBudget.from_percent(10.0))
+        report = opt.report(
+            query1_plan(), ErrorBudget.from_percent(10.0), seed=3
+        )
         feasible = [sc for sc in report.scored if sc.feasible]
         assert feasible, "some candidate must meet a 10% budget"
         assert report.chosen is report.scored[0]
@@ -45,20 +43,26 @@ class TestReport:
         assert flags.index(False) >= len(feasible) if False in flags else True
 
     def test_chosen_cheaper_than_or_equal_any_feasible(self, opt):
-        report = opt.report(query1_plan(), ErrorBudget.from_percent(10.0))
+        report = opt.report(
+            query1_plan(), ErrorBudget.from_percent(10.0), seed=3
+        )
         for sc in report.scored:
             if sc.feasible:
                 assert report.chosen.cost.seconds <= sc.cost.seconds
 
     def test_naive_uniform_baseline_and_cost_ratio(self, opt):
-        report = opt.report(query1_plan(), ErrorBudget.from_percent(12.0))
+        report = opt.report(
+            query1_plan(), ErrorBudget.from_percent(12.0), seed=3
+        )
         if report.naive is not None:
             assert report.cost_ratio <= 1.0 + 1e-12
         else:
             assert math.isnan(report.cost_ratio)
 
     def test_table_rendering(self, opt):
-        report = opt.report(query1_plan(), ErrorBudget.from_percent(10.0))
+        report = opt.report(
+            query1_plan(), ErrorBudget.from_percent(10.0), seed=3
+        )
         text = report.table()
         assert "budget: ±10%" in text
         assert "candidate" in text and "pred. ±" in text
@@ -69,7 +73,7 @@ class TestReport:
             Scan("lineitem"), [AggSpec("sum", col("l_tax"), "t")]
         )
         with pytest.raises(PlanError, match="samples nothing"):
-            opt.report(plan, ErrorBudget.from_percent(5.0))
+            opt.report(plan, ErrorBudget.from_percent(5.0), seed=3)
 
     def test_avg_only_query_rejected(self, opt):
         plan = Aggregate(
@@ -77,7 +81,7 @@ class TestReport:
             [AggSpec("avg", col("l_tax"), "t")],
         )
         with pytest.raises(EstimationError, match="AVG"):
-            opt.report(plan, ErrorBudget.from_percent(5.0))
+            opt.report(plan, ErrorBudget.from_percent(5.0), seed=3)
 
 
 class TestOptimize:
@@ -86,7 +90,7 @@ class TestOptimize:
         inside the requested relative half-width (the benchmark runs
         the full-size version)."""
         budget = ErrorBudget.from_percent(10.0)
-        opt = SamplingPlanOptimizer(tpch_db, seed=0)
+        opt = SamplingPlanOptimizer(tpch_db)
         hits = 0
         trials = 10
         for seed in range(trials):
@@ -94,10 +98,13 @@ class TestOptimize:
             hits += result.met
         assert hits >= 0.9 * trials
 
-    def test_escalation_tightens_until_met_or_full(self, tpch_db):
+    def test_escalation_tightens_until_met_or_full(
+        self, tpch_db, monkeypatch
+    ):
         """A near-impossible budget escalates to a (near-)full scan."""
+        monkeypatch.setattr(chooser, "MAX_ESCALATIONS", 6)
         budget = ErrorBudget.from_percent(0.75)
-        opt = SamplingPlanOptimizer(tpch_db, seed=1, max_escalations=6)
+        opt = SamplingPlanOptimizer(tpch_db)
         result = opt.optimize(_single_table(0.05), budget, seed=2)
         assert len(result.attempts) > 1
         widths = [a.realized_relative_half_width for a in result.attempts]
@@ -107,15 +114,15 @@ class TestOptimize:
 
     def test_estimate_near_truth(self, tpch_db):
         truth = tpch_db.execute_exact(query1_plan()).to_rows()[0][0]
-        result = optimize(
-            tpch_db, query1_plan(), ErrorBudget.from_percent(10.0), seed=5
+        result = tpch_db.optimize(
+            query1_plan(), ErrorBudget.from_percent(10.0), seed=5
         )
         assert result["revenue"] == pytest.approx(truth, rel=0.25)
         assert result.result.plan is not None
 
     def test_rendered_answer_mentions_budget_and_plan(self, tpch_db):
-        result = optimize(
-            tpch_db, query1_plan(), ErrorBudget.from_percent(10.0), seed=6
+        result = tpch_db.optimize(
+            query1_plan(), ErrorBudget.from_percent(10.0), seed=6
         )
         text = render_result(result, 0.95)
         assert "plan:" in text and "budget" in text
@@ -205,7 +212,7 @@ class TestReviewRegressions:
         even when the ranking keeps only cheaper reordered variants."""
         from repro.data.workloads import figure4_plan
 
-        opt = SamplingPlanOptimizer(tpch_db, seed=0)
+        opt = SamplingPlanOptimizer(tpch_db)
         report = opt.report(figure4_plan(), ErrorBudget.from_percent(40.0))
         assert report.naive is not None
         skeleton = report.naive.candidate.skeleton

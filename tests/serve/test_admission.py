@@ -7,6 +7,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.serve import admission
 from repro.serve.admission import (
     MAX_BUDGET_PERCENT,
     AdmissionController,
@@ -122,19 +123,16 @@ class TestAdmissionController:
         # The degraded statement really is degraded.
         assert parse(decisions[3].statement).tables[0].sample.amount == 10.0
 
-    def test_min_rate_clamp(self):
+    def test_min_rate_clamp(self, monkeypatch):
+        monkeypatch.setattr(admission, "MIN_RATE", 0.5)
         clock = FakeClock()
-        ctl = AdmissionController(
-            capacity=1, queue_limit=1000, min_rate=0.5, clock=clock
-        )
+        ctl = AdmissionController(capacity=1, queue_limit=1000, clock=clock)
         last = [ctl.decide(STMT) for _ in range(50)][-1]
         assert last.rate == 0.5
 
     def test_window_reset_restores_full_rate(self):
         clock = FakeClock()
-        ctl = AdmissionController(
-            capacity=1, queue_limit=100, window_seconds=1.0, clock=clock
-        )
+        ctl = AdmissionController(capacity=1, queue_limit=100, clock=clock)
         ctl.decide(STMT)
         assert ctl.decide(STMT).action == "degrade"
         clock.now = 1.5
@@ -175,5 +173,5 @@ class TestAdmissionController:
         ctl = AdmissionController(capacity=100, queue_limit=1)
         ctl.decide(STMT)
         ctl.decide(STMT)  # rejected (queue full)
-        assert ctl.shed_rate() == 0.5
+        assert ctl.decisions["admit"] == 1
         assert ctl.decisions["reject"] == 1

@@ -61,6 +61,14 @@ class TestExecuteFinal:
             "fresh", "result-cache", "exact", "pushdown", "thin",
         )
 
+    def test_session_keyword_is_accepted_and_ignored(self, handler):
+        # benchmarks/e2e passes session=; ROADMAP item 2(f) drops both.
+        decision, _ = handler.admit(_request(PLAIN))
+        plain = handler.execute(_request(PLAIN), decision)
+        named = handler.execute(_request(PLAIN), decision, session="shadow")
+        handler.release(decision)
+        assert named["text"] == plain["text"]
+
     def test_error_isolated(self, handler):
         decision, _ = handler.admit(_request("SELECT FROM nothing"))
         payload = handler.execute(
@@ -69,14 +77,6 @@ class TestExecuteFinal:
         handler.release(decision)
         assert payload["type"] == "error"
         assert payload["code"] == "error"
-
-    def test_session_counted(self, shared_service):
-        handler = RequestHandler(shared_service)
-        decision, _ = handler.admit(_request(PLAIN))
-        handler.execute(_request(PLAIN), decision, session="abc")
-        handler.release(decision)
-        assert shared_service.session("abc").queries >= 0
-        assert shared_service.session_count >= 1
 
 
 class TestExecuteProgressive:

@@ -62,6 +62,18 @@ class TestDecodeRequest:
             '{"id": 1, "statement": "x", "budget_percent": 0}',
             '{"id": 1, "statement": "x", "confidence": 1.5}',
             '{"id": 1, "op": "cancel"}',  # no target
+            # As strict as SQL's WITHIN: no booleans, no non-finite
+            # numbers, and a percentage in (0, 100).
+            '{"id": 1, "statement": "x", "deadline_ms": true}',
+            '{"id": 1, "statement": "x", "deadline_ms": false}',
+            '{"id": 1, "statement": "x", "deadline_ms": Infinity}',
+            '{"id": 1, "statement": "x", "deadline_ms": NaN}',
+            '{"id": 1, "statement": "x", "budget_percent": true}',
+            '{"id": 1, "statement": "x", "budget_percent": Infinity}',
+            '{"id": 1, "statement": "x", "budget_percent": 100}',
+            '{"id": 1, "statement": "x", "budget_percent": 250.5}',
+            '{"id": 1, "statement": "x", "confidence": true}',
+            '{"id": 1, "statement": "x", "confidence": NaN}',
         ],
     )
     def test_rejects_malformed(self, line):

@@ -10,6 +10,7 @@ from repro.relational.database import Database
 from repro.relational.table import Table
 from repro.sampling import LineageHashBernoulli
 from repro.store import SynopsisCatalog, canonicalize, table_nbytes
+from repro.store import catalog as catalog_module
 
 SIZES = {"t": 100}
 
@@ -41,8 +42,9 @@ def put(catalog: SynopsisCatalog, rate: float, seed: int, n: int = 8):
 
 
 class TestBounds:
-    def test_entry_bound_evicts_lru(self):
-        catalog = SynopsisCatalog(max_entries=2)
+    def test_entry_bound_evicts_lru(self, monkeypatch):
+        monkeypatch.setattr(catalog_module, "MAX_ENTRIES", 2)
+        catalog = SynopsisCatalog()
         a = put(catalog, 0.1, seed=1)
         b = put(catalog, 0.2, seed=2)
         # Touch a so b becomes the LRU victim.
@@ -55,24 +57,24 @@ class TestBounds:
         assert b.entry_id not in remaining
         assert catalog.snapshot_stats().evictions == 1
 
-    def test_byte_bound_evicts(self):
+    def test_byte_bound_evicts(self, monkeypatch):
         one_entry = table_nbytes(make_sample(64))
-        catalog = SynopsisCatalog(
-            max_entries=10,
-            max_bytes=one_entry + 1,
-            max_entry_bytes=one_entry,
-        )
+        monkeypatch.setattr(catalog_module, "MAX_BYTES", one_entry + 1)
+        monkeypatch.setattr(catalog_module, "MAX_ENTRY_BYTES", one_entry)
+        catalog = SynopsisCatalog()
         put(catalog, 0.1, seed=1, n=64)
         put(catalog, 0.2, seed=2, n=64)
         assert len(catalog) == 1
-        assert catalog.resident_bytes <= catalog.max_bytes
+        assert catalog.resident_bytes <= catalog_module.MAX_BYTES
 
-    def test_oversized_entry_is_not_stored(self):
+    def test_oversized_entry_is_not_stored(self, monkeypatch):
         # One sample must never dominate the byte budget: larger than
-        # max_entry_bytes -> skipped entirely (the answer is unaffected,
+        # MAX_ENTRY_BYTES -> skipped entirely (the answer is unaffected,
         # only reuse is skipped).
-        catalog = SynopsisCatalog(max_entries=10, max_bytes=1024)
-        assert catalog.max_entry_bytes == 256
+        assert catalog_module.MAX_ENTRY_BYTES == catalog_module.MAX_BYTES // 4
+        monkeypatch.setattr(catalog_module, "MAX_BYTES", 1024)
+        monkeypatch.setattr(catalog_module, "MAX_ENTRY_BYTES", 1024 // 4)
+        catalog = SynopsisCatalog()
         assert put(catalog, 0.1, seed=1, n=64) is None
         assert len(catalog) == 0
         assert catalog.resident_bytes == 0
@@ -82,10 +84,6 @@ class TestBounds:
         put(catalog, 0.1, seed=1)
         put(catalog, 0.1, seed=1)
         assert len(catalog) == 1
-
-    def test_rejects_zero_entries(self):
-        with pytest.raises(ValueError):
-            SynopsisCatalog(max_entries=0)
 
     def test_empty_catalog_instance_attaches(self):
         # Regression guard: SynopsisCatalog defines __len__, so an

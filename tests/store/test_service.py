@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+from repro import service as service_module
 from repro.cli import main
 from repro.data.tpch import tpch_database
 from repro.errors import ReproError
@@ -95,12 +96,19 @@ class TestQueryService:
             service.query("SELECT nope FROM nothing")
         assert service.stats.errors == 1
 
-    def test_result_cache_bounded(self):
+    def test_result_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(service_module, "RESULT_CACHE_SIZE", 2)
         db = tpch_database(scale=0.01, seed=0)
-        service = QueryService(db, result_cache_size=2)
+        service = QueryService(db)
         for seed in range(4):
             service.query(QUERY, seed=seed)
         assert len(service._results) == 2
+
+    def test_note_execution_counts_queries(self, service):
+        before = service.stats.queries
+        service.note_execution()
+        service.note_execution(2)
+        assert service.stats.queries == before + 3
 
     def test_direct_db_mutation_retires_cached_answers(self, service):
         # Mutating the database *directly* (not via refresh_table) must

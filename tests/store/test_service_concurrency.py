@@ -24,6 +24,7 @@ from repro.data.tpch import tpch_database
 from repro.relational.database import Database
 from repro.service import QueryService, selftest
 from repro.store import SynopsisCatalog
+from repro.store import catalog as catalog_module
 
 N_THREADS = 8
 
@@ -60,20 +61,19 @@ def test_concurrent_sessions_agree(service):
     warm = service.query(WORKLOAD[0])
     assert not warm.cached
 
-    def run_session(tid: int) -> list[tuple[str, str]]:
-        session = service.session(f"client-{tid}")
+    def run_client(tid: int) -> list[tuple[str, str]]:
         barrier.wait()
         out = []
         # Each thread walks the workload from a different offset so
         # misses, hits, and thinning interleave across threads.
         for i in range(rounds * len(WORKLOAD)):
             statement = WORKLOAD[(i + tid) % len(WORKLOAD)]
-            response = session.query(statement)
+            response = service.query(statement)
             out.append((statement, response.text))
         return out
 
     with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
-        results = list(pool.map(run_session, range(N_THREADS)))
+        results = list(pool.map(run_client, range(N_THREADS)))
 
     canonical: dict[str, str] = {}
     for thread_answers in results:
@@ -100,10 +100,9 @@ def test_concurrent_mutation_never_serves_stale(service):
             service.refresh_table("lineitem", lineitem)
 
     def read(tid: int):
-        session = service.session(f"reader-{tid}")
         for i in range(30):
             try:
-                response = session.query(WORKLOAD[i % 2], seed=i % 5)
+                response = service.query(WORKLOAD[i % 2], seed=i % 5)
             except Exception as exc:  # noqa: BLE001 - recorded, re-raised below
                 failures.append(f"{type(exc).__name__}: {exc}")
                 return
@@ -127,8 +126,9 @@ def test_concurrent_mutation_never_serves_stale(service):
     assert result.reuse is None
 
 
-def test_catalog_is_thread_safe_under_direct_hammering():
-    catalog = SynopsisCatalog(max_entries=8)
+def test_catalog_is_thread_safe_under_direct_hammering(monkeypatch):
+    monkeypatch.setattr(catalog_module, "MAX_ENTRIES", 8)
+    catalog = SynopsisCatalog()
     db = Database(seed=0, catalog=catalog)
     db.create_table(
         "t",
@@ -154,7 +154,7 @@ def test_catalog_is_thread_safe_under_direct_hammering():
 
     stats = catalog.snapshot_stats()
     assert stats.lookups == stats.hits + stats.misses
-    assert len(catalog) <= catalog.max_entries
+    assert len(catalog) <= catalog_module.MAX_ENTRIES
     expected_bytes = sum(
         syn.nbytes for syn in catalog._entries.values()
     )

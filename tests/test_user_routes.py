@@ -1,6 +1,6 @@
 """Every ``src/repro`` module and top-level name sits on a user route.
 
-A module, function or class that only tests use belongs under
+A module, function, class or constant that only tests use belongs under
 ``tests/``.  The module walk follows the static imports — function-level
 ones included — from the entry points a user runs (``import repro``,
 ``python -m repro``, the ``repro`` console script and the serving tier)
@@ -8,15 +8,18 @@ and fails on any module of the package that none of them reaches.  The
 same walk checks the layering: only ``repro.__main__`` imports
 ``repro.cli``.
 
-The name walk does the same for every top-level ``def`` and ``class``.
-A name is reached when ``repro.__all__``, the module-level code of any
-package module, a script under ``examples/`` or ``benchmarks/`` (CI runs
-the figure scripts, and the frozen end-to-end harness calls into the
-package), or the body, decorators, bases or annotations of a reached
-name refer to it — by bare name or as an attribute — until nothing new
-is reached.  Import lines, ``__all__`` lists and docstrings name nothing
-there, and dunders are skipped.  Names match by spelling alone, so the
-walk can only over-reach, never report a name something does call.
+The name walk does the same for every top-level ``def``, ``class`` and
+assignment (a constant or an alias).  A name is reached when
+``repro.__all__``, the module-level code of any package module, a
+script under ``examples/`` or ``benchmarks/`` (CI runs the figure
+scripts, and the frozen end-to-end harness calls into the package), or
+the body, decorators, bases or annotations of a reached name refer to
+it — by bare name or as an attribute — until nothing new is reached.
+An assignment's right-hand side counts only once its name is reached,
+as a function's body does.  Import lines, ``__all__`` lists and
+docstrings name nothing there, and dunders are skipped.  Names match by
+spelling alone, so the walk can only over-reach, never report a name
+something does call.
 """
 
 from __future__ import annotations
@@ -133,8 +136,27 @@ def _all_entries(stmt: ast.stmt) -> list[str]:
     return []
 
 
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The names a top-level ``def``, ``class`` or assignment binds,
+    dunders left out (none for any other statement)."""
+    if isinstance(stmt, _DEFS):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = getattr(stmt, "targets", None) or [stmt.target]
+        names = [
+            node.id
+            for target in targets
+            for node in ast.walk(target)
+            if isinstance(node, ast.Name)
+        ]
+    else:
+        return []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
 def _unreached_names(root: Path = ROOT, scripts=SCRIPTS) -> set[str]:
-    """Dotted names of the top-level defs and classes no route reaches."""
+    """Dotted names of the top-level defs, classes and assignments no
+    route reaches."""
     defs: dict[str, list[tuple[str, ast.AST]]] = {}
     named: set[str] = set()
     for module, path in _modules(root).items():
@@ -142,15 +164,10 @@ def _unreached_names(root: Path = ROOT, scripts=SCRIPTS) -> set[str]:
         for stmt in tree.body:
             if module == root.name:
                 named.update(_all_entries(stmt))
-            if (
-                isinstance(stmt, _DEFS)
-                and module not in TEST_ONLY
-                and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
-            ):
-                defs.setdefault(stmt.name, []).append(
-                    (f"{module}.{stmt.name}", stmt)
-                )
-            else:
+            defined = _defined(stmt) if module not in TEST_ONLY else []
+            for name in defined:
+                defs.setdefault(name, []).append((f"{module}.{name}", stmt))
+            if not defined:
                 named |= _names_in(stmt)
     for directory in scripts:
         for path in directory.rglob("*.py"):
@@ -239,6 +256,33 @@ def test_a_planted_unreached_def_is_reported(tmp_path):
     assert _unreached_names(root, (script,)) == {
         "repro.lib.planted",
         "repro.lib._behind_planted",
+    }
+
+
+def test_a_planted_unread_constant_is_reported(tmp_path):
+    root = _tree(
+        tmp_path,
+        {
+            "__init__.py": (
+                "from repro.lib import used\n"
+                '__all__ = ["used"]\n'
+            ),
+            "lib.py": (
+                '__version__ = "1"\n'
+                "LIMIT: int = 4\n"
+                "_SEEN = []\n"
+                "_SEEN.append(1)\n"
+                "_BEHIND_PLANTED = 2\n"
+                "PLANTED = _BEHIND_PLANTED * 2\n"
+                "def used():\n    return LIMIT\n\n"
+                "ALIAS = used\n"
+            ),
+        },
+    )
+    assert _unreached_names(root, ()) == {
+        "repro.lib.PLANTED",
+        "repro.lib._BEHIND_PLANTED",
+        "repro.lib.ALIAS",
     }
 
 
