@@ -168,11 +168,17 @@ class GUSParams:
         alternating sum cancels, so ``c_S = 0`` and the dimension can be
         dropped from the analysis; see :meth:`project_out_inactive`.
         """
+        # Plain floats: ``np.allclose(x, y, rtol=0, atol=tol)`` is
+        # ``x == y or |x − y| <= tol`` per pair, NaN close to nothing.
+        b = self.b.tolist()
         inactive = []
         for i, dim in enumerate(self.lattice.dims):
             bit = 1 << i
-            lo = np.array([m for m in self.lattice.masks() if not m & bit])
-            if np.allclose(self.b[lo], self.b[lo | bit], rtol=0, atol=tol):
+            if all(
+                b[m] == b[m | bit] or abs(b[m] - b[m | bit]) <= tol
+                for m in self.lattice.masks()
+                if not m & bit
+            ):
                 inactive.append(dim)
         return frozenset(inactive)
 

@@ -434,7 +434,7 @@ class SBox:
             keep_sample=keep_sample,
         )
 
-    def _prepare(self, child: PlanNode, rng, chunk_size):
+    def _prepare(self, child: PlanNode, rng, chunk_size, shared_draws=None):
         """The ``analyze`` span's rewrite, and the executor to draw with."""
         from repro.relational.pipeline import ChunkedExecutor
 
@@ -444,6 +444,7 @@ class SBox:
             self.catalog,
             rng if rng is not None else self.rng,
             chunk_size=chunk_size,
+            shared_draws=shared_draws,
         )
         return rewrite, executor
 
@@ -500,15 +501,21 @@ class SBox:
         *,
         rng: np.random.Generator | None = None,
         chunk_size: int | None = None,
+        shared_draws: dict | None = None,
     ) -> "tuple[Table, ReuseInfo | None]":
         """``child``'s sampled rows (with lineage, at least ``columns``)
         and their catalog reuse info, by :meth:`run`'s route: a sampled
         child through the synopsis catalog when one is attached, every
         other child on the pipeline.  Nothing is estimated.
+
+        Calls that pass one ``shared_draws`` map make each lineage-hash
+        draw once between them
+        (:func:`~repro.relational.pipeline.shared_draw`): the sides of
+        one version difference.
         """
         from repro.relational.pipeline import concat_tables
 
-        rewrite, executor = self._prepare(child, rng, chunk_size)
+        rewrite, executor = self._prepare(child, rng, chunk_size, shared_draws)
         if self.synopses is not None and rewrite.is_sampled:
             stored = self._stored_sample(child, columns, rewrite, executor)
             if stored is not None:

@@ -76,9 +76,9 @@ SAMPLE_TAG_WEIGHTS = {
 }
 
 
-def build_fuzz_tables(seed: int = 0) -> dict[str, dict[str, np.ndarray]]:
-    """Column arrays for the fuzz schema, deterministic in ``seed``."""
-    rng = np.random.default_rng(seed)
+def build_fuzz_tables() -> dict[str, dict[str, np.ndarray]]:
+    """Column arrays for the fuzz schema, the same on every call."""
+    rng = np.random.default_rng(0)
     n_fact, n_dim = 400, 60
     # Skewed foreign keys: a few dimension rows soak up most of the
     # fact rows (join fanout stress), some dimension rows match nothing.
@@ -113,18 +113,18 @@ def build_fuzz_tables(seed: int = 0) -> dict[str, dict[str, np.ndarray]]:
     }
 
 
-def install_fuzz_versions(db, seed: int = 0) -> None:
+def install_fuzz_versions(db) -> None:
     """Give ``fact`` a deterministic version history on ``db``.
 
     Applies :data:`FUZZ_VERSIONS` update-shaped mutation steps through
     ``db.update_table`` — each perturbs ~5 % of ``f_val`` in place, so
     row positions (the coordination keys) never move — leaving the
     catalog with ``fact AT VERSION 1..FUZZ_VERSIONS`` plus a live table
-    one step further.  Deterministic in ``seed`` and the starting
-    contents, so every database one check touches (plain, catalog,
-    mmap twin, fresh rebuilds) grows a bit-identical history.
+    one step further.  Deterministic in the starting contents, so
+    every database one check touches (plain, catalog, mmap twin, fresh
+    rebuilds) grows a bit-identical history.
     """
-    rng = np.random.default_rng(seed + 0x5EED)
+    rng = np.random.default_rng(0x5EED)
     for _ in range(FUZZ_VERSIONS):
         fact = db.table("fact")
         values = np.array(fact.column("f_val"), dtype=np.float64, copy=True)

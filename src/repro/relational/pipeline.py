@@ -98,7 +98,8 @@ from repro.relational.executor import (
 )
 from repro.relational.partition import chunk_bounds, required_alignment
 from repro.relational.table import Table, concat_column
-from repro.sampling.base import Draw
+from repro.sampling.base import Draw, SamplingMethod
+from repro.sampling.pseudorandom import LineageHashBernoulli
 
 __all__ = ["ChunkedExecutor", "concat_tables"]
 
@@ -487,12 +488,14 @@ class ChunkedExecutor:
         *,
         workers: int | None = None,  # ignored; goes with ROADMAP item 2(f)
         chunk_size: int | None = None,
+        shared_draws: dict | None = None,
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise ExecutionError(f"chunk_size must be >= 1, got {chunk_size}")
         self.catalog = dict(catalog)
         self.rng = rng if rng is not None else np.random.default_rng()
         self.chunk_size = None if chunk_size is None else int(chunk_size)
+        self._shared_draws = shared_draws
         self._draws: dict[int, Draw] = {}
         self._draw_nodes: list[p.PlanNode] = []
         self._probing = False
@@ -561,7 +564,9 @@ class ChunkedExecutor:
         Draws are keyed by node identity and made over the whole base
         table in plan post-order (left to right) — the order the
         reference interpreter consumes the generator in, so both
-        produce the same sample.
+        produce the same sample.  Given ``shared_draws``, a lineage-hash
+        draw comes from that map when an executor before this one made
+        it (:func:`shared_draw`).
         """
         self._draws.clear()
         self._draw_nodes.clear()
@@ -571,7 +576,7 @@ class ChunkedExecutor:
                 continue
             base = self._base_table(node.child.table_name)
             with maybe_span(tracer, "draw.table_sample", kind="kernel"):
-                draw = node.method.draw(base.n_rows, self.rng)
+                draw = shared_draw(self._shared_draws, node.method, base.n_rows, self.rng)
             self._draws[id(node)] = draw
             self._draw_nodes.append(node)  # keep ids alive
 
@@ -1006,6 +1011,41 @@ class ChunkedExecutor:
         p.GroupAggregate: _compile_materialized,
         p.GUSNode: _compile_gus,
     }
+
+
+def shared_draw(
+    shared: dict | None,
+    method: SamplingMethod,
+    n_rows: int,
+    rng: np.random.Generator,
+) -> Draw:
+    """``method.draw(n_rows, rng)``, made once per ``shared`` map.
+
+    A lineage-hash draw is a pure function of ``(class, seed, p)`` and
+    each position's own hash, so the sides of one coordinated version
+    difference keep the same positions: ``shared`` maps ``(class,
+    seed, p)`` to the longest base row count drawn so far and its
+    draw, and a side of as many rows takes that draw while a shorter
+    one (a version before rows were appended) takes its prefix below
+    ``n_rows`` — the same set a draw over ``n_rows`` keeps.  A draw's
+    arrays are read-only (:class:`~repro.sampling.base.Draw`), so the
+    sides can hold them at once.  An RNG-driven method (Bernoulli,
+    without replacement, block) never shares: it consumes the
+    generator, and skipping a draw would move every later one.
+    """
+    if shared is None or not isinstance(method, LineageHashBernoulli):
+        return method.draw(n_rows, rng)
+    key = (type(method), method.seed, method.p)
+    held = shared.get(key)
+    if held is None or held[0] < n_rows:
+        draw = method.draw(n_rows, rng)
+        shared[key] = (n_rows, draw)
+        return draw
+    held_rows, draw = held
+    if held_rows == n_rows:
+        return draw
+    cut = int(np.searchsorted(draw.rows, n_rows))
+    return Draw(draw.rows[:cut], draw.lineage[:cut])
 
 
 def _spec_columns(specs) -> frozenset[str]:

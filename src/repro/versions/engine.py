@@ -5,12 +5,19 @@ Each side of the difference is *read*, not estimated: one
 side's sampled-and-filtered rows with their lineage — a sampled side
 through the synopsis catalog when one is attached (so synopses keyed by
 the versioned scan are served and stored), every other side on the
-pipeline.  The sides' per-row aggregate inputs are then netted per
-coordination key (lineage row id, optionally prefixed by GROUP BY
-columns) and the closed-form subset-sum estimator of
-:mod:`repro.core.estimator` turns the netted ``g`` values into unbiased
-change estimates with exact variance: a coordinated difference needs
-each side's per-key values, never a Theorem 1 estimate of a side.
+pipeline.  Both calls share one map of lineage-hash draws, made for the
+statement alone: the coordinated hash keeps the same positions in every
+version, so the sides hash the table once between them, and a shorter
+side takes the longer draw's prefix
+(:func:`~repro.relational.pipeline.shared_draw`).  The sides' per-row
+aggregate inputs are then netted per coordination key (lineage row id,
+optionally prefixed by GROUP BY columns) — by position when the sides'
+keys are equal row for row, by one sort of both sides otherwise
+(:func:`~repro.core.estimator.difference_inputs`) — and the
+closed-form subset-sum estimator of :mod:`repro.core.estimator` turns
+the netted ``g`` values into unbiased change estimates with exact
+variance: a coordinated difference needs each side's per-key values,
+never a Theorem 1 estimate of a side.
 
 Determinism: coordinated Bernoulli draws are pure per-key hashes (no
 RNG), the per-side samples are bit-identical at any chunking, and the
@@ -151,8 +158,17 @@ def estimate_version_diff(
         chunk_size = db.chunk_size
     columns = aggregate_columns(plan.specs, plan.keys)
     sbox = db.sbox()
+    # One map per statement: the sides share their coordinated draw,
+    # and nothing outlives the call.
+    shared_draws: dict = {}
     (hi_sample, hi_reuse), (lo_sample, lo_reuse) = (
-        sbox.sample(child, columns, rng=db.rng(seed), chunk_size=chunk_size)
+        sbox.sample(
+            child,
+            columns,
+            rng=db.rng(seed),
+            chunk_size=chunk_size,
+            shared_draws=shared_draws,
+        )
         for child in (plan.hi_child, plan.lo_child)
     )
     p = 1.0 if plan.rate is None else plan.rate

@@ -194,6 +194,30 @@ class TestInactiveDims:
         assert g.schema == {"l"}
         assert g.approx_equal(bernoulli_gus("l", 0.5))
 
+    def test_a_gap_of_exactly_tol_is_inactive(self):
+        lat = SubsetLattice(["l", "c"])
+        ml, mc = lat.mask_of(["l"]), lat.mask_of(["c"])
+        tol = 2.0**-30
+        b = np.empty(4)
+        b[0] = 0.25
+        b[ml] = 0.5
+        b[mc] = 0.25 + tol  # 0.25 + tol − 0.25 is tol exactly
+        b[ml | mc] = 0.5
+        g = GUSParams(lat, 0.5, b)
+        assert g.inactive_dims(tol) == {"c"}
+        assert g.inactive_dims(np.nextafter(tol, 0.0)) == frozenset()
+        # The same decisions as ``np.allclose`` with ``rtol=0``.
+        lo = np.array([0, ml])
+        assert np.allclose(b[lo], b[lo | mc], rtol=0, atol=tol)
+        assert not np.allclose(b[lo], b[lo | mc], rtol=0, atol=np.nextafter(tol, 0.0))
+
+    def test_nan_is_never_inactive(self):
+        lat = SubsetLattice(["l", "c"])
+        # b_∅ and b_{c} are both NaN: equal bits, yet not close.
+        g = GUSParams(lat, 0.5, [np.nan, np.nan, 0.5, 0.5], validate=False)
+        assert g.inactive_dims() == frozenset()
+        assert not np.allclose([np.nan], [np.nan], rtol=0, atol=1e-12)
+
     def test_fully_active_is_returned_unchanged(self):
         g = bernoulli_gus("l", 0.5)
         assert g.project_out_inactive() is g

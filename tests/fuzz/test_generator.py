@@ -48,7 +48,7 @@ def test_planner_accepts_every_generated_query():
 
 
 def test_fuzz_tables_match_declared_schema():
-    arrays = build_fuzz_tables(0)
+    arrays = build_fuzz_tables()
     assert set(arrays) == set(FUZZ_TABLES)
     for name, (numeric, group_keys, join_key) in FUZZ_TABLES.items():
         columns = arrays[name]
@@ -61,8 +61,8 @@ def test_fuzz_tables_match_declared_schema():
     assert arrays["void"]["v_val"].dtype == np.float64
 
 
-def test_fuzz_tables_deterministic_in_seed():
-    a, b = build_fuzz_tables(3), build_fuzz_tables(3)
+def test_fuzz_tables_equal_on_every_call():
+    a, b = build_fuzz_tables(), build_fuzz_tables()
     for name in a:
         for col in a[name]:
             np.testing.assert_array_equal(a[name][col], b[name][col])
