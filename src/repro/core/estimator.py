@@ -828,9 +828,10 @@ def difference_inputs(
     of the inputs because the keys are unique per side and the
     reduction is a per-key sum.
 
-    Sides whose key columns are equal row for row — coordinated draws
-    of two same-length versions, which keep the same positions — net
-    by position (:func:`_net_by_position`).  Any other pair takes one
+    Sides whose integer key columns are equal row for row and strictly
+    ascend — coordinated draws of two same-length versions in scan
+    order, which keep the same positions — net by position
+    (:func:`_net_by_position`).  Any other pair takes one
     :func:`group_reduce_multi` over the hi-then-lo concatenation: keys
     present on both sides reduce to their value change, keys on one
     side only keep their signed contribution (inserted or filtered-out
@@ -850,45 +851,28 @@ def difference_inputs(
     lo_keys = [np.asarray(l) for l in lo_key_columns]
     his = [np.asarray(h, dtype=np.float64) for h in hi_f_vectors]
     los = [np.asarray(l, dtype=np.float64) for l in lo_f_vectors]
-    if _same_keys(hi_keys, lo_keys):
-        netted = _net_by_position(hi_keys, his, los)
-        if netted is not None:
-            return netted
+    if kernels.strictly_ascending(hi_keys) and all(
+        h.dtype == l.dtype and np.array_equal(h, l) for h, l in zip(hi_keys, lo_keys)
+    ):
+        return _net_by_position(hi_keys, his, los)
     columns = [np.concatenate([h, l]) for h, l in zip(hi_keys, lo_keys)]
     weights = [np.concatenate([h, -l]) for h, l in zip(his, los)]
     return group_reduce_multi(columns, weights)
 
 
-def _same_keys(hi_keys: list[np.ndarray], lo_keys: list[np.ndarray]) -> bool:
-    """Whether both sides hold the same key rows in one order and dtype
-    (a NaN key is equal to nothing, as in the reduce)."""
-    return bool(hi_keys) and all(
-        h.dtype == l.dtype and np.array_equal(h, l) for h, l in zip(hi_keys, lo_keys)
-    )
-
-
 def _net_by_position(
     keys: list[np.ndarray], his: list[np.ndarray], los: list[np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
-    """:func:`difference_inputs` of two sides with equal key rows.
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """:func:`difference_inputs` of two sides with equal, strictly
+    ascending key rows.
 
     Row ``i`` of each side is the key's only row there, so the reduce
     over the hi-then-lo concatenation sums exactly two terms per key,
     hi's first: ``np.bincount`` forms ``(0.0 + hi) + (−lo)``, and
     ``np.add(hi + 0.0, −lo)`` is that sum bit for bit (``hi − lo``
-    is not: it differs on ``−0.0`` and on the sign of a NaN).  Keys
-    that strictly ascend come back as given; others are ordered once
-    over the n rows (:func:`~repro.core.kernels.sorted_boundaries`),
-    not over both sides.  ``None`` when a key repeats within a side,
-    which only the concatenation's reduce nets.
+    is not: it differs on ``−0.0`` and on the sign of a NaN).  The
+    keys are already in sorted order and come back as given.
     """
-    if not kernels.strictly_ascending(keys):
-        order, boundary = kernels.sorted_boundaries(keys, keys[0].shape[0])
-        if not boundary.all():
-            return None
-        keys = [k[order] for k in keys]
-        his = [h[order] for h in his]
-        los = [l[order] for l in los]
     # Quiet, as ``np.bincount`` is, on inf − inf and on overflow.
     with np.errstate(invalid="ignore", over="ignore"):
         return keys, [np.add(h + 0.0, -l) for h, l in zip(his, los)]

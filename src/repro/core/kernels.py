@@ -397,8 +397,8 @@ def sorted_boundaries(
     none the order is the identity; with fewer than ``2 ** (2·passes −
     1)`` (``passes = ⌈bits / 16⌉``) it is ``np.argsort(kind="stable")``
     — timsort on int64, which merges the ascending runs (two chunks'
-    states, the hi-then-lo keys of a version diff whose sides' keys
-    differ); with more it is
+    states, the hi-then-lo keys of a version diff that does not net
+    by position); with more it is
     :func:`_radix_order`'s ``passes`` stable ``uint16`` passes.  At
     52 k rows (2-core Xeon VM, minimum of 15) timsort took 0.45 / 0.8 /
     1.2 / 1.55 ms for 2 / 4 / 8 / 16 runs and 5.5 ms on random keys,

@@ -509,7 +509,7 @@ class SBox:
         other child on the pipeline.  Nothing is estimated.
 
         Calls that pass one ``shared_draws`` map make each lineage-hash
-        draw once between them
+        draw over one base row count once between them
         (:func:`~repro.relational.pipeline.shared_draw`): the sides of
         one version difference.
         """

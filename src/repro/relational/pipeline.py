@@ -566,7 +566,7 @@ class ChunkedExecutor:
         reference interpreter consumes the generator in, so both
         produce the same sample.  Given ``shared_draws``, a lineage-hash
         draw comes from that map when an executor before this one made
-        it (:func:`shared_draw`).
+        it over as many rows (:func:`shared_draw`).
         """
         self._draws.clear()
         self._draw_nodes.clear()
@@ -1022,30 +1022,22 @@ def shared_draw(
     """``method.draw(n_rows, rng)``, made once per ``shared`` map.
 
     A lineage-hash draw is a pure function of ``(class, seed, p)`` and
-    each position's own hash, so the sides of one coordinated version
-    difference keep the same positions: ``shared`` maps ``(class,
-    seed, p)`` to the longest base row count drawn so far and its
-    draw, and a side of as many rows takes that draw while a shorter
-    one (a version before rows were appended) takes its prefix below
-    ``n_rows`` — the same set a draw over ``n_rows`` keeps.  A draw's
-    arrays are read-only (:class:`~repro.sampling.base.Draw`), so the
-    sides can hold them at once.  An RNG-driven method (Bernoulli,
-    without replacement, block) never shares: it consumes the
-    generator, and skipping a draw would move every later one.
+    the base row count, so the sides of one coordinated version
+    difference over versions of one length keep the same positions:
+    ``shared`` maps ``(class, seed, p, n_rows)`` to its draw, and the
+    second side takes the first side's.  A draw's arrays are read-only
+    (:class:`~repro.sampling.base.Draw`), so the sides can hold them at
+    once.  An RNG-driven method (Bernoulli, without replacement, block)
+    never shares: it consumes the generator, and skipping a draw would
+    move every later one.
     """
     if shared is None or not isinstance(method, LineageHashBernoulli):
         return method.draw(n_rows, rng)
-    key = (type(method), method.seed, method.p)
-    held = shared.get(key)
-    if held is None or held[0] < n_rows:
-        draw = method.draw(n_rows, rng)
-        shared[key] = (n_rows, draw)
-        return draw
-    held_rows, draw = held
-    if held_rows == n_rows:
-        return draw
-    cut = int(np.searchsorted(draw.rows, n_rows))
-    return Draw(draw.rows[:cut], draw.lineage[:cut])
+    key = (type(method), method.seed, method.p, n_rows)
+    draw = shared.get(key)
+    if draw is None:
+        draw = shared[key] = method.draw(n_rows, rng)
+    return draw
 
 
 def _spec_columns(specs) -> frozenset[str]:

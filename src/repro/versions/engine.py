@@ -7,12 +7,12 @@ through the synopsis catalog when one is attached (so synopses keyed by
 the versioned scan are served and stored), every other side on the
 pipeline.  Both calls share one map of lineage-hash draws, made for the
 statement alone: the coordinated hash keeps the same positions in every
-version, so the sides hash the table once between them, and a shorter
-side takes the longer draw's prefix
-(:func:`~repro.relational.pipeline.shared_draw`).  The sides' per-row
-aggregate inputs are then netted per coordination key (lineage row id,
-optionally prefixed by GROUP BY columns) — by position when the sides'
-keys are equal row for row, by one sort of both sides otherwise
+version, so sides of one length hash the table once between them
+(:func:`~repro.relational.pipeline.shared_draw`; a version before rows
+were appended draws on its own).  The sides' per-row aggregate inputs
+are then netted per coordination key (lineage row id, optionally
+prefixed by GROUP BY columns) — by position when the sides' keys are
+equal row for row and ascend, by one sort of both sides otherwise
 (:func:`~repro.core.estimator.difference_inputs`) — and the
 closed-form subset-sum estimator of :mod:`repro.core.estimator` turns
 the netted ``g`` values into unbiased change estimates with exact

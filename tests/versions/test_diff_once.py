@@ -2,11 +2,11 @@
 
 The lineage hash gives each row position the same keep decision in
 every version, so the two sides of ``t MINUS AT VERSION k TABLESAMPLE
-(r PERCENT) REPEATABLE (s)`` keep the same positions: one
-``hash_keep_positions`` call serves both, a shorter side takes the
-longer draw's prefix, and sides with equal key rows net row by row
-instead of sorting the hi-then-lo concatenation.  Every answer keeps
-its bits; RNG-driven samplers never share a draw.
+(r PERCENT) REPEATABLE (s)`` over versions of one length keep the same
+positions: one ``hash_keep_positions`` call serves both, and sides with
+equal, ascending key rows net row by row instead of sorting the
+hi-then-lo concatenation.  Every answer keeps its bits; sides of
+different lengths and RNG-driven samplers never share a draw.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.relational import plan as p
 from repro.relational.database import Database
 from repro.relational.pipeline import shared_draw
 from repro.relational.table import Table
-from repro.sampling import Bernoulli, LineageHashBernoulli, WithoutReplacement
+from repro.sampling import Bernoulli, WithoutReplacement
 from repro.sampling.coordinated import CoordinatedBernoulli
 from repro.versions.engine import estimate_version_diff
 from repro.versions.plan import VersionDiff
@@ -114,10 +114,10 @@ class TestOneDraw:
         assert hash_calls == [N_ROWS]
 
     @pytest.mark.parametrize("text", [SCALAR, GROUPED], ids=["scalar", "grouped"])
-    def test_appended_to_version_hashes_at_most_once(self, hash_calls, text):
+    def test_appended_to_version_hashes_each_side(self, hash_calls, text):
         db = make_db()
         db.sql(text.format(v=2))
-        assert len(hash_calls) <= 1
+        assert hash_calls == [N_ROWS + N_APPENDED, N_ROWS]
 
     @pytest.mark.parametrize("text", [SCALAR, GROUPED], ids=["scalar", "grouped"])
     @pytest.mark.parametrize("versions", VERSIONS)
@@ -138,21 +138,18 @@ class TestOneDraw:
         alone = make_db().sql(statement)
         assert _bits(shared) == _bits(alone)
 
-    def test_shorter_side_takes_the_prefix(self):
+    def test_only_equal_lengths_share(self):
         method = CoordinatedBernoulli(0.1, namespace="fact", salt=3)
         shared: dict = {}
         long = shared_draw(shared, method, N_ROWS + N_APPENDED, None)
         short = shared_draw(shared, method, N_ROWS, None)
+        assert shared_draw(shared, method, N_ROWS, None) is short
+        assert shared_draw(shared, method, N_ROWS + N_APPENDED, None) is long
+        assert not np.shares_memory(short.rows, long.rows)
         expected = method.draw(N_ROWS, None)
         np.testing.assert_array_equal(short.rows, expected.rows)
         np.testing.assert_array_equal(short.lineage, expected.lineage)
-        assert np.shares_memory(short.rows, long.rows)
-        # A longer side after a shorter one draws again, and keeps it.
-        other = LineageHashBernoulli(0.1, seed=method.seed)
-        shared_draw(shared, other, 10, None)
-        longer = shared_draw(shared, other, 20, None)
-        np.testing.assert_array_equal(longer.rows, other.draw(20, None).rows)
-        assert shared[(LineageHashBernoulli, method.seed, 0.1)][0] == 20
+        assert len(shared) == 2
 
     @pytest.mark.parametrize(
         "method",
@@ -224,6 +221,19 @@ def _assert_same_bits(got, want):
 
 
 class TestPositionNetting:
+    @pytest.fixture
+    def reduce_calls(self, monkeypatch):
+        """The row counts of every ``group_reduce_multi`` call."""
+        calls: list[int] = []
+        real = group_reduce_multi
+
+        def counted(columns, weights):
+            calls.append(columns[0].shape[0])
+            return real(columns, weights)
+
+        monkeypatch.setattr(estimator, "group_reduce_multi", counted)
+        return calls
+
     @pytest.mark.parametrize("seed", range(4))
     def test_scan_order_lineage(self, seed):
         rng = np.random.default_rng(seed)
@@ -251,17 +261,7 @@ class TestPositionNetting:
         want = _reference(keys, hi, keys, lo)
         _assert_same_bits(difference_inputs(keys, hi, keys, lo), want)
 
-    def test_unsorted_keys_order_the_rows(self):
-        rng = np.random.default_rng(11)
-        n = 800
-        lineage = rng.permutation(n).astype(np.int64)
-        group = rng.integers(0, 3, size=n).astype(np.int64)
-        hi, lo = [_values(rng, n)], [_values(rng, n)]
-        for keys in ([lineage], [group, lineage]):
-            want = _reference(keys, hi, keys, lo)
-            _assert_same_bits(difference_inputs(keys, hi, keys, lo), want)
-
-    def test_unequal_keys_take_the_concatenation(self, monkeypatch):
+    def test_unequal_keys_take_the_concatenation(self, reduce_calls):
         rng = np.random.default_rng(3)
         n = 1000
         hi_lin = np.sort(rng.choice(3 * n, n, replace=False)).astype(np.int64)
@@ -270,33 +270,36 @@ class TestPositionNetting:
         lo_lin = np.unique(lo_lin)
         hi, lo = [_values(rng, n)], [_values(rng, lo_lin.shape[0])]
         want = _reference([hi_lin], hi, [lo_lin], lo)
-        calls = []
-        real = group_reduce_multi
-
-        def counted(columns, weights):
-            calls.append(columns[0].shape[0])
-            return real(columns, weights)
-
-        monkeypatch.setattr(estimator, "group_reduce_multi", counted)
+        reduce_calls.clear()
         got = difference_inputs([hi_lin], hi, [lo_lin], lo)
         _assert_same_bits(got, want)
-        assert calls == [n + lo_lin.shape[0]]
+        assert reduce_calls == [n + lo_lin.shape[0]]
 
-    def test_equal_keys_skip_the_concatenation(self, monkeypatch):
-        def refuse(columns, weights):
-            raise AssertionError("equal keys must net by position")
+    def test_unordered_keys_take_the_concatenation(self, reduce_calls):
+        rng = np.random.default_rng(11)
+        n = 800
+        lineage = rng.permutation(n).astype(np.int64)
+        group = rng.integers(0, 3, size=n).astype(np.int64)
+        hi, lo = [_values(rng, n)], [_values(rng, n)]
+        for keys in ([lineage], [group, lineage], [np.arange(n)[::-1].copy()]):
+            want = _reference(keys, hi, keys, lo)
+            reduce_calls.clear()
+            _assert_same_bits(difference_inputs(keys, hi, keys, lo), want)
+            assert reduce_calls == [2 * n]
 
-        monkeypatch.setattr(estimator, "group_reduce_multi", refuse)
+    def test_equal_keys_skip_the_concatenation(self, reduce_calls):
         lineage = np.arange(0, 40, 3, dtype=np.int64)
         keys, (g,) = difference_inputs([lineage], [np.full(14, 2.0)], [lineage], [np.ones(14)])
         np.testing.assert_array_equal(keys[0], lineage)
         np.testing.assert_array_equal(g, np.ones(14))
+        # Group columns in scan order: the lineage, most significant, ascends.
+        group = lineage % 3
+        keys, (g,) = difference_inputs(
+            [group, lineage], [np.full(14, 2.0)], [group, lineage], [np.ones(14)]
+        )
+        np.testing.assert_array_equal(keys[0], group)
+        assert reduce_calls == []
 
-    def test_a_key_repeated_within_a_side_takes_the_concatenation(self):
-        keys = [np.array([4, 1, 4], dtype=np.int64)]
-        hi, lo = [np.array([1.0, 2.0, 3.0])], [np.array([0.5, 0.25, 0.125])]
-        want = _reference(keys, hi, keys, lo)
-        _assert_same_bits(difference_inputs(keys, hi, keys, lo), want)
 
 
 # -- (c) a shared draw is read-only -----------------------------------------
@@ -308,9 +311,8 @@ class TestSharedDrawReadOnly:
         shared: dict = {}
         whole = shared_draw(shared, method, 1000, None)
         again = shared_draw(shared, method, 1000, None)
-        prefix = shared_draw(shared, method, 500, None)
         assert again is whole
-        for arr in (whole.rows, whole.lineage, prefix.rows, prefix.lineage):
+        for arr in (whole.rows, whole.lineage):
             with pytest.raises(ValueError):
                 arr[0] = 7
             with pytest.raises(ValueError):
