@@ -50,6 +50,7 @@ from repro.obs.trace import (
     maybe_span,
     start_trace,
 )
+from repro.relational.aggregates import aggregate_columns
 from repro.relational.plan import Aggregate, AggSpec, GroupAggregate, PlanNode
 from repro.relational.table import Table
 from repro.stats.delta import ratio_estimate, ratio_estimates_grouped
@@ -252,15 +253,6 @@ def _key_column(chunk: Table, name: str):
     dictionary codes (no Python string is touched), the rest as arrays."""
     pair = chunk.columns.encoded(name) if name in chunk.columns else None
     return pair or chunk.column(name)  # a missing name raises SchemaError
-
-
-def aggregate_columns(specs, keys=()) -> frozenset[str]:
-    """Data columns the aggregates and GROUP BY keys read per row."""
-    cols = frozenset(keys)
-    for spec in specs:
-        if spec.expr is not None:
-            cols |= spec.expr.columns_used()
-    return cols
 
 
 def _chunk_fold(

@@ -22,7 +22,6 @@ import random
 
 import numpy as np
 
-from repro.sampling import sql_sample_tags
 from repro.sql import ast_nodes as ast
 
 __all__ = [
@@ -64,15 +63,17 @@ VERSION_CHANGE_FRACTION = 0.05
 #: compare answers rather than two error strings.
 BUDGET_REFUSAL_SHARE = 0.15
 
-#: Draw weight per registered ``TABLESAMPLE`` surface form (see
-#: :func:`repro.sampling.sql_sample_tags`).  A registered family whose
-#: tag has no weight here is skipped — the generator cannot guess a
-#: clause shape for a form it has never seen.
+#: The ``TABLESAMPLE`` clause forms the generator draws, with their
+#: draw weights.  Every family of
+#: :data:`repro.optimizer.candidates.FAMILIES` is spelled by one of
+#: them (coordinated sampling *is* ``PERCENT REPEATABLE`` at a shared
+#: seed).  The key order is the order :meth:`random.Random.choices`
+#: draws over, so reordering it changes the query stream.
 SAMPLE_TAG_WEIGHTS = {
     "percent": 0.30,
     "percent-repeatable": 0.25,
-    "rows": 0.20,
     "system": 0.25,
+    "rows": 0.20,
 }
 
 
@@ -232,7 +233,8 @@ class QueryGenerator:
         return ast.SelectItem(expr, alias)
 
     def _sample_for_tag(self, tag: str) -> ast.SampleClause:
-        """A clause in one registered ``TABLESAMPLE`` surface form."""
+        """A clause in one ``TABLESAMPLE`` form of
+        :data:`SAMPLE_TAG_WEIGHTS`."""
         if tag == "percent":
             return ast.SampleClause("percent", self._pick(RATE_LADDER))
         if tag == "percent-repeatable":
@@ -268,13 +270,13 @@ class QueryGenerator:
         )
 
     def _sample(self) -> ast.SampleClause | None:
-        """A sample clause drawn from the registered family surface."""
+        """No sample clause, or one in a weighted random form."""
         if self._chance(0.25):
             return None
-        tags = [t for t in sql_sample_tags() if t in SAMPLE_TAG_WEIGHTS]
-        weights = [SAMPLE_TAG_WEIGHTS[t] for t in tags]
         return self._sample_for_tag(
-            self.rand.choices(tags, weights=weights)[0]
+            self.rand.choices(
+                list(SAMPLE_TAG_WEIGHTS), weights=SAMPLE_TAG_WEIGHTS.values()
+            )[0]
         )
 
     def _filter_predicate(self, tables: list[str]) -> ast.SqlExpr:

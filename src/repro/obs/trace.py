@@ -13,7 +13,7 @@ one query.  The design constraints, in order of importance:
   tracer, in chunk order, and opens its own span (and one per plan
   node it runs) directly, so span ids and tree shape depend only on
   the chunking.
-* **Bounded.**  A trace keeps at most ``max_spans`` spans; further
+* **Bounded.**  A trace keeps at most :data:`MAX_SPANS` spans; further
   spans are counted in :attr:`Trace.dropped` but not stored, so a
   pathological plan cannot balloon memory.
 """
@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter_ns
 
-#: Default bound on spans retained per trace.
-DEFAULT_MAX_SPANS = 10_000
+#: Bound on spans retained per trace, read when a tracer is built.
+MAX_SPANS = 10_000
 
 
 @dataclass
@@ -128,11 +128,9 @@ class Tracer:
     needed on the hot path.
     """
 
-    def __init__(
-        self, name: str = "query", max_spans: int = DEFAULT_MAX_SPANS
-    ) -> None:
+    def __init__(self, name: str = "query") -> None:
         self.name = name
-        self.max_spans = int(max_spans)
+        self._limit = MAX_SPANS
         self.spans: list[Span] = []
         self.dropped = 0
         self._next_id = 0
@@ -148,7 +146,7 @@ class Tracer:
         return self._stack[-1] if self._stack else _NullSpan()
 
     def start(self, name: str, kind: str = "phase", **attrs):
-        if len(self.spans) >= self.max_spans:
+        if len(self.spans) >= self._limit:
             self.dropped += 1
             return _NullSpan()
         span = Span(
@@ -222,14 +220,14 @@ def get_tracer() -> Tracer | None:
 
 
 @contextmanager
-def start_trace(name: str = "query", max_spans: int = DEFAULT_MAX_SPANS):
+def start_trace(name: str = "query"):
     """Install a fresh tracer for the dynamic extent of a query.
 
     The root span opens immediately; :meth:`Tracer.finish_trace` closes
     it.  Nested ``start_trace`` calls stack cleanly (the inner trace
     wins for its extent), and the previous tracer is restored on exit.
     """
-    tracer = Tracer(name=name, max_spans=max_spans)
+    tracer = Tracer(name=name)
     root = tracer.start(name, kind="query")
     token = _ACTIVE.set(tracer)
     try:

@@ -14,10 +14,9 @@ change.  This module makes that concrete:
   left-deep-tree construction and filter placement so SQL-planned and
   optimizer-built plans are structurally identical;
 * :func:`enumerate_assignments` walks a geometric rate ladder across
-  the Bernoulli / lineage-hash / block / without-replacement families
-  (uniform grids always; the per-relation cartesian product whenever it
-  stays small), and :func:`join_orders` enumerates the connected
-  left-deep orders;
+  the :data:`FAMILIES` table (uniform grids always; the per-relation
+  Bernoulli cartesian product whenever it stays small), and
+  :func:`join_orders` enumerates the connected left-deep orders;
 * :func:`reusable_methods` / :func:`escalate_methods` support the
   adaptive loop: hash-based Bernoulli filters at a fixed seed draw
   *nested* samples as the rate grows, so escalated re-executions keep
@@ -26,7 +25,8 @@ change.  This module makes that concrete:
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+import zlib
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,23 +42,49 @@ from repro.sampling import (
     SamplingMethod,
     WithoutReplacement,
 )
-from repro.sampling.registry import (
-    DEFAULT_BLOCK_ROWS,
-    family_names,
-    make_family_method,
-    relation_seed,
-)
+from repro.versions.snapshots import base_name
 
 #: Geometric rate ladder the enumerator walks (×2–2.5 steps).
 RATE_LADDER: tuple[float, ...] = (0.02, 0.05, 0.1, 0.2, 0.4, 0.8)
 
-#: Method families the enumerator instantiates — discovered from the
-#: sampling-family registry (``sampling.register_family``), so newly
-#: registered families enter candidate enumeration without edits here.
-FAMILIES: tuple[str, ...] = family_names(enumerated_only=True)
-
 #: Rows per block for generated SYSTEM-style candidates.
-BLOCK_ROWS = DEFAULT_BLOCK_ROWS
+BLOCK_ROWS = 64
+
+
+def relation_seed(seed: int, relation: str) -> int:
+    """A stable per-relation seed for hash-based (nested-draw) filters.
+
+    Uses CRC32 rather than ``hash()`` so the seed survives process
+    restarts (string hashing is salted per interpreter run).
+    """
+    return (seed * 0x9E3779B1 + zlib.crc32(relation.encode())) % (2**31)
+
+
+#: The method families the enumerator instantiates: name →
+#: ``factory(rate, relation, size, seed)``, which builds the family at
+#: a target sampling fraction of one relation.  The estimator sees a
+#: family only as its GUS parameters, so a new family is one entry here
+#: (and, if SQL can spell it, one clause form in
+#: :data:`repro.fuzz.generator.SAMPLE_TAG_WEIGHTS`).  The order is the
+#: enumeration order, which breaks candidate ranking ties.
+FAMILIES: dict[str, Callable[[float, str, int, int], SamplingMethod]] = {
+    "bernoulli": lambda rate, relation, size, seed: Bernoulli(rate),
+    "lineage-hash": lambda rate, relation, size, seed: LineageHashBernoulli(
+        rate, seed=relation_seed(seed, relation)
+    ),
+    "block": lambda rate, relation, size, seed: BlockBernoulli(
+        rate, BLOCK_ROWS
+    ),
+    # n ≥ 2 keeps b_∅ > 0, which the unbiasing recursion requires.
+    "wor": lambda rate, relation, size, seed: WithoutReplacement(
+        min(size, max(2, int(round(rate * size))))
+    ),
+    # Snapshots of one base table share a namespace, so candidates
+    # for t, t@v1, t@v2 draw the same per-key decisions.
+    "coordinated": lambda rate, relation, size, seed: CoordinatedBernoulli(
+        rate, namespace=base_name(relation), salt=seed
+    ),
+}
 
 #: Cap on the per-relation cartesian product of rate assignments.
 MAX_CARTESIAN = 256
@@ -193,13 +219,16 @@ def _owner(column_owner: Mapping[str, str], column: str) -> str:
 def make_method(
     family: str, rate: float, relation: str, size: int, seed: int
 ) -> SamplingMethod:
-    """Instantiate one candidate family at a target sampling fraction.
-
-    Thin wrapper over the sampling-family registry, kept for its
-    historical name and :class:`~repro.errors.PlanError` contract.
-    """
+    """Instantiate one :data:`FAMILIES` entry at a target sampling
+    fraction; an unknown family or a refused method is a
+    :class:`~repro.errors.PlanError`."""
+    factory = FAMILIES.get(family)
+    if factory is None:
+        raise PlanError(
+            f"unknown sampling family {family!r}; known: {list(FAMILIES)}"
+        )
     try:
-        return make_family_method(family, rate, relation, size, seed)
+        return factory(rate, relation, size, seed)
     except ReproError as exc:
         raise PlanError(str(exc)) from None
 

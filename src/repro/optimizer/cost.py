@@ -45,27 +45,15 @@ SELECTIVITY = 1.0 / 3.0
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Predicted work for one candidate plan.
-
-    ``build_rows_max`` is the largest join build input the plan
-    materializes — one build shared by every probe task, so it bounds
-    the resident build state at any chunking.
-    """
+    """Predicted work for one candidate plan."""
 
     rows_scanned: float
     rows_joined: float
     seconds: float
-    build_rows_max: float = 0.0
 
     @property
     def rows_total(self) -> float:
         return self.rows_scanned + self.rows_joined
-
-    def describe(self) -> str:
-        return (
-            f"{self.rows_total:,.0f} rows "
-            f"(~{self.seconds * 1e3:.2f} ms predicted)"
-        )
 
 
 def distinct_count(table: Table, column: str) -> int:
@@ -155,18 +143,13 @@ class CostModel:
         method assignment over it; take the rates at
         ``self.table_sizes``, as the walk does.
         """
-        state = {"scanned": 0.0, "joined": 0.0, "build_max": 0.0}
+        state = {"scanned": 0.0, "joined": 0.0}
         self._rows(plan, state, rates or {})
         seconds = (
             state["scanned"] * SCAN_SECONDS_PER_ROW
             + state["joined"] * JOIN_SECONDS_PER_ROW
         )
-        return CostEstimate(
-            state["scanned"],
-            state["joined"],
-            seconds,
-            build_rows_max=state["build_max"],
-        )
+        return CostEstimate(state["scanned"], state["joined"], seconds)
 
     def reuse_estimate(self, stored_rows: float) -> CostEstimate:
         """Cost of serving a query from a stored synopsis.
@@ -226,17 +209,12 @@ class CostModel:
                 *(self._ndv(node.right, k) for k in node.right_keys),
             )
             state["joined"] += left + right + out
-            # The pipeline materializes the left side as its hash-
-            # partitioned build; the probe side streams.
-            state["build_max"] = max(state["build_max"], left)
             return out
         if isinstance(node, p.CrossProduct):
             left = self._rows(node.left, state, rates)
             right = self._rows(node.right, state, rates)
             out = left * right
             state["joined"] += left + right + out
-            # Cross products stream the left side and hold the right.
-            state["build_max"] = max(state["build_max"], right)
             return out
         if isinstance(node, (p.Union, p.Intersect)):
             left = self._rows(node.left, state, rates)

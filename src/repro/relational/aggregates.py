@@ -20,6 +20,15 @@ from repro.relational.plan import AggSpec
 from repro.relational.table import Table
 
 
+def aggregate_columns(specs, keys=()) -> frozenset[str]:
+    """Data columns the aggregates and GROUP BY keys read per row."""
+    cols = frozenset(keys)
+    for spec in specs:
+        if spec.expr is not None:
+            cols |= spec.expr.columns_used()
+    return cols
+
+
 def aggregate_input_vector(table: Table, spec: AggSpec) -> np.ndarray:
     """The per-row ``f`` values of a SUM-like aggregate.
 

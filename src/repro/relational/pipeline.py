@@ -85,6 +85,7 @@ from repro.obs.trace import get_tracer, maybe_span
 from repro.relational import expressions as ex
 from repro.relational import plan as p
 from repro.relational.aggregates import (
+    aggregate_columns,
     evaluate_aggregates,
     evaluate_group_aggregates,
 )
@@ -967,12 +968,12 @@ class ChunkedExecutor:
                 self._materialize(node.right, needed, align),
             )
         if isinstance(node, p.Aggregate):
-            child_needed = _spec_columns(node.specs)
+            child_needed = aggregate_columns(node.specs)
             return evaluate_aggregates(
                 self._materialize(node.child, child_needed, align), node.specs
             )
         if isinstance(node, p.GroupAggregate):
-            child_needed = _spec_columns(node.specs) | frozenset(node.keys)
+            child_needed = aggregate_columns(node.specs, node.keys)
             return evaluate_group_aggregates(
                 self._materialize(node.child, child_needed, align),
                 node.keys,
@@ -1038,14 +1039,6 @@ def shared_draw(
     if draw is None:
         draw = shared[key] = method.draw(n_rows, rng)
     return draw
-
-
-def _spec_columns(specs) -> frozenset[str]:
-    cols: frozenset[str] = frozenset()
-    for spec in specs:
-        if spec.expr is not None:
-            cols |= spec.expr.columns_used()
-    return cols
 
 
 def _post_order(node: p.PlanNode):

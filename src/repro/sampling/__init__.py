@@ -10,6 +10,12 @@ Each method implements two duties:
 
 Sampling with replacement has no method here: it is not a randomized
 filter and has no GUS (paper, Section 9).
+
+The methods are a fixed set, and this package imports no layer above
+it: the optimizer instantiates them through its family table
+(:data:`repro.optimizer.candidates.FAMILIES`) and the fuzzer spells
+them through its ``TABLESAMPLE`` clause forms
+(:data:`repro.fuzz.generator.SAMPLE_TAG_WEIGHTS`).
 """
 
 from repro.sampling.base import SamplingMethod
@@ -18,15 +24,6 @@ from repro.sampling.block import BlockBernoulli, BlockWithoutReplacement
 from repro.sampling.composed import BiDimensionalBernoulli
 from repro.sampling.coordinated import CoordinatedBernoulli, coordination_seed
 from repro.sampling.pseudorandom import LineageHashBernoulli, hash01
-from repro.sampling.registry import (
-    FamilySpec,
-    family,
-    family_names,
-    make_family_method,
-    register_family,
-    relation_seed,
-    sql_sample_tags,
-)
 from repro.sampling.without_replacement import WithoutReplacement
 
 __all__ = [
@@ -38,13 +35,6 @@ __all__ = [
     "CoordinatedBernoulli",
     "LineageHashBernoulli",
     "BiDimensionalBernoulli",
-    "FamilySpec",
     "coordination_seed",
-    "family",
-    "family_names",
     "hash01",
-    "make_family_method",
-    "register_family",
-    "relation_seed",
-    "sql_sample_tags",
 ]

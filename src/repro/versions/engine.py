@@ -41,9 +41,12 @@ from repro.core.estimator import (
     group_firsts,
     group_ids,
 )
-from repro.core.sbox import aggregate_columns, apply_having_grouped
+from repro.core.sbox import apply_having_grouped
 from repro.errors import PlanError
-from repro.relational.aggregates import aggregate_input_vector
+from repro.relational.aggregates import (
+    aggregate_columns,
+    aggregate_input_vector,
+)
 from repro.relational.plan import PlanNode
 from repro.relational.table import Table
 from repro.versions.plan import VersionDiff

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.obs import trace as trace_module
 from repro.obs.report import profile_table, render_trace
 from repro.obs.trace import (
     Trace,
@@ -48,8 +49,9 @@ class TestTracer:
         assert span.end_ns >= span.start_ns
         assert span.duration_ns >= 0
 
-    def test_max_spans_bound_counts_dropped(self):
-        tracer = Tracer("t", max_spans=2)
+    def test_max_spans_bound_counts_dropped(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "MAX_SPANS", 2)
+        tracer = Tracer("t")
         for i in range(5):
             with tracer.span(f"s{i}"):
                 pass
@@ -58,12 +60,23 @@ class TestTracer:
         assert trace.dropped == 3
         assert "3 spans dropped" in render_trace(trace)
 
-    def test_dropped_span_is_attribute_sink(self):
-        tracer = Tracer("t", max_spans=1)
+    def test_dropped_span_is_attribute_sink(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "MAX_SPANS", 1)
+        tracer = Tracer("t")
         with tracer.span("kept"):
             pass
         with tracer.span("dropped") as sp:
             sp.attrs["rows"] = 1  # must not raise
+        assert tracer.dropped == 1
+
+    def test_bound_is_read_when_the_tracer_is_built(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "MAX_SPANS", 1)
+        tracer = Tracer("t")
+        monkeypatch.setattr(trace_module, "MAX_SPANS", 10)
+        for name in ("kept", "dropped"):
+            with tracer.span(name):
+                pass
+        assert [s.name for s in tracer.spans] == ["kept"]
         assert tracer.dropped == 1
 
     def test_finish_trace_closes_open_spans(self):
@@ -198,11 +211,11 @@ class _FullScanTrace(Trace):
         return build(None)
 
 
-def _random_trace(seed: int, n_ops: int, max_spans: int) -> Trace:
+def _random_trace(seed: int, n_ops: int) -> Trace:
     """A random span tree: starts and finishes interleaved at random,
-    several roots once the first closes, cut at ``max_spans``."""
+    several roots once the first closes, cut at ``MAX_SPANS``."""
     rng = random.Random(seed)
-    tracer = Tracer("q", max_spans=max_spans)
+    tracer = Tracer("q")
     open_spans = [tracer.start("q", kind="query")]
     for _ in range(n_ops):
         if open_spans and (len(open_spans) > 6 or rng.random() < 0.45):
@@ -221,8 +234,9 @@ def _random_trace(seed: int, n_ops: int, max_spans: int) -> Trace:
 @pytest.mark.parametrize(
     "seed, max_spans", [(0, 10_000), (1, 10_000), (2, 10_000), (3, 150)]
 )
-def test_indexed_tree_matches_a_full_scan(seed, max_spans):
-    trace = _random_trace(seed, 600, max_spans)
+def test_indexed_tree_matches_a_full_scan(seed, max_spans, monkeypatch):
+    monkeypatch.setattr(trace_module, "MAX_SPANS", max_spans)
+    trace = _random_trace(seed, 600)
     reference = _FullScanTrace(trace.name, trace.spans, trace.dropped)
     assert bool(trace.dropped) == (max_spans < 600)
     for span_id in [None, -1, *(s.span_id for s in trace.spans)]:

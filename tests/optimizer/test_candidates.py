@@ -141,6 +141,14 @@ class TestEnumeration:
         assert isinstance(method, WithoutReplacement)
         assert method.size >= 2
 
+    def test_unknown_family_is_a_plan_error(self):
+        with pytest.raises(PlanError, match="unknown sampling family 'nope'"):
+            make_method("nope", 0.1, "orders", 100, seed=0)
+
+    def test_refused_rate_is_a_plan_error(self):
+        with pytest.raises(PlanError, match="not a probability"):
+            make_method("bernoulli", 1.5, "orders", 100, seed=0)
+
 
 class TestJoinOrders:
     def test_original_order_first(self, tpch_db):

@@ -1,42 +1,49 @@
-"""Coordinated Bernoulli draws and the sampling-family registry."""
+"""Coordinated Bernoulli draws and the optimizer's family table."""
 
 from __future__ import annotations
+
+import hashlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.sampling import (
-    CoordinatedBernoulli,
-    coordination_seed,
-    family_names,
-    make_family_method,
-    register_family,
-    sql_sample_tags,
-)
-from repro.sampling.base import Draw, SamplingMethod, row_lineage
-from repro.sampling.registry import _REGISTRY
+from repro.fuzz.generator import SAMPLE_TAG_WEIGHTS
+from repro.optimizer.candidates import FAMILIES, RATE_LADDER, make_method
+from repro.sampling import CoordinatedBernoulli, coordination_seed
 
 KEYS = np.arange(5_000, dtype=np.int64)
 
+#: ``describe()`` of every family at every ladder rate for one
+#: versioned relation, recorded before the table replaced the family
+#: registry: the relation's seed, its snapshot namespace and WOR's
+#: two-row floor all show.
+PINNED_DESCRIBE = {
+    "bernoulli": tuple(
+        f"BERNOULLI({r} PERCENT)" for r in (2, 5, 10, 20, 40, 80)
+    ),
+    "lineage-hash": tuple(
+        f"HASH-BERNOULLI({r} PERCENT, seed=428185989)"
+        for r in (2, 5, 10, 20, 40, 80)
+    ),
+    "block": tuple(
+        f"SYSTEM({r} PERCENT, BLOCK 64)" for r in (2, 5, 10, 20, 40, 80)
+    ),
+    "wor": tuple(f"WOR({n} ROWS)" for n in (2, 2, 2, 2, 3, 6)),
+    "coordinated": tuple(
+        f"COORDINATED({r} PERCENT, namespace='orders', salt=17)"
+        for r in (2, 5, 10, 20, 40, 80)
+    ),
+}
 
-class _StubMethod(SamplingMethod):
-    """Minimal registrable family for registry tests."""
-
-    def __init__(self, p):
-        self.p = p
-
-    def draw(self, n_rows, rng):
-        lineage = row_lineage(n_rows)
-        return Draw(mask=np.ones(n_rows, dtype=bool), lineage=lineage)
-
-    def gus(self, relation, n_rows):
-        from repro.core.gus import bernoulli_gus
-
-        return bernoulli_gus(relation, self.p)
-
-    def describe(self):
-        return f"STUB({self.p})"
+#: sha256 of ``"{family} {rate} {relation} {size} {seed}: {describe}\n"``
+#: over three relations × every family × every ladder rate, recorded
+#: with :data:`PINNED_DESCRIBE`.
+PINNED_DESCRIBE_DIGEST = (
+    "94fb1258bf82f729fed1592ae0a1a57e7c6f3a868e783c7f521cecb31095e105"
+)
 
 
 class TestCoordinatedDraws:
@@ -101,53 +108,71 @@ class TestCoordinatedDraws:
         assert coordination_seed("fact", 1) != coordination_seed("dim", 1)
 
 
-class TestFamilyRegistry:
-    def test_builtins_are_registered_in_order(self):
-        names = family_names()
-        assert names.index("bernoulli") < names.index("coordinated")
-        assert {"lineage-hash", "block", "wor"} <= set(names)
+class TestFamilyTable:
+    def test_families_are_enumerated_in_order(self):
+        """Enumeration order breaks candidate ranking ties."""
+        assert list(FAMILIES) == [
+            "bernoulli",
+            "lineage-hash",
+            "block",
+            "wor",
+            "coordinated",
+        ]
 
     def test_snapshots_share_a_coordination_namespace(self):
         """Family instances built for ``t``, ``t@v1``, ``t@v2`` draw the
         same per-key decisions — versioned scans stay coordinated."""
         masks = [
-            make_family_method("coordinated", 0.3, relation, 400, 17).keep(
-                KEYS
-            )
+            make_method("coordinated", 0.3, relation, 400, 17).keep(KEYS)
             for relation in ("fact", "fact@v1", "fact@v2")
         ]
         np.testing.assert_array_equal(masks[0], masks[1])
         np.testing.assert_array_equal(masks[0], masks[2])
 
-    def test_duplicate_registration_refused_unless_replaced(self):
-        register_family("test-custom", _StubMethod, enumerated=False)
-        try:
-            with pytest.raises(ReproError):
-                register_family("test-custom", _StubMethod)
-            spec = register_family("test-custom", _StubMethod, replace=True)
-            assert spec.name == "test-custom"
-            method = make_family_method("test-custom", 0.4, "fact", 100, 0)
-            assert isinstance(method, _StubMethod)
-            assert method.p == pytest.approx(0.4)
-        finally:
-            _REGISTRY.pop("test-custom", None)
-
-    def test_enumerated_only_filter(self):
-        register_family("test-hidden", _StubMethod, enumerated=False)
-        try:
-            assert "test-hidden" in family_names()
-            assert "test-hidden" not in family_names(enumerated_only=True)
-        finally:
-            _REGISTRY.pop("test-hidden", None)
-
-    def test_sql_sample_tags_cover_the_surface(self):
-        tags = sql_sample_tags()
-        assert set(tags) == {
+    def test_sample_tags_cover_the_surface(self):
+        """One clause form per ``TABLESAMPLE`` spelling; coordinated
+        sampling shares lineage-hash's.  The order fixes the fuzz
+        stream."""
+        assert list(SAMPLE_TAG_WEIGHTS) == [
             "percent",
             "percent-repeatable",
-            "rows",
             "system",
-        }
-        # Coordinated shares lineage-hash's surface form, so the tag
-        # list stays deduplicated.
-        assert len(tags) == len(set(tags))
+            "rows",
+        ]
+
+    def test_describe_strings_are_pinned(self):
+        for family in FAMILIES:
+            got = tuple(
+                make_method(family, rate, "orders@v2", 7, 17).describe()
+                for rate in RATE_LADDER
+            )
+            assert got == PINNED_DESCRIBE[family], family
+        lines = [
+            f"{family} {rate} {relation} {size} {seed}: "
+            + make_method(family, rate, relation, size, seed).describe()
+            for relation, size, seed in (
+                ("lineitem", 1000, 0),
+                ("orders@v2", 7, 17),
+                ("fact", 400, 3),
+            )
+            for family in FAMILIES
+            for rate in RATE_LADDER
+        ]
+        blob = "".join(line + "\n" for line in lines).encode()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_DESCRIBE_DIGEST
+
+    def test_sampling_imports_no_layer_above(self):
+        """``repro.sampling`` is a leaf of the engine: importing it
+        loads neither the snapshot layer nor the optimizer."""
+        script = (
+            "import sys, repro.sampling;"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith(('repro.versions', 'repro.optimizer'))))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
